@@ -4,13 +4,12 @@
 //! over a 5-point grid) at 1, 2 and N worker threads, cold-cache vs.
 //! warm-cache. The warm rows quantify the full-cache-hit fast path (no
 //! graph builds at all); the thread rows quantify executor scaling. A
-//! second group runs the same campaign through each LP solver variant
-//! (`lp-dense` / `lp-sparse` / `lp-parametric`), reporting the
-//! sparse-vs-dense and warm-vs-cold speedups at campaign granularity.
+//! second group answers one campaign with each of the three backends
+//! (`parametric` / `eval` / `lp`) at campaign granularity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use llamp_bench::{app_campaign_spec, campaign_grid};
-use llamp_engine::{run_campaign, Backend, CampaignSpec, ExecutorConfig, LpSolver, ResultCache};
+use llamp_engine::{run_campaign, Backend, CampaignSpec, ExecutorConfig, ResultCache};
 use llamp_util::time::us;
 use llamp_workloads::App;
 use std::hint::black_box;
@@ -76,19 +75,15 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same campaign answered by each LP solver variant (all re-solve
-/// per grid point through their warm-start path; they differ in the
-/// factorisation — dense inverse vs. sparse LU — and in the parametric
-/// variant's pivot-free basis-stability shortcut).
-fn bench_lp_backends(c: &mut Criterion) {
-    // Two medium workloads over a 9-point grid keeps the dense row under
-    // bench-friendly cost while still showing the per-point re-solve gap.
+/// The same campaign answered by each backend: the exact envelope,
+/// direct evaluation per point, and the LP (a crash-started solve per
+/// point plus three tolerance-zone LPs).
+fn bench_backends(c: &mut Criterion) {
     let apps: Vec<(App, u32, usize)> = vec![(App::Milc, 8, 1), (App::Cloverleaf, 8, 1)];
     let grid = || campaign_grid(0.0, us(60.0), 9, us(1_000.0));
-    let mut group = c.benchmark_group("engine_lp_backends");
+    let mut group = c.benchmark_group("engine_backends");
     group.sample_size(2);
-    for solver in [LpSolver::Dense, LpSolver::Sparse, LpSolver::Parametric] {
-        let backend = Backend::Lp(solver);
+    for backend in [Backend::Parametric, Backend::Eval, Backend::Lp] {
         let spec = app_campaign_spec(&apps, &[backend], grid());
         group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
             b.iter(|| {
@@ -110,6 +105,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_engine, bench_lp_backends
+    targets = bench_engine, bench_backends
 }
 criterion_main!(benches);

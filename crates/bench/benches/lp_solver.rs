@@ -1,15 +1,11 @@
-//! Criterion: LP backend costs on graph-shaped models.
+//! Criterion: LP solver costs on graph-shaped models.
 //!
-//! Measures (a) Algorithm 1 model construction, (b) per-backend solve
-//! time on contracted graphs of growing size, (c) the parametric envelope
-//! pass, (d) the bound-tightening resolve that Algorithm 2 performs per
-//! iteration, and (e) the headline comparison of this crate's solver
-//! stack: **cold dense vs. cold sparse vs. warm-started sparse /
-//! parametric** on a 64-point latency sweep. The sweep group reports the
-//! sparse-vs-dense and warm-vs-cold speedups the `SolverBackend` layer
-//! exists to deliver: the dense reference re-solves every point from the
-//! all-logical basis, while the warm backends thread each point's optimal
-//! basis into the next (usually a pivot-free re-extraction).
+//! Measures (a) Algorithm 1 model construction, (b) a repeated predict at
+//! one latency (warm from the retained basis), (c) the parametric
+//! envelope pass, (d) the tolerance flip, (e) the cold anchor solve, and
+//! (f) a 64-point latency sweep two ways: chained (each point warm from
+//! the previous optimum) and reset (each point from its own longest-path
+//! crash basis — the engine's rule).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llamp_bench::{graph_of, linspace};
@@ -19,9 +15,6 @@ use llamp_schedgen::ExecGraph;
 use llamp_util::time::us;
 use llamp_workloads::App;
 use std::hint::black_box;
-
-/// Rows above which the dense-inverse path is too slow to bench.
-const DENSE_ROW_CAP: usize = 2_500;
 
 fn bench_lp(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_solver");
@@ -37,22 +30,15 @@ fn bench_lp(c: &mut Criterion) {
         );
 
         // Repeated predicts at one latency: after the first solve the
-        // warm backends answer from the retained basis.
-        for backend in ["dense", "sparse", "parametric"] {
-            if backend == "dense"
-                && GraphLp::build(&graph, &binding).model().num_constraints() > DENSE_ROW_CAP
-            {
-                continue;
-            }
-            group.bench_with_input(
-                BenchmarkId::new(format!("predict_{backend}"), graph.num_vertices()),
-                &graph,
-                |b, g| {
-                    let mut lp = GraphLp::build_named(g, &binding, backend).unwrap();
-                    b.iter(|| black_box(lp.predict(params.l).unwrap().runtime))
-                },
-            );
-        }
+        // solver answers from the retained basis.
+        group.bench_with_input(
+            BenchmarkId::new("predict_repeat", graph.num_vertices()),
+            &graph,
+            |b, g| {
+                let mut lp = GraphLp::build(g, &binding);
+                b.iter(|| black_box(lp.predict(params.l).unwrap().runtime))
+            },
+        );
 
         group.bench_with_input(
             BenchmarkId::new("parametric_envelope", graph.num_vertices()),
@@ -75,14 +61,14 @@ fn bench_tolerance(c: &mut Criterion) {
     });
 }
 
-/// One full latency sweep through a named backend. `cold` resets the
-/// backend before every point, so each solve starts from the all-logical
-/// basis; warm sweeps thread the previous basis through.
-fn sweep(graph: &ExecGraph, binding: &Binding, backend: &str, deltas: &[f64], cold: bool) -> f64 {
-    let mut lp = GraphLp::build_named(graph, binding, backend).unwrap();
+/// One full latency sweep. `reset` drops the warm basis before every
+/// point, so each solve starts from its own crash basis; otherwise each
+/// point starts from the previous optimum.
+fn sweep(graph: &ExecGraph, binding: &Binding, deltas: &[f64], reset: bool) -> f64 {
+    let mut lp = GraphLp::build(graph, binding);
     let mut acc = 0.0;
     for &d in deltas {
-        if cold {
+        if reset {
             lp.reset_backend();
         }
         acc += lp.predict(d).unwrap().runtime;
@@ -90,19 +76,13 @@ fn sweep(graph: &ExecGraph, binding: &Binding, backend: &str, deltas: &[f64], co
     acc
 }
 
-/// The headline benchmark: a 64-point latency sweep, cold dense vs. cold
-/// sparse vs. warm sparse vs. warm parametric.
-///
-/// Two subjects, chosen by LP row count at 8 ranks: the largest bundled
-/// workload outright (HPCG; the dense reference cannot sweep it in bench
-/// time, which is the point of the sparse path), and the largest the
-/// dense inverse can still handle (for the full 4-way comparison).
+/// A 64-point latency sweep, chained vs. reset, on the smallest and the
+/// largest bundled workload by LP row count at 8 ranks.
 fn bench_sweep64(c: &mut Criterion) {
     let params = LogGPSParams::cscs_testbed(8).with_o(us(6.0));
     let binding = Binding::uniform(&params);
     let deltas = linspace(0.0, us(60.0), 64);
 
-    // Rank the bundled workloads by LP size.
     let mut sized: Vec<(App, ExecGraph, usize)> = App::ALL
         .iter()
         .map(|&app| {
@@ -112,47 +92,22 @@ fn bench_sweep64(c: &mut Criterion) {
         })
         .collect();
     sized.sort_by_key(|&(_, _, rows)| rows);
-    let (largest_app, largest_graph, largest_rows) = sized.last().unwrap();
-    let (dense_app, dense_graph, dense_rows) = sized
-        .iter()
-        .rev()
-        .find(|&&(_, _, rows)| rows <= DENSE_ROW_CAP)
-        .expect("some workload fits the dense cap");
 
     let mut group = c.benchmark_group("sweep64");
     group.sample_size(2);
-
-    // Full 4-way comparison on the largest dense-eligible workload.
-    let label = format!("{}_{}rows", dense_app.name(), dense_rows);
-    for (mode, backend, cold) in [
-        ("cold_dense", "dense", true),
-        ("cold_sparse", "sparse", true),
-        ("warm_sparse", "sparse", false),
-        ("warm_parametric", "parametric", false),
-    ] {
-        group.bench_with_input(BenchmarkId::new(mode, &label), dense_graph, |b, g| {
-            b.iter(|| black_box(sweep(g, &binding, backend, &deltas, cold)))
-        });
-    }
-
-    // The true largest workload: sparse-only (cold vs. warm).
-    let label = format!("{}_{}rows", largest_app.name(), largest_rows);
-    for (mode, backend, cold) in [
-        ("cold_sparse", "sparse", true),
-        ("warm_sparse", "sparse", false),
-        ("warm_parametric", "parametric", false),
-    ] {
-        group.bench_with_input(BenchmarkId::new(mode, &label), largest_graph, |b, g| {
-            b.iter(|| black_box(sweep(g, &binding, backend, &deltas, cold)))
-        });
+    for (app, graph, rows) in [sized.first().unwrap(), sized.last().unwrap()] {
+        let label = format!("{}_{}rows", app.name(), rows);
+        for (mode, reset) in [("chained", false), ("reset", true)] {
+            group.bench_with_input(BenchmarkId::new(mode, &label), graph, |b, g| {
+                b.iter(|| black_box(sweep(g, &binding, &deltas, reset)))
+            });
+        }
     }
     group.finish();
 }
 
-/// The cold anchor solve in isolation: one fresh backend, one solve at
-/// the base latency — the price every campaign scenario pays before its
-/// warm sweep can start, and the subject of the ISSUE-3 hypersparse
-/// hot-path work (PR 2 baseline on HPCG: ~728 ms; now ~60 ms).
+/// The cold anchor solve in isolation: one fresh solver, one solve at the
+/// base latency from the longest-path crash basis.
 fn bench_cold_anchor(c: &mut Criterion) {
     let params = LogGPSParams::cscs_testbed(8).with_o(us(6.0));
     let binding = Binding::uniform(&params);
@@ -164,7 +119,7 @@ fn bench_cold_anchor(c: &mut Criterion) {
         let label = format!("{}_{}rows", app.name(), rows);
         group.bench_with_input(BenchmarkId::new("sparse", &label), &graph, |b, g| {
             b.iter(|| {
-                let mut lp = GraphLp::build_named(g, &binding, "sparse").unwrap();
+                let mut lp = GraphLp::build(g, &binding);
                 black_box(lp.predict(params.l).unwrap().runtime)
             })
         });

@@ -1,4 +1,4 @@
-//! Ablation: presolve at the three levels it happens in this toolchain.
+//! Ablation: presolve at the levels it happens in this toolchain.
 //!
 //! The paper credits solver presolve for much of LLAMP's speed (§II-D3:
 //! "the presolve phase of the linear solver efficiently eliminates all
@@ -10,13 +10,13 @@
 //!    vertices extend affine expressions instead of spawning
 //!    variables/rows (an inlined presolve);
 //! 3. **chain contraction** — the graph itself shrinks, which benefits the
-//!    envelope/evaluation backends (the LP is already minimal after 2);
-//! 4. **general LP presolve** (`llamp-lp::presolve`) — removes whatever
-//!    redundancy remains in a naive model.
+//!    envelope/evaluation backends (the LP is already minimal after 2).
+//!
+//! The full graph-reduction pipeline (`abl_reduction`) goes further; it is
+//! the toolchain's real presolve, so the LP crate carries none of its own.
 
 use llamp_bench::{graph_of, Table};
 use llamp_core::{Binding, GraphLp};
-use llamp_lp::presolve::presolve;
 use llamp_lp::{LpModel, Objective, Relation};
 use llamp_model::LogGPSParams;
 use llamp_schedgen::ExecGraph;
@@ -112,19 +112,8 @@ fn main() {
     }
     t.print();
 
-    // Layer 4: general LP presolve on a naive model.
-    let graph = graph_of(&App::Openmx.programs(ranks, iters)).contracted();
-    let params = LogGPSParams::cscs_testbed(ranks).with_o(App::Openmx.paper_o());
-    let naive = naive_lp(&graph, &Binding::uniform(&params));
-    let pre = presolve(&naive).expect("feasible");
     println!(
-        "\nGeneral LP presolve on OpenMX's naive model: {} of {} rows removed, {} vars fixed.",
-        pre.rows_removed,
-        naive.num_constraints(),
-        pre.vars_removed
-    );
-    println!(
-        "Algorithm 1's affine accumulation is itself the decisive presolve: it \
+        "\nAlgorithm 1's affine accumulation is itself the decisive presolve: it \
          folds every single-predecessor vertex, which is why chain contraction \
          leaves the LP row count unchanged (it still shrinks the graph ~35% for \
          the envelope and evaluation backends)."

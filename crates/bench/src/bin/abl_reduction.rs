@@ -75,7 +75,7 @@ fn main() {
         let anchor_ms = |graph: &llamp_schedgen::ExecGraph| -> f64 {
             let mut best = f64::INFINITY;
             for _ in 0..3 {
-                let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+                let mut lp = GraphLp::build(graph, &binding);
                 let t0 = Instant::now();
                 let p = lp.predict(params.l).expect("anchor solves");
                 best = best.min(t0.elapsed().as_secs_f64() * 1e3);

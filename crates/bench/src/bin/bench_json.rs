@@ -1,4 +1,4 @@
-//! Machine-readable LP solver benchmark: cold anchor solves and warm
+//! Machine-readable LP solver benchmark: cold anchor solves and 64-point
 //! sweeps per workload, written to `BENCH_lp.json` so the perf trajectory
 //! is tracked across PRs (append-friendly: one self-contained JSON file
 //! per run, overwritten in place).
@@ -11,12 +11,12 @@
 //! shape) it reports the Algorithm-1 LP rows of the **raw** graph vs the
 //! **reduced** graph (the graph-reduction pipeline is the engine's
 //! default since ISSUE 5), per-stage wall clocks for trace ingestion and
-//! graph reduction, the *cold* sparse anchor solve on the reduced LP (the
-//! price every campaign pays once per scenario), a warm 64-point sweep
-//! through the parametric backend, and the solver's iteration count.
+//! graph reduction, the *cold* anchor solve on the reduced LP and its
+//! iteration count, and a 64-point sweep solved the way the engine does:
+//! every point from its own longest-path crash basis.
 
 use llamp_bench::{graph_of, linspace};
-use llamp_core::{Binding, CrashKind, GraphLp, ReduceConfig};
+use llamp_core::{Binding, GraphLp, ReduceConfig};
 use llamp_model::LogGPSParams;
 use llamp_util::time::us;
 use llamp_workloads::App;
@@ -30,9 +30,7 @@ struct Row {
     reduce_ms: f64,
     cold_anchor_ms: f64,
     cold_iterations: u64,
-    crash_topo_iterations: u64,
-    warm_sweep_ms: f64,
-    warm_points: usize,
+    sweep_ms: f64,
     lu_reuse: u64,
 }
 
@@ -88,50 +86,38 @@ fn main() {
         // cost. Best of three fresh solves, so one cold-cache outlier
         // cannot distort the tracked trajectory.
         let mut cold_anchor_ms = f64::INFINITY;
-        let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding);
         let mut anchor = lp.predict(params.l).expect("anchor solves");
         for _ in 0..3 {
-            lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+            lp = GraphLp::build(graph, &binding);
             let t0 = Instant::now();
             anchor = lp.predict(params.l).expect("anchor solves");
             cold_anchor_ms = cold_anchor_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         }
 
-        // Crash comparison: the same cold anchor from the historic
-        // topological (largest-constant) heuristic, tracking what the
-        // exact longest-path crash saves in iterations.
-        let mut topo = GraphLp::build_named(graph, &binding, "sparse").unwrap();
-        topo.set_crash_kind(CrashKind::Topological);
-        let crash_topo_iterations = topo.predict(params.l).expect("anchor solves").iterations;
-
-        // Warm sweep: every point seeded from the anchor basis — the
-        // engine's access pattern under the `anchor` sweep-start policy
-        // (what `auto` resolves to below the 10k-row threshold). The
-        // recorder counts how many factorisations the shared-LU path
-        // saves even here: stability-window points adopt the previous
-        // point's LU at install.
-        let anchor_basis = lp.warm_basis().expect("anchor leaves a basis");
-        let mut warm = GraphLp::build_named(graph, &binding, "parametric").unwrap();
-        warm.seed_backend(&anchor_basis);
+        // The engine's sweep: every point reset to its own crash basis.
+        // The recorder counts how many factorisations the shared-LU path
+        // saves: consecutive points inside one stability region share a
+        // crash basis, so the retained LU is adopted at install.
+        let mut sweep = GraphLp::build(graph, &binding);
         llamp_obs::enable();
         let t1 = Instant::now();
         let mut acc = 0.0;
         for &d in &deltas {
-            warm.seed_backend(&anchor_basis);
-            acc += warm
+            sweep.reset_backend();
+            acc += sweep
                 .predict(params.l + d)
                 .expect("sweep point solves")
                 .runtime;
         }
-        let warm_sweep_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let sweep_ms = t1.elapsed().as_secs_f64() * 1e3;
         let lu_reuse = take_lu_reuse();
         llamp_obs::disable();
         assert!(acc.is_finite());
 
         eprintln!(
             "{:<12} rows {:>5} -> {:>4} ({:.1}x)  ingest {:>6.2} ms  reduce {:>6.2} ms  \
-             cold anchor {:>8.3} ms ({} iters; topo crash {})  warm 64-pt sweep {:>8.2} ms  \
-             lu reuse {}",
+             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  lu reuse {}",
             app.name().to_ascii_lowercase(),
             stats.rows_before,
             stats.rows_after,
@@ -140,8 +126,7 @@ fn main() {
             reduce_ms,
             cold_anchor_ms,
             anchor.iterations,
-            crash_topo_iterations,
-            warm_sweep_ms,
+            sweep_ms,
             lu_reuse
         );
         rows.push(Row {
@@ -152,9 +137,7 @@ fn main() {
             reduce_ms,
             cold_anchor_ms,
             cold_iterations: anchor.iterations,
-            crash_topo_iterations,
-            warm_sweep_ms,
-            warm_points: deltas.len(),
+            sweep_ms,
             lu_reuse,
         });
     }
@@ -168,13 +151,10 @@ fn main() {
     // * `large_lp` — the LP solved on the *same* ~10⁶-vertex shape
     //   (137k reduced rows). The longest-path crash basis makes the cold
     //   anchor a factorisation plus one pricing pass (no pivots), so the
-    //   anchor lands well under a second where the topological heuristic
-    //   took minutes. The 64-point sweep here starts every point from
-    //   its own crash basis (the `crash` sweep-start policy, what `auto`
-    //   resolves to above 10k rows): at this scale the crash is optimal
-    //   at the point, so a "cold" start beats warm re-solves from the
-    //   anchor basis, whose far points pay thousands of pivots (measured
-    //   ~25 min for the same sweep). Two effects stack on top: inside a
+    //   anchor lands well under a second. The 64-point sweep starts every
+    //   point from its own crash basis, like every engine sweep: the
+    //   crash is optimal at the point, so no point pivots. Two effects
+    //   stack on top: inside a
     //   stability region consecutive crash bases coincide, so the
     //   shared-LU path (`lp.lu_reuse`) skips the refactorisation, and
     //   crash-started points are independent, so they shard across the
@@ -218,7 +198,7 @@ fn main() {
         let params_l = LogGPSParams::cscs_testbed(raw.nranks()).with_o(us(6.0));
         let binding_l = Binding::uniform(&params_l);
         let graph = rn.graph();
-        let mut lp = GraphLp::build_named(graph, &binding_l, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding_l);
         let t_cold = Instant::now();
         let anchor = lp.predict(params_l.l).expect("large anchor solves");
         let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
@@ -253,7 +233,7 @@ fn main() {
         };
         let t_shard = Instant::now();
         let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-            let mut lp = GraphLp::build_named(graph, &binding_l, "sparse").unwrap();
+            let mut lp = GraphLp::build(graph, &binding_l);
             let mut rts = Vec::with_capacity(chunk.len());
             for &d in chunk {
                 lp.reset_backend();
@@ -295,7 +275,7 @@ fn main() {
              \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {}, \
              \"sweep_ms\": {sweep_ms:.3}, \"sweep_ms_t1\": {sweep_ms_t1:.3}, \
              \"sweep_threads\": {sweep_threads}, \"sweep_points\": {}, \
-             \"sweep_start\": \"crash\", \"lu_reuse\": {lu_reuse}}},\n",
+             \"lu_reuse\": {lu_reuse}}},\n",
             rn.stats().rows_after,
             rn.stats().rows_before,
             rn.stats().rows_after,
@@ -310,9 +290,7 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rows_raw\": {}, \"rows_reduced\": {}, \
              \"ingest_ms\": {:.3}, \"reduce_ms\": {:.3}, \
              \"cold_anchor_ms\": {:.3}, \"cold_iterations\": {}, \
-             \"crash\": {{\"longest_path_iters\": {}, \"topological_iters\": {}}}, \
-             \"warm_sweep_ms\": {:.3}, \"warm_points\": {}, \
-             \"sweep_start\": \"anchor\", \"lu_reuse\": {}}}{}\n",
+             \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"lu_reuse\": {}}}{}\n",
             r.workload.to_ascii_lowercase(),
             r.rows_raw,
             r.rows_reduced,
@@ -320,10 +298,8 @@ fn main() {
             r.reduce_ms,
             r.cold_anchor_ms,
             r.cold_iterations,
-            r.cold_iterations,
-            r.crash_topo_iterations,
-            r.warm_sweep_ms,
-            r.warm_points,
+            r.sweep_ms,
+            deltas.len(),
             r.lu_reuse,
             if i + 1 == rows.len() { "" } else { "," }
         ));

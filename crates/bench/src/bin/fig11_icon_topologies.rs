@@ -14,7 +14,7 @@
 use llamp_bench::{s3, Table};
 use llamp_engine::{
     run_campaign, Backend, CampaignSpec, ExecutorConfig, GridSpec, ParamsPreset, ParamsSpec,
-    ResultCache, SweepStart, TopologySpec, WorkloadSpec,
+    ResultCache, TopologySpec, WorkloadSpec,
 };
 use llamp_topo::{Dragonfly, FatTree, Topology};
 use llamp_util::time::us;
@@ -62,7 +62,6 @@ fn main() {
         },
         axes: vec![],
         reduce: true,
-        sweep_start: SweepStart::Auto,
     };
     spec.canonicalize();
 

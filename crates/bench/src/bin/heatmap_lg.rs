@@ -1,7 +1,7 @@
 //! L × G heatmap — the flagship multi-parameter (axes) campaign: one
 //! workload swept over the cartesian product of added latency `∆L` and
-//! added per-byte gap `∆G`, answered by the warm-started multi-parameter
-//! LP. Each cell reports the slowdown relative to the base point; the
+//! added per-byte gap `∆G`, answered by the multi-parameter LP (every
+//! cell solved from its own longest-path crash basis). Each cell reports the slowdown relative to the base point; the
 //! companion table shows how the sensitivity pair `(λ_L, λ_G)` moves as
 //! either parameter starts dominating the critical path.
 //!
@@ -10,7 +10,7 @@
 //! ```
 
 use llamp_bench::{app_campaign_axes_spec, campaign_axis, Table};
-use llamp_engine::{run_campaign, Backend, ExecutorConfig, LpSolver, ResultCache, SweepParam};
+use llamp_engine::{run_campaign, Backend, ExecutorConfig, ResultCache, SweepParam};
 use llamp_util::time::us;
 use llamp_workloads::App;
 
@@ -23,7 +23,7 @@ fn main() {
     let g_deltas = g_axis.deltas.clone();
     let spec = app_campaign_axes_spec(
         &[(app, ranks, iters)],
-        &[Backend::Lp(LpSolver::Parametric)],
+        &[Backend::Lp],
         vec![l_axis, g_axis],
         us(2_000.0),
     );

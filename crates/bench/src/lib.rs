@@ -26,8 +26,7 @@
 use llamp_core::Analyzer;
 use llamp_engine::{
     run_campaign, AxisSpec, Backend, CampaignResult, CampaignSpec, ExecutorConfig, GridSpec,
-    ParamsPreset, ParamsSpec, ResultCache, RunSummary, SweepParam, SweepStart, TopologySpec,
-    WorkloadSpec,
+    ParamsPreset, ParamsSpec, ResultCache, RunSummary, SweepParam, TopologySpec, WorkloadSpec,
 };
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{build_graph, ExecGraph, GraphConfig};
@@ -141,7 +140,6 @@ pub fn app_campaign_spec(
         grid,
         axes: vec![],
         reduce: true,
-        sweep_start: SweepStart::Auto,
     };
     spec.canonicalize();
     spec

@@ -17,8 +17,7 @@ use llamp_workloads::App;
 use std::time::Instant;
 
 /// Iteration ceiling for the 32k-row cold anchor. Observed: 1 (the
-/// crash basis is already optimal). The topological-heuristic crash
-/// needed ~18k iterations here.
+/// crash basis is already optimal); ~18k before the crash existed.
 const ITERATION_CEILING: u64 = 2_000;
 /// Wall budget in seconds (observed: well under 1 s in release; CI
 /// machines vary). Pre-crash behaviour was ~21 s.
@@ -37,7 +36,7 @@ fn cold_anchor_scales_near_linearly() {
     let rows = reduced.stats().rows_after;
     assert!(rows > 30_000, "shape shrank: {rows} rows");
 
-    let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(graph, &binding);
     let start = Instant::now();
     let anchor = lp.predict(params.l).expect("anchor solves");
     let elapsed = start.elapsed().as_secs_f64();
@@ -69,13 +68,12 @@ fn cold_anchor_scales_near_linearly() {
 }
 
 /// The anchor ladder, printed for the perf trajectory (docs/SCALING.md):
-/// cold anchors at the 8k/16k/32k-row LULESH shapes, longest-path crash
-/// vs the historic topological heuristic. No timing assertions beyond a
-/// sanity cross-check — the scaling guard above is the tripwire.
+/// cold anchors at the 8k/16k/32k-row LULESH shapes. No timing
+/// assertions beyond a cross-check against direct evaluation — the
+/// scaling guard above is the tripwire.
 #[test]
 #[ignore = "prints measurements; CI runs it explicitly in release mode"]
 fn anchor_ladder() {
-    use llamp_core::CrashKind;
     for iter_mult in [25, 50, 100] {
         let set = llamp_workloads::scaled(App::Lulesh, 2, iter_mult);
         let raw = graph_of(&set);
@@ -85,25 +83,21 @@ fn anchor_ladder() {
         let binding = Binding::uniform(&params);
         let rows = reduced.stats().rows_after;
 
-        let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding);
         let t0 = Instant::now();
         let anchor = lp.predict(params.l).expect("anchor solves");
         let crash_s = t0.elapsed().as_secs_f64();
 
-        let mut topo = GraphLp::build_named(graph, &binding, "sparse").unwrap();
-        topo.set_crash_kind(CrashKind::Topological);
-        let t1 = Instant::now();
-        let heur = topo.predict(params.l).expect("anchor solves");
-        let topo_s = t1.elapsed().as_secs_f64();
-
+        let eval = llamp_core::evaluate(graph, &binding, params.l);
         assert!(
-            (anchor.runtime - heur.runtime).abs() <= 1e-9 * (1.0 + anchor.runtime),
-            "crash kinds disagree at {rows} rows"
+            (anchor.runtime - eval.runtime).abs() <= 1e-9 * (1.0 + eval.runtime),
+            "lp {} vs eval {} at {rows} rows",
+            anchor.runtime,
+            eval.runtime
         );
         eprintln!(
-            "ladder  {rows:>6} rows  longest-path {:.3} s / {} iters   \
-             topological {:.3} s / {} iters",
-            crash_s, anchor.iterations, topo_s, heur.iterations
+            "ladder  {rows:>6} rows  longest-path crash {crash_s:.3} s / {} iters",
+            anchor.iterations
         );
     }
 }

@@ -31,10 +31,10 @@ fn lulesh_cold_anchor_stays_cheap() {
     let graph = graph_of(&App::Lulesh.programs(8, 1)).contracted();
 
     // Throwaway pass to warm caches/allocator before timing.
-    let mut lp = GraphLp::build_named(&graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&graph, &binding);
     lp.predict(params.l).expect("anchor solves");
 
-    let mut lp = GraphLp::build_named(&graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&graph, &binding);
     let start = Instant::now();
     let anchor = lp.predict(params.l).expect("anchor solves");
     let elapsed = start.elapsed().as_secs_f64();
@@ -49,7 +49,12 @@ fn lulesh_cold_anchor_stays_cheap() {
         elapsed <= WALL_BUDGET_S,
         "cold anchor took {elapsed:.3}s (budget {WALL_BUDGET_S}s)"
     );
-    // The anchor is a real solve with real work behind it.
+    // The anchor is a real solve: the crash start is certified by full
+    // pricing scans, with no pivot (and so no FTRAN) behind it.
     let stats = lp.solver_stats();
-    assert!(stats.ftran_calls > 0 && stats.iterations == anchor.iterations);
+    assert!(
+        stats.pricing_full_scans > 0 && stats.pivots == 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.iterations, anchor.iterations);
 }

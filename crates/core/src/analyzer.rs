@@ -128,17 +128,9 @@ impl Analyzer {
         self.evaluate(self.base_l).runtime
     }
 
-    /// Build the LP form (Algorithm 1) for solver-based queries, answered
-    /// by the default backend (warm-started sparse simplex with the
-    /// parametric shortcut).
+    /// Build the LP form (Algorithm 1) for solver-based queries.
     pub fn lp(&self) -> GraphLp {
         GraphLp::build(&self.graph, &self.binding)
-    }
-
-    /// Build the LP form with a named solver backend (`"dense"`,
-    /// `"sparse"` or `"parametric"`). `None` for an unknown name.
-    pub fn lp_named(&self, backend: &str) -> Option<GraphLp> {
-        GraphLp::build_named(&self.graph, &self.binding, backend)
     }
 
     /// Base value of one sweep parameter: the point the campaign's delta
@@ -159,14 +151,9 @@ impl Analyzer {
     }
 
     /// Build the multi-parameter LP (symbolic `L`, `G`, `o`; see
-    /// [`crate::multi_lp::GraphMultiLp`]) with the default backend.
+    /// [`crate::multi_lp::GraphMultiLp`]).
     pub fn multi_lp(&self) -> crate::multi_lp::GraphMultiLp {
         crate::multi_lp::GraphMultiLp::build(&self.graph, &self.binding)
-    }
-
-    /// Build the multi-parameter LP with a named solver backend.
-    pub fn multi_lp_named(&self, backend: &str) -> Option<crate::multi_lp::GraphMultiLp> {
-        crate::multi_lp::GraphMultiLp::build_named(&self.graph, &self.binding, backend)
     }
 
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full

@@ -10,39 +10,22 @@
 //! row, in the build's topological row order) and instantiated into a
 //! [`Basis`] at a concrete parameter point.
 //!
-//! Two instantiation rules:
-//!
-//! * [`CrashKind::LongestPath`] (the default) runs the exact forward
-//!   longest-path recursion at the query point: one pass over the rows
-//!   computes every target's potential `max(pot(base) + c + m·point)`
-//!   and records the argmax row. Evaluated **at that point** the
-//!   resulting tree basis is primal feasible (each `y_v` equals its max)
-//!   *and* dual feasible (the duals are the 0/1 critical-subtree
-//!   indicators, and every parameter multiplier is nonnegative), i.e.
-//!   optimal up to degeneracy — a cold solve seeded from it needs no
-//!   pivots, only the optimality pricing pass.
-//! * [`CrashKind::Topological`] reproduces the historic heuristic (the
-//!   largest-*constant* in-edge, ignoring the parameter terms) — kept as
-//!   the conformance baseline and for measuring what the exact crash
-//!   buys.
+//! Instantiation runs the exact forward longest-path recursion at the
+//! query point: one pass over the rows computes every target's potential
+//! `max(pot(base) + c + m·point)` and records the argmax row. Evaluated
+//! **at that point** the resulting tree basis is primal feasible (each
+//! `y_v` equals its max) *and* dual feasible (the duals are the 0/1
+//! critical-subtree indicators, and every parameter multiplier is
+//! nonnegative), i.e. optimal up to degeneracy — a cold solve seeded from
+//! it needs no pivots, only the optimality pricing pass.
 //!
 //! Ties break toward the lowest row index (strict `>` replacement), so a
 //! plan instantiated at the same point is bit-identical everywhere — the
-//! property the cross-backend byte-identity contract needs from a seed.
+//! property that makes a crash-started answer a pure function of
+//! (model, query point).
 
 use llamp_lp::solution::VarStatus;
 use llamp_lp::Basis;
-
-/// Which in-edge selection rule instantiates the crash basis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CrashKind {
-    /// Exact DAG-longest-path potentials at the query point (optimal up
-    /// to degeneracy; the default).
-    #[default]
-    LongestPath,
-    /// The historic largest-constant heuristic (parameter terms ignored).
-    Topological,
-}
 
 /// One LP row as the crash recursion sees it:
 /// `target ≥ base + c + ml·l + mg·g + mo·o` (base absent for source
@@ -72,10 +55,10 @@ pub(crate) struct CrashPlan {
 
 impl CrashPlan {
     /// Instantiate the plan into a concrete [`Basis`] at parameter point
-    /// `(l, g, o)` under the given selection rule. One pass over the rows
-    /// (they are stored in topological order, so every base's potential
-    /// is final before it is referenced).
-    pub fn basis_at(&self, kind: CrashKind, l: f64, g: f64, o: f64) -> Basis {
+    /// `(l, g, o)`. One pass over the rows (they are stored in
+    /// topological order, so every base's potential is final before it is
+    /// referenced).
+    pub fn basis_at(&self, l: f64, g: f64, o: f64) -> Basis {
         let n_cols = self.col_status.len();
         // Longest-path potential per column (only targets/bases are read;
         // sources implicitly contribute 0 through `NO_BASE`).
@@ -84,23 +67,18 @@ impl CrashPlan {
         let mut best: Vec<f64> = vec![f64::NEG_INFINITY; n_cols];
         for (i, r) in self.rows.iter().enumerate() {
             let tgt = r.target as usize;
-            let score = match kind {
-                CrashKind::LongestPath => {
-                    let from = if r.base == NO_BASE {
-                        0.0
-                    } else {
-                        pot[r.base as usize]
-                    };
-                    from + r.c + r.ml * l + r.mg * g + r.mo * o
-                }
-                CrashKind::Topological => r.c,
+            let from = if r.base == NO_BASE {
+                0.0
+            } else {
+                pot[r.base as usize]
             };
+            let score = from + r.c + r.ml * l + r.mg * g + r.mo * o;
             // Strict `>`: ties keep the lowest row index.
             if winner[tgt] == NO_BASE || score > best[tgt] {
                 winner[tgt] = i as u32;
                 best[tgt] = score;
             }
-            if matches!(kind, CrashKind::LongestPath) && best[tgt] > pot[tgt] {
+            if best[tgt] > pot[tgt] {
                 pot[tgt] = best[tgt];
             }
         }
@@ -147,20 +125,17 @@ mod tests {
     #[test]
     fn longest_path_winner_tracks_the_point() {
         let plan = diamond();
-        let low = plan.basis_at(CrashKind::LongestPath, 0.0, 0.0, 0.0);
-        let high = plan.basis_at(CrashKind::LongestPath, 5.0, 0.0, 0.0);
+        let low = plan.basis_at(0.0, 0.0, 0.0);
+        let high = plan.basis_at(5.0, 0.0, 0.0);
         assert_ne!(low, high, "different points pick different in-edges");
-        // The topological heuristic always picks the constant edge.
-        let topo = plan.basis_at(CrashKind::Topological, 5.0, 0.0, 0.0);
-        assert_eq!(low, topo);
     }
 
     #[test]
     fn exact_tie_keeps_the_lowest_row() {
         // At l = 1 both in-edges score 3.0: the first row must win.
         let plan = diamond();
-        let tie = plan.basis_at(CrashKind::LongestPath, 1.0, 0.0, 0.0);
-        let high = plan.basis_at(CrashKind::LongestPath, 5.0, 0.0, 0.0);
+        let tie = plan.basis_at(1.0, 0.0, 0.0);
+        let high = plan.basis_at(5.0, 0.0, 0.0);
         assert_eq!(tie, high, "tie resolves to the lowest (latency) row");
     }
 }

@@ -22,7 +22,7 @@
 
 pub mod analyzer;
 pub mod binding;
-pub mod crash;
+mod crash;
 pub mod eval;
 pub mod lowering;
 pub mod lp_build;
@@ -34,7 +34,6 @@ pub use analyzer::{Analyzer, SweepPoint, ToleranceZones};
 pub use binding::{
     AnalysisVariable, Binding, LatencyModel, LatencyTerm, MultiBound, PairTable, SweepParam,
 };
-pub use crash::CrashKind;
 pub use eval::{
     evaluate, evaluate_multi, pair_sensitivities, Evaluation, MultiEvaluation, PairSensitivities,
 };

@@ -12,11 +12,11 @@
 //! which is what makes the reduced cost of `l` equal `∂T/∂L ≥ 0`.
 
 use crate::binding::Binding;
-use crate::crash::{CrashKind, CrashPlan, CrashRow, NO_BASE};
+use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
-use llamp_lp::backend::{by_name, Parametric, SolverBackend};
 use llamp_lp::{
-    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
+    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats,
+    SparseSimplex, VarId,
 };
 use llamp_schedgen::GraphView;
 
@@ -30,22 +30,20 @@ struct Expr {
 }
 
 /// The LP form of an execution graph under a binding, paired with the
-/// [`SolverBackend`] that answers its queries. Successive queries re-solve
-/// through the backend's warm-start path, so a latency sweep threads the
-/// previous optimal basis into the next point (one factorisation plus a
-/// few — often zero — pivots per point instead of a cold solve).
+/// [`SparseSimplex`] that answers its queries. A fresh (or reset)
+/// instance starts each query from the longest-path crash basis at the
+/// query's latency point; otherwise successive queries re-solve warm
+/// from the previous (or an explicitly seeded) optimal basis.
 #[derive(Debug)]
 pub struct GraphLp {
     model: LpModel,
     l: VarId,
     t: VarId,
-    backend: Box<dyn SolverBackend>,
-    /// Crash *plan* (see [`GraphLp::build_with_backend`]): the per-row
-    /// longest-path recursion records, instantiated into a concrete
-    /// crash [`Basis`] at each query's latency point.
+    solver: SparseSimplex,
+    /// Crash *plan* (see [`GraphLp::build`]): the per-row longest-path
+    /// recursion records, instantiated into a concrete crash [`Basis`] at
+    /// each query's latency point.
     plan: CrashPlan,
-    /// Which in-edge selection rule instantiates the plan.
-    crash_kind: CrashKind,
 }
 
 /// What a single `predict` solve reports (the quantities LLAMP reads from
@@ -76,32 +74,14 @@ impl Prediction {
 }
 
 impl GraphLp {
-    /// Algorithm 1 with the default solver backend ([`Parametric`]: sparse
-    /// simplex + warm starts + the basis-stability shortcut — the right
-    /// choice for sweeps). The latency variable starts with bound `l ≥ 0`.
-    /// Accepts any [`GraphView`] — raw or reduced graphs alike.
-    pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
-        Self::build_with_backend(graph, binding, Box::new(Parametric::default()))
-    }
-
-    /// Algorithm 1 with a named solver backend (`"dense"`, `"sparse"`,
-    /// `"parametric"` or `"dual"`; see [`by_name`]).
-    pub fn build_named<V: GraphView + ?Sized>(
-        graph: &V,
-        binding: &Binding,
-        backend: &str,
-    ) -> Option<Self> {
-        Some(Self::build_with_backend(graph, binding, by_name(backend)?))
-    }
-
-    /// Algorithm 1: build the LP for `graph` under `binding`, answered by
-    /// an explicit solver backend.
+    /// Algorithm 1: build the LP for `graph` under `binding` (any
+    /// [`GraphView`] — raw or reduced graphs alike). The latency variable
+    /// starts with bound `l ≥ 0`.
     ///
     /// Alongside the model this records a `CrashPlan`: one record per
     /// row of the longest-path recursion the LP encodes. Each query
-    /// instantiates the plan *at its latency point* — by default
-    /// ([`CrashKind::LongestPath`]) running the exact forward DAG
-    /// longest-path pass, so every merge variable `y_v` (and the makespan
+    /// instantiates the plan *at its latency point* — running the exact
+    /// forward DAG longest-path pass, so every merge variable `y_v` (and the makespan
     /// `t`) is made basic on the row that defines its max at that point
     /// while all other rows keep their logical basic. By the graph's
     /// topological order that submatrix is unit lower triangular —
@@ -109,11 +89,7 @@ impl GraphLp {
     /// is primal feasible *and* dual feasible, i.e. optimal up to
     /// degeneracy: a cold solve seeded from it needs no pivots at all,
     /// only the LU factorisation and the optimality pricing pass.
-    pub fn build_with_backend<V: GraphView + ?Sized>(
-        graph: &V,
-        binding: &Binding,
-        backend: Box<dyn SolverBackend>,
-    ) -> Self {
+    pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
         use llamp_lp::solution::VarStatus;
 
         let span = llamp_obs::span("lp.lower");
@@ -223,9 +199,8 @@ impl GraphLp {
             model,
             l,
             t,
-            backend,
+            solver: SparseSimplex::default(),
             plan,
-            crash_kind: CrashKind::default(),
         };
         if llamp_obs::is_enabled() {
             span.field_str("shape", "single");
@@ -240,43 +215,26 @@ impl GraphLp {
         &self.model
     }
 
-    /// Name of the active solver backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Drop the warm state accumulated from previous queries: the next
     /// query seeds the crash basis at its own latency point, exactly as a
     /// freshly built `GraphLp` would.
     pub fn reset_backend(&mut self) {
-        self.backend.reset();
-    }
-
-    /// The crash-basis selection rule in effect (see [`CrashKind`]).
-    pub fn crash_kind(&self) -> CrashKind {
-        self.crash_kind
-    }
-
-    /// Switch the crash-basis selection rule and drop warm state, so the
-    /// next query cold-starts under the new rule.
-    pub fn set_crash_kind(&mut self, kind: CrashKind) {
-        self.crash_kind = kind;
-        self.backend.reset();
+        self.solver.reset();
     }
 
     /// Instantiate the crash basis at a latency point (exposed for
     /// conformance tests and benchmarks; queries do this internally).
     pub fn crash_basis(&self, l_value: f64) -> Basis {
-        self.plan.basis_at(self.crash_kind, l_value, 0.0, 0.0)
+        self.plan.basis_at(l_value, 0.0, 0.0)
     }
 
-    /// Compute the crash at `l_value`, seed it if the backend holds no
+    /// Compute the crash at `l_value`, seed it if the solver holds no
     /// warm state (fresh build or after [`GraphLp::reset_backend`]), and
     /// hand it back for the robust-resolve fallback ladder.
     fn arm_crash(&mut self, l_value: f64) -> Basis {
         let crash = self.crash_basis(l_value);
-        if self.backend.warm_basis().is_none() {
-            self.backend.seed(&crash);
+        if self.solver.warm_basis().is_none() {
+            self.solver.seed(&crash);
         }
         crash
     }
@@ -284,19 +242,19 @@ impl GraphLp {
     /// Cumulative solver-effort counters across every query this instance
     /// has answered (see [`SolveStats`]).
     pub fn solver_stats(&self) -> SolveStats {
-        self.backend.stats()
+        self.solver.stats()
     }
 
-    /// The basis the backend would warm-start its next query from.
+    /// The basis the solver would warm-start its next query from.
     pub fn warm_basis(&self) -> Option<Basis> {
-        self.backend.warm_basis().cloned()
+        self.solver.warm_basis().cloned()
     }
 
-    /// Re-seed the backend's warm state from an explicit basis (e.g. run
+    /// Re-seed the solver's warm state from an explicit basis (e.g. run
     /// several related queries from one reference optimum instead of
     /// chaining them).
     pub fn seed_backend(&mut self, basis: &Basis) {
-        self.backend.seed(basis);
+        self.solver.seed(basis);
     }
 
     /// Latency decision variable.
@@ -316,7 +274,7 @@ impl GraphLp {
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
         let crash = self.arm_crash(l_value);
-        let sol = resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))?;
+        let sol = resolve_robust(&mut self.solver, &self.model, Some(&crash))?;
         Ok(Prediction {
             runtime: sol.objective(),
             lambda: sol.reduced_cost(self.l),
@@ -332,7 +290,7 @@ impl GraphLp {
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
         let crash = self.arm_crash(l_value);
-        resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))
+        resolve_robust(&mut self.solver, &self.model, Some(&crash))
     }
 
     /// Latency tolerance (§II-D2): maximise `l` subject to
@@ -345,7 +303,7 @@ impl GraphLp {
         self.model.set_sense(Objective::Maximize);
         self.model.set_objective(&[(self.l, 1.0)]);
         let crash = self.arm_crash(l_floor);
-        let out = match resolve_robust(self.backend.as_mut(), &self.model, Some(&crash)) {
+        let out = match resolve_robust(&mut self.solver, &self.model, Some(&crash)) {
             Ok(sol) => Ok(sol.value(self.l)),
             Err(SolveError::Unbounded) => Ok(f64::INFINITY),
             Err(e) => Err(e),
@@ -490,29 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_on_fig5() {
-        let g = running_example(0.1);
-        for name in llamp_lp::backend::BACKEND_NAMES {
-            let mut lp = GraphLp::build_named(&g.contracted(), &didactic(), name).unwrap();
-            assert_eq!(lp.backend_name(), *name);
-            let p = lp.predict(500.0).unwrap();
-            assert!((p.runtime - 1_615.0).abs() < 1e-6, "{name}: {}", p.runtime);
-            assert!((p.lambda - 1.0).abs() < 1e-9, "{name}");
-        }
-        assert!(GraphLp::build_named(&g, &didactic(), "gurobi").is_none());
-    }
-
-    #[test]
     fn warm_sweep_matches_cold_solves_bitwise() {
-        // A descending latency sweep through the default (parametric)
-        // backend must report exactly what independent cold solves do —
-        // the engine's cross-backend byte-identity contract in miniature.
+        // A descending latency sweep chained warm through one instance
+        // must report exactly what independent fresh (crash-started)
+        // instances do on this nondegenerate example.
         let g = running_example(0.1).contracted();
         let mut warm = GraphLp::build(&g, &didactic());
         for i in (0..=20).rev() {
             let l = 50.0 * i as f64;
             let p = warm.predict(l).unwrap();
-            let mut cold = GraphLp::build_named(&g, &didactic(), "sparse").unwrap();
+            let mut cold = GraphLp::build(&g, &didactic());
             let q = cold.predict(l).unwrap();
             assert_eq!(p.runtime.to_bits(), q.runtime.to_bits(), "L={l}");
             assert_eq!(p.lambda.to_bits(), q.lambda.to_bits(), "L={l}");

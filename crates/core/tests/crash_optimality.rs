@@ -14,7 +14,7 @@
 //! times drawn from a small integer grid so exact ties — the degenerate
 //! case a longest-path crash mass-produces — occur constantly.
 
-use llamp_core::{evaluate, Binding, CrashKind, GraphLp};
+use llamp_core::{evaluate, Binding, GraphLp};
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{build_graph, ExecGraph, GraphConfig};
 use llamp_trace::{ProgramSet, TracerConfig};
@@ -82,7 +82,7 @@ fn graph_of(ranks: usize, phases: &[Phase]) -> ExecGraph {
 /// The assertion battery for one (graph, latency) pair.
 fn assert_crash_is_optimal(g: &ExecGraph, binding: &Binding, l: f64) {
     let reduced = g.contracted();
-    let mut lp = GraphLp::build_named(&reduced, binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&reduced, binding);
     let p = lp.predict(l).expect("crash-seeded solve succeeds");
     let stats = lp.solver_stats();
     assert_eq!(
@@ -101,17 +101,6 @@ fn assert_crash_is_optimal(g: &ExecGraph, binding: &Binding, l: f64) {
         "L={l}: lp {} vs eval {}",
         p.runtime,
         e.runtime
-    );
-    // The historic topological heuristic reaches the same optimum (in
-    // however many pivots it needs).
-    let mut topo = GraphLp::build_named(&reduced, binding, "sparse").unwrap();
-    topo.set_crash_kind(CrashKind::Topological);
-    let q = topo.predict(l).expect("heuristic-seeded solve succeeds");
-    assert!(
-        (p.runtime - q.runtime).abs() <= 1e-9 * (1.0 + p.runtime),
-        "L={l}: crash kinds disagree: {} vs {}",
-        p.runtime,
-        q.runtime
     );
 }
 

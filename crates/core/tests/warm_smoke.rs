@@ -1,9 +1,11 @@
-//! Warm-vs-cold smoke assertion, run explicitly in CI (`cargo test ...
-//! -- --ignored`): a warm-started 64-point latency sweep must not be
-//! slower than the same sweep with the backend reset (cold) before every
-//! point. Warm sweeps re-use the previous optimal basis — usually a
-//! pivot-free re-extraction — so anything short of a clear win means the
-//! warm-start path regressed.
+//! Chained-vs-reset sweep smoke, run explicitly in CI (`cargo test ...
+//! -- --ignored`): the same 64-point latency sweep on one `GraphLp`,
+//! once chained (each point warm-starts from the previous optimum) and
+//! once reset before every point (each point starts from its own
+//! longest-path crash — the rule the engine's LP sweeps use). Both must
+//! answer the same runtimes, and the reset sweep must stay within a small
+//! factor of the chained one: each crash start is one factorisation and
+//! zero pivots, so anything slower means the crash path regressed.
 
 use llamp_core::{Analyzer, GraphLp};
 use llamp_model::LogGPSParams;
@@ -12,23 +14,26 @@ use llamp_trace::{ProgramSet, TracerConfig};
 use llamp_util::time::us;
 use std::time::Instant;
 
-fn sweep_time(lp: &mut GraphLp, deltas: &[f64], cold: bool) -> f64 {
+/// Seconds for the sweep, plus its runtimes.
+fn sweep(lp: &mut GraphLp, deltas: &[f64], reset: bool) -> (f64, Vec<f64>) {
     let start = Instant::now();
-    for &d in deltas {
-        if cold {
-            lp.reset_backend();
-        }
-        lp.predict(d).expect("solve succeeds");
-    }
-    start.elapsed().as_secs_f64()
+    let runtimes = deltas
+        .iter()
+        .map(|&d| {
+            if reset {
+                lp.reset_backend();
+            }
+            lp.predict(d).expect("solve succeeds").runtime
+        })
+        .collect();
+    (start.elapsed().as_secs_f64(), runtimes)
 }
 
 #[test]
 #[ignore = "timing assertion; CI runs it explicitly"]
-fn warm_sweep_not_slower_than_cold() {
+fn reset_sweep_keeps_pace_with_chained_sweep() {
     // A bulk-synchronous proxy: per-iteration compute, halo exchange with
-    // both neighbours, then a global reduction — big enough that a cold
-    // solve costs real pivots.
+    // both neighbours, then a global reduction.
     let ranks = 8u32;
     let set = ProgramSet::spmd(ranks, |rank, b| {
         for it in 0..12 {
@@ -52,20 +57,22 @@ fn warm_sweep_not_slower_than_cold() {
     let deltas: Vec<f64> = (0..64).map(|i| us(1.0) * i as f64).collect();
 
     // One throwaway pass to warm caches/allocator before timing.
-    let mut lp = analyzer.lp_named("sparse").unwrap();
-    sweep_time(&mut lp, &deltas, false);
+    sweep(&mut analyzer.lp(), &deltas, false);
 
-    let mut cold_lp = analyzer.lp_named("sparse").unwrap();
-    let cold = sweep_time(&mut cold_lp, &deltas, true);
-    let mut warm_lp = analyzer.lp_named("parametric").unwrap();
-    let warm = sweep_time(&mut warm_lp, &deltas, false);
-
+    let (chained, chained_rt) = sweep(&mut analyzer.lp(), &deltas, false);
+    let (reset, reset_rt) = sweep(&mut analyzer.lp(), &deltas, true);
     println!(
-        "cold sweep: {cold:.3}s, warm sweep: {warm:.3}s ({:.1}x)",
-        cold / warm
+        "chained sweep: {chained:.4}s, reset (crash-per-point) sweep: {reset:.4}s ({:.2}x)",
+        reset / chained
     );
+    for ((d, a), b) in deltas.iter().zip(&chained_rt).zip(&reset_rt) {
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs(),
+            "∆L={d}: chained {a} vs reset {b}"
+        );
+    }
     assert!(
-        warm <= cold,
-        "warm sweep ({warm:.3}s) slower than cold ({cold:.3}s)"
+        reset <= 3.0 * chained,
+        "reset sweep ({reset:.4}s) more than 3x the chained sweep ({chained:.4}s)"
     );
 }

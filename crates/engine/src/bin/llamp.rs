@@ -22,7 +22,7 @@
 use llamp_engine::value::{parse_json, Value};
 use llamp_engine::{
     metrics_value, parse_backend, render_metrics, run_campaign_checked, CampaignSpec,
-    ExecutorConfig, ResultCache, SweepStart,
+    ExecutorConfig, ResultCache,
 };
 use llamp_workloads::App;
 use std::path::PathBuf;
@@ -123,13 +123,8 @@ RUN OPTIONS:
   --out FILE        write results JSON here (default: stdout)
   --csv FILE        also write a flat CSV of all sweep points
   --backends LIST   override the spec's backends (comma-separated:
-                    parametric | eval | lp | lp-dense | lp-sparse |
-                    lp-parametric)
-  --sweep-start P   override the spec's sweep_start policy: anchor (every
-                    grid point re-solves from the anchor basis) | crash
-                    (every point solves fresh from the longest-path crash
-                    basis; points shard across idle threads) | auto
-                    (crash above 10k LP rows, anchor below; default)
+                    parametric | eval | lp; lp-sparse, lp-dense,
+                    lp-parametric, lp-dual and simplex are aliases of lp)
   --timeout-ms N    per-scenario timeout (default: unlimited)
   --retries N       re-run a panicked/timed-out scenario up to N times
                     before recording the failure (default: 1)
@@ -222,7 +217,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "out",
             "csv",
             "backends",
-            "sweep-start",
             "timeout-ms",
             "fault-budget",
             "retries",
@@ -267,10 +261,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if args.has("no-reduce") {
         spec.reduce = false;
-    }
-    if let Some(policy) = args.get("sweep-start") {
-        spec.sweep_start = SweepStart::parse(policy.trim())
-            .map_err(|e| CliError::Usage(format!("--sweep-start: {e}")))?;
     }
 
     let threads = match args.get("threads") {

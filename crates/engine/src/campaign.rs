@@ -108,9 +108,6 @@ pub struct RunSummary {
     pub cache_misses: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// The sweep-start policy in force (spec field or CLI override),
-    /// rendered as its spec-level name (`anchor` / `crash` / `auto`).
-    pub sweep_start: String,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Per-scenario provenance, aligned with the result's scenario order.
@@ -216,8 +213,8 @@ pub fn run_campaign(
 
     let threads = config.effective_threads().min(jobs_executed.max(1));
     // Threads left idle by the scenario fan-out are lent to each
-    // scenario's own sweep loop (crash-started points are independent, so
-    // they shard across workers). A campaign with more scenarios than
+    // scenario's own sweep loop (LP points start from their own crash
+    // basis, so they shard across workers). A campaign with more scenarios than
     // threads keeps every scenario single-threaded, exactly as before.
     let point_threads = (config.effective_threads() / jobs_executed.max(1)).max(1);
     let statuses = run_jobs(config, to_run.iter().map(|(_, sc)| *sc).collect(), |sc| {
@@ -270,7 +267,6 @@ pub fn run_campaign(
         cache_hits: cache.stats().hits() - hits_before,
         cache_misses: cache.stats().misses() - misses_before,
         threads,
-        sweep_start: canonical_spec.sweep_start.name().to_string(),
         elapsed: started.elapsed(),
         provenance,
         solver,

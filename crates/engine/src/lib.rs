@@ -62,7 +62,7 @@ pub use scenario::{
     expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
 };
 pub use spec::{
-    parse_backend, AxisSpec, Backend, CampaignSpec, GridSpec, LpSolver, ParamsPreset, ParamsSpec,
-    SpecError, SweepParam, SweepStart, TopologySpec, WorkloadSpec,
+    parse_backend, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset, ParamsSpec, SpecError,
+    SweepParam, TopologySpec, WorkloadSpec, LP_ALIASES,
 };
 pub use value::Value;

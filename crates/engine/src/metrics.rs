@@ -39,10 +39,6 @@ pub fn metrics_value(summary: &RunSummary, obs: &Summary) -> Value {
                 ("cache_misses".into(), int(summary.cache_misses)),
                 ("threads".into(), int(summary.threads as u64)),
                 (
-                    "sweep_start".into(),
-                    Value::Str(summary.sweep_start.clone()),
-                ),
-                (
                     "elapsed_s".into(),
                     Value::Float(summary.elapsed.as_secs_f64()),
                 ),
@@ -276,15 +272,12 @@ pub fn render_metrics(doc: &Value) -> String {
         out.push_str(&format!(
             "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
              cache: {hits} hits, {misses} misses ({rate:.1}% hit rate)\n\
-             threads: {}, sweep start: {}, elapsed: {:.3}s\n",
+             threads: {}, elapsed: {:.3}s\n",
             u("jobs_requested"),
             u("jobs_unique"),
             u("full_cache_hits"),
             u("jobs_executed"),
             u("threads"),
-            run.get("sweep_start")
-                .and_then(Value::as_str)
-                .unwrap_or("auto"),
             run.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
         ));
     }
@@ -328,7 +321,6 @@ mod tests {
             cache_hits: 5,
             cache_misses: 15,
             threads: 2,
-            sweep_start: "auto".to_string(),
             elapsed: Duration::from_millis(1500),
             provenance: vec![Provenance::Computed; 3],
             solver: SolveStats {

@@ -6,7 +6,7 @@
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
     axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
-    ParamsSpec, SweepStart, TopologySpec, WorkloadSpec,
+    ParamsSpec, TopologySpec, WorkloadSpec,
 };
 use crate::value::Value;
 use llamp_core::{Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, SolveStats, SweepParam};
@@ -34,12 +34,6 @@ pub struct Scenario {
     /// of the base canonical key: reduced and unreduced answers agree
     /// only to numerical tolerance and must never share cache entries.
     pub reduce: bool,
-    /// Where LP sweep-point solves start (campaign-wide policy). Pure
-    /// performance: anchor- and crash-started points land on the same
-    /// final basis, and canonical extraction makes the answer a function
-    /// of (model, final basis) alone — so this is *excluded* from
-    /// canonical keys, fingerprints and result files.
-    pub sweep_start: SweepStart,
 }
 
 /// One sweep sample of a scenario result.
@@ -301,11 +295,11 @@ impl Scenario {
     }
 
     /// [`Scenario::compute`] with an explicit intra-scenario thread
-    /// budget. When the sweep-start policy resolves to crash-per-point
-    /// (every point independent by construction), `point_threads > 1`
-    /// shards the grid across the work-stealing executor with one solver
-    /// clone per chunk; results merge in input order, so the answer is
-    /// byte-identical at any thread count.
+    /// budget. LP points are independent by construction (each starts
+    /// from its own crash basis), so `point_threads > 1` shards the grid
+    /// across the work-stealing executor with one solver per chunk;
+    /// results merge in input order, so the answer is byte-identical at
+    /// any thread count.
     pub fn compute_with(
         &self,
         analyzer: &Analyzer,
@@ -354,100 +348,17 @@ impl Scenario {
                 let zones = need_zones.then(|| eval_zones(analyzer, base, hi));
                 Ok((points, zones, SolveStats::default()))
             }
-            Backend::Lp(solver) => {
-                let mut lp = analyzer
-                    .lp_named(solver.solver_name())
-                    .expect("LpSolver names map onto llamp-lp backends");
-                // One cold anchor solve at the base latency; every grid
-                // point and tolerance flip warm-starts from this basis.
-                // Seeding from a shared anchor — rather than chaining each
-                // warm solve off the previous one — keeps every answer a
-                // pure function of (scenario, query): chained trajectories
-                // would depend on *which* points were cache misses, and
-                // could settle on different degenerate-equivalent bases
-                // per factorisation. This is what makes LP results
-                // byte-identical across lp-* backends and cache states.
-                let anchor = lp
-                    .predict(base)
-                    .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                let anchor_basis = lp.warm_basis();
-                let seed = |lp: &mut GraphLp| {
-                    if let Some(b) = &anchor_basis {
-                        lp.seed_backend(b);
-                    }
-                };
-                // Resolve the sweep-start policy against this scenario's
-                // model size: crash-per-point above the row threshold
-                // (where far points re-seeded from the anchor replay
-                // thousands of pivots), anchor-seeding below. Either way
-                // each point lands on the same final basis, so the bytes
-                // never depend on the policy.
-                let start = self.sweep_start.resolve(lp.model().num_constraints());
-                let mut extra_stats = SolveStats::default();
-                let mut points = Vec::with_capacity(need_deltas.len());
-                if start == SweepStart::Crash {
-                    let threads = point_threads.clamp(1, need_deltas.len().max(1));
-                    if threads <= 1 {
-                        for &d in need_deltas {
-                            // Reset: `predict` arms the per-point
-                            // longest-path crash when no warm state is
-                            // retained.
-                            lp.reset_backend();
-                            let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
-                                .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                            points.push(PointResult {
-                                delta_l_ns: d,
-                                runtime_ns: p.runtime,
-                                lambda: p.lambda,
-                                rho: p.rho(base + d),
-                            });
-                        }
-                    } else {
-                        // Crash-started points are independent: shard the
-                        // grid into contiguous chunks, one solver clone
-                        // per chunk, and merge in input order — the
-                        // byte-identity contract holds at any thread
-                        // count because each point's answer is a pure
-                        // function of (scenario, point).
-                        let chunk_len = need_deltas.len().div_ceil(threads);
-                        let chunks: Vec<Vec<f64>> =
-                            need_deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
-                        let cfg = ExecutorConfig {
-                            threads,
-                            job_timeout: None,
-                            max_retries: 0,
-                            retry_backoff_ms: 0,
-                        };
-                        let solver_name = solver.solver_name();
-                        let outs = run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-                            let mut lp = analyzer
-                                .lp_named(solver_name)
-                                .expect("LpSolver names map onto llamp-lp backends");
-                            let mut pts = Vec::with_capacity(chunk.len());
-                            for &d in chunk {
-                                lp.reset_backend();
-                                let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
-                                    .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                                pts.push(PointResult {
-                                    delta_l_ns: d,
-                                    runtime_ns: p.runtime,
-                                    lambda: p.lambda,
-                                    rho: p.rho(base + d),
-                                });
-                            }
-                            Ok::<_, String>((pts, lp.solver_stats()))
-                        });
-                        for status in outs {
-                            let (pts, st) = status
-                                .ok()
-                                .ok_or_else(|| "sweep point worker failed".to_string())??;
-                            points.extend(pts);
-                            extra_stats.merge(&st);
-                        }
-                    }
-                } else {
-                    for &d in need_deltas {
-                        seed(&mut lp);
+            Backend::Lp => {
+                // Every grid point resets the solver and solves from its
+                // own longest-path crash basis (`predict` arms it when no
+                // warm state is retained): one factorisation, zero
+                // pivots, and an answer that is a pure function of
+                // (scenario, point) — independent of which other points
+                // were cache misses, of thread count and of order.
+                let solve_points = |lp: &mut GraphLp, deltas: &[f64]| {
+                    let mut points = Vec::with_capacity(deltas.len());
+                    for &d in deltas {
+                        lp.reset_backend();
                         let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
                             .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
                         points.push(PointResult {
@@ -457,33 +368,76 @@ impl Scenario {
                             rho: p.rho(base + d),
                         });
                     }
-                }
-                let zones = if need_zones {
-                    // Zones stay anchor-seeded under every sweep-start
-                    // policy: the tolerance flip changes the objective,
-                    // which the crash plan does not model, and the zones
-                    // are pure functions of the anchor basis — so policy
-                    // cannot change their bytes by construction.
-                    let t0 = anchor.runtime;
-                    let mut zone = |pct: f64| -> Result<f64, String> {
-                        let cap = t0 * (1.0 + pct / 100.0);
-                        seed(&mut lp);
-                        let l = llamp_obs::time("lp.zone_ns", || lp.tolerance(base, cap))
-                            .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
-                        Ok(if l - base >= self.grid.search_hi_ns {
-                            f64::INFINITY
-                        } else {
-                            l - base
-                        })
-                    };
-                    Some(ZonesResult {
-                        baseline_runtime_ns: t0,
-                        pct1_ns: zone(1.0)?,
-                        pct2_ns: zone(2.0)?,
-                        pct5_ns: zone(5.0)?,
-                    })
+                    Ok::<_, String>(points)
+                };
+                let mut lp = analyzer.lp();
+                // The zone LPs are the anchor's only user: the tolerance
+                // flip changes the objective, which the crash plan does
+                // not model, so each zone re-seeds from the optimal basis
+                // at the base latency. Solved first on the fresh
+                // instance, so its bytes do not depend on the points.
+                let anchor = if need_zones {
+                    let p = lp
+                        .predict(base)
+                        .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
+                    Some((p.runtime, lp.warm_basis()))
                 } else {
                     None
+                };
+                let threads = point_threads.clamp(1, need_deltas.len().max(1));
+                let mut extra_stats = SolveStats::default();
+                let points = if threads <= 1 {
+                    solve_points(&mut lp, need_deltas)?
+                } else {
+                    // Shard into contiguous chunks, one solver per chunk,
+                    // and merge in input order.
+                    let chunk_len = need_deltas.len().div_ceil(threads);
+                    let chunks: Vec<Vec<f64>> =
+                        need_deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
+                    let cfg = ExecutorConfig {
+                        threads,
+                        job_timeout: None,
+                        max_retries: 0,
+                        retry_backoff_ms: 0,
+                    };
+                    let outs = run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
+                        let mut lp = analyzer.lp();
+                        let pts = solve_points(&mut lp, chunk)?;
+                        Ok::<_, String>((pts, lp.solver_stats()))
+                    });
+                    let mut points = Vec::with_capacity(need_deltas.len());
+                    for status in outs {
+                        let (pts, st) = status
+                            .ok()
+                            .ok_or_else(|| "sweep point worker failed".to_string())??;
+                        points.extend(pts);
+                        extra_stats.merge(&st);
+                    }
+                    points
+                };
+                let zones = match anchor {
+                    Some((t0, anchor_basis)) => {
+                        let mut zone = |pct: f64| -> Result<f64, String> {
+                            let cap = t0 * (1.0 + pct / 100.0);
+                            if let Some(b) = &anchor_basis {
+                                lp.seed_backend(b);
+                            }
+                            let l = llamp_obs::time("lp.zone_ns", || lp.tolerance(base, cap))
+                                .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
+                            Ok(if l - base >= self.grid.search_hi_ns {
+                                f64::INFINITY
+                            } else {
+                                l - base
+                            })
+                        };
+                        Some(ZonesResult {
+                            baseline_runtime_ns: t0,
+                            pct1_ns: zone(1.0)?,
+                            pct2_ns: zone(2.0)?,
+                            pct5_ns: zone(5.0)?,
+                        })
+                    }
+                    None => None,
                 };
                 let mut stats = lp.solver_stats();
                 stats.merge(&extra_stats);
@@ -497,15 +451,11 @@ impl Scenario {
     /// campaign runner passes only cache misses); returned values follow
     /// its order.
     ///
-    /// The LP path keeps the anchor-seeding discipline of
-    /// [`Scenario::compute`]: one cold solve at the scenario's base
-    /// `(L, G, o)` point, then every grid point re-seeds from that anchor
-    /// basis and re-solves with moved bounds — consecutive points of a
-    /// 1-D cross-section differ in a single lower bound, which the
-    /// parametric backend's directional shortcut answers with zero
-    /// pivots. Every answer stays a pure function of (scenario, point),
-    /// so results are byte-identical across `lp-*` backends and cache
-    /// states.
+    /// The LP path follows [`Scenario::compute`]: every grid point solves
+    /// from its own longest-path crash basis at its `(L, G, o)` point, and
+    /// only the zones re-seed from the anchor basis at the base point.
+    /// Every answer stays a pure function of (scenario, point), so
+    /// results are byte-identical across cache states.
     pub fn compute_axes(
         &self,
         analyzer: &Analyzer,
@@ -566,36 +516,22 @@ impl Scenario {
                 });
                 Ok((points, zones, SolveStats::default()))
             }
-            Backend::Lp(solver) => {
-                let mut lp = analyzer
-                    .multi_lp_named(solver.solver_name())
-                    .expect("LpSolver names map onto llamp-lp backends");
-                // One cold anchor at the base point; every query re-seeds
-                // from its basis (see the `compute` comment for why
-                // anchor-seeding, not chaining, is what keeps results
-                // byte-identical across backends and cache states).
-                let anchor = lp
-                    .predict(base)
-                    .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                let anchor_basis = lp.warm_basis();
-                let seed = |lp: &mut llamp_core::GraphMultiLp| {
-                    if let Some(b) = &anchor_basis {
-                        lp.seed_backend(b);
-                    }
+            Backend::Lp => {
+                let mut lp = analyzer.multi_lp();
+                // The anchor at the base point seeds the zone flips only
+                // (see `compute`); solved first on the fresh instance.
+                let anchor = if need_zones {
+                    let p = lp
+                        .predict(base)
+                        .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
+                    Some((p.runtime, lp.warm_basis()))
+                } else {
+                    None
                 };
-                // Same sweep-start policy as `compute`: a crash-resolved
-                // policy arms the per-point longest-path crash (a reset
-                // backend lets `predict` seed it lazily), instead of
-                // re-seeding every point from the anchor.
-                let start = self.sweep_start.resolve(lp.model().num_constraints());
                 let mut points = Vec::with_capacity(need_points.len());
                 for deltas in need_points {
                     let p = at(deltas);
-                    if start == SweepStart::Crash {
-                        lp.reset_backend();
-                    } else {
-                        seed(&mut lp);
-                    }
+                    lp.reset_backend();
                     let pred = llamp_obs::time("lp.point_ns", || lp.predict(p))
                         .map_err(|e| format!("LP solve failed at {deltas:?}: {e:?}"))?;
                     points.push(value_of(
@@ -604,29 +540,31 @@ impl Scenario {
                         p,
                     ));
                 }
-                let zones = if need_zones {
-                    let t0 = anchor.runtime;
-                    let mut zone = |pct: f64| -> Result<f64, String> {
-                        let cap = t0 * (1.0 + pct / 100.0);
-                        seed(&mut lp);
-                        let l = llamp_obs::time("lp.zone_ns", || {
-                            lp.tolerance(SweepParam::L, base, cap)
+                let zones = match anchor {
+                    Some((t0, anchor_basis)) => {
+                        let mut zone = |pct: f64| -> Result<f64, String> {
+                            let cap = t0 * (1.0 + pct / 100.0);
+                            if let Some(b) = &anchor_basis {
+                                lp.seed_backend(b);
+                            }
+                            let l = llamp_obs::time("lp.zone_ns", || {
+                                lp.tolerance(SweepParam::L, base, cap)
+                            })
+                            .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
+                            Ok(if l - base.l >= self.grid.search_hi_ns {
+                                f64::INFINITY
+                            } else {
+                                l - base.l
+                            })
+                        };
+                        Some(ZonesResult {
+                            baseline_runtime_ns: t0,
+                            pct1_ns: zone(1.0)?,
+                            pct2_ns: zone(2.0)?,
+                            pct5_ns: zone(5.0)?,
                         })
-                        .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
-                        Ok(if l - base.l >= self.grid.search_hi_ns {
-                            f64::INFINITY
-                        } else {
-                            l - base.l
-                        })
-                    };
-                    Some(ZonesResult {
-                        baseline_runtime_ns: t0,
-                        pct1_ns: zone(1.0)?,
-                        pct2_ns: zone(2.0)?,
-                        pct5_ns: zone(5.0)?,
-                    })
-                } else {
-                    None
+                    }
+                    None => None,
                 };
                 Ok((points, zones, lp.solver_stats()))
             }
@@ -708,7 +646,6 @@ pub fn expand(spec: &CampaignSpec) -> Vec<Scenario> {
                         grid: spec.grid.clone(),
                         axes: spec.axes.clone(),
                         reduce: spec.reduce,
-                        sweep_start: spec.sweep_start,
                     });
                 }
             }

@@ -1,13 +1,16 @@
-//! Cache-level telemetry (ISSUE 6, satellite 3): the per-kind obs
-//! counters `cache.{pt,apt,zones,mzones}.{hit,miss,put}` must match the
-//! cache behaviour actually observed — cold run, warm run, and a disk
+//! Cache-level telemetry: the per-kind obs counters
+//! `cache.{pt,apt,zones,mzones}.{hit,miss,put}` must match the cache
+//! behaviour actually observed — cold run, warm run, and a disk
 //! round-trip — for both cache-key families (grid campaigns use
-//! `pt`/`zones`, axes campaigns use `apt`/`mzones`).
+//! `pt`/`zones`, axes campaigns use `apt`/`mzones`). Also pins the
+//! cache-key decision that came with the single `lp` backend: entries
+//! keyed by the retired `lp-sparse` spelling never answer an `lp` run.
 //!
 //! Obs state is process-global; every test serializes through a session
 //! lock (this binary is its own process).
 
-use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, ResultCache};
+use llamp_engine::cache::{point_key, zones_key, CachedEntry};
+use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -32,7 +35,7 @@ iters = 1
 
 const AXES_SPEC: &str = r#"
 name = "cache-obs-axes"
-backends = ["lp-parametric"]
+backends = ["lp"]
 search_hi_ns = 1000000.0
 
 [[axes]]
@@ -137,4 +140,83 @@ fn axes_campaign_counts_apt_and_mzones_kinds() {
     assert_eq!(get(&warm, "cache.mzones.hit"), 1);
     assert_eq!(get(&warm, "cache.apt.miss"), 0);
     assert_eq!(get(&warm, "cache.apt.put"), 0);
+}
+
+#[test]
+fn retired_lp_sparse_entries_miss_and_parametric_entries_hit() {
+    // A cache file written before the LP backends folded into `lp` keys
+    // its LP entries `…|lp-sparse|r1|pt|…`. Those answers came from the
+    // retired anchor-seeded sweep, which can differ from crash-started
+    // points in the last ulp, so the rename deliberately turns every one
+    // of them into a miss; `parametric` keys are unchanged and keep
+    // hitting.
+    let _guard = session_lock().lock().unwrap();
+    let spec = CampaignSpec::parse(
+        r#"
+name = "key-decision"
+backends = ["parametric", "lp"]
+[grid]
+deltas_ns = [0.0, 20000.0, 40000.0]
+search_hi_ns = 1000000.0
+[[workloads]]
+app = "cloverleaf"
+ranks = 4
+iters = 1
+"#,
+        "keys.toml",
+    )
+    .unwrap();
+    let (fresh, _) = run_campaign(&spec, &config(), &ResultCache::new());
+
+    // Write the file the parent engine would have left: the same answers
+    // under its key spelling.
+    let old = ResultCache::new();
+    for sr in &fresh.scenarios {
+        let base = sr.scenario.base_canonical().replace("|lp|", "|lp-sparse|");
+        let outcome = sr.outcome.as_ref().unwrap();
+        for p in &outcome.sweep {
+            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
+        }
+        old.put(
+            zones_key(&base, spec.grid.search_hi_ns),
+            CachedEntry::Zones(outcome.zones),
+        );
+    }
+    let dir = std::env::temp_dir().join(format!("llamp-key-decision-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    old.save(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("|lp-sparse|r1|pt|") && text.contains("|parametric|r1|pt|"));
+    let loaded = ResultCache::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        loaded.len(),
+        8,
+        "3 points + zones per backend survive the load"
+    );
+
+    llamp_obs::enable();
+    let (result, summary) = run_campaign(&spec, &config(), &loaded);
+    let counters = llamp_obs::take().counters;
+    llamp_obs::disable();
+    assert_eq!(result.to_json(), fresh.to_json());
+    // The parametric scenario is a full hit; the lp scenario recomputes
+    // all three points and its zones.
+    let provenance: Vec<(&str, Provenance)> = (result.scenarios.iter())
+        .zip(&summary.provenance)
+        .map(|(sr, p)| (sr.scenario.backend.name(), *p))
+        .collect();
+    assert_eq!(
+        provenance,
+        vec![
+            ("lp", Provenance::Computed),
+            ("parametric", Provenance::FullCacheHit)
+        ]
+    );
+    assert_eq!(summary.cache_misses, 4, "no lp point or zone may hit");
+    assert_eq!(get(&counters, "cache.pt.miss"), 3);
+    assert_eq!(get(&counters, "cache.zones.miss"), 1);
+    assert_eq!(get(&counters, "cache.pt.hit"), 3);
+    assert_eq!(get(&counters, "cache.zones.hit"), 1);
 }

@@ -1,8 +1,12 @@
 //! Integration tests for the campaign subsystem: spec round-trips, cache
-//! semantics across runs, thread-count determinism, and the cross-backend
-//! byte-identity contract of the LP solver variants.
+//! semantics across runs, thread-count determinism, the LP backend's
+//! alias spellings, and its one start rule (every point from its own
+//! longest-path crash basis).
 
-use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
+use llamp_engine::{
+    expand, parse_backend, run_campaign, Backend, CampaignSpec, ExecutorConfig, Provenance,
+    ResultCache,
+};
 
 const SPEC: &str = r#"
 name = "itest"
@@ -157,19 +161,29 @@ fn thread_count_does_not_change_results() {
 }
 
 #[test]
-fn lp_backends_are_byte_identical() {
-    // The four LP solver variants (dense inverse, sparse LU, sparse +
-    // parametric warm-start shortcut, sparse + dual-simplex re-solves)
-    // must produce *byte-identical* numbers: same canonical extraction
-    // from the same final bases. Only the backend label may differ
-    // between their serialized scenarios.
+fn lp_aliases_expand_to_one_backend() {
+    // One LP backend, six spellings: the canonical `lp` plus the retired
+    // solver-variant names, which stay aliases so no spec breaks.
+    let spellings = [
+        "lp",
+        "lp-sparse",
+        "lp-dense",
+        "lp-parametric",
+        "lp-dual",
+        "simplex",
+    ];
+    for name in spellings {
+        assert_eq!(parse_backend(name).unwrap(), Backend::Lp, "{name}");
+    }
+    let quoted: Vec<String> = spellings.iter().map(|s| format!("\"{s}\"")).collect();
     let spec = CampaignSpec::parse(
-        r#"
-name = "lp-identity"
-backends = ["lp-dense", "lp-sparse", "lp-parametric", "lp-dual"]
+        &format!(
+            r#"
+name = "lp-aliases"
+backends = [{}]
 
 [grid]
-window = { lo = 0.0, hi = 80000.0, points = 5 }
+deltas_ns = [0.0, 20000.0]
 search_hi_ns = 1000000.0
 
 [[workloads]]
@@ -182,53 +196,117 @@ app = "milc"
 ranks = 4
 iters = 1
 "#,
-        "ident.toml",
+            quoted.join(", ")
+        ),
+        "aliases.toml",
     )
     .unwrap();
-    let (result, _) = run_campaign(&spec, &config(2), &ResultCache::new());
-    assert_eq!(result.scenarios.len(), 8, "2 workloads x 4 LP backends");
-    // Group by workload, compare the serialized outcome (zones + sweep)
-    // across the four backends byte for byte.
-    for app in ["cloverleaf", "milc"] {
-        let bodies: Vec<(String, String)> = result
-            .scenarios
-            .iter()
-            .filter(|s| s.scenario.workload.canonical().starts_with(app))
-            .map(|s| {
-                let outcome = s.outcome.as_ref().expect("scenario solved");
-                let body = s
-                    .scenario
-                    .to_value()
-                    .to_json()
-                    .replace(s.scenario.backend.name(), "<backend>");
-                let zones = format!("{:?}", outcome.zones);
-                let sweep = format!("{:?}", outcome.sweep);
-                (body, format!("{zones}|{sweep}"))
-            })
-            .collect();
-        assert_eq!(bodies.len(), 4, "{app}");
-        for pair in bodies.windows(2) {
-            assert_eq!(pair[0].0, pair[1].0, "{app}: scenario identity differs");
-            assert_eq!(
-                pair[0].1, pair[1].1,
-                "{app}: results differ across LP backends"
-            );
-        }
+    assert_eq!(spec.backends, vec![Backend::Lp]);
+    let scenarios = expand(&spec);
+    assert_eq!(scenarios.len(), 2, "one lp scenario per workload");
+    for sc in &scenarios {
+        assert_eq!(sc.backend.name(), "lp");
+        assert!(
+            sc.base_canonical().ends_with("|lp|r1"),
+            "{}",
+            sc.canonical()
+        );
+    }
+
+    // The retired start-policy field is an unknown key now: a typed spec
+    // error, not a silently ignored setting.
+    let err = CampaignSpec::parse(
+        "name = \"t\"\nsweep_start = \"crash\"\n[[workloads]]\napp = \"milc\"\n",
+        "x.toml",
+    )
+    .unwrap_err();
+    assert!(err.0.contains("unknown key 'sweep_start'"), "{err}");
+}
+
+#[test]
+fn lp_backends_are_byte_identical() {
+    // Every LP spelling is the same backend, so a campaign written with
+    // any one of them must produce the same results file byte for byte —
+    // scenario identity, zones and sweep alike.
+    let run = |backend: &str| {
+        let spec = CampaignSpec::parse(
+            &format!(
+                r#"
+name = "lp-identity"
+backends = ["{backend}"]
+
+[grid]
+window = {{ lo = 0.0, hi = 80000.0, points = 5 }}
+search_hi_ns = 1000000.0
+
+[[workloads]]
+app = "cloverleaf"
+ranks = 4
+iters = 1
+
+[[workloads]]
+app = "milc"
+ranks = 4
+iters = 1
+"#
+            ),
+            "ident.toml",
+        )
+        .unwrap();
+        let (result, _) = run_campaign(&spec, &config(2), &ResultCache::new());
+        assert_eq!(result.scenarios.len(), 2, "{backend}: one per workload");
+        assert!(
+            result.scenarios.iter().all(|s| s.outcome.is_ok()),
+            "{backend}: every scenario must solve"
+        );
+        result.to_json()
+    };
+    let canonical = run("lp");
+    for alias in [
+        "lp-sparse",
+        "lp-dense",
+        "lp-parametric",
+        "lp-dual",
+        "simplex",
+    ] {
+        assert_eq!(canonical, run(alias), "{alias}: results differ from lp");
     }
 }
 
 #[test]
-fn lp_points_are_cache_state_independent() {
-    // Each LP grid point warm-starts from the scenario's base-latency
-    // anchor, never from a neighbouring point — so computing a *subset*
-    // of the grid (because the rest was cached) must produce the same
-    // bytes as computing the whole grid fresh.
-    let parse = |deltas: &str| {
-        CampaignSpec::parse(
-            &format!(
-                r#"
-name = "cache-independence"
-backends = ["lp-sparse"]
+fn cli_rejects_bad_sweep_start_with_usage_exit_code() {
+    // The start-policy flag is retired: `llamp run --sweep-start <any>` is
+    // a usage error, exit code 2, like any other unknown option (README
+    // § Exit codes) — whether the value was once valid or not.
+    let dir = std::env::temp_dir().join(format!("llamp-sweepcli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.toml");
+    std::fs::write(
+        &spec_path,
+        "name = \"cli\"\nbackends = [\"lp\"]\n[grid]\ndeltas_ns = [0.0]\n[[workloads]]\napp = \"milc\"\nranks = 4\niters = 1\n",
+    )
+    .unwrap();
+    for value in ["nope", "crash"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_llamp"))
+            .args(["run", spec_path.to_str().unwrap(), "--sweep-start", value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--sweep-start"), "{value}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A latency-grid LP campaign over `deltas` on two inputs: a small MILC
+/// and HPCG at 24 ranks — the shape where anchor-seeded and crash-started
+/// points once differed in the last ulp.
+fn lp_grid_spec(name: &str, deltas: &str) -> CampaignSpec {
+    CampaignSpec::parse(
+        &format!(
+            r#"
+name = "{name}"
+backends = ["lp"]
 [grid]
 deltas_ns = [{deltas}]
 search_hi_ns = 1000000.0
@@ -236,22 +314,34 @@ search_hi_ns = 1000000.0
 app = "milc"
 ranks = 4
 iters = 1
+[[workloads]]
+app = "hpcg"
+ranks = 24
+iters = 1
 "#
-            ),
-            "x.toml",
-        )
-        .unwrap()
-    };
+        ),
+        "x.toml",
+    )
+    .unwrap()
+}
+
+#[test]
+fn lp_points_are_cache_state_independent() {
+    // Each LP grid point starts from its own longest-path crash basis,
+    // never from a neighbouring point — so computing a *subset* of the
+    // grid (because the rest was cached) must produce the same bytes as
+    // computing the whole grid fresh.
+    let parse = |deltas: &str| lp_grid_spec("cache-independence", deltas);
     // Warm a cache with a 2-point grid, then run the 3-point superset
-    // against it: only the middle point computes, warm-started from the
-    // anchor.
+    // against it: only the middle point computes.
     let cache = ResultCache::new();
-    run_campaign(&parse("0.0, 40000.0"), &config(1), &cache);
-    let (with_cache, s1) = run_campaign(&parse("0.0, 20000.0, 40000.0"), &config(1), &cache);
+    run_campaign(&parse("0.0, 22500.0"), &config(1), &cache);
+    let (with_cache, s1) = run_campaign(&parse("0.0, 7500.0, 22500.0"), &config(1), &cache);
     assert!(s1.cache_hits > 0, "the superset run must reuse points");
+    assert_eq!(s1.full_cache_hits, 0);
     // The same superset computed entirely fresh.
     let (fresh, _) = run_campaign(
-        &parse("0.0, 20000.0, 40000.0"),
+        &parse("0.0, 7500.0, 22500.0"),
         &config(1),
         &ResultCache::new(),
     );
@@ -260,6 +350,28 @@ iters = 1
         fresh.to_json(),
         "cached-subset and fresh runs must be byte-identical"
     );
+}
+
+#[test]
+fn crash_point_parallelism_is_thread_deterministic() {
+    // Two scenarios on four threads lend idle workers to each sweep loop
+    // (point_threads = 2): the sharded run must reproduce the
+    // single-threaded bytes exactly, and a warm-cache rerun must assemble
+    // the same file again.
+    let mut spec = lp_grid_spec("crash-shard", "0.0");
+    spec.grid.deltas_ns = (0..12).map(|i| 7500.0 * i as f64).collect();
+    let (r1, _) = run_campaign(&spec, &config(1), &ResultCache::new());
+    assert!(r1.scenarios.iter().all(|s| s.outcome.is_ok()));
+    let cache = ResultCache::new();
+    let (r4, _) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(
+        r1.to_json(),
+        r4.to_json(),
+        "sharded crash-start sweep must be byte-identical to serial"
+    );
+    let (r4b, s4b) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(s4b.cache_misses, 0);
+    assert_eq!(r1.to_json(), r4b.to_json());
 }
 
 #[test]
@@ -303,7 +415,7 @@ fn timed_out_jobs_leave_no_cache_entries() {
 
 const AXES_SPEC: &str = r#"
 name = "axes-itest"
-backends = ["lp-sparse", "lp-parametric"]
+backends = ["lp"]
 search_hi_ns = 1000000.0
 
 [[axes]]
@@ -357,23 +469,12 @@ fn two_axis_campaign_end_to_end() {
 }
 
 #[test]
-fn two_axis_lp_backends_are_byte_identical_across_cache_states() {
-    // lp-sparse and lp-parametric must agree byte-for-byte on the 2-D
-    // grid, and a run that computes only the set difference against a
-    // warm cache must reproduce the fresh bytes exactly.
+fn two_axis_lp_points_are_cache_state_independent() {
+    // A run that computes only the set difference against a warm cache
+    // must reproduce the fresh bytes exactly on the 2-D grid.
     let spec = axes_spec();
     let (fresh, _) = run_campaign(&spec, &config(2), &ResultCache::new());
-    let mut bodies: Vec<String> = fresh
-        .scenarios
-        .iter()
-        .map(|s| {
-            let o = s.outcome.as_ref().unwrap();
-            format!("{:?}|{:?}", o.zones, o.points)
-        })
-        .collect();
-    assert_eq!(bodies.len(), 2, "one scenario per LP backend");
-    bodies.dedup();
-    assert_eq!(bodies.len(), 1, "lp backends differ on the 2-D grid");
+    assert!(fresh.scenarios.iter().all(|s| s.outcome.is_ok()));
 
     // Warm a cache with a 1-D L slice (G axis pinned to its base), then
     // run the full 2-D grid: the shared (∆L, 0) points hit, the rest
@@ -381,7 +482,7 @@ fn two_axis_lp_backends_are_byte_identical_across_cache_states() {
     let slice = CampaignSpec::parse(
         r#"
 name = "axes-slice"
-backends = ["lp-sparse", "lp-parametric"]
+backends = ["lp"]
 search_hi_ns = 1000000.0
 [[axes]]
 param = "L"
@@ -402,16 +503,15 @@ iters = 1
 }
 
 #[test]
-fn axes_cross_sections_solve_warm_from_one_anchor() {
-    // The acceptance bar: one cold anchor per scenario, every grid
-    // cross-section warm. Compare the solver effort of the full 2-D grid
-    // against a single-point campaign (the anchor alone): the 5 extra
-    // points and 3 zone flips together must cost less than the anchor
-    // did, which is only possible if they all start from its basis.
+fn axes_points_solve_from_their_own_crash() {
+    // Every axes grid point starts from the longest-path crash basis at
+    // its own (L, G, o) point, which is optimal there. With the zones
+    // already cached (a one-point campaign at the base point shares the
+    // zones entry), the rest of the 2-D grid solves without one pivot.
     let one_point = CampaignSpec::parse(
         r#"
-name = "anchor-only"
-backends = ["lp-parametric"]
+name = "base-only"
+backends = ["lp"]
 search_hi_ns = 1000000.0
 [[axes]]
 param = "L"
@@ -427,18 +527,16 @@ iters = 1
         "one.toml",
     )
     .unwrap();
-    let mut grid = axes_spec();
-    grid.backends = vec![llamp_engine::parse_backend("lp-parametric").unwrap()];
-    grid.canonicalize();
-    let (_, s_anchor) = run_campaign(&one_point, &config(1), &ResultCache::new());
-    let (_, s_grid) = run_campaign(&grid, &config(1), &ResultCache::new());
-    let anchor_iters = s_anchor.solver.iterations;
-    assert!(anchor_iters > 0);
-    assert!(
-        s_grid.solver.iterations < 2 * anchor_iters,
-        "6-point grid ({} iters) must stay warm relative to its anchor ({} iters)",
-        s_grid.solver.iterations,
-        anchor_iters
+    let cache = ResultCache::new();
+    run_campaign(&one_point, &config(1), &cache);
+    let (result, s_grid) = run_campaign(&axes_spec(), &config(1), &cache);
+    assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
+    assert!(s_grid.cache_hits > 0, "zones and the base point must hit");
+    assert!(s_grid.solver.iterations > 0, "the other points must solve");
+    assert_eq!(
+        s_grid.solver.pivots, 0,
+        "crash-started axes points must not pivot: {:?}",
+        s_grid.solver
     );
 }
 
@@ -453,7 +551,7 @@ fn axes_spec_round_trip_and_canonical_order() {
     // L-before-G and hashes identically.
     let swapped = r#"
 name = "swapped"
-backends = ["lp-parametric", "lp-sparse"]
+backends = ["lp"]
 search_hi_ns = 1000000.0
 [[axes]]
 param = "G"
@@ -483,7 +581,7 @@ fn solver_stats_surface_in_run_summary() {
     let spec = CampaignSpec::parse(
         r#"
 name = "stats"
-backends = ["lp-sparse"]
+backends = ["lp"]
 [grid]
 deltas_ns = [0.0, 40000.0]
 search_hi_ns = 500000.0

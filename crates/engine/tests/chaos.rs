@@ -37,7 +37,7 @@ fn chaos_session() -> std::sync::MutexGuard<'static, ()> {
 
 const SPEC: &str = r#"
 name = "chaos-itest"
-backends = ["parametric", "lp-sparse"]
+backends = ["parametric", "lp"]
 
 [grid]
 deltas_ns = [0.0, 20000.0]

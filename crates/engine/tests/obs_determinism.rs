@@ -17,7 +17,7 @@ fn session_lock() -> &'static Mutex<()> {
 
 const SPEC: &str = r#"
 name = "obs-itest"
-backends = ["parametric", "eval", "lp-sparse", "lp-parametric"]
+backends = ["parametric", "eval", "lp"]
 
 [grid]
 deltas_ns = [0.0, 20000.0, 40000.0]

@@ -1,12 +1,21 @@
 //! `docs/SPEC.md` must cover every field the spec parser accepts: this
 //! test enumerates the parser's authoritative field list
-//! ([`llamp_engine::spec::SPEC_FIELDS`]) plus the accepted backend,
-//! preset and sweep-parameter names, and requires each to appear
+//! ([`llamp_engine::spec::SPEC_FIELDS`]) plus the accepted backend names
+//! (every [`llamp_engine::LP_ALIASES`] spelling included), preset and
+//! sweep-parameter names, and requires each to appear
 //! (backtick-quoted) in the documentation. Adding a spec field without
 //! documenting it — or documenting a field the parser does not accept —
 //! fails here.
 
 use llamp_engine::spec::SPEC_FIELDS;
+use llamp_engine::LP_ALIASES;
+
+/// Every backend spelling the parser accepts in a spec's `backends`.
+fn backend_names() -> Vec<&'static str> {
+    let mut names = vec!["parametric", "eval"];
+    names.extend(LP_ALIASES);
+    names
+}
 
 fn spec_md() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SPEC.md");
@@ -30,15 +39,7 @@ fn every_parser_field_is_documented() {
 #[test]
 fn every_backend_preset_and_param_name_is_documented() {
     let doc = spec_md();
-    for backend in [
-        "parametric",
-        "eval",
-        "lp",
-        "lp-dense",
-        "lp-sparse",
-        "lp-parametric",
-        "lp-dual",
-    ] {
+    for backend in backend_names() {
         assert!(
             doc.contains(&format!("`{backend}`")),
             "docs/SPEC.md does not document backend '{backend}'"
@@ -68,15 +69,7 @@ fn documented_table_keys_exist_in_the_parser() {
         .iter()
         .map(|f| f.rsplit('.').next().unwrap())
         .collect();
-    let backends = [
-        "parametric",
-        "eval",
-        "lp",
-        "lp-sparse",
-        "lp-dense",
-        "lp-parametric",
-        "lp-dual",
-    ];
+    let backends = backend_names();
     // Only rows of *field* tables count — those whose header row is
     // "| key | type | default | meaning |" (the backend and cache-kind
     // tables have different headers).

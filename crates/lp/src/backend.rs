@@ -1,460 +1,87 @@
-//! The unified solver-backend layer.
+//! The solver the analysis layers (`llamp-core`, `llamp-engine`) program
+//! against.
 //!
-//! [`SolverBackend`] is the interface the analysis layers (`llamp-core`,
-//! `llamp-engine`) program against: solve a model, re-solve it cheaply
-//! after the incremental edits LLAMP performs (bound tightenings, the
-//! tolerance objective flip), and read duals / reduced costs / ranging
-//! off the returned [`Solution`]. Four implementations:
-//!
-//! * [`DenseSimplex`] — the dense-inverse simplex. The original path,
-//!   `O(m²)` per iteration; kept behind the same interface as the
-//!   cross-validation reference.
-//! * [`SparseSimplex`] — sparse LU + eta-file simplex. The at-scale
-//!   default.
-//! * [`Parametric`] — sparse simplex plus the parametric shortcut of
-//!   Algorithm 2: it remembers the previous optimum's basis-stability
-//!   window, and when a re-solve changed nothing but one variable's lower
-//!   bound *within* that window (the per-`L` step of a latency sweep) it
-//!   skips the simplex entirely — one factorisation, zero pivots.
-//! * [`DualSimplex`] — sparse simplex whose `resolve` runs the **dual**
-//!   algorithm ([`crate::dual`]): a sweep step that only moved bounds
-//!   leaves the previous basis dual feasible, so the re-solve pivots out
-//!   just the primal bound violations instead of re-proving feasibility
-//!   from scratch. Any other edit falls back to the warm primal path.
-//!
-//! All four warm-start `resolve` from the previous optimal basis, and all
-//! four report solutions through the same canonical extraction, so
-//! backends that land on the same final basis return bit-identical
-//! numbers (the engine's cross-backend byte-identity contract).
-//!
-//! Pick a backend by name with [`by_name`] (`"dense"`, `"sparse"`,
-//! `"parametric"`, `"dual"`); campaign specs and the `llamp` CLI surface
-//! the same names as `lp-dense` / `lp-sparse` / `lp-parametric` /
-//! `lp-dual`.
+//! [`SparseSimplex`] is the sparse-LU / eta-file primal simplex with warm
+//! starts: solve a model, re-solve it cheaply after the incremental edits
+//! LLAMP performs (bound tightenings, the tolerance objective flip), and
+//! read duals / reduced costs / ranging off the returned [`Solution`].
+//! `resolve` warm-starts from the previous optimal basis (or an explicitly
+//! seeded one, such as the longest-path crash basis `llamp-core` builds),
+//! and every solution comes out of canonical extraction, so two solves
+//! that land on the same final basis return bit-identical numbers.
 
-use crate::dual::solve_dual_reusing;
 use crate::error::SolveError;
-use crate::model::{LpModel, Objective, VarId};
-use crate::simplex::{
-    reextract_reusing, solve_dense, solve_sparse, solve_sparse_reusing, RangingData, SimplexOptions,
-};
+use crate::model::LpModel;
+use crate::simplex::{solve_sparse_reusing, RangingData, SimplexOptions};
 use crate::solution::{Basis, Solution, SolveStats};
 use std::sync::Arc;
 
-/// A solver that can answer LLAMP's LP queries, re-using work across the
-/// incremental model edits a latency sweep performs.
-pub trait SolverBackend: std::fmt::Debug + Send {
-    /// Spec-file name of this backend (`dense` / `sparse` / `parametric`).
-    fn name(&self) -> &'static str;
-
-    /// Cold solve: ignore (and replace) any retained warm state.
-    fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError>;
-
-    /// Re-solve after incremental model edits, warm-starting from the
-    /// previous optimal basis when one is retained. Falls back to a cold
-    /// solve when no state fits the model.
-    fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError>;
-
-    /// The basis the next `resolve` would warm-start from, if any.
-    fn warm_basis(&self) -> Option<&Basis>;
-
-    /// Replace the warm state with an explicit basis. Useful to re-seed
-    /// several related solves from one reference optimum instead of
-    /// chaining them — chained warm paths may settle on different
-    /// (degenerate-equivalent) bases per factorisation, while a shared
-    /// seed keeps backends bit-identical.
-    fn seed(&mut self, basis: &Basis);
-
-    /// Drop all warm state (the next `resolve` starts cold).
-    fn reset(&mut self);
-
-    /// Cumulative solver-effort counters across every solve this backend
-    /// has run (not cleared by [`SolverBackend::reset`] — they are
-    /// observability, not solver state).
-    fn stats(&self) -> SolveStats;
-}
-
-/// The backend names [`by_name`] accepts, in canonical order.
-pub const BACKEND_NAMES: &[&str] = &["dense", "sparse", "parametric", "dual"];
-
-/// Construct a backend (with default options) from its spec name.
-pub fn by_name(name: &str) -> Option<Box<dyn SolverBackend>> {
-    match name.to_ascii_lowercase().as_str() {
-        "dense" => Some(Box::new(DenseSimplex::default())),
-        "sparse" => Some(Box::new(SparseSimplex::default())),
-        "parametric" => Some(Box::new(Parametric::default())),
-        "dual" => Some(Box::new(DualSimplex::default())),
-        _ => None,
-    }
-}
-
-/// Dense-inverse simplex backend (cross-validation reference).
-#[derive(Debug, Default)]
-pub struct DenseSimplex {
-    opts: SimplexOptions,
-    warm: Option<Basis>,
-    stats: SolveStats,
-}
-
-impl DenseSimplex {
-    /// Backend with explicit simplex options.
-    pub fn with_options(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            warm: None,
-            stats: SolveStats::default(),
-        }
-    }
-}
-
-impl SolverBackend for DenseSimplex {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_dense(model, &self.opts, None)?;
-        self.stats.merge(sol.stats());
-        self.warm = Some(sol.basis().clone());
-        Ok(sol)
-    }
-
-    fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_dense(model, &self.opts, self.warm.as_ref())?;
-        self.stats.merge(sol.stats());
-        self.warm = Some(sol.basis().clone());
-        Ok(sol)
-    }
-
-    fn warm_basis(&self) -> Option<&Basis> {
-        self.warm.as_ref()
-    }
-
-    fn seed(&mut self, basis: &Basis) {
-        self.warm = Some(basis.clone());
-    }
-
-    fn reset(&mut self) {
-        self.warm = None;
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-}
-
-/// Sparse LU / eta-file simplex backend (the at-scale default).
+/// Sparse LU / eta-file simplex with warm starts.
 #[derive(Debug, Default)]
 pub struct SparseSimplex {
     opts: SimplexOptions,
     warm: Option<Basis>,
     /// Last solution's ranging data — the retained LU a warm start whose
     /// basis and matrix bits match may adopt instead of refactorising.
-    /// Deliberately survives [`SolverBackend::reset`]: adoption keys on
+    /// Deliberately survives [`SparseSimplex::reset`]: adoption keys on
     /// bit-identity, so a stale entry can only miss, never corrupt.
     reuse: Option<Arc<RangingData>>,
     stats: SolveStats,
 }
 
 impl SparseSimplex {
-    /// Backend with explicit simplex options.
+    /// Solver with explicit simplex options.
     pub fn with_options(opts: SimplexOptions) -> Self {
         Self {
             opts,
-            warm: None,
-            reuse: None,
-            stats: SolveStats::default(),
+            ..Self::default()
         }
     }
-}
 
-impl SolverBackend for SparseSimplex {
-    fn name(&self) -> &'static str {
-        "sparse"
+    /// Cold solve from the all-logical (slack) basis: ignores (and
+    /// replaces) any retained warm state.
+    pub fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
+        let sol = solve_sparse_reusing(model, &self.opts, None, None)?;
+        Ok(self.remember(sol))
     }
 
-    fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_sparse(model, &self.opts, None)?;
-        self.stats.merge(sol.stats());
-        self.warm = Some(sol.basis().clone());
-        self.reuse = Some(sol.ranging.clone());
-        Ok(sol)
-    }
-
-    fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
+    /// Re-solve after incremental model edits, warm-starting from the
+    /// previous optimal (or seeded) basis when one is retained. Falls back
+    /// to a cold solve when no state fits the model. A failed solve leaves
+    /// the warm state untouched.
+    pub fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
         let sol =
             solve_sparse_reusing(model, &self.opts, self.warm.as_ref(), self.reuse.as_deref())?;
+        Ok(self.remember(sol))
+    }
+
+    fn remember(&mut self, sol: Solution) -> Solution {
         self.stats.merge(sol.stats());
         self.warm = Some(sol.basis().clone());
         self.reuse = Some(sol.ranging.clone());
-        Ok(sol)
+        sol
     }
 
-    fn warm_basis(&self) -> Option<&Basis> {
+    /// The basis the next `resolve` would warm-start from, if any.
+    pub fn warm_basis(&self) -> Option<&Basis> {
         self.warm.as_ref()
     }
 
-    fn seed(&mut self, basis: &Basis) {
+    /// Replace the warm state with an explicit basis (a crash basis, or a
+    /// shared reference optimum several related queries start from).
+    pub fn seed(&mut self, basis: &Basis) {
         self.warm = Some(basis.clone());
     }
 
-    fn reset(&mut self) {
+    /// Drop the warm basis (the next `resolve` starts cold).
+    pub fn reset(&mut self) {
         self.warm = None;
     }
 
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-}
-
-/// Sparse simplex with dual-simplex re-solves: `resolve` hands the warm
-/// basis to [`crate::dual::solve_dual`], which repairs pure bound moves
-/// with dual pivots (and falls back to the shared warm primal driver for
-/// any other edit, bit-identically to [`SparseSimplex`]). `solve` is the
-/// plain cold sparse path, so cold results are bit-identical across the
-/// sparse-family backends by construction.
-#[derive(Debug, Default)]
-pub struct DualSimplex {
-    opts: SimplexOptions,
-    warm: Option<Basis>,
-    /// Retained LU for bit-identical warm starts (see [`SparseSimplex`]).
-    reuse: Option<Arc<RangingData>>,
-    stats: SolveStats,
-}
-
-impl DualSimplex {
-    /// Backend with explicit simplex options.
-    pub fn with_options(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            warm: None,
-            reuse: None,
-            stats: SolveStats::default(),
-        }
-    }
-}
-
-impl SolverBackend for DualSimplex {
-    fn name(&self) -> &'static str {
-        "dual"
-    }
-
-    fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_sparse(model, &self.opts, None)?;
-        self.stats.merge(sol.stats());
-        self.warm = Some(sol.basis().clone());
-        self.reuse = Some(sol.ranging.clone());
-        Ok(sol)
-    }
-
-    fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_dual_reusing(model, &self.opts, self.warm.as_ref(), self.reuse.as_deref())?;
-        self.stats.merge(sol.stats());
-        self.warm = Some(sol.basis().clone());
-        self.reuse = Some(sol.ranging.clone());
-        Ok(sol)
-    }
-
-    fn warm_basis(&self) -> Option<&Basis> {
-        self.warm.as_ref()
-    }
-
-    fn seed(&mut self, basis: &Basis) {
-        self.warm = Some(basis.clone());
-    }
-
-    fn reset(&mut self) {
-        self.warm = None;
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-}
-
-/// Snapshot of the mutable parts of a model, for detecting what a
-/// `resolve` actually changed.
-#[derive(Debug, Clone, PartialEq)]
-struct ModelStamp {
-    sense: Objective,
-    /// `(lb, ub, obj)` per structural column.
-    cols: Vec<(f64, f64, f64)>,
-    rows: usize,
-}
-
-impl ModelStamp {
-    fn of(model: &LpModel) -> Self {
-        Self {
-            sense: model.sense(),
-            cols: (0..model.num_vars() as u32)
-                .map(|j| {
-                    let v = VarId(j);
-                    (model.var_lb(v), model.var_ub(v), model.var_obj(v))
-                })
-                .collect(),
-            rows: model.num_constraints(),
-        }
-    }
-
-    /// If `other` differs from `self` **only in lower bounds** (same
-    /// sense, objectives, upper bounds, row count), return the changed
-    /// columns with their bound deltas — the joint move direction. `None`
-    /// when anything else changed or nothing changed at all. One entry is
-    /// the classic per-`L` sweep step; several entries are a
-    /// multi-parameter step (`L`, `G` and `o` moving together).
-    fn lb_changes(&self, other: &Self) -> Option<Vec<(VarId, f64)>> {
-        if self.sense != other.sense
-            || self.rows != other.rows
-            || self.cols.len() != other.cols.len()
-        {
-            return None;
-        }
-        let mut changed = Vec::new();
-        for (j, (a, b)) in self.cols.iter().zip(&other.cols).enumerate() {
-            if a.1.to_bits() != b.1.to_bits() || a.2.to_bits() != b.2.to_bits() {
-                return None;
-            }
-            if a.0.to_bits() != b.0.to_bits() {
-                if !a.0.is_finite() || !b.0.is_finite() {
-                    return None;
-                }
-                changed.push((VarId(j as u32), b.0 - a.0));
-            }
-        }
-        if changed.is_empty() {
-            None
-        } else {
-            Some(changed)
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ParametricState {
-    stamp: ModelStamp,
-    solution: Solution,
-}
-
-/// Sparse simplex with the Algorithm-2 parametric shortcut: a `resolve`
-/// that only moved one lower bound within the previous optimum's
-/// basis-stability window re-extracts the solution from the retained
-/// basis without a single pivot.
-#[derive(Debug, Default)]
-pub struct Parametric {
-    opts: SimplexOptions,
-    state: Option<ParametricState>,
-    /// Explicitly seeded warm basis, used when no full state is retained.
-    seeded: Option<Basis>,
-    /// Retained LU for bit-identical warm starts (see [`SparseSimplex`]).
-    reuse: Option<Arc<RangingData>>,
-    stats: SolveStats,
-}
-
-impl Parametric {
-    /// Backend with explicit simplex options.
-    pub fn with_options(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            state: None,
-            seeded: None,
-            reuse: None,
-            stats: SolveStats::default(),
-        }
-    }
-
-    fn remember(&mut self, model: &LpModel, sol: &Solution) {
-        self.reuse = Some(sol.ranging.clone());
-        self.state = Some(ParametricState {
-            stamp: ModelStamp::of(model),
-            solution: sol.clone(),
-        });
-    }
-}
-
-impl SolverBackend for Parametric {
-    fn name(&self) -> &'static str {
-        "parametric"
-    }
-
-    fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_sparse(model, &self.opts, None)?;
-        self.stats.merge(sol.stats());
-        self.remember(model, &sol);
-        Ok(sol)
-    }
-
-    fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        // Parametric shortcut: lower bounds moved inside the previous
-        // basis-stability window ⇒ the basis is still optimal, so a
-        // pivot-free re-extraction answers exactly. The window comes from
-        // *directional* ranging along the joint move (unit step = the
-        // full move), so the shortcut fires for multi-parameter steps —
-        // an `L`/`G`/`o` tuple moving together — exactly as it does for
-        // the classic single-`L` sweep step.
-        if let Some(state) = &self.state {
-            let stamp = ModelStamp::of(model);
-            if let Some(moves) = state.stamp.lb_changes(&stamp) {
-                let (lo, hi) = state.solution.lb_step_range(&moves);
-                if lo <= 1.0 && 1.0 <= hi {
-                    if let Ok(sol) = reextract_reusing(
-                        model,
-                        &self.opts,
-                        state.solution.basis(),
-                        self.reuse.as_deref(),
-                    ) {
-                        llamp_obs::counter("lp.parametric.shortcut", 1);
-                        self.stats.merge(sol.stats());
-                        self.remember(model, &sol);
-                        return Ok(sol);
-                    }
-                }
-            }
-        }
-        // Anything else: warm-started sparse solve from the last basis
-        // (or an explicitly seeded one).
-        let warm = self
-            .state
-            .as_ref()
-            .map(|s| s.solution.basis().clone())
-            .or_else(|| self.seeded.clone());
-        let sol = solve_sparse_reusing(model, &self.opts, warm.as_ref(), self.reuse.as_deref())?;
-        self.stats.merge(sol.stats());
-        self.remember(model, &sol);
-        Ok(sol)
-    }
-
-    fn warm_basis(&self) -> Option<&Basis> {
-        self.state
-            .as_ref()
-            .map(|s| s.solution.basis())
-            .or(self.seeded.as_ref())
-    }
-
-    fn seed(&mut self, basis: &Basis) {
-        // Re-seeding with the basis the retained state already sits on
-        // keeps the full state, so the basis-stability shortcut can still
-        // answer the next in-window re-solve without iterating. This is
-        // sound for callers seeding every query from one shared anchor
-        // (the engine's determinism pattern): a shortcut hit is verified
-        // by `reextract` to be bit-identical to the warm solve the seed
-        // would otherwise trigger.
-        if self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.solution.basis() == basis)
-        {
-            return;
-        }
-        self.state = None;
-        self.seeded = Some(basis.clone());
-    }
-
-    fn reset(&mut self) {
-        self.state = None;
-        self.seeded = None;
-    }
-
-    fn stats(&self) -> SolveStats {
+    /// Cumulative solver-effort counters across every solve this solver
+    /// has run (not cleared by [`SparseSimplex::reset`] — they are
+    /// observability, not solver state).
+    pub fn stats(&self) -> SolveStats {
         self.stats
     }
 }
@@ -462,7 +89,7 @@ impl SolverBackend for Parametric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LpModel, Objective, Relation};
+    use crate::model::{LpModel, Objective, Relation, VarId};
 
     fn running_example(l_lb: f64) -> (LpModel, VarId) {
         let mut m = LpModel::new(Objective::Minimize);
@@ -477,40 +104,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_knows_all_backends() {
-        for name in BACKEND_NAMES {
-            let b = by_name(name).unwrap();
-            assert_eq!(b.name(), *name);
-        }
-        assert!(by_name("gurobi").is_none());
-    }
-
-    #[test]
-    fn all_backends_agree_on_running_example() {
-        for name in BACKEND_NAMES {
-            let mut b = by_name(name).unwrap();
-            let (m, l) = running_example(0.5);
-            let sol = b.solve(&m).unwrap();
-            assert!((sol.objective() - 1.615).abs() < 1e-9, "{name}");
-            assert!((sol.reduced_cost(l) - 1.0).abs() < 1e-9, "{name}");
-        }
-    }
-
-    #[test]
-    fn parametric_shortcut_skips_pivots() {
-        let mut b = Parametric::default();
+    fn in_window_resolve_needs_no_pivots() {
+        let mut b = SparseSimplex::default();
         let (m, _) = running_example(0.5);
         let first = b.solve(&m).unwrap();
-        assert!(first.iterations() > 0);
+        assert!(first.stats().pivots > 0);
         // 0.45 is inside the stability window [0.385, ∞) of the l ≥ 0.5
-        // optimum: the shortcut must answer with zero iterations.
+        // optimum: the warm basis is still optimal, so no pivot happens.
         let (m2, l2) = running_example(0.45);
         let second = b.resolve(&m2).unwrap();
-        assert_eq!(second.iterations(), 0);
+        assert_eq!(second.stats().pivots, 0);
         assert!((second.objective() - 1.565).abs() < 1e-9);
         assert!((second.reduced_cost(l2) - 1.0).abs() < 1e-9);
-        // 0.2 is below the 0.385 breakpoint: a real (warm) solve runs and
-        // lands on the compute-dominated optimum.
+        // 0.2 is below the 0.385 breakpoint: the warm solve pivots onto
+        // the compute-dominated optimum.
         let (m3, l3) = running_example(0.2);
         let third = b.resolve(&m3).unwrap();
         assert!((third.objective() - 1.5).abs() < 1e-9);
@@ -518,8 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn parametric_matches_cold_solves_bitwise_across_a_sweep() {
-        let mut warm = Parametric::default();
+    fn warm_sweep_matches_cold_solves_bitwise() {
+        let mut warm = SparseSimplex::default();
         for i in 0..20 {
             let l = 0.1 + 0.03 * i as f64;
             let (m, lv) = running_example(l);
@@ -534,36 +141,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn anchor_seeding_keeps_the_shortcut_alive() {
-        // The engine seeds every query from one anchor basis. When the
-        // anchor is the backend's own retained optimum, the shortcut must
-        // still fire (zero iterations) and stay bit-identical to the
-        // warm sparse solve the seed would otherwise trigger.
-        let mut p = Parametric::default();
-        let (m0, _) = running_example(0.5);
-        let anchor_sol = p.solve(&m0).unwrap();
-        let anchor = anchor_sol.basis().clone();
-        for l in [0.45, 0.48, 0.5] {
-            let (m, lv) = running_example(l);
-            p.seed(&anchor);
-            let a = p.resolve(&m).unwrap();
-            assert_eq!(a.iterations(), 0, "shortcut must fire at L={l}");
-            let mut s = SparseSimplex::default();
-            s.seed(&anchor);
-            let b = s.resolve(&m).unwrap();
-            assert_eq!(a.objective().to_bits(), b.objective().to_bits(), "L={l}");
-            assert_eq!(
-                a.reduced_cost(lv).to_bits(),
-                b.reduced_cost(lv).to_bits(),
-                "L={l}"
-            );
-        }
-    }
-
     /// A two-parameter miniature: `t ≥ c + 1·l + 2·g` beside a constant
-    /// floor, so moving `l` and `g` *together* is the multi-parameter
-    /// sweep step the directional shortcut must answer pivot-free.
+    /// floor, so moving `l` and `g` *together* is a multi-parameter sweep
+    /// step.
     fn two_param_example(l_lb: f64, g_lb: f64) -> (LpModel, VarId, VarId) {
         let mut m = LpModel::new(Objective::Minimize);
         let l = m.add_var("l", l_lb, f64::INFINITY, 0.0);
@@ -575,20 +155,19 @@ mod tests {
     }
 
     #[test]
-    fn joint_lb_move_fires_shortcut() {
-        let mut p = Parametric::default();
+    fn joint_lb_move_resolves_without_pivots() {
+        let mut p = SparseSimplex::default();
         let (m, l, g) = two_param_example(0.5, 0.2);
         let first = p.solve(&m).unwrap();
         // Wire path active: T = 0.4 + 0.5 + 0.4 = 1.3, λ_l = 1, λ_g = 2.
         assert!((first.objective() - 1.3).abs() < 1e-9);
         assert!((first.reduced_cost(l) - 1.0).abs() < 1e-9);
         assert!((first.reduced_cost(g) - 2.0).abs() < 1e-9);
-        // Both bounds move, staying on the wire-dominated facet: the
-        // directional shortcut must answer with zero iterations and match
-        // a cold solve bitwise.
+        // Both bounds move, staying on the wire-dominated facet: the warm
+        // re-solve must not pivot and must match a cold solve bitwise.
         let (m2, l2, g2) = two_param_example(0.45, 0.25);
         let sol = p.resolve(&m2).unwrap();
-        assert_eq!(sol.iterations(), 0, "joint in-window move must not pivot");
+        assert_eq!(sol.stats().pivots, 0, "joint in-window move must not pivot");
         let cold = SparseSimplex::default().solve(&m2).unwrap();
         assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
         assert_eq!(
@@ -600,8 +179,7 @@ mod tests {
             cold.reduced_cost(g2).to_bits()
         );
         // A joint move crossing the facet change (wire cost below the
-        // 1.0 compute floor) leaves the window: the warm path answers and
-        // the sensitivities drop to zero.
+        // 1.0 compute floor): the sensitivities drop to zero.
         let (m3, l3, g3) = two_param_example(0.1, 0.05);
         let sol3 = p.resolve(&m3).unwrap();
         assert!((sol3.objective() - 1.0).abs() < 1e-9);
@@ -628,13 +206,14 @@ mod tests {
 
     #[test]
     fn reset_forgets_state() {
-        let mut b = Parametric::default();
+        let mut b = SparseSimplex::default();
         let (m, _) = running_example(0.5);
         b.solve(&m).unwrap();
         b.reset();
+        assert!(b.warm_basis().is_none());
         let (m2, _) = running_example(0.45);
         let sol = b.resolve(&m2).unwrap();
         // Cold again: pivots happen.
-        assert!(sol.iterations() > 0);
+        assert!(sol.stats().pivots > 0);
     }
 }

@@ -8,8 +8,8 @@
 //! * [`DenseInv`] — the original dense column-major basis inverse,
 //!   rebuilt by Gauss–Jordan elimination and updated with dense eta
 //!   transformations. `O(m²)` per FTRAN/BTRAN/update and `O(m³)` per
-//!   refactorisation: fine for medium models, kept alive as the
-//!   cross-validation reference for the sparse path.
+//!   refactorisation. Only the `simplex::solve_dense` test oracle runs
+//!   on it: the cross-validation reference for the sparse path.
 //! * [`SparseLu`] — a sparse LU factorisation (left-looking, partial
 //!   pivoting by magnitude, Markowitz-style static column ordering to cut
 //!   fill-in) with a *product-form eta file* absorbing the pivots between

@@ -3,37 +3,27 @@
 //! LLAMP converts MPI execution graphs into linear programs and reads
 //! predicted runtimes, latency sensitivities (reduced costs), basis-stability
 //! ranges (for critical-latency search) and latency tolerances (a flipped
-//! objective) off the solved model. The paper uses Gurobi; no comparable
-//! solver exists as a mature Rust crate, so this crate implements the
-//! required solver technology from scratch:
+//! objective) off the solved model. The paper answers every one of those
+//! queries with one LP and one solver (Gurobi); no comparable solver exists
+//! as a mature Rust crate, so this crate implements the one solver it needs
+//! from scratch:
 //!
 //! * [`model::LpModel`] — a general LP model builder: variables with bounds,
 //!   linear constraints (`≤`, `≥`, `=`, ranges), minimise/maximise.
-//! * [`simplex`] — a bounded-variable primal simplex, generic over the
-//!   basis factorisation (the internal `factor` module): the dense inverse (the original
-//!   path, kept for cross-validation) or a sparse LU with a product-form
-//!   eta file (the at-scale path). Artificial-free phase 1, Dantzig
-//!   pricing with deterministic lowest-index tie-breaking and a Bland
-//!   fallback (anti-cycling), a two-pass Harris ratio test, periodic
-//!   refactorisation, and warm starts from a previous [`Basis`].
-//! * [`dual`] — a bounded-variable **dual simplex** sharing the primal's
-//!   core (factorisation, workspaces, canonical extraction): the re-solve
-//!   engine for pure bound moves, which leave the previous basis dual
-//!   feasible so only the handful of primal violations need pivoting out.
-//! * [`backend`] — the [`SolverBackend`] trait the analysis layers program
-//!   against, with four implementations selected by name:
-//!   [`DenseSimplex`], [`SparseSimplex`], [`Parametric`] (sparse +
-//!   the Algorithm-2 shortcut: a re-solve that moved one lower bound
-//!   within the previous basis-stability window is answered by a
-//!   pivot-free re-extraction) and [`DualSimplex`] (sparse + dual-simplex
-//!   re-solves for bound moves).
+//! * [`simplex`] — a bounded-variable primal simplex on a sparse LU with a
+//!   product-form eta file. Artificial-free phase 1, Devex partial pricing
+//!   with deterministic lowest-index tie-breaking and a Bland fallback
+//!   (anti-cycling), a two-pass Harris ratio test, periodic
+//!   refactorisation, and warm starts from a previous [`Basis`]. A
+//!   dense-inverse variant ([`simplex::solve_dense`]) is kept only as the
+//!   test oracle the sparse path is cross-validated against.
+//! * [`backend::SparseSimplex`] — the solver object the analysis layers
+//!   hold: cold solves, warm re-solves from the previous (or a seeded)
+//!   basis, and a retained LU that identical re-factorisations adopt.
 //! * [`solution::Solution`] — primal values, objective, row duals, reduced
 //!   costs, the exportable warm-start [`Basis`], and *bound ranging*: the
 //!   equivalent of Gurobi's `SARHSLow` / `SALBLow` attributes that
 //!   Algorithm 2 of the paper relies on.
-//! * [`presolve`] — fixed-variable elimination, empty/singleton-row
-//!   reduction and duplicate-row dropping, mirroring the presolve phase the
-//!   paper credits for the LP approach outperforming simulation (§II-D3).
 //! * [`piecewise`] — convex piecewise-linear functions represented as upper
 //!   envelopes of lines. This powers the graph-level *parametric envelope*
 //!   backend in `llamp-core`: the full value function `T(L)` over a
@@ -45,38 +35,29 @@
 //! ([`Solution::basis`]). Passing it back into the next solve of an
 //! *edited* model (bounds moved, objective or sense changed — the edits a
 //! latency sweep and the tolerance flip perform) starts the simplex from
-//! that basis instead of the all-logical one. A sweep point that stays
-//! within the previous basis-stability window re-solves with zero pivots;
-//! one that crosses a breakpoint needs only the few pivots that walk to
-//! the adjacent basis. The [`backend::SolverBackend::resolve`] method is
-//! this protocol's front door; `solve` always starts cold.
+//! that basis instead of the all-logical one. A query that stays within
+//! the basis-stability window re-solves with zero pivots; one that
+//! crosses a breakpoint needs only the few pivots that walk to the
+//! adjacent basis. [`SparseSimplex::resolve`] is this protocol's front
+//! door; `solve` always starts cold.
 //!
-//! ## Cross-backend determinism
+//! ## Determinism
 //!
-//! Solutions are extracted *canonically*: whatever factorisation ran the
-//! pivots, every reported number is recomputed from a fresh sparse LU of
-//! the final basis (columns in ascending order, nonbasic values snapped
-//! exactly onto their bounds). Pricing and ratio-test ties break by
-//! lowest index within a relative epsilon. Together these make a
-//! solution a pure function of `(model, final basis)` — dense, sparse,
-//! warm and cold paths that land on the same basis return bit-identical
-//! results, which is what lets `llamp-engine` demand byte-identical
-//! campaign output across its `lp-dense` / `lp-sparse` / `lp-parametric`
-//! backends.
+//! Solutions are extracted *canonically*: every reported number is
+//! recomputed from a fresh sparse LU of the final basis (columns in
+//! ascending order, nonbasic values snapped exactly onto their bounds).
+//! Pricing and ratio-test ties break by lowest index within a relative
+//! epsilon. Together these make a solution a pure function of
+//! `(model, final basis)` — cold, warm, crash-started and dense-oracle
+//! solves that land on the same basis return bit-identical results.
+//! Solves from *different* starts may land on different optimal bases of
+//! a degenerate LP, whose numbers agree only to rounding; `llamp-core`
+//! therefore starts every point query from one rule (its longest-path
+//! crash basis).
 //!
-//! ## Picking a backend
-//!
-//! [`backend::by_name`] maps `"dense"`, `"sparse"`, `"parametric"` and
-//! `"dual"` to boxed backends; campaign specs surface the same choice as
-//! `backends = ["lp-dense" | "lp-sparse" | "lp-parametric" | "lp-dual"]`
-//! (plain `"lp"` means `lp-sparse`). Use `dense` to cross-check numerics,
-//! `sparse` for one-shot solves at scale, `parametric` or `dual` for
-//! sweeps — anything that re-solves the same graph at many latencies.
-//!
-//! All solving styles are cross-validated against each other (and against
-//! brute-force vertex enumeration) in the test suites of this crate and
+//! All solving styles are cross-validated against the dense oracle and
+//! brute-force vertex enumeration in the test suites of this crate and
 //! `llamp-core`.
-
 //!
 //! ## Robustness
 //!
@@ -84,22 +65,21 @@
 //! (infeasible / unbounded) versus recoverable solve failures (budget
 //! exhaustion, numerical distress, injected faults). For the latter,
 //! [`robust::resolve_robust`] walks the fallback ladder — warm resolve →
-//! cold sparse re-solve → dense-inverse re-solve — and canonical
-//! extraction guarantees any rung that succeeds returns the
-//! byte-identical answer the no-fault solve would have produced.
+//! cold re-solve from the caller's crash basis → default-options solve
+//! from the slack basis — and canonical extraction guarantees any rung
+//! that succeeds returns the byte-identical answer the no-fault solve
+//! would have produced.
 
 pub mod backend;
-pub mod dual;
 pub mod error;
 pub(crate) mod factor;
 pub mod model;
 pub mod piecewise;
-pub mod presolve;
 pub mod robust;
 pub mod simplex;
 pub mod solution;
 
-pub use backend::{by_name, DenseSimplex, DualSimplex, Parametric, SolverBackend, SparseSimplex};
+pub use backend::SparseSimplex;
 pub use error::{Distress, SolveError};
 pub use model::{ConId, LpModel, Objective, Relation, VarId};
 pub use piecewise::{Envelope, Line};

@@ -1,103 +1,89 @@
 //! The solver fallback ladder.
 //!
-//! [`resolve_robust`] answers an LP query through a [`SolverBackend`]
+//! [`resolve_robust`] answers an LP query through a [`SparseSimplex`]
 //! like `resolve` does, but when the solve fails *recoverably* (budget
 //! exhaustion, numerical distress, an injected fault — see
 //! [`SolveError::is_recoverable`]) it walks a ladder of progressively
 //! more conservative re-solves instead of giving up:
 //!
-//! 1. **warm resolve** — the backend's normal path (parametric shortcut,
-//!    warm basis, whatever it retains);
-//! 2. **cold re-solve** — drop all warm state, optionally re-seed the
-//!    caller's crash basis, and solve from scratch on the backend's own
-//!    factorisation;
-//! 3. **dense-inverse re-solve** — a fresh [`DenseSimplex`] with the
-//!    same budgets disabled-by-default options; the slowest but most
-//!    numerically conservative rung.
+//! 1. **warm resolve** — the solver's normal path from its warm (or
+//!    seeded) basis;
+//! 2. **cold re-solve** — drop the warm state, optionally re-seed the
+//!    caller's crash basis, and solve again under the solver's own
+//!    options;
+//! 3. **slack re-solve** — a fresh default-options [`SparseSimplex`]
+//!    solving from the all-logical (slack) basis: no seed and none of
+//!    the caller's budgets, the most conservative start there is.
 //!
 //! **Why a recovered answer is byte-identical.** Solutions are extracted
 //! canonically (recomputed from a fresh sparse LU of the final basis —
 //! see the crate docs), and all rungs use the same deterministic pivot
 //! rules, so any rung that reaches the optimal basis reports exactly the
-//! bytes the no-fault solve would have. The engine's cross-backend
-//! byte-identity tests cover the dense rung; `warm == cold` bitwise is
-//! covered in `backend::tests`. After a rung-3 recovery the backend is
-//! re-seeded with the answering basis, so subsequent warm queries
-//! continue from the same state as an unfaulted run.
+//! bytes the no-fault solve would have. After a rung-3 recovery the
+//! caller's solver is re-seeded with the answering basis, so subsequent
+//! warm queries continue from the same state as an unfaulted run.
 //!
 //! Every rung taken past the first emits the obs counter
 //! `solve.fallback` plus a per-rung counter (`solve.fallback.cold`,
-//! `solve.fallback.dense`); unrecovered failures return the *first*
+//! `solve.fallback.slack`); unrecovered failures return the *first*
 //! rung's error (the most informative one).
 
-use crate::backend::{DenseSimplex, SolverBackend};
+use crate::backend::SparseSimplex;
 use crate::error::SolveError;
 use crate::model::LpModel;
 use crate::solution::{Basis, Solution};
 
-/// Re-solve `model` through `backend` with fallback recovery. `crash`
+/// Re-solve `model` through `solver` with fallback recovery. `crash`
 /// optionally re-seeds the cold rung (the caller's structural crash
-/// basis — what a freshly built backend would start from).
+/// basis — what a freshly built solver would start from).
 pub fn resolve_robust(
-    backend: &mut dyn SolverBackend,
+    solver: &mut SparseSimplex,
     model: &LpModel,
     crash: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    // Rung 1: the backend's normal warm path.
-    let first = match backend.resolve(model) {
+    // Rung 1: the solver's normal warm path.
+    let first = match solver.resolve(model) {
         Ok(sol) => return Ok(sol),
         Err(e) if !e.is_recoverable() => return Err(e),
         Err(e) => e,
     };
 
-    // Rung 2: cold re-solve from scratch on the backend's own
-    // factorisation, seeded like a freshly built instance.
+    // Rung 2: cold re-solve, seeded like a freshly built instance.
     llamp_obs::counter("solve.fallback", 1);
     llamp_obs::counter("solve.fallback.cold", 1);
-    backend.reset();
-    if let Some(b) = crash {
-        backend.seed(b);
-        // `solve` ignores warm state by contract; `resolve` from a reset
-        // backend with only the crash seed is the cold start.
-        match backend.resolve(model) {
-            Ok(sol) => return Ok(sol),
-            Err(e) if !e.is_recoverable() => return Err(e),
-            Err(_) => {}
+    solver.reset();
+    let cold = match crash {
+        Some(b) => {
+            solver.seed(b);
+            solver.resolve(model)
         }
-    } else {
-        match backend.solve(model) {
-            Ok(sol) => return Ok(sol),
-            Err(e) if !e.is_recoverable() => return Err(e),
-            Err(_) => {}
-        }
+        None => solver.solve(model),
+    };
+    match cold {
+        Ok(sol) => return Ok(sol),
+        Err(e) if !e.is_recoverable() => return Err(e),
+        Err(_) => {}
     }
 
-    // Rung 3: dense-inverse reference re-solve (skip if the backend
-    // already *is* the dense one — rung 2 just ran exactly this).
-    if backend.name() != "dense" {
-        llamp_obs::counter("solve.fallback", 1);
-        llamp_obs::counter("solve.fallback.dense", 1);
-        let mut dense = DenseSimplex::default();
-        match dense.solve(model) {
-            Ok(sol) => {
-                // Leave the caller's backend warm on the answering basis,
-                // exactly as an unfaulted resolve would have.
-                backend.seed(sol.basis());
-                return Ok(sol);
-            }
-            Err(e) if !e.is_recoverable() => return Err(e),
-            Err(_) => {}
+    // Rung 3: default options from the slack basis.
+    llamp_obs::counter("solve.fallback", 1);
+    llamp_obs::counter("solve.fallback.slack", 1);
+    match SparseSimplex::default().solve(model) {
+        Ok(sol) => {
+            // Leave the caller's solver warm on the answering basis,
+            // exactly as an unfaulted resolve would have.
+            solver.seed(sol.basis());
+            Ok(sol)
         }
+        Err(e) if !e.is_recoverable() => Err(e),
+        // Every rung failed recoverably: report the original failure.
+        Err(_) => Err(first),
     }
-
-    // Every rung failed recoverably: report the original failure.
-    Err(first)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{by_name, Parametric, SparseSimplex};
     use crate::model::{LpModel, Objective, Relation, VarId};
     use crate::simplex::SimplexOptions;
 
@@ -115,13 +101,11 @@ mod tests {
 
     #[test]
     fn clean_solves_pass_straight_through() {
-        for name in crate::backend::BACKEND_NAMES {
-            let mut b = by_name(name).unwrap();
-            let (m, l) = running_example(0.5);
-            let sol = resolve_robust(b.as_mut(), &m, None).unwrap();
-            assert!((sol.objective() - 1.615).abs() < 1e-9, "{name}");
-            assert!((sol.reduced_cost(l) - 1.0).abs() < 1e-9, "{name}");
-        }
+        let mut b = SparseSimplex::default();
+        let (m, l) = running_example(0.5);
+        let sol = resolve_robust(&mut b, &m, None).unwrap();
+        assert!((sol.objective() - 1.615).abs() < 1e-9);
+        assert!((sol.reduced_cost(l) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -162,11 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn parametric_recovers_through_dense_rung() {
+    fn iteration_budget_recovers_through_slack_rung() {
         // A one-iteration budget fails rungs 1 and 2 (both run under the
-        // backend's own options) so only the dense rung — which builds a
-        // fresh default-options solver — can answer. Still byte-identical,
-        // and the backend is left warm on the answering basis.
+        // solver's own options), so only the slack rung — a fresh
+        // default-options solver — can answer. Still byte-identical, and
+        // the solver is left warm on the answering basis.
         let (m, l) = running_example(0.5);
         let clean = SparseSimplex::default().solve(&m).unwrap();
 
@@ -174,15 +158,16 @@ mod tests {
             max_iterations: 1,
             ..SimplexOptions::default()
         };
-        let mut b = Parametric::with_options(opts);
+        let mut b = SparseSimplex::with_options(opts);
         let sol = resolve_robust(&mut b, &m, None).unwrap();
         assert_eq!(sol.objective().to_bits(), clean.objective().to_bits());
         assert_eq!(
             sol.reduced_cost(l).to_bits(),
             clean.reduced_cost(l).to_bits()
         );
-        // The backend was re-seeded on the answering basis: a follow-up
-        // in-window query must still answer (through its own ladder).
+        assert_eq!(b.warm_basis(), Some(clean.basis()));
+        // A follow-up in-window query must still answer (through its own
+        // ladder) with the bits of a clean solve.
         let (m2, l2) = running_example(0.45);
         let sol2 = resolve_robust(&mut b, &m2, None).unwrap();
         let clean2 = SparseSimplex::default().solve(&m2).unwrap();

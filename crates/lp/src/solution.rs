@@ -129,10 +129,9 @@ pub enum VarStatus {
 
 /// A complete basis snapshot: the status of every structural column and
 /// every row's logical (slack) column. This is the warm-start currency:
-/// [`Solution::basis`] exports it, `simplex::solve_dense` /
-/// `simplex::solve_sparse` accept it as a starting point, and
-/// `simplex::reextract` rebuilds a full [`Solution`] from it without any
-/// pivoting. A basis outlives bound, objective and sense edits on its
+/// [`Solution::basis`] exports it and `simplex::solve_sparse` (behind
+/// `SparseSimplex::resolve`) accepts it as a starting point. A basis
+/// outlives bound, objective and sense edits on its
 /// model (the edits Algorithm 2 and the tolerance flip perform), which is
 /// exactly what makes latency sweeps cheap: the previous optimum is a
 /// handful of pivots from the next.
@@ -147,7 +146,7 @@ pub struct Basis {
 impl Basis {
     /// Assemble a basis from explicit per-column / per-row statuses — the
     /// entry point for *crash bases* built by model constructors that
-    /// know their problem's structure (e.g. `llamp-core`'s topological
+    /// know their problem's structure (e.g. `llamp-core`'s longest-path
     /// crash for execution-graph LPs). The solver verifies the basis on
     /// installation (column count, nonsingular refactorisation) and falls
     /// back to the all-logical start if it is unusable, so a bad crash

@@ -1,65 +1,177 @@
-//! Solver conformance suite: one shared battery run over **every backend
-//! × every start**.
+//! Solver conformance suite: the one solver ([`SparseSimplex`]) under
+//! every start it meets in this codebase, checked against two independent
+//! oracles.
 //!
-//! Backends come from the public registry (`by_name` over
-//! `BACKEND_NAMES`: dense, sparse, parametric, dual). Starts are the
-//! ways a solve can begin in this codebase: cold (all-logical), warm
-//! from a reference optimal basis, and — for the DAG LPs that mirror
-//! Algorithm 1 — the two crash bases `llamp-core` builds (the exact
-//! longest-path crash and the historic largest-constant heuristic).
+//! Starts: cold (the all-logical slack basis), warm (seeded with the cold
+//! optimum) and — for the DAG LPs that mirror Algorithm 1 — the exact
+//! longest-path crash basis `llamp-core` builds.
 //!
-//! Every combination must report the same optimum: objective, primal
-//! values, duals, reduced costs and lower-bound ranging all within 1e-9
-//! of the dense cold reference — and whenever two runs finish on the
-//! *same final basis*, their canonical extractions must be **byte
-//! identical** (`to_bits` equality), which is the contract the engine's
-//! cross-backend campaign identity rests on.
+//! Oracles:
+//!
+//! * the dense-inverse simplex ([`solve_dense`]) from the same start: the
+//!   same pivot rules on a different factorisation. Both must finish on
+//!   the *same final basis*, and there every reported quantity —
+//!   objective, primal values, reduced costs, duals, lower-bound ranging —
+//!   must be **bit-for-bit** identical (canonical extraction makes a
+//!   solution a pure function of model and basis);
+//! * brute-force vertex enumeration: every start's objective must match
+//!   the best feasible vertex to 1e-9.
 //!
 //! Inputs: random DAG longest-path LPs (proptest; integer cost grids so
 //! degenerate ties are the norm) plus the Beale / degenerate fixed
 //! corpus.
 
-use llamp_lp::backend::{by_name, BACKEND_NAMES};
+use llamp_lp::simplex::{solve_dense, SimplexOptions};
 use llamp_lp::solution::VarStatus;
-use llamp_lp::{Basis, ConId, LpModel, Objective, Relation, Solution, VarId};
+use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, SparseSimplex, VarId};
 use proptest::prelude::*;
+
+const INF: f64 = f64::INFINITY;
+
+// ---------------------------------------------------------------------
+// LP descriptions: one source for the model and the enumeration oracle
+// ---------------------------------------------------------------------
+
+/// One row `lo ≤ Σ c·x_v ≤ hi` as `(terms, lo, hi)`.
+type Row = (Vec<(usize, f64)>, f64, f64);
+
+/// A dense description of an LP, from which the test builds both the
+/// solver's model and the brute-force vertex enumeration.
+struct Desc {
+    maximize: bool,
+    /// `(lb, ub, obj)` per variable.
+    cols: Vec<(f64, f64, f64)>,
+    rows: Vec<Row>,
+}
+
+impl Desc {
+    fn model(&self) -> (LpModel, Vec<VarId>, Vec<ConId>) {
+        let mut m = LpModel::new(if self.maximize {
+            Objective::Maximize
+        } else {
+            Objective::Minimize
+        });
+        let vars: Vec<VarId> = (self.cols.iter().enumerate())
+            .map(|(j, &(lb, ub, obj))| m.add_var(format!("x{j}"), lb, ub, obj))
+            .collect();
+        let cons = (self.rows.iter().enumerate())
+            .map(|(i, (terms, lo, hi))| {
+                let t: Vec<(VarId, f64)> = terms.iter().map(|&(v, c)| (vars[v], c)).collect();
+                m.add_range_constraint(format!("r{i}"), &t, *lo, *hi)
+            })
+            .collect();
+        (m, vars, cons)
+    }
+
+    fn feasible(&self, x: &[f64]) -> bool {
+        let tol = |b: f64| 1e-7 * (1.0 + b.abs());
+        let bounds = self
+            .cols
+            .iter()
+            .zip(x)
+            .map(|(&(lb, ub, _), &xj)| (lb, ub, xj));
+        let rows = self.rows.iter().map(|(terms, lo, hi)| {
+            let a: f64 = terms.iter().map(|&(v, c)| c * x[v]).sum();
+            (*lo, *hi, a)
+        });
+        bounds
+            .chain(rows)
+            .all(|(lo, hi, a)| a >= lo - tol(lo) && a <= hi + tol(hi))
+    }
+
+    /// Best objective over every feasible vertex: each intersection of
+    /// `n` hyperplanes drawn from finite row sides and finite variable
+    /// bounds. `None` when no vertex is feasible.
+    fn brute_force_optimum(&self) -> Option<f64> {
+        let n = self.cols.len();
+        let mut planes: Vec<(Vec<f64>, f64)> = Vec::new();
+        for (terms, lo, hi) in &self.rows {
+            let mut a = vec![0.0; n];
+            for &(v, c) in terms {
+                a[v] += c;
+            }
+            for side in [*lo, *hi] {
+                if side.is_finite() {
+                    planes.push((a.clone(), side));
+                }
+            }
+        }
+        for (j, &(lb, ub, _)) in self.cols.iter().enumerate() {
+            let mut e = vec![0.0; n];
+            e[j] = 1.0;
+            for side in [lb, ub] {
+                if side.is_finite() {
+                    planes.push((e.clone(), side));
+                }
+            }
+        }
+        let k = planes.len();
+        let mut best: Option<f64> = None;
+        let mut idx: Vec<usize> = (0..n).collect();
+        loop {
+            let a = idx.iter().map(|&i| planes[i].0.clone()).collect();
+            let b = idx.iter().map(|&i| planes[i].1).collect();
+            if let Some(x) = solve_square(a, b).filter(|x| self.feasible(x)) {
+                let obj: f64 = self.cols.iter().zip(&x).map(|(c, xj)| c.2 * xj).sum();
+                best = Some(match best {
+                    None => obj,
+                    Some(cur) if self.maximize => cur.max(obj),
+                    Some(cur) => cur.min(obj),
+                });
+            }
+            // Next n-subset of the k planes, in lexicographic order.
+            let mut i = n;
+            loop {
+                if i == 0 {
+                    return best;
+                }
+                i -= 1;
+                if idx[i] + (n - i) < k {
+                    idx[i] += 1;
+                    for j in i + 1..n {
+                        idx[j] = idx[j - 1] + 1;
+                    }
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Gaussian elimination with partial pivoting; `None` when singular.
+// Rows are eliminated in place against the pivot row; indexing keeps the
+// two-row access pattern legible.
+#[allow(clippy::needless_range_loop)]
+fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+    let n = b.len();
+    for col in 0..n {
+        let piv = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if a[piv][col].abs() < 1e-9 {
+            return None;
+        }
+        a.swap(col, piv);
+        b.swap(col, piv);
+        for r in 0..n {
+            let f = a[r][col] / a[col][col];
+            if r == col || f == 0.0 {
+                continue;
+            }
+            for c in col..n {
+                a[r][c] -= f * a[col][c];
+            }
+            b[r] -= f * b[col];
+        }
+    }
+    Some((0..n).map(|i| b[i] / a[i][i]).collect())
+}
 
 // ---------------------------------------------------------------------
 // The battery
 // ---------------------------------------------------------------------
 
-/// How a backend run begins.
-enum Start<'a> {
-    Cold,
-    Seeded(&'a str, &'a Basis),
-}
-
-impl Start<'_> {
-    fn label(&self) -> String {
-        match self {
-            Start::Cold => "cold".into(),
-            Start::Seeded(name, _) => (*name).into(),
-        }
-    }
-}
-
-fn run(backend_name: &str, start: &Start, model: &LpModel) -> Solution {
-    let mut b = by_name(backend_name).expect("registry backend");
-    match start {
-        Start::Cold => b.solve(model),
-        Start::Seeded(_, basis) => {
-            b.seed(basis);
-            b.resolve(model)
-        }
-    }
-    .unwrap_or_else(|e| panic!("{backend_name}/{}: solve failed: {e}", start.label()))
-}
-
 /// Assert that `sol` and `reference` finished on the same basis and
 /// that **every** reported quantity — objective, primal values, duals,
 /// reduced costs, lower-bound ranging — is bit-for-bit identical.
-/// Canonical extraction is a pure function of (model, basis), so on the
-/// same basis anything short of `to_bits` equality is a conformance bug.
 fn assert_bitwise(
     label: &str,
     reference: &Solution,
@@ -102,65 +214,43 @@ fn assert_bitwise(
     }
 }
 
-/// Run every backend × start.
-///
-/// The contract, exactly as the engine relies on it:
-///
-/// * **Per start, across backends**: all four backends land on the same
-///   final basis and report byte-identical numbers. (Sole carve-out:
-///   the dual backend seeded with a primal-*infeasible* basis — the
-///   heuristic crash — may legitimately pivot to a different optimal
-///   vertex of a degenerate optimum; there it must still match the
-///   reference objective to 1e-9, and bitwise whenever the bases do
-///   coincide.)
-/// * **Across starts**: every run reports the same optimum objective to
-///   1e-9 — alternative optimal bases may differ in non-binding primal
-///   values and degenerate duals, which is why byte-identity is only a
-///   same-basis contract.
-fn battery(model: &LpModel, vars: &[VarId], cons: &[ConId], seeds: &[(&str, &Basis)]) {
-    let close = |a: f64, b: f64| {
-        (a - b).abs() <= 1e-9 * (1.0 + a.abs()) || (a.is_infinite() && b.is_infinite() && a == b)
-    };
-    let cold_ref = run("dense", &Start::Cold, model);
-    let mut starts: Vec<Start> = vec![Start::Cold, Start::Seeded("warm", cold_ref.basis())];
-    for &(label, basis) in seeds {
-        starts.push(Start::Seeded(label, basis));
-    }
-    for start in &starts {
-        let reference = run("dense", start, model);
-        assert!(
-            close(cold_ref.objective(), reference.objective()),
-            "dense/{}: objective {} vs cold {}",
-            start.label(),
-            reference.objective(),
-            cold_ref.objective()
-        );
-        for name in BACKEND_NAMES {
-            let sol = run(name, start, model);
-            let label = format!("{name}/{}", start.label());
-            assert!(
-                close(cold_ref.objective(), sol.objective()),
-                "{label}: objective {} vs cold {}",
-                sol.objective(),
-                cold_ref.objective()
-            );
-            if sol.basis() != reference.basis() {
-                // Only the dual backend fed the primal-infeasible
-                // heuristic crash may take a different (dual-simplex)
-                // path to a different optimal vertex.
-                assert!(
-                    *name == "dual" && start.label() == "crash-topological",
-                    "{label}: final basis diverged from the dense reference"
-                );
-                continue;
+/// Run the solver from every start against both oracles. Alternative
+/// optimal bases may differ in non-binding primal values and degenerate
+/// duals, so across starts only the objective is compared; bit-identity
+/// is a same-basis contract.
+fn battery(desc: &Desc, crash: Option<&Basis>) {
+    let (model, vars, cons) = desc.model();
+    let want = desc
+        .brute_force_optimum()
+        .expect("corpus LPs are feasible and bounded");
+    let cold = SparseSimplex::default().solve(&model).expect("cold solve");
+    let mut starts = vec![("cold", None), ("warm", Some(cold.basis()))];
+    starts.extend(crash.map(|b| ("crash", Some(b))));
+    for (label, start) in starts {
+        let mut solver = SparseSimplex::default();
+        let sol = match start {
+            None => solver.solve(&model),
+            Some(basis) => {
+                solver.seed(basis);
+                solver.resolve(&model)
             }
-            assert_bitwise(&label, &reference, &sol, vars, cons);
+        }
+        .unwrap_or_else(|e| panic!("{label}: solve failed: {e}"));
+        assert!(
+            (sol.objective() - want).abs() <= 1e-9 * (1.0 + want.abs()),
+            "{label}: objective {} vs vertex enumeration {want}",
+            sol.objective()
+        );
+        let oracle = solve_dense(&model, &SimplexOptions::default(), start)
+            .unwrap_or_else(|e| panic!("{label}: dense oracle failed: {e}"));
+        assert_bitwise(&format!("{label}/dense"), &oracle, &sol, &vars, &cons);
+        if label == "warm" {
+            // The warm start re-installs the cold optimum: zero pivots,
+            // and the whole extraction reproduces bitwise.
+            assert_eq!(sol.stats().pivots, 0, "warm start pivoted");
+            assert_bitwise("warm/cold", &cold, &sol, &vars, &cons);
         }
     }
-    // The warm start re-installs the cold optimum: zero pivots, and the
-    // whole extraction — ranging included — reproduces bitwise.
-    let warm = run("dense", &Start::Seeded("warm", cold_ref.basis()), model);
-    assert_bitwise("dense/warm-vs-cold", &cold_ref, &warm, vars, cons);
 }
 
 // ---------------------------------------------------------------------
@@ -183,10 +273,11 @@ fn dag_strategy() -> impl Strategy<Value = RandomDag> {
     // A flat pool of (pred-seed, c, m) draws, folded into per-vertex
     // in-edge lists below: vertex 0 is the source (one defining row),
     // every later vertex j takes two in-edges with predecessors
-    // `seed % j` — always topologically earlier.
+    // `seed % j` — always topologically earlier. Six vertices at most
+    // keep vertex enumeration to a few thousand candidate vertices.
     (
-        3usize..=8,
-        prop::collection::vec((0u16..4096, 0u8..5, 0u8..3), 17..=17),
+        3usize..=6,
+        prop::collection::vec((0u16..4096, 0u8..5, 0u8..3), 11..=11),
         0.0f64..4.0,
     )
         .prop_map(|(k, pool, l0)| {
@@ -197,11 +288,7 @@ fn dag_strategy() -> impl Strategy<Value = RandomDag> {
                 let edges = (0..n)
                     .map(|_| {
                         let (seed, c, m) = draws.next().unwrap();
-                        let pred = if j == 0 {
-                            None
-                        } else {
-                            Some(seed as usize % j)
-                        };
+                        let pred = (j > 0).then(|| seed as usize % j);
                         (pred, c, m)
                     })
                     .collect();
@@ -215,149 +302,101 @@ fn dag_strategy() -> impl Strategy<Value = RandomDag> {
         })
 }
 
-struct DagLp {
-    model: LpModel,
-    vars: Vec<VarId>,
-    cons: Vec<ConId>,
-    /// (target col, base col or usize::MAX, c, m) per row, in row order.
-    rows: Vec<(usize, usize, f64, f64)>,
-    l: VarId,
-    t: VarId,
-}
-
-/// Build the Algorithm-1-shaped LP: `min t`, `y_j ≥ y_p + c + m·l` per
-/// in-edge, `t ≥ y_s` per sink, `l ≥ l0`.
-fn build_dag_lp(dag: &RandomDag) -> DagLp {
+/// The Algorithm-1-shaped LP over columns `l = 0`, `t = 1`, `y_j = 2 + j`:
+/// `min t`, `y_j ≥ y_p + c + m·l` per in-edge, `t ≥ y_s` per sink,
+/// `l ≥ l0`. Also returns `(target, base or usize::MAX, c, m)` per row, the
+/// records the crash recursion reads.
+fn dag_lp(dag: &RandomDag) -> (Desc, Vec<(usize, usize, f64, f64)>) {
     let k = dag.in_edges.len();
-    let mut m = LpModel::new(Objective::Minimize);
-    let l = m.add_var("l", dag.l0, f64::INFINITY, 0.0);
-    let t = m.add_var("t", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-    let ys: Vec<VarId> = (0..k)
-        .map(|j| m.add_var(format!("y{j}"), f64::NEG_INFINITY, f64::INFINITY, 0.0))
-        .collect();
-    let mut vars = vec![l, t];
-    vars.extend(&ys);
-    let mut cons = Vec::new();
+    let y = |j: usize| 2 + j;
+    let mut cols = vec![(dag.l0, INF, 0.0), (-INF, INF, 1.0)];
+    cols.extend((0..k).map(|_| (-INF, INF, 0.0)));
     let mut rows = Vec::new();
+    let mut records = Vec::new();
     let mut has_succ = vec![false; k];
     for (j, edges) in dag.in_edges.iter().enumerate() {
         for &(p, c, mul) in edges {
             let (c, mul) = (c as f64, mul as f64);
-            let mut terms = vec![(ys[j], 1.0)];
+            let mut terms = vec![(y(j), 1.0)];
             if let Some(p) = p {
-                terms.push((ys[p], -1.0));
+                terms.push((y(p), -1.0));
                 has_succ[p] = true;
             }
             if mul != 0.0 {
-                terms.push((l, -mul));
+                terms.push((0, -mul));
             }
-            cons.push(m.add_constraint(format!("in{j}"), &terms, Relation::Ge, c));
-            rows.push((
-                ys[j].0 as usize,
-                p.map_or(usize::MAX, |p| ys[p].0 as usize),
-                c,
-                mul,
-            ));
+            rows.push((terms, c, INF));
+            records.push((y(j), p.map_or(usize::MAX, y), c, mul));
         }
     }
-    for (j, _) in dag.in_edges.iter().enumerate() {
-        if !has_succ[j] {
-            cons.push(m.add_constraint(
-                format!("sink{j}"),
-                &[(t, 1.0), (ys[j], -1.0)],
-                Relation::Ge,
-                0.0,
-            ));
-            rows.push((t.0 as usize, ys[j].0 as usize, 0.0, 0.0));
-        }
+    for j in (0..k).filter(|&j| !has_succ[j]) {
+        rows.push((vec![(1, 1.0), (y(j), -1.0)], 0.0, INF));
+        records.push((1, y(j), 0.0, 0.0));
     }
-    DagLp {
-        model: m,
-        vars,
-        cons,
+    let desc = Desc {
+        maximize: false,
+        cols,
         rows,
-        l,
-        t,
-    }
+    };
+    (desc, records)
 }
 
-/// The two crash bases `llamp-core` would build for this LP: the exact
-/// longest-path crash at `l0` and the largest-constant heuristic.
-fn crash_bases(lp: &DagLp, l0: f64) -> (Basis, Basis) {
-    let n_cols = lp.model.num_vars();
-    let build = |longest_path: bool| {
-        let mut pot = vec![0.0f64; n_cols];
-        let mut winner = vec![usize::MAX; n_cols];
-        let mut best = vec![f64::NEG_INFINITY; n_cols];
-        for (i, &(tgt, base, c, mul)) in lp.rows.iter().enumerate() {
-            let score = if longest_path {
-                let from = if base == usize::MAX { 0.0 } else { pot[base] };
-                from + c + mul * l0
-            } else {
-                c
-            };
-            if winner[tgt] == usize::MAX || score > best[tgt] {
-                winner[tgt] = i;
-                best[tgt] = score;
-            }
-            if longest_path && best[tgt] > pot[tgt] {
-                pot[tgt] = best[tgt];
-            }
+/// The longest-path crash `llamp-core` would build at `l0`: each merge
+/// variable (and `t`) basic on the row defining its max, ties to the
+/// lowest row.
+fn longest_path_crash(
+    n_cols: usize,
+    records: &[(usize, usize, f64, f64)],
+    l0: f64,
+) -> (Basis, f64) {
+    let mut pot = vec![0.0f64; n_cols];
+    let mut winner = vec![usize::MAX; n_cols];
+    let mut best = vec![f64::NEG_INFINITY; n_cols];
+    for (i, &(tgt, base, c, mul)) in records.iter().enumerate() {
+        let from = if base == usize::MAX { 0.0 } else { pot[base] };
+        let score = from + c + mul * l0;
+        if winner[tgt] == usize::MAX || score > best[tgt] {
+            winner[tgt] = i;
+            best[tgt] = score;
         }
-        let mut col_status = vec![VarStatus::Basic; n_cols];
-        col_status[lp.l.0 as usize] = VarStatus::AtLower;
-        let mut row_status = vec![VarStatus::Basic; lp.rows.len()];
-        for &w in winner.iter().filter(|&&w| w != usize::MAX) {
-            row_status[w] = VarStatus::AtLower;
+        if best[tgt] > pot[tgt] {
+            pot[tgt] = best[tgt];
         }
-        Basis::from_statuses(col_status, row_status)
-    };
-    (build(true), build(false))
+    }
+    let mut col_status = vec![VarStatus::Basic; n_cols];
+    col_status[0] = VarStatus::AtLower;
+    let mut row_status = vec![VarStatus::Basic; records.len()];
+    for &w in winner.iter().filter(|&&w| w != usize::MAX) {
+        row_status[w] = VarStatus::AtLower;
+    }
+    (Basis::from_statuses(col_status, row_status), pot[1])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The full battery on random DAG LPs: 4 backends × (cold, warm,
-    /// longest-path crash, heuristic crash).
+    /// The full battery on random DAG LPs: cold, warm and longest-path
+    /// crash starts against the dense oracle and vertex enumeration.
     #[test]
     fn dag_lps_conform_across_backends_and_starts(dag in dag_strategy()) {
-        let lp = build_dag_lp(&dag);
-        let (crash_lp, crash_topo) = crash_bases(&lp, dag.l0);
-        battery(
-            &lp.model,
-            &lp.vars,
-            &lp.cons,
-            &[("crash-longest-path", &crash_lp), ("crash-topological", &crash_topo)],
-        );
+        let (desc, records) = dag_lp(&dag);
+        let (crash, _) = longest_path_crash(desc.cols.len(), &records, dag.l0);
+        battery(&desc, Some(&crash));
     }
 
     /// The longest-path crash is optimal at its own point: seeding it
-    /// into the sparse backend solves with zero pivots, and the objective
-    /// equals the forward longest-path recursion run in plain arithmetic.
+    /// solves with zero pivots, and the objective equals the forward
+    /// longest-path recursion run in plain arithmetic.
     #[test]
     fn longest_path_crash_needs_no_pivots(dag in dag_strategy()) {
-        let lp = build_dag_lp(&dag);
-        let (crash_lp, _) = crash_bases(&lp, dag.l0);
-        let mut b = by_name("sparse").unwrap();
-        b.seed(&crash_lp);
-        let sol = b.resolve(&lp.model).expect("crash-seeded solve");
-        let stats = b.stats();
+        let (desc, records) = dag_lp(&dag);
+        let (crash, want) = longest_path_crash(desc.cols.len(), &records, dag.l0);
+        let mut solver = SparseSimplex::default();
+        solver.seed(&crash);
+        let sol = solver.resolve(&desc.model().0).expect("crash-seeded solve");
+        let stats = solver.stats();
         prop_assert!(stats.phase1_iterations == 0, "crash not primal feasible");
         prop_assert!(stats.pivots == 0, "crash not optimal: {} pivots", stats.pivots);
-        // Forward recursion, same float op order as the crash scoring.
-        let n_cols = lp.model.num_vars();
-        let mut pot = vec![0.0f64; n_cols];
-        let mut seen = vec![false; n_cols];
-        for &(tgt, base, c, mul) in &lp.rows {
-            let from = if base == usize::MAX { 0.0 } else { pot[base] };
-            let score = from + c + mul * dag.l0;
-            if !seen[tgt] || score > pot[tgt] {
-                pot[tgt] = score;
-                seen[tgt] = true;
-            }
-        }
-        let want = pot[lp.t.0 as usize];
         prop_assert!(
             (sol.objective() - want).abs() <= 1e-9 * (1.0 + want),
             "objective {} vs longest path {}", sol.objective(), want
@@ -370,57 +409,52 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Beale's classic cycling example (optimum −1/20).
-fn beale() -> (LpModel, Vec<VarId>, Vec<ConId>) {
-    let mut m = LpModel::new(Objective::Minimize);
-    let x1 = m.add_var("x1", 0.0, f64::INFINITY, -0.75);
-    let x2 = m.add_var("x2", 0.0, f64::INFINITY, 150.0);
-    let x3 = m.add_var("x3", 0.0, 1.0, -0.02);
-    let x4 = m.add_var("x4", 0.0, f64::INFINITY, 6.0);
-    let c1 = m.add_constraint(
-        "r1",
-        &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-        Relation::Le,
-        0.0,
-    );
-    let c2 = m.add_constraint(
-        "r2",
-        &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-        Relation::Le,
-        0.0,
-    );
-    (m, vec![x1, x2, x3, x4], vec![c1, c2])
+fn beale() -> Desc {
+    Desc {
+        maximize: false,
+        cols: vec![
+            (0.0, INF, -0.75),
+            (0.0, INF, 150.0),
+            (0.0, 1.0, -0.02),
+            (0.0, INF, 6.0),
+        ],
+        rows: vec![
+            (vec![(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], -INF, 0.0),
+            (vec![(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], -INF, 0.0),
+        ],
+    }
 }
 
 /// A maximally degenerate star: many redundant constraints through one
 /// vertex.
-fn redundant_star(nvars: usize) -> (LpModel, Vec<VarId>, Vec<ConId>) {
-    let mut m = LpModel::new(Objective::Minimize);
-    let vars: Vec<_> = (0..nvars)
-        .map(|j| m.add_var(format!("x{j}"), 0.0, 10.0, 1.0 + j as f64 * 0.1))
-        .collect();
-    let mut cons = Vec::new();
-    for i in 0..4 * nvars {
-        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        cons.push(m.add_constraint(format!("r{i}"), &terms, Relation::Ge, 5.0));
+fn redundant_star(nvars: usize) -> Desc {
+    let all: Vec<(usize, f64)> = (0..nvars).map(|j| (j, 1.0)).collect();
+    Desc {
+        maximize: false,
+        cols: (0..nvars)
+            .map(|j| (0.0, 10.0, 1.0 + j as f64 * 0.1))
+            .collect(),
+        rows: (0..4 * nvars).map(|_| (all.clone(), 5.0, INF)).collect(),
     }
-    (m, vars, cons)
 }
 
 /// A degenerate box: the optimum sits on a corner shared by every row.
-fn tied_box() -> (LpModel, Vec<VarId>, Vec<ConId>) {
-    let mut m = LpModel::new(Objective::Maximize);
-    let x = m.add_var("x", 0.0, 4.0, 1.0);
-    let y = m.add_var("y", 0.0, 4.0, 1.0);
-    let c1 = m.add_constraint("r1", &[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-    let c2 = m.add_constraint("r2", &[(x, 1.0)], Relation::Le, 4.0);
-    let c3 = m.add_constraint("r3", &[(y, 1.0)], Relation::Le, 4.0);
-    let c4 = m.add_constraint("r4", &[(x, 2.0), (y, 2.0)], Relation::Le, 8.0);
-    (m, vec![x, y], vec![c1, c2, c3, c4])
+fn tied_box() -> Desc {
+    Desc {
+        maximize: true,
+        cols: vec![(0.0, 4.0, 1.0), (0.0, 4.0, 1.0)],
+        rows: vec![
+            (vec![(0, 1.0), (1, 1.0)], -INF, 4.0),
+            (vec![(0, 1.0)], -INF, 4.0),
+            (vec![(1, 1.0)], -INF, 4.0),
+            (vec![(0, 2.0), (1, 2.0)], -INF, 8.0),
+        ],
+    }
 }
 
 #[test]
 fn beale_corpus_conforms_across_backends_and_starts() {
-    for (m, vars, cons) in [beale(), redundant_star(4), redundant_star(6), tied_box()] {
-        battery(&m, &vars, &cons, &[]);
+    for desc in [beale(), redundant_star(3), redundant_star(4), tied_box()] {
+        battery(&desc, None);
     }
 }

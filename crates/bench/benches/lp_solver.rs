@@ -2,7 +2,8 @@
 //!
 //! Measures (a) Algorithm 1 model construction, (b) a repeated predict at
 //! one latency (warm from the retained basis), (c) the parametric
-//! envelope pass, (d) the tolerance flip, (e) the cold anchor solve, and
+//! envelope pass, (d) a 5% tolerance zone (the Newton walk plus its
+//! certifying tolerance-LP solve), (e) the cold anchor solve, and
 //! (f) a 64-point latency sweep two ways: chained (each point warm from
 //! the previous optimum) and reset (each point from its own longest-path
 //! crash basis — the engine's rule).
@@ -56,8 +57,9 @@ fn bench_tolerance(c: &mut Criterion) {
     let mut lp = GraphLp::build(&graph, &binding);
     let t0 = lp.predict(params.l).unwrap().runtime;
 
-    c.bench_function("lp_tolerance_flip", |b| {
-        b.iter(|| black_box(lp.tolerance(0.0, t0 * 1.05).unwrap()))
+    let top = params.l + us(2000.0);
+    c.bench_function("lp_tolerance_walk", |b| {
+        b.iter(|| black_box(lp.tolerance(params.l, top, t0 * 1.05).unwrap()))
     });
 }
 
@@ -69,7 +71,7 @@ fn sweep(graph: &ExecGraph, binding: &Binding, deltas: &[f64], reset: bool) -> f
     let mut acc = 0.0;
     for &d in deltas {
         if reset {
-            lp.reset_backend();
+            lp.reset();
         }
         acc += lp.predict(d).unwrap().runtime;
     }

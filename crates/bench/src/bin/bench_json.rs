@@ -12,8 +12,10 @@
 //! **reduced** graph (the graph-reduction pipeline is the engine's
 //! default since ISSUE 5), per-stage wall clocks for trace ingestion and
 //! graph reduction, the *cold* anchor solve on the reduced LP and its
-//! iteration count, and a 64-point sweep solved the way the engine does:
-//! every point from its own longest-path crash basis.
+//! iteration count, a 64-point sweep solved the way the engine does —
+//! every point from its own longest-path crash basis — and the engine's
+//! 1/2/5% tolerance zones over a 2 ms window (`zones_ms`, plus the
+//! `zone_steps` the three Newton walks took).
 
 use llamp_bench::{graph_of, linspace};
 use llamp_core::{Binding, GraphLp, ReduceConfig};
@@ -32,6 +34,34 @@ struct Row {
     cold_iterations: u64,
     sweep_ms: f64,
     lu_reuse: u64,
+    zones_ms: f64,
+    zone_steps: u64,
+}
+
+/// Tolerance-zone search window above the base latency (the engine's
+/// default `search_hi_ns`).
+const ZONE_WINDOW_NS: f64 = 2_000_000.0;
+
+/// The engine's zones on `lp`: the crash-started baseline at `base`,
+/// then the 1/2/5% walks. Returns the three walks' wall clock (ms) and
+/// their summed `lp.zone_steps`.
+fn zones(lp: &mut GraphLp, base: f64) -> (f64, u64) {
+    lp.reset();
+    let t0 = lp.predict(base).expect("baseline solves").runtime;
+    llamp_obs::enable();
+    let t = Instant::now();
+    for pct in [1.0, 2.0, 5.0] {
+        let cap = t0 * (1.0 + pct / 100.0);
+        lp.tolerance(base, base + ZONE_WINDOW_NS, cap)
+            .expect("zone solves");
+    }
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let steps = llamp_obs::take()
+        .hists
+        .get("lp.zone_steps")
+        .map_or(0, |h| h.sum());
+    llamp_obs::disable();
+    (ms, steps)
 }
 
 /// Drain the obs recorder and read the `lp.lu_reuse` counter (the number
@@ -104,7 +134,7 @@ fn main() {
         let t1 = Instant::now();
         let mut acc = 0.0;
         for &d in &deltas {
-            sweep.reset_backend();
+            sweep.reset();
             acc += sweep
                 .predict(params.l + d)
                 .expect("sweep point solves")
@@ -114,10 +144,12 @@ fn main() {
         let lu_reuse = take_lu_reuse();
         llamp_obs::disable();
         assert!(acc.is_finite());
+        let (zones_ms, zone_steps) = zones(&mut sweep, params.l);
 
         eprintln!(
             "{:<12} rows {:>5} -> {:>4} ({:.1}x)  ingest {:>6.2} ms  reduce {:>6.2} ms  \
-             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  lu reuse {}",
+             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  lu reuse {}  \
+             zones {:>7.3} ms ({} steps)",
             app.name().to_ascii_lowercase(),
             stats.rows_before,
             stats.rows_after,
@@ -127,7 +159,9 @@ fn main() {
             cold_anchor_ms,
             anchor.iterations,
             sweep_ms,
-            lu_reuse
+            lu_reuse,
+            zones_ms,
+            zone_steps
         );
         rows.push(Row {
             workload: app.name(),
@@ -139,6 +173,8 @@ fn main() {
             cold_iterations: anchor.iterations,
             sweep_ms,
             lu_reuse,
+            zones_ms,
+            zone_steps,
         });
     }
 
@@ -160,7 +196,9 @@ fn main() {
     //   crash-started points are independent, so they shard across the
     //   work-stealing executor — `sweep_ms` reports the sharded wall
     //   clock, `sweep_ms_t1` the serial one, and the run asserts the two
-    //   produce bit-identical runtimes (thread-count determinism).
+    //   produce bit-identical runtimes (thread-count determinism). The
+    //   three zones follow (`zones_ms`): the anchor-seeded tolerance LPs
+    //   they replace took ~412 s together at this shape.
     let mut large_json = String::new();
     if !skip_large {
         let set = llamp_workloads::scaled(App::Lulesh, 2, 430);
@@ -209,7 +247,7 @@ fn main() {
         let t_sweep = Instant::now();
         let mut runtimes_t1 = Vec::with_capacity(deltas.len());
         for &d in &deltas {
-            lp.reset_backend();
+            lp.reset();
             runtimes_t1.push(
                 lp.predict(params_l.l + d)
                     .expect("large sweep point solves")
@@ -236,7 +274,7 @@ fn main() {
             let mut lp = GraphLp::build(graph, &binding_l);
             let mut rts = Vec::with_capacity(chunk.len());
             for &d in chunk {
-                lp.reset_backend();
+                lp.reset();
                 rts.push(
                     lp.predict(params_l.l + d)
                         .expect("large sweep point solves")
@@ -255,11 +293,13 @@ fn main() {
             runtimes_tn.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             "sharded sweep diverged from serial between 1 and {sweep_threads} workers"
         );
+        let (zones_ms, zone_steps) = zones(&mut lp, params_l.l);
         eprintln!(
             "large-lp      lulesh x(2,430)  {vertices} verts  rows {} -> {}  \
              cold anchor {cold_anchor_ms:.0} ms ({} iters)  \
              crash-start 64-pt sweep t1 {sweep_ms_t1:.0} ms / \
-             t{sweep_threads} {sweep_ms:.0} ms  lu reuse {lu_reuse}",
+             t{sweep_threads} {sweep_ms:.0} ms  lu reuse {lu_reuse}  \
+             zones {zones_ms:.0} ms ({zone_steps} steps)",
             rn.stats().rows_before,
             rn.stats().rows_after,
             anchor.iterations
@@ -275,7 +315,8 @@ fn main() {
              \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {}, \
              \"sweep_ms\": {sweep_ms:.3}, \"sweep_ms_t1\": {sweep_ms_t1:.3}, \
              \"sweep_threads\": {sweep_threads}, \"sweep_points\": {}, \
-             \"lu_reuse\": {lu_reuse}}},\n",
+             \"lu_reuse\": {lu_reuse}, \"zones_ms\": {zones_ms:.3}, \
+             \"zone_steps\": {zone_steps}}},\n",
             rn.stats().rows_after,
             rn.stats().rows_before,
             rn.stats().rows_after,
@@ -290,7 +331,8 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rows_raw\": {}, \"rows_reduced\": {}, \
              \"ingest_ms\": {:.3}, \"reduce_ms\": {:.3}, \
              \"cold_anchor_ms\": {:.3}, \"cold_iterations\": {}, \
-             \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"lu_reuse\": {}}}{}\n",
+             \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"lu_reuse\": {}, \
+             \"zones_ms\": {:.3}, \"zone_steps\": {}}}{}\n",
             r.workload.to_ascii_lowercase(),
             r.rows_raw,
             r.rows_reduced,
@@ -301,6 +343,8 @@ fn main() {
             r.sweep_ms,
             deltas.len(),
             r.lu_reuse,
+            r.zones_ms,
+            r.zone_steps,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -1,22 +1,33 @@
-//! Release-mode *sweep* smoke, run explicitly in CI (`cargo test
-//! --release -p llamp-bench --test sweep_smoke -- --ignored`): a
-//! 64-point crash-start sweep on the 32k-row scaled LULESH shape must
-//! stay within a pivots-per-point ceiling and a generous wall budget.
-//! This is the regression tripwire for the sweep-economics work: above
-//! the auto-policy threshold every point starts from its own longest-path
-//! crash basis (optimal up to degeneracy, so approximately zero pivots),
-//! and inside a stability region consecutive points share one LU
-//! factorisation (`lp.lu_reuse`). A regression in either — crash basis
-//! quality or LU adoption — shows up as pivots-per-point or missing
-//! reuse long before the wall budget trips. `anchor_scaling.rs` is the
-//! matching tripwire for the one-off cold anchor.
+//! Release-mode *sweep* and *zone* smokes, run explicitly in CI (`cargo
+//! test --release -p llamp-bench --test sweep_smoke -- --ignored`) on the
+//! 32k-row scaled LULESH shape:
+//!
+//! * a 64-point crash-start sweep must stay within a pivots-per-point
+//!   ceiling and a generous wall budget. Every point starts from its own
+//!   longest-path crash basis (optimal up to degeneracy, so approximately
+//!   zero pivots), and inside a stability region consecutive points share
+//!   one LU factorisation (`lp.lu_reuse`). A regression in either — crash
+//!   basis quality or LU adoption — shows up as pivots-per-point or
+//!   missing reuse long before the wall budget trips;
+//! * the 1/2/5% tolerance zones must stay within steps-per-zone,
+//!   pivots-per-zone and wall ceilings and agree with the exact envelope.
+//!   Each zone is a Newton walk over crash-started points plus one
+//!   certifying tolerance-LP solve; a walk that stops converging, or a
+//!   certification that starts pivoting, trips the step or pivot ceiling.
+//!
+//! `anchor_scaling.rs` is the matching tripwire for the one-off cold
+//! anchor.
 
 use llamp_bench::{graph_of, linspace};
-use llamp_core::{Binding, GraphLp, ReduceConfig};
+use llamp_core::{Binding, GraphLp, ParametricProfile, ReduceConfig};
 use llamp_model::LogGPSParams;
 use llamp_util::time::us;
 use llamp_workloads::App;
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// The obs recorder is process-global: the two smokes take turns.
+static OBS_SESSION: Mutex<()> = Mutex::new(());
 
 /// Pivot ceiling *per sweep point*. Observed: < 1 (the crash basis is
 /// optimal at the point for almost every delta); anchor-warm re-solves
@@ -26,10 +37,19 @@ const PIVOTS_PER_POINT_CEILING: f64 = 50.0;
 /// under 2 s in release single-threaded; CI machines vary). The
 /// pre-crash anchor-warm sweep took minutes at this shape.
 const WALL_BUDGET_S: f64 = 30.0;
+/// Walk ceiling *per zone*, in `predict` steps. Observed: at most 5.
+const STEPS_PER_ZONE_CEILING: u64 = 16;
+/// Pivot ceiling *per zone* (walk plus certification). Observed: 0; the
+/// anchor-seeded tolerance LP it replaced paid thousands at this scale.
+const PIVOTS_PER_ZONE_CEILING: f64 = 50.0;
+/// Wall budget in seconds for the three zones (observed: well under
+/// 0.5 s in release single-threaded).
+const ZONE_WALL_BUDGET_S: f64 = 30.0;
 
 #[test]
 #[ignore = "timing assertion; CI runs it explicitly in release mode"]
 fn crash_start_sweep_stays_cheap_at_32k_rows() {
+    let _session = OBS_SESSION.lock().unwrap_or_else(|p| p.into_inner());
     let set = llamp_workloads::scaled(App::Lulesh, 2, 100);
     let raw = graph_of(&set);
     let reduced = raw.reduced(&ReduceConfig::default());
@@ -46,7 +66,7 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
     let start = Instant::now();
     let mut acc = 0.0;
     for &d in &deltas {
-        lp.reset_backend();
+        lp.reset();
         acc += lp
             .predict(params.l + d)
             .expect("sweep point solves")
@@ -90,4 +110,70 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
         "64-point crash-start sweep skipped no LU factorisations: \
          the shared-LU reuse path has regressed"
     );
+}
+
+#[test]
+#[ignore = "timing assertion; CI runs it explicitly in release mode"]
+fn zone_walk_stays_cheap_at_32k_rows() {
+    let _session = OBS_SESSION.lock().unwrap_or_else(|p| p.into_inner());
+    let set = llamp_workloads::scaled(App::Lulesh, 2, 100);
+    let raw = graph_of(&set);
+    let reduced = raw.reduced(&ReduceConfig::default());
+    let graph = reduced.graph();
+    let params = LogGPSParams::cscs_testbed(raw.nranks()).with_o(us(6.0));
+    let binding = Binding::uniform(&params);
+    let rows = reduced.stats().rows_after;
+    assert!(rows > 30_000, "shape shrank: {rows} rows");
+
+    // The engine's zones: crash-started baseline, then three walks over
+    // the default 2 ms window.
+    let (base, top) = (params.l, params.l + us(2_000.0));
+    let mut lp = GraphLp::build(graph, &binding);
+    let t0 = lp.predict(base).expect("baseline solves").runtime;
+    let before = lp.solver_stats();
+    llamp_obs::enable();
+    let start = Instant::now();
+    let zones: Vec<(f64, f64)> = [1.0, 2.0, 5.0]
+        .iter()
+        .map(|pct| {
+            let cap = t0 * (1.0 + pct / 100.0);
+            (cap, lp.tolerance(base, top, cap).expect("zone solves"))
+        })
+        .collect();
+    let elapsed = start.elapsed().as_secs_f64();
+    let snapshot = llamp_obs::take();
+    llamp_obs::disable();
+    let steps = &snapshot.hists["lp.zone_steps"];
+    let pivots_per_zone = (lp.solver_stats().pivots - before.pivots) as f64 / 3.0;
+    eprintln!(
+        "zone smoke  {rows} rows  3 zones  {elapsed:.3} s  {} steps (max {}/zone)  \
+         {pivots_per_zone:.2} pivots/zone",
+        steps.sum(),
+        steps.max()
+    );
+
+    assert_eq!(steps.count(), 3, "one lp.zone_steps sample per zone");
+    assert!(
+        steps.max() <= STEPS_PER_ZONE_CEILING,
+        "a zone walk at {rows} rows took {} steps (ceiling {STEPS_PER_ZONE_CEILING})",
+        steps.max()
+    );
+    assert!(
+        pivots_per_zone <= PIVOTS_PER_ZONE_CEILING,
+        "zones at {rows} rows averaged {pivots_per_zone:.1} pivots \
+         (ceiling {PIVOTS_PER_ZONE_CEILING}): the certifying start has regressed"
+    );
+    assert!(
+        elapsed <= ZONE_WALL_BUDGET_S,
+        "three zones at {rows} rows took {elapsed:.3}s (budget {ZONE_WALL_BUDGET_S}s)"
+    );
+    let prof = ParametricProfile::compute(graph, &binding, (base, top));
+    for (cap, lp_zone) in zones {
+        let env = match prof.tolerance(cap) {
+            Some(x) if x < top => x,
+            _ => f64::INFINITY,
+        };
+        let agree = lp_zone == env || (lp_zone - env).abs() <= 1e-9 * (env - base).abs();
+        assert!(agree, "cap {cap}: LP zone {lp_zone} vs envelope {env}");
+    }
 }

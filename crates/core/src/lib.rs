@@ -29,6 +29,7 @@ pub mod lp_build;
 pub mod multi_lp;
 pub mod parametric;
 pub mod placement;
+mod zone;
 
 pub use analyzer::{Analyzer, SweepPoint, ToleranceZones};
 pub use binding::{
@@ -37,7 +38,7 @@ pub use binding::{
 pub use eval::{
     evaluate, evaluate_multi, pair_sensitivities, Evaluation, MultiEvaluation, PairSensitivities,
 };
-pub use llamp_lp::SolveStats;
+pub use llamp_lp::{SolveError, SolveStats};
 pub use llamp_schedgen::{GraphView, ReduceConfig, ReducedGraph, ReductionStats};
 pub use lowering::{lower_walk, Lowered};
 pub use lp_build::{GraphLp, Prediction};
@@ -47,3 +48,4 @@ pub use placement::{
     block_mapping, evaluate_mapping, llamp_placement, random_mapping, round_robin_mapping,
     traffic_matrix, volume_greedy_mapping, Machine, PlacementOutcome,
 };
+pub use zone::ZONE_STEP_LIMIT;

@@ -1,7 +1,8 @@
 //! Execution graph → linear program (Algorithm 1) and the LP-powered
 //! analyses: runtime prediction, latency sensitivity via reduced costs,
-//! latency tolerance via the flipped objective (§II-D2), and the
-//! critical-latency search of Algorithm 2.
+//! latency tolerance via the flipped objective (§II-D2, reached by a
+//! Newton walk over crash-started predictions), and the critical-latency
+//! search of Algorithm 2.
 //!
 //! The construction follows the paper exactly: traversing the graph in
 //! topological order, a vertex with one predecessor extends its
@@ -14,6 +15,7 @@
 use crate::binding::Binding;
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
+use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
 use llamp_lp::{
     resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats,
     SparseSimplex, VarId,
@@ -33,7 +35,7 @@ struct Expr {
 /// [`SparseSimplex`] that answers its queries. A fresh (or reset)
 /// instance starts each query from the longest-path crash basis at the
 /// query's latency point; otherwise successive queries re-solve warm
-/// from the previous (or an explicitly seeded) optimal basis.
+/// from the previous optimal basis.
 #[derive(Debug)]
 pub struct GraphLp {
     model: LpModel,
@@ -218,7 +220,7 @@ impl GraphLp {
     /// Drop the warm state accumulated from previous queries: the next
     /// query seeds the crash basis at its own latency point, exactly as a
     /// freshly built `GraphLp` would.
-    pub fn reset_backend(&mut self) {
+    pub fn reset(&mut self) {
         self.solver.reset();
     }
 
@@ -229,7 +231,7 @@ impl GraphLp {
     }
 
     /// Compute the crash at `l_value`, seed it if the solver holds no
-    /// warm state (fresh build or after [`GraphLp::reset_backend`]), and
+    /// warm state (fresh build or after [`GraphLp::reset`]), and
     /// hand it back for the robust-resolve fallback ladder.
     fn arm_crash(&mut self, l_value: f64) -> Basis {
         let crash = self.crash_basis(l_value);
@@ -243,18 +245,6 @@ impl GraphLp {
     /// has answered (see [`SolveStats`]).
     pub fn solver_stats(&self) -> SolveStats {
         self.solver.stats()
-    }
-
-    /// The basis the solver would warm-start its next query from.
-    pub fn warm_basis(&self) -> Option<Basis> {
-        self.solver.warm_basis().cloned()
-    }
-
-    /// Re-seed the solver's warm state from an explicit basis (e.g. run
-    /// several related queries from one reference optimum instead of
-    /// chaining them).
-    pub fn seed_backend(&mut self, basis: &Basis) {
-        self.solver.seed(basis);
     }
 
     /// Latency decision variable.
@@ -293,26 +283,63 @@ impl GraphLp {
         resolve_robust(&mut self.solver, &self.model, Some(&crash))
     }
 
-    /// Latency tolerance (§II-D2): maximise `l` subject to
-    /// `t ≤ max_runtime`. Returns `f64::INFINITY` when the runtime never
-    /// exceeds the cap (fully latency-hiding program) and an `Err` when
-    /// even `l = l_floor` violates it.
-    pub fn tolerance(&mut self, l_floor: f64, max_runtime: f64) -> Result<f64, SolveError> {
-        self.model.set_var_lb(self.l, l_floor);
-        self.model.set_var_ub(self.t, max_runtime);
-        self.model.set_sense(Objective::Maximize);
-        self.model.set_objective(&[(self.l, 1.0)]);
-        let crash = self.arm_crash(l_floor);
-        let out = match resolve_robust(&mut self.solver, &self.model, Some(&crash)) {
-            Ok(sol) => Ok(sol.value(self.l)),
-            Err(SolveError::Unbounded) => Ok(f64::INFINITY),
-            Err(e) => Err(e),
+    /// Latency tolerance (§II-D2): the largest `l ≥ l_floor` with
+    /// `T(l) ≤ max_runtime`, searched up to the finite window top `l_top`.
+    /// Returns `f64::INFINITY` when the runtime at `l_top` stays within
+    /// the cap, `Err(SolveError::Infeasible)` when even `l_floor` exceeds
+    /// it, and `Err(SolveError::IterationLimit)` when the walk needs more
+    /// than [`ZONE_STEP_LIMIT`] steps.
+    ///
+    /// The paper flips the objective to `max l` s.t. `t ≤ max_runtime`.
+    /// Solved warm from an optimum at the floor, that LP pivots through
+    /// every basis between the floor and the answer — thousands at 10⁵
+    /// rows. Instead, a Newton walk on `T(l) = max_runtime` over
+    /// crash-started [`GraphLp::predict`] solves finds the answer's
+    /// linear piece in a few zero-pivot steps, and the tolerance LP is
+    /// solved once, from that step's crash basis with `l` made basic in
+    /// place of `t`. The answer is a pure function of (model, floor,
+    /// top, cap); the solver is left reset.
+    pub fn tolerance(
+        &mut self,
+        l_floor: f64,
+        l_top: f64,
+        max_runtime: f64,
+    ) -> Result<f64, SolveError> {
+        self.tolerance_within(l_floor, l_top, max_runtime, ZONE_STEP_LIMIT)
+    }
+
+    /// [`GraphLp::tolerance`] under an explicit step ceiling.
+    fn tolerance_within(
+        &mut self,
+        l_floor: f64,
+        l_top: f64,
+        max_runtime: f64,
+        limit: u32,
+    ) -> Result<f64, SolveError> {
+        let end = zone::walk(l_floor, l_top, max_runtime, limit, |l| {
+            self.solver.reset();
+            let p = self.predict(l)?;
+            Ok((p.runtime, p.lambda))
+        })?;
+        let WalkEnd::Root { at, lambda } = end else {
+            return Ok(f64::INFINITY);
         };
-        // Restore the prediction shape.
-        self.model.set_var_ub(self.t, f64::INFINITY);
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        out
+        let start = if lambda > 0.0 {
+            self.plan
+                .tolerance_basis_at(at, 0.0, 0.0, self.l.0, self.t.0)
+        } else {
+            self.crash_basis(at)
+        };
+        self.model.set_var_lb(self.l, l_floor);
+        zone::certify(
+            &mut self.model,
+            &mut self.solver,
+            self.l,
+            self.t,
+            max_runtime,
+            l_top,
+            &start,
+        )
     }
 
     /// Algorithm 2: critical latencies within `[l_min, l_max]`, walking
@@ -408,13 +435,49 @@ mod tests {
         assert!(p.lambda.abs() < 1e-9);
     }
 
+    /// Search window top for the running example's tolerance queries.
+    const TOP: f64 = 10_000.0;
+
     #[test]
     fn fig6_tolerance() {
-        // Fig. 6: max l s.t. t ≤ 2 µs ⇒ 0.885 µs.
+        // Fig. 6: max l s.t. t ≤ 2 µs ⇒ 0.885 µs. λ = 0 at the floor, so
+        // the walk jumps to the window top and descends onto the root.
         let g = running_example(0.1);
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
-        let tol = lp.tolerance(0.0, 2_000.0).unwrap();
+        let tol = lp.tolerance(0.0, TOP, 2_000.0).unwrap();
         assert!((tol - 885.0).abs() < 1e-6, "{tol}");
+    }
+
+    #[test]
+    fn tolerance_matches_the_flipped_lp_solved_cold() {
+        // The walk only picks the start: its answer is the tolerance LP's
+        // optimum, bit for bit, from any floor.
+        let g = running_example(0.1).contracted();
+        for floor in [0.0, 200.0, 385.0, 600.0] {
+            let mut lp = GraphLp::build(&g, &didactic());
+            let walked = lp.tolerance(floor, TOP, 2_000.0).unwrap();
+            let mut m = lp.model().clone();
+            m.set_var_lb(lp.l_var(), floor);
+            m.set_var_ub(lp.t_var(), 2_000.0);
+            m.set_sense(Objective::Maximize);
+            m.set_objective(&[(lp.l_var(), 1.0)]);
+            let cold = SparseSimplex::default().solve(&m).unwrap();
+            assert_eq!(
+                walked.to_bits(),
+                cold.value(lp.l_var()).to_bits(),
+                "floor {floor}"
+            );
+        }
+    }
+
+    #[test]
+    fn cap_held_at_the_window_top_is_infinite() {
+        let g = running_example(0.1);
+        let mut lp = GraphLp::build(&g.contracted(), &didactic());
+        // λ = 0 on [0, 385): a window that ends there never leaves the
+        // baseline, and T(800) = 1.915 µs still fits a 2 µs cap.
+        assert_eq!(lp.tolerance(0.0, 300.0, 1_600.0), Ok(f64::INFINITY));
+        assert_eq!(lp.tolerance(500.0, 800.0, 2_000.0), Ok(f64::INFINITY));
     }
 
     #[test]
@@ -422,7 +485,7 @@ mod tests {
         let g = running_example(0.1);
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
         let before = lp.predict(500.0).unwrap();
-        let _ = lp.tolerance(0.0, 2_000.0).unwrap();
+        let _ = lp.tolerance(0.0, TOP, 2_000.0).unwrap();
         let after = lp.predict(500.0).unwrap();
         assert!((before.runtime - after.runtime).abs() < 1e-9);
         assert!((before.lambda - after.lambda).abs() < 1e-9);
@@ -430,10 +493,26 @@ mod tests {
 
     #[test]
     fn infeasible_tolerance_reported() {
+        // Cap below the zero-latency runtime 1.5 µs: typed, and answered
+        // by the floor prediction alone — no tolerance LP runs.
+        let g = running_example(0.1).contracted();
+        let mut lp = GraphLp::build(&g, &didactic());
+        assert_eq!(lp.tolerance(0.0, TOP, 1_000.0), Err(SolveError::Infeasible));
+        let mut floor_only = GraphLp::build(&g, &didactic());
+        floor_only.predict(0.0).unwrap();
+        assert_eq!(lp.solver_stats(), floor_only.solver_stats());
+    }
+
+    #[test]
+    fn walk_past_its_step_ceiling_is_an_iteration_limit() {
+        // The fig. 6 walk needs three steps (floor, top, root).
         let g = running_example(0.1);
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
-        // Cap below the zero-latency runtime 1.5 µs.
-        assert!(lp.tolerance(0.0, 1_000.0).is_err());
+        assert_eq!(
+            lp.tolerance_within(0.0, TOP, 2_000.0, 2),
+            Err(SolveError::IterationLimit)
+        );
+        assert!(lp.tolerance_within(0.0, TOP, 2_000.0, 3).is_ok());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::binding::{Binding, SweepParam};
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
+use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
 use llamp_lp::{
     resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats,
     SparseSimplex, VarId,
@@ -123,7 +124,8 @@ impl MultiPrediction {
 
 /// The multi-parameter LP form of an execution graph under a binding,
 /// paired with the [`SparseSimplex`] that answers its queries (same
-/// crash and warm-start protocol as [`crate::lp_build::GraphLp`]).
+/// crash, warm-start and zone-walk protocol as
+/// [`crate::lp_build::GraphLp`]).
 #[derive(Debug)]
 pub struct GraphMultiLp {
     model: LpModel,
@@ -293,7 +295,7 @@ impl GraphMultiLp {
 
     /// Drop accumulated warm state: the next query seeds the crash basis
     /// at its own `(L, G, o)` point, as a freshly built instance would.
-    pub fn reset_backend(&mut self) {
+    pub fn reset(&mut self) {
         self.solver.reset();
     }
 
@@ -317,17 +319,6 @@ impl GraphMultiLp {
     /// has answered.
     pub fn solver_stats(&self) -> SolveStats {
         self.solver.stats()
-    }
-
-    /// The basis the solver would warm-start its next query from.
-    pub fn warm_basis(&self) -> Option<Basis> {
-        self.solver.warm_basis().cloned()
-    }
-
-    /// Re-seed the solver's warm state from an explicit basis (e.g. run
-    /// the tolerance flips from one anchor optimum).
-    pub fn seed_backend(&mut self, basis: &Basis) {
-        self.solver.seed(basis);
     }
 
     /// The decision variable of one sweep parameter.
@@ -379,34 +370,57 @@ impl GraphMultiLp {
         resolve_robust(&mut self.solver, &self.model, Some(&crash))
     }
 
-    /// Tolerance along one parameter (§II-D2 generalised): maximise that
-    /// parameter subject to `t ≤ max_runtime`, the other two pinned at
-    /// `at`'s values. Returns `f64::INFINITY` when the runtime never
-    /// exceeds the cap and an `Err` when even the floor violates it.
+    /// Tolerance along one parameter (§II-D2 generalised): the largest
+    /// value `x ≥ at.get(p)` of parameter `p` with `T ≤ max_runtime`, the
+    /// other two pinned at `at`'s values, searched up to the finite window
+    /// top `top`. Same walk, certification and outcomes as
+    /// [`crate::GraphLp::tolerance`].
     pub fn tolerance(
         &mut self,
         p: SweepParam,
         at: ParamPoint,
+        top: f64,
         max_runtime: f64,
     ) -> Result<f64, SolveError> {
-        self.model.set_var_lb(self.l, at.l);
-        self.model.set_var_lb(self.g, at.g);
-        self.model.set_var_lb(self.o, at.o);
-        let var = self.param_var(p);
-        self.model.set_var_ub(self.t, max_runtime);
-        self.model.set_sense(Objective::Maximize);
-        self.model.set_objective(&[(var, 1.0)]);
-        let crash = self.arm_crash(at);
-        let out = match resolve_robust(&mut self.solver, &self.model, Some(&crash)) {
-            Ok(sol) => Ok(sol.value(var)),
-            Err(SolveError::Unbounded) => Ok(f64::INFINITY),
-            Err(e) => Err(e),
+        self.tolerance_within(p, at, top, max_runtime, ZONE_STEP_LIMIT)
+    }
+
+    /// [`GraphMultiLp::tolerance`] under an explicit step ceiling.
+    fn tolerance_within(
+        &mut self,
+        p: SweepParam,
+        at: ParamPoint,
+        top: f64,
+        max_runtime: f64,
+        limit: u32,
+    ) -> Result<f64, SolveError> {
+        let floor = at.get(p);
+        let end = zone::walk(floor, top, max_runtime, limit, |x| {
+            self.solver.reset();
+            let pred = self.predict(at.with(p, x))?;
+            Ok((pred.runtime, pred.lambda(p)))
+        })?;
+        let WalkEnd::Root { at: x, lambda } = end else {
+            return Ok(f64::INFINITY);
         };
-        // Restore the prediction shape.
-        self.model.set_var_ub(self.t, f64::INFINITY);
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        out
+        let (var, t) = (self.param_var(p), self.t);
+        let root = at.with(p, x);
+        let start = if lambda > 0.0 {
+            self.plan
+                .tolerance_basis_at(root.l, root.g, root.o, var.0, t.0)
+        } else {
+            self.crash_basis(root)
+        };
+        self.model.set_var_lb(var, floor);
+        zone::certify(
+            &mut self.model,
+            &mut self.solver,
+            var,
+            t,
+            max_runtime,
+            top,
+            &start,
+        )
     }
 }
 
@@ -550,18 +564,76 @@ mod tests {
         let mut lp = GraphMultiLp::build(&g, &binding);
         let at = base.with(SweepParam::L, 0.0);
         // Fig. 6: max L s.t. T ≤ 2 µs is 0.885 µs (G, o at base).
-        let tol_l = lp.tolerance(SweepParam::L, at, 2_000.0).unwrap();
+        let tol_l = lp.tolerance(SweepParam::L, at, 10_000.0, 2_000.0).unwrap();
         assert!((tol_l - 885.0).abs() < 1e-6, "{tol_l}");
         // The prediction shape is restored afterwards.
         let p = lp.predict(at).unwrap();
         assert!((p.runtime - 1_500.0).abs() < 1e-6);
         // G tolerance: a cap above the G-free runtime admits a positive
         // per-byte gap; the runtime at the tolerance hits the cap.
-        let tol_g = lp.tolerance(SweepParam::G, at, 2_000.0).unwrap();
-        assert!(tol_g > 0.0);
-        if tol_g.is_finite() {
-            let e = evaluate_multi(&g, &binding, at.l, tol_g, at.o);
-            assert!((e.runtime - 2_000.0).abs() < 1e-6 * 2_000.0);
+        let tol_g = lp.tolerance(SweepParam::G, at, 1e6, 2_000.0).unwrap();
+        assert!(tol_g.is_finite() && tol_g > at.g, "{tol_g}");
+        let e = evaluate_multi(&g, &binding, at.l, tol_g, at.o);
+        assert!((e.runtime - 2_000.0).abs() < 1e-6 * 2_000.0);
+    }
+
+    #[test]
+    fn g_axis_tolerance_agrees_with_evaluation() {
+        // Per-byte gap tolerance on a collective-heavy graph: the walk's
+        // answer puts T exactly on the cap, and a hair past it breaks it.
+        let set = ProgramSet::spmd(4, |rank, b| {
+            b.comp(us(3.0) * (rank + 1) as f64);
+            b.allreduce(4096);
+            b.comp(us(1.0));
+            b.barrier();
+        });
+        let g = build_graph(&set.trace(&TracerConfig::default()), &GraphConfig::eager())
+            .unwrap()
+            .contracted();
+        let params = LogGPSParams::cscs_testbed(4).with_o(us(1.0));
+        let binding = Binding::uniform(&params);
+        let at = ParamPoint {
+            l: params.l,
+            g: params.big_g,
+            o: params.o,
+        };
+        let mut lp = GraphMultiLp::build(&g, &binding);
+        let t0 = lp.predict(at).unwrap().runtime;
+        for pct in [1.0, 2.0, 5.0] {
+            let cap = t0 * (1.0 + pct / 100.0);
+            let tol = lp.tolerance(SweepParam::G, at, 1e3, cap).unwrap();
+            assert!(tol.is_finite() && tol > at.g, "{pct}%: {tol}");
+            let on = evaluate_multi(&g, &binding, at.l, tol, at.o).runtime;
+            assert!(
+                (on - cap).abs() <= 1e-9 * cap,
+                "{pct}%: T = {on} vs cap {cap}"
+            );
+            let past = evaluate_multi(&g, &binding, at.l, tol * (1.0 + 1e-6), at.o).runtime;
+            assert!(past > cap, "{pct}%: cap still held past the tolerance");
         }
+    }
+
+    #[test]
+    fn tolerance_outcomes_are_typed() {
+        let g = running_example(0.1);
+        let (binding, base) = didactic();
+        let mut lp = GraphMultiLp::build(&g, &binding);
+        let at = base.with(SweepParam::L, 0.0);
+        // A cap below T(floor) = 1.5 µs is infeasible along any axis.
+        assert_eq!(
+            lp.tolerance(SweepParam::O, at, 1e6, 1_000.0),
+            Err(SolveError::Infeasible)
+        );
+        // λ_L = 0 on [0, 385): the walk jumps to the window top, where
+        // the runtime still fits the cap.
+        assert_eq!(
+            lp.tolerance(SweepParam::L, at, 300.0, 1_600.0),
+            Ok(f64::INFINITY)
+        );
+        // The fig. 6 walk takes three steps; two are not enough.
+        assert_eq!(
+            lp.tolerance_within(SweepParam::L, at, 10_000.0, 2_000.0, 2),
+            Err(SolveError::IterationLimit)
+        );
     }
 }

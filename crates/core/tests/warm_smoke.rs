@@ -21,7 +21,7 @@ fn sweep(lp: &mut GraphLp, deltas: &[f64], reset: bool) -> (f64, Vec<f64>) {
         .iter()
         .map(|&d| {
             if reset {
-                lp.reset_backend();
+                lp.reset();
             }
             lp.predict(d).expect("solve succeeds").runtime
         })

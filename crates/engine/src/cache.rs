@@ -98,9 +98,13 @@ pub fn point_key(base_canonical: &str, delta_l_ns: f64) -> String {
     format!("{base_canonical}|pt|{:016x}", delta_l_ns.to_bits())
 }
 
-/// Key for one zones entry (latency-grid campaigns).
-pub fn zones_key(base_canonical: &str, search_hi_ns: f64) -> String {
-    format!("{base_canonical}|zones|{:016x}", search_hi_ns.to_bits())
+/// Key for one zones entry (latency-grid campaigns). `tag` prefixes the
+/// search-window suffix: empty, or [`LP_ZONE_TAG`] for LP zones.
+pub fn zones_key(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
+    format!(
+        "{base_canonical}|zones|{tag}{:016x}",
+        search_hi_ns.to_bits()
+    )
 }
 
 /// Key for one zones entry computed by an **axes** campaign. Axes
@@ -108,10 +112,22 @@ pub fn zones_key(base_canonical: &str, search_hi_ns: f64) -> String {
 /// agree with the single-variable LP only to numerical tolerance — never
 /// bit-for-bit — so the two sweep families must not substitute zone
 /// entries for each other (same reasoning as [`axis_point_key`] vs
-/// [`point_key`]).
-pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64) -> String {
-    format!("{base_canonical}|mzones|{:016x}", search_hi_ns.to_bits())
+/// [`point_key`]). `tag` as in [`zones_key`].
+pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
+    format!(
+        "{base_canonical}|mzones|{tag}{:016x}",
+        search_hi_ns.to_bits()
+    )
 }
+
+/// Window tag of LP zone entries (`…|lp|r1|zones|walk-{window}`). LP
+/// zones come from the Newton zone walk; engines before it solved the
+/// tolerance LP warm from the scenario's anchor basis, which can end on
+/// another optimal basis of a degenerate LP and differ in the last ulp.
+/// The tag makes those LP zone entries miss instead of mixing the two
+/// rules' answers; `parametric` and `eval` zone keys are untagged and
+/// keep hitting.
+pub const LP_ZONE_TAG: &str = "walk-";
 
 /// Key for one multi-parameter point entry. The key carries the absolute
 /// per-parameter offsets `(∆L, ∆G, ∆o)` — missing axes are zero — so it
@@ -544,7 +560,7 @@ mod tests {
         let c = ResultCache::new();
         c.put(point_key("b", 0.0), CachedEntry::Point(point(0.0)));
         c.put(
-            zones_key("b", 1e6),
+            zones_key("b", 1e6, ""),
             CachedEntry::Zones(ZonesResult {
                 baseline_runtime_ns: 42.0,
                 pct1_ns: 7.0,
@@ -558,7 +574,7 @@ mod tests {
         c.save(&path).unwrap();
         let back = ResultCache::load(&path).unwrap();
         assert_eq!(back.len(), 2);
-        match back.peek(&zones_key("b", 1e6)) {
+        match back.peek(&zones_key("b", 1e6, "")) {
             Some(CachedEntry::Zones(z)) => {
                 assert_eq!(z.baseline_runtime_ns, 42.0);
                 assert!(z.pct2_ns.is_infinite());

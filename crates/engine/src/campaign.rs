@@ -11,9 +11,7 @@
 //! and contain no wall-clock data (timings live in [`RunSummary`], which
 //! is reported separately).
 
-use crate::cache::{
-    axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry, ResultCache,
-};
+use crate::cache::{axis_point_key, point_key, CachedEntry, ResultCache};
 use crate::executor::{run_jobs, ExecutorConfig, JobStatus};
 use crate::scenario::{
     expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
@@ -356,7 +354,7 @@ pub fn run_campaign_checked(
 fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOutcome> {
     let base = sc.base_canonical();
     if !sc.axes.is_empty() {
-        let zk = zones_key_multi(&base, sc.grid.search_hi_ns);
+        let zk = sc.zones_key();
         let tuples = sc.axis_points();
         let all_present = cache.peek(&zk).is_some()
             && tuples.iter().all(|t| {
@@ -387,7 +385,7 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
             points,
         });
     }
-    let zk = zones_key(&base, sc.grid.search_hi_ns);
+    let zk = sc.zones_key();
     let all_present = cache.peek(&zk).is_some()
         && sc
             .grid
@@ -444,7 +442,7 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
             }
         }
     }
-    let zk = zones_key(&base, sc.grid.search_hi_ns);
+    let zk = sc.zones_key();
     let cached_zones = match cache.get(&zk) {
         Some(CachedEntry::Zones(z)) => Some(z),
         _ => None,
@@ -523,7 +521,7 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
             }
         }
     }
-    let zk = zones_key_multi(&base, sc.grid.search_hi_ns);
+    let zk = sc.zones_key();
     let cached_zones = match cache.get(&zk) {
         Some(CachedEntry::Zones(z)) => Some(z),
         _ => None,

@@ -182,7 +182,7 @@ where
                             JobStatus::TimedOut { .. } => llamp_obs::counter("exec.timeouts", 1),
                             JobStatus::Done(_) => {}
                         }
-                        llamp_obs::observe_ns("exec.job_ns", elapsed.as_nanos() as u64);
+                        llamp_obs::observe("exec.job_ns", elapsed.as_nanos() as u64);
                     }
                     drop(job_span);
                     // Bounded retry: a failed attempt below the retry

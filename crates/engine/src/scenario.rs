@@ -3,13 +3,16 @@
 //! backend over the campaign's latency grid. Scenarios are the engine's
 //! unit of scheduling, caching and reporting.
 
+use crate::cache::{zones_key, zones_key_multi, LP_ZONE_TAG};
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
     axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
     ParamsSpec, TopologySpec, WorkloadSpec,
 };
 use crate::value::Value;
-use llamp_core::{Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, SolveStats, SweepParam};
+use llamp_core::{
+    Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, SolveError, SolveStats, SweepParam,
+};
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{graph_of_programs, GraphConfig};
 use llamp_topo::{Dragonfly, FatTree};
@@ -191,6 +194,24 @@ impl Scenario {
         )
     }
 
+    /// Cache key of the scenario's zones entry: `zones` for latency-grid
+    /// campaigns, `mzones` for axes campaigns, LP entries tagged with
+    /// [`LP_ZONE_TAG`].
+    pub fn zones_key(&self) -> String {
+        let base = self.base_canonical();
+        let hi = self.grid.search_hi_ns;
+        let tag = if self.backend == Backend::Lp {
+            LP_ZONE_TAG
+        } else {
+            ""
+        };
+        if self.axes.is_empty() {
+            zones_key(&base, hi, tag)
+        } else {
+            zones_key_multi(&base, hi, tag)
+        }
+    }
+
     /// Content hash of [`Scenario::canonical`].
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.canonical().as_bytes())
@@ -358,7 +379,7 @@ impl Scenario {
                 let solve_points = |lp: &mut GraphLp, deltas: &[f64]| {
                     let mut points = Vec::with_capacity(deltas.len());
                     for &d in deltas {
-                        lp.reset_backend();
+                        lp.reset();
                         let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
                             .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
                         points.push(PointResult {
@@ -371,16 +392,14 @@ impl Scenario {
                     Ok::<_, String>(points)
                 };
                 let mut lp = analyzer.lp();
-                // The zone LPs are the anchor's only user: the tolerance
-                // flip changes the objective, which the crash plan does
-                // not model, so each zone re-seeds from the optimal basis
-                // at the base latency. Solved first on the fresh
-                // instance, so its bytes do not depend on the points.
-                let anchor = if need_zones {
+                // The zones' baseline is the crash-started point at
+                // ∆L = 0. Solved before the points, so a ∆L = 0 grid
+                // point adopts its LU instead of refactorising.
+                let t0 = if need_zones {
                     let p = lp
                         .predict(base)
                         .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some((p.runtime, lp.warm_basis()))
+                    Some(p.runtime)
                 } else {
                     None
                 };
@@ -415,28 +434,14 @@ impl Scenario {
                     }
                     points
                 };
-                let zones = match anchor {
-                    Some((t0, anchor_basis)) => {
-                        let mut zone = |pct: f64| -> Result<f64, String> {
-                            let cap = t0 * (1.0 + pct / 100.0);
-                            if let Some(b) = &anchor_basis {
-                                lp.seed_backend(b);
-                            }
-                            let l = llamp_obs::time("lp.zone_ns", || lp.tolerance(base, cap))
-                                .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
-                            Ok(if l - base >= self.grid.search_hi_ns {
-                                f64::INFINITY
-                            } else {
-                                l - base
-                            })
-                        };
-                        Some(ZonesResult {
-                            baseline_runtime_ns: t0,
-                            pct1_ns: zone(1.0)?,
-                            pct2_ns: zone(2.0)?,
-                            pct5_ns: zone(5.0)?,
-                        })
-                    }
+                // Each zone is a Newton walk over crash-started points
+                // (see `GraphLp::tolerance`): a pure function of
+                // (scenario, cap), like the baseline and every point.
+                let zones = match t0 {
+                    Some(t0) => Some(zones_from(t0, |cap| {
+                        llamp_obs::time("lp.zone_ns", || lp.tolerance(base, hi, cap))
+                            .map(|l| l - base)
+                    })?),
                     None => None,
                 };
                 let mut stats = lp.solver_stats();
@@ -453,9 +458,9 @@ impl Scenario {
     ///
     /// The LP path follows [`Scenario::compute`]: every grid point solves
     /// from its own longest-path crash basis at its `(L, G, o)` point, and
-    /// only the zones re-seed from the anchor basis at the base point.
-    /// Every answer stays a pure function of (scenario, point), so
-    /// results are byte-identical across cache states.
+    /// the latency zones walk crash-started points along `L` (`G` and `o`
+    /// at base). Every answer stays a pure function of (scenario, point),
+    /// so results are byte-identical across cache states.
     pub fn compute_axes(
         &self,
         analyzer: &Analyzer,
@@ -518,20 +523,19 @@ impl Scenario {
             }
             Backend::Lp => {
                 let mut lp = analyzer.multi_lp();
-                // The anchor at the base point seeds the zone flips only
-                // (see `compute`); solved first on the fresh instance.
-                let anchor = if need_zones {
+                // Baseline first, as in `compute_with`.
+                let t0 = if need_zones {
                     let p = lp
                         .predict(base)
                         .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some((p.runtime, lp.warm_basis()))
+                    Some(p.runtime)
                 } else {
                     None
                 };
                 let mut points = Vec::with_capacity(need_points.len());
                 for deltas in need_points {
                     let p = at(deltas);
-                    lp.reset_backend();
+                    lp.reset();
                     let pred = llamp_obs::time("lp.point_ns", || lp.predict(p))
                         .map_err(|e| format!("LP solve failed at {deltas:?}: {e:?}"))?;
                     points.push(value_of(
@@ -540,30 +544,11 @@ impl Scenario {
                         p,
                     ));
                 }
-                let zones = match anchor {
-                    Some((t0, anchor_basis)) => {
-                        let mut zone = |pct: f64| -> Result<f64, String> {
-                            let cap = t0 * (1.0 + pct / 100.0);
-                            if let Some(b) = &anchor_basis {
-                                lp.seed_backend(b);
-                            }
-                            let l = llamp_obs::time("lp.zone_ns", || {
-                                lp.tolerance(SweepParam::L, base, cap)
-                            })
-                            .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
-                            Ok(if l - base.l >= self.grid.search_hi_ns {
-                                f64::INFINITY
-                            } else {
-                                l - base.l
-                            })
-                        };
-                        Some(ZonesResult {
-                            baseline_runtime_ns: t0,
-                            pct1_ns: zone(1.0)?,
-                            pct2_ns: zone(2.0)?,
-                            pct5_ns: zone(5.0)?,
-                        })
-                    }
+                let zones = match t0 {
+                    Some(t0) => Some(zones_from(t0, |cap| {
+                        llamp_obs::time("lp.zone_ns", || lp.tolerance(SweepParam::L, base, hi, cap))
+                            .map(|l| l - base.l)
+                    })?),
                     None => None,
                 };
                 Ok((points, zones, lp.solver_stats()))
@@ -594,6 +579,23 @@ impl Scenario {
         }
         Value::Table(pairs)
     }
+}
+
+/// The 1/2/5% zones above baseline `t0`, with `zone(cap)` answering the
+/// added latency that keeps the runtime within `cap`.
+fn zones_from(
+    t0: f64,
+    mut zone: impl FnMut(f64) -> Result<f64, SolveError>,
+) -> Result<ZonesResult, String> {
+    let mut pct = |p: f64| {
+        zone(t0 * (1.0 + p / 100.0)).map_err(|e| format!("LP tolerance solve failed: {e:?}"))
+    };
+    Ok(ZonesResult {
+        baseline_runtime_ns: t0,
+        pct1_ns: pct(1.0)?,
+        pct2_ns: pct(2.0)?,
+        pct5_ns: pct(5.0)?,
+    })
 }
 
 /// Tolerance zones via monotone bisection on direct evaluation — the

@@ -2,14 +2,16 @@
 //! `cache.{pt,apt,zones,mzones}.{hit,miss,put}` must match the cache
 //! behaviour actually observed — cold run, warm run, and a disk
 //! round-trip — for both cache-key families (grid campaigns use
-//! `pt`/`zones`, axes campaigns use `apt`/`mzones`). Also pins the
-//! cache-key decision that came with the single `lp` backend: entries
-//! keyed by the retired `lp-sparse` spelling never answer an `lp` run.
+//! `pt`/`zones`, axes campaigns use `apt`/`mzones`). Also pins two
+//! cache-key decisions: entries keyed by the retired `lp-sparse`
+//! spelling never answer an `lp` run, and LP zone entries written before
+//! the Newton zone walk (untagged keys) miss while the LP points and the
+//! `parametric`/`eval` zones beside them keep hitting.
 //!
 //! Obs state is process-global; every test serializes through a session
 //! lock (this binary is its own process).
 
-use llamp_engine::cache::{point_key, zones_key, CachedEntry};
+use llamp_engine::cache::{axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry};
 use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -178,7 +180,7 @@ iters = 1
             old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
         }
         old.put(
-            zones_key(&base, spec.grid.search_hi_ns),
+            zones_key(&base, spec.grid.search_hi_ns, ""),
             CachedEntry::Zones(outcome.zones),
         );
     }
@@ -219,4 +221,114 @@ iters = 1
     assert_eq!(get(&counters, "cache.zones.miss"), 1);
     assert_eq!(get(&counters, "cache.pt.hit"), 3);
     assert_eq!(get(&counters, "cache.zones.hit"), 1);
+}
+
+/// Save `cache` to a scratch file and load it back (what a later `llamp
+/// run --cache` sees).
+fn through_disk(cache: &ResultCache, tag: &str) -> ResultCache {
+    let dir = std::env::temp_dir().join(format!("llamp-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    cache.save(&path).unwrap();
+    let loaded = ResultCache::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    loaded
+}
+
+#[test]
+fn pre_walk_lp_zone_entries_miss_and_everything_else_hits() {
+    // The file an engine from before the zone walk leaves behind: the
+    // same keys, except that LP zone entries carry no `walk-` tag. Those
+    // came from the anchor-seeded tolerance LP, which can end on another
+    // optimal basis and differ in the last ulp, so they must miss; the
+    // LP points (same crash-started rule) and the parametric and eval
+    // zones keep hitting.
+    let _guard = session_lock().lock().unwrap();
+    let grid = CampaignSpec::parse(
+        r#"
+name = "zone-walk-keys"
+backends = ["parametric", "eval", "lp"]
+[grid]
+deltas_ns = [0.0, 20000.0, 40000.0]
+search_hi_ns = 1000000.0
+[[workloads]]
+app = "cloverleaf"
+ranks = 4
+iters = 1
+"#,
+        "grid.toml",
+    )
+    .unwrap();
+    let axes = CampaignSpec::parse(AXES_SPEC, "axes.toml").unwrap();
+    let (fresh_grid, _) = run_campaign(&grid, &config(), &ResultCache::new());
+    let (fresh_axes, _) = run_campaign(&axes, &config(), &ResultCache::new());
+
+    let old = ResultCache::new();
+    for sr in &fresh_grid.scenarios {
+        let base = sr.scenario.base_canonical();
+        let outcome = sr.outcome.as_ref().unwrap();
+        for p in &outcome.sweep {
+            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
+        }
+        old.put(
+            zones_key(&base, grid.grid.search_hi_ns, ""),
+            CachedEntry::Zones(outcome.zones),
+        );
+    }
+    for sr in &fresh_axes.scenarios {
+        let base = sr.scenario.base_canonical();
+        let outcome = sr.outcome.as_ref().unwrap();
+        for p in &outcome.points {
+            old.put(
+                axis_point_key(&base, sr.scenario.param_deltas(&p.deltas)),
+                CachedEntry::AxisPoint(p.value),
+            );
+        }
+        old.put(
+            zones_key_multi(&base, axes.grid.search_hi_ns, ""),
+            CachedEntry::Zones(outcome.zones),
+        );
+    }
+    let loaded = through_disk(&old, "zone-walk-keys");
+    assert_eq!(
+        loaded.len(),
+        3 * 4 + 4 + 1,
+        "every old entry survives the load"
+    );
+
+    llamp_obs::enable();
+    let (result, summary) = run_campaign(&grid, &config(), &loaded);
+    let counters = llamp_obs::take().counters;
+    llamp_obs::disable();
+    assert_eq!(result.to_json(), fresh_grid.to_json());
+    let provenance: Vec<(&str, Provenance)> = (result.scenarios.iter())
+        .zip(&summary.provenance)
+        .map(|(sr, p)| (sr.scenario.backend.name(), *p))
+        .collect();
+    assert_eq!(
+        provenance,
+        vec![
+            ("eval", Provenance::FullCacheHit),
+            ("lp", Provenance::Computed),
+            ("parametric", Provenance::FullCacheHit)
+        ]
+    );
+    assert_eq!(get(&counters, "cache.pt.hit"), 9, "LP points still hit");
+    assert_eq!(get(&counters, "cache.pt.miss"), 0);
+    assert_eq!(get(&counters, "cache.zones.hit"), 2);
+    assert_eq!(
+        get(&counters, "cache.zones.miss"),
+        1,
+        "only the LP zones miss"
+    );
+
+    llamp_obs::enable();
+    let (result, _) = run_campaign(&axes, &config(), &loaded);
+    let counters = llamp_obs::take().counters;
+    llamp_obs::disable();
+    assert_eq!(result.to_json(), fresh_axes.to_json());
+    assert_eq!(get(&counters, "cache.apt.hit"), 4);
+    assert_eq!(get(&counters, "cache.apt.miss"), 0);
+    assert_eq!(get(&counters, "cache.mzones.miss"), 1);
+    assert_eq!(get(&counters, "cache.mzones.hit"), 0);
 }

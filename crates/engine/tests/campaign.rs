@@ -576,8 +576,9 @@ iters = 1
 fn solver_stats_surface_in_run_summary() {
     // LP scenarios report their solver effort through the RunSummary side
     // channel (never the deterministic results file): a computed run has
-    // iterations, a fully cached rerun has none — while the results stay
-    // byte-identical across the two.
+    // iterations and pricing passes (every solve here starts from a crash
+    // basis optimal at its point, so none pivots), a fully cached rerun
+    // has none — while the results stay byte-identical across the two.
     let spec = CampaignSpec::parse(
         r#"
 name = "stats"
@@ -596,7 +597,7 @@ iters = 1
     let cache = ResultCache::new();
     let (r1, s1) = run_campaign(&spec, &config(1), &cache);
     assert!(
-        s1.solver.iterations > 0 && s1.solver.ftran_calls > 0,
+        s1.solver.iterations > 0 && s1.solver.pricing_full_scans > 0,
         "computed LP run must report solver effort: {:?}",
         s1.solver
     );

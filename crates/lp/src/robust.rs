@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn clean_solves_pass_straight_through() {
+        let _g = faults_session();
         let mut b = SparseSimplex::default();
         let (m, l) = running_example(0.5);
         let sol = resolve_robust(&mut b, &m, None).unwrap();
@@ -110,6 +111,7 @@ mod tests {
 
     #[test]
     fn unrecoverable_errors_skip_the_ladder() {
+        let _g = faults_session();
         // An infeasible model must come back infeasible immediately, not
         // after burning two extra solves.
         let mut m = LpModel::new(Objective::Minimize);
@@ -147,6 +149,7 @@ mod tests {
 
     #[test]
     fn iteration_budget_recovers_through_slack_rung() {
+        let _g = faults_session();
         // A one-iteration budget fails rungs 1 and 2 (both run under the
         // solver's own options), so only the slack rung — a fresh
         // default-options solver — can answer. Still byte-identical, and
@@ -191,7 +194,9 @@ mod tests {
         assert_eq!(err, SolveError::Injected);
     }
 
-    // The faults registry is process-global: serialize tests that touch it.
+    // The faults registry is process-global and consulted by every solve:
+    // serialize every test here, or a probabilistic fault configured by
+    // one test fires inside another's solves.
     static FAULTS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn faults_session() -> std::sync::MutexGuard<'static, ()> {

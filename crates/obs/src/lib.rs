@@ -12,8 +12,8 @@
 //!   into the global recorder whenever a thread's root span closes, so
 //!   workers never contend mid-task.
 //! * **metrics** — monotonic [`counter`]s, last-write-wins [`gauge`]s and
-//!   HDR-style log-bucketed [`Histogram`]s ([`observe_ns`] / [`time`])
-//!   in a thread-safe registry.
+//!   HDR-style log-bucketed [`Histogram`]s ([`observe`] / [`time`]) in
+//!   a thread-safe registry.
 //! * **exporters** — [`take`] drains everything into a [`Snapshot`],
 //!   which renders as a human-readable aggregate tree
 //!   ([`Summary::render`]) or a `chrome://tracing` JSON file
@@ -23,7 +23,7 @@
 //!
 //! Recording is globally disabled by default. Every entry point loads
 //! one relaxed atomic and returns: no clock read, no allocation, no
-//! lock. [`span()`] returns an inert guard, [`counter`]/[`observe_ns`]
+//! lock. [`span()`] returns an inert guard, [`counter`]/[`observe`]
 //! return before touching the registry, and [`time`] runs its closure
 //! untimed. The LP crate's counting-allocator harness
 //! (`crates/lp/tests/alloc_count.rs`) certifies that the instrumented
@@ -46,7 +46,7 @@
 //!     let s = llamp_obs::span("solve");
 //!     s.field_u64("iterations", 42);
 //!     llamp_obs::counter("cache.pt.hit", 1);
-//!     llamp_obs::observe_ns("solve.point_ns", 1_500);
+//!     llamp_obs::observe("solve.point_ns", 1_500);
 //! }
 //! let snapshot = llamp_obs::take();
 //! llamp_obs::disable();
@@ -347,19 +347,20 @@ pub fn gauge(name: &str, value: f64) {
     }
 }
 
-/// Record one sample (nanoseconds, by convention) into the named
-/// histogram.
+/// Record one sample into the named histogram. By convention a name
+/// ending in `_ns` holds durations in nanoseconds; any other holds plain
+/// counts (e.g. `lp.zone_steps`) and renders as such.
 #[inline]
-pub fn observe_ns(name: &str, ns: u64) {
+pub fn observe(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
     let mut s = sink().lock().expect("obs sink");
     match s.hists.get_mut(name) {
-        Some(h) => h.record(ns),
+        Some(h) => h.record(value),
         None => {
             let mut h = Histogram::new();
-            h.record(ns);
+            h.record(value);
             s.hists.insert(name.to_string(), h);
         }
     }
@@ -374,7 +375,7 @@ pub fn time<T>(name: &str, f: impl FnOnce() -> T) -> T {
     }
     let start = Instant::now();
     let out = f();
-    observe_ns(name, start.elapsed().as_nanos() as u64);
+    observe(name, start.elapsed().as_nanos() as u64);
     out
 }
 
@@ -399,7 +400,7 @@ mod tests {
         s.field_u64("n", 1);
         drop(s);
         counter("c", 1);
-        observe_ns("h", 5);
+        observe("h", 5);
         gauge("g", 1.0);
         let snap = take();
         assert!(snap.events.is_empty());
@@ -441,8 +442,8 @@ mod tests {
         counter("jobs", 3);
         gauge("g", 1.0);
         gauge("g", 4.0);
-        observe_ns("lat", 100);
-        observe_ns("lat", 200);
+        observe("lat", 100);
+        observe("lat", 200);
         let snap = take();
         disable();
         assert_eq!(snap.counters.get("jobs"), Some(&5));

@@ -10,8 +10,9 @@
 //!   lanes and span fields as `args`;
 //! * [`Snapshot::summary`] → [`Summary::render`] — the human-readable
 //!   aggregate tree `llamp run --metrics` prints: spans grouped by call
-//!   path with counts, totals and numeric-field sums, followed by the
-//!   counters, gauges and histogram quantiles.
+//!   path with counts, totals and numeric-field sums (maxima for the
+//!   `rows`/`cols` shape fields), followed by the counters, gauges and
+//!   histogram quantiles.
 
 use crate::hist::{Histogram, HistogramSummary};
 use crate::FieldValue;
@@ -64,7 +65,8 @@ pub struct SpanAgg {
     pub min_ns: u64,
     /// Longest instance (ns).
     pub max_ns: u64,
-    /// Numeric fields, summed across instances.
+    /// Numeric fields, summed across instances — except the shape
+    /// fields `rows` and `cols`, which keep their largest value.
     pub fields: Vec<(String, f64)>,
     /// String fields, last value wins.
     pub labels: Vec<(String, String)>,
@@ -165,8 +167,14 @@ impl Snapshot {
     }
 }
 
+/// Shape fields: a model's size, not an amount of work, so a row keeps
+/// the largest instance's value (68 solves of one 137k-row model report
+/// `rows=137616`, not their sum).
+const MAX_FIELDS: [&str; 2] = ["rows", "cols"];
+
 fn add_field(fields: &mut Vec<(String, f64)>, key: &str, v: f64) {
     match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) if MAX_FIELDS.contains(&key) => *slot = slot.max(v),
         Some((_, slot)) => *slot += v,
         None => fields.push((key.to_string(), v)),
     }
@@ -295,14 +303,22 @@ impl Summary {
                 "histogram", "count", "p50", "p90", "p99", "max"
             ));
             for (k, h) in &self.hists {
+                // Durations carry the `_ns` suffix; anything else counts.
+                let cell = |v: u64| {
+                    if k.ends_with("_ns") {
+                        ns_cell(v)
+                    } else {
+                        format!("{v:>10}")
+                    }
+                };
                 out.push_str(&format!(
                     "{:<34} {:>7} {} {} {} {}\n",
                     k,
                     h.count,
-                    ns_cell(h.p50),
-                    ns_cell(h.p90),
-                    ns_cell(h.p99),
-                    ns_cell(h.max),
+                    cell(h.p50),
+                    cell(h.p90),
+                    cell(h.p99),
+                    cell(h.max),
                 ));
             }
         }
@@ -343,6 +359,59 @@ mod tests {
         assert_eq!(a.max_ns, 30);
         assert_eq!(a.fields, vec![("n".to_string(), 5.0)]);
         assert_eq!(s.spans[1].depth, 1);
+    }
+
+    #[test]
+    fn shape_fields_aggregate_as_max() {
+        // Three solves of one 100-row model and one 40-row model: `rows`
+        // and `cols` report the largest model, effort fields the total.
+        let solve = |rows: u64, iters: u64| {
+            event(
+                "lp.solve",
+                1,
+                vec![
+                    ("rows", FieldValue::U64(rows)),
+                    ("cols", FieldValue::U64(rows + 2)),
+                    ("iterations", FieldValue::U64(iters)),
+                ],
+            )
+        };
+        let snap = Snapshot {
+            events: vec![solve(100, 1), solve(40, 3), solve(100, 1), solve(100, 2)],
+            ..Default::default()
+        };
+        let s = snap.summary();
+        let field = |k: &str| s.spans[0].fields.iter().find(|(n, _)| n == k).unwrap().1;
+        assert_eq!(field("rows"), 100.0);
+        assert_eq!(field("cols"), 102.0);
+        assert_eq!(field("iterations"), 7.0);
+        assert!(s.render().contains("rows=100, cols=102, iterations=7"));
+    }
+
+    #[test]
+    fn count_histograms_render_without_units() {
+        let mut steps = Histogram::new();
+        steps.record(3);
+        let mut times = Histogram::new();
+        times.record(3);
+        let snap = Snapshot {
+            hists: [
+                ("lp.zone_steps".to_string(), steps),
+                ("lp.zone_ns".to_string(), times),
+            ]
+            .into_iter()
+            .collect(),
+            ..Default::default()
+        };
+        let text = snap.summary().render();
+        let line = |name: &str| {
+            text.lines()
+                .find(|l| l.starts_with(name))
+                .unwrap()
+                .to_string()
+        };
+        assert!(!line("lp.zone_steps").contains("ns"), "{text}");
+        assert!(line("lp.zone_ns").contains("3 ns"), "{text}");
     }
 
     #[test]

@@ -68,8 +68,9 @@ fn main() {
         p.l_feasible.0 / 1000.0
     );
 
-    // 6. Fig. 6: tolerance — max L keeping T ≤ 2 µs.
-    let tol = lp.tolerance(0.0, us(2.0)).unwrap();
+    // 6. Fig. 6: tolerance — max L keeping T ≤ 2 µs, searched over
+    //    L ∈ [0, 10 µs].
+    let tol = lp.tolerance(0.0, us(10.0), us(2.0)).unwrap();
     println!(
         "max L with T ≤ 2µs = {:.3} µs  (paper: 0.885)",
         tol / 1000.0

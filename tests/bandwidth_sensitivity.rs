@@ -69,8 +69,9 @@ fn bandwidth_tolerance_lp_matches_envelope() {
     let base = evaluate(&g, &binding, params.big_g).runtime;
     let cap = 1.10 * base;
 
+    // Both searches span G ∈ [0, 10] ns/byte.
     let mut lp = GraphLp::build(&g, &binding);
-    let tol_lp = lp.tolerance(0.0, cap).unwrap();
+    let tol_lp = lp.tolerance(0.0, 10.0, cap).unwrap();
 
     let prof = ParametricProfile::compute(&g, &binding, (0.0, 10.0));
     let tol_env = prof.tolerance(cap).unwrap();

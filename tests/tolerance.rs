@@ -1,20 +1,20 @@
-//! Latency tolerance consistency: the LP's flipped objective, the
-//! parametric envelope inversion, and a brute-force bisection on the
-//! simulator must all agree.
+//! Latency tolerance consistency: the LP's zone walk, the parametric
+//! envelope inversion, bisection on direct evaluation and bisection on
+//! the dataflow simulator must all agree.
 
-use llamp::core::{Analyzer, Binding, GraphLp};
+use llamp::core::{Analyzer, Binding};
 use llamp::model::LogGPSParams;
-use llamp::schedgen::{build_graph, GraphConfig};
+use llamp::schedgen::{build_graph, ExecGraph, GraphConfig};
 use llamp::sim::{SimConfig, Simulator};
+use llamp::topo::FatTree;
 use llamp::trace::TracerConfig;
 use llamp::util::time::us;
 use llamp::workloads::App;
 
-fn tolerance_by_bisection(
-    graph: &llamp::schedgen::ExecGraph,
-    params: &LogGPSParams,
-    cap: f64,
-) -> f64 {
+/// Zone search window above the base latency (the engine's default).
+const WINDOW: f64 = 2_000_000.0;
+
+fn tolerance_by_bisection(graph: &ExecGraph, params: &LogGPSParams, cap: f64) -> f64 {
     // Noise-free dataflow replay is the analytical model; bisect the
     // largest ∆L with makespan ≤ cap.
     let runtime = |delta: f64| {
@@ -37,40 +37,102 @@ fn tolerance_by_bisection(
     lo
 }
 
+/// Largest ∆L in `[0, WINDOW]` with `T(base + ∆L) ≤ cap`, by bisection on
+/// direct critical-path evaluation; infinite when the window end holds.
+fn eval_bisection(analyzer: &Analyzer, cap: f64) -> f64 {
+    let base = analyzer.base_l();
+    let t = |d: f64| analyzer.evaluate(base + d).runtime;
+    if t(WINDOW) <= cap {
+        return f64::INFINITY;
+    }
+    let (mut lo, mut hi) = (0.0f64, WINDOW);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if t(mid) <= cap {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Relative gap, with equal infinities agreeing exactly.
+fn rel(a: f64, b: f64) -> f64 {
+    if a == b {
+        0.0
+    } else {
+        (a - b).abs() / b.abs().max(1.0)
+    }
+}
+
+/// The 1/2/5% zones of one analysis three ways: the LP walk (with its
+/// own crash-started baseline, as the engine runs it) against the exact
+/// envelope and against eval bisection, all to 1e-9 relative.
+fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
+    let base = analyzer.base_l();
+    let env = analyzer.tolerance_zones(base + WINDOW);
+    let mut lp = analyzer.lp();
+    let t0 = lp.predict(base).unwrap().runtime;
+    assert!(rel(t0, env.baseline_runtime) < 1e-12, "{label}: baseline");
+    for (pct, env_zone) in [(1.0, env.pct1), (2.0, env.pct2), (5.0, env.pct5)] {
+        let cap = t0 * (1.0 + pct / 100.0);
+        let lp_zone = lp.tolerance(base, base + WINDOW, cap).unwrap() - base;
+        let eval_zone = eval_bisection(analyzer, cap);
+        assert!(
+            rel(lp_zone, env_zone) < 1e-9,
+            "{label} {pct}%: LP {lp_zone} vs envelope {env_zone}"
+        );
+        assert!(
+            rel(lp_zone, eval_zone) < 1e-9,
+            "{label} {pct}%: LP {lp_zone} vs eval bisection {eval_zone}"
+        );
+    }
+}
+
 #[test]
 fn three_ways_to_tolerance_agree() {
-    // Small graphs only: the LP leg runs the dense-inverse simplex, which
-    // is O(rows²) per pivot — LULESH/HPCG-sized models belong to the
-    // envelope backend (DESIGN.md §5), covered by `tolerance.rs`'s other
-    // tests and `abl_backends`.
+    for app in App::ALL {
+        let graph = build_graph(
+            &app.programs(8, 2).trace(&TracerConfig::default()),
+            &GraphConfig::paper(),
+        )
+        .unwrap();
+        let params = LogGPSParams::cscs_testbed(8).with_o(app.paper_o());
+        assert_zones_agree(app.name(), &Analyzer::new(&graph, &params));
+    }
+
+    // One topology binding: LULESH on a k = 8 fat tree, the wire latency
+    // as the analysis variable.
+    let graph = build_graph(
+        &App::Lulesh.programs(8, 2).trace(&TracerConfig::default()),
+        &GraphConfig::paper(),
+    )
+    .unwrap();
+    let params = LogGPSParams::cscs_testbed(8).with_o(App::Lulesh.paper_o());
+    let placement: Vec<u32> = (0..8).collect();
+    let binding = Binding::wire(&params, &FatTree::new(8), &placement, 108.0);
+    assert_zones_agree(
+        "LULESH fattree",
+        &Analyzer::with_binding(&graph, binding, 274.0),
+    );
+}
+
+#[test]
+fn dataflow_simulator_agrees_with_the_envelope() {
+    // The discrete-event simulator as a fourth oracle, on the two small
+    // graphs where bisecting it stays cheap.
     for app in [App::Milc, App::Cloverleaf] {
-        let set = app.programs(8, 2);
-        let trace = set.trace(&TracerConfig::default());
-        let graph = build_graph(&trace, &GraphConfig::paper()).unwrap();
+        let graph = build_graph(
+            &app.programs(8, 2).trace(&TracerConfig::default()),
+            &GraphConfig::paper(),
+        )
+        .unwrap();
         let params = LogGPSParams::cscs_testbed(8).with_o(app.paper_o());
         let analyzer = Analyzer::new(&graph, &params);
-
-        let t0 = analyzer.baseline_runtime();
-        let cap = 1.02 * t0;
-
-        // 1. Envelope inversion.
+        let cap = 1.02 * analyzer.baseline_runtime();
         let tol_env = analyzer.tolerance_pct(2.0, params.l + us(1_000_000.0));
-
-        // 2. LP with flipped objective (on the contracted graph).
-        let binding = Binding::uniform(&params);
-        let contracted = graph.contracted();
-        let mut lp = GraphLp::build(&contracted, &binding);
-        let tol_lp = lp.tolerance(0.0, cap).unwrap() - params.l;
-
-        // 3. Bisection against the dataflow simulator.
         let tol_sim = tolerance_by_bisection(&graph, &params, cap);
-
-        let rel = |a: f64, b: f64| (a - b).abs() / b.max(1.0);
-        assert!(
-            rel(tol_env, tol_lp) < 1e-6,
-            "{}: envelope {tol_env} vs LP {tol_lp}",
-            app.name()
-        );
         assert!(
             rel(tol_env, tol_sim) < 1e-3,
             "{}: envelope {tol_env} vs bisection {tol_sim}",

@@ -12,6 +12,7 @@ use crate::lp_build::GraphLp;
 use crate::parametric::ParametricProfile;
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{ExecGraph, ReduceConfig, ReducedGraph, ReductionStats};
+use std::sync::Arc;
 
 /// The x% latency-tolerance triple the paper highlights (green / orange /
 /// red zones of Fig. 1).
@@ -41,9 +42,14 @@ pub struct SweepPoint {
 }
 
 /// Analysis driver for one execution graph under one network binding.
+///
+/// The reduced graph sits behind an [`Arc`]: costs stay symbolic in
+/// `L`, `G` and `o` until the binding evaluates them, so one reduced
+/// graph serves any number of analyzers that differ only in their
+/// binding (see [`Analyzer::from_reduced`]).
 #[derive(Debug, Clone)]
 pub struct Analyzer {
-    graph: ReducedGraph,
+    graph: Arc<ReducedGraph>,
     binding: Binding,
     base_l: f64,
 }
@@ -55,32 +61,26 @@ impl Analyzer {
     /// paid once; results are provenance-mapped back to the original
     /// graph (see [`Analyzer::lift_path`]).
     pub fn new(graph: &ExecGraph, params: &LogGPSParams) -> Self {
-        Self::new_with_config(graph, params, &ReduceConfig::default())
-    }
-
-    /// [`Analyzer::new`] with an explicit reduction configuration
-    /// ([`ReduceConfig::none`] analyses the raw graph).
-    pub fn new_with_config(graph: &ExecGraph, params: &LogGPSParams, cfg: &ReduceConfig) -> Self {
-        Self::with_binding_config(graph, Binding::uniform(params), params.l, cfg)
+        Self::with_binding(graph, Binding::uniform(params), params.l)
     }
 
     /// Build with an explicit binding (topology / per-class / HLogGP
     /// analyses). `base_l` is the reference value of the analysis variable
     /// (e.g. the baseline wire latency).
     pub fn with_binding(graph: &ExecGraph, binding: Binding, base_l: f64) -> Self {
-        Self::with_binding_config(graph, binding, base_l, &ReduceConfig::default())
+        let reduced = graph.reduced(&ReduceConfig::default());
+        Self::from_reduced(Arc::new(reduced), binding, base_l)
     }
 
-    /// [`Analyzer::with_binding`] with an explicit reduction
-    /// configuration.
-    pub fn with_binding_config(
-        graph: &ExecGraph,
-        binding: Binding,
-        base_l: f64,
-        cfg: &ReduceConfig,
-    ) -> Self {
+    /// Bind an already reduced graph: the one constructor. Reduction
+    /// only merges and reassociates the symbolic cost expressions, never
+    /// evaluates them, so a graph reduced once can be shared by every
+    /// binding of it with the same answers as reducing per binding. The
+    /// raw graph is analysed by passing it reduced with
+    /// [`ReduceConfig::none`].
+    pub fn from_reduced(graph: Arc<ReducedGraph>, binding: Binding, base_l: f64) -> Self {
         Self {
-            graph: graph.reduced(cfg),
+            graph,
             binding,
             base_l,
         }
@@ -120,7 +120,7 @@ impl Analyzer {
 
     /// Fast runtime/λ/critical-path evaluation at one latency value.
     pub fn evaluate(&self, l: f64) -> Evaluation {
-        evaluate(&self.graph, &self.binding, l)
+        evaluate(&*self.graph, &self.binding, l)
     }
 
     /// Predicted runtime at the base latency.
@@ -130,7 +130,7 @@ impl Analyzer {
 
     /// Build the LP form (Algorithm 1) for solver-based queries.
     pub fn lp(&self) -> GraphLp {
-        GraphLp::build(&self.graph, &self.binding)
+        GraphLp::build(&*self.graph, &self.binding)
     }
 
     /// Base value of one sweep parameter: the point the campaign's delta
@@ -153,18 +153,18 @@ impl Analyzer {
     /// Build the multi-parameter LP (symbolic `L`, `G`, `o`; see
     /// [`crate::multi_lp::GraphMultiLp`]).
     pub fn multi_lp(&self) -> crate::multi_lp::GraphMultiLp {
-        crate::multi_lp::GraphMultiLp::build(&self.graph, &self.binding)
+        crate::multi_lp::GraphMultiLp::build(&*self.graph, &self.binding)
     }
 
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full
     /// sensitivity gradient (see [`crate::eval::evaluate_multi`]).
     pub fn evaluate_multi(&self, at: crate::multi_lp::ParamPoint) -> crate::eval::MultiEvaluation {
-        crate::eval::evaluate_multi(&self.graph, &self.binding, at.l, at.g, at.o)
+        crate::eval::evaluate_multi(&*self.graph, &self.binding, at.l, at.g, at.o)
     }
 
     /// Exact `T(L)` profile over `[l_min, l_max]`.
     pub fn profile(&self, l_min: f64, l_max: f64) -> ParametricProfile {
-        ParametricProfile::compute(&self.graph, &self.binding, (l_min, l_max))
+        ParametricProfile::compute(&*self.graph, &self.binding, (l_min, l_max))
     }
 
     /// The x% tolerance (§II-D2) as *added* latency `∆L` above the base
@@ -299,6 +299,29 @@ mod tests {
             zb.pct1,
             zs.pct1
         );
+    }
+
+    #[test]
+    fn one_reduced_graph_serves_every_binding() {
+        // Reducing once and binding twice answers exactly what reducing
+        // per binding does: reduction never evaluates the symbolic costs.
+        let g = bsp_graph(4, 6, 30.0);
+        let shared = Arc::new(g.reduced(&ReduceConfig::default()));
+        for o in [us(1.0), us(4.0)] {
+            let params = LogGPSParams::cscs_testbed(4).with_o(o);
+            let own = Analyzer::new(&g, &params);
+            let on_shared =
+                Analyzer::from_reduced(Arc::clone(&shared), Binding::uniform(&params), params.l);
+            for d in [0.0, us(5.0), us(50.0)] {
+                let (a, b) = (own.evaluate(params.l + d), on_shared.evaluate(params.l + d));
+                assert_eq!(a.runtime.to_bits(), b.runtime.to_bits());
+                assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+            }
+            assert_eq!(
+                own.tolerance_zones(us(2_000.0)),
+                on_shared.tolerance_zones(us(2_000.0))
+            );
+        }
     }
 
     #[test]

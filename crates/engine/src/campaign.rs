@@ -5,7 +5,9 @@
 //! sorted scenario list, probes the cache for *full hits* (every grid
 //! point and the zones already present → the scenario is assembled without
 //! building its graph), dispatches the rest onto the work-stealing
-//! executor — each job computes only its cache-missing pieces — and
+//! executor — each job computes only its cache-missing pieces, on a graph
+//! built once per distinct [`GraphKey`](crate::scenario::GraphKey) and
+//! shared by every scenario of the run that needs it — and
 //! assembles a [`CampaignResult`] whose JSON form is byte-identical across
 //! runs and thread counts: entries are ordered by canonical scenario key
 //! and contain no wall-clock data (timings live in [`RunSummary`], which
@@ -13,12 +15,14 @@
 
 use crate::cache::{axis_point_key, point_key, CachedEntry, ResultCache};
 use crate::executor::{run_jobs, ExecutorConfig, JobStatus};
+use crate::graphs::GraphSlots;
 use crate::scenario::{
     expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
 };
 use crate::spec::CampaignSpec;
 use crate::value::Value;
-use llamp_core::{ReductionStats, SolveStats};
+use llamp_core::{ReducedGraph, ReductionStats, SolveStats};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How one scenario's answer was obtained (summary bookkeeping; never part
@@ -100,6 +104,9 @@ pub struct RunSummary {
     pub full_cache_hits: usize,
     /// Scenarios dispatched to the executor.
     pub jobs_executed: usize,
+    /// Execution graphs built (ingest, compile, reduce): one per
+    /// distinct graph key among the executed scenarios that needed one.
+    pub graph_builds: usize,
     /// Point/zone-level cache hits during the run.
     pub cache_hits: u64,
     /// Point/zone-level cache misses during the run.
@@ -115,10 +122,11 @@ pub struct RunSummary {
     /// these — like the timings — live beside, never inside, the
     /// deterministic results file).
     pub solver: SolveStats,
-    /// Aggregate graph-reduction counters across the scenarios that
-    /// ran the reduction pipeline this run (full cache hits never build
-    /// a graph, and `reduce = false` scenarios contribute nothing). Wall-clock bearing like the timings, so
-    /// reported beside — never inside — the deterministic results file.
+    /// Aggregate graph-reduction counters, each graph built this run
+    /// counted once however many scenarios shared it (full cache hits
+    /// never build a graph, and `reduce = false` graphs contribute
+    /// nothing). Cache-state dependent like the timings, so reported
+    /// beside — never inside — the deterministic results file.
     pub reduction: ReductionStats,
 }
 
@@ -137,12 +145,14 @@ impl RunSummary {
     pub fn render(&self) -> String {
         format!(
             "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
+             graphs: {} built\n\
              cache: {} hits, {} misses ({:.1}% hit rate)\n\
              threads: {}, elapsed: {:.3}s",
             self.jobs_requested,
             self.jobs_unique,
             self.full_cache_hits,
             self.jobs_executed,
+            self.graph_builds,
             self.cache_hits,
             self.cache_misses,
             100.0 * self.hit_rate(),
@@ -198,7 +208,6 @@ pub fn run_campaign(
     let mut slots: Vec<Option<(Result<ScenarioOutcome, ScenarioError>, Provenance)>> =
         vec![None; all.len()];
     let mut solver = SolveStats::default();
-    let mut reduction = ReductionStats::default();
     let mut to_run: Vec<(usize, &Scenario)> = Vec::new();
     for (i, sc) in all.iter().enumerate() {
         match assemble_from_cache(sc, cache) {
@@ -215,12 +224,24 @@ pub fn run_campaign(
     // basis, so they shard across workers). A campaign with more scenarios than
     // threads keeps every scenario single-threaded, exactly as before.
     let point_threads = (config.effective_threads() / jobs_executed.max(1)).max(1);
-    let statuses = run_jobs(config, to_run.iter().map(|(_, sc)| *sc).collect(), |sc| {
-        run_one(sc, cache, point_threads)
+    // One graph slot per distinct key among the dispatched scenarios:
+    // the first job that needs a slot builds its graph, the others bind
+    // their topology and parameters to it, and the last one to finish
+    // frees it. A job that panics keeps its registration (the executor
+    // may retry it); the slots go when the campaign returns. A timed-out
+    // job does release, so its retry may find the graph gone and build
+    // it again: the same graph, one more build.
+    let (graphs, slot_of) = GraphSlots::register(to_run.iter().map(|(_, sc)| sc.graph_key()));
+    let jobs: Vec<(&Scenario, usize)> = to_run.iter().map(|(_, sc)| *sc).zip(slot_of).collect();
+    let statuses = run_jobs(config, jobs, |&(sc, slot)| {
+        let out = run_one(sc, cache, point_threads, || graphs.get(slot));
+        graphs.release(slot);
+        out
     });
+    let (graph_builds, reduction) = graphs.totals();
     for ((idx, _), status) in to_run.iter().zip(statuses) {
         slots[*idx] = Some(match status {
-            JobStatus::Done(Ok((outcome, inserts, stats, red))) => {
+            JobStatus::Done(Ok((outcome, inserts, stats))) => {
                 // Publish computed pieces only for jobs that finished
                 // within budget: a timed-out or panicked job must leave
                 // no trace, or a rerun would silently flip it from error
@@ -229,7 +250,6 @@ pub fn run_campaign(
                     cache.put(key, entry);
                 }
                 solver.merge(&stats);
-                reduction.merge(&red);
                 (Ok(outcome), Provenance::Computed)
             }
             JobStatus::Done(Err(msg)) => (Err(ScenarioError::Failed(msg)), Provenance::Failed),
@@ -262,6 +282,7 @@ pub fn run_campaign(
         jobs_unique,
         full_cache_hits,
         jobs_executed,
+        graph_builds,
         cache_hits: cache.stats().hits() - hits_before,
         cache_misses: cache.stats().misses() - misses_before,
         threads,
@@ -275,6 +296,7 @@ pub fn run_campaign(
         campaign_span.field_u64("jobs_unique", jobs_unique as u64);
         campaign_span.field_u64("full_cache_hits", full_cache_hits as u64);
         campaign_span.field_u64("jobs_executed", jobs_executed as u64);
+        campaign_span.field_u64("graph_builds", graph_builds as u64);
     }
     (result, summary)
 }
@@ -420,11 +442,18 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
 type ComputedInserts = Vec<(String, CachedEntry)>;
 
 /// What a computed job hands back to the campaign runner.
-type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats, ReductionStats);
+type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats);
 
-fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<JobOutput, String> {
+/// `graph` yields the scenario's shared graph; it is called only when a
+/// piece is missing from the cache.
+fn run_one(
+    sc: &Scenario,
+    cache: &ResultCache,
+    point_threads: usize,
+    graph: impl FnOnce() -> Result<Arc<ReducedGraph>, String>,
+) -> Result<JobOutput, String> {
     if !sc.axes.is_empty() {
-        return run_one_axes(sc, cache);
+        return run_one_axes(sc, cache, graph);
     }
     let span = llamp_obs::span("scenario");
     let base = sc.base_canonical();
@@ -448,7 +477,6 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
         _ => None,
     };
 
-    let mut reduction = ReductionStats::default();
     let (computed_points, computed_zones, stats): (
         Vec<PointResult>,
         Option<ZonesResult>,
@@ -456,10 +484,7 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
     ) = if missing.is_empty() && cached_zones.is_some() {
         (Vec::new(), None, SolveStats::default())
     } else {
-        let analyzer = sc.build_analyzer()?;
-        if sc.reduce {
-            reduction = *analyzer.reduction_stats();
-        }
+        let analyzer = sc.analyzer_on(graph()?);
         sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
     };
 
@@ -496,14 +521,17 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
         },
         inserts,
         stats,
-        reduction,
     ))
 }
 
 /// The axes-campaign variant of [`run_one`]: grid points are delta
 /// *tuples*, cached at per-parameter-offset granularity so overlapping
 /// axis grids recompute only their set difference.
-fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String> {
+fn run_one_axes(
+    sc: &Scenario,
+    cache: &ResultCache,
+    graph: impl FnOnce() -> Result<Arc<ReducedGraph>, String>,
+) -> Result<JobOutput, String> {
     let span = llamp_obs::span("scenario");
     let base = sc.base_canonical();
     if llamp_obs::is_enabled() {
@@ -527,7 +555,6 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
         _ => None,
     };
 
-    let mut reduction = ReductionStats::default();
     let (computed_points, computed_zones, stats): (
         Vec<AxisPointValue>,
         Option<ZonesResult>,
@@ -535,10 +562,7 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
     ) = if missing.is_empty() && cached_zones.is_some() {
         (Vec::new(), None, SolveStats::default())
     } else {
-        let analyzer = sc.build_analyzer()?;
-        if sc.reduce {
-            reduction = *analyzer.reduction_stats();
-        }
+        let analyzer = sc.analyzer_on(graph()?);
         sc.compute_axes(&analyzer, &missing, cached_zones.is_none())?
     };
 
@@ -577,7 +601,6 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
         },
         inserts,
         stats,
-        reduction,
     ))
 }
 

@@ -41,11 +41,14 @@
 //! level (`scenario-base × search window`), not campaign level, so a new
 //! campaign whose latency grid merely *overlaps* an earlier one reuses
 //! every shared point and computes only the set difference. A scenario
-//! whose pieces are all cached never builds its execution graph at all.
+//! whose pieces are all cached never builds its execution graph at all,
+//! and scenarios whose graphs read the same inputs (a
+//! [`GraphKey`]) share one build per campaign.
 
 pub mod cache;
 pub mod campaign;
 pub mod executor;
+mod graphs;
 pub mod metrics;
 pub mod scenario;
 pub mod spec;
@@ -59,7 +62,8 @@ pub use campaign::{
 pub use executor::{run_jobs, ExecutorConfig, JobStatus};
 pub use metrics::{metrics_value, render_metrics};
 pub use scenario::{
-    expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
+    expand, AxisPointResult, AxisPointValue, GraphKey, PointResult, Scenario, ScenarioOutcome,
+    ZonesResult,
 };
 pub use spec::{
     parse_backend, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset, ParamsSpec, SpecError,

@@ -35,6 +35,7 @@ pub fn metrics_value(summary: &RunSummary, obs: &Summary) -> Value {
                     int(summary.full_cache_hits as u64),
                 ),
                 ("jobs_executed".into(), int(summary.jobs_executed as u64)),
+                ("graph_builds".into(), int(summary.graph_builds as u64)),
                 ("cache_hits".into(), int(summary.cache_hits)),
                 ("cache_misses".into(), int(summary.cache_misses)),
                 ("threads".into(), int(summary.threads as u64)),
@@ -271,12 +272,14 @@ pub fn render_metrics(doc: &Value) -> String {
         };
         out.push_str(&format!(
             "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
+             graphs: {} built\n\
              cache: {hits} hits, {misses} misses ({rate:.1}% hit rate)\n\
              threads: {}, elapsed: {:.3}s\n",
             u("jobs_requested"),
             u("jobs_unique"),
             u("full_cache_hits"),
             u("jobs_executed"),
+            u("graph_builds"),
             u("threads"),
             run.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
         ));
@@ -318,6 +321,7 @@ mod tests {
             jobs_unique: 3,
             full_cache_hits: 1,
             jobs_executed: 2,
+            graph_builds: 1,
             cache_hits: 5,
             cache_misses: 15,
             threads: 2,
@@ -363,6 +367,16 @@ mod tests {
         let replayed = crate::value::parse_json(&doc.to_json_pretty()).unwrap();
         assert_eq!(live, render_metrics(&replayed));
         assert!(live.contains("scenarios: 4 requested"));
+        assert_eq!(
+            doc.get("run").and_then(|r| r.get("graph_builds")),
+            Some(&Value::Int(1))
+        );
+        assert!(live.contains("graphs: 1 built"));
+        assert_eq!(
+            summary().render().lines().nth(1),
+            Some("graphs: 1 built"),
+            "the plain summary shows the same line"
+        );
         assert!(live.contains("lp solver totals"));
         assert!(live.contains("cache.pt.hit"));
         assert!(live.contains("lp.point_ns"));

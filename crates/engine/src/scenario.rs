@@ -11,11 +11,14 @@ use crate::spec::{
 };
 use crate::value::Value;
 use llamp_core::{
-    Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, SolveError, SolveStats, SweepParam,
+    Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, ReducedGraph, SolveError, SolveStats,
+    SweepParam,
 };
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{graph_of_programs, GraphConfig};
 use llamp_topo::{Dragonfly, FatTree};
+use llamp_workloads::App;
+use std::sync::Arc;
 
 /// One job: the atomic unit of campaign execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +40,71 @@ pub struct Scenario {
     /// of the base canonical key: reduced and unreduced answers agree
     /// only to numerical tolerance and must never share cache entries.
     pub reduce: bool,
+}
+
+/// Everything a scenario's graph build reads, and nothing else: the
+/// application skeleton at its scale, the rendezvous threshold it is
+/// compiled at, and whether the reduction pipeline runs. Topology,
+/// latency, overhead and backend are absent on purpose: costs stay
+/// symbolic in `L`, `G` and `o` until a binding applies them, so every
+/// scenario with an equal key can analyse one shared build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GraphKey {
+    /// Application skeleton.
+    pub app: App,
+    /// MPI rank count.
+    pub ranks: u32,
+    /// Outer iterations of the proxy's main loop.
+    pub iters: u32,
+    /// Rendezvous threshold `S` (bytes) the graph is compiled at;
+    /// `u64::MAX` keeps every message eager.
+    pub rndv_threshold: u64,
+    /// Whether the reduction pipeline runs.
+    pub reduce: bool,
+}
+
+impl GraphKey {
+    /// Canonical form (`lulesh,r8,i2,rndv262144|r1`), as reported on the
+    /// `scenario.build` span.
+    pub fn canonical(&self) -> String {
+        let rndv = match self.rndv_threshold {
+            u64::MAX => "eager".to_string(),
+            s => format!("rndv{s}"),
+        };
+        format!(
+            "{},r{},i{},{rndv}|r{}",
+            self.app.name().to_ascii_lowercase(),
+            self.ranks,
+            self.iters,
+            u8::from(self.reduce)
+        )
+    }
+
+    /// Build the graph: replay the application's trace, compile it at the
+    /// rendezvous threshold and run the reduction pipeline when `reduce`
+    /// is on. The build reads nothing but the key, so equal keys give the
+    /// same graph. `scenarios` (how many scenarios share this build) is
+    /// recorded on the span only.
+    pub fn build(&self, scenarios: usize) -> Result<ReducedGraph, String> {
+        let g = llamp_obs::span("scenario.build");
+        if llamp_obs::is_enabled() {
+            g.field_str("graph", &self.canonical());
+            g.field_u64("scenarios", scenarios as u64);
+        }
+        let set = self.app.programs(self.ranks, self.iters as usize);
+        let cfg = GraphConfig {
+            rndv_threshold: self.rndv_threshold,
+            ..GraphConfig::paper()
+        };
+        let graph =
+            graph_of_programs(&set, &cfg).map_err(|e| format!("graph build failed: {e}"))?;
+        let reduce = if self.reduce {
+            ReduceConfig::default()
+        } else {
+            ReduceConfig::none()
+        };
+        Ok(graph.reduced(&reduce))
+    }
 }
 
 /// One sweep sample of a scenario result.
@@ -243,40 +311,37 @@ impl Scenario {
         p
     }
 
-    /// Build the analyzer (graph construction + binding + the reduction
-    /// pipeline when `reduce` is on). This is the expensive part of a
-    /// job; the campaign runner skips it entirely when every grid point
-    /// is already cached.
-    pub fn build_analyzer(&self) -> Result<Analyzer, String> {
-        let g = llamp_obs::span("scenario.build");
-        if llamp_obs::is_enabled() {
-            g.field_str("workload", &self.workload.canonical());
-            g.field_str("backend", self.backend.name());
+    /// The key of the graph this scenario analyses: its workload's
+    /// application, ranks and iterations, the rendezvous threshold of
+    /// its [effective parameters](Scenario::effective_params), and
+    /// whether reduction runs.
+    pub fn graph_key(&self) -> GraphKey {
+        GraphKey {
+            app: self.workload.app,
+            ranks: self.workload.ranks,
+            iters: self.workload.iters,
+            rndv_threshold: self.effective_params().s,
+            reduce: self.reduce,
         }
-        let set = self
-            .workload
-            .app
-            .programs(self.workload.ranks, self.workload.iters as usize);
-        let graph = graph_of_programs(&set, &GraphConfig::paper())
-            .map_err(|e| format!("graph build failed: {e}"))?;
+    }
+
+    /// Bind this scenario's topology and LogGPS parameters to a graph
+    /// built from its [`Scenario::graph_key`].
+    pub fn analyzer_on(&self, graph: Arc<ReducedGraph>) -> Analyzer {
         let params = self.effective_params();
         let placement: Vec<u32> = (0..self.workload.ranks).collect();
-        let cfg = if self.reduce {
-            ReduceConfig::default()
-        } else {
-            ReduceConfig::none()
-        };
-        Ok(match &self.topology {
-            TopologySpec::Uniform => Analyzer::new_with_config(&graph, &params, &cfg),
+        match &self.topology {
+            TopologySpec::Uniform => {
+                Analyzer::from_reduced(graph, Binding::uniform(&params), params.l)
+            }
             TopologySpec::FatTree {
                 k,
                 l_wire_ns,
                 d_switch_ns,
-            } => Analyzer::with_binding_config(
-                &graph,
+            } => Analyzer::from_reduced(
+                graph,
                 Binding::wire(&params, &FatTree::new(*k), &placement, *d_switch_ns),
                 *l_wire_ns,
-                &cfg,
             ),
             TopologySpec::Dragonfly {
                 groups,
@@ -284,8 +349,8 @@ impl Scenario {
                 hosts,
                 l_wire_ns,
                 d_switch_ns,
-            } => Analyzer::with_binding_config(
-                &graph,
+            } => Analyzer::from_reduced(
+                graph,
                 Binding::wire(
                     &params,
                     &Dragonfly::new(*groups, *routers, *hosts),
@@ -293,9 +358,17 @@ impl Scenario {
                     *d_switch_ns,
                 ),
                 *l_wire_ns,
-                &cfg,
             ),
-        })
+        }
+    }
+
+    /// Build the analyzer on a graph of its own: [`GraphKey::build`],
+    /// then [`Scenario::analyzer_on`]. A campaign builds each distinct
+    /// key once and binds every sharer to it instead; this is the
+    /// unshared path, which answers the same bits.
+    pub fn build_analyzer(&self) -> Result<Analyzer, String> {
+        let graph = self.graph_key().build(1)?;
+        Ok(self.analyzer_on(Arc::new(graph)))
     }
 
     /// Answer the scenario's missing pieces with its backend.

@@ -676,16 +676,19 @@ impl TopologySpec {
 }
 
 impl ParamsSpec {
-    /// Canonical fragment.
+    /// Canonical fragment. An `s_bytes` override renders as
+    /// `rndv{bytes}`, not the `s{bytes}` of engines that ignored it and
+    /// compiled at the preset's threshold, so their entries never answer
+    /// for an honoured override; without one it stays `s-`.
     pub fn canonical(&self) -> String {
         format!(
-            "{},l{},o{},s{}",
+            "{},l{},o{},{}",
             self.preset.name(),
             self.l_ns.map(f).unwrap_or_else(|| "-".into()),
             self.o_ns.map(f).unwrap_or_else(|| "-".into()),
             self.s_bytes
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "-".into())
+                .map(|s| format!("rndv{s}"))
+                .unwrap_or_else(|| "s-".into())
         )
     }
 

@@ -6,7 +6,9 @@
 //! cache-key decisions: entries keyed by the retired `lp-sparse`
 //! spelling never answer an `lp` run, and LP zone entries written before
 //! the Newton zone walk (untagged keys) miss while the LP points and the
-//! `parametric`/`eval` zones beside them keep hitting.
+//! `parametric`/`eval` zones beside them keep hitting. And entries keyed
+//! by an `s_bytes` override from engines that ignored it miss, while
+//! scenarios without an override keep hitting.
 //!
 //! Obs state is process-global; every test serializes through a session
 //! lock (this binary is its own process).
@@ -331,4 +333,78 @@ iters = 1
     assert_eq!(get(&counters, "cache.apt.miss"), 0);
     assert_eq!(get(&counters, "cache.mzones.miss"), 1);
     assert_eq!(get(&counters, "cache.mzones.hit"), 0);
+}
+
+#[test]
+fn ignored_s_bytes_override_entries_miss_and_default_entries_hit() {
+    // Engines before the rendezvous-threshold override was honoured
+    // compiled every graph at the preset's 256 KiB and keyed an override
+    // `…,s{bytes}|…`. Those answers belong to another threshold, so the
+    // override's fragment is now `rndv{bytes}` and each such entry
+    // misses; without an override the fragment stays `s-` and hits.
+    let _guard = session_lock().lock().unwrap();
+    let spec = CampaignSpec::parse(
+        r#"
+name = "rndv-keys"
+backends = ["parametric"]
+[grid]
+deltas_ns = [0.0, 20000.0, 40000.0]
+search_hi_ns = 1000000.0
+[[workloads]]
+app = "cloverleaf"
+ranks = 4
+iters = 1
+[[params]]
+preset = "cscs"
+[[params]]
+preset = "cscs"
+s_bytes = 1024
+"#,
+        "rndv.toml",
+    )
+    .unwrap();
+    let (fresh, _) = run_campaign(&spec, &config(), &ResultCache::new());
+
+    let old = ResultCache::new();
+    for sr in &fresh.scenarios {
+        let base = sr
+            .scenario
+            .base_canonical()
+            .replace(",rndv1024|", ",s1024|");
+        let outcome = sr.outcome.as_ref().unwrap();
+        for p in &outcome.sweep {
+            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
+        }
+        old.put(
+            zones_key(&base, spec.grid.search_hi_ns, ""),
+            CachedEntry::Zones(outcome.zones),
+        );
+    }
+    let loaded = through_disk(&old, "rndv-keys");
+    assert_eq!(
+        loaded.len(),
+        2 * (3 + 1),
+        "every old entry survives the load"
+    );
+
+    llamp_obs::enable();
+    let (result, summary) = run_campaign(&spec, &config(), &loaded);
+    let counters = llamp_obs::take().counters;
+    llamp_obs::disable();
+    assert_eq!(result.to_json(), fresh.to_json());
+    let provenance: Vec<(Option<u64>, Provenance)> = (result.scenarios.iter())
+        .zip(&summary.provenance)
+        .map(|(sr, p)| (sr.scenario.params.s_bytes, *p))
+        .collect();
+    assert_eq!(
+        provenance,
+        vec![
+            (Some(1024), Provenance::Computed),
+            (None, Provenance::FullCacheHit)
+        ]
+    );
+    assert_eq!(get(&counters, "cache.pt.miss"), 3);
+    assert_eq!(get(&counters, "cache.zones.miss"), 1);
+    assert_eq!(get(&counters, "cache.pt.hit"), 3);
+    assert_eq!(get(&counters, "cache.zones.hit"), 1);
 }

@@ -1,11 +1,12 @@
 //! Integration tests for the campaign subsystem: spec round-trips, cache
 //! semantics across runs, thread-count determinism, the LP backend's
-//! alias spellings, and its one start rule (every point from its own
-//! longest-path crash basis).
+//! alias spellings, its one start rule (every point from its own
+//! longest-path crash basis), one graph build per graph key, and the
+//! rendezvous-threshold override.
 
 use llamp_engine::{
-    expand, parse_backend, run_campaign, Backend, CampaignSpec, ExecutorConfig, Provenance,
-    ResultCache,
+    expand, parse_backend, run_campaign, Backend, CampaignResult, CampaignSpec, ExecutorConfig,
+    PointResult, Provenance, ResultCache, ZonesResult,
 };
 
 const SPEC: &str = r#"
@@ -664,4 +665,182 @@ fn reduction_keeps_double_run_byte_identity() {
     let (r1, _) = run_campaign(&s, &config(1), &ResultCache::new());
     let (r2, _) = run_campaign(&s, &config(4), &ResultCache::new());
     assert_eq!(r1.to_json(), r2.to_json());
+}
+
+/// Bit patterns of a sweep and its zones, for bit-for-bit comparisons.
+fn bits(sweep: &[PointResult], zones: &ZonesResult) -> Vec<u64> {
+    let mut out: Vec<u64> = sweep
+        .iter()
+        .flat_map(|p| [p.delta_l_ns, p.runtime_ns, p.lambda, p.rho])
+        .map(f64::to_bits)
+        .collect();
+    out.extend(
+        [
+            zones.baseline_runtime_ns,
+            zones.pct1_ns,
+            zones.pct2_ns,
+            zones.pct5_ns,
+        ]
+        .map(f64::to_bits),
+    );
+    out
+}
+
+/// Every scenario's outcome, bit for bit, against `compute` on the
+/// scenario's own `build_analyzer()` (a graph it shares with no one).
+fn assert_matches_unshared_path(result: &CampaignResult) {
+    for sr in &result.scenarios {
+        let sc = &sr.scenario;
+        let analyzer = sc.build_analyzer().unwrap();
+        let (sweep, zones, _) = sc.compute(&analyzer, &sc.grid.deltas_ns, true).unwrap();
+        let outcome = sr.outcome.as_ref().unwrap();
+        assert_eq!(
+            bits(&outcome.sweep, &outcome.zones),
+            bits(&sweep, &zones.unwrap()),
+            "{}: the shared graph must answer what an own build answers",
+            sc.base_canonical()
+        );
+    }
+}
+
+const SHARED_SPEC: &str = r#"
+name = "shared-graph"
+backends = ["parametric", "eval", "lp"]
+
+[grid]
+deltas_ns = [0.0, 20000.0, 40000.0]
+search_hi_ns = 1000000.0
+
+[[workloads]]
+app = "milc"
+ranks = 4
+iters = 1
+
+[[workloads]]
+app = "milc"
+ranks = 4
+iters = 1
+o_ns = 3000.0
+
+[[topologies]]
+kind = "uniform"
+
+[[topologies]]
+kind = "fattree"
+k = 4
+"#;
+
+#[test]
+fn scenarios_with_one_graph_key_share_one_build() {
+    // One workload listed twice, differing only in `o` (a binding input,
+    // not a graph input), on two topologies by three backends: twelve
+    // scenarios, one graph key, one build.
+    let spec = CampaignSpec::parse(SHARED_SPEC, "shared.toml").unwrap();
+    let cache = ResultCache::new();
+    let (r1, s1) = run_campaign(&spec, &config(1), &cache);
+    assert_eq!(s1.jobs_executed, 12);
+    let key = r1.scenarios[0].scenario.graph_key();
+    assert!(r1.scenarios.iter().all(|sr| sr.scenario.graph_key() == key));
+    assert_eq!(s1.graph_builds, 1);
+    // The reduction totals count the one graph once.
+    let own = r1.scenarios[0].scenario.build_analyzer().unwrap();
+    assert_eq!(s1.reduction, *own.reduction_stats());
+
+    let (r4, s4) = run_campaign(&spec, &config(4), &ResultCache::new());
+    assert_eq!(s4.graph_builds, 1, "concurrent sharers wait, never rebuild");
+    assert_eq!(r1.to_json(), r4.to_json());
+    assert_matches_unshared_path(&r1);
+
+    // A fully cached rerun builds nothing.
+    let (again, s_again) = run_campaign(&spec, &config(1), &cache);
+    assert_eq!(s_again.full_cache_hits, 12);
+    assert_eq!(s_again.graph_builds, 0);
+    assert!(s_again.reduction.is_empty());
+    assert_eq!(r1.to_json(), again.to_json());
+
+    // The `reduce = false` twin has its own key: it builds its own raw
+    // graph (no reduction counters) against the same cache, never the
+    // reduced one.
+    let mut raw = spec.clone();
+    raw.reduce = false;
+    let (r_raw, s_raw) = run_campaign(&raw, &config(4), &cache);
+    assert!(r_raw
+        .scenarios
+        .iter()
+        .all(|sr| sr.scenario.graph_key() == raw_key(key)));
+    assert_eq!(s_raw.full_cache_hits, 0);
+    assert_eq!(s_raw.graph_builds, 1);
+    assert!(s_raw.reduction.is_empty());
+    assert_matches_unshared_path(&r_raw);
+}
+
+fn raw_key(mut key: llamp_engine::GraphKey) -> llamp_engine::GraphKey {
+    key.reduce = false;
+    key
+}
+
+#[test]
+fn s_bytes_override_compiles_at_its_threshold() {
+    // `s_bytes = 1` puts every MILC message through the rendezvous
+    // handshake: a larger graph of its own, and slower runtimes than the
+    // preset's 256 KiB threshold, which no bundled message reaches.
+    let spec = CampaignSpec::parse(
+        r#"
+name = "rndv"
+backends = ["parametric"]
+[grid]
+deltas_ns = [0.0, 20000.0, 40000.0]
+search_hi_ns = 1000000.0
+[[workloads]]
+app = "milc"
+ranks = 8
+iters = 2
+[[params]]
+preset = "cscs"
+[[params]]
+preset = "cscs"
+s_bytes = 1
+"#,
+        "rndv.toml",
+    )
+    .unwrap();
+    let (result, summary) = run_campaign(&spec, &config(1), &ResultCache::new());
+    assert_eq!(summary.graph_builds, 2, "two thresholds, two graphs");
+    let find = |s_bytes: Option<u64>| {
+        result
+            .scenarios
+            .iter()
+            .find(|sr| sr.scenario.params.s_bytes == s_bytes)
+            .unwrap()
+    };
+    let (paper, rndv) = (find(None), find(Some(1)));
+    assert_eq!(paper.scenario.graph_key().rndv_threshold, 256 * 1024);
+    assert_eq!(rndv.scenario.graph_key().rndv_threshold, 1);
+    let vertices = |sr: &llamp_engine::ScenarioResult| {
+        sr.scenario
+            .graph_key()
+            .build(1)
+            .unwrap()
+            .stats()
+            .vertices_before
+    };
+    assert!(
+        vertices(rndv) > vertices(paper),
+        "rendezvous adds handshake vertices: {} vs {}",
+        vertices(rndv),
+        vertices(paper)
+    );
+    let (a, b) = (
+        paper.outcome.as_ref().unwrap(),
+        rndv.outcome.as_ref().unwrap(),
+    );
+    for (p, r) in a.sweep.iter().zip(&b.sweep) {
+        assert!(
+            r.runtime_ns > p.runtime_ns,
+            "at ∆L={}: rendezvous {} vs eager {}",
+            p.delta_l_ns,
+            r.runtime_ns,
+            p.runtime_ns
+        );
+    }
 }

@@ -41,7 +41,7 @@ use llamp_trace::ProgramSet;
 
 /// A named workload standard configuration, as used by the benchmark
 /// harnesses to sweep "all applications".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum App {
     /// LULESH 2.0 proxy.
     Lulesh,

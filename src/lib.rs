@@ -48,12 +48,14 @@
 //! );
 //! // 9 grid points + 1 tolerance-zone triple per scenario.
 //! assert_eq!((s1.cache_hits, s1.cache_misses), (0, 80));
+//! // One graph per workload, shared by its topology × backend scenarios.
+//! assert_eq!(s1.graph_builds, 2);
 //!
 //! // Same campaign against the warm cache: every scenario assembles from
 //! // the store and the results JSON is byte-identical.
 //! let (second, s2) = run_campaign(&spec, &ExecutorConfig::default(), &cache);
 //! assert_eq!(s2.full_cache_hits, 8);
-//! assert_eq!((s2.cache_misses, s2.jobs_executed), (0, 0));
+//! assert_eq!((s2.cache_misses, s2.jobs_executed, s2.graph_builds), (0, 0, 0));
 //! assert_eq!(first.to_json(), second.to_json());
 //! ```
 

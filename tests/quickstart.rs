@@ -1,6 +1,7 @@
 //! The README quickstart transcript, held truthful by execution: the
 //! deterministic lines of the printed run summary (scenario counts,
-//! cache hits/misses, campaign fingerprint) are extracted from README.md
+//! graph builds, cache hits/misses, campaign fingerprint) are extracted
+//! from README.md
 //! and compared against a real run of `examples/campaign.toml`. If the
 //! example campaign or the engine's accounting changes, this test fails
 //! until the README transcript is regenerated.
@@ -44,20 +45,19 @@ fn readme_quickstart_transcript_matches_a_real_run() {
     let (result, summary) = run_campaign(&spec, &ExecutorConfig::default(), &cache);
     assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
 
-    // summary.render() = "scenarios: …\ncache: …\nthreads: …"; the first
-    // two lines are deterministic and must appear verbatim in the README.
+    // summary.render() = "scenarios: …\ngraphs: …\ncache: …\nthreads: …";
+    // the first three lines are deterministic and must appear verbatim in
+    // the README.
     let rendered = summary.render();
-    let mut lines = rendered.lines();
-    let scenarios_line = lines.next().unwrap();
-    let cache_line = lines.next().unwrap();
-    assert_eq!(
-        readme_line("scenarios:"),
-        scenarios_line,
-        "README 'scenarios:' transcript line is stale"
-    );
-    assert_eq!(
-        readme_line("cache:"),
-        cache_line,
-        "README 'cache:' transcript line is stale"
-    );
+    for (line, prefix) in rendered.lines().zip(["scenarios:", "graphs:", "cache:"]) {
+        assert!(
+            line.starts_with(prefix),
+            "summary line order changed: {line}"
+        );
+        assert_eq!(
+            readme_line(prefix),
+            line,
+            "README '{prefix}' transcript line is stale"
+        );
+    }
 }

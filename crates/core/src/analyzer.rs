@@ -58,8 +58,10 @@ impl Analyzer {
     /// Build from a graph and LogGPS parameters (uniform latency model).
     /// The graph runs through the full makespan-preserving reduction
     /// pipeline — the analysis-level presolve — so construction cost is
-    /// paid once; results are provenance-mapped back to the original
-    /// graph (see [`Analyzer::lift_path`]).
+    /// paid once. Answers refer to the reduced graph; to map a reduced
+    /// critical path back to original vertices, reduce with
+    /// [`llamp_schedgen::reduce_with_provenance`] and lift it with
+    /// [`llamp_schedgen::Provenance::lift_path`].
     pub fn new(graph: &ExecGraph, params: &LogGPSParams) -> Self {
         Self::with_binding(graph, Binding::uniform(params), params.l)
     }
@@ -76,8 +78,8 @@ impl Analyzer {
     /// only merges and reassociates the symbolic cost expressions, never
     /// evaluates them, so a graph reduced once can be shared by every
     /// binding of it with the same answers as reducing per binding. The
-    /// raw graph is analysed by passing it reduced with
-    /// [`ReduceConfig::none`].
+    /// raw graph is analysed by passing it as
+    /// [`ReducedGraph::identity`].
     pub fn from_reduced(graph: Arc<ReducedGraph>, binding: Binding, base_l: f64) -> Self {
         Self {
             graph,
@@ -91,7 +93,7 @@ impl Analyzer {
         self.graph.graph()
     }
 
-    /// The reduction IR, including the provenance map and pass stats.
+    /// The reduction IR: the reduced graph and its pass stats.
     pub fn reduction(&self) -> &ReducedGraph {
         &self.graph
     }
@@ -99,12 +101,6 @@ impl Analyzer {
     /// What the reduction pipeline did to this analyzer's graph.
     pub fn reduction_stats(&self) -> &ReductionStats {
         self.graph.stats()
-    }
-
-    /// Lift a critical path reported against the reduced graph (e.g.
-    /// [`Evaluation::critical_path`]) back to original-graph vertex ids.
-    pub fn lift_path(&self, path: &[u32]) -> Vec<u32> {
-        self.graph.lift_path(path)
     }
 
     /// The active binding.

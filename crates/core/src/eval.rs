@@ -237,8 +237,8 @@ impl PairSensitivities {
 /// Walk the critical path of an evaluation and accumulate the pairwise
 /// sensitivity matrices. Works on any [`GraphView`]; to attribute a
 /// *reduced* graph's critical path to original-graph entities instead,
-/// lift it first (`ReducedGraph::lift_path`) and accumulate on the raw
-/// graph.
+/// reduce with `reduce_with_provenance`, lift the path with
+/// `Provenance::lift_path` and accumulate on the raw graph.
 pub fn pair_sensitivities<V: GraphView + ?Sized>(g: &V, eval: &Evaluation) -> PairSensitivities {
     let p = g.nranks();
     let mut lambda = vec![0.0; (p * p) as usize];

@@ -98,12 +98,11 @@ impl GraphKey {
         };
         let graph =
             graph_of_programs(&set, &cfg).map_err(|e| format!("graph build failed: {e}"))?;
-        let reduce = if self.reduce {
-            ReduceConfig::default()
+        Ok(if self.reduce {
+            graph.reduced(&ReduceConfig::default())
         } else {
-            ReduceConfig::none()
-        };
-        Ok(graph.reduced(&reduce))
+            ReducedGraph::identity(graph)
+        })
     }
 }
 

@@ -237,7 +237,8 @@ impl ExecGraph {
     ///
     /// This is the chains-only configuration of the full reduction
     /// pipeline (see [`crate::reduce`](mod@crate::reduce)); use [`ExecGraph::reduced`] for
-    /// the row-shrinking fold/redundancy passes plus provenance.
+    /// the row-shrinking fold/redundancy passes, and
+    /// [`crate::reduce::reduce_with_provenance`] for the provenance map.
     ///
     /// The contracted graph is meant for *analysis*; `Send`/`Recv`
     /// semantics survive only for unmerged vertices, so don't feed it to

@@ -15,7 +15,8 @@
 //! * [`build`] — the trace compiler ([`build::build_graph`]).
 //! * [`goal`] — GOAL-dialect writer/parser.
 //! * [`reduce`](mod@reduce) — the makespan-preserving reduction pipeline
-//!   ([`reduce::ReducedGraph`] with provenance lift-back).
+//!   ([`reduce::ReducedGraph`]; [`reduce::reduce_with_provenance`] adds
+//!   the provenance lift-back).
 //! * [`view`] — the [`view::GraphView`] lowering trait every analysis
 //!   builder consumes (implemented by raw and reduced graphs alike).
 
@@ -33,7 +34,9 @@ pub use collectives::{
     ReduceAlgo,
 };
 pub use graph::{CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, Vertex, VertexKind};
-pub use reduce::{reduce, ReduceConfig, ReducedGraph, ReductionStats};
+pub use reduce::{
+    reduce, reduce_with_provenance, Provenance, ReduceConfig, ReducedGraph, ReductionStats,
+};
 pub use view::{alg1_row_count, GraphView};
 
 use llamp_trace::{ProgramSet, TracerConfig};

@@ -27,11 +27,16 @@
 //!   zero-cost `Local` edges with an alternative path (bounded DFS) are
 //!   transitively redundant.
 //!
-//! The pipeline carries a full **provenance map**: every reduced vertex
-//! remembers the ordered original vertices it absorbed, every reduced
-//! edge the original vertices folded into it, so critical paths (and with
-//! them `λ` attributions, `ρ` shares and critical-latency certificates)
-//! lift back to original graph entities via [`ReducedGraph::lift_path`].
+//! [`reduce`] computes only the reduced graph and its counters. Where
+//! each reduced entity came from is a second product, [`Provenance`],
+//! that only [`reduce_with_provenance`] pays for: it runs the same
+//! passes while recording, for every reduced vertex, the ordered
+//! original vertices it absorbed and, for every reduced edge, the
+//! original vertices folded into it, so critical paths (and with them
+//! `λ` attributions, `ρ` shares and critical-latency certificates) lift
+//! back to original graph entities via [`Provenance::lift_path`]. No
+//! reduction decision reads the record, so both entry points return the
+//! same graph.
 //!
 //! The reduced graph is for *analysis*: like [`ExecGraph::contracted`]
 //! (now a thin wrapper over the chains-only pipeline), `Send`/`Recv`
@@ -85,7 +90,9 @@ impl Default for ReduceConfig {
 
 impl ReduceConfig {
     /// No reduction at all: [`reduce()`] returns the identity
-    /// [`ReducedGraph`] (the raw graph with trivial provenance).
+    /// [`ReducedGraph`] (a copy of the raw graph; [`reduce_with_provenance`]
+    /// pairs it with trivial provenance). To wrap a graph you own without
+    /// copying it, use [`ReducedGraph::identity`].
     pub fn none() -> Self {
         Self {
             chains: false,
@@ -198,58 +205,32 @@ impl ReductionStats {
     }
 }
 
-/// The reduced IR: a smaller [`ExecGraph`] plus the provenance map that
-/// lifts analysis results back to original graph entities. Implements
-/// [`GraphView`], so every analysis builder consumes it exactly like a
-/// raw graph.
+/// The reduced IR: a smaller [`ExecGraph`] plus what the pipeline did to
+/// get there. Implements [`GraphView`], so every analysis builder
+/// consumes it exactly like a raw graph. Where its entities came from is
+/// not part of it: see [`reduce_with_provenance`].
 #[derive(Debug, Clone)]
 pub struct ReducedGraph {
     graph: ExecGraph,
-    /// CSR: reduced vertex → ordered original member ids (head first).
-    member_start: Vec<u32>,
-    member_ids: Vec<u32>,
-    /// Flat slot offsets: `pred_offset[v] + i` indexes the via list of
-    /// `graph.preds(v)[i]`.
-    pred_offset: Vec<u32>,
-    /// CSR over pred slots: original vertices folded into each edge,
-    /// ordered source-side → target-side.
-    via_start: Vec<u32>,
-    via_ids: Vec<u32>,
-    /// Original vertex → the reduced vertex it is accounted under.
-    home: Vec<u32>,
     stats: ReductionStats,
 }
 
 impl ReducedGraph {
-    /// The identity reduction: the raw graph, trivial provenance, zeroed
-    /// pass counters (sizes recorded unchanged).
-    pub fn identity(g: &ExecGraph) -> Self {
-        let n = g.num_vertices();
-        let mut pred_offset = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        pred_offset.push(0);
-        for v in 0..n as u32 {
-            acc += g.preds(v).len() as u32;
-            pred_offset.push(acc);
-        }
-        let rows = alg1_row_count(g);
+    /// The identity reduction: `g` itself, zeroed pass counters (sizes
+    /// recorded unchanged).
+    pub fn identity(g: ExecGraph) -> Self {
+        let rows = alg1_row_count(&g);
         Self {
-            member_start: (0..=n as u32).collect(),
-            member_ids: (0..n as u32).collect(),
-            pred_offset,
-            via_start: vec![0; acc as usize + 1],
-            via_ids: Vec::new(),
-            home: (0..n as u32).collect(),
             stats: ReductionStats {
-                vertices_before: n as u64,
-                vertices_after: n as u64,
+                vertices_before: g.num_vertices() as u64,
+                vertices_after: g.num_vertices() as u64,
                 edges_before: g.num_edges() as u64,
                 edges_after: g.num_edges() as u64,
                 rows_before: rows,
                 rows_after: rows,
                 ..ReductionStats::default()
             },
-            graph: g.clone(),
+            graph: g,
         }
     }
 
@@ -258,7 +239,7 @@ impl ReducedGraph {
         &self.graph
     }
 
-    /// Discard the provenance, keeping only the reduced graph.
+    /// Discard the pass counters, keeping only the reduced graph.
     pub fn into_graph(self) -> ExecGraph {
         self.graph
     }
@@ -266,59 +247,6 @@ impl ReducedGraph {
     /// What the pipeline did.
     pub fn stats(&self) -> &ReductionStats {
         &self.stats
-    }
-
-    /// Ordered original member vertices of a reduced vertex (head first;
-    /// always non-empty).
-    pub fn members(&self, v: u32) -> &[u32] {
-        let s = self.member_start[v as usize] as usize;
-        let e = self.member_start[v as usize + 1] as usize;
-        &self.member_ids[s..e]
-    }
-
-    /// The original vertex a reduced vertex stands for (its chain head).
-    pub fn lift_vertex(&self, v: u32) -> u32 {
-        self.members(v)[0]
-    }
-
-    /// The reduced vertex an *original* vertex is accounted under —
-    /// the inverse of [`ReducedGraph::members`] /
-    /// [`ReducedGraph::edge_via`] (vertices folded into an edge map to
-    /// the edge's target).
-    pub fn home_of(&self, orig: u32) -> u32 {
-        self.home[orig as usize]
-    }
-
-    /// Original vertices folded into the `i`-th predecessor edge of `v`
-    /// (ordered from the source side to `v`).
-    pub fn edge_via(&self, v: u32, i: usize) -> &[u32] {
-        let slot = self.pred_offset[v as usize] as usize + i;
-        let s = self.via_start[slot] as usize;
-        let e = self.via_start[slot + 1] as usize;
-        &self.via_ids[s..e]
-    }
-
-    /// Lift a path of reduced vertices (e.g. a critical path reported by
-    /// the evaluator) back to a path of **original** vertices: member
-    /// chains are expanded in order and the original vertices folded into
-    /// each traversed edge are spliced between them. Consecutive lifted
-    /// vertices are connected in the original graph.
-    pub fn lift_path(&self, path: &[u32]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (i, &v) in path.iter().enumerate() {
-            if i > 0 {
-                let prev = path[i - 1];
-                let idx = self
-                    .graph
-                    .preds(v)
-                    .iter()
-                    .position(|e| e.other == prev)
-                    .expect("lift_path follows reduced edges");
-                out.extend_from_slice(self.edge_via(v, idx));
-            }
-            out.extend_from_slice(self.members(v));
-        }
-        out
     }
 }
 
@@ -348,6 +276,105 @@ impl GraphView for ReducedGraph {
     }
 }
 
+/// Where each entity of a [`ReducedGraph`] came from: the provenance
+/// map that lifts analysis results back to original graph entities.
+/// Only [`reduce_with_provenance`] builds one, paired with the reduced
+/// graph it describes.
+#[derive(Debug, Clone)]
+pub struct Provenance {
+    /// CSR: reduced vertex → ordered original member ids (head first).
+    member_start: Vec<u32>,
+    member_ids: Vec<u32>,
+    /// Flat slot offsets: `pred_offset[v] + i` indexes the via list of
+    /// the reduced graph's `preds(v)[i]`.
+    pred_offset: Vec<u32>,
+    /// CSR over pred slots: original vertices folded into each edge,
+    /// ordered source-side → target-side.
+    via_start: Vec<u32>,
+    via_ids: Vec<u32>,
+    /// Original vertex → the reduced vertex it is accounted under.
+    home: Vec<u32>,
+}
+
+impl Provenance {
+    /// Trivial provenance of the identity reduction of `g`.
+    fn identity(g: &ExecGraph) -> Self {
+        let n = g.num_vertices();
+        let mut pred_offset = Vec::with_capacity(n + 1);
+        let mut acc = 0u32;
+        pred_offset.push(0);
+        for v in 0..n as u32 {
+            acc += g.preds(v).len() as u32;
+            pred_offset.push(acc);
+        }
+        Self {
+            member_start: (0..=n as u32).collect(),
+            member_ids: (0..n as u32).collect(),
+            pred_offset,
+            via_start: vec![0; acc as usize + 1],
+            via_ids: Vec::new(),
+            home: (0..n as u32).collect(),
+        }
+    }
+
+    /// Ordered original member vertices of a reduced vertex (head first;
+    /// always non-empty).
+    pub fn members(&self, v: u32) -> &[u32] {
+        let s = self.member_start[v as usize] as usize;
+        let e = self.member_start[v as usize + 1] as usize;
+        &self.member_ids[s..e]
+    }
+
+    /// The original vertex a reduced vertex stands for (its chain head).
+    pub fn lift_vertex(&self, v: u32) -> u32 {
+        self.members(v)[0]
+    }
+
+    /// The reduced vertex an *original* vertex is accounted under —
+    /// the inverse of [`Provenance::members`] / [`Provenance::edge_via`]
+    /// (vertices folded into an edge map to the edge's target).
+    pub fn home_of(&self, orig: u32) -> u32 {
+        self.home[orig as usize]
+    }
+
+    /// Original vertices folded into the `i`-th predecessor edge of the
+    /// reduced vertex `v` (ordered from the source side to `v`).
+    pub fn edge_via(&self, v: u32, i: usize) -> &[u32] {
+        let slot = self.pred_offset[v as usize] as usize + i;
+        let s = self.via_start[slot] as usize;
+        let e = self.via_start[slot + 1] as usize;
+        &self.via_ids[s..e]
+    }
+
+    /// Lift a path of `reduced`'s vertices (e.g. a critical path reported
+    /// by the evaluator) back to a path of **original** vertices: member
+    /// chains are expanded in order and the original vertices folded into
+    /// each traversed edge are spliced between them. Consecutive lifted
+    /// vertices are connected in the original graph. `reduced` must be
+    /// the graph this provenance was recorded with.
+    pub fn lift_path(&self, reduced: &ReducedGraph, path: &[u32]) -> Vec<u32> {
+        assert_eq!(
+            self.member_start.len(),
+            reduced.num_vertices() + 1,
+            "provenance belongs to another reduction"
+        );
+        let mut out = Vec::new();
+        for (i, &v) in path.iter().enumerate() {
+            if i > 0 {
+                let prev = path[i - 1];
+                let idx = reduced
+                    .preds(v)
+                    .iter()
+                    .position(|e| e.other == prev)
+                    .expect("lift_path follows reduced edges");
+                out.extend_from_slice(self.edge_via(v, idx));
+            }
+            out.extend_from_slice(self.members(v));
+        }
+        out
+    }
+}
+
 impl ExecGraph {
     /// Run the reduction pipeline on this graph (see [`reduce()`]).
     pub fn reduced(&self, cfg: &ReduceConfig) -> ReducedGraph {
@@ -356,7 +383,7 @@ impl ExecGraph {
 }
 
 /// Run the configured reduction passes to a fixpoint (bounded by
-/// `cfg.max_rounds`) and package the result with its provenance map.
+/// `cfg.max_rounds`) and return the reduced graph with its counters.
 ///
 /// Graphs at or above `cfg.par_threshold` vertices (with more than one
 /// rank) take the **region-parallel** path: the graph is partitioned into
@@ -369,50 +396,61 @@ impl ExecGraph {
 /// bit-identical results.
 pub fn reduce(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     if cfg.is_identity() {
-        return ReducedGraph::identity(g);
+        return ReducedGraph::identity(g.clone());
     }
+    run(g, cfg, false).0
+}
+
+/// [`reduce()`] plus the [`Provenance`] of every reduced entity. The
+/// passes are the same, so the reduced graph and its counters equal
+/// [`reduce()`]'s; recording only adds the member and via bookkeeping.
+pub fn reduce_with_provenance(g: &ExecGraph, cfg: &ReduceConfig) -> (ReducedGraph, Provenance) {
+    if cfg.is_identity() {
+        return (ReducedGraph::identity(g.clone()), Provenance::identity(g));
+    }
+    let (reduced, provenance) = run(g, cfg, true);
+    (
+        reduced,
+        provenance.expect("a recording reduction returns its provenance"),
+    )
+}
+
+fn run(g: &ExecGraph, cfg: &ReduceConfig, record: bool) -> (ReducedGraph, Option<Provenance>) {
     let outer = llamp_obs::span("reduce");
-    let reduced = if g.num_vertices() >= cfg.par_threshold && g.nranks() > 1 {
-        reduce_partitioned(g, cfg)
+    let out = if g.num_vertices() >= cfg.par_threshold && g.nranks() > 1 {
+        reduce_partitioned(g, cfg, record)
     } else {
-        let mut r = Reducer::from_graph(g);
+        let mut r = Reducer::from_graph(g, record);
         r.stats.vertices_before = g.num_vertices() as u64;
         r.stats.edges_before = g.num_edges() as u64;
         r.stats.rows_before = alg1_row_count(g);
         run_rounds(&mut r, cfg);
-        r.finish(g.num_vertices(), Vec::new())
+        r.finish(g.num_vertices())
     };
     if llamp_obs::is_enabled() {
-        let s = reduced.stats();
+        let s = out.0.stats();
         outer.field_u64("vertices_before", s.vertices_before);
         outer.field_u64("vertices_after", s.vertices_after);
         outer.field_u64("rows_before", s.rows_before);
         outer.field_u64("rows_after", s.rows_after);
         outer.field_u64("rounds", s.rounds);
     }
-    reduced
+    out
 }
 
 /// The pass fixpoint shared by the whole-graph path, each rank-local
 /// region and the stitched finishing stage.
 fn run_rounds(r: &mut Reducer, cfg: &ReduceConfig) {
-    let dbg = std::env::var_os("LLAMP_PASS_DEBUG").is_some();
     for _ in 0..cfg.max_rounds {
         let mut changed = 0u64;
         if cfg.chains {
-            changed += dbg_pass(dbg, r, "chains", |r| {
-                traced_pass("reduce.chains", || r.pass_chains())
-            });
+            changed += traced_pass(r, "reduce.chains", Reducer::pass_chains);
         }
         if cfg.folds {
-            changed += dbg_pass(dbg, r, "folds", |r| {
-                traced_pass("reduce.folds", || r.pass_folds())
-            });
+            changed += traced_pass(r, "reduce.folds", Reducer::pass_folds);
         }
         if cfg.redundant {
-            changed += dbg_pass(dbg, r, "redundant", |r| {
-                traced_pass("reduce.redundant", || r.pass_redundant(cfg.dfs_cap))
-            });
+            changed += traced_pass(r, "reduce.redundant", |r| r.pass_redundant(cfg.dfs_cap));
         }
         r.stats.rounds += 1;
         if changed == 0 {
@@ -421,18 +459,18 @@ fn run_rounds(r: &mut Reducer, cfg: &ReduceConfig) {
     }
 }
 
-fn dbg_pass(dbg: bool, r: &mut Reducer, name: &str, f: impl FnOnce(&mut Reducer) -> u64) -> u64 {
-    if !dbg {
-        return f(r);
+/// Run one reduction pass under an obs span carrying the live arena
+/// size it started from and its change count. The sizes are counted
+/// only while recording telemetry.
+fn traced_pass(r: &mut Reducer, name: &'static str, pass: impl FnOnce(&mut Reducer) -> u64) -> u64 {
+    let g = llamp_obs::span(name);
+    if !llamp_obs::is_enabled() {
+        return pass(r);
     }
-    let n = r.valive.iter().filter(|&&a| a).count();
-    let e = r.edges.iter().filter(|e| e.alive).count();
-    let t = std::time::Instant::now();
-    let changed = f(r);
-    eprintln!(
-        "[pass] {name:10} n={n:8} e={e:8} changed={changed:8} {:8.1} ms",
-        t.elapsed().as_secs_f64() * 1e3
-    );
+    g.field_u64("vertices", r.valive.iter().filter(|&&a| a).count() as u64);
+    g.field_u64("edges", r.edges.iter().filter(|e| e.alive).count() as u64);
+    let changed = pass(r);
+    g.field_u64("changed", changed);
     changed
 }
 
@@ -452,7 +490,11 @@ fn dbg_pass(dbg: bool, r: &mut Reducer, name: &str, f: impl FnOnce(&mut Reducer)
 /// Every id assignment is order-fixed, and the finishing fixpoint plus
 /// [`Reducer::finish`] are serial. Bit-identical output at any thread
 /// count follows.
-fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
+fn reduce_partitioned(
+    g: &ExecGraph,
+    cfg: &ReduceConfig,
+    record: bool,
+) -> (ReducedGraph, Option<Provenance>) {
     let n = g.num_vertices();
     let nranks = g.nranks() as usize;
 
@@ -501,7 +543,8 @@ fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     let workers = threads.min(nranks).max(1);
     let mut outs: Vec<Option<RegionOut>> = (0..nranks).map(|_| None).collect();
     let reduce_region = |r: usize| {
-        let mut arena = Reducer::from_region(g, &region_verts[r], &local_of, &cross, &incident[r]);
+        let mut arena =
+            Reducer::from_region(g, &region_verts[r], &local_of, &cross, &incident[r], record);
         run_rounds(&mut arena, cfg);
         arena.into_region_out(incident[r].len())
     };
@@ -551,43 +594,27 @@ fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
         base.push(acc);
         acc += o.verts.len() as u32;
     }
-    let mut st = Reducer {
-        nranks: g.nranks(),
-        verts: Vec::with_capacity(n_surv),
-        valive: vec![true; n_surv],
+    let mut verts = Vec::with_capacity(n_surv);
+    let mut edges = Vec::with_capacity(e_surv);
+    let mut book = record.then(|| Book {
         members: Vec::with_capacity(n_surv),
         head: Vec::with_capacity(n_surv),
-        first_virtual: n_surv as u32,
-        edges: Vec::with_capacity(e_surv),
-        inc: vec![Vec::new(); n_surv],
-        out: vec![Vec::new(); n_surv],
-        stats,
-    };
-    // Region edges that died carrying provenance (redundant-eliminated
-    // after folds routed vertices through them) still owe those vertices
-    // a home: remember the dead edge's target by its original head id.
-    let mut dead_via: Vec<(u32, Vec<u32>)> = Vec::new();
-    let push_edge = |st: &mut Reducer, e: REdge| {
-        let id = st.edges.len() as u32;
-        st.inc[e.to as usize].push(id);
-        st.out[e.from as usize].push(id);
-        st.edges.push(e);
-    };
+        via: Vec::with_capacity(e_surv),
+        dead_via: Vec::new(),
+    });
     for (r, o) in outs.iter_mut().enumerate() {
         let b = base[r];
-        st.verts.append(&mut o.verts);
-        st.head.append(&mut o.head);
-        st.members.append(&mut o.members);
-        dead_via.append(&mut o.dead_via);
-        for e in o.edges.drain(..) {
-            push_edge(
-                &mut st,
-                REdge {
-                    from: e.from + b,
-                    to: e.to + b,
-                    ..e
-                },
-            );
+        verts.append(&mut o.verts);
+        edges.extend(o.edges.drain(..).map(|e| REdge {
+            from: e.from + b,
+            to: e.to + b,
+            ..e
+        }));
+        if let (Some(st), Some(ob)) = (&mut book, &mut o.book) {
+            st.members.append(&mut ob.members);
+            st.head.append(&mut ob.head);
+            st.via.append(&mut ob.via);
+            st.dead_via.append(&mut ob.dead_via);
         }
     }
     // Recombine each cross edge from its two halves: the source half's
@@ -597,34 +624,32 @@ fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     for (cid, &(gf, gt, kind, _)) in cross.iter().enumerate() {
         let sr = g.vertex(gf).rank as usize;
         let tr = g.vertex(gt).rank as usize;
-        let (sf, scost, mut via) = {
-            let h = &mut outs[sr].halves[src_pos[cid] as usize];
-            (h.0, h.1, std::mem::take(&mut h.2))
-        };
-        let (tt, tcost, tvia) = {
-            let h = &mut outs[tr].halves[dst_pos[cid] as usize];
-            (h.0, h.1, std::mem::take(&mut h.2))
-        };
-        via.extend(tvia);
+        let (sp, dp) = (src_pos[cid] as usize, dst_pos[cid] as usize);
+        let (sf, scost) = outs[sr].halves[sp];
+        let (tt, tcost) = outs[tr].halves[dp];
         debug_assert!(
             sf != u32::MAX && tt != u32::MAX,
             "cross-edge endpoint lost in region reduction"
         );
-        push_edge(
-            &mut st,
-            REdge {
-                from: sf + base[sr],
-                to: tt + base[tr],
-                kind,
-                cost: scost.add(&tcost),
-                via,
-                alive: true,
-            },
-        );
+        edges.push(REdge {
+            from: sf + base[sr],
+            to: tt + base[tr],
+            kind,
+            cost: scost.add(&tcost),
+            alive: true,
+        });
+        if let Some(st) = &mut book {
+            let mut via = std::mem::take(&mut outs[sr].half_via[sp]);
+            via.append(&mut outs[tr].half_via[dp]);
+            st.via.push(via);
+        }
     }
+    drop(outs);
+    let mut st = Reducer::new(g.nranks(), verts, edges, book);
+    st.stats = stats;
     drop(stitch_span);
     run_rounds(&mut st, cfg);
-    st.finish(n, dead_via)
+    st.finish(n)
 }
 
 /// The compact survivor set extracted from one region's arena (see
@@ -632,58 +657,335 @@ fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
 /// footprint proportional to the *reduced* region.
 struct RegionOut {
     /// Surviving real vertices in arena-slot (= ascending original id)
-    /// order, with their head ids and member lists.
+    /// order.
     verts: Vec<Vertex>,
-    head: Vec<u32>,
-    members: Vec<Vec<u32>>,
     /// Live intra-region edges in arena order, endpoints renumbered to
     /// survivor-local indexes.
     edges: Vec<REdge>,
-    /// Via lists of dead intra-region edges, keyed by the dead edge's
-    /// target as an original head id.
-    dead_via: Vec<(u32, Vec<u32>)>,
     /// Per incident half-edge (same order as the region's incident
     /// list): the real endpoint as a survivor-local index, plus the
-    /// half's accumulated cost and via list.
-    halves: Vec<(u32, CostExpr, Vec<u32>)>,
+    /// half's accumulated cost.
+    halves: Vec<(u32, CostExpr)>,
+    /// Recording only: the survivors' bookkeeping (`via` aligned with
+    /// `edges`, `dead_via` keyed by original head ids) ...
+    book: Option<Book>,
+    /// ... and each half's via list, aligned with `halves`.
+    half_via: Vec<Vec<u32>>,
     stats: ReductionStats,
-}
-
-/// Run one reduction pass under an obs span carrying its change count.
-fn traced_pass(name: &'static str, f: impl FnOnce() -> u64) -> u64 {
-    let g = llamp_obs::span(name);
-    let changed = f();
-    if llamp_obs::is_enabled() {
-        g.field_u64("changed", changed);
-    }
-    changed
 }
 
 /// One mutable edge of the reduction arena. Edges are only ever rewired
 /// or killed, never created, so arena indices are stable and every pass
 /// iterating them is deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct REdge {
     from: u32,
     to: u32,
     kind: EdgeKind,
     cost: CostExpr,
-    /// Original vertices folded into this edge, source-side first.
-    via: Vec<u32>,
     alive: bool,
 }
 
-struct Reducer {
-    nranks: u32,
-    verts: Vec<Vertex>,
-    valive: Vec<bool>,
-    /// Ordered original members absorbed by each live vertex (head
+/// Provenance bookkeeping, kept only by a recording reduction (see
+/// [`reduce_with_provenance`]). The passes write it and never read it.
+struct Book {
+    /// Ordered original members absorbed by each arena vertex (head
     /// first; starts as the vertex itself).
     members: Vec<Vec<u32>>,
     /// Arena slot -> **original** graph vertex id (`members[v][0]`,
     /// stable even after the member list is taken during stitching). On
-    /// the whole-graph path this is the identity.
+    /// the whole-graph path this is the identity; boundary anchors map
+    /// to `u32::MAX`.
     head: Vec<u32>,
+    /// Original vertices folded into each arena edge, source-side first.
+    via: Vec<Vec<u32>>,
+    /// Via lists of region edges that died before stitching (redundant-
+    /// eliminated after folds routed vertices through them), keyed by
+    /// the dead edge's target as an original head id: those vertices
+    /// still owe a home.
+    dead_via: Vec<(u32, Vec<u32>)>,
+}
+
+impl Book {
+    /// `v` merged into `u` across edge `eid`.
+    fn chain(&mut self, u: u32, v: u32, eid: u32) {
+        let via = std::mem::take(&mut self.via[eid as usize]);
+        self.members[u as usize].extend(via);
+        let mv = std::mem::take(&mut self.members[v as usize]);
+        self.members[u as usize].extend(mv);
+    }
+
+    /// `v` and its out-edge `fid` folded forward onto the in-edges `ins`.
+    fn fold_forward(&mut self, v: u32, fid: u32, ins: &[u32]) {
+        let fvia = std::mem::take(&mut self.via[fid as usize]);
+        let mv = std::mem::take(&mut self.members[v as usize]);
+        for &eid in ins {
+            let via = &mut self.via[eid as usize];
+            via.extend_from_slice(&mv);
+            via.extend_from_slice(&fvia);
+        }
+    }
+
+    /// `v` and its in-edge `eid` folded backward onto the out-edges
+    /// `outs`.
+    fn fold_backward(&mut self, v: u32, eid: u32, outs: &[u32]) {
+        let evia = std::mem::take(&mut self.via[eid as usize]);
+        let mv = std::mem::take(&mut self.members[v as usize]);
+        for &oid in outs {
+            let o = &mut self.via[oid as usize];
+            let mut via = evia.clone();
+            via.extend_from_slice(&mv);
+            via.append(o);
+            *o = via;
+        }
+    }
+
+    /// Assemble the provenance map of the finished graph. `new_id` maps
+    /// arena slots to reduced vertex ids (`u32::MAX` for dead slots);
+    /// `orig_n` is the **original** graph's vertex count (provenance
+    /// arrays index original ids — on the region-parallel path the arena
+    /// is the stitched survivor set, not the original graph).
+    fn provenance(
+        self,
+        edges: &[REdge],
+        valive: &[bool],
+        new_id: &[u32],
+        graph: &ExecGraph,
+        orig_n: usize,
+    ) -> Provenance {
+        let n_new = graph.num_vertices();
+        let mut member_start: Vec<u32> = Vec::with_capacity(n_new + 1);
+        let mut member_ids: Vec<u32> = Vec::new();
+        member_start.push(0);
+        for (v, members) in self.members.iter().enumerate() {
+            if valive[v] {
+                member_ids.extend_from_slice(members);
+                member_start.push(member_ids.len() as u32);
+            }
+        }
+        // Pred slots: live edges bucketed by (new) target in arena order,
+        // which is the builder's per-target pred fill order.
+        let mut pred_offset = vec![0u32; n_new + 1];
+        for e in edges.iter().filter(|e| e.alive) {
+            pred_offset[new_id[e.to as usize] as usize + 1] += 1;
+        }
+        for v in 0..n_new {
+            pred_offset[v + 1] += pred_offset[v];
+            // Hard assert (release builds included): the via table is
+            // aligned with the builder's per-target pred fill order, and
+            // relies on `finish`'s pre-dedup replicating GraphBuilder's
+            // drop rule exactly. If the builder's rule ever drifts, fail
+            // loudly here instead of silently mis-attributing provenance.
+            assert_eq!(
+                graph.preds(v as u32).len() as u32,
+                pred_offset[v + 1] - pred_offset[v],
+                "GraphBuilder dropped edges the reduction pre-dedup kept: \
+                 via table would desynchronise"
+            );
+        }
+        let mut slot_edge = vec![0u32; pred_offset[n_new] as usize];
+        let mut fill = pred_offset.clone();
+        for (eid, e) in edges.iter().enumerate().filter(|(_, e)| e.alive) {
+            let t = new_id[e.to as usize] as usize;
+            slot_edge[fill[t] as usize] = eid as u32;
+            fill[t] += 1;
+        }
+        let mut via_start: Vec<u32> = Vec::with_capacity(slot_edge.len() + 1);
+        let mut via_ids: Vec<u32> = Vec::new();
+        via_start.push(0);
+        for &eid in &slot_edge {
+            via_ids.extend_from_slice(&self.via[eid as usize]);
+            via_start.push(via_ids.len() as u32);
+        }
+
+        let mut home = vec![u32::MAX; orig_n];
+        for (v, members) in self.members.iter().enumerate() {
+            if valive[v] {
+                for &m in members {
+                    home[m as usize] = new_id[v];
+                }
+            }
+        }
+        // Vertices folded into edges map to the edge's target. Dead edges
+        // (removed as redundant, or deduplicated by `finish`) still carry
+        // their via lists, and their target may itself have been folded
+        // onward — resolve through the target's own home, iterating until
+        // stable (each round resolves at least one fold layer, so this is
+        // bounded by the fold depth). Dead targets resolve through their
+        // *head* (original id), which on the whole-graph path is the
+        // arena id itself; pre-stitch casualties in `dead_via` resolve
+        // the same way, directly by original head id.
+        loop {
+            let mut changed = false;
+            for (e, via) in edges.iter().zip(&self.via) {
+                let target_home = if valive[e.to as usize] {
+                    new_id[e.to as usize]
+                } else {
+                    home[self.head[e.to as usize] as usize]
+                };
+                if target_home == u32::MAX {
+                    continue;
+                }
+                for &x in via {
+                    if home[x as usize] == u32::MAX {
+                        home[x as usize] = target_home;
+                        changed = true;
+                    }
+                }
+            }
+            for (to_orig, via) in &self.dead_via {
+                let target_home = home[*to_orig as usize];
+                if target_home == u32::MAX {
+                    continue;
+                }
+                for &x in via {
+                    if home[x as usize] == u32::MAX {
+                        home[x as usize] = target_home;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        debug_assert!(
+            n_new == 0 || home.iter().all(|&h| h != u32::MAX),
+            "every original vertex has a home in the reduced graph"
+        );
+        Provenance {
+            member_start,
+            member_ids,
+            pred_offset,
+            via_start,
+            via_ids,
+            home,
+        }
+    }
+}
+
+/// Per-vertex edge-id lists packed into one pool. Vertex `v` owns the
+/// block `pool[start[v]..start[v] + cap[v]]`, of which the first `len[v]`
+/// slots are in use. A list that outgrows its block moves to the pool's
+/// end (the old block is garbage until the next [`AdjPool::compact`]), so
+/// the lists cost three integers per vertex and no allocation of their
+/// own.
+struct AdjPool {
+    start: Vec<u32>,
+    len: Vec<u32>,
+    cap: Vec<u32>,
+    pool: Vec<u32>,
+    /// The previous pool, reused as [`AdjPool::compact`]'s copy source.
+    spare: Vec<u32>,
+}
+
+impl AdjPool {
+    /// Lists over `n` vertices holding each edge id under the vertex
+    /// `ends` names for it, in id order, each block sized to its degree.
+    fn index(n: usize, ends: impl Iterator<Item = u32> + Clone) -> Self {
+        let mut len = vec![0u32; n];
+        for v in ends.clone() {
+            len[v as usize] += 1;
+        }
+        let mut start = Vec::with_capacity(n);
+        let mut acc = 0u32;
+        for &d in &len {
+            start.push(acc);
+            acc += d;
+        }
+        let cap = len.clone();
+        let mut pool = vec![0u32; acc as usize];
+        len.fill(0);
+        for (id, v) in ends.enumerate() {
+            let v = v as usize;
+            pool[(start[v] + len[v]) as usize] = id as u32;
+            len[v] += 1;
+        }
+        Self {
+            start,
+            len,
+            cap,
+            pool,
+            spare: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, v: u32) -> &[u32] {
+        let s = self.start[v as usize] as usize;
+        &self.pool[s..s + self.len[v as usize] as usize]
+    }
+
+    fn push(&mut self, v: u32, id: u32) {
+        let v = v as usize;
+        let (s, l) = (self.start[v] as usize, self.len[v] as usize);
+        if l == self.cap[v] as usize {
+            let moved = self.pool.len();
+            let cap = (2 * l).max(4);
+            self.pool.extend_from_within(s..s + l);
+            self.pool.resize(moved + cap, 0);
+            self.start[v] = u32::try_from(moved).expect("adjacency pool fits u32 offsets");
+            self.cap[v] = cap as u32;
+        }
+        self.pool[self.start[v] as usize + l] = id;
+        self.len[v] += 1;
+    }
+
+    /// Drop the entries `keep(v, id)` rejects and repack every list
+    /// tightly, in vertex order.
+    fn compact(&mut self, keep: impl Fn(u32, u32) -> bool) {
+        std::mem::swap(&mut self.pool, &mut self.spare);
+        self.pool.clear();
+        for v in 0..self.start.len() {
+            let s = self.start[v] as usize;
+            let packed = self.pool.len();
+            self.pool.extend(
+                self.spare[s..s + self.len[v] as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&id| keep(v as u32, id)),
+            );
+            let kept = (self.pool.len() - packed) as u32;
+            self.start[v] = packed as u32;
+            self.len[v] = kept;
+            self.cap[v] = kept;
+        }
+    }
+}
+
+/// Per-pass scratch, owned by the arena and reused by every pass and
+/// round, so the passes allocate nothing per vertex or per call.
+#[derive(Default)]
+struct Work {
+    /// Topological order of the live subgraph and Kahn's in-degrees.
+    order: Vec<u32>,
+    indeg: Vec<u32>,
+    /// Live in- and out-edge lists of the vertex being visited.
+    ins: Vec<u32>,
+    outs: Vec<u32>,
+    /// Exact chain roots and offsets (redundancy pass).
+    root: Vec<u32>,
+    off: Vec<CostExpr>,
+    dfs: Dfs,
+}
+
+/// State of the redundancy pass's bounded searches.
+#[derive(Default)]
+struct Dfs {
+    /// Topological position of each vertex.
+    pos: Vec<u32>,
+    /// Visit marks: `stamp[v] == cur` once the current search saw `v`.
+    stamp: Vec<u32>,
+    cur: u32,
+    stack: Vec<u32>,
+}
+
+/// The reduction arena: a mutable copy of (part of) the graph that the
+/// passes rewrite in place.
+struct Reducer {
+    nranks: u32,
+    verts: Vec<Vertex>,
+    valive: Vec<bool>,
     /// Slots `>= first_virtual` are per-cross-edge boundary anchors on
     /// the region path (see [`Reducer::from_region`]): zero-cost
     /// vertices with the sentinel rank `u32::MAX`, so the same-rank
@@ -693,44 +995,54 @@ struct Reducer {
     edges: Vec<REdge>,
     /// Incoming/outgoing edge-id lists. Entries can go stale when an
     /// edge dies or is rewired; readers filter, `compact` prunes.
-    inc: Vec<Vec<u32>>,
-    out: Vec<Vec<u32>>,
+    inc: AdjPool,
+    out: AdjPool,
+    /// Provenance bookkeeping, present only when recording.
+    book: Option<Book>,
+    work: Work,
     stats: ReductionStats,
 }
 
 impl Reducer {
-    fn from_graph(g: &ExecGraph) -> Self {
+    /// An arena over `verts` and `edges`, all alive, with no boundary
+    /// anchors.
+    fn new(nranks: u32, verts: Vec<Vertex>, edges: Vec<REdge>, book: Option<Book>) -> Self {
+        let n = verts.len();
+        Self {
+            nranks,
+            first_virtual: n as u32,
+            valive: vec![true; n],
+            verts,
+            inc: AdjPool::index(n, edges.iter().map(|e| e.to)),
+            out: AdjPool::index(n, edges.iter().map(|e| e.from)),
+            edges,
+            book,
+            work: Work::default(),
+            stats: ReductionStats::default(),
+        }
+    }
+
+    fn from_graph(g: &ExecGraph, record: bool) -> Self {
         let n = g.num_vertices();
         let mut edges = Vec::with_capacity(g.num_edges());
-        let mut inc: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
         for v in 0..n as u32 {
             for e in g.preds(v) {
-                let id = edges.len() as u32;
                 edges.push(REdge {
                     from: e.other,
                     to: v,
                     kind: e.kind,
                     cost: e.cost,
-                    via: Vec::new(),
                     alive: true,
                 });
-                inc[v as usize].push(id);
-                out[e.other as usize].push(id);
             }
         }
-        Self {
-            nranks: g.nranks(),
-            verts: g.vertices().to_vec(),
-            valive: vec![true; n],
+        let book = record.then(|| Book {
             members: (0..n as u32).map(|v| vec![v]).collect(),
             head: (0..n as u32).collect(),
-            first_virtual: n as u32,
-            edges,
-            inc,
-            out,
-            stats: ReductionStats::default(),
-        }
+            via: vec![Vec::new(); edges.len()],
+            dead_via: Vec::new(),
+        });
+        Self::new(g.nranks(), g.vertices().to_vec(), edges, book)
     }
 
     /// A rank-local region arena: `verts` are the region's original
@@ -758,38 +1070,31 @@ impl Reducer {
         local_of: &[u32],
         cross: &[(u32, u32, EdgeKind, CostExpr)],
         incident: &[(u32, bool)],
+        record: bool,
     ) -> Self {
         let n = verts.len();
         let total = n + incident.len();
-        let mut edges = Vec::new();
-        let mut inc: Vec<Vec<u32>> = vec![Vec::new(); total];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); total];
+        // Every real vertex keeps its global degree, so the region's
+        // preds plus its source halves bound the edge count.
+        let bound = verts.iter().map(|&gv| g.preds(gv).len()).sum::<usize>() + incident.len();
+        let mut edges = Vec::with_capacity(bound);
         for (lv, &gv) in verts.iter().enumerate() {
             let rank = g.vertex(gv).rank;
             for e in g.preds(gv) {
                 if g.vertex(e.other).rank != rank {
                     continue;
                 }
-                let lu = local_of[e.other as usize];
-                let id = edges.len() as u32;
                 edges.push(REdge {
-                    from: lu,
+                    from: local_of[e.other as usize],
                     to: lv as u32,
                     kind: e.kind,
                     cost: e.cost,
-                    via: Vec::new(),
                     alive: true,
                 });
-                inc[lv].push(id);
-                out[lu as usize].push(id);
             }
         }
         let mut arena: Vec<Vertex> = Vec::with_capacity(total);
         arena.extend(verts.iter().map(|&gv| *g.vertex(gv)));
-        let mut members: Vec<Vec<u32>> = Vec::with_capacity(total);
-        members.extend(verts.iter().map(|&gv| vec![gv]));
-        let mut head = Vec::with_capacity(total);
-        head.extend_from_slice(verts);
         for (k, &(cid, is_src)) in incident.iter().enumerate() {
             let b = (n + k) as u32;
             arena.push(Vertex {
@@ -797,48 +1102,42 @@ impl Reducer {
                 kind: VertexKind::Calc,
                 cost: CostExpr::ZERO,
             });
-            members.push(Vec::new());
-            head.push(u32::MAX);
             let (gf, gt, kind, cost) = cross[cid as usize];
-            let eid = edges.len() as u32;
-            if is_src {
-                let lu = local_of[gf as usize];
-                edges.push(REdge {
-                    from: lu,
+            edges.push(if is_src {
+                REdge {
+                    from: local_of[gf as usize],
                     to: b,
                     kind,
                     cost: CostExpr::ZERO,
-                    via: Vec::new(),
                     alive: true,
-                });
-                out[lu as usize].push(eid);
-                inc[b as usize].push(eid);
+                }
             } else {
-                let lv = local_of[gt as usize];
-                edges.push(REdge {
+                REdge {
                     from: b,
-                    to: lv,
+                    to: local_of[gt as usize],
                     kind,
                     cost,
-                    via: Vec::new(),
                     alive: true,
-                });
-                inc[lv as usize].push(eid);
-                out[b as usize].push(eid);
+                }
+            });
+        }
+        let book = record.then(|| {
+            let mut members = Vec::with_capacity(total);
+            members.extend(verts.iter().map(|&gv| vec![gv]));
+            members.resize(total, Vec::new());
+            let mut head = Vec::with_capacity(total);
+            head.extend_from_slice(verts);
+            head.resize(total, u32::MAX);
+            Book {
+                members,
+                head,
+                via: vec![Vec::new(); edges.len()],
+                dead_via: Vec::new(),
             }
-        }
-        Self {
-            nranks: g.nranks(),
-            verts: arena,
-            valive: vec![true; total],
-            members,
-            head,
-            first_virtual: n as u32,
-            edges,
-            inc,
-            out,
-            stats: ReductionStats::default(),
-        }
+        });
+        let mut arena = Self::new(g.nranks(), arena, edges, book);
+        arena.first_virtual = n as u32;
+        arena
     }
 
     /// Consume a reduced region arena into its compact survivor set.
@@ -849,105 +1148,128 @@ impl Reducer {
         let n_intra = self.edges.len() - n_incident;
         let mut surv_of = vec![u32::MAX; fv];
         let mut verts = Vec::new();
-        let mut head = Vec::new();
-        let mut members = Vec::new();
         for (lv, slot) in surv_of.iter_mut().enumerate() {
             if self.valive[lv] {
                 *slot = verts.len() as u32;
                 verts.push(self.verts[lv]);
-                head.push(self.head[lv]);
-                members.push(std::mem::take(&mut self.members[lv]));
             }
         }
-        let mut edges = Vec::new();
-        let mut dead_via = Vec::new();
-        for e in &mut self.edges[..n_intra] {
-            if e.alive {
+        let edges: Vec<REdge> = self.edges[..n_intra]
+            .iter()
+            .filter(|e| e.alive)
+            .map(|e| {
                 let (f, t) = (surv_of[e.from as usize], surv_of[e.to as usize]);
                 debug_assert!(f != u32::MAX && t != u32::MAX, "live edge endpoint died");
-                edges.push(REdge {
+                REdge {
                     from: f,
                     to: t,
-                    kind: e.kind,
-                    cost: e.cost,
-                    via: std::mem::take(&mut e.via),
-                    alive: true,
-                });
-            } else if !e.via.is_empty() {
-                dead_via.push((self.head[e.to as usize], std::mem::take(&mut e.via)));
+                    ..*e
+                }
+            })
+            .collect();
+        let halves = self.edges[n_intra..]
+            .iter()
+            .map(|e| {
+                debug_assert!(e.alive, "boundary half-edge died in region pass");
+                // The real endpoint (the other one is this half's virtual
+                // boundary anchor).
+                let real = if (e.from as usize) < fv { e.from } else { e.to };
+                (surv_of[real as usize], e.cost)
+            })
+            .collect();
+        let mut half_via = Vec::new();
+        let book = self.book.take().map(|mut b| {
+            let mut out = Book {
+                members: Vec::with_capacity(verts.len()),
+                head: Vec::with_capacity(verts.len()),
+                via: Vec::with_capacity(edges.len()),
+                dead_via: Vec::new(),
+            };
+            for lv in (0..fv).filter(|&lv| self.valive[lv]) {
+                out.head.push(b.head[lv]);
+                out.members.push(std::mem::take(&mut b.members[lv]));
             }
-        }
-        let mut halves = Vec::with_capacity(n_incident);
-        for e in &mut self.edges[n_intra..] {
-            debug_assert!(e.alive, "boundary half-edge died in region pass");
-            // The real endpoint (the other one is this half's virtual
-            // boundary anchor).
-            let real = if (e.from as usize) < fv { e.from } else { e.to };
-            halves.push((surv_of[real as usize], e.cost, std::mem::take(&mut e.via)));
-        }
+            for (e, via) in self.edges[..n_intra].iter().zip(&mut b.via) {
+                if e.alive {
+                    out.via.push(std::mem::take(via));
+                } else if !via.is_empty() {
+                    out.dead_via
+                        .push((b.head[e.to as usize], std::mem::take(via)));
+                }
+            }
+            half_via = b.via.split_off(n_intra);
+            out
+        });
         RegionOut {
             verts,
-            head,
-            members,
             edges,
-            dead_via,
             halves,
+            book,
+            half_via,
             stats: self.stats,
         }
     }
 
-    fn live_in(&self, v: u32) -> Vec<u32> {
-        self.inc[v as usize]
+    /// The live in-edges of `v`, in list order.
+    fn live_in(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let edges = &self.edges;
+        self.inc
+            .get(v)
             .iter()
             .copied()
-            .filter(|&e| self.edges[e as usize].alive && self.edges[e as usize].to == v)
-            .collect()
+            .filter(move |&e| enters(edges, v, e))
     }
 
-    fn live_out(&self, v: u32) -> Vec<u32> {
-        self.out[v as usize]
+    /// The live out-edges of `v`, in list order.
+    fn live_out(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let edges = &self.edges;
+        self.out
+            .get(v)
             .iter()
             .copied()
-            .filter(|&e| self.edges[e as usize].alive && self.edges[e as usize].from == v)
-            .collect()
+            .filter(move |&e| leaves(edges, v, e))
+    }
+
+    /// The live in-edge of `v` when it has exactly one.
+    fn sole_live_in(&self, v: u32) -> Option<u32> {
+        let mut live = self.live_in(v);
+        let first = live.next()?;
+        live.next().is_none().then_some(first)
     }
 
     /// Prune stale adjacency entries (dead or rewired edges).
     fn compact(&mut self) {
-        for v in 0..self.verts.len() {
-            let edges = &self.edges;
-            self.inc[v].retain(|&e| edges[e as usize].alive && edges[e as usize].to == v as u32);
-            self.out[v].retain(|&e| edges[e as usize].alive && edges[e as usize].from == v as u32);
-        }
+        let edges = &self.edges;
+        self.inc.compact(|v, e| enters(edges, v, e));
+        self.out.compact(|v, e| leaves(edges, v, e));
     }
 
-    /// Topological order of the live subgraph (Kahn, ascending-id queue
-    /// seeding — deterministic).
-    fn topo(&self) -> Vec<u32> {
+    /// Topological order of the live subgraph into `order` (Kahn,
+    /// ascending-id queue seeding — deterministic).
+    fn topo(&self, order: &mut Vec<u32>, indeg: &mut Vec<u32>) {
         let n = self.verts.len();
-        let mut indeg = vec![0u32; n];
+        indeg.clear();
+        indeg.resize(n, 0);
         for e in &self.edges {
             if e.alive {
                 indeg[e.to as usize] += 1;
             }
         }
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&v| self.valive[v as usize] && indeg[v as usize] == 0)
-            .collect();
+        order.clear();
+        order.extend((0..n as u32).filter(|&v| self.valive[v as usize] && indeg[v as usize] == 0));
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while head < order.len() {
+            let v = order[head];
             head += 1;
             for eid in self.live_out(v) {
                 let t = self.edges[eid as usize].to;
                 let d = &mut indeg[t as usize];
                 *d -= 1;
                 if *d == 0 {
-                    queue.push(t);
+                    order.push(t);
                 }
             }
         }
-        queue
     }
 
     /// Serial-chain contraction: merge `v` into its sole `Local`
@@ -955,42 +1277,45 @@ impl Reducer {
     /// accumulating edge + vertex cost into `u`.
     fn pass_chains(&mut self) -> u64 {
         self.compact();
-        let order = self.topo();
+        let mut wk = std::mem::take(&mut self.work);
+        self.topo(&mut wk.order, &mut wk.indeg);
         let mut merged = 0u64;
-        for &v in &order {
+        for &v in &wk.order {
             if !self.valive[v as usize] {
                 continue;
             }
-            let ins = self.live_in(v);
-            if ins.len() != 1 {
+            let Some(eid) = self.sole_live_in(v) else {
+                continue;
+            };
+            if self.edges[eid as usize].kind != EdgeKind::Local {
                 continue;
             }
-            let eid = ins[0] as usize;
-            if self.edges[eid].kind != EdgeKind::Local {
-                continue;
-            }
-            let u = self.edges[eid].from;
+            let u = self.edges[eid as usize].from;
             if u == v
                 || !self.valive[u as usize]
                 || self.verts[u as usize].rank != self.verts[v as usize].rank
-                || self.live_out(u).len() != 1
+                || self.live_out(u).count() != 1
             {
                 continue;
             }
-            let add = self.edges[eid].cost.add(&self.verts[v as usize].cost);
+            let add = self.edges[eid as usize]
+                .cost
+                .add(&self.verts[v as usize].cost);
             self.verts[u as usize].cost = self.verts[u as usize].cost.add(&add);
-            let via = std::mem::take(&mut self.edges[eid].via);
-            self.members[u as usize].extend(via);
-            let mv = std::mem::take(&mut self.members[v as usize]);
-            self.members[u as usize].extend(mv);
-            self.edges[eid].alive = false;
+            if let Some(b) = &mut self.book {
+                b.chain(u, v, eid);
+            }
+            self.edges[eid as usize].alive = false;
             self.valive[v as usize] = false;
-            for oid in self.live_out(v) {
+            wk.outs.clear();
+            wk.outs.extend(self.live_out(v));
+            for &oid in &wk.outs {
                 self.edges[oid as usize].from = u;
-                self.out[u as usize].push(oid);
+                self.out.push(u, oid);
             }
             merged += 1;
         }
+        self.work = wk;
         self.stats.chain_merges += merged;
         merged
     }
@@ -1002,68 +1327,72 @@ impl Reducer {
     /// Backward: the mirror for a single `Local` in-edge (≥ 1 succ).
     fn pass_folds(&mut self) -> u64 {
         self.compact();
-        let order = self.topo();
+        let mut wk = std::mem::take(&mut self.work);
+        self.topo(&mut wk.order, &mut wk.indeg);
         let mut count = 0u64;
-        for &v in &order {
+        for &v in &wk.order {
             if !self.valive[v as usize] {
                 continue;
             }
-            let outs = self.live_out(v);
-            let ins = self.live_in(v);
+            wk.outs.clear();
+            wk.outs.extend(self.live_out(v));
+            wk.ins.clear();
+            wk.ins.extend(self.live_in(v));
             // Forward fold into the unique consumer.
-            if outs.len() == 1 && !ins.is_empty() {
-                let fid = outs[0] as usize;
-                let w = self.edges[fid].to;
-                if self.edges[fid].kind == EdgeKind::Local
+            if wk.outs.len() == 1 && !wk.ins.is_empty() {
+                let fid = wk.outs[0];
+                let w = self.edges[fid as usize].to;
+                if self.edges[fid as usize].kind == EdgeKind::Local
                     && self.valive[w as usize]
                     && self.verts[w as usize].rank == self.verts[v as usize].rank
                 {
-                    let push = self.verts[v as usize].cost.add(&self.edges[fid].cost);
-                    let fvia = std::mem::take(&mut self.edges[fid].via);
-                    let mv = std::mem::take(&mut self.members[v as usize]);
-                    for &eid in &ins {
+                    let push = self.verts[v as usize]
+                        .cost
+                        .add(&self.edges[fid as usize].cost);
+                    if let Some(b) = &mut self.book {
+                        b.fold_forward(v, fid, &wk.ins);
+                    }
+                    for &eid in &wk.ins {
                         let e = &mut self.edges[eid as usize];
                         debug_assert_ne!(e.from, w, "fold would create a self edge");
                         e.cost = e.cost.add(&push);
-                        e.via.extend(mv.iter().copied());
-                        e.via.extend(fvia.iter().copied());
                         e.to = w;
-                        self.inc[w as usize].push(eid);
+                        self.inc.push(w, eid);
                     }
-                    self.edges[fid].alive = false;
+                    self.edges[fid as usize].alive = false;
                     self.valive[v as usize] = false;
                     count += 1;
                     continue;
                 }
             }
             // Backward fold into the unique producer.
-            if ins.len() == 1 && !outs.is_empty() {
-                let eid = ins[0] as usize;
-                let u = self.edges[eid].from;
-                if self.edges[eid].kind == EdgeKind::Local
+            if wk.ins.len() == 1 && !wk.outs.is_empty() {
+                let eid = wk.ins[0];
+                let u = self.edges[eid as usize].from;
+                if self.edges[eid as usize].kind == EdgeKind::Local
                     && self.valive[u as usize]
                     && self.verts[u as usize].rank == self.verts[v as usize].rank
                 {
-                    let push = self.edges[eid].cost.add(&self.verts[v as usize].cost);
-                    let evia = std::mem::take(&mut self.edges[eid].via);
-                    let mv = std::mem::take(&mut self.members[v as usize]);
-                    for &oid in &outs {
+                    let push = self.edges[eid as usize]
+                        .cost
+                        .add(&self.verts[v as usize].cost);
+                    if let Some(b) = &mut self.book {
+                        b.fold_backward(v, eid, &wk.outs);
+                    }
+                    for &oid in &wk.outs {
                         let o = &mut self.edges[oid as usize];
                         debug_assert_ne!(o.to, u, "fold would create a self edge");
                         o.cost = push.add(&o.cost);
-                        let mut via = evia.clone();
-                        via.extend(mv.iter().copied());
-                        via.append(&mut o.via);
-                        o.via = via;
                         o.from = u;
-                        self.out[u as usize].push(oid);
+                        self.out.push(u, oid);
                     }
-                    self.edges[eid].alive = false;
+                    self.edges[eid as usize].alive = false;
                     self.valive[v as usize] = false;
                     count += 1;
                 }
             }
         }
+        self.work = wk;
         self.stats.folds += count;
         count
     }
@@ -1082,21 +1411,29 @@ impl Reducer {
     /// `dfs_cap` visits) is implied by that path.
     fn pass_redundant(&mut self, dfs_cap: usize) -> u64 {
         self.compact();
-        let order = self.topo();
+        let mut wk = std::mem::take(&mut self.work);
+        self.topo(&mut wk.order, &mut wk.indeg);
         let n = self.verts.len();
-        let mut pos = vec![u32::MAX; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v as usize] = i as u32;
+        let dfs = &mut wk.dfs;
+        dfs.pos.clear();
+        dfs.pos.resize(n, u32::MAX);
+        for (i, &v) in wk.order.iter().enumerate() {
+            dfs.pos[v as usize] = i as u32;
         }
+        dfs.stamp.clear();
+        dfs.stamp.resize(n, 0);
+        dfs.cur = 0;
         // Exact chain roots: root[v]/off[v] such that T_v = T_root + off
         // for all parameter values (only holds along single-in-edge
         // chains; off includes the chain vertices' own costs).
-        let mut root: Vec<u32> = (0..n as u32).collect();
-        let mut off: Vec<CostExpr> = vec![CostExpr::ZERO; n];
-        for &v in &order {
-            let ins = self.live_in(v);
-            if ins.len() == 1 {
-                let e = &self.edges[ins[0] as usize];
+        let (root, off) = (&mut wk.root, &mut wk.off);
+        root.clear();
+        root.extend(0..n as u32);
+        off.clear();
+        off.resize(n, CostExpr::ZERO);
+        for &v in &wk.order {
+            if let Some(eid) = self.sole_live_in(v) {
+                let e = &self.edges[eid as usize];
                 root[v as usize] = root[e.from as usize];
                 off[v as usize] = off[e.from as usize]
                     .add(&e.cost)
@@ -1104,10 +1441,10 @@ impl Reducer {
             }
         }
         let mut removed = 0u64;
-        let mut stamp = vec![0u32; n];
-        let mut cur_stamp = 0u32;
-        for &v in &order {
-            let ins = self.live_in(v);
+        for &v in &wk.order {
+            let ins = &mut wk.ins;
+            ins.clear();
+            ins.extend(self.live_in(v));
             if ins.len() < 2 {
                 continue;
             }
@@ -1137,16 +1474,12 @@ impl Reducer {
                 }
             }
             // (b) bounded transitive search for zero-cost Local edges.
-            let still: Vec<u32> = ins
-                .iter()
-                .copied()
-                .filter(|&e| self.edges[e as usize].alive)
-                .collect();
-            let mut live_count = still.len();
+            ins.retain(|&e| self.edges[e as usize].alive);
+            let mut live_count = ins.len();
             if live_count < 2 {
                 continue;
             }
-            for &ei in &still {
+            for &ei in ins.iter() {
                 if live_count < 2 {
                     break;
                 }
@@ -1154,15 +1487,14 @@ impl Reducer {
                 if e.kind != EdgeKind::Local || !e.cost.is_zero() {
                     continue;
                 }
-                let u = e.from;
-                cur_stamp += 1;
-                if self.reaches(u, v, ei, dfs_cap, &pos, &mut stamp, cur_stamp) {
+                if self.reaches(e.from, v, ei, dfs_cap, dfs) {
                     self.edges[ei as usize].alive = false;
                     live_count -= 1;
                     removed += 1;
                 }
             }
         }
+        self.work = wk;
         self.stats.redundant_removed += removed;
         removed
     }
@@ -1171,70 +1503,61 @@ impl Reducer {
     /// intermediate-vertex costs are all componentwise non-negative?
     /// Bounded to `cap` visited vertices; only explores vertices
     /// topologically before `target`.
-    #[allow(clippy::too_many_arguments)]
-    fn reaches(
-        &self,
-        u: u32,
-        target: u32,
-        skip_edge: u32,
-        cap: usize,
-        pos: &[u32],
-        stamp: &mut [u32],
-        cur: u32,
-    ) -> bool {
-        let mut stack = vec![u];
-        stamp[u as usize] = cur;
+    fn reaches(&self, u: u32, target: u32, skip_edge: u32, cap: usize, dfs: &mut Dfs) -> bool {
+        dfs.cur += 1;
+        let cur = dfs.cur;
+        dfs.stack.clear();
+        dfs.stack.push(u);
+        dfs.stamp[u as usize] = cur;
         let mut visited = 0usize;
-        while let Some(x) = stack.pop() {
+        while let Some(x) = dfs.stack.pop() {
             visited += 1;
             if visited > cap {
                 return false;
             }
-            for &oid in &self.out[x as usize] {
+            for oid in self.live_out(x) {
                 let e = &self.edges[oid as usize];
-                if !e.alive || e.from != x || oid == skip_edge || !nonneg(&e.cost) {
+                if oid == skip_edge || !nonneg(&e.cost) {
                     continue;
                 }
                 let y = e.to;
                 if y == target {
                     return true;
                 }
-                if stamp[y as usize] == cur
-                    || pos[y as usize] >= pos[target as usize]
+                if dfs.stamp[y as usize] == cur
+                    || dfs.pos[y as usize] >= dfs.pos[target as usize]
                     || !nonneg(&self.verts[y as usize].cost)
                 {
                     continue;
                 }
-                stamp[y as usize] = cur;
-                stack.push(y);
+                dfs.stamp[y as usize] = cur;
+                dfs.stack.push(y);
             }
         }
         false
     }
 
-    /// Rebuild the reduced [`ExecGraph`] and assemble the provenance map.
-    ///
-    /// `orig_n` is the **original** graph's vertex count (provenance
-    /// arrays index original ids — on the region-parallel path the arena
-    /// is the stitched survivor set, not the original graph).
-    /// `extra_via` carries via lists of region edges that died before
-    /// stitching, keyed by the dead edge's target as an original head id.
-    fn finish(mut self, orig_n: usize, extra_via: Vec<(u32, Vec<u32>)>) -> ReducedGraph {
+    /// Rebuild the reduced [`ExecGraph`] and, when recording, assemble
+    /// its provenance map. `orig_n` is the **original** graph's vertex
+    /// count.
+    fn finish(mut self, orig_n: usize) -> (ReducedGraph, Option<Provenance>) {
         let _span = llamp_obs::span("reduce.finish");
         // Only whole-graph or stitched arenas reach here; boundary
         // anchors never survive a stitch.
         debug_assert_eq!(self.first_virtual as usize, self.verts.len());
-        self.compact();
-        // Pre-deduplicate parallel zero-cost Local edges ourselves so the
-        // builder's internal dedup can never desynchronise the via table.
-        let mut seen: FxHashMap<(u32, u32), ()> = FxHashMap::default();
-        for e in self.edges.iter_mut() {
-            if e.alive
-                && e.kind == EdgeKind::Local
-                && e.cost.is_zero()
-                && seen.insert((e.from, e.to), ()).is_some()
-            {
-                e.alive = false;
+        if self.book.is_some() {
+            // Pre-deduplicate parallel zero-cost Local edges ourselves so
+            // the builder's internal dedup (the same rule, applied in the
+            // same arena order) can never desynchronise the via table.
+            let mut seen: FxHashMap<(u32, u32), ()> = FxHashMap::default();
+            for e in self.edges.iter_mut() {
+                if e.alive
+                    && e.kind == EdgeKind::Local
+                    && e.cost.is_zero()
+                    && seen.insert((e.from, e.to), ()).is_some()
+                {
+                    e.alive = false;
+                }
             }
         }
 
@@ -1243,125 +1566,46 @@ impl Reducer {
         let e_live = self.edges.iter().filter(|e| e.alive).count();
         let mut new_id = vec![u32::MAX; n];
         let mut builder = GraphBuilder::with_capacity(self.nranks, n_live, e_live);
-        let mut member_start: Vec<u32> = vec![0];
-        let mut member_ids: Vec<u32> = Vec::new();
         for (v, vert) in self.verts.iter().enumerate() {
             if self.valive[v] {
                 new_id[v] = builder.add_vertex(vert.rank, vert.kind, vert.cost);
-                member_ids.extend_from_slice(&self.members[v]);
-                member_start.push(member_ids.len() as u32);
             }
         }
-        // Edges in arena order, bucketed by (new) target so the via table
-        // aligns with the builder's per-target pred fill order.
-        let n_new = member_start.len() - 1;
-        let mut bucket: Vec<Vec<u32>> = vec![Vec::new(); n_new];
-        for (eid, e) in self.edges.iter().enumerate() {
-            if !e.alive {
-                continue;
-            }
+        for e in self.edges.iter().filter(|e| e.alive) {
             let (f, t) = (new_id[e.from as usize], new_id[e.to as usize]);
             debug_assert!(f != u32::MAX && t != u32::MAX, "edge endpoint died");
             builder.add_edge(f, t, e.kind, e.cost);
-            bucket[t as usize].push(eid as u32);
         }
         let graph = builder.finish().expect("reduction preserves acyclicity");
-
-        let mut pred_offset: Vec<u32> = Vec::with_capacity(n_new + 1);
-        let mut via_start: Vec<u32> = vec![0];
-        let mut via_ids: Vec<u32> = Vec::new();
-        let mut acc = 0u32;
-        pred_offset.push(0);
-        for (v, slots) in bucket.iter().enumerate() {
-            // Hard assert (release builds included): the via table is
-            // aligned with the builder's per-target pred fill order, and
-            // relies on the pre-dedup above replicating GraphBuilder's
-            // drop rule exactly. If the builder's rule ever drifts, fail
-            // loudly here instead of silently mis-attributing provenance.
-            assert_eq!(
-                graph.preds(v as u32).len(),
-                slots.len(),
-                "GraphBuilder dropped edges the reduction pre-dedup kept: \
-                 via table would desynchronise"
-            );
-            for &eid in slots {
-                via_ids.extend_from_slice(&self.edges[eid as usize].via);
-                via_start.push(via_ids.len() as u32);
-            }
-            acc += slots.len() as u32;
-            pred_offset.push(acc);
-        }
-
-        let mut home = vec![u32::MAX; orig_n];
-        for (v, members) in self.members.iter().enumerate() {
-            if self.valive[v] {
-                for &m in members {
-                    home[m as usize] = new_id[v];
-                }
-            }
-        }
-        // Vertices folded into edges map to the edge's target. Dead edges
-        // (removed as redundant, or deduplicated above) still carry their
-        // via lists, and their target may itself have been folded onward —
-        // resolve through the target's own home, iterating until stable
-        // (each round resolves at least one fold layer, so this is bounded
-        // by the fold depth). Dead targets resolve through their *head*
-        // (original id), which on the whole-graph path is the arena id
-        // itself; pre-stitch casualties in `extra_via` resolve the same
-        // way, directly by original head id.
-        loop {
-            let mut changed = false;
-            for e in &self.edges {
-                let target_home = if self.valive[e.to as usize] {
-                    new_id[e.to as usize]
-                } else {
-                    home[self.head[e.to as usize] as usize]
-                };
-                if target_home == u32::MAX {
-                    continue;
-                }
-                for &x in &e.via {
-                    if home[x as usize] == u32::MAX {
-                        home[x as usize] = target_home;
-                        changed = true;
-                    }
-                }
-            }
-            for (to_orig, via) in &extra_via {
-                let target_home = home[*to_orig as usize];
-                if target_home == u32::MAX {
-                    continue;
-                }
-                for &x in via {
-                    if home[x as usize] == u32::MAX {
-                        home[x as usize] = target_home;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        debug_assert!(
-            graph.num_vertices() == 0 || home.iter().all(|&h| h != u32::MAX),
-            "every original vertex has a home in the reduced graph"
-        );
+        let provenance = self
+            .book
+            .take()
+            .map(|b| b.provenance(&self.edges, &self.valive, &new_id, &graph, orig_n));
 
         self.stats.vertices_after = graph.num_vertices() as u64;
         self.stats.edges_after = graph.num_edges() as u64;
         self.stats.rows_after = alg1_row_count(&graph);
-        ReducedGraph {
-            graph,
-            member_start,
-            member_ids,
-            pred_offset,
-            via_start,
-            via_ids,
-            home,
-            stats: self.stats,
-        }
+        (
+            ReducedGraph {
+                graph,
+                stats: self.stats,
+            },
+            provenance,
+        )
     }
+}
+
+/// Whether arena edge `eid` is alive and enters `v`. Adjacency entries
+/// go stale when their edge dies or is rewired; every reader filters.
+fn enters(edges: &[REdge], v: u32, eid: u32) -> bool {
+    let e = &edges[eid as usize];
+    e.alive && e.to == v
+}
+
+/// Whether arena edge `eid` is alive and leaves `v`.
+fn leaves(edges: &[REdge], v: u32, eid: u32) -> bool {
+    let e = &edges[eid as usize];
+    e.alive && e.from == v
 }
 
 /// `a ≤ b` in every cost component: the bound `T + a·θ` is implied by
@@ -1396,10 +1640,10 @@ mod tests {
         let c = calc(&mut b, 0, 2.0);
         b.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let r = reduce(&g, &ReduceConfig::none());
+        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::none());
         assert_eq!(r.graph().num_vertices(), 2);
-        assert_eq!(r.members(0), &[0]);
-        assert_eq!(r.lift_path(&[0, 1]), vec![0, 1]);
+        assert_eq!(prov.members(0), &[0]);
+        assert_eq!(prov.lift_path(&r, &[0, 1]), vec![0, 1]);
         assert_eq!(r.stats().rows_before, r.stats().rows_after);
     }
 
@@ -1412,12 +1656,12 @@ mod tests {
         b.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
         b.add_edge(c, d, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let r = reduce(&g, &ReduceConfig::chains_only());
+        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::chains_only());
         assert_eq!(r.graph().num_vertices(), 1);
         assert_eq!(r.graph().vertex(0).cost.const_ns, 6.0);
-        assert_eq!(r.members(0), &[0, 1, 2]);
-        assert_eq!(r.home_of(2), 0);
-        assert_eq!(r.lift_path(&[0]), vec![0, 1, 2]);
+        assert_eq!(prov.members(0), &[0, 1, 2]);
+        assert_eq!(prov.home_of(2), 0);
+        assert_eq!(prov.lift_path(&r, &[0]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1436,7 +1680,7 @@ mod tests {
         b.add_edge(j, w, EdgeKind::Local, CostExpr::ZERO);
         b.add_edge(y, w, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let r = reduce(&g, &ReduceConfig::default());
+        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::default());
         let rg = r.graph();
         // j dissolved into w: 4 vertices remain (a, x, y, w).
         assert_eq!(rg.num_vertices(), 4);
@@ -1452,14 +1696,14 @@ mod tests {
         assert_eq!(pushed, 2, "j's cost pushed onto both in-edges");
         assert_eq!(r.stats().rows_after, 4); // 3 join rows + 1 sink row
                                              // Provenance: j is accounted under the sink, spliced into edges.
-        assert_eq!(r.home_of(j), sink);
+        assert_eq!(prov.home_of(j), sink);
         let via_pred = rg
             .preds(sink)
             .iter()
             .position(|e| e.cost.const_ns == 5.0)
             .unwrap();
         let from = rg.preds(sink)[via_pred].other;
-        let lifted = r.lift_path(&[from, sink]);
+        let lifted = prov.lift_path(&r, &[from, sink]);
         assert!(lifted.contains(&j));
     }
 
@@ -1529,10 +1773,10 @@ mod tests {
         bld.add_edge(a, w, EdgeKind::Local, CostExpr::ZERO);
         bld.add_edge(b2, w, EdgeKind::Local, CostExpr::ZERO);
         let g = bld.finish().unwrap();
-        let r = reduce(&g, &ReduceConfig::default());
+        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::default());
         let n = r.graph().num_vertices() as u32;
         for orig in 0..g.num_vertices() as u32 {
-            let h = r.home_of(orig);
+            let h = prov.home_of(orig);
             assert!(h < n, "vertex {orig} lost its home ({h})");
         }
     }
@@ -1558,7 +1802,7 @@ mod tests {
         b.add_edge(c0, a2, EdgeKind::Comm, CostExpr::wire(8));
         let g = b.finish().unwrap();
         let run = |threads: usize| {
-            reduce(
+            reduce_with_provenance(
                 &g,
                 &ReduceConfig {
                     threads,
@@ -1567,14 +1811,14 @@ mod tests {
                 },
             )
         };
-        let r1 = run(1);
-        let img1 = format!("{r1:?}");
+        let (r1, prov1) = run(1);
+        let img1 = format!("{:?}", (&r1, &prov1));
         for threads in [2, 4, 8] {
             assert_eq!(img1, format!("{:?}", run(threads)), "threads={threads}");
         }
         let n = r1.graph().num_vertices() as u32;
         for orig in 0..g.num_vertices() as u32 {
-            assert!(r1.home_of(orig) < n, "vertex {orig} lost its home");
+            assert!(prov1.home_of(orig) < n, "vertex {orig} lost its home");
         }
         // Cross-rank comm edges are never contracted on the region path.
         assert_eq!(r1.graph().nranks(), 2);

@@ -2,22 +2,26 @@
 //!
 //! The partitioned reducer splits the graph into rank-local regions with
 //! virtual boundary vertices at every cross-rank edge, reduces regions
-//! independently, and stitches the survivors back together. Three
+//! independently, and stitches the survivors back together. Four
 //! properties must hold on *arbitrary* multi-rank DAGs:
 //!
-//! 1. **Thread invariance** — the stitched [`ReducedGraph`] is a pure
-//!    function of the input graph: bit-identical (same `Debug` image,
-//!    which covers vertices, edges, costs, provenance and stats) at any
-//!    worker count.
+//! 1. **Thread invariance** — the stitched [`ReducedGraph`] and its
+//!    [`Provenance`] are a pure function of the input graph:
+//!    bit-identical (same `Debug` image, which covers vertices, edges,
+//!    costs, provenance and stats) at any worker count.
 //! 2. **Makespan preservation** — the longest path through the reduced
 //!    graph equals the longest path through the raw graph for every
 //!    LogGPS binding, whether the reduction ran on the global path or
 //!    the partitioned path.
 //! 3. **Home totality** — every original vertex maps to a surviving
 //!    home vertex, so dual lift-back has somewhere to land.
+//! 4. **Recording independence** — [`reduce`] and
+//!    [`reduce_with_provenance`] return the same graph and stats: no
+//!    reduction decision reads the provenance bookkeeping.
 
 use llamp_schedgen::{
-    reduce, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView, ReduceConfig, VertexKind,
+    reduce, reduce_with_provenance, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView,
+    ReduceConfig, VertexKind,
 };
 use proptest::prelude::*;
 
@@ -142,14 +146,16 @@ fn partitioned_cfg(threads: usize) -> ReduceConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property 1 + 3: thread-count invariance and home totality.
+    /// Property 1 + 3: thread-count invariance and home totality, on
+    /// the recording entry point so the partitioned provenance is
+    /// covered too.
     #[test]
     fn partitioned_reduction_is_deterministic_across_threads(dag in dag_strategy()) {
         let g = dag.build();
-        let r1 = reduce(&g, &partitioned_cfg(1));
-        let img1 = format!("{r1:?}");
+        let (r1, prov1) = reduce_with_provenance(&g, &partitioned_cfg(1));
+        let img1 = format!("{:?}", (&r1, &prov1));
         for threads in [2usize, 4] {
-            let rt = reduce(&g, &partitioned_cfg(threads));
+            let rt = reduce_with_provenance(&g, &partitioned_cfg(threads));
             prop_assert!(
                 img1 == format!("{rt:?}"),
                 "reduction output differs between 1 and {} threads",
@@ -158,7 +164,29 @@ proptest! {
         }
         let n = r1.graph().num_vertices() as u32;
         for orig in 0..g.num_vertices() as u32 {
-            prop_assert!(r1.home_of(orig) < n, "vertex {} lost its home", orig);
+            prop_assert!(prov1.home_of(orig) < n, "vertex {} lost its home", orig);
+        }
+    }
+
+    /// Property 4: recording provenance never changes the reduced graph
+    /// or its counters, on the whole-graph path and on the partitioned
+    /// path at every thread count.
+    #[test]
+    fn recording_does_not_change_the_reduction(dag in dag_strategy()) {
+        let g = dag.build();
+        for (name, cfg) in [
+            ("whole-graph", ReduceConfig::default()),
+            ("partitioned/1", partitioned_cfg(1)),
+            ("partitioned/2", partitioned_cfg(2)),
+            ("partitioned/4", partitioned_cfg(4)),
+        ] {
+            let plain = reduce(&g, &cfg);
+            let (recorded, _) = reduce_with_provenance(&g, &cfg);
+            prop_assert!(
+                format!("{plain:?}") == format!("{recorded:?}"),
+                "{} path: recording changed the reduced graph or its stats",
+                name
+            );
         }
     }
 

@@ -177,7 +177,7 @@ proptest! {
 // and critical paths lifting back to valid original-graph paths.
 // ---------------------------------------------------------------------------
 
-use llamp::schedgen::{reduce, ReduceConfig};
+use llamp::schedgen::{reduce, reduce_with_provenance, ReduceConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -286,11 +286,11 @@ proptest! {
         l in 0.0f64..100_000.0,
     ) {
         let raw = raw_graph_of(&p);
-        let red = reduce(&raw, &ReduceConfig::default());
+        let (red, prov) = reduce_with_provenance(&raw, &ReduceConfig::default());
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
         let ev = llamp::core::evaluate(red.graph(), &binding, l);
-        let lifted = red.lift_path(&ev.critical_path);
+        let lifted = prov.lift_path(&red, &ev.critical_path);
         prop_assert!(!lifted.is_empty());
         for w in lifted.windows(2) {
             prop_assert!(

@@ -13,9 +13,10 @@
 //! default since ISSUE 5), per-stage wall clocks for trace ingestion and
 //! graph reduction, the *cold* anchor solve on the reduced LP and its
 //! iteration count, a 64-point sweep solved the way the engine does —
-//! every point from its own longest-path crash basis — and the engine's
-//! 1/2/5% tolerance zones over a 2 ms window (`zones_ms`, plus the
-//! `zone_steps` the three Newton walks took).
+//! every point from its own longest-path crash basis, with the sweep's
+//! factorisations by kind (`triangular_factors`, `lu_factors`) — and the
+//! engine's 1/2/5% tolerance zones over a 2 ms window (`zones_ms`, plus
+//! the `zone_steps` the three Newton walks took).
 
 use llamp_bench::{graph_of, linspace};
 use llamp_core::{Binding, GraphLp, ReduceConfig};
@@ -33,7 +34,8 @@ struct Row {
     cold_anchor_ms: f64,
     cold_iterations: u64,
     sweep_ms: f64,
-    lu_reuse: u64,
+    /// Factorisations the 64-point sweep ran: triangular, LU.
+    factors: (u64, u64),
     zones_ms: f64,
     zone_steps: u64,
 }
@@ -64,18 +66,10 @@ fn zones(lp: &mut GraphLp, base: f64) -> (f64, u64) {
     (ms, steps)
 }
 
-/// Drain the obs recorder and read the `lp.lu_reuse` counter (the number
-/// of LU factorisations the shared-LU path skipped: basis adoptions at
-/// install plus factor takeovers at extraction).
-fn take_lu_reuse() -> u64 {
-    let snapshot = llamp_obs::take();
-    snapshot
-        .summary()
-        .counters
-        .iter()
-        .find(|(k, _)| k == "lp.lu_reuse")
-        .map(|&(_, v)| v)
-        .unwrap_or(0)
+/// Factorisations `lp` has run so far: triangular, LU.
+fn factors(lp: &GraphLp) -> (u64, u64) {
+    let s = lp.solver_stats();
+    (s.triangular_factors, s.lu_factors)
 }
 
 fn main() {
@@ -125,12 +119,10 @@ fn main() {
             cold_anchor_ms = cold_anchor_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         }
 
-        // The engine's sweep: every point reset to its own crash basis.
-        // The recorder counts how many factorisations the shared-LU path
-        // saves: consecutive points inside one stability region share a
-        // crash basis, so the retained LU is adopted at install.
+        // The engine's sweep: every point reset to its own crash basis,
+        // which factors by substitution (one triangular factorisation per
+        // point, no LU).
         let mut sweep = GraphLp::build(graph, &binding);
-        llamp_obs::enable();
         let t1 = Instant::now();
         let mut acc = 0.0;
         for &d in &deltas {
@@ -141,15 +133,14 @@ fn main() {
                 .runtime;
         }
         let sweep_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let lu_reuse = take_lu_reuse();
-        llamp_obs::disable();
+        let factors = factors(&sweep);
         assert!(acc.is_finite());
         let (zones_ms, zone_steps) = zones(&mut sweep, params.l);
 
         eprintln!(
             "{:<12} rows {:>5} -> {:>4} ({:.1}x)  ingest {:>6.2} ms  reduce {:>6.2} ms  \
-             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  lu reuse {}  \
-             zones {:>7.3} ms ({} steps)",
+             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  \
+             factors {} tri / {} lu  zones {:>7.3} ms ({} steps)",
             app.name().to_ascii_lowercase(),
             stats.rows_before,
             stats.rows_after,
@@ -159,7 +150,8 @@ fn main() {
             cold_anchor_ms,
             anchor.iterations,
             sweep_ms,
-            lu_reuse,
+            factors.0,
+            factors.1,
             zones_ms,
             zone_steps
         );
@@ -172,7 +164,7 @@ fn main() {
             cold_anchor_ms,
             cold_iterations: anchor.iterations,
             sweep_ms,
-            lu_reuse,
+            factors,
             zones_ms,
             zone_steps,
         });
@@ -189,16 +181,15 @@ fn main() {
     //   anchor a factorisation plus one pricing pass (no pivots), so the
     //   anchor lands well under a second. The 64-point sweep starts every
     //   point from its own crash basis, like every engine sweep: the
-    //   crash is optimal at the point, so no point pivots. Two effects
-    //   stack on top: inside a
-    //   stability region consecutive crash bases coincide, so the
-    //   shared-LU path (`lp.lu_reuse`) skips the refactorisation, and
-    //   crash-started points are independent, so they shard across the
-    //   work-stealing executor — `sweep_ms` reports the sharded wall
-    //   clock, `sweep_ms_t1` the serial one, and the run asserts the two
-    //   produce bit-identical runtimes (thread-count determinism). The
-    //   three zones follow (`zones_ms`): the anchor-seeded tolerance LPs
-    //   they replace took ~412 s together at this shape.
+    //   crash is optimal at the point, so no point pivots, and its tree
+    //   factors by substitution (one triangular factorisation per point,
+    //   no LU). Crash-started points are independent, so they shard
+    //   across the work-stealing executor — `sweep_ms` reports the
+    //   sharded wall clock, `sweep_ms_t1` the serial one, and the run
+    //   asserts the two produce bit-identical runtimes (thread-count
+    //   determinism). The three zones follow (`zones_ms`): the
+    //   anchor-seeded tolerance LPs they replace took ~412 s together at
+    //   this shape.
     let mut large_json = String::new();
     if !skip_large {
         let set = llamp_workloads::scaled(App::Lulesh, 2, 430);
@@ -241,9 +232,8 @@ fn main() {
         let anchor = lp.predict(params_l.l).expect("large anchor solves");
         let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
 
-        // Serial crash-start sweep, with the recorder counting how many
-        // LU factorisations the shared-LU path skipped.
-        llamp_obs::enable();
+        // Serial crash-start sweep.
+        let before = factors(&lp);
         let t_sweep = Instant::now();
         let mut runtimes_t1 = Vec::with_capacity(deltas.len());
         for &d in &deltas {
@@ -255,8 +245,9 @@ fn main() {
             );
         }
         let sweep_ms_t1 = t_sweep.elapsed().as_secs_f64() * 1e3;
-        let lu_reuse = take_lu_reuse();
-        llamp_obs::disable();
+        let after = factors(&lp);
+        let factors = (after.0 - before.0, after.1 - before.1);
+        let per_solve_ms = sweep_ms_t1 / deltas.len() as f64;
 
         // The same sweep sharded across the work-stealing executor with
         // per-worker solver clones — the engine's intra-scenario path.
@@ -297,12 +288,14 @@ fn main() {
         eprintln!(
             "large-lp      lulesh x(2,430)  {vertices} verts  rows {} -> {}  \
              cold anchor {cold_anchor_ms:.0} ms ({} iters)  \
-             crash-start 64-pt sweep t1 {sweep_ms_t1:.0} ms / \
-             t{sweep_threads} {sweep_ms:.0} ms  lu reuse {lu_reuse}  \
+             crash-start 64-pt sweep t1 {sweep_ms_t1:.0} ms ({per_solve_ms:.1} ms/solve) / \
+             t{sweep_threads} {sweep_ms:.0} ms  factors {} tri / {} lu  \
              zones {zones_ms:.0} ms ({zone_steps} steps)",
             rn.stats().rows_before,
             rn.stats().rows_after,
-            anchor.iterations
+            anchor.iterations,
+            factors.0,
+            factors.1
         );
 
         large_json = format!(
@@ -315,13 +308,16 @@ fn main() {
              \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {}, \
              \"sweep_ms\": {sweep_ms:.3}, \"sweep_ms_t1\": {sweep_ms_t1:.3}, \
              \"sweep_threads\": {sweep_threads}, \"sweep_points\": {}, \
-             \"lu_reuse\": {lu_reuse}, \"zones_ms\": {zones_ms:.3}, \
+             \"sweep_ms_per_solve\": {per_solve_ms:.3}, \
+             \"triangular_factors\": {}, \"lu_factors\": {}, \"zones_ms\": {zones_ms:.3}, \
              \"zone_steps\": {zone_steps}}},\n",
             rn.stats().rows_after,
             rn.stats().rows_before,
             rn.stats().rows_after,
             anchor.iterations,
-            deltas.len()
+            deltas.len(),
+            factors.0,
+            factors.1
         );
     }
 
@@ -331,8 +327,8 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rows_raw\": {}, \"rows_reduced\": {}, \
              \"ingest_ms\": {:.3}, \"reduce_ms\": {:.3}, \
              \"cold_anchor_ms\": {:.3}, \"cold_iterations\": {}, \
-             \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"lu_reuse\": {}, \
-             \"zones_ms\": {:.3}, \"zone_steps\": {}}}{}\n",
+             \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"triangular_factors\": {}, \
+             \"lu_factors\": {}, \"zones_ms\": {:.3}, \"zone_steps\": {}}}{}\n",
             r.workload.to_ascii_lowercase(),
             r.rows_raw,
             r.rows_reduced,
@@ -342,7 +338,8 @@ fn main() {
             r.cold_iterations,
             r.sweep_ms,
             deltas.len(),
-            r.lu_reuse,
+            r.factors.0,
+            r.factors.1,
             r.zones_ms,
             r.zone_steps,
             if i + 1 == rows.len() { "" } else { "," }

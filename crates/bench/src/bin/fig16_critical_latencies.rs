@@ -38,17 +38,17 @@ fn main() {
     // Walk like Algorithm 2, printing each iterate.
     let mut l = 500.0f64;
     loop {
-        let p = lp.predict(l).unwrap();
+        let (p, (salb_low, _)) = lp.predict_with_window(l).unwrap();
         t.row(vec![
             format!("{:.3}", l / 1000.0),
             format!("{:.3}", p.runtime / 1000.0),
             format!("{:.0}", p.lambda),
-            format!("{:.3}", p.l_feasible.0 / 1000.0),
+            format!("{:.3}", salb_low / 1000.0),
         ]);
-        if p.l_feasible.0 < 200.0 || !p.l_feasible.0.is_finite() {
+        if salb_low < 200.0 || !salb_low.is_finite() {
             break;
         }
-        l = (l - 100.0).min(p.l_feasible.0 - 1.0);
+        l = (l - 100.0).min(salb_low - 1.0);
         if l < 200.0 {
             break;
         }

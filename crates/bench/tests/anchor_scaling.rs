@@ -2,8 +2,8 @@
 //! (`cargo test --release -p llamp-bench --test anchor_scaling -- --ignored`):
 //! the cold sparse anchor on a 32k-row LULESH proxy must stay near-linear
 //! in the row count. The longest-path crash basis is optimal up to
-//! degeneracy at the query point, so the solve is an LU factorisation
-//! plus one optimality pricing pass — no pivots at all (observed: 1
+//! degeneracy at the query point, so the solve is one triangular
+//! factorisation plus one optimality pricing pass — no pivots at all (observed: 1
 //! iteration). The pre-crash behaviour was ~0.6 pivots *per row* (18k
 //! iterations at this shape, ~21 s), so the iteration ceiling trips on
 //! any regression back towards super-linear pivoting long before the

@@ -3,12 +3,13 @@
 //! 32k-row scaled LULESH shape:
 //!
 //! * a 64-point crash-start sweep must stay within a pivots-per-point
-//!   ceiling and a generous wall budget. Every point starts from its own
-//!   longest-path crash basis (optimal up to degeneracy, so approximately
-//!   zero pivots), and inside a stability region consecutive points share
-//!   one LU factorisation (`lp.lu_reuse`). A regression in either — crash
-//!   basis quality or LU adoption — shows up as pivots-per-point or
-//!   missing reuse long before the wall budget trips;
+//!   ceiling and a generous wall budget, and run on substitution alone.
+//!   Every point starts from its own longest-path crash basis (optimal up
+//!   to degeneracy, so approximately zero pivots), which peels into a
+//!   permuted triangle: one triangular factorisation per point, no LU. A
+//!   regression in either — crash basis quality or the structural factor
+//!   choice — shows up as pivots-per-point or an LU count long before the
+//!   wall budget trips;
 //! * the 1/2/5% tolerance zones must stay within steps-per-zone,
 //!   pivots-per-zone and wall ceilings and agree with the exact envelope.
 //!   Each zone is a Newton walk over crash-started points plus one
@@ -26,7 +27,8 @@ use llamp_workloads::App;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The obs recorder is process-global: the two smokes take turns.
+/// The zone smoke reads the process-global obs recorder; the smokes take
+/// turns.
 static OBS_SESSION: Mutex<()> = Mutex::new(());
 
 /// Pivot ceiling *per sweep point*. Observed: < 1 (the crash basis is
@@ -61,7 +63,6 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
     assert!(rows > 30_000, "shape shrank: {rows} rows");
     let deltas = linspace(0.0, us(60.0), 64);
 
-    llamp_obs::enable();
     let mut lp = GraphLp::build(graph, &binding);
     let start = Instant::now();
     let mut acc = 0.0;
@@ -75,21 +76,12 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
     let elapsed = start.elapsed().as_secs_f64();
     assert!(acc.is_finite());
     let stats = lp.solver_stats();
-    let snapshot = llamp_obs::take();
-    llamp_obs::disable();
-    let lu_reuse = snapshot
-        .summary()
-        .counters
-        .iter()
-        .find(|(k, _)| k == "lp.lu_reuse")
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
 
     let pivots_per_point = stats.pivots as f64 / deltas.len() as f64;
     eprintln!(
         "sweep smoke  {rows} rows  64 points  {elapsed:.3} s  \
-         {:.2} pivots/point  {} refactorisations  {lu_reuse} lu reuses",
-        pivots_per_point, stats.refactorizations
+         {:.2} pivots/point  {} triangular / {} LU factorisations",
+        pivots_per_point, stats.triangular_factors, stats.lu_factors
     );
 
     assert!(
@@ -102,13 +94,18 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
         elapsed <= WALL_BUDGET_S,
         "64-point sweep at {rows} rows took {elapsed:.3}s (budget {WALL_BUDGET_S}s)"
     );
-    // The shared-LU path must actually engage: within stability regions
-    // consecutive crash bases coincide, so a sweep this dense reuses
-    // many factorisations. Zero reuse means the adoption gate broke.
+    // Every crash tree peels into a permuted triangle, so every point
+    // factors by substitution and the sweep never runs an LU.
     assert!(
-        lu_reuse > 0,
-        "64-point crash-start sweep skipped no LU factorisations: \
-         the shared-LU reuse path has regressed"
+        stats.triangular_factors >= deltas.len() as u64,
+        "{} triangular factorisations for {} crash-started points: \
+         a crash basis missed the substitution path",
+        stats.triangular_factors,
+        deltas.len()
+    );
+    assert_eq!(
+        stats.lu_factors, 0,
+        "the crash-start sweep at {rows} rows ran LU factorisations"
     );
 }
 

@@ -41,7 +41,7 @@ pub use eval::{
 pub use llamp_lp::{SolveError, SolveStats};
 pub use llamp_schedgen::{GraphView, ReduceConfig, ReducedGraph, ReductionStats};
 pub use lowering::{lower_walk, Lowered};
-pub use lp_build::{GraphLp, Prediction};
+pub use lp_build::{GraphLp, Prediction, CRITICAL_STEP_LIMIT};
 pub use multi_lp::{GraphMultiLp, MultiPrediction, ParamPoint};
 pub use parametric::ParametricProfile;
 pub use placement::{

@@ -48,6 +48,13 @@ pub struct GraphLp {
     plan: CrashPlan,
 }
 
+/// Step ceiling of Algorithm 2 ([`GraphLp::critical_latencies`]): a
+/// search that needs more `predict` steps than this fails with a typed
+/// [`SolveError::IterationLimit`] instead of running unbounded. Every
+/// step descends by at least the caller's resolution `step`, so the
+/// ceiling binds only when `(l_max − l_min) / step` exceeds it.
+pub const CRITICAL_STEP_LIMIT: u32 = 1024;
+
 /// What a single `predict` solve reports (the quantities LLAMP reads from
 /// the solver).
 #[derive(Debug, Clone, Copy)]
@@ -56,10 +63,6 @@ pub struct Prediction {
     pub runtime: f64,
     /// Latency sensitivity `λ_L` (reduced cost of `l`).
     pub lambda: f64,
-    /// Range of feasibility of the latency lower bound: within
-    /// `[l_low, l_high]` the optimal basis — and hence the critical path
-    /// and `λ_L` — stay unchanged (`SALBLow`/`SALBUp`).
-    pub l_feasible: (f64, f64),
     /// Simplex iterations spent.
     pub iterations: u64,
 }
@@ -87,10 +90,11 @@ impl GraphLp {
     /// `t`) is made basic on the row that defines its max at that point
     /// while all other rows keep their logical basic. By the graph's
     /// topological order that submatrix is unit lower triangular —
-    /// trivially nonsingular — and evaluated at the query point the basis
-    /// is primal feasible *and* dual feasible, i.e. optimal up to
-    /// degeneracy: a cold solve seeded from it needs no pivots at all,
-    /// only the LU factorisation and the optimality pricing pass.
+    /// trivially nonsingular, and factored by substitution alone — and
+    /// evaluated at the query point the basis is primal feasible *and*
+    /// dual feasible, i.e. optimal up to degeneracy: a cold solve seeded
+    /// from it needs no pivots at all, only that factorisation and one
+    /// pricing pass.
     pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
         use llamp_lp::solution::VarStatus;
 
@@ -257,20 +261,31 @@ impl GraphLp {
         self.t
     }
 
-    /// Solve `min t` with `l ≥ l_value` and report runtime, `λ_L` and the
-    /// basis-stability range of `L`.
+    /// Solve `min t` with `l ≥ l_value` and report runtime and `λ_L`.
     pub fn predict(&mut self, l_value: f64) -> Result<Prediction, SolveError> {
-        self.model.set_var_lb(self.l, l_value);
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(l_value);
-        let sol = resolve_robust(&mut self.solver, &self.model, Some(&crash))?;
-        Ok(Prediction {
+        let sol = self.solve_raw(l_value)?;
+        Ok(self.prediction(&sol))
+    }
+
+    /// [`GraphLp::predict`] plus the range of feasibility of the latency
+    /// lower bound: within `[l_low, l_high]` the optimal basis — and
+    /// hence the critical path and `λ_L` — stay unchanged
+    /// (`SALBLow`/`SALBUp`). The window costs one more FTRAN, so only the
+    /// callers that read it (Algorithm 2) pay for it.
+    pub fn predict_with_window(
+        &mut self,
+        l_value: f64,
+    ) -> Result<(Prediction, (f64, f64)), SolveError> {
+        let sol = self.solve_raw(l_value)?;
+        Ok((self.prediction(&sol), sol.lb_range(self.l)))
+    }
+
+    fn prediction(&self, sol: &Solution) -> Prediction {
+        Prediction {
             runtime: sol.objective(),
             lambda: sol.reduced_cost(self.l),
-            l_feasible: sol.lb_range(self.l),
             iterations: sol.iterations(),
-        })
+        }
     }
 
     /// Solve `min t` and hand back the raw solution (for tight-constraint /
@@ -345,7 +360,9 @@ impl GraphLp {
     /// Algorithm 2: critical latencies within `[l_min, l_max]`, walking
     /// basis-stability ranges from the top of the interval downward. `step`
     /// caps the per-iteration progress (resolution), `eps` nudges the bound
-    /// strictly past a discovered breakpoint.
+    /// strictly past a discovered breakpoint. A search needing more than
+    /// [`CRITICAL_STEP_LIMIT`] steps returns
+    /// `Err(SolveError::IterationLimit)`.
     pub fn critical_latencies(
         &mut self,
         l_min: f64,
@@ -353,13 +370,28 @@ impl GraphLp {
         step: f64,
         eps: f64,
     ) -> Result<Vec<f64>, SolveError> {
+        self.critical_latencies_within(l_min, l_max, step, eps, CRITICAL_STEP_LIMIT)
+    }
+
+    /// [`GraphLp::critical_latencies`] under an explicit step ceiling.
+    fn critical_latencies_within(
+        &mut self,
+        l_min: f64,
+        l_max: f64,
+        step: f64,
+        eps: f64,
+        limit: u32,
+    ) -> Result<Vec<f64>, SolveError> {
         assert!(l_min <= l_max && step > 0.0 && eps > 0.0);
         let mut lcs: Vec<f64> = Vec::new();
         let mut l = l_max;
         let mut lambda: Option<f64> = None;
-        loop {
-            let pred = self.predict(l)?;
-            let l_fl = pred.l_feasible.0;
+        for steps in 1.. {
+            if steps > limit {
+                return Err(SolveError::IterationLimit);
+            }
+            let (pred, window) = self.predict_with_window(l)?;
+            let l_fl = window.0;
             match lambda {
                 Some(prev) if (pred.lambda - prev).abs() <= 1e-9 => {}
                 _ => {
@@ -420,10 +452,10 @@ mod tests {
         // the critical latency 0.385 µs.
         let g = running_example(0.1);
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
-        let p = lp.predict(500.0).unwrap();
+        let (p, window) = lp.predict_with_window(500.0).unwrap();
         assert!((p.runtime - 1_615.0).abs() < 1e-6, "{}", p.runtime);
         assert!((p.lambda - 1.0).abs() < 1e-9);
-        assert!((p.l_feasible.0 - 385.0).abs() < 1e-6, "{:?}", p.l_feasible);
+        assert!((window.0 - 385.0).abs() < 1e-6, "{window:?}");
     }
 
     #[test]
@@ -524,6 +556,25 @@ mod tests {
         let lcs = lp.critical_latencies(200.0, 500.0, 100.0, 0.01).unwrap();
         assert_eq!(lcs.len(), 1, "{lcs:?}");
         assert!((lcs[0] - 385.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn critical_latency_search_past_its_step_ceiling_is_an_iteration_limit() {
+        // Each step leaves the current stability window, so even a 1 ps
+        // resolution finds 385 ns in two steps (500 ns, then 385 − ε)...
+        let g = running_example(0.1);
+        let mut lp = GraphLp::build(&g.contracted(), &didactic());
+        let lcs = lp.critical_latencies(200.0, 500.0, 1e-3, 1e-4).unwrap();
+        assert_eq!(lcs.len(), 1, "{lcs:?}");
+        assert!((lcs[0] - 385.0).abs() < 1e-6);
+        // ...and a ceiling below that is a typed failure, not a hang.
+        assert_eq!(
+            lp.critical_latencies_within(200.0, 500.0, 1e-3, 1e-4, 1),
+            Err(SolveError::IterationLimit)
+        );
+        assert!(lp
+            .critical_latencies_within(200.0, 500.0, 1e-3, 1e-4, 2)
+            .is_ok());
     }
 
     #[test]

@@ -71,7 +71,8 @@ struct Expr {
 }
 
 /// What a single multi-parameter solve reports: the runtime plus the full
-/// sensitivity gradient and per-parameter basis-stability ranges.
+/// sensitivity gradient. (The per-parameter basis-stability ranges are
+/// one `Solution::lb_range` away, through [`GraphMultiLp::solve_raw`].)
 #[derive(Debug, Clone, Copy)]
 pub struct MultiPrediction {
     /// Predicted runtime `T` (ns).
@@ -82,12 +83,6 @@ pub struct MultiPrediction {
     pub lambda_g: f64,
     /// Overhead sensitivity `λ_o` (reduced cost of the `o` column).
     pub lambda_o: f64,
-    /// Basis-stability range of the `L` lower bound (`SALBLow`/`SALBUp`).
-    pub l_feasible: (f64, f64),
-    /// Basis-stability range of the `G` lower bound.
-    pub g_feasible: (f64, f64),
-    /// Basis-stability range of the `o` lower bound.
-    pub o_feasible: (f64, f64),
     /// Simplex iterations spent.
     pub iterations: u64,
 }
@@ -99,15 +94,6 @@ impl MultiPrediction {
             SweepParam::L => self.lambda_l,
             SweepParam::G => self.lambda_g,
             SweepParam::O => self.lambda_o,
-        }
-    }
-
-    /// Basis-stability range of one parameter's lower bound.
-    pub fn feasible(&self, p: SweepParam) -> (f64, f64) {
-        match p {
-            SweepParam::L => self.l_feasible,
-            SweepParam::G => self.g_feasible,
-            SweepParam::O => self.o_feasible,
         }
     }
 
@@ -336,24 +322,15 @@ impl GraphMultiLp {
     }
 
     /// Solve `min t` with `l ≥ L`, `g ≥ G`, `o ≥ o` and report the
-    /// runtime, the full sensitivity gradient and the per-parameter
-    /// basis-stability ranges — all from one dual solution.
+    /// runtime and the full sensitivity gradient — all from one dual
+    /// solution.
     pub fn predict(&mut self, at: ParamPoint) -> Result<MultiPrediction, SolveError> {
-        self.model.set_var_lb(self.l, at.l);
-        self.model.set_var_lb(self.g, at.g);
-        self.model.set_var_lb(self.o, at.o);
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(at);
-        let sol = resolve_robust(&mut self.solver, &self.model, Some(&crash))?;
+        let sol = self.solve_raw(at)?;
         Ok(MultiPrediction {
             runtime: sol.objective(),
             lambda_l: sol.reduced_cost(self.l),
             lambda_g: sol.reduced_cost(self.g),
             lambda_o: sol.reduced_cost(self.o),
-            l_feasible: sol.lb_range(self.l),
-            g_feasible: sol.lb_range(self.g),
-            o_feasible: sol.lb_range(self.o),
             iterations: sol.iterations(),
         })
     }
@@ -536,8 +513,9 @@ mod tests {
         let mut lp = GraphMultiLp::build(&g, &binding);
         let at = base.with(SweepParam::L, 500.0);
         let p0 = lp.predict(at).unwrap();
+        let sol = lp.solve_raw(at).unwrap();
         for param in SweepParam::ALL {
-            let (lo, hi) = p0.feasible(param);
+            let (lo, hi) = sol.lb_range(lp.param_var(param));
             let x0 = at.get(param);
             // Step halfway to the window edge (bounded to stay finite).
             let step_up = if hi.is_finite() { (hi - x0) / 2.0 } else { 1.0 };

@@ -5,8 +5,9 @@
 //! `T(x) ≤ cap`, where `T(x)` is the optimal `min t` runtime with one
 //! parameter's lower bound at `x`. `T` is convex, piecewise linear and
 //! nondecreasing, and a crash-started `predict` returns `T(x)` together
-//! with a subgradient `λ` (the parameter's reduced cost) for one LU
-//! factorisation and no pivots. So the walk runs Newton on `T(x) = cap`:
+//! with a subgradient `λ` (the parameter's reduced cost) for one
+//! triangular factorisation and no pivots. So the walk runs Newton on
+//! `T(x) = cap`:
 //!
 //! * from the floor, the tangent root overshoots the root (the tangent of
 //!   a convex function lies below it); a zero slope jumps to the window
@@ -14,7 +15,8 @@
 //! * from any point right of the root, the tangent root lands between
 //!   the root and that point, so every later step descends monotonically
 //!   and the walk stops on the root's linear piece after finitely many
-//!   steps.
+//!   steps: at the first landing whose slope is the one the step was
+//!   aimed with, which is the root up to `T`'s own rounding.
 //!
 //! `T(top) ≤ cap` ends the walk early: the zone covers the whole search
 //! window. Otherwise [`certify`] answers with one tolerance-LP solve
@@ -83,6 +85,8 @@ fn newton(
     } else {
         top
     };
+    // The slope the step onto `x` was aimed with (none for the jump).
+    let mut aimed = lambda0;
     loop {
         let (t, lambda) = eval(x)?;
         if t <= cap {
@@ -93,12 +97,19 @@ fn newton(
             });
         }
         // Right of the root: λ > 0 by convexity, and the tangent root
-        // lies in [root, x). Rounding can stall it; x is then the root.
+        // lies in [root, x). A step that landed on the piece it was aimed
+        // along (same slope: distinct pieces of a convex T have distinct
+        // slopes) hit the root exactly, so any excess is T's rounding,
+        // which further steps could only chase ulp by ulp. Rounding can
+        // also stall the step itself; x is the root then too.
+        if lambda == aimed && x < top {
+            return Ok(WalkEnd::Root { at: x, lambda });
+        }
         let next = (x - (t - cap) / lambda).max(floor);
         if next >= x {
             return Ok(WalkEnd::Root { at: x, lambda });
         }
-        x = next;
+        (x, aimed) = (next, lambda);
     }
 }
 

@@ -93,13 +93,14 @@ pub struct ResultCache {
     stats: CacheStats,
 }
 
-/// Key for one point entry.
-pub fn point_key(base_canonical: &str, delta_l_ns: f64) -> String {
-    format!("{base_canonical}|pt|{:016x}", delta_l_ns.to_bits())
+/// Key for one point entry. `tag` prefixes the `∆L` suffix: empty, or
+/// [`LP_TAG`] for LP points.
+pub fn point_key(base_canonical: &str, delta_l_ns: f64, tag: &str) -> String {
+    format!("{base_canonical}|pt|{tag}{:016x}", delta_l_ns.to_bits())
 }
 
 /// Key for one zones entry (latency-grid campaigns). `tag` prefixes the
-/// search-window suffix: empty, or [`LP_ZONE_TAG`] for LP zones.
+/// search-window suffix: empty, or [`LP_TAG`] for LP zones.
 pub fn zones_key(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
     format!(
         "{base_canonical}|zones|{tag}{:016x}",
@@ -120,14 +121,15 @@ pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64, tag: &str) -> St
     )
 }
 
-/// Window tag of LP zone entries (`…|lp|r1|zones|walk-{window}`). LP
-/// zones come from the Newton zone walk; engines before it solved the
-/// tolerance LP warm from the scenario's anchor basis, which can end on
-/// another optimal basis of a degenerate LP and differ in the last ulp.
-/// The tag makes those LP zone entries miss instead of mixing the two
-/// rules' answers; `parametric` and `eval` zone keys are untagged and
-/// keep hitting.
-pub const LP_ZONE_TAG: &str = "walk-";
+/// Suffix tag of every LP entry (`…|lp|r1|pt|tri-{∆L}`, `…|zones|tri-
+/// {window}`, likewise `apt` and `mzones`). LP answers are read off the
+/// crash basis's triangular factor by substitution; engines before it
+/// factorised through a sparse LU, whose rounding differs in the last
+/// ulp. Older engines tagged LP zones `walk-` (the Newton zone walk) and
+/// left LP points untagged. The tag makes all those LP entries miss
+/// instead of mixing the two factorisations' answers; `parametric` and
+/// `eval` keys are untagged and keep hitting.
+pub const LP_TAG: &str = "tri-";
 
 /// Key for one multi-parameter point entry. The key carries the absolute
 /// per-parameter offsets `(∆L, ∆G, ∆o)` — missing axes are zero — so it
@@ -138,9 +140,10 @@ pub const LP_ZONE_TAG: &str = "walk-";
 /// results must never substitute for each other (they agree only to
 /// numerical tolerance, not bit-for-bit). Old cache files therefore stay
 /// valid for grid campaigns and simply never collide with axis entries.
-pub fn axis_point_key(base_canonical: &str, param_deltas: [f64; 3]) -> String {
+/// `tag` as in [`point_key`].
+pub fn axis_point_key(base_canonical: &str, param_deltas: [f64; 3], tag: &str) -> String {
     format!(
-        "{base_canonical}|apt|l{:016x},g{:016x},o{:016x}",
+        "{base_canonical}|apt|{tag}l{:016x},g{:016x},o{:016x}",
         param_deltas[0].to_bits(),
         param_deltas[1].to_bits(),
         param_deltas[2].to_bits()
@@ -537,7 +540,7 @@ mod tests {
     #[test]
     fn hit_miss_accounting() {
         let c = ResultCache::new();
-        let k = point_key("base", 5.0);
+        let k = point_key("base", 5.0, "");
         assert!(c.get(&k).is_none());
         c.put(k.clone(), CachedEntry::Point(point(5.0)));
         assert_eq!(c.get(&k), Some(CachedEntry::Point(point(5.0))));
@@ -549,7 +552,7 @@ mod tests {
     #[test]
     fn peek_does_not_count() {
         let c = ResultCache::new();
-        let k = point_key("base", 1.0);
+        let k = point_key("base", 1.0, "");
         c.put(k.clone(), CachedEntry::Point(point(1.0)));
         assert!(c.peek(&k).is_some());
         assert_eq!(c.stats().hits() + c.stats().misses(), 0);
@@ -558,7 +561,7 @@ mod tests {
     #[test]
     fn disk_round_trip_including_infinities() {
         let c = ResultCache::new();
-        c.put(point_key("b", 0.0), CachedEntry::Point(point(0.0)));
+        c.put(point_key("b", 0.0, ""), CachedEntry::Point(point(0.0)));
         c.put(
             zones_key("b", 1e6, ""),
             CachedEntry::Zones(ZonesResult {
@@ -599,8 +602,8 @@ mod tests {
         let dir = temp_cache_dir("torn");
         let path = dir.join("cache.json");
         let c = ResultCache::new();
-        c.put(point_key("b", 0.0), CachedEntry::Point(point(0.0)));
-        c.put(point_key("b", 1.0), CachedEntry::Point(point(1.0)));
+        c.put(point_key("b", 0.0, ""), CachedEntry::Point(point(0.0)));
+        c.put(point_key("b", 1.0, ""), CachedEntry::Point(point(1.0)));
         c.save(&path).unwrap();
 
         let full = std::fs::read_to_string(&path).unwrap();
@@ -623,8 +626,8 @@ mod tests {
         let dir = temp_cache_dir("sum");
         let path = dir.join("cache.json");
         let c = ResultCache::new();
-        c.put(point_key("b", 0.0), CachedEntry::Point(point(0.0)));
-        c.put(point_key("b", 1.0), CachedEntry::Point(point(1.0)));
+        c.put(point_key("b", 0.0, ""), CachedEntry::Point(point(0.0)));
+        c.put(point_key("b", 1.0, ""), CachedEntry::Point(point(1.0)));
         c.save(&path).unwrap();
 
         // Flip one stored number without updating its checksum.
@@ -645,7 +648,7 @@ mod tests {
         let dir = temp_cache_dir("legacy");
         let path = dir.join("cache.json");
         let c = ResultCache::new();
-        c.put(point_key("b", 0.0), CachedEntry::Point(point(0.0)));
+        c.put(point_key("b", 0.0, ""), CachedEntry::Point(point(0.0)));
         c.save(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         // Strip the sum fields (simulate an old writer).
@@ -665,7 +668,7 @@ mod tests {
         let dir = temp_cache_dir("atomic");
         let path = dir.join("cache.json");
         let c = ResultCache::new();
-        c.put(point_key("b", 2.0), CachedEntry::Point(point(2.0)));
+        c.put(point_key("b", 2.0, ""), CachedEntry::Point(point(2.0)));
         c.save(&path).unwrap();
         c.save(&path).unwrap(); // overwrite path exercises rename-over
         let names: Vec<String> = std::fs::read_dir(&dir)

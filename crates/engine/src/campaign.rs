@@ -374,14 +374,14 @@ pub fn run_campaign_checked(
 /// Probe (without counting) whether every piece of a scenario is cached;
 /// if so, replay the lookups through the counting path and assemble.
 fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOutcome> {
-    let base = sc.base_canonical();
+    let (base, tag) = (sc.base_canonical(), sc.key_tag());
     if !sc.axes.is_empty() {
         let zk = sc.zones_key();
         let tuples = sc.axis_points();
         let all_present = cache.peek(&zk).is_some()
             && tuples.iter().all(|t| {
                 cache
-                    .peek(&axis_point_key(&base, sc.param_deltas(t)))
+                    .peek(&axis_point_key(&base, sc.param_deltas(t), tag))
                     .is_some()
             });
         if !all_present {
@@ -393,7 +393,7 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
         };
         let mut points = Vec::with_capacity(tuples.len());
         for t in tuples {
-            match cache.get(&axis_point_key(&base, sc.param_deltas(&t)))? {
+            match cache.get(&axis_point_key(&base, sc.param_deltas(&t), tag))? {
                 CachedEntry::AxisPoint(v) => points.push(AxisPointResult {
                     deltas: t,
                     value: v,
@@ -413,7 +413,7 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
             .grid
             .deltas_ns
             .iter()
-            .all(|&d| cache.peek(&point_key(&base, d)).is_some());
+            .all(|&d| cache.peek(&point_key(&base, d, tag)).is_some());
     if !all_present {
         return None;
     }
@@ -424,7 +424,7 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
     };
     let mut sweep = Vec::with_capacity(sc.grid.deltas_ns.len());
     for &d in &sc.grid.deltas_ns {
-        match cache.get(&point_key(&base, d))? {
+        match cache.get(&point_key(&base, d, tag))? {
             CachedEntry::Point(p) => sweep.push(p),
             _ => return None,
         }
@@ -456,14 +456,14 @@ fn run_one(
         return run_one_axes(sc, cache, graph);
     }
     let span = llamp_obs::span("scenario");
-    let base = sc.base_canonical();
+    let (base, tag) = (sc.base_canonical(), sc.key_tag());
     if llamp_obs::is_enabled() {
         span.field_str("key", &base);
     }
     let mut cached_points: Vec<Option<PointResult>> = Vec::with_capacity(sc.grid.deltas_ns.len());
     let mut missing: Vec<f64> = Vec::new();
     for &d in &sc.grid.deltas_ns {
-        match cache.get(&point_key(&base, d)) {
+        match cache.get(&point_key(&base, d, tag)) {
             Some(CachedEntry::Point(p)) => cached_points.push(Some(p)),
             _ => {
                 cached_points.push(None);
@@ -500,7 +500,7 @@ fn run_one(
                 let p = computed_iter
                     .next()
                     .ok_or_else(|| "backend returned fewer points than requested".to_string())?;
-                inserts.push((point_key(&base, d), CachedEntry::Point(p)));
+                inserts.push((point_key(&base, d, tag), CachedEntry::Point(p)));
                 sweep.push(p);
             }
         }
@@ -533,7 +533,7 @@ fn run_one_axes(
     graph: impl FnOnce() -> Result<Arc<ReducedGraph>, String>,
 ) -> Result<JobOutput, String> {
     let span = llamp_obs::span("scenario");
-    let base = sc.base_canonical();
+    let (base, tag) = (sc.base_canonical(), sc.key_tag());
     if llamp_obs::is_enabled() {
         span.field_str("key", &base);
     }
@@ -541,7 +541,7 @@ fn run_one_axes(
     let mut cached_points: Vec<Option<AxisPointValue>> = Vec::with_capacity(tuples.len());
     let mut missing: Vec<Vec<f64>> = Vec::new();
     for t in &tuples {
-        match cache.get(&axis_point_key(&base, sc.param_deltas(t))) {
+        match cache.get(&axis_point_key(&base, sc.param_deltas(t), tag)) {
             Some(CachedEntry::AxisPoint(v)) => cached_points.push(Some(v)),
             _ => {
                 cached_points.push(None);
@@ -577,7 +577,7 @@ fn run_one_axes(
                     .next()
                     .ok_or_else(|| "backend returned fewer points than requested".to_string())?;
                 inserts.push((
-                    axis_point_key(&base, sc.param_deltas(&t)),
+                    axis_point_key(&base, sc.param_deltas(&t), tag),
                     CachedEntry::AxisPoint(v),
                 ));
                 v

@@ -70,6 +70,8 @@ pub fn solver_stats_value(s: &SolveStats) -> Value {
         ("pivots".into(), int(s.pivots)),
         ("bound_flips".into(), int(s.bound_flips)),
         ("refactorizations".into(), int(s.refactorizations)),
+        ("triangular_factors".into(), int(s.triangular_factors)),
+        ("lu_factors".into(), int(s.lu_factors)),
         ("devex_resets".into(), int(s.devex_resets)),
         ("ftran_calls".into(), int(s.ftran_calls)),
         ("ftran_density".into(), Value::Float(s.ftran_density())),

@@ -3,7 +3,7 @@
 //! backend over the campaign's latency grid. Scenarios are the engine's
 //! unit of scheduling, caching and reporting.
 
-use crate::cache::{zones_key, zones_key_multi, LP_ZONE_TAG};
+use crate::cache::{zones_key, zones_key_multi, LP_TAG};
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
     axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
@@ -261,17 +261,23 @@ impl Scenario {
         )
     }
 
+    /// Suffix tag of the scenario's cache entries: [`LP_TAG`] for the LP
+    /// backend, empty otherwise.
+    pub fn key_tag(&self) -> &'static str {
+        if self.backend == Backend::Lp {
+            LP_TAG
+        } else {
+            ""
+        }
+    }
+
     /// Cache key of the scenario's zones entry: `zones` for latency-grid
     /// campaigns, `mzones` for axes campaigns, LP entries tagged with
-    /// [`LP_ZONE_TAG`].
+    /// [`LP_TAG`].
     pub fn zones_key(&self) -> String {
         let base = self.base_canonical();
         let hi = self.grid.search_hi_ns;
-        let tag = if self.backend == Backend::Lp {
-            LP_ZONE_TAG
-        } else {
-            ""
-        };
+        let tag = self.key_tag();
         if self.axes.is_empty() {
             zones_key(&base, hi, tag)
         } else {
@@ -465,8 +471,8 @@ impl Scenario {
                 };
                 let mut lp = analyzer.lp();
                 // The zones' baseline is the crash-started point at
-                // ∆L = 0. Solved before the points, so a ∆L = 0 grid
-                // point adopts its LU instead of refactorising.
+                // ∆L = 0, a pure function of the scenario like every
+                // point.
                 let t0 = if need_zones {
                     let p = lp
                         .predict(base)

@@ -179,7 +179,7 @@ iters = 1
         let base = sr.scenario.base_canonical().replace("|lp|", "|lp-sparse|");
         let outcome = sr.outcome.as_ref().unwrap();
         for p in &outcome.sweep {
-            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
+            old.put(point_key(&base, p.delta_l_ns, ""), CachedEntry::Point(*p));
         }
         old.put(
             zones_key(&base, spec.grid.search_hi_ns, ""),
@@ -238,17 +238,17 @@ fn through_disk(cache: &ResultCache, tag: &str) -> ResultCache {
 }
 
 #[test]
-fn pre_walk_lp_zone_entries_miss_and_everything_else_hits() {
-    // The file an engine from before the zone walk leaves behind: the
-    // same keys, except that LP zone entries carry no `walk-` tag. Those
-    // came from the anchor-seeded tolerance LP, which can end on another
-    // optimal basis and differ in the last ulp, so they must miss; the
-    // LP points (same crash-started rule) and the parametric and eval
-    // zones keep hitting.
+fn legacy_lp_entries_miss_and_everything_else_hits() {
+    // The files two older engines leave behind: the same keys, except
+    // that LP entries carry no `tri-` tag. Before the triangular factor
+    // LP answers came from a sparse LU, which rounds differently in the
+    // last ulp, so every LP point and zone must miss. The engine before
+    // that one also lacked the zone walk (LP zones untagged instead of
+    // `walk-`). The parametric and eval entries keep hitting under both.
     let _guard = session_lock().lock().unwrap();
     let grid = CampaignSpec::parse(
         r#"
-name = "zone-walk-keys"
+name = "legacy-lp-keys"
 backends = ["parametric", "eval", "lp"]
 [grid]
 deltas_ns = [0.0, 20000.0, 40000.0]
@@ -265,74 +265,87 @@ iters = 1
     let (fresh_grid, _) = run_campaign(&grid, &config(), &ResultCache::new());
     let (fresh_axes, _) = run_campaign(&axes, &config(), &ResultCache::new());
 
-    let old = ResultCache::new();
-    for sr in &fresh_grid.scenarios {
-        let base = sr.scenario.base_canonical();
-        let outcome = sr.outcome.as_ref().unwrap();
-        for p in &outcome.sweep {
-            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
-        }
-        old.put(
-            zones_key(&base, grid.grid.search_hi_ns, ""),
-            CachedEntry::Zones(outcome.zones),
-        );
-    }
-    for sr in &fresh_axes.scenarios {
-        let base = sr.scenario.base_canonical();
-        let outcome = sr.outcome.as_ref().unwrap();
-        for p in &outcome.points {
+    for legacy_zone_tag in ["", "walk-"] {
+        let zone_tag = |sc: &llamp_engine::Scenario| {
+            if sc.key_tag().is_empty() {
+                ""
+            } else {
+                legacy_zone_tag
+            }
+        };
+        let old = ResultCache::new();
+        for sr in &fresh_grid.scenarios {
+            let base = sr.scenario.base_canonical();
+            let outcome = sr.outcome.as_ref().unwrap();
+            for p in &outcome.sweep {
+                old.put(point_key(&base, p.delta_l_ns, ""), CachedEntry::Point(*p));
+            }
             old.put(
-                axis_point_key(&base, sr.scenario.param_deltas(&p.deltas)),
-                CachedEntry::AxisPoint(p.value),
+                zones_key(&base, grid.grid.search_hi_ns, zone_tag(&sr.scenario)),
+                CachedEntry::Zones(outcome.zones),
             );
         }
-        old.put(
-            zones_key_multi(&base, axes.grid.search_hi_ns, ""),
-            CachedEntry::Zones(outcome.zones),
+        for sr in &fresh_axes.scenarios {
+            let base = sr.scenario.base_canonical();
+            let outcome = sr.outcome.as_ref().unwrap();
+            for p in &outcome.points {
+                old.put(
+                    axis_point_key(&base, sr.scenario.param_deltas(&p.deltas), ""),
+                    CachedEntry::AxisPoint(p.value),
+                );
+            }
+            old.put(
+                zones_key_multi(&base, axes.grid.search_hi_ns, zone_tag(&sr.scenario)),
+                CachedEntry::Zones(outcome.zones),
+            );
+        }
+        let loaded = through_disk(&old, "legacy-lp-keys");
+        assert_eq!(
+            loaded.len(),
+            3 * 4 + 4 + 1,
+            "every old entry survives the load"
         );
+
+        llamp_obs::enable();
+        let (result, summary) = run_campaign(&grid, &config(), &loaded);
+        let counters = llamp_obs::take().counters;
+        llamp_obs::disable();
+        assert_eq!(result.to_json(), fresh_grid.to_json());
+        let provenance: Vec<(&str, Provenance)> = (result.scenarios.iter())
+            .zip(&summary.provenance)
+            .map(|(sr, p)| (sr.scenario.backend.name(), *p))
+            .collect();
+        assert_eq!(
+            provenance,
+            vec![
+                ("eval", Provenance::FullCacheHit),
+                ("lp", Provenance::Computed),
+                ("parametric", Provenance::FullCacheHit)
+            ]
+        );
+        assert_eq!(
+            get(&counters, "cache.pt.hit"),
+            6,
+            "eval and parametric points hit"
+        );
+        assert_eq!(get(&counters, "cache.pt.miss"), 3, "every LP point misses");
+        assert_eq!(get(&counters, "cache.zones.hit"), 2);
+        assert_eq!(
+            get(&counters, "cache.zones.miss"),
+            1,
+            "only the LP zones miss"
+        );
+
+        llamp_obs::enable();
+        let (result, _) = run_campaign(&axes, &config(), &loaded);
+        let counters = llamp_obs::take().counters;
+        llamp_obs::disable();
+        assert_eq!(result.to_json(), fresh_axes.to_json());
+        assert_eq!(get(&counters, "cache.apt.hit"), 0);
+        assert_eq!(get(&counters, "cache.apt.miss"), 4);
+        assert_eq!(get(&counters, "cache.mzones.miss"), 1);
+        assert_eq!(get(&counters, "cache.mzones.hit"), 0);
     }
-    let loaded = through_disk(&old, "zone-walk-keys");
-    assert_eq!(
-        loaded.len(),
-        3 * 4 + 4 + 1,
-        "every old entry survives the load"
-    );
-
-    llamp_obs::enable();
-    let (result, summary) = run_campaign(&grid, &config(), &loaded);
-    let counters = llamp_obs::take().counters;
-    llamp_obs::disable();
-    assert_eq!(result.to_json(), fresh_grid.to_json());
-    let provenance: Vec<(&str, Provenance)> = (result.scenarios.iter())
-        .zip(&summary.provenance)
-        .map(|(sr, p)| (sr.scenario.backend.name(), *p))
-        .collect();
-    assert_eq!(
-        provenance,
-        vec![
-            ("eval", Provenance::FullCacheHit),
-            ("lp", Provenance::Computed),
-            ("parametric", Provenance::FullCacheHit)
-        ]
-    );
-    assert_eq!(get(&counters, "cache.pt.hit"), 9, "LP points still hit");
-    assert_eq!(get(&counters, "cache.pt.miss"), 0);
-    assert_eq!(get(&counters, "cache.zones.hit"), 2);
-    assert_eq!(
-        get(&counters, "cache.zones.miss"),
-        1,
-        "only the LP zones miss"
-    );
-
-    llamp_obs::enable();
-    let (result, _) = run_campaign(&axes, &config(), &loaded);
-    let counters = llamp_obs::take().counters;
-    llamp_obs::disable();
-    assert_eq!(result.to_json(), fresh_axes.to_json());
-    assert_eq!(get(&counters, "cache.apt.hit"), 4);
-    assert_eq!(get(&counters, "cache.apt.miss"), 0);
-    assert_eq!(get(&counters, "cache.mzones.miss"), 1);
-    assert_eq!(get(&counters, "cache.mzones.hit"), 0);
 }
 
 #[test]
@@ -373,7 +386,7 @@ s_bytes = 1024
             .replace(",rndv1024|", ",s1024|");
         let outcome = sr.outcome.as_ref().unwrap();
         for p in &outcome.sweep {
-            old.put(point_key(&base, p.delta_l_ns), CachedEntry::Point(*p));
+            old.put(point_key(&base, p.delta_l_ns, ""), CachedEntry::Point(*p));
         }
         old.put(
             zones_key(&base, spec.grid.search_hi_ns, ""),

@@ -1,7 +1,7 @@
 //! The solver the analysis layers (`llamp-core`, `llamp-engine`) program
 //! against.
 //!
-//! [`SparseSimplex`] is the sparse-LU / eta-file primal simplex with warm
+//! [`SparseSimplex`] is the sparse / eta-file primal simplex with warm
 //! starts: solve a model, re-solve it cheaply after the incremental edits
 //! LLAMP performs (bound tightenings, the tolerance objective flip), and
 //! read duals / reduced costs / ranging off the returned [`Solution`].
@@ -9,23 +9,22 @@
 //! seeded one, such as the longest-path crash basis `llamp-core` builds),
 //! and every solution comes out of canonical extraction, so two solves
 //! that land on the same final basis return bit-identical numbers.
+//!
+//! Nothing but the basis carries over between solves: the constraint
+//! matrix lives on the [`LpModel`] (built once, shared by every solve of
+//! it), and a crash basis factors by substitution, so there is no
+//! factorisation worth handing from one solve to the next.
 
 use crate::error::SolveError;
 use crate::model::LpModel;
-use crate::simplex::{solve_sparse_reusing, RangingData, SimplexOptions};
+use crate::simplex::{solve_sparse, SimplexOptions};
 use crate::solution::{Basis, Solution, SolveStats};
-use std::sync::Arc;
 
-/// Sparse LU / eta-file simplex with warm starts.
+/// Sparse / eta-file simplex with warm starts.
 #[derive(Debug, Default)]
 pub struct SparseSimplex {
     opts: SimplexOptions,
     warm: Option<Basis>,
-    /// Last solution's ranging data — the retained LU a warm start whose
-    /// basis and matrix bits match may adopt instead of refactorising.
-    /// Deliberately survives [`SparseSimplex::reset`]: adoption keys on
-    /// bit-identity, so a stale entry can only miss, never corrupt.
-    reuse: Option<Arc<RangingData>>,
     stats: SolveStats,
 }
 
@@ -41,7 +40,7 @@ impl SparseSimplex {
     /// Cold solve from the all-logical (slack) basis: ignores (and
     /// replaces) any retained warm state.
     pub fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_sparse_reusing(model, &self.opts, None, None)?;
+        let sol = solve_sparse(model, &self.opts, None)?;
         Ok(self.remember(sol))
     }
 
@@ -50,15 +49,13 @@ impl SparseSimplex {
     /// to a cold solve when no state fits the model. A failed solve leaves
     /// the warm state untouched.
     pub fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol =
-            solve_sparse_reusing(model, &self.opts, self.warm.as_ref(), self.reuse.as_deref())?;
+        let sol = solve_sparse(model, &self.opts, self.warm.as_ref())?;
         Ok(self.remember(sol))
     }
 
     fn remember(&mut self, sol: Solution) -> Solution {
         self.stats.merge(sol.stats());
         self.warm = Some(sol.basis().clone());
-        self.reuse = Some(sol.ranging.clone());
         sol
     }
 

@@ -9,8 +9,13 @@
 //! from scratch:
 //!
 //! * [`model::LpModel`] — a general LP model builder: variables with bounds,
-//!   linear constraints (`≤`, `≥`, `=`, ranges), minimise/maximise.
-//! * [`simplex`] — a bounded-variable primal simplex on a sparse LU with a
+//!   linear constraints (`≤`, `≥`, `=`, ranges), minimise/maximise. The
+//!   model keeps the constraint matrix in the solver's form, built by the
+//!   first solve and shared by every later one until a row or column is
+//!   added.
+//! * [`simplex`] — a bounded-variable primal simplex on a sparse
+//!   factorisation picked from the basis's structure (substitution for a
+//!   basis that peels into a permuted triangle, an LU otherwise) with a
 //!   product-form eta file. Artificial-free phase 1, Devex partial pricing
 //!   with deterministic lowest-index tie-breaking and a Bland fallback
 //!   (anti-cycling), a two-pass Harris ratio test, periodic
@@ -18,8 +23,8 @@
 //!   dense-inverse variant ([`simplex::solve_dense`]) is kept only as the
 //!   test oracle the sparse path is cross-validated against.
 //! * [`backend::SparseSimplex`] — the solver object the analysis layers
-//!   hold: cold solves, warm re-solves from the previous (or a seeded)
-//!   basis, and a retained LU that identical re-factorisations adopt.
+//!   hold: cold solves and warm re-solves from the previous (or a seeded)
+//!   basis.
 //! * [`solution::Solution`] — primal values, objective, row duals, reduced
 //!   costs, the exportable warm-start [`Basis`], and *bound ranging*: the
 //!   equivalent of Gurobi's `SARHSLow` / `SALBLow` attributes that
@@ -43,9 +48,12 @@
 //!
 //! ## Determinism
 //!
-//! Solutions are extracted *canonically*: every reported number is
-//! recomputed from a fresh sparse LU of the final basis (columns in
-//! ascending order, nonbasic values snapped exactly onto their bounds).
+//! Solutions are extracted *canonically*: every reported number comes
+//! from the factorisation of the final basis (columns in ascending order,
+//! nonbasic values snapped exactly onto their bounds) whose kind the
+//! basis's structure picks. A solve that never left its installed basis
+//! already holds exactly those numbers — one substitution each way and
+//! one pricing pass for a crash start — and extraction takes them over.
 //! Pricing and ratio-test ties break by lowest index within a relative
 //! epsilon. Together these make a solution a pure function of
 //! `(model, final basis)` — cold, warm, crash-started and dense-oracle

@@ -8,7 +8,9 @@
 //! paper's `l ≥ L` step in Algorithm 2) without touching the constraint
 //! matrix.
 
+use crate::factor::ColsView;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,21 +41,130 @@ pub enum Relation {
     Eq,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Column {
-    pub name: String,
-    pub lb: f64,
-    pub ub: f64,
-    pub obj: f64,
+/// Names and `[lb, ub]` boxes of the variables, or of the rows, as
+/// parallel arrays: a solve copies the bounds wholesale.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Boxes {
+    pub names: Vec<String>,
+    pub lb: Vec<f64>,
+    pub ub: Vec<f64>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Row {
-    pub name: String,
-    pub lb: f64,
-    pub ub: f64,
-    /// `(column, coefficient)` pairs; kept sorted by column, deduplicated.
-    pub terms: Vec<(u32, f64)>,
+impl Boxes {
+    fn push(&mut self, name: String, lb: f64, ub: f64) -> u32 {
+        self.names.push(name);
+        self.lb.push(lb);
+        self.ub.push(ub);
+        (self.names.len() - 1) as u32
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// The constraint matrix in the simplex's computational form, built once
+/// per model and shared by every solve of it: the column-wise extended
+/// matrix (structural columns, then one logical column with `−1` at its
+/// row, from `aᵀx − s = 0`) and a row-wise mirror of the structural part
+/// (logicals stay implicit). Only `add_var` and `add_*constraint` change
+/// it; bound, objective and sense edits leave it alone.
+pub(crate) struct Matrix {
+    pub m: usize,
+    pub n_struct: usize,
+    pub col_start: Vec<usize>,
+    pub col_rows: Vec<u32>,
+    pub col_vals: Vec<f64>,
+    pub row_start: Vec<usize>,
+    pub row_cols: Vec<u32>,
+    pub row_vals: Vec<f64>,
+}
+
+impl Matrix {
+    fn build(model: &LpModel) -> Self {
+        let m = model.terms.len();
+        let n_struct = model.vars.len();
+        let n_total = n_struct + m;
+        let mut col_start = vec![0usize; n_total + 1];
+        for row in &model.terms {
+            for &(v, _) in row {
+                col_start[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..m {
+            col_start[n_struct + i + 1] = 1;
+        }
+        for j in 0..n_total {
+            col_start[j + 1] += col_start[j];
+        }
+        let nnz = col_start[n_total];
+        let mut col_rows = vec![0u32; nnz];
+        let mut col_vals = vec![0.0f64; nnz];
+        let mut fill = col_start[..n_total].to_vec();
+        for (i, row) in model.terms.iter().enumerate() {
+            for &(v, c) in row {
+                let p = fill[v as usize];
+                col_rows[p] = i as u32;
+                col_vals[p] = c;
+                fill[v as usize] += 1;
+            }
+        }
+        for i in 0..m {
+            let p = fill[n_struct + i];
+            col_rows[p] = i as u32;
+            col_vals[p] = -1.0;
+        }
+
+        let mut row_start = Vec::with_capacity(m + 1);
+        row_start.push(0);
+        let mut row_cols = Vec::with_capacity(nnz - m);
+        let mut row_vals = Vec::with_capacity(nnz - m);
+        for row in &model.terms {
+            for &(v, c) in row {
+                row_cols.push(v);
+                row_vals.push(c);
+            }
+            row_start.push(row_cols.len());
+        }
+        Self {
+            m,
+            n_struct,
+            col_start,
+            col_rows,
+            col_vals,
+            row_start,
+            row_cols,
+            row_vals,
+        }
+    }
+
+    /// Column-wise view for the factorisations.
+    pub fn cols(&self) -> ColsView<'_> {
+        ColsView {
+            start: &self.col_start,
+            rows: &self.col_rows,
+            vals: &self.col_vals,
+        }
+    }
+
+    /// `a_jᵀ y` for extended column `j` and a row-space vector `y`.
+    pub fn dot_col(&self, j: usize, y: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for idx in self.col_start[j]..self.col_start[j + 1] {
+            acc += self.col_vals[idx] * y[self.col_rows[idx] as usize];
+        }
+        acc
+    }
+}
+
+impl fmt::Debug for Matrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Matrix")
+            .field("rows", &self.m)
+            .field("cols", &(self.n_struct + self.m))
+            .field("nnz", &self.col_rows.len())
+            .finish()
+    }
 }
 
 /// A linear program under construction.
@@ -77,8 +188,17 @@ pub(crate) struct Row {
 #[derive(Debug, Clone, Default)]
 pub struct LpModel {
     pub(crate) sense: Objective,
-    pub(crate) cols: Vec<Column>,
-    pub(crate) rows: Vec<Row>,
+    pub(crate) vars: Boxes,
+    /// Objective coefficient per variable.
+    pub(crate) obj: Vec<f64>,
+    pub(crate) rows: Boxes,
+    /// `(column, coefficient)` terms per row; sorted by column,
+    /// deduplicated.
+    pub(crate) terms: Vec<Vec<(u32, f64)>>,
+    /// The computational-form matrix, built by the first solve and
+    /// dropped by every edit that changes it (a clone shares it until
+    /// its own first such edit).
+    matrix: OnceLock<Arc<Matrix>>,
 }
 
 impl LpModel {
@@ -86,8 +206,7 @@ impl LpModel {
     pub fn new(sense: Objective) -> Self {
         Self {
             sense,
-            cols: Vec::new(),
-            rows: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -99,14 +218,9 @@ impl LpModel {
             "variable bounds crossed: lb={lb} > ub={ub} for {}",
             name.into()
         );
-        let id = self.cols.len() as u32;
-        self.cols.push(Column {
-            name: name.into(),
-            lb,
-            ub,
-            obj,
-        });
-        VarId(id)
+        self.matrix.take();
+        self.obj.push(obj);
+        VarId(self.vars.push(name.into(), lb, ub))
     }
 
     /// Add a `≤` / `≥` / `=` constraint over the given `(variable,
@@ -138,7 +252,7 @@ impl LpModel {
         let mut t: Vec<(u32, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(
-                (v.0 as usize) < self.cols.len(),
+                (v.0 as usize) < self.vars.len(),
                 "constraint references unknown variable {v:?}"
             );
             t.push((v.0, c));
@@ -153,19 +267,14 @@ impl LpModel {
             }
         }
         merged.retain(|&(_, c)| c != 0.0);
-        let id = self.rows.len() as u32;
-        self.rows.push(Row {
-            name: name.into(),
-            lb,
-            ub,
-            terms: merged,
-        });
-        ConId(id)
+        self.matrix.take();
+        self.terms.push(merged);
+        ConId(self.rows.push(name.into(), lb, ub))
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.cols.len()
+        self.vars.len()
     }
 
     /// Number of constraints.
@@ -175,7 +284,7 @@ impl LpModel {
 
     /// Total number of nonzero coefficients across all rows.
     pub fn num_nonzeros(&self) -> usize {
-        self.rows.iter().map(|r| r.terms.len()).sum()
+        self.terms.iter().map(Vec::len).sum()
     }
 
     /// Optimisation direction.
@@ -192,54 +301,63 @@ impl LpModel {
     /// Replace the objective with the given terms (all other coefficients
     /// become zero).
     pub fn set_objective(&mut self, terms: &[(VarId, f64)]) {
-        for c in &mut self.cols {
-            c.obj = 0.0;
-        }
+        self.obj.fill(0.0);
         for &(v, c) in terms {
-            self.cols[v.0 as usize].obj += c;
+            self.obj[v.0 as usize] += c;
         }
     }
 
     /// Current lower bound of `v`.
     pub fn var_lb(&self, v: VarId) -> f64 {
-        self.cols[v.0 as usize].lb
+        self.vars.lb[v.0 as usize]
     }
 
     /// Current upper bound of `v`.
     pub fn var_ub(&self, v: VarId) -> f64 {
-        self.cols[v.0 as usize].ub
+        self.vars.ub[v.0 as usize]
     }
 
     /// Variable name (for reports and GOAL/LP dumps).
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.cols[v.0 as usize].name
+        &self.vars.names[v.0 as usize]
     }
 
     /// Objective coefficient of `v`.
     pub fn var_obj(&self, v: VarId) -> f64 {
-        self.cols[v.0 as usize].obj
+        self.obj[v.0 as usize]
     }
 
     /// Tighten/relax the lower bound of a variable. This is the hot
     /// operation of Algorithm 2 (`assign constraint l ≥ L`).
     pub fn set_var_lb(&mut self, v: VarId, lb: f64) {
-        let c = &mut self.cols[v.0 as usize];
-        assert!(lb <= c.ub, "lb {lb} exceeds ub {} for {}", c.ub, c.name);
-        c.lb = lb;
+        let j = v.0 as usize;
+        let ub = self.vars.ub[j];
+        assert!(
+            lb <= ub,
+            "lb {lb} exceeds ub {ub} for {}",
+            self.vars.names[j]
+        );
+        self.vars.lb[j] = lb;
     }
 
     /// Tighten/relax the upper bound of a variable (used by the tolerance
     /// formulation `t ≤ (1+x)·T₀`).
     pub fn set_var_ub(&mut self, v: VarId, ub: f64) {
-        let c = &mut self.cols[v.0 as usize];
-        assert!(ub >= c.lb, "ub {ub} below lb {} for {}", c.lb, c.name);
-        c.ub = ub;
+        let j = v.0 as usize;
+        let lb = self.vars.lb[j];
+        assert!(ub >= lb, "ub {ub} below lb {lb} for {}", self.vars.names[j]);
+        self.vars.ub[j] = ub;
+    }
+
+    /// The computational-form matrix, built on first use.
+    pub(crate) fn matrix(&self) -> Arc<Matrix> {
+        Arc::clone(self.matrix.get_or_init(|| Arc::new(Matrix::build(self))))
     }
 
     /// Row bounds `(lb, ub)` of a constraint.
     pub fn row_bounds(&self, c: ConId) -> (f64, f64) {
-        let r = &self.rows[c.0 as usize];
-        (r.lb, r.ub)
+        let i = c.0 as usize;
+        (self.rows.lb[i], self.rows.ub[i])
     }
 
     /// Solve with default options. See [`simplex::SimplexOptions`] for
@@ -260,37 +378,40 @@ impl fmt::Display for LpModel {
             Objective::Minimize => writeln!(f, "Minimize")?,
             Objective::Maximize => writeln!(f, "Maximize")?,
         }
+        let var = |j: usize| nm(&self.vars.names[j], j);
         write!(f, "  obj:")?;
-        for (j, c) in self.cols.iter().enumerate() {
-            if c.obj != 0.0 {
-                write!(f, " {:+} {}", c.obj, nm(&c.name, j))?;
+        for (j, &c) in self.obj.iter().enumerate() {
+            if c != 0.0 {
+                write!(f, " {:+} {}", c, var(j))?;
             }
         }
         writeln!(f)?;
         writeln!(f, "Subject To")?;
-        for (i, r) in self.rows.iter().enumerate() {
-            write!(f, "  {}:", nm(&r.name, i))?;
-            for &(v, coef) in &r.terms {
-                write!(
-                    f,
-                    " {:+} {}",
-                    coef,
-                    nm(&self.cols[v as usize].name, v as usize)
-                )?;
+        for (i, terms) in self.terms.iter().enumerate() {
+            write!(f, "  {}:", nm(&self.rows.names[i], i))?;
+            for &(v, coef) in terms {
+                write!(f, " {:+} {}", coef, var(v as usize))?;
             }
-            if r.lb == r.ub {
-                writeln!(f, " = {}", r.ub)?;
-            } else if r.lb.is_finite() && r.ub.is_finite() {
-                writeln!(f, " in [{}, {}]", r.lb, r.ub)?;
-            } else if r.lb.is_finite() {
-                writeln!(f, " >= {}", r.lb)?;
+            let (lb, ub) = (self.rows.lb[i], self.rows.ub[i]);
+            if lb == ub {
+                writeln!(f, " = {ub}")?;
+            } else if lb.is_finite() && ub.is_finite() {
+                writeln!(f, " in [{lb}, {ub}]")?;
+            } else if lb.is_finite() {
+                writeln!(f, " >= {lb}")?;
             } else {
-                writeln!(f, " <= {}", r.ub)?;
+                writeln!(f, " <= {ub}")?;
             }
         }
         writeln!(f, "Bounds")?;
-        for (j, c) in self.cols.iter().enumerate() {
-            writeln!(f, "  {} <= {} <= {}", c.lb, nm(&c.name, j), c.ub)?;
+        for j in 0..self.vars.len() {
+            writeln!(
+                f,
+                "  {} <= {} <= {}",
+                self.vars.lb[j],
+                var(j),
+                self.vars.ub[j]
+            )?;
         }
         Ok(())
     }
@@ -313,7 +434,7 @@ mod tests {
         let mut m = LpModel::new(Objective::Minimize);
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let c = m.add_constraint("r", &[(x, 1.0), (x, 2.0)], Relation::Le, 6.0);
-        assert_eq!(m.rows[c.0 as usize].terms, vec![(0, 3.0)]);
+        assert_eq!(m.terms[c.0 as usize], vec![(0, 3.0)]);
     }
 
     #[test]
@@ -322,7 +443,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let y = m.add_var("y", 0.0, 10.0, 0.0);
         let c = m.add_constraint("r", &[(x, 1.0), (y, 0.0)], Relation::Le, 6.0);
-        assert_eq!(m.rows[c.0 as usize].terms, vec![(0, 1.0)]);
+        assert_eq!(m.terms[c.0 as usize], vec![(0, 1.0)]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    the caller's budgets, the most conservative start there is.
 //!
 //! **Why a recovered answer is byte-identical.** Solutions are extracted
-//! canonically (recomputed from a fresh sparse LU of the final basis —
-//! see the crate docs), and all rungs use the same deterministic pivot
+//! canonically (a pure function of the final basis — see the crate
+//! docs), and all rungs use the same deterministic pivot
 //! rules, so any rung that reaches the optimal basis reports exactly the
 //! bytes the no-fault solve would have. After a rung-3 recovery the
 //! caller's solver is re-seeded with the answering basis, so subsequent

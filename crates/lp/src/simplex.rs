@@ -37,36 +37,44 @@
 //!   pass 2 picks the largest-magnitude pivot among rows blocking within
 //!   that step, breaking near-ties toward the lowest basis position.
 //! * **Factorisation.** The basis is held behind the internal
-//!   `BasisFactor` trait: `SparseLu` (Markowitz-ordered sparse LU +
-//!   product-form eta file) runs every production solve; `DenseInv`
-//!   (dense inverse + dense eta updates) survives only behind
+//!   `BasisFactor` trait: `SparseFactor` (a factorisation picked from the
+//!   basis's structure — pure substitution when the basis peels into a
+//!   permuted triangle, a Markowitz-ordered sparse LU otherwise — plus a
+//!   product-form eta file) runs every production solve;
+//!   `DenseInv` (dense inverse + dense eta updates) survives only behind
 //!   [`solve_dense`], the test oracle the sparse path is checked
 //!   against. Refactoring is periodic *and* triggered early when the eta
-//!   file outgrows the fresh factorisation. All hot-path linear algebra runs through
-//!   caller-owned [`IndexedVec`] workspaces: the FTRAN / BTRAN / pricing
-//!   path performs **no heap allocation**.
+//!   file outgrows the fresh factorisation. All hot-path linear algebra
+//!   runs through caller-owned [`IndexedVec`] workspaces: the FTRAN /
+//!   BTRAN / pricing path performs **no heap allocation**. The
+//!   constraint matrix itself is built once per model and shared by
+//!   every solve of it.
 //! * **Warm starts.** A solved model exposes its final [`Basis`];
 //!   [`solve_sparse`] accepts one and starts from it instead
 //!   of the all-logical basis. After a bound tightening (Algorithm 2's
 //!   `l ≥ L` step) the previous basis is typically a handful of pivots —
 //!   often zero — from the new optimum.
 //! * **Canonical extraction.** Whatever path produced the final basis, the
-//!   reported [`Solution`] is recomputed from scratch off a canonical
-//!   sparse LU of the basis columns in ascending column order. Solutions
-//!   are therefore a pure function of `(model, final basis)`: a cold
-//!   solve, a warm re-solve, a crash-started solve and the dense oracle
-//!   that land on the same basis report bit-identical numbers — the
-//!   property the engine's byte-identity contracts rest on.
+//!   reported [`Solution`] is computed off a canonical factorisation of
+//!   the basis columns in ascending column order. Solutions are
+//!   therefore a pure function of `(model, final basis)`: a cold solve, a
+//!   warm re-solve, a crash-started solve and the dense oracle that land
+//!   on the same basis report bit-identical numbers — the property the
+//!   engine's byte-identity contracts rest on. A solve that never moved
+//!   from its installed basis already holds exactly that factorisation
+//!   and the `x_B`, `y` and reduced costs it yields, so extraction reads
+//!   them instead of recomputing: a zero-pivot solve prices once.
 
 // Dense linear-algebra kernels index several same-length buffers per loop;
 // iterator zips would obscure the math without changing codegen.
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::{Distress, SolveError};
-use crate::factor::{BasisFactor, ColsView, DenseInv, SparseLu};
-use crate::model::{LpModel, Objective};
+use crate::factor::{BasisFactor, DenseInv, SparseFactor};
+use crate::model::{LpModel, Matrix, Objective};
 use crate::solution::{Basis, Solution, SolveStats, VarStatus};
 use llamp_util::IndexedVec;
+use std::sync::Arc;
 
 const INF: f64 = f64::INFINITY;
 
@@ -137,14 +145,6 @@ pub struct SimplexOptions {
     /// disables (the default — a singular refactorisation falls back to
     /// the eta-updated factor, which is usually fine once).
     pub singular_limit: u32,
-    /// Reuse a previous solve's LU factorisation when the incoming warm
-    /// basis and constraint matrix are bit-identical to the one it was
-    /// built for, and hand the final factorisation to the extracted
-    /// solution instead of refactorising (on by default). This only
-    /// skips redundant factorisations of identical matrices, so the
-    /// solution bytes are unchanged; the switch exists so tests can
-    /// certify that claim by diffing both paths.
-    pub lu_reuse: bool,
 }
 
 impl Default for SimplexOptions {
@@ -161,32 +161,25 @@ impl Default for SimplexOptions {
             drift_limit: 1e-6,
             bland_streak_limit: 0,
             singular_limit: 0,
-            lu_reuse: true,
         }
     }
 }
 
 /// Retained basis data enabling post-solve ranging queries. Holds the
-/// canonical sparse LU built at extraction, so ranging is identical no
-/// matter which factorisation ran the pivots.
-#[derive(Debug, Clone)]
-pub struct RangingData {
-    lu: SparseLu,
-    /// Column sparse structure of the extended matrix (structural+logical).
-    col_start: Vec<usize>,
-    col_rows: Vec<u32>,
-    col_vals: Vec<f64>,
+/// canonical factorisation of the final basis, so ranging is identical
+/// no matter which factorisation ran the pivots.
+#[derive(Debug)]
+pub(crate) struct RangingData {
+    lu: SparseFactor,
+    /// The model's extended matrix (structural + logical columns).
+    mat: Arc<Matrix>,
     /// Basic column per row position (ascending column order).
     basis: Vec<usize>,
-    /// Values of all extended columns at the optimum.
-    x: Vec<f64>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
+    /// Values and bounds of all extended columns at the optimum.
+    pub(crate) x: Vec<f64>,
+    pub(crate) lb: Vec<f64>,
+    pub(crate) ub: Vec<f64>,
     pivot_tol: f64,
-    /// Whether `lu` came from the standard-threshold factorisation (or a
-    /// solver takeover of one). The min-pivot salvage path produces an LU
-    /// that `refactor` would reject, which must never seed a later solve.
-    strict: bool,
 }
 
 impl RangingData {
@@ -309,12 +302,7 @@ impl RangingData {
     }
 
     fn ftran(&self, j: usize) -> Vec<f64> {
-        let view = ColsView {
-            start: &self.col_start,
-            rows: &self.col_rows,
-            vals: &self.col_vals,
-        };
-        self.lu.ftran_col_alloc(view, j)
+        self.lu.ftran_col_alloc(self.mat.cols(), j)
     }
 }
 
@@ -341,16 +329,10 @@ struct Core<F: BasisFactor> {
     m: usize,
     n_struct: usize,
     n_total: usize,
-    col_start: Vec<usize>,
-    col_rows: Vec<u32>,
-    col_vals: Vec<f64>,
-    /// Row-wise mirror of the structural columns (CSR), for scattering
-    /// pivot rows: `α_j = Σ_i ρ_i A_ij` costs only the nonzeros of the
-    /// rows in `supp(ρ)`. Logical columns are implicit (−1 on the
-    /// diagonal).
-    row_start: Vec<usize>,
-    row_cols: Vec<u32>,
-    row_vals: Vec<f64>,
+    /// The model's extended matrix. Its row-wise mirror scatters pivot
+    /// rows: `α_j = Σ_i ρ_i A_ij` costs only the nonzeros of the rows in
+    /// `supp(ρ)`, logical columns implicit (−1 on the diagonal).
+    mat: Arc<Matrix>,
     lb: Vec<f64>,
     ub: Vec<f64>,
     /// Internal costs (always a minimisation).
@@ -362,16 +344,17 @@ struct Core<F: BasisFactor> {
     factor: F,
     iterations: u64,
     pivots_since_refactor: u64,
-    /// Whether `factor` is a pristine factorisation of the current basis
-    /// (no eta updates absorbed since the last refactorisation/adoption).
-    /// Only such factors may be handed to the extracted solution in place
-    /// of the canonical re-factorisation.
-    factor_fresh: bool,
     // --- incremental pricing state ---
     /// Reduced costs of all columns under the current phase's objective,
     /// maintained incrementally and resynchronised at refactorisations.
     d: Vec<f64>,
-    /// Devex reference weights.
+    /// Whether `d` (and `y_buf`) still hold the values of the last
+    /// from-scratch resync: no basis exchange or phase-1 cost change
+    /// since. An optimality claim on fresh values needs no confirming
+    /// resync.
+    d_fresh: bool,
+    /// Devex reference weights; empty means all 1 (the first pivot of a
+    /// phase sizes it).
     devex: Vec<f64>,
     /// Candidate list (ascending column order).
     cand: Vec<u32>,
@@ -403,7 +386,7 @@ struct Core<F: BasisFactor> {
     opts: SimplexOptions,
 }
 
-/// Solve `model` with the default (sparse LU) factorisation, returning the
+/// Solve `model` with the default (sparse) factorisation, returning the
 /// optimal [`Solution`] or the terminal [`SolveError`] explaining why
 /// none exists.
 pub fn solve(model: &LpModel, opts: &SimplexOptions) -> Result<Solution, SolveError> {
@@ -419,34 +402,20 @@ pub fn solve_dense(
     warm: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
     traced_solve("dense", model, warm, || {
-        solve_generic::<DenseInv>(model, opts, warm, None)
+        solve_generic::<DenseInv>(model, opts, warm)
     })
 }
 
-/// Solve with the sparse LU / eta-file factorisation (the at-scale path).
+/// Solve with the sparse triangular-or-LU / eta-file factorisation (the
+/// at-scale path).
 /// `warm` optionally seeds the starting basis.
 pub fn solve_sparse(
     model: &LpModel,
     opts: &SimplexOptions,
     warm: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    solve_sparse_reusing(model, opts, warm, None)
-}
-
-/// [`solve_sparse`] with an optional previous solution's [`RangingData`]:
-/// when the warm basis and constraint matrix are bit-identical to the
-/// ones the retained LU was built for, installation adopts that LU
-/// instead of refactorising. Purely a factorisation shortcut — the
-/// numbers are unchanged (the adopted LU is the very factorisation a
-/// fresh refactor of the same bits would produce).
-pub fn solve_sparse_reusing(
-    model: &LpModel,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-    reuse: Option<&RangingData>,
-) -> Result<Solution, SolveError> {
     traced_solve("sparse", model, warm, || {
-        solve_generic::<SparseLu>(model, opts, warm, reuse)
+        solve_generic::<SparseFactor>(model, opts, warm)
     })
 }
 
@@ -476,6 +445,8 @@ fn traced_solve(
                 g.field_u64("pivots", s.pivots);
                 g.field_u64("bound_flips", s.bound_flips);
                 g.field_u64("refactorisations", s.refactorizations);
+                g.field_u64("triangular_factors", s.triangular_factors);
+                g.field_u64("lu_factors", s.lu_factors);
                 g.field_f64("max_resync_drift", s.max_resync_drift);
             }
             Err(status) => g.field_str("status", &format!("{status:?}")),
@@ -488,9 +459,8 @@ fn solve_generic<F: BasisFactor>(
     model: &LpModel,
     opts: &SimplexOptions,
     warm: Option<&Basis>,
-    reuse: Option<&RangingData>,
 ) -> Result<Solution, SolveError> {
-    let mut core: Core<F> = Core::build_reusing(model, opts.clone(), warm, reuse);
+    let mut core: Core<F> = Core::build(model, opts.clone(), warm);
     core.arm_deadline();
     let max_iters = core.iteration_cap();
 
@@ -559,122 +529,60 @@ impl<F: BasisFactor> Core<F> {
         });
     }
 
-    /// Build a solver core for `model`, optionally installing a warm
-    /// basis, and optionally adopting a retained [`RangingData`]'s LU at
-    /// installation (see [`solve_sparse_reusing`]).
-    fn build_reusing(
-        model: &LpModel,
-        opts: SimplexOptions,
-        warm: Option<&Basis>,
-        reuse: Option<&RangingData>,
-    ) -> Self {
-        let m = model.rows.len();
-        let n_struct = model.cols.len();
+    /// Build a solver core for `model` (sharing the model's matrix),
+    /// optionally installing a warm basis.
+    fn build(model: &LpModel, opts: SimplexOptions, warm: Option<&Basis>) -> Self {
+        let mat = model.matrix();
+        let (m, n_struct) = (mat.m, mat.n_struct);
         let n_total = n_struct + m;
         let sign = match model.sense {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
         };
 
-        // Column-wise extended matrix: structural columns from the rows,
-        // then one logical column (+1 at its row; `aᵀx − s = 0` i.e. the
-        // logical coefficient is −1, folded in here).
-        let mut counts = vec![0usize; n_total];
-        for row in &model.rows {
-            for &(v, _) in &row.terms {
-                counts[v as usize] += 1;
-            }
-        }
-        for i in 0..m {
-            counts[n_struct + i] = 1;
-        }
-        let mut col_start = vec![0usize; n_total + 1];
-        for j in 0..n_total {
-            col_start[j + 1] = col_start[j] + counts[j];
-        }
-        let nnz = col_start[n_total];
-        let mut col_rows = vec![0u32; nnz];
-        let mut col_vals = vec![0.0f64; nnz];
-        let mut fill = col_start.clone();
-        for (i, row) in model.rows.iter().enumerate() {
-            for &(v, c) in &row.terms {
-                let p = fill[v as usize];
-                col_rows[p] = i as u32;
-                col_vals[p] = c;
-                fill[v as usize] += 1;
-            }
-        }
-        for i in 0..m {
-            let p = fill[n_struct + i];
-            col_rows[p] = i as u32;
-            col_vals[p] = -1.0;
-            fill[n_struct + i] += 1;
-        }
-
-        // Row-wise mirror of the structural part (logicals stay implicit).
-        let struct_nnz: usize = model.rows.iter().map(|r| r.terms.len()).sum();
-        let mut row_start = vec![0usize; m + 1];
-        for (i, row) in model.rows.iter().enumerate() {
-            row_start[i + 1] = row_start[i] + row.terms.len();
-        }
-        let mut row_cols = vec![0u32; struct_nnz];
-        let mut row_vals = vec![0.0f64; struct_nnz];
-        for (i, row) in model.rows.iter().enumerate() {
-            for (p, &(v, c)) in (row_start[i]..).zip(row.terms.iter()) {
-                row_cols[p] = v;
-                row_vals[p] = c;
-            }
-        }
-
         let mut lb = Vec::with_capacity(n_total);
         let mut ub = Vec::with_capacity(n_total);
         let mut cost = Vec::with_capacity(n_total);
-        for c in &model.cols {
-            lb.push(c.lb);
-            ub.push(c.ub);
-            cost.push(sign * c.obj);
-        }
-        for r in &model.rows {
-            lb.push(r.lb);
-            ub.push(r.ub);
-            cost.push(0.0);
-        }
+        lb.extend_from_slice(&model.vars.lb);
+        lb.extend_from_slice(&model.rows.lb);
+        ub.extend_from_slice(&model.vars.ub);
+        ub.extend_from_slice(&model.rows.ub);
+        cost.extend(model.obj.iter().map(|&c| sign * c));
+        cost.resize(n_total, 0.0);
 
         let mut core = Self {
             m,
             n_struct,
             n_total,
-            col_start,
-            col_rows,
-            col_vals,
-            row_start,
-            row_cols,
-            row_vals,
+            mat,
             lb,
             ub,
             cost,
-            basis: Vec::new(),
+            basis: Vec::with_capacity(m),
             in_basis: vec![-1i32; n_total],
             status: vec![NbStatus::Lower; n_total],
             x: vec![0.0; n_total],
             factor: F::new(m),
             iterations: 0,
             pivots_since_refactor: 0,
-            factor_fresh: false,
             d: vec![0.0; n_total],
-            devex: vec![1.0; n_total],
+            d_fresh: false,
+            devex: Vec::new(),
             cand: Vec::new(),
-            cb1: vec![0.0; m],
+            // Sized when phase 1 first runs.
+            cb1: Vec::new(),
             infeas_count: 0,
             bland_active: false,
             bland_engagements: 0,
             singular_refactors: 0,
             distressed: None,
             deadline: None,
-            w: IndexedVec::new(m),
-            rho: IndexedVec::new(m),
-            alpha: IndexedVec::new(n_total),
-            delta: IndexedVec::new(m),
+            // Sized on first use: a solve that never pivots never
+            // touches them.
+            w: IndexedVec::default(),
+            rho: IndexedVec::default(),
+            alpha: IndexedVec::default(),
+            delta: IndexedVec::default(),
             cb_buf: vec![0.0; m],
             y_buf: vec![0.0; m],
             stats: SolveStats {
@@ -684,7 +592,7 @@ impl<F: BasisFactor> Core<F> {
             opts,
         };
 
-        let warm_ok = warm.is_some_and(|b| core.try_install_basis(b, reuse));
+        let warm_ok = warm.is_some_and(|b| core.try_install_basis(b));
         if !warm_ok {
             core.install_default_basis();
         }
@@ -726,38 +634,16 @@ impl<F: BasisFactor> Core<F> {
         debug_assert!(ok, "the all-logical basis is always nonsingular");
     }
 
-    /// Whether `reuse` retains an LU of exactly the basis matrix about to
-    /// be installed: same basis positions, bit-identical constraint
-    /// matrix, and a strict (standard-threshold) factorisation. Under
-    /// those conditions the retained LU *is* what refactorisation would
-    /// rebuild, so adopting it changes no bits downstream.
-    fn reuse_matches(&self, reuse: &RangingData, basis: &[usize]) -> bool {
-        self.opts.lu_reuse
-            && reuse.strict
-            && reuse.basis == basis
-            && reuse.col_start == self.col_start
-            && reuse.col_rows == self.col_rows
-            && reuse.col_vals.len() == self.col_vals.len()
-            && reuse
-                .col_vals
-                .iter()
-                .zip(&self.col_vals)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
     /// Try to start from a previous solve's basis. Statuses are
     /// normalised against the *current* bounds (a bound that became
     /// infinite demotes the status) and the basis matrix is refactorised;
-    /// any mismatch falls back to the cold start. When `reuse` retains an
-    /// LU of this exact basis matrix, it is adopted in place of the
-    /// refactorisation (counted on the `lp.lu_reuse` obs counter).
-    fn try_install_basis(&mut self, warm: &Basis, reuse: Option<&RangingData>) -> bool {
+    /// any mismatch falls back to the cold start, which overwrites every
+    /// status, value and basis slot written here.
+    fn try_install_basis(&mut self, warm: &Basis) -> bool {
         if warm.cols.len() != self.n_struct || warm.rows.len() != self.m {
             return false;
         }
-        let mut basis = Vec::with_capacity(self.m);
-        let mut status = vec![NbStatus::Lower; self.n_total];
-        let mut x = vec![0.0; self.n_total];
+        self.basis.clear();
         for j in 0..self.n_total {
             let s = if j < self.n_struct {
                 warm.cols[j]
@@ -781,10 +667,12 @@ impl<F: BasisFactor> Core<F> {
                     }
                 }
             };
-            status[j] = st;
-            x[j] = match st {
+            self.status[j] = st;
+            self.in_basis[j] = -1;
+            self.x[j] = match st {
                 NbStatus::Basic => {
-                    basis.push(j);
+                    self.in_basis[j] = self.basis.len() as i32;
+                    self.basis.push(j);
                     0.0
                 }
                 NbStatus::Lower => l,
@@ -792,76 +680,50 @@ impl<F: BasisFactor> Core<F> {
                 NbStatus::FreeZero => 0.0,
             };
         }
-        if basis.len() != self.m {
-            return false;
-        }
-        // Install tentatively; refactorisation is the singularity check.
-        // A retained LU of this exact basis matrix skips it: the adopted
-        // factorisation already proves nonsingularity.
-        let adopted =
-            reuse.is_some_and(|r| self.reuse_matches(r, &basis) && self.factor.adopt(&r.lu));
-        let saved_basis = std::mem::replace(&mut self.basis, basis);
-        if adopted {
-            self.pivots_since_refactor = 0;
-            self.factor_fresh = true;
-            llamp_obs::counter("lp.lu_reuse", 1);
-        } else if !self.refactorize() {
-            self.basis = saved_basis;
-            return false;
-        }
-        self.status = status;
-        self.x = x;
-        for v in &mut self.in_basis {
-            *v = -1;
-        }
-        for (i, &j) in self.basis.iter().enumerate() {
-            self.in_basis[j] = i as i32;
-        }
-        true
+        // Refactorisation is the singularity check.
+        self.basis.len() == self.m && self.refactorize()
     }
 
-    /// Refactorise the basis, resetting the eta counter on success.
+    /// Refactorise the basis, resetting the eta counter on success. Every
+    /// factorisation is counted by kind; the install-time one of a fresh
+    /// solve (iterations still 0) is setup, so `refactorizations` reports
+    /// only mid-solve (periodic / eta-growth) ones, as documented on
+    /// `SolveStats`.
     fn refactorize(&mut self) -> bool {
-        let ok = self.factor.refactor(
-            ColsView {
-                start: &self.col_start,
-                rows: &self.col_rows,
-                vals: &self.col_vals,
-            },
-            &self.basis,
-        );
-        if ok {
-            self.pivots_since_refactor = 0;
-            self.factor_fresh = true;
-            // The install-time factorisation of a fresh solve (iterations
-            // still 0) is setup, not solver behaviour: the counter reports
-            // only mid-solve (periodic / eta-growth) refactorisations, as
-            // documented on `SolveStats`.
-            if self.iterations > 0 {
-                self.stats.refactorizations += 1;
-            }
+        let Some(kind) = self.factor.refactor(self.mat.cols(), &self.basis) else {
+            return false;
+        };
+        self.stats.count_factor(kind);
+        self.pivots_since_refactor = 0;
+        if self.iterations > 0 {
+            self.stats.refactorizations += 1;
         }
-        ok
+        true
     }
 
     /// Recompute all basic variable values from the nonbasic assignment:
     /// `x_B = B⁻¹ (0 − A_N x_N)`.
     fn recompute_basics(&mut self) {
-        let m = self.m;
-        let mut r = vec![0.0; m];
+        let xb = self.factor.ftran_dense(&self.nonbasic_rhs());
+        for (&b, &v) in self.basis.iter().zip(&xb) {
+            self.x[b] = v;
+        }
+    }
+
+    /// The row-space right-hand side `0 − A_N x_N` of the basic system.
+    fn nonbasic_rhs(&self) -> Vec<f64> {
+        let mat = &*self.mat;
+        let mut r = vec![0.0; self.m];
         for j in 0..self.n_total {
             if self.in_basis[j] >= 0 || self.x[j] == 0.0 {
                 continue;
             }
             let xj = self.x[j];
-            for idx in self.col_start[j]..self.col_start[j + 1] {
-                r[self.col_rows[idx] as usize] -= self.col_vals[idx] * xj;
+            for idx in mat.col_start[j]..mat.col_start[j + 1] {
+                r[mat.col_rows[idx] as usize] -= mat.col_vals[idx] * xj;
             }
         }
-        let xb = self.factor.ftran_dense(&r);
-        for i in 0..m {
-            self.x[self.basis[i]] = xb[i];
-        }
+        r
     }
 
     /// Whether every basic variable sits within its (magnitude-scaled,
@@ -873,20 +735,6 @@ impl<F: BasisFactor> Core<F> {
             v >= self.lb[b] - viol_tol(self.lb[b], feas)
                 && v <= self.ub[b] + viol_tol(self.ub[b], feas)
         })
-    }
-
-    fn dot_col(
-        col_start: &[usize],
-        col_rows: &[u32],
-        col_vals: &[f64],
-        j: usize,
-        y: &[f64],
-    ) -> f64 {
-        let mut acc = 0.0;
-        for idx in col_start[j]..col_start[j + 1] {
-            acc += col_vals[idx] * y[col_rows[idx] as usize];
-        }
-        acc
     }
 
     /// Phase-1 cost class of column `b` given its current value:
@@ -911,6 +759,7 @@ impl<F: BasisFactor> Core<F> {
     /// change*, not by drift, so the following resync must not count the
     /// gap as incremental error.
     fn rebuild_cb1(&mut self) -> bool {
+        self.cb1.resize(self.m, 0.0);
         self.infeas_count = 0;
         let mut changed = false;
         for i in 0..self.m {
@@ -948,14 +797,7 @@ impl<F: BasisFactor> Core<F> {
                 continue;
             }
             let cj = if phase1 { 0.0 } else { self.cost[j] };
-            let fresh = cj
-                - Self::dot_col(
-                    &self.col_start,
-                    &self.col_rows,
-                    &self.col_vals,
-                    j,
-                    &self.y_buf,
-                );
+            let fresh = cj - self.mat.dot_col(j, &self.y_buf);
             if record_drift {
                 let gap = (fresh - d[j]).abs() / (1.0 + fresh.abs());
                 drift = drift.max(gap);
@@ -963,6 +805,7 @@ impl<F: BasisFactor> Core<F> {
             d[j] = fresh;
         }
         self.d = d;
+        self.d_fresh = true;
         if record_drift {
             self.stats.max_resync_drift = self.stats.max_resync_drift.max(drift);
             if self.opts.drift_limit > 0.0 && drift > self.opts.drift_limit {
@@ -978,7 +821,7 @@ impl<F: BasisFactor> Core<F> {
             self.rebuild_cb1();
         }
         self.resync_d(phase1, false);
-        self.devex.iter_mut().for_each(|w| *w = 1.0);
+        self.devex.clear();
         self.cand.clear();
         self.bland_active = false;
     }
@@ -1028,7 +871,7 @@ impl<F: BasisFactor> Core<F> {
             match self.eligible(j) {
                 None => false,
                 Some(dir) => {
-                    let score = self.d[j] * self.d[j] / self.devex[j];
+                    let score = self.d[j] * self.d[j] / self.devex.get(j).unwrap_or(&1.0);
                     let better = match best {
                         None => true,
                         Some((_, bs, _)) => score > bs * (1.0 + PRICE_TIE_REL),
@@ -1073,7 +916,12 @@ impl<F: BasisFactor> Core<F> {
         if let Some(sel) = self.scan_candidates() {
             return Some(sel);
         }
-        // Optimality claim: confirm on freshly recomputed reduced costs.
+        // Optimality claim: confirm on freshly recomputed reduced costs —
+        // unless nothing moved since the last resync, whose values a
+        // second one would reproduce bit for bit.
+        if self.d_fresh {
+            return None;
+        }
         self.resync_d(phase1, true);
         self.stats.pricing_full_scans += 1;
         self.refill_candidates();
@@ -1084,6 +932,7 @@ impl<F: BasisFactor> Core<F> {
     /// BTRAN result, using the CSR mirror plus the implicit −1 logical
     /// diagonal.
     fn scatter_alpha(&mut self) {
+        let mat = &*self.mat;
         self.alpha.reset(self.n_total);
         for &iu in self.rho.indices() {
             let i = iu as usize;
@@ -1091,9 +940,9 @@ impl<F: BasisFactor> Core<F> {
             if ri == 0.0 {
                 continue;
             }
-            for idx in self.row_start[i]..self.row_start[i + 1] {
+            for idx in mat.row_start[i]..mat.row_start[i + 1] {
                 self.alpha
-                    .add(self.row_cols[idx] as usize, ri * self.row_vals[idx]);
+                    .add(mat.row_cols[idx] as usize, ri * mat.row_vals[idx]);
             }
             self.alpha.add(self.n_struct + i, -ri);
         }
@@ -1105,6 +954,7 @@ impl<F: BasisFactor> Core<F> {
     /// sparse BTRAN regardless of how many basic variables crossed a
     /// bound this iteration.
     fn apply_cost_deltas(&mut self) {
+        self.d_fresh = false;
         self.factor.btran_sparse(&self.delta, &mut self.rho);
         self.stats.btran_calls += 1;
         self.stats.btran_nnz += self.rho.nnz() as u64;
@@ -1218,14 +1068,7 @@ impl<F: BasisFactor> Core<F> {
 
             // FTRAN the entering column into the solver-owned workspace;
             // the sorted support drives everything downstream.
-            {
-                let view = ColsView {
-                    start: &self.col_start,
-                    rows: &self.col_rows,
-                    vals: &self.col_vals,
-                };
-                self.factor.ftran_col(view, q, &mut self.w);
-            }
+            self.factor.ftran_col(self.mat.cols(), q, &mut self.w);
             self.w.sort_indices();
             self.stats.ftran_calls += 1;
             self.stats.ftran_nnz += self.w.nnz() as u64;
@@ -1363,6 +1206,7 @@ impl<F: BasisFactor> Core<F> {
 
                     // d ← d − θ_d·α  (θ_d = d_q / α_q; α_q ≡ w_r).
                     let theta_d = self.d[q] / w_r;
+                    self.devex.resize(self.n_total, 1.0);
                     let wq_ref = self.devex[q].max(1.0);
                     for &ju in self.alpha.indices() {
                         let j = ju as usize;
@@ -1389,7 +1233,7 @@ impl<F: BasisFactor> Core<F> {
                     let w_out = (wq_ref / (w_r * w_r)).max(1.0);
                     self.devex[out] = w_out;
                     if w_out > DEVEX_RESET {
-                        self.devex.iter_mut().for_each(|v| *v = 1.0);
+                        self.devex.fill(1.0);
                         self.stats.devex_resets += 1;
                     }
 
@@ -1405,7 +1249,7 @@ impl<F: BasisFactor> Core<F> {
                     self.in_basis[q] = r as i32;
                     self.status[q] = NbStatus::Basic;
                     self.factor.update(&self.w, r);
-                    self.factor_fresh = false;
+                    self.d_fresh = false;
                     if phase1 {
                         // Position r now carries the entering variable at
                         // cost 0 (θ_d already priced that in); the old
@@ -1516,9 +1360,17 @@ impl<F: BasisFactor> Core<F> {
 
     /// Canonical extraction: report the optimum as a pure function of
     /// `(model, final basis)`. The basis is re-ordered by ascending
-    /// column, nonbasic values are snapped exactly onto their bounds, and
-    /// every reported quantity is recomputed from a fresh sparse LU —
-    /// identical regardless of which factorisation ran the pivots.
+    /// column, nonbasic values sit exactly on their bounds, and every
+    /// reported quantity comes from a fresh factorisation of that basis,
+    /// picked by structure like every other — identical regardless of
+    /// which factorisation ran the pivots.
+    ///
+    /// A solve that never left its installed basis (no pivot, no bound
+    /// flip) is already in that state: installation enumerates the basis
+    /// in ascending column order, puts nonbasic values on their bounds
+    /// and factorises by the same rule, and the phase-2 resync priced it.
+    /// Its factor, `x_B`, `y` and nonbasic reduced costs are bit for bit
+    /// what the recomputation would produce, so they are taken over.
     fn extract(mut self, model: &LpModel) -> Solution {
         let sign = match model.sense {
             Objective::Minimize => 1.0,
@@ -1527,124 +1379,86 @@ impl<F: BasisFactor> Core<F> {
         let m = self.m;
         let n = self.n_struct;
 
-        // When the solver's own factorisation is pristine (no eta
-        // updates) and its basis is already in ascending column order —
-        // true for any zero-pivot warm start, whose installation
-        // enumerates columns ascending — that LU *is* bit-for-bit the
-        // factorisation the canonical re-factor below would rebuild.
-        // Take it over instead of factorising the same matrix again.
-        let taken = if self.opts.lu_reuse
-            && self.factor_fresh
-            && self.basis.windows(2).all(|w| w[0] < w[1])
-        {
-            self.factor.take_sparse_lu()
+        let unmoved = self.stats.pivots == 0
+            && self.stats.bound_flips == 0
+            && self.d_fresh
+            && self.basis.windows(2).all(|w| w[0] < w[1]);
+        let taken = if unmoved {
+            self.factor.take_sparse()
         } else {
             None
         };
-        self.basis.sort_unstable();
-        for (i, &b) in self.basis.iter().enumerate() {
-            self.in_basis[b] = i as i32;
-        }
-        for j in 0..self.n_total {
-            match self.status[j] {
-                NbStatus::Basic => {}
-                NbStatus::Lower => self.x[j] = self.lb[j],
-                NbStatus::Upper => self.x[j] = self.ub[j],
-                NbStatus::FreeZero => self.x[j] = 0.0,
-            }
-        }
-        let view = ColsView {
-            start: &self.col_start,
-            rows: &self.col_rows,
-            vals: &self.col_vals,
-        };
-        let (lu, strict) = match taken {
-            Some(lu) => {
-                llamp_obs::counter("lp.lu_reuse", 1);
-                (lu, true)
-            }
+        let priced = taken.is_some();
+        let (lu, y) = match taken {
+            Some(lu) => (lu, std::mem::take(&mut self.y_buf)),
             None => {
-                let mut lu = SparseLu::new(m);
-                // A basis the solver itself maintained is nonsingular; if
-                // the fresh LU is numerically borderline (pivot under the
-                // default threshold), retry accepting any nonzero pivot so
-                // extraction degrades to reduced accuracy rather than
-                // failing — matching the historic dense path, which
-                // reported from its stale inverse.
-                let strict = lu.refactor(view, &self.basis);
-                if !strict {
-                    let ok = lu.refactor_min_pivot(view, &self.basis, 0.0);
-                    assert!(ok, "exactly singular basis at extraction");
+                self.basis.sort_unstable();
+                for (i, &b) in self.basis.iter().enumerate() {
+                    self.in_basis[b] = i as i32;
                 }
-                (lu, strict)
+                for j in 0..self.n_total {
+                    match self.status[j] {
+                        NbStatus::Basic => {}
+                        NbStatus::Lower => self.x[j] = self.lb[j],
+                        NbStatus::Upper => self.x[j] = self.ub[j],
+                        NbStatus::FreeZero => self.x[j] = 0.0,
+                    }
+                }
+                let mut lu = SparseFactor::new(m);
+                // A basis the solver itself maintained is nonsingular; if
+                // the fresh factorisation is numerically borderline (pivot
+                // under the default threshold), retry accepting any
+                // nonzero pivot so extraction degrades to reduced accuracy
+                // rather than failing — matching the historic dense path,
+                // which reported from its stale inverse.
+                let cols = self.mat.cols();
+                let kind = lu
+                    .refactor(cols, &self.basis)
+                    .or_else(|| lu.refactor_min_pivot(cols, &self.basis, 0.0))
+                    .expect("exactly singular basis at extraction");
+                self.stats.count_factor(kind);
+                let xb = lu.ftran_dense(&self.nonbasic_rhs());
+                for (&b, &v) in self.basis.iter().zip(&xb) {
+                    self.x[b] = v;
+                }
+                let cb: Vec<f64> = self.basis.iter().map(|&b| self.cost[b]).collect();
+                let y = lu.btran_dense(&cb);
+                (lu, y)
             }
         };
 
-        // x_B = B⁻¹ (0 − A_N x_N).
-        let mut r = vec![0.0; m];
-        for j in 0..self.n_total {
-            if self.in_basis[j] >= 0 || self.x[j] == 0.0 {
-                continue;
-            }
-            let xj = self.x[j];
-            for idx in self.col_start[j]..self.col_start[j + 1] {
-                r[self.col_rows[idx] as usize] -= self.col_vals[idx] * xj;
-            }
-        }
-        let xb = lu.ftran_dense(&r);
-        for (i, &b) in self.basis.iter().enumerate() {
-            self.x[b] = xb[i];
-        }
-
-        let mut cb = vec![0.0; m];
-        for (i, &b) in self.basis.iter().enumerate() {
-            cb[i] = self.cost[b];
-        }
-        let y = lu.btran_dense(&cb);
-
-        let mut x = Vec::with_capacity(n);
         let mut reduced = Vec::with_capacity(n);
         let mut statuses = Vec::with_capacity(n);
         let mut objective = 0.0;
         for j in 0..n {
-            x.push(self.x[j]);
-            objective += model.cols[j].obj * self.x[j];
-            let d_int = self.cost[j]
-                - Self::dot_col(&self.col_start, &self.col_rows, &self.col_vals, j, &y);
+            if self.cost[j] != 0.0 {
+                // `sign · cost` is the model's own coefficient, exactly.
+                objective += sign * self.cost[j] * self.x[j];
+            }
+            let d_int = if priced && self.status[j] != NbStatus::Basic {
+                self.d[j]
+            } else {
+                self.cost[j] - self.mat.dot_col(j, &y)
+            };
             reduced.push(sign * d_int);
             statuses.push(self.status[j].to_var_status());
         }
-
-        let mut duals = Vec::with_capacity(m);
-        let mut activity = Vec::with_capacity(m);
-        let mut row_lb = Vec::with_capacity(m);
-        let mut row_ub = Vec::with_capacity(m);
-        let mut row_statuses = Vec::with_capacity(m);
-        for i in 0..m {
-            // Logical column i has coefficient −1: reduced cost of the
-            // logical is 0 − yᵀ(−e_i) = y_i = ∂obj/∂(row bound).
-            duals.push(sign * y[i]);
-            activity.push(self.x[n + i]);
-            row_lb.push(model.rows[i].lb);
-            row_ub.push(model.rows[i].ub);
-            row_statuses.push(self.status[n + i].to_var_status());
-        }
-
+        // Logical column i has coefficient −1: reduced cost of the
+        // logical is 0 − yᵀ(−e_i) = y_i = ∂obj/∂(row bound).
+        let duals = y.iter().map(|&yi| sign * yi).collect();
+        let row_statuses = self.status[n..].iter().map(|s| s.to_var_status()).collect();
         let basis = Basis {
-            cols: statuses.clone(),
+            cols: statuses,
             rows: row_statuses,
         };
         let ranging = RangingData {
             lu,
-            col_start: self.col_start,
-            col_rows: self.col_rows,
-            col_vals: self.col_vals,
+            mat: self.mat,
             basis: self.basis,
             x: self.x,
             lb: self.lb,
             ub: self.ub,
             pivot_tol: self.opts.pivot_tol,
-            strict,
         };
 
         let mut stats = self.stats;
@@ -1652,17 +1466,12 @@ impl<F: BasisFactor> Core<F> {
 
         Solution {
             objective,
-            x,
             reduced_costs: reduced,
             duals,
-            row_activity: activity,
-            var_status: statuses,
             iterations: self.iterations,
             stats,
-            row_lb,
-            row_ub,
             basis,
-            ranging: std::sync::Arc::new(ranging),
+            ranging: Arc::new(ranging),
         }
     }
 }

@@ -11,6 +11,7 @@
 //!   "if a set of constraints are tight after optimization, their
 //!   corresponding edges are on the critical path").
 
+use crate::factor::FactorKind;
 use crate::model::{ConId, VarId};
 use crate::simplex::RangingData;
 
@@ -29,8 +30,16 @@ pub struct SolveStats {
     pub pivots: u64,
     /// Bound flips (the entering variable traversed its whole box).
     pub bound_flips: u64,
-    /// Basis refactorisations (periodic + eta-growth-triggered).
+    /// Mid-solve basis refactorisations (periodic + eta-growth-triggered).
     pub refactorizations: u64,
+    /// Basis factorisations that peeled into a permuted triangle and
+    /// solve by substitution alone — at install, mid-solve and at
+    /// extraction. A crash-started zero-pivot solve performs exactly one.
+    pub triangular_factors: u64,
+    /// Basis factorisations that needed general elimination (sparse LU,
+    /// or the dense oracle's inverse) — at install, mid-solve and at
+    /// extraction.
+    pub lu_factors: u64,
     /// Hot-path FTRAN calls and the nonzeros they produced.
     pub ftran_calls: u64,
     /// Total nonzeros across hot-path FTRAN results.
@@ -53,6 +62,14 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// Count one factorisation of the given kind.
+    pub(crate) fn count_factor(&mut self, kind: FactorKind) {
+        match kind {
+            FactorKind::Triangular => self.triangular_factors += 1,
+            FactorKind::Lu => self.lu_factors += 1,
+        }
+    }
+
     /// Mean FTRAN result density (nnz / m), in `[0, 1]`.
     pub fn ftran_density(&self) -> f64 {
         if self.ftran_calls == 0 || self.rows == 0 {
@@ -78,6 +95,8 @@ impl SolveStats {
         self.pivots += other.pivots;
         self.bound_flips += other.bound_flips;
         self.refactorizations += other.refactorizations;
+        self.triangular_factors += other.triangular_factors;
+        self.lu_factors += other.lu_factors;
         self.ftran_calls += other.ftran_calls;
         self.ftran_nnz += other.ftran_nnz;
         self.btran_calls += other.btran_calls;
@@ -93,7 +112,7 @@ impl SolveStats {
     pub fn render(&self) -> String {
         format!(
             "iterations: {} ({} phase-1), pivots: {}, bound flips: {}\n\
-             refactorisations: {}, devex resets: {}\n\
+             factorisations: {} triangular, {} LU ({} mid-solve), devex resets: {}\n\
              ftran: {} calls ({:.1}% dense), btran: {} calls ({:.1}% dense)\n\
              pricing: {} full scans, {} candidate scans\n\
              max reduced-cost resync drift: {:.2e}",
@@ -101,6 +120,8 @@ impl SolveStats {
             self.phase1_iterations,
             self.pivots,
             self.bound_flips,
+            self.triangular_factors,
+            self.lu_factors,
             self.refactorizations,
             self.devex_resets,
             self.ftran_calls,
@@ -172,22 +193,18 @@ impl Basis {
 #[derive(Debug, Clone)]
 pub struct Solution {
     pub(crate) objective: f64,
-    pub(crate) x: Vec<f64>,
     pub(crate) reduced_costs: Vec<f64>,
     pub(crate) duals: Vec<f64>,
-    pub(crate) row_activity: Vec<f64>,
-    pub(crate) var_status: Vec<VarStatus>,
     pub(crate) iterations: u64,
     pub(crate) stats: SolveStats,
-    pub(crate) row_lb: Vec<f64>,
-    pub(crate) row_ub: Vec<f64>,
     /// Full basis snapshot (structural + logical statuses) for warm
-    /// starts.
+    /// starts; also every variable's status.
     pub(crate) basis: Basis,
-    /// Final basis factorisation, retained so ranging queries can run
-    /// on demand instead of eagerly for every variable. Shared (`Arc`) so
-    /// cloning a `Solution` — which warm-state bookkeeping does per
-    /// re-solve — does not copy the constraint matrix and LU factors.
+    /// The final basis's factorisation and the values and bounds of every
+    /// extended column (structural, then one logical per row: its row's
+    /// activity and bounds). Retained so ranging queries can run on
+    /// demand instead of eagerly for every variable. Shared (`Arc`) so
+    /// cloning a `Solution` does not copy them.
     pub(crate) ranging: std::sync::Arc<RangingData>,
 }
 
@@ -199,7 +216,7 @@ impl Solution {
 
     /// Value of a variable at the optimum.
     pub fn value(&self, v: VarId) -> f64 {
-        self.x[v.0 as usize]
+        self.ranging.x[v.0 as usize]
     }
 
     /// Reduced cost of a variable. For a `min t` LLAMP model this is
@@ -217,22 +234,26 @@ impl Solution {
 
     /// Activity `aᵀx` of a constraint row at the optimum.
     pub fn activity(&self, c: ConId) -> f64 {
-        self.row_activity[c.0 as usize]
+        self.ranging.x[self.logical(c)]
+    }
+
+    /// Extended column of a row's logical.
+    fn logical(&self, c: ConId) -> usize {
+        self.basis.cols.len() + c.0 as usize
     }
 
     /// Whether a constraint is *tight* (its activity sits on a finite row
     /// bound). Tight rows correspond to critical-path edges in LLAMP.
     pub fn is_tight(&self, c: ConId) -> bool {
-        let i = c.0 as usize;
-        let a = self.row_activity[i];
+        let j = self.logical(c);
+        let (a, lb, ub) = (self.ranging.x[j], self.ranging.lb[j], self.ranging.ub[j]);
         let tol = 1e-6 * (1.0 + a.abs());
-        (self.row_lb[i].is_finite() && (a - self.row_lb[i]).abs() <= tol)
-            || (self.row_ub[i].is_finite() && (a - self.row_ub[i]).abs() <= tol)
+        (lb.is_finite() && (a - lb).abs() <= tol) || (ub.is_finite() && (a - ub).abs() <= tol)
     }
 
     /// Basis status of a variable.
     pub fn var_status(&self, v: VarId) -> VarStatus {
-        self.var_status[v.0 as usize]
+        self.basis.cols[v.0 as usize]
     }
 
     /// Range of feasibility of the variable's **lower bound**: the interval
@@ -244,8 +265,7 @@ impl Solution {
     /// nonbasic variable at its upper bound the lower bound is equally
     /// slack and the range is `(-∞, ub]`.
     pub fn lb_range(&self, v: VarId) -> (f64, f64) {
-        self.ranging
-            .lb_range(v.0 as usize, self.var_status[v.0 as usize])
+        self.ranging.lb_range(v.0 as usize, self.var_status(v))
     }
 
     /// Equivalent of Gurobi's `SALBLow` attribute: the smallest lower-bound
@@ -264,7 +284,7 @@ impl Solution {
     pub fn lb_step_range(&self, moves: &[(VarId, f64)]) -> (f64, f64) {
         let moves: Vec<(usize, f64, VarStatus)> = moves
             .iter()
-            .map(|&(v, dir)| (v.0 as usize, dir, self.var_status[v.0 as usize]))
+            .map(|&(v, dir)| (v.0 as usize, dir, self.var_status(v)))
             .collect();
         self.ranging.lb_step_range(&moves)
     }

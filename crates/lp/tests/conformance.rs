@@ -20,11 +20,18 @@
 //! Inputs: random DAG longest-path LPs (proptest; integer cost grids so
 //! degenerate ties are the norm) plus the Beale / degenerate fixed
 //! corpus.
+//!
+//! Path independence: a crash-started zero-pivot solve (whose extraction
+//! takes over the solver's own factor, `x_B`, `y` and reduced costs), a
+//! slack-started cold solve that pivots (whose extraction refactorises
+//! the final basis) and the dense oracle must agree bit for bit whenever
+//! they end on the same basis.
 
 use llamp_lp::simplex::{solve_dense, SimplexOptions};
 use llamp_lp::solution::VarStatus;
 use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, SparseSimplex, VarId};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 const INF: f64 = f64::INFINITY;
 
@@ -402,6 +409,74 @@ proptest! {
             "objective {} vs longest path {}", sol.objective(), want
         );
     }
+}
+
+/// Path independence on random DAG LPs. The crash start never pivots and
+/// factors its tree by substitution alone; the slack start pivots its way
+/// to an optimum, and extraction picks that basis's factorisation by
+/// structure. Where the two (or the dense oracle) end on the same basis
+/// every reported bit must agree. Some cold solves must pivot onto a
+/// triangular final basis, so the structural selection is exercised from
+/// both starts.
+#[test]
+fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
+    let mut rng = TestRng::from_name("conformance::path_independence");
+    let dags = dag_strategy();
+    let opts = SimplexOptions::default();
+    let (mut shared, mut pivoted_onto_triangle) = (0, 0);
+    for case in 0..256 {
+        let dag = dags.sample(&mut rng);
+        let (desc, records) = dag_lp(&dag);
+        let (crash, _) = longest_path_crash(desc.cols.len(), &records, dag.l0);
+        let (model, vars, cons) = desc.model();
+
+        let mut solver = SparseSimplex::default();
+        solver.seed(&crash);
+        let crashed = solver.resolve(&model).expect("crash solve");
+        let st = crashed.stats();
+        assert_eq!(st.pivots, 0, "case {case}: crash pivoted");
+        assert_eq!(
+            (st.triangular_factors, st.lu_factors),
+            (1, 0),
+            "case {case}: a crash solve is one substitution factor, taken over by extraction"
+        );
+        let dense_crash = solve_dense(&model, &opts, Some(&crash)).expect("dense crash");
+        assert_bitwise(
+            &format!("case {case}: crash/dense"),
+            &dense_crash,
+            &crashed,
+            &vars,
+            &cons,
+        );
+
+        let cold = SparseSimplex::default().solve(&model).expect("cold solve");
+        let dense = solve_dense(&model, &opts, None).expect("dense cold");
+        assert_bitwise(
+            &format!("case {case}: cold/dense"),
+            &dense,
+            &cold,
+            &vars,
+            &cons,
+        );
+        if cold.stats().pivots > 0 && cold.stats().lu_factors == 0 {
+            pivoted_onto_triangle += 1;
+        }
+        if cold.basis() == crashed.basis() {
+            shared += 1;
+            assert_bitwise(
+                &format!("case {case}: cold/crash"),
+                &cold,
+                &crashed,
+                &vars,
+                &cons,
+            );
+        }
+    }
+    assert!(shared > 0, "no cold solve ended on its crash basis");
+    assert!(
+        pivoted_onto_triangle > 0,
+        "no cold solve pivoted onto a triangular basis"
+    );
 }
 
 // ---------------------------------------------------------------------

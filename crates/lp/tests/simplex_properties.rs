@@ -7,7 +7,7 @@
 //! agreement with brute-force vertex enumeration on tiny instances.
 
 use llamp_lp::simplex::{solve, solve_dense, solve_sparse, SimplexOptions};
-use llamp_lp::{ConId, LpModel, Objective, Relation, VarId};
+use llamp_lp::{ConId, LpModel, Objective, Relation, Solution, SolveError, SparseSimplex, VarId};
 use proptest::prelude::*;
 
 /// A constraint row: sparse terms, relation code (0 ≤, 1 ≥, 2 =), rhs.
@@ -68,6 +68,40 @@ fn build(lp: &RandomLp) -> (LpModel, Vec<VarId>, Vec<ConId>) {
         cons.push(m.add_constraint(format!("r{i}"), &t, rel, *rhs));
     }
     (m, vars, cons)
+}
+
+/// Whether two outcomes agree bit for bit: the same error, or the same
+/// objective, primal values, reduced costs and duals over the listed
+/// variables and rows.
+fn same_bits(
+    a: &Result<Solution, SolveError>,
+    b: &Result<Solution, SolveError>,
+    vars: &[VarId],
+    cons: &[ConId],
+) -> Result<(), String> {
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            if x.objective().to_bits() != y.objective().to_bits() {
+                return Err(format!("objective {} vs {}", x.objective(), y.objective()));
+            }
+            for &v in vars {
+                if x.value(v).to_bits() != y.value(v).to_bits() {
+                    return Err(format!("x[{v:?}]"));
+                }
+                if x.reduced_cost(v).to_bits() != y.reduced_cost(v).to_bits() {
+                    return Err(format!("d[{v:?}]"));
+                }
+            }
+            for &c in cons {
+                if x.dual(c).to_bits() != y.dual(c).to_bits() {
+                    return Err(format!("y[{c:?}]"));
+                }
+            }
+            Ok(())
+        }
+        (Err(x), Err(y)) if x == y => Ok(()),
+        (x, y) => Err(format!("status mismatch: {x:?} vs {y:?}")),
+    }
 }
 
 /// Check that a point satisfies all rows and bounds within tolerance.
@@ -385,76 +419,57 @@ proptest! {
         }
     }
 
-    /// LU reuse is invisible in the bits: a sweep-shaped sequence of
-    /// re-solves (bound moves only, the constraint matrix untouched) must
-    /// produce bitwise-identical solutions whether the backend reuses the
-    /// previous factorisation or refactorises every install. This is the
-    /// soundness property behind the shared-LU sweep path: adoption only
-    /// fires when the incoming basis and matrix are bit-identical to what
-    /// a fresh refactorisation would consume, so it can never change what
-    /// the canonical extraction reports.
+    /// The matrix a model keeps for its solves never goes stale. A solver
+    /// whose model already holds its built matrix must answer bit for
+    /// bit like a fresh solver on a freshly built model after the model
+    /// grows a constraint, then a variable. A clone shares the built
+    /// matrix: edited on its own it must answer like a fresh model with
+    /// the same edits, and the original must not see those edits.
     #[test]
-    fn lu_reuse_does_not_change_any_bit(lp in lp_strategy(5, 6), bumps in prop::collection::vec(0.0f64..1.0, 1..5)) {
-        use llamp_lp::SparseSimplex;
-        let reuse_on = SimplexOptions { lu_reuse: true, ..Default::default() };
-        let reuse_off = SimplexOptions { lu_reuse: false, ..Default::default() };
-        let mut on = SparseSimplex::with_options(reuse_on);
-        let mut off = SparseSimplex::with_options(reuse_off);
-        let (m, vars, cons) = build(&lp);
-        let bitwise = |a: Result<&llamp_lp::Solution, &llamp_lp::SolveError>,
-                       b: Result<&llamp_lp::Solution, &llamp_lp::SolveError>|
-         -> Result<(), String> {
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    if x.objective().to_bits() != y.objective().to_bits() {
-                        return Err(format!("objective {} vs {}", x.objective(), y.objective()));
-                    }
-                    for &v in &vars {
-                        if x.value(v).to_bits() != y.value(v).to_bits() {
-                            return Err(format!("x[{v:?}]"));
-                        }
-                        if x.reduced_cost(v).to_bits() != y.reduced_cost(v).to_bits() {
-                            return Err(format!("d[{v:?}]"));
-                        }
-                    }
-                    for &c in &cons {
-                        if x.dual(c).to_bits() != y.dual(c).to_bits() {
-                            return Err(format!("y[{c:?}]"));
-                        }
-                    }
-                    Ok(())
-                }
-                (Err(x), Err(y)) if x == y => Ok(()),
-                (x, y) => Err(format!("status mismatch: {x:?} vs {y:?}")),
-            }
+    fn kept_matrix_never_goes_stale(
+        lp in lp_strategy(5, 6),
+        rhs in -5.0f64..15.0,
+        coef in -3.0f64..3.0,
+        bump in 0.0f64..1.0,
+    ) {
+        let edit_row = |m: &mut LpModel, vars: &[VarId]| {
+            m.add_constraint("grown", &[(vars[0], 1.0), (vars[1], coef)], Relation::Le, rhs);
         };
-        let first_on = on.solve(&m);
-        let first_off = off.solve(&m);
-        prop_assert!(bitwise(first_on.as_ref(), first_off.as_ref()).is_ok(),
-            "cold solve: {:?}", bitwise(first_on.as_ref(), first_off.as_ref()));
-        if first_on.is_err() { return Ok(()); }
-        let anchor = first_on.as_ref().unwrap().basis().clone();
-        // A sweep: each step tightens var 0's lower bound (the model edit
-        // a latency sweep performs), re-seeded from the anchor basis —
-        // the exact shape that lets the reuse path adopt the previous LU.
-        for (i, bump) in bumps.iter().enumerate() {
-            let mut lp2 = lp.clone();
-            let span = lp2.ubs[0] - lp2.lbs[0];
-            lp2.lbs[0] += span * bump * 0.9;
-            let (m2, _, _) = build(&lp2);
-            if i % 2 == 0 {
-                on.seed(&anchor);
-                off.seed(&anchor);
-            } else {
-                // Odd steps re-solve from the previous point's basis — the
-                // stability-window case where the adopted LU saves the
-                // whole refactorisation.
-            }
-            let a = on.resolve(&m2);
-            let b = off.resolve(&m2);
-            let check = bitwise(a.as_ref(), b.as_ref());
-            prop_assert!(check.is_ok(), "step {i}: {check:?}");
-        }
+        let edit_var = |m: &mut LpModel, vars: &[VarId]| {
+            let z = m.add_var("z", 0.0, 4.0, -1.0);
+            m.add_constraint("uses_z", &[(z, 1.0), (vars[0], -1.0)], Relation::Le, 1.0);
+        };
+        let (mut m, vars, cons) = build(&lp);
+        let mut kept = SparseSimplex::default();
+        let first = kept.solve(&m);
+        let clone = m.clone();
+
+        edit_row(&mut m, &vars);
+        let (mut fresh, _, _) = build(&lp);
+        edit_row(&mut fresh, &vars);
+        let check = same_bits(&kept.resolve(&m), &SparseSimplex::default().solve(&fresh), &vars, &cons);
+        prop_assert!(check.is_ok(), "after add_constraint: {check:?}");
+
+        edit_var(&mut m, &vars);
+        edit_var(&mut fresh, &vars);
+        let grown = kept.resolve(&m);
+        let check = same_bits(&grown, &SparseSimplex::default().solve(&fresh), &vars, &cons);
+        prop_assert!(check.is_ok(), "after add_var: {check:?}");
+
+        let mut clone = clone;
+        let mut lp2 = lp.clone();
+        lp2.lbs[0] += (lp2.ubs[0] - lp2.lbs[0]) * bump;
+        clone.set_var_lb(vars[0], lp2.lbs[0]);
+        edit_row(&mut clone, &vars);
+        let (mut fresh2, _, _) = build(&lp2);
+        edit_row(&mut fresh2, &vars);
+        let check = same_bits(&SparseSimplex::default().solve(&clone), &SparseSimplex::default().solve(&fresh2), &vars, &cons);
+        prop_assert!(check.is_ok(), "edited clone: {check:?}");
+
+        let check = same_bits(&SparseSimplex::default().solve(&m), &grown, &vars, &cons);
+        prop_assert!(check.is_ok(), "original after clone edits: {check:?}");
+        let check = same_bits(&SparseSimplex::default().solve(&build(&lp).0), &first, &vars, &cons);
+        prop_assert!(check.is_ok(), "first solve: {check:?}");
     }
 
     /// Reduced-cost sign convention at optimum: for minimisation, nonbasic

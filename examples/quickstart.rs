@@ -56,8 +56,8 @@ fn main() {
         contracted.num_vertices()
     );
 
-    // 5. Fig. 5: predict at L = 0.5 µs.
-    let p = lp.predict(us(0.5)).unwrap();
+    // 5. Fig. 5: predict at L = 0.5 µs, with the basis-stability window.
+    let (p, window) = lp.predict_with_window(us(0.5)).unwrap();
     println!(
         "T(L = 0.5 µs)      = {:.3} µs  (paper: 1.615)",
         p.runtime / 1000.0
@@ -65,7 +65,7 @@ fn main() {
     println!("λ_L                = {:.0}        (paper: 1)", p.lambda);
     println!(
         "basis stable down to L = {:.3} µs (the critical latency; paper: 0.385)",
-        p.l_feasible.0 / 1000.0
+        window.0 / 1000.0
     );
 
     // 6. Fig. 6: tolerance — max L keeping T ≤ 2 µs, searched over

@@ -117,9 +117,10 @@ proptest! {
         let mut lp = GraphMultiLp::build(&graph, &binding);
         let at = ParamPoint { l, g, o };
         let pred = lp.predict(at).unwrap();
+        let sol = lp.solve_raw(at).unwrap();
         for param in SweepParam::ALL {
             let x = at.get(param);
-            let (lo, hi) = pred.feasible(param);
+            let (lo, hi) = sol.lb_range(lp.param_var(param));
             // An interior step that stays inside the stability window on
             // both sides (windows can be degenerate at breakpoints —
             // skip those draws, the slope is one-sided there).
@@ -249,9 +250,10 @@ proptest! {
         let mut lp = GraphMultiLp::build(red.graph(), &binding);
         let at = ParamPoint { l, g, o };
         let pred = lp.predict(at).unwrap();
+        let sol = lp.solve_raw(at).unwrap();
         for param in SweepParam::ALL {
             let x = at.get(param);
-            let (lo, hi) = pred.feasible(param);
+            let (lo, hi) = sol.lb_range(lp.param_var(param));
             let up = if hi.is_finite() { (hi - x) / 4.0 } else { x.max(1.0) };
             let dn = if lo.is_finite() { (x - lo) / 4.0 } else { x };
             // Clamp the downward probe to the non-negative domain: the

@@ -45,16 +45,17 @@ struct Row {
 const ZONE_WINDOW_NS: f64 = 2_000_000.0;
 
 /// The engine's zones on `lp`: the crash-started baseline at `base`,
-/// then the 1/2/5% walks. Returns the three walks' wall clock (ms) and
-/// their summed `lp.zone_steps`.
+/// then the 1/2/5% walks from it. Returns the three walks' wall clock
+/// (ms) and their summed `lp.zone_steps`.
 fn zones(lp: &mut GraphLp, base: f64) -> (f64, u64) {
     lp.reset();
-    let t0 = lp.predict(base).expect("baseline solves").runtime;
+    let p = lp.predict(base).expect("baseline solves");
+    let floor = (p.runtime, p.lambda);
     llamp_obs::enable();
     let t = Instant::now();
     for pct in [1.0, 2.0, 5.0] {
-        let cap = t0 * (1.0 + pct / 100.0);
-        lp.tolerance(base, base + ZONE_WINDOW_NS, cap)
+        let cap = p.runtime * (1.0 + pct / 100.0);
+        lp.tolerance_from(base, floor, base + ZONE_WINDOW_NS, cap)
             .expect("zone solves");
     }
     let ms = t.elapsed().as_secs_f64() * 1e3;

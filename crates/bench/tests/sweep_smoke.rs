@@ -12,19 +12,23 @@
 //!   wall budget trips;
 //! * the 1/2/5% tolerance zones must stay within steps-per-zone,
 //!   pivots-per-zone and wall ceilings and agree with the exact envelope.
-//!   Each zone is a Newton walk over crash-started points plus one
-//!   certifying tolerance-LP solve; a walk that stops converging, or a
-//!   certification that starts pivoting, trips the step or pivot ceiling.
+//!   Each zone is a Newton walk over crash-started points from the
+//!   baseline plus one certifying tolerance-LP solve; a walk that stops
+//!   converging, or a certification that starts pivoting, trips the step
+//!   or pivot ceiling;
+//! * the eval backend's zones — the same walk over direct evaluations,
+//!   with no LP at all — must stay within a steps-per-zone ceiling and
+//!   agree with the exact envelope.
 //!
 //! `anchor_scaling.rs` is the matching tripwire for the one-off cold
 //! anchor.
 
 use llamp_bench::{graph_of, linspace};
-use llamp_core::{Binding, GraphLp, ParametricProfile, ReduceConfig};
+use llamp_core::{Analyzer, Binding, GraphLp, ParametricProfile, ReduceConfig};
 use llamp_model::LogGPSParams;
 use llamp_util::time::us;
 use llamp_workloads::App;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The zone smoke reads the process-global obs recorder; the smokes take
@@ -39,8 +43,12 @@ const PIVOTS_PER_POINT_CEILING: f64 = 50.0;
 /// under 2 s in release single-threaded; CI machines vary). The
 /// pre-crash anchor-warm sweep took minutes at this shape.
 const WALL_BUDGET_S: f64 = 30.0;
-/// Walk ceiling *per zone*, in `predict` steps. Observed: at most 5.
+/// Walk ceiling *per zone*, in `predict` steps past the baseline.
+/// Observed: at most 2.
 const STEPS_PER_ZONE_CEILING: u64 = 16;
+/// Walk ceiling *per eval zone*, in evaluations past the baseline.
+/// Observed: at most 2.
+const EVAL_STEPS_PER_ZONE_CEILING: u64 = 16;
 /// Pivot ceiling *per zone* (walk plus certification). Observed: 0; the
 /// anchor-seeded tolerance LP it replaced paid thousands at this scale.
 const PIVOTS_PER_ZONE_CEILING: f64 = 50.0;
@@ -122,19 +130,20 @@ fn zone_walk_stays_cheap_at_32k_rows() {
     let rows = reduced.stats().rows_after;
     assert!(rows > 30_000, "shape shrank: {rows} rows");
 
-    // The engine's zones: crash-started baseline, then three walks over
-    // the default 2 ms window.
+    // The engine's zones: crash-started baseline, then three walks from
+    // it over the default 2 ms window.
     let (base, top) = (params.l, params.l + us(2_000.0));
     let mut lp = GraphLp::build(graph, &binding);
-    let t0 = lp.predict(base).expect("baseline solves").runtime;
+    let p = lp.predict(base).expect("baseline solves");
     let before = lp.solver_stats();
     llamp_obs::enable();
     let start = Instant::now();
     let zones: Vec<(f64, f64)> = [1.0, 2.0, 5.0]
         .iter()
         .map(|pct| {
-            let cap = t0 * (1.0 + pct / 100.0);
-            (cap, lp.tolerance(base, top, cap).expect("zone solves"))
+            let cap = p.runtime * (1.0 + pct / 100.0);
+            let zone = lp.tolerance_from(base, (p.runtime, p.lambda), top, cap);
+            (cap, zone.expect("zone solves"))
         })
         .collect();
     let elapsed = start.elapsed().as_secs_f64();
@@ -172,5 +181,67 @@ fn zone_walk_stays_cheap_at_32k_rows() {
         };
         let agree = lp_zone == env || (lp_zone - env).abs() <= 1e-9 * (env - base).abs();
         assert!(agree, "cap {cap}: LP zone {lp_zone} vs envelope {env}");
+    }
+}
+
+#[test]
+#[ignore = "timing assertion; CI runs it explicitly in release mode"]
+fn eval_zone_walk_stays_cheap_at_32k_rows() {
+    let _session = OBS_SESSION.lock().unwrap_or_else(|p| p.into_inner());
+    let set = llamp_workloads::scaled(App::Lulesh, 2, 100);
+    let raw = graph_of(&set);
+    let reduced = Arc::new(raw.reduced(&ReduceConfig::default()));
+    let params = LogGPSParams::cscs_testbed(raw.nranks()).with_o(us(6.0));
+    let rows = reduced.stats().rows_after;
+    assert!(rows > 30_000, "shape shrank: {rows} rows");
+    let analyzer = Analyzer::from_reduced(reduced, Binding::uniform(&params), params.l);
+
+    // The eval backend's zones: the baseline evaluation, then three walks
+    // from it over the default 2 ms window.
+    let (base, top) = (params.l, params.l + us(2_000.0));
+    let floor = analyzer.evaluate(base);
+    llamp_obs::enable();
+    let start = Instant::now();
+    let zones: Vec<(f64, f64)> = [1.0, 2.0, 5.0]
+        .iter()
+        .map(|pct| {
+            let cap = floor.runtime * (1.0 + pct / 100.0);
+            let zone = analyzer.eval_tolerance(base, (floor.runtime, floor.lambda), top, cap);
+            (cap, zone.expect("eval zone walks"))
+        })
+        .collect();
+    let elapsed = start.elapsed().as_secs_f64();
+    let snapshot = llamp_obs::take();
+    llamp_obs::disable();
+    let steps = &snapshot.hists["eval.zone_steps"];
+    eprintln!(
+        "eval zone smoke  {rows} rows  3 zones  {elapsed:.3} s  {} evaluations (max {}/zone)",
+        steps.sum(),
+        steps.max()
+    );
+
+    assert_eq!(steps.count(), 3, "one eval.zone_steps sample per zone");
+    assert!(
+        !snapshot.hists.contains_key("lp.zone_steps"),
+        "eval walks must not report as LP walks"
+    );
+    assert!(
+        steps.max() <= EVAL_STEPS_PER_ZONE_CEILING,
+        "an eval zone walk at {rows} rows took {} evaluations (ceiling \
+         {EVAL_STEPS_PER_ZONE_CEILING})",
+        steps.max()
+    );
+    assert!(
+        elapsed <= ZONE_WALL_BUDGET_S,
+        "three eval zones at {rows} rows took {elapsed:.3}s (budget {ZONE_WALL_BUDGET_S}s)"
+    );
+    let prof = analyzer.profile(base, top);
+    for (cap, eval_zone) in zones {
+        let env = match prof.tolerance(cap) {
+            Some(x) if x < top => x,
+            _ => f64::INFINITY,
+        };
+        let agree = eval_zone == env || (eval_zone - env).abs() <= 1e-9 * (env - base).abs();
+        assert!(agree, "cap {cap}: eval zone {eval_zone} vs envelope {env}");
     }
 }

@@ -10,6 +10,8 @@ use crate::binding::Binding;
 use crate::eval::{evaluate, Evaluation};
 use crate::lp_build::GraphLp;
 use crate::parametric::ParametricProfile;
+use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
+use llamp_lp::SolveError;
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{ExecGraph, ReduceConfig, ReducedGraph, ReductionStats};
 use std::sync::Arc;
@@ -177,6 +179,41 @@ impl Analyzer {
         }
     }
 
+    /// The x% tolerance by direct evaluation: the largest `l ≥ floor`
+    /// with `T(l) ≤ cap`, searched up to the finite window top `top`, by
+    /// the zone walk [`GraphLp::tolerance`] runs, stepping on
+    /// [`Analyzer::evaluate`]'s `(runtime, λ)` instead of LP solves.
+    /// `at_floor` is that pair at `floor` — the caller's baseline — so
+    /// only points right of the floor are evaluated. The answer is the
+    /// walk's last point: the root up to `T`'s rounding. Outcomes as
+    /// [`GraphLp::tolerance`]: `f64::INFINITY` when the cap holds at
+    /// `top`, `Err(SolveError::Infeasible)` when it fails at the floor,
+    /// `Err(SolveError::IterationLimit)` past [`ZONE_STEP_LIMIT`] steps.
+    pub fn eval_tolerance(
+        &self,
+        floor: f64,
+        at_floor: (f64, f64),
+        top: f64,
+        cap: f64,
+    ) -> Result<f64, SolveError> {
+        let end = zone::walk(
+            floor,
+            at_floor,
+            top,
+            cap,
+            ZONE_STEP_LIMIT,
+            "eval.zone_steps",
+            |l| {
+                let e = self.evaluate(l);
+                Ok((e.runtime, e.lambda))
+            },
+        )?;
+        Ok(match end {
+            WalkEnd::Beyond => f64::INFINITY,
+            WalkEnd::Root { at, .. } => at,
+        })
+    }
+
     /// The 1/2/5% tolerance zones of Fig. 1.
     pub fn tolerance_zones(&self, search_hi: f64) -> ToleranceZones {
         let t0 = self.baseline_runtime();
@@ -265,6 +302,29 @@ mod tests {
         // Just past it, the cap is exceeded.
         let past = a.evaluate(params.l + z.pct1 + us(1.0)).runtime;
         assert!(past > 1.01 * t0);
+    }
+
+    #[test]
+    fn eval_walk_matches_the_envelope() {
+        let g = bsp_graph(4, 5, 100.0);
+        let params = LogGPSParams::cscs_testbed(4).with_o(us(2.0));
+        let a = Analyzer::new(&g, &params);
+        let hi = params.l + us(5_000.0);
+        let z = a.tolerance_zones(hi);
+        let floor = a.evaluate(params.l);
+        let at_floor = (floor.runtime, floor.lambda);
+        for (pct, env) in [(1.0, z.pct1), (2.0, z.pct2), (5.0, z.pct5)] {
+            let cap = floor.runtime * (1.0 + pct / 100.0);
+            let walked = a.eval_tolerance(params.l, at_floor, hi, cap).unwrap() - params.l;
+            assert!(
+                (walked - env).abs() <= 1e-9 * env.max(1.0),
+                "{pct}%: walked {walked} vs envelope {env}"
+            );
+        }
+        assert_eq!(
+            a.eval_tolerance(params.l, at_floor, hi, 0.5 * floor.runtime),
+            Err(SolveError::Infeasible)
+        );
     }
 
     #[test]

@@ -313,29 +313,57 @@ impl GraphLp {
     /// linear piece in a few zero-pivot steps, and the tolerance LP is
     /// solved once, from that step's crash basis with `l` made basic in
     /// place of `t`. The answer is a pure function of (model, floor,
-    /// top, cap); the solver is left reset.
+    /// top, cap); the solver is left reset. This entry point solves the
+    /// floor itself; a caller that already holds it uses
+    /// [`GraphLp::tolerance_from`].
     pub fn tolerance(
         &mut self,
         l_floor: f64,
         l_top: f64,
         max_runtime: f64,
     ) -> Result<f64, SolveError> {
-        self.tolerance_within(l_floor, l_top, max_runtime, ZONE_STEP_LIMIT)
+        self.reset();
+        let floor = self.predict(l_floor)?;
+        self.tolerance_from(l_floor, (floor.runtime, floor.lambda), l_top, max_runtime)
     }
 
-    /// [`GraphLp::tolerance`] under an explicit step ceiling.
+    /// [`GraphLp::tolerance`] walking from a floor the caller already
+    /// holds: `at_floor` is the crash-started `(runtime, λ)` of
+    /// [`GraphLp::predict`] at `l_floor` — a scenario's baseline — so the
+    /// walk solves only the points right of it. The same floor gives the
+    /// same bits as [`GraphLp::tolerance`].
+    pub fn tolerance_from(
+        &mut self,
+        l_floor: f64,
+        at_floor: (f64, f64),
+        l_top: f64,
+        max_runtime: f64,
+    ) -> Result<f64, SolveError> {
+        self.tolerance_within(l_floor, at_floor, l_top, max_runtime, ZONE_STEP_LIMIT)
+    }
+
+    /// [`GraphLp::tolerance_from`] under an explicit step ceiling.
     fn tolerance_within(
         &mut self,
         l_floor: f64,
+        at_floor: (f64, f64),
         l_top: f64,
         max_runtime: f64,
         limit: u32,
     ) -> Result<f64, SolveError> {
-        let end = zone::walk(l_floor, l_top, max_runtime, limit, |l| {
-            self.solver.reset();
-            let p = self.predict(l)?;
-            Ok((p.runtime, p.lambda))
-        })?;
+        let end = zone::walk(
+            l_floor,
+            at_floor,
+            l_top,
+            max_runtime,
+            limit,
+            "lp.zone_steps",
+            |l| {
+                self.solver.reset();
+                let p = self.predict(l)?;
+                Ok((p.runtime, p.lambda))
+            },
+        )?;
         let WalkEnd::Root { at, lambda } = end else {
             return Ok(f64::INFINITY);
         };
@@ -536,15 +564,34 @@ mod tests {
     }
 
     #[test]
+    fn a_held_baseline_is_the_floor_solve() {
+        // Walking from a baseline the caller already solved gives the
+        // bits of the self-contained walk, and baseline plus walk cost
+        // exactly what the walk alone does: the floor is solved once.
+        let g = running_example(0.1).contracted();
+        let mut own = GraphLp::build(&g, &didactic());
+        let walked = own.tolerance(0.0, TOP, 2_000.0).unwrap();
+        let mut lp = GraphLp::build(&g, &didactic());
+        let base = lp.predict(0.0).unwrap();
+        let from = lp
+            .tolerance_from(0.0, (base.runtime, base.lambda), TOP, 2_000.0)
+            .unwrap();
+        assert_eq!(walked.to_bits(), from.to_bits());
+        assert_eq!(own.solver_stats(), lp.solver_stats());
+    }
+
+    #[test]
     fn walk_past_its_step_ceiling_is_an_iteration_limit() {
-        // The fig. 6 walk needs three steps (floor, top, root).
+        // The fig. 6 walk takes two steps past the floor (top, root).
         let g = running_example(0.1);
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
+        let base = lp.predict(0.0).unwrap();
+        let floor = (base.runtime, base.lambda);
         assert_eq!(
-            lp.tolerance_within(0.0, TOP, 2_000.0, 2),
+            lp.tolerance_within(0.0, floor, TOP, 2_000.0, 1),
             Err(SolveError::IterationLimit)
         );
-        assert!(lp.tolerance_within(0.0, TOP, 2_000.0, 3).is_ok());
+        assert!(lp.tolerance_within(0.0, floor, TOP, 2_000.0, 2).is_ok());
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl GraphMultiLp {
     /// value `x ≥ at.get(p)` of parameter `p` with `T ≤ max_runtime`, the
     /// other two pinned at `at`'s values, searched up to the finite window
     /// top `top`. Same walk, certification and outcomes as
-    /// [`crate::GraphLp::tolerance`].
+    /// [`crate::GraphLp::tolerance`]; solves the floor `at` itself.
     pub fn tolerance(
         &mut self,
         p: SweepParam,
@@ -359,24 +359,50 @@ impl GraphMultiLp {
         top: f64,
         max_runtime: f64,
     ) -> Result<f64, SolveError> {
-        self.tolerance_within(p, at, top, max_runtime, ZONE_STEP_LIMIT)
+        self.reset();
+        let floor = self.predict(at)?;
+        self.tolerance_from(p, at, (floor.runtime, floor.lambda(p)), top, max_runtime)
     }
 
-    /// [`GraphMultiLp::tolerance`] under an explicit step ceiling.
+    /// [`GraphMultiLp::tolerance`] walking from a floor the caller
+    /// already holds: `at_floor` is the crash-started `(runtime, λ_p)` of
+    /// [`GraphMultiLp::predict`] at `at` (see
+    /// [`crate::GraphLp::tolerance_from`]).
+    pub fn tolerance_from(
+        &mut self,
+        p: SweepParam,
+        at: ParamPoint,
+        at_floor: (f64, f64),
+        top: f64,
+        max_runtime: f64,
+    ) -> Result<f64, SolveError> {
+        self.tolerance_within(p, at, at_floor, top, max_runtime, ZONE_STEP_LIMIT)
+    }
+
+    /// [`GraphMultiLp::tolerance_from`] under an explicit step ceiling.
     fn tolerance_within(
         &mut self,
         p: SweepParam,
         at: ParamPoint,
+        at_floor: (f64, f64),
         top: f64,
         max_runtime: f64,
         limit: u32,
     ) -> Result<f64, SolveError> {
         let floor = at.get(p);
-        let end = zone::walk(floor, top, max_runtime, limit, |x| {
-            self.solver.reset();
-            let pred = self.predict(at.with(p, x))?;
-            Ok((pred.runtime, pred.lambda(p)))
-        })?;
+        let end = zone::walk(
+            floor,
+            at_floor,
+            top,
+            max_runtime,
+            limit,
+            "lp.zone_steps",
+            |x| {
+                self.solver.reset();
+                let pred = self.predict(at.with(p, x))?;
+                Ok((pred.runtime, pred.lambda(p)))
+            },
+        )?;
         let WalkEnd::Root { at: x, lambda } = end else {
             return Ok(f64::INFINITY);
         };
@@ -608,9 +634,18 @@ mod tests {
             lp.tolerance(SweepParam::L, at, 300.0, 1_600.0),
             Ok(f64::INFINITY)
         );
-        // The fig. 6 walk takes three steps; two are not enough.
+        // The fig. 6 walk takes two steps past the floor; one is not
+        // enough.
+        let base = lp.predict(at).unwrap();
         assert_eq!(
-            lp.tolerance_within(SweepParam::L, at, 10_000.0, 2_000.0, 2),
+            lp.tolerance_within(
+                SweepParam::L,
+                at,
+                (base.runtime, base.lambda_l),
+                10_000.0,
+                2_000.0,
+                1
+            ),
             Err(SolveError::IterationLimit)
         );
     }

@@ -1,13 +1,14 @@
-//! The tolerance-zone walk behind [`crate::GraphLp::tolerance`] and
-//! [`crate::GraphMultiLp::tolerance`].
+//! The tolerance-zone walk behind [`crate::GraphLp::tolerance`],
+//! [`crate::GraphMultiLp::tolerance`] and [`crate::Analyzer::eval_tolerance`].
 //!
 //! The x% tolerance (§II-D2) is the largest `x ≥ floor` with
-//! `T(x) ≤ cap`, where `T(x)` is the optimal `min t` runtime with one
-//! parameter's lower bound at `x`. `T` is convex, piecewise linear and
-//! nondecreasing, and a crash-started `predict` returns `T(x)` together
-//! with a subgradient `λ` (the parameter's reduced cost) for one
-//! triangular factorisation and no pivots. So the walk runs Newton on
-//! `T(x) = cap`:
+//! `T(x) ≤ cap`, where `T(x)` is the runtime with one parameter at `x`.
+//! `T` is convex, piecewise linear and nondecreasing, and both answer
+//! paths that can query it pointwise return `T(x)` together with a
+//! subgradient `λ` in one pass: a crash-started `predict` (the
+//! parameter's reduced cost, one triangular factorisation and no pivots)
+//! and direct evaluation (the critical path's latency count). So the walk
+//! runs Newton on `T(x) = cap`:
 //!
 //! * from the floor, the tangent root overshoots the root (the tangent of
 //!   a convex function lies below it); a zero slope jumps to the window
@@ -18,18 +19,24 @@
 //!   steps: at the first landing whose slope is the one the step was
 //!   aimed with, which is the root up to `T`'s own rounding.
 //!
+//! The floor's `(T, λ)` comes from the caller: every backend already
+//! holds it as its scenario baseline `T₀`, so a walk only pays for the
+//! points right of the floor.
+//!
 //! `T(top) ≤ cap` ends the walk early: the zone covers the whole search
-//! window. Otherwise [`certify`] answers with one tolerance-LP solve
-//! started from the last step's crash basis with the parameter made basic
-//! in place of `t` — optimal at the root, or a pivot or two from it — so
-//! the zone comes out of the same canonical extraction as every other LP
-//! answer and is a pure function of (model, floor, top, cap).
+//! window. Otherwise the LP answers with [`certify`]: one tolerance-LP
+//! solve started from the last step's crash basis with the parameter made
+//! basic in place of `t` — optimal at the root, or a pivot or two from
+//! it — so the zone comes out of the same canonical extraction as every
+//! other LP answer and is a pure function of (model, floor, top, cap).
+//! Direct evaluation has no such LP; its zone is the walk's last point.
 
 use llamp_lp::{resolve_robust, Basis, LpModel, Objective, SolveError, SparseSimplex, VarId};
 
-/// Step ceiling of one zone walk, counted in `predict` solves (the one at
-/// the floor included). Walks on the bundled workloads and the
-/// 10⁶-vertex LULESH shape take 1–6 steps; one that needs more stops
+/// Step ceiling of one zone walk, counted in evaluations of `T` right
+/// of the floor (`predict` solves or direct evaluations; the floor is the
+/// caller's baseline and not a step). Walks on the bundled workloads and
+/// the 10⁶-vertex LULESH shape take 1–4 steps; one that needs more stops
 /// with [`SolveError::IterationLimit`].
 pub const ZONE_STEP_LIMIT: u32 = 64;
 
@@ -39,44 +46,40 @@ pub(crate) enum WalkEnd {
     /// `T(top) ≤ cap`: the zone covers the whole window.
     Beyond,
     /// The walk's last point — the root, up to rounding — and the slope
-    /// its crash basis reported there.
+    /// `step` reported there.
     Root { at: f64, lambda: f64 },
 }
 
-/// Walk `[floor, top]` (`top` finite) with `step(x) = (T(x), λ(x))`, at
-/// most `limit` steps. A cap below `T(floor)` is `Err(Infeasible)`.
-/// Records how many steps the walk took in the `lp.zone_steps`
-/// histogram, failed walks included.
+/// Walk `[floor, top]` (`top` finite) from `at_floor = (T(floor),
+/// λ(floor))` with `step(x) = (T(x), λ(x))`, at most `limit` steps. A cap
+/// below `T(floor)` is `Err(Infeasible)` without a step. Records how many
+/// steps the walk took in the `steps_metric` histogram, failed walks
+/// included.
 pub(crate) fn walk(
     floor: f64,
+    at_floor: (f64, f64),
     top: f64,
     cap: f64,
     limit: u32,
+    steps_metric: &str,
     step: impl FnMut(f64) -> Result<(f64, f64), SolveError>,
 ) -> Result<WalkEnd, SolveError> {
     debug_assert!(top.is_finite() && floor <= top, "window [{floor}, {top}]");
     let mut steps = 0;
-    let out = newton(floor, top, cap, limit, &mut steps, step);
-    llamp_obs::observe("lp.zone_steps", u64::from(steps));
+    let out = newton(floor, at_floor, top, cap, limit, &mut steps, step);
+    llamp_obs::observe(steps_metric, u64::from(steps));
     out
 }
 
 fn newton(
     floor: f64,
+    (t0, lambda0): (f64, f64),
     top: f64,
     cap: f64,
     limit: u32,
     steps: &mut u32,
     mut step: impl FnMut(f64) -> Result<(f64, f64), SolveError>,
 ) -> Result<WalkEnd, SolveError> {
-    let mut eval = |x: f64| {
-        if *steps == limit {
-            return Err(SolveError::IterationLimit);
-        }
-        *steps += 1;
-        step(x)
-    };
-    let (t0, lambda0) = eval(floor)?;
     if t0 > cap {
         return Err(SolveError::Infeasible);
     }
@@ -88,7 +91,11 @@ fn newton(
     // The slope the step onto `x` was aimed with (none for the jump).
     let mut aimed = lambda0;
     loop {
-        let (t, lambda) = eval(x)?;
+        if *steps == limit {
+            return Err(SolveError::IterationLimit);
+        }
+        *steps += 1;
+        let (t, lambda) = step(x)?;
         if t <= cap {
             return Ok(if x >= top {
                 WalkEnd::Beyond
@@ -158,51 +165,84 @@ mod tests {
         Ok((c + m * x, m))
     }
 
+    /// Walk `curve` from its own floor, recording every stepped `x`.
+    fn walk_curve(
+        floor: f64,
+        top: f64,
+        cap: f64,
+        limit: u32,
+    ) -> (Result<WalkEnd, SolveError>, Vec<f64>) {
+        let mut xs = Vec::new();
+        let end = walk(
+            floor,
+            curve(floor).unwrap(),
+            top,
+            cap,
+            limit,
+            "test.zone_steps",
+            |x| {
+                xs.push(x);
+                curve(x)
+            },
+        );
+        (end, xs)
+    }
+
     #[test]
     fn flat_floor_jumps_to_the_top_then_descends_onto_the_root() {
         // T(floor) = 10 with λ = 0: jump to 100 (T = 400 on the 5x
         // piece), overshoot to its root 26 (T = 42 on the 2x piece), then
         // land on the root 20 exactly.
-        let mut xs = Vec::new();
-        let end = walk(0.0, 100.0, 30.0, ZONE_STEP_LIMIT, |x| {
-            xs.push(x);
-            curve(x)
-        })
-        .unwrap();
+        let (end, xs) = walk_curve(0.0, 100.0, 30.0, ZONE_STEP_LIMIT);
         assert_eq!(
             end,
-            WalkEnd::Root {
+            Ok(WalkEnd::Root {
                 at: 20.0,
                 lambda: 2.0
-            }
+            })
         );
-        assert_eq!(xs, vec![0.0, 100.0, 26.0, 20.0]);
+        assert_eq!(xs, vec![100.0, 26.0, 20.0]);
+    }
+
+    #[test]
+    fn supplied_floor_is_not_a_step() {
+        // From (T, λ) = (40, 2) at 25 the tangent aims at 35 (T = 75 on
+        // the 5x piece), whose tangent lands on the root 32. The floor's
+        // pair is the caller's: `step` never sees 25.
+        let (end, xs) = walk_curve(25.0, 100.0, 60.0, ZONE_STEP_LIMIT);
+        assert_eq!(
+            end,
+            Ok(WalkEnd::Root {
+                at: 32.0,
+                lambda: 5.0
+            })
+        );
+        assert_eq!(xs, vec![35.0, 32.0]);
     }
 
     #[test]
     fn window_inside_the_cap_is_beyond() {
-        assert_eq!(
-            walk(0.0, 15.0, 30.0, ZONE_STEP_LIMIT, curve),
-            Ok(WalkEnd::Beyond)
-        );
+        let (end, xs) = walk_curve(0.0, 15.0, 30.0, ZONE_STEP_LIMIT);
+        assert_eq!(end, Ok(WalkEnd::Beyond));
+        assert_eq!(xs, vec![15.0]);
     }
 
     #[test]
-    fn cap_below_the_floor_is_infeasible_after_one_step() {
-        let mut steps = 0;
-        let out = walk(0.0, 100.0, 5.0, ZONE_STEP_LIMIT, |x| {
-            steps += 1;
-            curve(x)
-        });
-        assert_eq!(out, Err(SolveError::Infeasible));
-        assert_eq!(steps, 1);
+    fn cap_below_the_floor_is_infeasible_without_a_step() {
+        for floor in [0.0, 25.0] {
+            let (end, xs) = walk_curve(floor, 100.0, 5.0, ZONE_STEP_LIMIT);
+            assert_eq!(end, Err(SolveError::Infeasible));
+            assert!(xs.is_empty(), "stepped {xs:?}");
+        }
     }
 
     #[test]
     fn step_ceiling_is_a_typed_failure() {
+        // The flat-floor walk takes three steps; two are not enough.
         assert_eq!(
-            walk(0.0, 100.0, 30.0, 2, curve),
+            walk_curve(0.0, 100.0, 30.0, 2).0,
             Err(SolveError::IterationLimit)
         );
+        assert!(walk_curve(0.0, 100.0, 30.0, 3).0.is_ok());
     }
 }

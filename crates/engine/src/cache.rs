@@ -100,7 +100,8 @@ pub fn point_key(base_canonical: &str, delta_l_ns: f64, tag: &str) -> String {
 }
 
 /// Key for one zones entry (latency-grid campaigns). `tag` prefixes the
-/// search-window suffix: empty, or [`LP_TAG`] for LP zones.
+/// search-window suffix: [`LP_TAG`] for LP zones, [`EVAL_ZONE_TAG`] for
+/// eval zones, empty for envelope zones.
 pub fn zones_key(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
     format!(
         "{base_canonical}|zones|{tag}{:016x}",
@@ -127,9 +128,17 @@ pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64, tag: &str) -> St
 /// factorised through a sparse LU, whose rounding differs in the last
 /// ulp. Older engines tagged LP zones `walk-` (the Newton zone walk) and
 /// left LP points untagged. The tag makes all those LP entries miss
-/// instead of mixing the two factorisations' answers; `parametric` and
-/// `eval` keys are untagged and keep hitting.
+/// instead of mixing the two factorisations' answers; `parametric` keys
+/// and `eval` points are untagged and keep hitting.
 pub const LP_TAG: &str = "tri-";
+
+/// Suffix tag of eval zone entries (`…|eval|r1|zones|walk-{window}`,
+/// likewise `mzones`). Eval zones are Newton walks over direct
+/// evaluations; engines before them bisected, whose answers differ in
+/// the last bits. The tag makes those untagged entries miss; eval points
+/// are unchanged and stay untagged. (LP zones were tagged `walk-` by
+/// older engines too; their `…|lp|…` base keeps the two apart.)
+pub const EVAL_ZONE_TAG: &str = "walk-";
 
 /// Key for one multi-parameter point entry. The key carries the absolute
 /// per-parameter offsets `(∆L, ∆G, ∆o)` — missing axes are zero — so it
@@ -336,22 +345,24 @@ impl ResultCache {
 
     /// Load from a JSON file produced by [`ResultCache::save`].
     ///
-    /// Self-healing, never trusting: an unparseable file is quarantined
-    /// (renamed aside, counter `cache.quarantined.file`) and an empty
-    /// cache returned; an entry that is malformed, of unknown kind, or
-    /// whose integrity checksum is missing or wrong is dropped (counter
+    /// Self-healing, never trusting: an unparseable file — not UTF-8, not
+    /// JSON, or not a cache document — is quarantined (renamed aside,
+    /// counter `cache.quarantined.file`) and an empty cache returned; an
+    /// entry that is malformed, of unknown kind, or whose integrity
+    /// checksum is missing or wrong is dropped (counter
     /// `cache.quarantined`) so it gets recomputed. Only a genuinely
     /// unreadable file (I/O error) is reported to the caller.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let g = llamp_obs::span("cache.load");
-        let mut text = std::fs::read_to_string(path)?;
+        let mut bytes = std::fs::read(path)?;
         if llamp_faults::should_inject("cache.load.corrupt") {
             // Chaos site: bit-rot the file after reading it, exercising
             // the quarantine path without touching the disk.
-            text.truncate(text.len() / 3);
+            bytes.truncate(bytes.len() / 3);
         }
         let cache = Self::new();
-        let Ok(doc) = parse_json(&text) else {
+        let text = std::str::from_utf8(&bytes).ok();
+        let Some(doc) = text.and_then(|t| parse_json(t).ok()) else {
             quarantine_file(path);
             return Ok(cache);
         };
@@ -618,6 +629,32 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("quarantined"))
             .collect();
         assert_eq!(aside.len(), 1, "evidence file preserved");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flipped high bit makes the file invalid UTF-8: that is one more
+    /// way to be unparseable, quarantined like a torn file — not an I/O
+    /// error that stops the run.
+    #[test]
+    fn non_utf8_file_is_quarantined_not_fatal() {
+        let dir = temp_cache_dir("utf8");
+        let path = dir.join("cache.json");
+        let c = ResultCache::new();
+        c.put(point_key("b", 0.0, ""), CachedEntry::Point(point(0.0)));
+        c.save(&path).unwrap();
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] |= 0x80;
+        assert!(
+            std::str::from_utf8(&bytes).is_err(),
+            "fixture must be invalid UTF-8"
+        );
+        std::fs::write(&path, &bytes).unwrap();
+
+        let back = ResultCache::load(&path).unwrap();
+        assert_eq!(back.len(), 0);
+        assert!(!path.exists(), "broken file must be moved aside");
         std::fs::remove_dir_all(&dir).ok();
     }
 

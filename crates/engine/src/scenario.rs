@@ -3,7 +3,7 @@
 //! backend over the campaign's latency grid. Scenarios are the engine's
 //! unit of scheduling, caching and reporting.
 
-use crate::cache::{zones_key, zones_key_multi, LP_TAG};
+use crate::cache::{zones_key, zones_key_multi, EVAL_ZONE_TAG, LP_TAG};
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
     axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
@@ -261,7 +261,7 @@ impl Scenario {
         )
     }
 
-    /// Suffix tag of the scenario's cache entries: [`LP_TAG`] for the LP
+    /// Suffix tag of the scenario's point entries: [`LP_TAG`] for the LP
     /// backend, empty otherwise.
     pub fn key_tag(&self) -> &'static str {
         if self.backend == Backend::Lp {
@@ -271,13 +271,23 @@ impl Scenario {
         }
     }
 
+    /// Suffix tag of the scenario's zones entry: [`LP_TAG`] for the LP
+    /// backend, [`EVAL_ZONE_TAG`] for eval, empty for the envelope.
+    fn zone_tag(&self) -> &'static str {
+        match self.backend {
+            Backend::Lp => LP_TAG,
+            Backend::Eval => EVAL_ZONE_TAG,
+            Backend::Parametric => "",
+        }
+    }
+
     /// Cache key of the scenario's zones entry: `zones` for latency-grid
     /// campaigns, `mzones` for axes campaigns, LP entries tagged with
-    /// [`LP_TAG`].
+    /// [`LP_TAG`] and eval entries with [`EVAL_ZONE_TAG`].
     pub fn zones_key(&self) -> String {
         let base = self.base_canonical();
         let hi = self.grid.search_hi_ns;
-        let tag = self.key_tag();
+        let tag = self.zone_tag();
         if self.axes.is_empty() {
             zones_key(&base, hi, tag)
         } else {
@@ -409,42 +419,36 @@ impl Scenario {
         let base = analyzer.base_l();
         let hi = base + self.grid.search_hi_ns;
         match self.backend {
-            Backend::Parametric => {
-                let points = analyzer
-                    .sweep(need_deltas)
-                    .into_iter()
-                    .map(|p| PointResult {
-                        delta_l_ns: p.delta_l,
-                        runtime_ns: p.runtime,
-                        lambda: p.lambda,
-                        rho: p.rho,
-                    })
-                    .collect();
-                let zones = need_zones.then(|| {
-                    let z = analyzer.tolerance_zones(hi);
-                    ZonesResult {
-                        baseline_runtime_ns: z.baseline_runtime,
-                        pct1_ns: z.pct1,
-                        pct2_ns: z.pct2,
-                        pct5_ns: z.pct5,
-                    }
-                });
-                Ok((points, zones, SolveStats::default()))
-            }
-            Backend::Eval => {
-                let points = need_deltas
-                    .iter()
-                    .map(|&d| {
-                        let e = llamp_obs::time("eval.point_ns", || analyzer.evaluate(base + d));
-                        PointResult {
-                            delta_l_ns: d,
-                            runtime_ns: e.runtime,
-                            lambda: e.lambda,
-                            rho: e.rho(base + d),
-                        }
-                    })
-                    .collect();
-                let zones = need_zones.then(|| eval_zones(analyzer, base, hi));
+            Backend::Parametric | Backend::Eval => {
+                let points = if self.backend == Backend::Parametric {
+                    analyzer
+                        .sweep(need_deltas)
+                        .into_iter()
+                        .map(|p| PointResult {
+                            delta_l_ns: p.delta_l,
+                            runtime_ns: p.runtime,
+                            lambda: p.lambda,
+                            rho: p.rho,
+                        })
+                        .collect()
+                } else {
+                    need_deltas
+                        .iter()
+                        .map(|&d| {
+                            let e =
+                                llamp_obs::time("eval.point_ns", || analyzer.evaluate(base + d));
+                            PointResult {
+                                delta_l_ns: d,
+                                runtime_ns: e.runtime,
+                                lambda: e.lambda,
+                                rho: e.rho(base + d),
+                            }
+                        })
+                        .collect()
+                };
+                let zones = need_zones
+                    .then(|| self.envelope_or_eval_zones(analyzer, hi))
+                    .transpose()?;
                 Ok((points, zones, SolveStats::default()))
             }
             Backend::Lp => {
@@ -472,12 +476,12 @@ impl Scenario {
                 let mut lp = analyzer.lp();
                 // The zones' baseline is the crash-started point at
                 // ∆L = 0, a pure function of the scenario like every
-                // point.
-                let t0 = if need_zones {
+                // point; each zone walk starts from it.
+                let floor = if need_zones {
                     let p = lp
                         .predict(base)
                         .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some(p.runtime)
+                    Some((p.runtime, p.lambda))
                 } else {
                     None
                 };
@@ -515,13 +519,16 @@ impl Scenario {
                 // Each zone is a Newton walk over crash-started points
                 // (see `GraphLp::tolerance`): a pure function of
                 // (scenario, cap), like the baseline and every point.
-                let zones = match t0 {
-                    Some(t0) => Some(zones_from(t0, |cap| {
-                        llamp_obs::time("lp.zone_ns", || lp.tolerance(base, hi, cap))
+                let zones = floor
+                    .map(|floor| {
+                        zones_from(self.backend, floor.0, |cap| {
+                            llamp_obs::time("lp.zone_ns", || {
+                                lp.tolerance_from(base, floor, hi, cap)
+                            })
                             .map(|l| l - base)
-                    })?),
-                    None => None,
-                };
+                        })
+                    })
+                    .transpose()?;
                 let mut stats = lp.solver_stats();
                 stats.merge(&extra_stats);
                 Ok((points, zones, stats))
@@ -583,30 +590,19 @@ impl Scenario {
                         value_of(e.runtime, [e.lambda_l, e.lambda_g, e.lambda_o], p)
                     })
                     .collect();
-                let zones = need_zones.then(|| match self.backend {
-                    // The envelope backend answers zones exactly from the
-                    // T(L) profile (G, o at base); eval bisects.
-                    Backend::Parametric => {
-                        let z = analyzer.tolerance_zones(hi);
-                        ZonesResult {
-                            baseline_runtime_ns: z.baseline_runtime,
-                            pct1_ns: z.pct1,
-                            pct2_ns: z.pct2,
-                            pct5_ns: z.pct5,
-                        }
-                    }
-                    _ => eval_zones(analyzer, base.l, hi),
-                });
+                let zones = need_zones
+                    .then(|| self.envelope_or_eval_zones(analyzer, hi))
+                    .transpose()?;
                 Ok((points, zones, SolveStats::default()))
             }
             Backend::Lp => {
                 let mut lp = analyzer.multi_lp();
                 // Baseline first, as in `compute_with`.
-                let t0 = if need_zones {
+                let floor = if need_zones {
                     let p = lp
                         .predict(base)
                         .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some(p.runtime)
+                    Some((p.runtime, p.lambda_l))
                 } else {
                     None
                 };
@@ -622,16 +618,44 @@ impl Scenario {
                         p,
                     ));
                 }
-                let zones = match t0 {
-                    Some(t0) => Some(zones_from(t0, |cap| {
-                        llamp_obs::time("lp.zone_ns", || lp.tolerance(SweepParam::L, base, hi, cap))
+                let zones = floor
+                    .map(|floor| {
+                        zones_from(self.backend, floor.0, |cap| {
+                            llamp_obs::time("lp.zone_ns", || {
+                                lp.tolerance_from(SweepParam::L, base, floor, hi, cap)
+                            })
                             .map(|l| l - base.l)
-                    })?),
-                    None => None,
-                };
+                        })
+                    })
+                    .transpose()?;
                 Ok((points, zones, lp.solver_stats()))
             }
         }
+    }
+
+    /// The latency zones of the two LP-free backends, the same on grid
+    /// and axes scenarios (`G` and `o` at base): the envelope inverts its
+    /// exact `T(L)` profile; eval walks from its baseline `T₀ = T(base)`
+    /// over direct evaluations (see [`Analyzer::eval_tolerance`]).
+    fn envelope_or_eval_zones(&self, analyzer: &Analyzer, hi: f64) -> Result<ZonesResult, String> {
+        if self.backend == Backend::Parametric {
+            let z = analyzer.tolerance_zones(hi);
+            return Ok(ZonesResult {
+                baseline_runtime_ns: z.baseline_runtime,
+                pct1_ns: z.pct1,
+                pct2_ns: z.pct2,
+                pct5_ns: z.pct5,
+            });
+        }
+        let base = analyzer.base_l();
+        let t0 = analyzer.evaluate(base);
+        let floor = (t0.runtime, t0.lambda);
+        zones_from(self.backend, t0.runtime, |cap| {
+            llamp_obs::time("eval.zone_ns", || {
+                analyzer.eval_tolerance(base, floor, hi, cap)
+            })
+            .map(|l| l - base)
+        })
     }
 
     /// Re-encode for result files (canonical order; round-trips through
@@ -660,13 +684,16 @@ impl Scenario {
 }
 
 /// The 1/2/5% zones above baseline `t0`, with `zone(cap)` answering the
-/// added latency that keeps the runtime within `cap`.
+/// added latency that keeps the runtime within `cap`. A failure names the
+/// backend and the zone.
 fn zones_from(
+    backend: Backend,
     t0: f64,
     mut zone: impl FnMut(f64) -> Result<f64, SolveError>,
 ) -> Result<ZonesResult, String> {
     let mut pct = |p: f64| {
-        zone(t0 * (1.0 + p / 100.0)).map_err(|e| format!("LP tolerance solve failed: {e:?}"))
+        zone(t0 * (1.0 + p / 100.0))
+            .map_err(|e| format!("{} tolerance zone failed at {p}%: {e:?}", backend.name()))
     };
     Ok(ZonesResult {
         baseline_runtime_ns: t0,
@@ -674,38 +701,6 @@ fn zones_from(
         pct2_ns: pct(2.0)?,
         pct5_ns: pct(5.0)?,
     })
-}
-
-/// Tolerance zones via monotone bisection on direct evaluation — the
-/// backend-honest way to answer zones without an envelope.
-fn eval_zones(analyzer: &Analyzer, base: f64, hi: f64) -> ZonesResult {
-    let t0 = analyzer.evaluate(base).runtime;
-    let zone = |pct: f64| -> f64 {
-        let cap = t0 * (1.0 + pct / 100.0);
-        if analyzer.evaluate(hi).runtime <= cap {
-            return f64::INFINITY;
-        }
-        if analyzer.evaluate(base).runtime > cap {
-            return 0.0;
-        }
-        let (mut lo, mut up) = (base, hi);
-        // 64 bisection steps: below f64 resolution on any realistic span.
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + up);
-            if analyzer.evaluate(mid).runtime <= cap {
-                lo = mid;
-            } else {
-                up = mid;
-            }
-        }
-        lo - base
-    };
-    ZonesResult {
-        baseline_runtime_ns: t0,
-        pct1_ns: zone(1.0),
-        pct2_ns: zone(2.0),
-        pct5_ns: zone(5.0),
-    }
 }
 
 /// Expand a canonical spec into its scenario set, sorted by canonical key

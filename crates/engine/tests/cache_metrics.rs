@@ -4,11 +4,13 @@
 //! round-trip — for both cache-key families (grid campaigns use
 //! `pt`/`zones`, axes campaigns use `apt`/`mzones`). Also pins two
 //! cache-key decisions: entries keyed by the retired `lp-sparse`
-//! spelling never answer an `lp` run, and LP zone entries written before
-//! the Newton zone walk (untagged keys) miss while the LP points and the
-//! `parametric`/`eval` zones beside them keep hitting. And entries keyed
-//! by an `s_bytes` override from engines that ignored it miss, while
-//! scenarios without an override keep hitting.
+//! spelling never answer an `lp` run, and the entries of older engines
+//! miss where the answers moved — every LP entry (untagged or `walk-`
+//! instead of `tri-`) and the bisected eval zones (untagged instead of
+//! `walk-`) — while the eval points and every `parametric` entry beside
+//! them keep hitting. And entries keyed by an `s_bytes` override from
+//! engines that ignored it miss, while scenarios without an override keep
+//! hitting.
 //!
 //! Obs state is process-global; every test serializes through a session
 //! lock (this binary is its own process).
@@ -240,11 +242,13 @@ fn through_disk(cache: &ResultCache, tag: &str) -> ResultCache {
 #[test]
 fn legacy_lp_entries_miss_and_everything_else_hits() {
     // The files two older engines leave behind: the same keys, except
-    // that LP entries carry no `tri-` tag. Before the triangular factor
-    // LP answers came from a sparse LU, which rounds differently in the
-    // last ulp, so every LP point and zone must miss. The engine before
-    // that one also lacked the zone walk (LP zones untagged instead of
-    // `walk-`). The parametric and eval entries keep hitting under both.
+    // that LP entries carry no `tri-` tag and eval zones no `walk-` tag.
+    // Before the triangular factor LP answers came from a sparse LU,
+    // which rounds differently in the last ulp, so every LP point and
+    // zone must miss. The engine before that one also lacked the LP zone
+    // walk (LP zones untagged instead of `walk-`). Both bisected eval
+    // zones, whose bits differ from the eval walk's, so those miss too.
+    // The eval points and the parametric entries keep hitting under both.
     let _guard = session_lock().lock().unwrap();
     let grid = CampaignSpec::parse(
         r#"
@@ -267,10 +271,10 @@ iters = 1
 
     for legacy_zone_tag in ["", "walk-"] {
         let zone_tag = |sc: &llamp_engine::Scenario| {
-            if sc.key_tag().is_empty() {
-                ""
-            } else {
+            if sc.backend == llamp_engine::Backend::Lp {
                 legacy_zone_tag
+            } else {
+                ""
             }
         };
         let old = ResultCache::new();
@@ -318,7 +322,7 @@ iters = 1
         assert_eq!(
             provenance,
             vec![
-                ("eval", Provenance::FullCacheHit),
+                ("eval", Provenance::Computed),
                 ("lp", Provenance::Computed),
                 ("parametric", Provenance::FullCacheHit)
             ]
@@ -329,11 +333,15 @@ iters = 1
             "eval and parametric points hit"
         );
         assert_eq!(get(&counters, "cache.pt.miss"), 3, "every LP point misses");
-        assert_eq!(get(&counters, "cache.zones.hit"), 2);
+        assert_eq!(
+            get(&counters, "cache.zones.hit"),
+            1,
+            "only the parametric zones hit"
+        );
         assert_eq!(
             get(&counters, "cache.zones.miss"),
-            1,
-            "only the LP zones miss"
+            2,
+            "the LP and the bisected eval zones miss"
         );
 
         llamp_obs::enable();

@@ -1,6 +1,7 @@
-//! Latency tolerance consistency: the LP's zone walk, the parametric
-//! envelope inversion, bisection on direct evaluation and bisection on
-//! the dataflow simulator must all agree.
+//! Latency tolerance consistency: the LP's zone walk, the eval zone walk,
+//! the parametric envelope inversion, bisection on direct evaluation and
+//! bisection on the dataflow simulator must all agree. Bisection lives
+//! only here, as the oracle the walks are checked against.
 
 use llamp::core::{Analyzer, Binding};
 use llamp::model::LogGPSParams;
@@ -66,27 +67,44 @@ fn rel(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The 1/2/5% zones of one analysis three ways: the LP walk (with its
-/// own crash-started baseline, as the engine runs it) against the exact
-/// envelope and against eval bisection, all to 1e-9 relative.
+/// The 1/2/5% zones of one analysis four ways: the LP walk and the eval
+/// walk, each from its own baseline as the engine runs them, against the
+/// exact envelope and against eval bisection, all to 1e-9 relative.
 fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
     let base = analyzer.base_l();
-    let env = analyzer.tolerance_zones(base + WINDOW);
+    let top = base + WINDOW;
+    let env = analyzer.tolerance_zones(top);
     let mut lp = analyzer.lp();
-    let t0 = lp.predict(base).unwrap().runtime;
+    let lp_floor = lp.predict(base).unwrap();
+    let t0 = lp_floor.runtime;
+    let eval_floor = analyzer.evaluate(base);
     assert!(rel(t0, env.baseline_runtime) < 1e-12, "{label}: baseline");
+    assert!(
+        rel(eval_floor.runtime, t0) < 1e-12,
+        "{label}: eval baseline"
+    );
     for (pct, env_zone) in [(1.0, env.pct1), (2.0, env.pct2), (5.0, env.pct5)] {
         let cap = t0 * (1.0 + pct / 100.0);
-        let lp_zone = lp.tolerance(base, base + WINDOW, cap).unwrap() - base;
-        let eval_zone = eval_bisection(analyzer, cap);
-        assert!(
-            rel(lp_zone, env_zone) < 1e-9,
-            "{label} {pct}%: LP {lp_zone} vs envelope {env_zone}"
-        );
-        assert!(
-            rel(lp_zone, eval_zone) < 1e-9,
-            "{label} {pct}%: LP {lp_zone} vs eval bisection {eval_zone}"
-        );
+        let lp_zone = lp
+            .tolerance_from(base, (t0, lp_floor.lambda), top, cap)
+            .unwrap()
+            - base;
+        let eval_cap = eval_floor.runtime * (1.0 + pct / 100.0);
+        let walked = analyzer
+            .eval_tolerance(base, (eval_floor.runtime, eval_floor.lambda), top, eval_cap)
+            .unwrap()
+            - base;
+        let bisected = eval_bisection(analyzer, cap);
+        for (name, zone) in [("LP", lp_zone), ("eval walk", walked)] {
+            assert!(
+                rel(zone, env_zone) < 1e-9,
+                "{label} {pct}%: {name} {zone} vs envelope {env_zone}"
+            );
+            assert!(
+                rel(zone, bisected) < 1e-9,
+                "{label} {pct}%: {name} {zone} vs eval bisection {bisected}"
+            );
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::binding::Binding;
 use crate::eval::{evaluate, Evaluation};
-use crate::lp_build::GraphLp;
+use crate::lp_build::{GraphLp, ParamPoint};
 use crate::parametric::ParametricProfile;
 use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
 use llamp_lp::SolveError;
@@ -126,9 +126,16 @@ impl Analyzer {
         self.evaluate(self.base_l).runtime
     }
 
-    /// Build the LP form (Algorithm 1) for solver-based queries.
+    /// Build the LP form (Algorithm 1) for solver-based queries, with
+    /// the binding's analysis variable as its one parameter column.
     pub fn lp(&self) -> GraphLp {
         GraphLp::build(&*self.graph, &self.binding)
+    }
+
+    /// Build the LP form with `L`, `G` and `o` all symbolic (see
+    /// [`GraphLp::build_axes`]).
+    pub fn lp_axes(&self) -> GraphLp {
+        GraphLp::build_axes(&*self.graph, &self.binding)
     }
 
     /// Base value of one sweep parameter: the point the campaign's delta
@@ -139,24 +146,18 @@ impl Analyzer {
     }
 
     /// The full base query point `(L, G, o)`.
-    pub fn base_point(&self) -> crate::multi_lp::ParamPoint {
+    pub fn base_point(&self) -> ParamPoint {
         use crate::binding::SweepParam;
-        crate::multi_lp::ParamPoint {
+        ParamPoint {
             l: self.base_param(SweepParam::L),
             g: self.base_param(SweepParam::G),
             o: self.base_param(SweepParam::O),
         }
     }
 
-    /// Build the multi-parameter LP (symbolic `L`, `G`, `o`; see
-    /// [`crate::multi_lp::GraphMultiLp`]).
-    pub fn multi_lp(&self) -> crate::multi_lp::GraphMultiLp {
-        crate::multi_lp::GraphMultiLp::build(&*self.graph, &self.binding)
-    }
-
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full
     /// sensitivity gradient (see [`crate::eval::evaluate_multi`]).
-    pub fn evaluate_multi(&self, at: crate::multi_lp::ParamPoint) -> crate::eval::MultiEvaluation {
+    pub fn evaluate_multi(&self, at: ParamPoint) -> crate::eval::MultiEvaluation {
         crate::eval::evaluate_multi(&*self.graph, &self.binding, at.l, at.g, at.o)
     }
 

@@ -112,6 +112,18 @@ pub enum AnalysisVariable {
     },
 }
 
+impl AnalysisVariable {
+    /// The LogGPS parameter this variable is: the one a one-column LP
+    /// keeps symbolic.
+    pub fn param(&self) -> SweepParam {
+        match self {
+            AnalysisVariable::Latency => SweepParam::L,
+            AnalysisVariable::BandwidthG { .. } => SweepParam::G,
+            AnalysisVariable::OverheadO { .. } => SweepParam::O,
+        }
+    }
+}
+
 /// A LogGPS parameter usable as a sweep axis in multi-parameter analyses
 /// (the `L × G × o` campaign grids). Ordering is the canonical axis order
 /// `L < G < o`.
@@ -392,7 +404,7 @@ impl Binding {
     /// nothing is frozen to a constant except the latency model's
     /// structural terms (switch delays, per-pair fixed latencies). The
     /// result answers any `(L, G, o)` point, which is what the
-    /// multi-parameter LP ([`crate::multi_lp::GraphMultiLp`]) and
+    /// three-column LP ([`crate::GraphLp::build_axes`]) and
     /// [`crate::eval::evaluate_multi`] are built from. The
     /// [`AnalysisVariable`] selection is irrelevant here — all three
     /// parameters stay symbolic.

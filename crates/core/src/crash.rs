@@ -29,7 +29,8 @@ use llamp_lp::Basis;
 
 /// One LP row as the crash recursion sees it:
 /// `target ≥ base + c + ml·l + mg·g + mo·o` (base absent for source
-/// rows; for the single-parameter LP `mg`/`mo` are pre-folded into `c`).
+/// rows; a parameter the LP bakes has a zero multiplier, its cost
+/// pre-folded into `c`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CrashRow {
     /// Column index of the `+1` variable (`y_v` or `t`).

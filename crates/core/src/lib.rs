@@ -26,7 +26,6 @@ mod crash;
 pub mod eval;
 pub mod lowering;
 pub mod lp_build;
-pub mod multi_lp;
 pub mod parametric;
 pub mod placement;
 mod zone;
@@ -41,8 +40,7 @@ pub use eval::{
 pub use llamp_lp::{SolveError, SolveStats};
 pub use llamp_schedgen::{GraphView, ReduceConfig, ReducedGraph, ReductionStats};
 pub use lowering::{lower_walk, Lowered};
-pub use lp_build::{GraphLp, Prediction, CRITICAL_STEP_LIMIT};
-pub use multi_lp::{GraphMultiLp, MultiPrediction, ParamPoint};
+pub use lp_build::{GraphLp, MultiPrediction, ParamPoint, Prediction, CRITICAL_STEP_LIMIT};
 pub use parametric::ParametricProfile;
 pub use placement::{
     block_mapping, evaluate_mapping, llamp_placement, random_mapping, round_robin_mapping,

@@ -1,8 +1,8 @@
 //! The unified graph-lowering walk.
 //!
-//! Every analysis builder in this crate — Algorithm 1's LP
-//! ([`crate::lp_build`]), the multi-parameter LP ([`crate::multi_lp`]),
-//! direct evaluation ([`crate::eval`]) and the parametric envelope
+//! Every analysis builder in this crate — Algorithm 1's LP in both its
+//! one- and three-column shapes ([`crate::lp_build`]), direct evaluation
+//! ([`crate::eval`]) and the parametric envelope
 //! ([`crate::parametric`]) — used to duplicate the same loop: walk the
 //! graph in topological order, bind each vertex cost and each in-edge
 //! cost under the active [`Binding`] (with the correct endpoint ranks),
@@ -13,7 +13,8 @@
 //! implements the view.
 //!
 //! Costs are delivered as fully symbolic [`MultiBound`]s; single-variable
-//! builders collapse them with [`Binding::project`].
+//! builders (and the one-column LP) collapse them with
+//! [`Binding::project`].
 
 use crate::binding::{Binding, MultiBound};
 use llamp_schedgen::GraphView;

@@ -1,8 +1,8 @@
 //! Execution graph → linear program (Algorithm 1) and the LP-powered
-//! analyses: runtime prediction, latency sensitivity via reduced costs,
-//! latency tolerance via the flipped objective (§II-D2, reached by a
-//! Newton walk over crash-started predictions), and the critical-latency
-//! search of Algorithm 2.
+//! analyses: runtime prediction, sensitivities via reduced costs,
+//! tolerance via the flipped objective (§II-D2, reached by a Newton walk
+//! over crash-started predictions), and the critical-latency search of
+//! Algorithm 2.
 //!
 //! The construction follows the paper exactly: traversing the graph in
 //! topological order, a vertex with one predecessor extends its
@@ -11,8 +11,19 @@
 //! per incoming edge. The network latency appears as the decision variable
 //! `l`; queries pin it with a lower bound (`l ≥ L`) — never an equality —
 //! which is what makes the reduced cost of `l` equal `∂T/∂L ≥ 0`.
+//!
+//! Which LogGPS parameters stay symbolic is a per-parameter choice, as in
+//! upstream LLAMP's converter (`G` is a variable or a constant). An LP
+//! keeps one *parameter column* per symbolic parameter:
+//! [`GraphLp::build`] keeps the binding's analysis variable alone and
+//! bakes the others into row constants through [`Binding::project`];
+//! [`GraphLp::build_axes`] keeps `L`, `G` and `o`, so `λ_L`, `λ_G` and
+//! `λ_o` all fall out of the same dual solution and each parameter gets
+//! its own basis-stability window. Every column is pinned by a lower
+//! bound, and the crash, predictions, the zone walk and its certification
+//! read the columns — they exist once for both shapes.
 
-use crate::binding::Binding;
+use crate::binding::{Binding, MultiBound, SweepParam};
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
 use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
@@ -22,29 +33,68 @@ use llamp_lp::{
 };
 use llamp_schedgen::GraphView;
 
-/// Affine running expression `base + c + m·l` for a vertex's completion
-/// time while building the LP (Algorithm 1's `Tv`).
+/// A query point in the three-parameter space. An LP reads the
+/// coordinates of its parameter columns; a parameter it bakes into its
+/// constants keeps the binding's value whatever the point says.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ParamPoint {
+    /// Network (or per-wire) latency `L` (ns).
+    pub l: f64,
+    /// Per-byte gap `G` (ns/byte).
+    pub g: f64,
+    /// Per-message overhead `o` (ns).
+    pub o: f64,
+}
+
+impl ParamPoint {
+    /// The value of one sweep parameter.
+    pub fn get(&self, p: SweepParam) -> f64 {
+        match p {
+            SweepParam::L => self.l,
+            SweepParam::G => self.g,
+            SweepParam::O => self.o,
+        }
+    }
+
+    /// Replace the value of one sweep parameter.
+    pub fn with(mut self, p: SweepParam, value: f64) -> Self {
+        match p {
+            SweepParam::L => self.l = value,
+            SweepParam::G => self.g = value,
+            SweepParam::O => self.o = value,
+        }
+        self
+    }
+}
+
+/// Affine running expression `base + c + m·(L, G, o)` for a vertex's
+/// completion time while building the LP (Algorithm 1's `Tv`). A
+/// parameter without a column keeps a zero coefficient: its cost is in
+/// `c`.
 #[derive(Debug, Clone, Copy)]
 struct Expr {
     base: Option<VarId>,
     c: f64,
-    m: f64,
+    m: [f64; 3],
 }
 
 /// The LP form of an execution graph under a binding, paired with the
 /// [`SparseSimplex`] that answers its queries. A fresh (or reset)
 /// instance starts each query from the longest-path crash basis at the
-/// query's latency point; otherwise successive queries re-solve warm
-/// from the previous optimal basis.
+/// query's point; otherwise successive queries re-solve warm from the
+/// previous optimal basis.
 #[derive(Debug)]
 pub struct GraphLp {
     model: LpModel,
-    l: VarId,
+    /// The parameter columns, in `L < G < o` order: the binding's
+    /// analysis variable alone ([`GraphLp::build`]) or all three
+    /// ([`GraphLp::build_axes`]).
+    cols: Vec<(SweepParam, VarId)>,
     t: VarId,
     solver: SparseSimplex,
     /// Crash *plan* (see [`GraphLp::build`]): the per-row longest-path
     /// recursion records, instantiated into a concrete crash [`Basis`] at
-    /// each query's latency point.
+    /// each query's point.
     plan: CrashPlan,
 }
 
@@ -55,13 +105,14 @@ pub struct GraphLp {
 /// ceiling binds only when `(l_max − l_min) / step` exceeds it.
 pub const CRITICAL_STEP_LIMIT: u32 = 1024;
 
-/// What a single `predict` solve reports (the quantities LLAMP reads from
-/// the solver).
+/// What a single `predict` solve reports on the LP's first parameter
+/// column (the quantities LLAMP reads from the solver).
 #[derive(Debug, Clone, Copy)]
 pub struct Prediction {
     /// Predicted runtime `T` (ns).
     pub runtime: f64,
-    /// Latency sensitivity `λ_L` (reduced cost of `l`).
+    /// Sensitivity of the first column: `λ_L` (the reduced cost of `l`),
+    /// or the analysis variable's under a `G` or `o` binding.
     pub lambda: f64,
     /// Simplex iterations spent.
     pub iterations: u64,
@@ -78,14 +129,45 @@ impl Prediction {
     }
 }
 
+/// What a solve at a [`ParamPoint`] reports: the runtime plus the
+/// sensitivity of every parameter, all from one dual solution. A
+/// parameter the LP bakes into its constants has no column and reports
+/// zero. (The per-parameter basis-stability ranges are one
+/// `Solution::lb_range` away, through [`GraphLp::solve_raw`].)
+#[derive(Debug, Clone, Copy)]
+pub struct MultiPrediction {
+    /// Predicted runtime `T` (ns).
+    pub runtime: f64,
+    /// Latency sensitivity `λ_L` (reduced cost of the `L` column).
+    pub lambda_l: f64,
+    /// Bandwidth sensitivity `λ_G` (reduced cost of the `G` column).
+    pub lambda_g: f64,
+    /// Overhead sensitivity `λ_o` (reduced cost of the `o` column).
+    pub lambda_o: f64,
+    /// Simplex iterations spent.
+    pub iterations: u64,
+}
+
+impl MultiPrediction {
+    /// Sensitivity of one sweep parameter.
+    pub fn lambda(&self, p: SweepParam) -> f64 {
+        match p {
+            SweepParam::L => self.lambda_l,
+            SweepParam::G => self.lambda_g,
+            SweepParam::O => self.lambda_o,
+        }
+    }
+}
+
 impl GraphLp {
     /// Algorithm 1: build the LP for `graph` under `binding` (any
-    /// [`GraphView`] — raw or reduced graphs alike). The latency variable
-    /// starts with bound `l ≥ 0`.
+    /// [`GraphView`] — raw or reduced graphs alike) with one parameter
+    /// column, the binding's analysis variable, starting at bound `≥ 0`;
+    /// the other parameters are baked into row constants.
     ///
     /// Alongside the model this records a `CrashPlan`: one record per
     /// row of the longest-path recursion the LP encodes. Each query
-    /// instantiates the plan *at its latency point* — running the exact
+    /// instantiates the plan *at its point* — running the exact
     /// forward DAG longest-path pass, so every merge variable `y_v` (and the makespan
     /// `t`) is made basic on the row that defines its max at that point
     /// while all other rows keep their logical basic. By the graph's
@@ -96,30 +178,76 @@ impl GraphLp {
     /// from it needs no pivots at all, only that factorisation and one
     /// pricing pass.
     pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
+        Self::lower(graph, binding, &[binding.variable.param()])
+    }
+
+    /// Algorithm 1 with `L`, `G` and `o` all symbolic: one column per
+    /// parameter, each edge constraint carrying its full coefficient
+    /// vector from [`Binding::bind_multi`], and the crash plan keeping
+    /// all three multipliers per row.
+    pub fn build_axes<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
+        Self::lower(graph, binding, &SweepParam::ALL)
+    }
+
+    /// The one lowering: Algorithm 1 with a column for each of `params`
+    /// (canonical order).
+    fn lower<V: GraphView + ?Sized>(graph: &V, binding: &Binding, params: &[SweepParam]) -> Self {
         use llamp_lp::solution::VarStatus;
 
         let span = llamp_obs::span("lp.lower");
         let mut model = LpModel::new(Objective::Minimize);
-        let l = model.add_var("l", 0.0, f64::INFINITY, 0.0);
+        let cols: Vec<(SweepParam, VarId)> = params
+            .iter()
+            .map(|&p| {
+                let name = p.name().to_ascii_lowercase();
+                (p, model.add_var(name, 0.0, f64::INFINITY, 0.0))
+            })
+            .collect();
         let t = model.add_var("t", f64::NEG_INFINITY, f64::INFINITY, 1.0);
         // Crash-plan skeleton, filled in as variables and rows appear.
-        let mut col_status = vec![VarStatus::AtLower, VarStatus::FreeZero];
+        let mut col_status = vec![VarStatus::AtLower; cols.len()];
+        col_status.push(VarStatus::FreeZero);
         let mut rows: Vec<CrashRow> = Vec::new();
         let mut has_sink = false;
+
+        // A bound cost as `(constant, per-parameter coefficients)`. With
+        // one column the other two parameters are baked into the
+        // constant; with three, nothing is.
+        let split = |mb: MultiBound| -> (f64, [f64; 3]) {
+            if let [(p, _)] = cols[..] {
+                let (c, m) = binding.project(mb);
+                let mut ms = [0.0; 3];
+                ms[p as usize] = m;
+                (c, ms)
+            } else {
+                (mb.constant, [mb.l, mb.g, mb.o])
+            }
+        };
+        // Append the column coefficients of an expression to a
+        // constraint's term list (negated: y − base − m·(l, g, o) ≥ c).
+        let push_coeffs = |terms: &mut Vec<(VarId, f64)>, m: [f64; 3]| {
+            for &(p, var) in &cols {
+                let x = m[p as usize];
+                if x != 0.0 {
+                    terms.push((var, -x));
+                }
+            }
+        };
+        let sum = |a: [f64; 3], b: [f64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
 
         let n = graph.num_vertices();
         let mut exprs: Vec<Expr> = vec![
             Expr {
                 base: None,
                 c: 0.0,
-                m: 0.0
+                m: [0.0; 3],
             };
             n
         ];
 
         lower_walk(graph, binding, |low| {
             let v = low.id;
-            let (vc, vm) = binding.project(low.cost);
+            let (vc, vm) = split(low.cost);
             let e = match low.preds.len() {
                 0 => Expr {
                     base: None,
@@ -128,38 +256,36 @@ impl GraphLp {
                 },
                 1 => {
                     let (p, eb) = low.preds[0];
-                    let (ec, em) = binding.project(eb);
+                    let (ec, em) = split(eb);
                     let u = exprs[p as usize];
                     Expr {
                         base: u.base,
                         c: u.c + ec + vc,
-                        m: u.m + em + vm,
+                        m: sum(sum(u.m, em), vm),
                     }
                 }
                 _ => {
                     let y = model.add_var(format!("y{v}"), f64::NEG_INFINITY, f64::INFINITY, 0.0);
                     col_status.push(VarStatus::Basic);
                     for &(p, eb) in low.preds {
-                        let (ec, em) = binding.project(eb);
+                        let (ec, em) = split(eb);
                         let u = exprs[p as usize];
-                        // y ≥ base_u + (c_u + ec) + (m_u + em)·l
+                        // y ≥ base_u + (c_u + ec) + (m_u + em)·(l, g, o)
                         let mut terms = vec![(y, 1.0)];
                         if let Some(b) = u.base {
                             terms.push((b, -1.0));
                         }
-                        let m = u.m + em;
-                        if m != 0.0 {
-                            terms.push((l, -m));
-                        }
+                        let m = sum(u.m, em);
+                        push_coeffs(&mut terms, m);
                         let rhs = u.c + ec;
                         model.add_constraint(format!("in{v}_{p}"), &terms, Relation::Ge, rhs);
                         rows.push(CrashRow {
                             target: y.0,
                             base: u.base.map_or(NO_BASE, |b| b.0),
                             c: rhs,
-                            ml: m,
-                            mg: 0.0,
-                            mo: 0.0,
+                            ml: m[0],
+                            mg: m[1],
+                            mo: m[2],
                         });
                     }
                     Expr {
@@ -178,17 +304,15 @@ impl GraphLp {
                 if let Some(b) = ex.base {
                     terms.push((b, -1.0));
                 }
-                if ex.m != 0.0 {
-                    terms.push((l, -ex.m));
-                }
+                push_coeffs(&mut terms, ex.m);
                 model.add_constraint(format!("sink{v}"), &terms, Relation::Ge, ex.c);
                 rows.push(CrashRow {
                     target: t.0,
                     base: ex.base.map_or(NO_BASE, |b| b.0),
                     c: ex.c,
-                    ml: ex.m,
-                    mg: 0.0,
-                    mo: 0.0,
+                    ml: ex.m[0],
+                    mg: ex.m[1],
+                    mo: ex.m[2],
                 });
                 has_sink = true;
             }
@@ -203,13 +327,18 @@ impl GraphLp {
 
         let lp = Self {
             model,
-            l,
+            cols,
             t,
             solver: SparseSimplex::default(),
             plan,
         };
         if llamp_obs::is_enabled() {
-            span.field_str("shape", "single");
+            let shape = if lp.cols.len() == 1 {
+                "single"
+            } else {
+                "multi"
+            };
+            span.field_str("shape", shape);
             span.field_u64("rows", lp.model.num_constraints() as u64);
             span.field_u64("cols", lp.model.num_vars() as u64);
         }
@@ -222,27 +351,10 @@ impl GraphLp {
     }
 
     /// Drop the warm state accumulated from previous queries: the next
-    /// query seeds the crash basis at its own latency point, exactly as a
+    /// query seeds the crash basis at its own point, exactly as a
     /// freshly built `GraphLp` would.
     pub fn reset(&mut self) {
         self.solver.reset();
-    }
-
-    /// Instantiate the crash basis at a latency point (exposed for
-    /// conformance tests and benchmarks; queries do this internally).
-    pub fn crash_basis(&self, l_value: f64) -> Basis {
-        self.plan.basis_at(l_value, 0.0, 0.0)
-    }
-
-    /// Compute the crash at `l_value`, seed it if the solver holds no
-    /// warm state (fresh build or after [`GraphLp::reset`]), and
-    /// hand it back for the robust-resolve fallback ladder.
-    fn arm_crash(&mut self, l_value: f64) -> Basis {
-        let crash = self.crash_basis(l_value);
-        if self.solver.warm_basis().is_none() {
-            self.solver.seed(&crash);
-        }
-        crash
     }
 
     /// Cumulative solver-effort counters across every query this instance
@@ -251,9 +363,15 @@ impl GraphLp {
         self.solver.stats()
     }
 
-    /// Latency decision variable.
-    pub fn l_var(&self) -> VarId {
-        self.l
+    /// The column of one sweep parameter. Panics when the LP bakes `p`
+    /// into its constants.
+    pub fn param_var(&self, p: SweepParam) -> VarId {
+        self.column(p)
+            .unwrap_or_else(|| panic!("this LP has no {p} column"))
+    }
+
+    fn column(&self, p: SweepParam) -> Option<VarId> {
+        self.cols.iter().find(|c| c.0 == p).map(|c| c.1)
     }
 
     /// Makespan decision variable.
@@ -261,136 +379,183 @@ impl GraphLp {
         self.t
     }
 
-    /// Solve `min t` with `l ≥ l_value` and report runtime and `λ_L`.
-    pub fn predict(&mut self, l_value: f64) -> Result<Prediction, SolveError> {
-        let sol = self.solve_raw(l_value)?;
+    /// The point with the first column at `x` and every other coordinate
+    /// zero: what the scalar queries ask.
+    fn point(&self, x: f64) -> ParamPoint {
+        ParamPoint::default().with(self.cols[0].0, x)
+    }
+
+    /// Instantiate the crash basis at a query point. Baked parameters
+    /// have zero multipliers, so their coordinates never matter.
+    fn crash_basis(&self, at: ParamPoint) -> Basis {
+        self.plan.basis_at(at.l, at.g, at.o)
+    }
+
+    /// Solve `min t` with every column pinned at `at`'s coordinate by its
+    /// lower bound, and hand back the raw solution (tight-constraint /
+    /// critical-path inspection, stability windows). The crash at `at`
+    /// is seeded when the solver holds no warm state (fresh build or
+    /// after [`GraphLp::reset`]) and is the robust-resolve ladder's
+    /// fallback.
+    pub fn solve_raw(&mut self, at: ParamPoint) -> Result<Solution, SolveError> {
+        for &(p, var) in &self.cols {
+            self.model.set_var_lb(var, at.get(p));
+        }
+        self.model.set_sense(Objective::Minimize);
+        self.model.set_objective(&[(self.t, 1.0)]);
+        let crash = self.crash_basis(at);
+        if self.solver.warm_basis().is_none() {
+            self.solver.seed(&crash);
+        }
+        resolve_robust(&mut self.solver, &self.model, Some(&crash))
+    }
+
+    /// Solve with the first column at `x` and report runtime and its `λ`.
+    pub fn predict(&mut self, x: f64) -> Result<Prediction, SolveError> {
+        let sol = self.solve_raw(self.point(x))?;
         Ok(self.prediction(&sol))
     }
 
-    /// [`GraphLp::predict`] plus the range of feasibility of the latency
-    /// lower bound: within `[l_low, l_high]` the optimal basis — and
-    /// hence the critical path and `λ_L` — stay unchanged
+    /// [`GraphLp::predict`] plus the range of feasibility of the first
+    /// column's lower bound: within `[low, high]` the optimal basis —
+    /// and hence the critical path and `λ` — stay unchanged
     /// (`SALBLow`/`SALBUp`). The window costs one more FTRAN, so only the
     /// callers that read it (Algorithm 2) pay for it.
-    pub fn predict_with_window(
-        &mut self,
-        l_value: f64,
-    ) -> Result<(Prediction, (f64, f64)), SolveError> {
-        let sol = self.solve_raw(l_value)?;
-        Ok((self.prediction(&sol), sol.lb_range(self.l)))
+    pub fn predict_with_window(&mut self, x: f64) -> Result<(Prediction, (f64, f64)), SolveError> {
+        let sol = self.solve_raw(self.point(x))?;
+        Ok((self.prediction(&sol), sol.lb_range(self.cols[0].1)))
     }
 
     fn prediction(&self, sol: &Solution) -> Prediction {
         Prediction {
             runtime: sol.objective(),
-            lambda: sol.reduced_cost(self.l),
+            lambda: sol.reduced_cost(self.cols[0].1),
             iterations: sol.iterations(),
         }
     }
 
-    /// Solve `min t` and hand back the raw solution (for tight-constraint /
-    /// critical-path inspection).
-    pub fn solve_raw(&mut self, l_value: f64) -> Result<Solution, SolveError> {
-        self.model.set_var_lb(self.l, l_value);
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(l_value);
-        resolve_robust(&mut self.solver, &self.model, Some(&crash))
+    /// Solve at `at` and report the runtime and every parameter's
+    /// sensitivity — all from one dual solution.
+    pub fn predict_at(&mut self, at: ParamPoint) -> Result<MultiPrediction, SolveError> {
+        let sol = self.solve_raw(at)?;
+        let lambda = |p| self.column(p).map_or(0.0, |var| sol.reduced_cost(var));
+        Ok(MultiPrediction {
+            runtime: sol.objective(),
+            lambda_l: lambda(SweepParam::L),
+            lambda_g: lambda(SweepParam::G),
+            lambda_o: lambda(SweepParam::O),
+            iterations: sol.iterations(),
+        })
     }
 
-    /// Latency tolerance (§II-D2): the largest `l ≥ l_floor` with
-    /// `T(l) ≤ max_runtime`, searched up to the finite window top `l_top`.
-    /// Returns `f64::INFINITY` when the runtime at `l_top` stays within
-    /// the cap, `Err(SolveError::Infeasible)` when even `l_floor` exceeds
-    /// it, and `Err(SolveError::IterationLimit)` when the walk needs more
-    /// than [`ZONE_STEP_LIMIT`] steps.
+    /// Tolerance (§II-D2) along the first column: the largest
+    /// `x ≥ floor` with `T(x) ≤ max_runtime`, searched up to the finite
+    /// window top `top`. Returns `f64::INFINITY` when the runtime at
+    /// `top` stays within the cap, `Err(SolveError::Infeasible)` when
+    /// even `floor` exceeds it, and `Err(SolveError::IterationLimit)`
+    /// when the walk needs more than [`ZONE_STEP_LIMIT`] steps.
     ///
     /// The paper flips the objective to `max l` s.t. `t ≤ max_runtime`.
     /// Solved warm from an optimum at the floor, that LP pivots through
     /// every basis between the floor and the answer — thousands at 10⁵
-    /// rows. Instead, a Newton walk on `T(l) = max_runtime` over
-    /// crash-started [`GraphLp::predict`] solves finds the answer's
-    /// linear piece in a few zero-pivot steps, and the tolerance LP is
-    /// solved once, from that step's crash basis with `l` made basic in
-    /// place of `t`. The answer is a pure function of (model, floor,
-    /// top, cap); the solver is left reset. This entry point solves the
-    /// floor itself; a caller that already holds it uses
+    /// rows. Instead, a Newton walk on `T(x) = max_runtime` over
+    /// crash-started predictions finds the answer's linear piece in a
+    /// few zero-pivot steps, and the tolerance LP is solved once, from
+    /// that step's crash basis with the column made basic in place of
+    /// `t`. The answer is a pure function of (model, floor, top, cap);
+    /// the solver is left reset. This entry point solves the floor
+    /// itself; a caller that already holds it uses
     /// [`GraphLp::tolerance_from`].
-    pub fn tolerance(
-        &mut self,
-        l_floor: f64,
-        l_top: f64,
-        max_runtime: f64,
-    ) -> Result<f64, SolveError> {
+    pub fn tolerance(&mut self, floor: f64, top: f64, max_runtime: f64) -> Result<f64, SolveError> {
         self.reset();
-        let floor = self.predict(l_floor)?;
-        self.tolerance_from(l_floor, (floor.runtime, floor.lambda), l_top, max_runtime)
+        let at_floor = self.predict(floor)?;
+        self.tolerance_from(floor, (at_floor.runtime, at_floor.lambda), top, max_runtime)
     }
 
     /// [`GraphLp::tolerance`] walking from a floor the caller already
     /// holds: `at_floor` is the crash-started `(runtime, λ)` of
-    /// [`GraphLp::predict`] at `l_floor` — a scenario's baseline — so the
+    /// [`GraphLp::predict`] at `floor` — a scenario's baseline — so the
     /// walk solves only the points right of it. The same floor gives the
     /// same bits as [`GraphLp::tolerance`].
     pub fn tolerance_from(
         &mut self,
-        l_floor: f64,
+        floor: f64,
         at_floor: (f64, f64),
-        l_top: f64,
+        top: f64,
         max_runtime: f64,
     ) -> Result<f64, SolveError> {
-        self.tolerance_within(l_floor, at_floor, l_top, max_runtime, ZONE_STEP_LIMIT)
+        let (p, at) = (self.cols[0].0, self.point(floor));
+        self.tolerance_along(p, at, at_floor, top, max_runtime)
     }
 
-    /// [`GraphLp::tolerance_from`] under an explicit step ceiling.
+    /// Tolerance along any column `p`: the largest `x ≥ at.get(p)` with
+    /// `T ≤ max_runtime`, the other columns pinned at `at`, walking from
+    /// `at_floor`, the crash-started `(runtime, λ_p)` at `at`. Same walk,
+    /// certification and outcomes as [`GraphLp::tolerance`].
+    pub fn tolerance_along(
+        &mut self,
+        p: SweepParam,
+        at: ParamPoint,
+        at_floor: (f64, f64),
+        top: f64,
+        max_runtime: f64,
+    ) -> Result<f64, SolveError> {
+        self.tolerance_within(p, at, at_floor, top, max_runtime, ZONE_STEP_LIMIT)
+    }
+
+    /// [`GraphLp::tolerance_along`] under an explicit step ceiling.
     fn tolerance_within(
         &mut self,
-        l_floor: f64,
+        p: SweepParam,
+        at: ParamPoint,
         at_floor: (f64, f64),
-        l_top: f64,
+        top: f64,
         max_runtime: f64,
         limit: u32,
     ) -> Result<f64, SolveError> {
+        let (var, t) = (self.param_var(p), self.t);
+        let floor = at.get(p);
         let end = zone::walk(
-            l_floor,
+            floor,
             at_floor,
-            l_top,
+            top,
             max_runtime,
             limit,
             "lp.zone_steps",
-            |l| {
+            |x| {
                 self.solver.reset();
-                let p = self.predict(l)?;
-                Ok((p.runtime, p.lambda))
+                let sol = self.solve_raw(at.with(p, x))?;
+                Ok((sol.objective(), sol.reduced_cost(var)))
             },
         )?;
-        let WalkEnd::Root { at, lambda } = end else {
+        let WalkEnd::Root { at: x, lambda } = end else {
             return Ok(f64::INFINITY);
         };
+        let root = at.with(p, x);
         let start = if lambda > 0.0 {
             self.plan
-                .tolerance_basis_at(at, 0.0, 0.0, self.l.0, self.t.0)
+                .tolerance_basis_at(root.l, root.g, root.o, var.0, t.0)
         } else {
-            self.crash_basis(at)
+            self.crash_basis(root)
         };
-        self.model.set_var_lb(self.l, l_floor);
+        self.model.set_var_lb(var, floor);
         zone::certify(
             &mut self.model,
             &mut self.solver,
-            self.l,
-            self.t,
+            var,
+            t,
             max_runtime,
-            l_top,
+            top,
             &start,
         )
     }
 
     /// Algorithm 2: critical latencies within `[l_min, l_max]`, walking
-    /// basis-stability ranges from the top of the interval downward. `step`
-    /// caps the per-iteration progress (resolution), `eps` nudges the bound
-    /// strictly past a discovered breakpoint. A search needing more than
-    /// [`CRITICAL_STEP_LIMIT`] steps returns
-    /// `Err(SolveError::IterationLimit)`.
+    /// basis-stability ranges of the first column from the top of the
+    /// interval downward. `step` caps the per-iteration progress
+    /// (resolution), `eps` nudges the bound strictly past a discovered
+    /// breakpoint. A search needing more than [`CRITICAL_STEP_LIMIT`]
+    /// steps returns `Err(SolveError::IterationLimit)`.
     pub fn critical_latencies(
         &mut self,
         l_min: f64,
@@ -413,24 +578,24 @@ impl GraphLp {
         assert!(l_min <= l_max && step > 0.0 && eps > 0.0);
         let mut lcs: Vec<f64> = Vec::new();
         let mut l = l_max;
-        let mut lambda: Option<f64> = None;
+        // λ and the window's low end of the previous solve.
+        let mut prev: Option<(f64, f64)> = None;
         for steps in 1.. {
             if steps > limit {
                 return Err(SolveError::IterationLimit);
             }
             let (pred, window) = self.predict_with_window(l)?;
             let l_fl = window.0;
-            match lambda {
-                Some(prev) if (pred.lambda - prev).abs() <= 1e-9 => {}
-                _ => {
-                    // λ changed (or first solve): the low end of the new
-                    // basis-stability region is a critical latency.
-                    if l_fl.is_finite() && l_fl >= l_min && l_fl <= l_max {
-                        lcs.push(l_fl);
-                    }
-                    lambda = Some(pred.lambda);
+            // Below the previous solve's window its basis is no longer
+            // optimal; if λ changed there, the slope of T breaks at that
+            // window's low end: a critical latency.
+            if let Some((lambda, fl)) = prev {
+                let changed = (pred.lambda - lambda).abs() > 1e-9;
+                if changed && fl.is_finite() && fl >= l_min && fl <= l_max {
+                    lcs.push(fl);
                 }
             }
+            prev = Some((pred.lambda, l_fl));
             if l_fl < l_min || l_fl == f64::NEG_INFINITY {
                 break;
             }
@@ -440,7 +605,7 @@ impl GraphLp {
             }
             l = next;
         }
-        lcs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        lcs.sort_by(f64::total_cmp);
         lcs.dedup_by(|a, b| (*a - *b).abs() < eps);
         Ok(lcs)
     }
@@ -450,6 +615,7 @@ impl GraphLp {
 mod tests {
     use super::*;
     use crate::binding::Binding;
+    use crate::eval::evaluate_multi;
     use llamp_model::LogGPSParams;
     use llamp_schedgen::{build_graph, ExecGraph, GraphConfig};
     use llamp_trace::{ProgramSet, TracerConfig};
@@ -517,16 +683,13 @@ mod tests {
             let mut lp = GraphLp::build(&g, &didactic());
             let walked = lp.tolerance(floor, TOP, 2_000.0).unwrap();
             let mut m = lp.model().clone();
-            m.set_var_lb(lp.l_var(), floor);
+            let l = lp.param_var(SweepParam::L);
+            m.set_var_lb(l, floor);
             m.set_var_ub(lp.t_var(), 2_000.0);
             m.set_sense(Objective::Maximize);
-            m.set_objective(&[(lp.l_var(), 1.0)]);
+            m.set_objective(&[(l, 1.0)]);
             let cold = SparseSimplex::default().solve(&m).unwrap();
-            assert_eq!(
-                walked.to_bits(),
-                cold.value(lp.l_var()).to_bits(),
-                "floor {floor}"
-            );
+            assert_eq!(walked.to_bits(), cold.value(l).to_bits(), "floor {floor}");
         }
     }
 
@@ -587,11 +750,14 @@ mod tests {
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
         let base = lp.predict(0.0).unwrap();
         let floor = (base.runtime, base.lambda);
+        let at = ParamPoint::default();
         assert_eq!(
-            lp.tolerance_within(0.0, floor, TOP, 2_000.0, 1),
+            lp.tolerance_within(SweepParam::L, at, floor, TOP, 2_000.0, 1),
             Err(SolveError::IterationLimit)
         );
-        assert!(lp.tolerance_within(0.0, floor, TOP, 2_000.0, 2).is_ok());
+        assert!(lp
+            .tolerance_within(SweepParam::L, at, floor, TOP, 2_000.0, 2)
+            .is_ok());
     }
 
     #[test]
@@ -709,5 +875,214 @@ mod tests {
             // 3 in the completion edge).
             assert!((p.lambda - e.lambda).abs() < 1e-6);
         }
+    }
+
+    fn didactic_at() -> (Binding, ParamPoint) {
+        let p = LogGPSParams::didactic();
+        (
+            Binding::uniform(&p),
+            ParamPoint {
+                l: p.l,
+                g: p.big_g,
+                o: p.o,
+            },
+        )
+    }
+
+    /// A self-contained walk along `p` from `at`: the floor solve, then
+    /// the walk from it.
+    fn walk_from(
+        lp: &mut GraphLp,
+        p: SweepParam,
+        at: ParamPoint,
+        top: f64,
+        cap: f64,
+    ) -> Result<f64, SolveError> {
+        lp.reset();
+        let floor = lp.predict_at(at)?;
+        lp.tolerance_along(p, at, (floor.runtime, floor.lambda(p)), top, cap)
+    }
+
+    #[test]
+    fn matches_single_parameter_lp_at_base_point() {
+        let g = running_example(0.1).contracted();
+        let (binding, base) = didactic_at();
+        let mut multi = GraphLp::build_axes(&g, &binding);
+        let mut single = GraphLp::build(&g, &binding);
+        for l in [0.0, 200.0, 385.0, 500.0, 2_000.0] {
+            let a = multi.predict_at(base.with(SweepParam::L, l)).unwrap();
+            let b = single.predict(l).unwrap();
+            assert!(
+                (a.runtime - b.runtime).abs() < 1e-9 * (1.0 + b.runtime),
+                "L={l}: {} vs {}",
+                a.runtime,
+                b.runtime
+            );
+            assert!((a.lambda_l - b.lambda).abs() < 1e-9, "L={l}");
+        }
+    }
+
+    #[test]
+    fn gradient_matches_direct_evaluation() {
+        let set = ProgramSet::spmd(4, |rank, b| {
+            b.comp(us(3.0) * (rank + 1) as f64);
+            b.allreduce(512);
+            b.comp(us(1.0));
+            b.barrier();
+        });
+        let g = build_graph(&set.trace(&TracerConfig::default()), &GraphConfig::eager())
+            .unwrap()
+            .contracted();
+        let params = LogGPSParams::cscs_testbed(4).with_o(us(1.0));
+        let binding = Binding::uniform(&params);
+        let mut lp = GraphLp::build_axes(&g, &binding);
+        for (l, gap, o) in [
+            (0.0, 0.018, 1_000.0),
+            (3_000.0, 0.018, 1_000.0),
+            (50_000.0, 0.5, 2_000.0),
+            (3_000.0, 2.0, 500.0),
+        ] {
+            let p = lp.predict_at(ParamPoint { l, g: gap, o }).unwrap();
+            let e = evaluate_multi(&g, &binding, l, gap, o);
+            assert!(
+                (p.runtime - e.runtime).abs() < 1e-6 * (1.0 + e.runtime),
+                "({l},{gap},{o}): lp {} vs eval {}",
+                p.runtime,
+                e.runtime
+            );
+            assert!(
+                (p.lambda_l - e.lambda_l).abs() < 1e-6,
+                "λ_L at ({l},{gap},{o})"
+            );
+            assert!(
+                (p.lambda_g - e.lambda_g).abs() < 1e-6,
+                "λ_G at ({l},{gap},{o})"
+            );
+            assert!(
+                (p.lambda_o - e.lambda_o).abs() < 1e-6,
+                "λ_o at ({l},{gap},{o})"
+            );
+        }
+    }
+
+    #[test]
+    fn stability_window_step_is_exactly_linear() {
+        // Inside the reported per-parameter stability window the basis is
+        // unchanged, so T moves exactly linearly with slope λ — the dual
+        // certificate for λ_G and λ_o.
+        let g = running_example(0.1).contracted();
+        let (binding, base) = didactic_at();
+        let mut lp = GraphLp::build_axes(&g, &binding);
+        let at = base.with(SweepParam::L, 500.0);
+        let p0 = lp.predict_at(at).unwrap();
+        let sol = lp.solve_raw(at).unwrap();
+        for param in SweepParam::ALL {
+            let (lo, hi) = sol.lb_range(lp.param_var(param));
+            let x0 = at.get(param);
+            // Step halfway to the window edge (bounded to stay finite).
+            let step_up = if hi.is_finite() { (hi - x0) / 2.0 } else { 1.0 };
+            if step_up > 0.0 {
+                let p1 = lp.predict_at(at.with(param, x0 + step_up)).unwrap();
+                let want = p0.runtime + p0.lambda(param) * step_up;
+                assert!(
+                    (p1.runtime - want).abs() < 1e-7 * (1.0 + want.abs()),
+                    "{param}: {} vs {}",
+                    p1.runtime,
+                    want
+                );
+            }
+            let _ = lo;
+            let p_back = lp.predict_at(at).unwrap();
+            assert!((p_back.runtime - p0.runtime).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn tolerance_along_each_parameter() {
+        let g = running_example(0.1).contracted();
+        let (binding, base) = didactic_at();
+        let mut lp = GraphLp::build_axes(&g, &binding);
+        let at = base.with(SweepParam::L, 0.0);
+        // Fig. 6: max L s.t. T ≤ 2 µs is 0.885 µs (G, o at base).
+        let tol_l = walk_from(&mut lp, SweepParam::L, at, 10_000.0, 2_000.0).unwrap();
+        assert!((tol_l - 885.0).abs() < 1e-6, "{tol_l}");
+        // The prediction shape is restored afterwards.
+        let p = lp.predict_at(at).unwrap();
+        assert!((p.runtime - 1_500.0).abs() < 1e-6);
+        // G tolerance: a cap above the G-free runtime admits a positive
+        // per-byte gap; the runtime at the tolerance hits the cap.
+        let tol_g = walk_from(&mut lp, SweepParam::G, at, 1e6, 2_000.0).unwrap();
+        assert!(tol_g.is_finite() && tol_g > at.g, "{tol_g}");
+        let e = evaluate_multi(&g, &binding, at.l, tol_g, at.o);
+        assert!((e.runtime - 2_000.0).abs() < 1e-6 * 2_000.0);
+    }
+
+    #[test]
+    fn g_axis_tolerance_agrees_with_evaluation() {
+        // Per-byte gap tolerance on a collective-heavy graph: the walk's
+        // answer puts T exactly on the cap, and a hair past it breaks it.
+        let set = ProgramSet::spmd(4, |rank, b| {
+            b.comp(us(3.0) * (rank + 1) as f64);
+            b.allreduce(4096);
+            b.comp(us(1.0));
+            b.barrier();
+        });
+        let g = build_graph(&set.trace(&TracerConfig::default()), &GraphConfig::eager())
+            .unwrap()
+            .contracted();
+        let params = LogGPSParams::cscs_testbed(4).with_o(us(1.0));
+        let binding = Binding::uniform(&params);
+        let at = ParamPoint {
+            l: params.l,
+            g: params.big_g,
+            o: params.o,
+        };
+        let mut lp = GraphLp::build_axes(&g, &binding);
+        let t0 = lp.predict_at(at).unwrap().runtime;
+        for pct in [1.0, 2.0, 5.0] {
+            let cap = t0 * (1.0 + pct / 100.0);
+            let tol = walk_from(&mut lp, SweepParam::G, at, 1e3, cap).unwrap();
+            assert!(tol.is_finite() && tol > at.g, "{pct}%: {tol}");
+            let on = evaluate_multi(&g, &binding, at.l, tol, at.o).runtime;
+            assert!(
+                (on - cap).abs() <= 1e-9 * cap,
+                "{pct}%: T = {on} vs cap {cap}"
+            );
+            let past = evaluate_multi(&g, &binding, at.l, tol * (1.0 + 1e-6), at.o).runtime;
+            assert!(past > cap, "{pct}%: cap still held past the tolerance");
+        }
+    }
+
+    #[test]
+    fn tolerance_outcomes_are_typed() {
+        let g = running_example(0.1).contracted();
+        let (binding, base) = didactic_at();
+        let mut lp = GraphLp::build_axes(&g, &binding);
+        let at = base.with(SweepParam::L, 0.0);
+        // A cap below T(floor) = 1.5 µs is infeasible along any axis.
+        assert_eq!(
+            walk_from(&mut lp, SweepParam::O, at, 1e6, 1_000.0),
+            Err(SolveError::Infeasible)
+        );
+        // λ_L = 0 on [0, 385): the walk jumps to the window top, where
+        // the runtime still fits the cap.
+        assert_eq!(
+            walk_from(&mut lp, SweepParam::L, at, 300.0, 1_600.0),
+            Ok(f64::INFINITY)
+        );
+        // The fig. 6 walk takes two steps past the floor; one is not
+        // enough.
+        let base = lp.predict_at(at).unwrap();
+        assert_eq!(
+            lp.tolerance_within(
+                SweepParam::L,
+                at,
+                (base.runtime, base.lambda_l),
+                10_000.0,
+                2_000.0,
+                1
+            ),
+            Err(SolveError::IterationLimit)
+        );
     }
 }

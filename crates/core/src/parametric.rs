@@ -264,11 +264,18 @@ mod tests {
         let exact = prof.critical_latencies();
         let mut lp = GraphLp::build(&g, &binding);
         let alg2 = lp.critical_latencies(0.0, us(20.0), us(1.0), 0.5).unwrap();
-        // Algorithm 2 must find each exact breakpoint (within its eps).
+        // Algorithm 2 must find each exact breakpoint (within its eps),
+        // and report nothing else.
         for bp in &exact {
             assert!(
                 alg2.iter().any(|x| (x - bp).abs() < 1.0),
                 "missing breakpoint {bp} in {alg2:?} (exact {exact:?})"
+            );
+        }
+        for x in &alg2 {
+            assert!(
+                exact.iter().any(|bp| (x - bp).abs() < 1.0),
+                "extra breakpoint {x} in {alg2:?} (exact {exact:?})"
             );
         }
     }

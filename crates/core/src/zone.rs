@@ -1,5 +1,6 @@
-//! The tolerance-zone walk behind [`crate::GraphLp::tolerance`],
-//! [`crate::GraphMultiLp::tolerance`] and [`crate::Analyzer::eval_tolerance`].
+//! The tolerance-zone walk behind [`crate::GraphLp::tolerance_along`]
+//! (either LP shape, along any column) and
+//! [`crate::Analyzer::eval_tolerance`].
 //!
 //! The x% tolerance (§II-D2) is the largest `x ≥ floor` with
 //! `T(x) ≤ cap`, where `T(x)` is the runtime with one parameter at `x`.

@@ -109,12 +109,14 @@ pub fn zones_key(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
     )
 }
 
-/// Key for one zones entry computed by an **axes** campaign. Axes
-/// scenarios answer zones through the multi-parameter LP, whose numbers
-/// agree with the single-variable LP only to numerical tolerance — never
-/// bit-for-bit — so the two sweep families must not substitute zone
+/// Key for one zones entry computed by an **axes** campaign. LP axes
+/// scenarios answer zones through the three-column LP, whose numbers
+/// agree with the one-column LP's only to numerical tolerance — never
+/// bit-for-bit — so the two sweep families must not substitute LP zone
 /// entries for each other (same reasoning as [`axis_point_key`] vs
-/// [`point_key`]). `tag` as in [`zones_key`].
+/// [`point_key`]). Envelope and eval zones are the same on both shapes;
+/// theirs keep the `mzones` spelling too, so no saved entry moves. `tag`
+/// as in [`zones_key`].
 pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
     format!(
         "{base_canonical}|mzones|{tag}{:016x}",
@@ -144,12 +146,13 @@ pub const EVAL_ZONE_TAG: &str = "walk-";
 /// per-parameter offsets `(∆L, ∆G, ∆o)` — missing axes are zero — so it
 /// is independent of the requesting campaign's axis order or
 /// dimensionality. Distinct from [`point_key`]'s `|pt|` namespace on
-/// purpose: grid campaigns answer through the single-variable LP, axes
-/// campaigns through the multi-parameter LP, and the two formulations'
-/// results must never substitute for each other (they agree only to
-/// numerical tolerance, not bit-for-bit). Old cache files therefore stay
-/// valid for grid campaigns and simply never collide with axis entries.
-/// `tag` as in [`point_key`].
+/// purpose: grid campaigns answer through the one-column LP (and the
+/// latency-only evaluators), axes campaigns through the three-column LP
+/// (and the full-gradient ones), and the two formulations' results must
+/// never substitute for each other (they agree only to numerical
+/// tolerance, not bit-for-bit). Old cache files therefore stay valid for
+/// grid campaigns and simply never collide with axis entries. `tag` as in
+/// [`point_key`].
 pub fn axis_point_key(base_canonical: &str, param_deltas: [f64; 3], tag: &str) -> String {
     format!(
         "{base_canonical}|apt|{tag}l{:016x},g{:016x},o{:016x}",

@@ -13,7 +13,7 @@
 //! and contain no wall-clock data (timings live in [`RunSummary`], which
 //! is reported separately).
 
-use crate::cache::{axis_point_key, point_key, CachedEntry, ResultCache};
+use crate::cache::{CachedEntry, ResultCache};
 use crate::executor::{run_jobs, ExecutorConfig, JobStatus};
 use crate::graphs::GraphSlots;
 use crate::scenario::{
@@ -374,47 +374,11 @@ pub fn run_campaign_checked(
 /// Probe (without counting) whether every piece of a scenario is cached;
 /// if so, replay the lookups through the counting path and assemble.
 fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOutcome> {
-    let (base, tag) = (sc.base_canonical(), sc.key_tag());
-    if !sc.axes.is_empty() {
-        let zk = sc.zones_key();
-        let tuples = sc.axis_points();
-        let all_present = cache.peek(&zk).is_some()
-            && tuples.iter().all(|t| {
-                cache
-                    .peek(&axis_point_key(&base, sc.param_deltas(t), tag))
-                    .is_some()
-            });
-        if !all_present {
-            return None;
-        }
-        let zones = match cache.get(&zk)? {
-            CachedEntry::Zones(z) => z,
-            _ => return None,
-        };
-        let mut points = Vec::with_capacity(tuples.len());
-        for t in tuples {
-            match cache.get(&axis_point_key(&base, sc.param_deltas(&t), tag))? {
-                CachedEntry::AxisPoint(v) => points.push(AxisPointResult {
-                    deltas: t,
-                    value: v,
-                }),
-                _ => return None,
-            }
-        }
-        return Some(ScenarioOutcome {
-            zones,
-            sweep: Vec::new(),
-            points,
-        });
-    }
+    let base = sc.base_canonical();
     let zk = sc.zones_key();
-    let all_present = cache.peek(&zk).is_some()
-        && sc
-            .grid
-            .deltas_ns
-            .iter()
-            .all(|&d| cache.peek(&point_key(&base, d, tag)).is_some());
-    if !all_present {
+    let tuples = sc.axis_points();
+    let keys: Vec<String> = tuples.iter().map(|t| sc.point_key(&base, t)).collect();
+    if cache.peek(&zk).is_none() || keys.iter().any(|k| cache.peek(k).is_none()) {
         return None;
     }
     // Count the real lookups now that assembly is guaranteed.
@@ -422,18 +386,11 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
         CachedEntry::Zones(z) => z,
         _ => return None,
     };
-    let mut sweep = Vec::with_capacity(sc.grid.deltas_ns.len());
-    for &d in &sc.grid.deltas_ns {
-        match cache.get(&point_key(&base, d, tag))? {
-            CachedEntry::Point(p) => sweep.push(p),
-            _ => return None,
-        }
-    }
-    Some(ScenarioOutcome {
-        zones,
-        sweep,
-        points: Vec::new(),
-    })
+    let values = keys
+        .iter()
+        .map(|k| sc.cached_point(cache.get(k)?))
+        .collect::<Option<Vec<_>>>()?;
+    Some(sc.outcome(zones, tuples, values))
 }
 
 /// Execute one scenario: look up cached pieces, compute the rest. Newly
@@ -444,110 +401,31 @@ type ComputedInserts = Vec<(String, CachedEntry)>;
 /// What a computed job hands back to the campaign runner.
 type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats);
 
-/// `graph` yields the scenario's shared graph; it is called only when a
-/// piece is missing from the cache.
+/// Sweep points are delta tuples (`[∆L]` on a latency grid), cached at
+/// per-point granularity so overlapping grids recompute only their set
+/// difference. `graph` yields the scenario's shared graph; it is called
+/// only when a piece is missing from the cache.
 fn run_one(
     sc: &Scenario,
     cache: &ResultCache,
     point_threads: usize,
     graph: impl FnOnce() -> Result<Arc<ReducedGraph>, String>,
 ) -> Result<JobOutput, String> {
-    if !sc.axes.is_empty() {
-        return run_one_axes(sc, cache, graph);
-    }
     let span = llamp_obs::span("scenario");
-    let (base, tag) = (sc.base_canonical(), sc.key_tag());
-    if llamp_obs::is_enabled() {
-        span.field_str("key", &base);
-    }
-    let mut cached_points: Vec<Option<PointResult>> = Vec::with_capacity(sc.grid.deltas_ns.len());
-    let mut missing: Vec<f64> = Vec::new();
-    for &d in &sc.grid.deltas_ns {
-        match cache.get(&point_key(&base, d, tag)) {
-            Some(CachedEntry::Point(p)) => cached_points.push(Some(p)),
-            _ => {
-                cached_points.push(None);
-                missing.push(d);
-            }
-        }
-    }
-    let zk = sc.zones_key();
-    let cached_zones = match cache.get(&zk) {
-        Some(CachedEntry::Zones(z)) => Some(z),
-        _ => None,
-    };
-
-    let (computed_points, computed_zones, stats): (
-        Vec<PointResult>,
-        Option<ZonesResult>,
-        SolveStats,
-    ) = if missing.is_empty() && cached_zones.is_some() {
-        (Vec::new(), None, SolveStats::default())
-    } else {
-        let analyzer = sc.analyzer_on(graph()?);
-        sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
-    };
-
-    // Merge computed points back into grid order, collecting the inserts
-    // for post-completion publication.
-    let mut inserts: ComputedInserts = Vec::new();
-    let mut computed_iter = computed_points.into_iter();
-    let mut sweep = Vec::with_capacity(cached_points.len());
-    for (slot, &d) in cached_points.into_iter().zip(&sc.grid.deltas_ns) {
-        match slot {
-            Some(p) => sweep.push(p),
-            None => {
-                let p = computed_iter
-                    .next()
-                    .ok_or_else(|| "backend returned fewer points than requested".to_string())?;
-                inserts.push((point_key(&base, d, tag), CachedEntry::Point(p)));
-                sweep.push(p);
-            }
-        }
-    }
-    let zones = match (cached_zones, computed_zones) {
-        (Some(z), _) => z,
-        (None, Some(z)) => {
-            inserts.push((zk, CachedEntry::Zones(z)));
-            z
-        }
-        (None, None) => return Err("backend returned no zones".to_string()),
-    };
-    Ok((
-        ScenarioOutcome {
-            zones,
-            sweep,
-            points: Vec::new(),
-        },
-        inserts,
-        stats,
-    ))
-}
-
-/// The axes-campaign variant of [`run_one`]: grid points are delta
-/// *tuples*, cached at per-parameter-offset granularity so overlapping
-/// axis grids recompute only their set difference.
-fn run_one_axes(
-    sc: &Scenario,
-    cache: &ResultCache,
-    graph: impl FnOnce() -> Result<Arc<ReducedGraph>, String>,
-) -> Result<JobOutput, String> {
-    let span = llamp_obs::span("scenario");
-    let (base, tag) = (sc.base_canonical(), sc.key_tag());
+    let base = sc.base_canonical();
     if llamp_obs::is_enabled() {
         span.field_str("key", &base);
     }
     let tuples = sc.axis_points();
+    let keys: Vec<String> = tuples.iter().map(|t| sc.point_key(&base, t)).collect();
     let mut cached_points: Vec<Option<AxisPointValue>> = Vec::with_capacity(tuples.len());
     let mut missing: Vec<Vec<f64>> = Vec::new();
-    for t in &tuples {
-        match cache.get(&axis_point_key(&base, sc.param_deltas(t), tag)) {
-            Some(CachedEntry::AxisPoint(v)) => cached_points.push(Some(v)),
-            _ => {
-                cached_points.push(None);
-                missing.push(t.clone());
-            }
+    for (t, key) in tuples.iter().zip(&keys) {
+        let value = cache.get(key).and_then(|e| sc.cached_point(e));
+        if value.is_none() {
+            missing.push(t.clone());
         }
+        cached_points.push(value);
     }
     let zk = sc.zones_key();
     let cached_zones = match cache.get(&zk) {
@@ -563,27 +441,26 @@ fn run_one_axes(
         (Vec::new(), None, SolveStats::default())
     } else {
         let analyzer = sc.analyzer_on(graph()?);
-        sc.compute_axes(&analyzer, &missing, cached_zones.is_none())?
+        sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
     };
 
+    // Merge computed points back into sweep order, collecting the inserts
+    // for post-completion publication.
     let mut inserts: ComputedInserts = Vec::new();
     let mut computed_iter = computed_points.into_iter();
-    let mut points = Vec::with_capacity(tuples.len());
-    for (slot, t) in cached_points.into_iter().zip(tuples) {
+    let mut values = Vec::with_capacity(tuples.len());
+    for ((slot, t), key) in cached_points.into_iter().zip(&tuples).zip(keys) {
         let value = match slot {
             Some(v) => v,
             None => {
                 let v = computed_iter
                     .next()
                     .ok_or_else(|| "backend returned fewer points than requested".to_string())?;
-                inserts.push((
-                    axis_point_key(&base, sc.param_deltas(&t), tag),
-                    CachedEntry::AxisPoint(v),
-                ));
+                inserts.push((key, sc.point_entry(t, v)));
                 v
             }
         };
-        points.push(AxisPointResult { deltas: t, value });
+        values.push(value);
     }
     let zones = match (cached_zones, computed_zones) {
         (Some(z), _) => z,
@@ -593,15 +470,7 @@ fn run_one_axes(
         }
         (None, None) => return Err("backend returned no zones".to_string()),
     };
-    Ok((
-        ScenarioOutcome {
-            zones,
-            sweep: Vec::new(),
-            points,
-        },
-        inserts,
-        stats,
-    ))
+    Ok((sc.outcome(zones, tuples, values), inserts, stats))
 }
 
 impl CampaignResult {

@@ -1,9 +1,12 @@
 //! A [`Scenario`] is one cell of a campaign's cartesian product: one
 //! workload on one topology under one parameter set, answered by one
-//! backend over the campaign's latency grid. Scenarios are the engine's
-//! unit of scheduling, caching and reporting.
+//! backend over the campaign's sweep: a latency grid, which is one `L`
+//! axis, or `L`/`G`/`o` axes. Scenarios are the engine's unit of
+//! scheduling, caching and reporting.
 
-use crate::cache::{zones_key, zones_key_multi, EVAL_ZONE_TAG, LP_TAG};
+use crate::cache::{
+    axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry, EVAL_ZONE_TAG, LP_TAG,
+};
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
     axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
@@ -119,10 +122,14 @@ pub struct PointResult {
     pub rho: f64,
 }
 
-/// The answer at one multi-parameter grid point, independent of which
-/// axes layout produced it (this is the cached record: campaigns whose
-/// axes merely *overlap* in absolute `(∆L, ∆G, ∆o)` offsets share these
-/// regardless of their axis ordering or dimensionality).
+/// The answer at one sweep point, independent of which axes layout
+/// produced it (this is the cached record of axes campaigns: campaigns
+/// whose axes merely *overlap* in absolute `(∆L, ∆G, ∆o)` offsets share
+/// these regardless of their axis ordering or dimensionality). A latency
+/// grid is one `L` axis answered by the one-column LP or the latency
+/// evaluators: its answers report `L` alone, leave the `G` and `o` fields
+/// zero, and are cached and written out through their [`PointResult`]
+/// view.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisPointValue {
     /// Predicted runtime (ns).
@@ -139,6 +146,55 @@ pub struct AxisPointValue {
     pub rho_g: f64,
     /// Overhead ratio `ρ_o = λ_o·o/T` at the point.
     pub rho_o: f64,
+}
+
+impl AxisPointValue {
+    /// The answer at `at` from its runtime and the sensitivities
+    /// `[λ_L, λ_G, λ_o]`; each ratio `ρ_X = λ_X·X/T` is zero when
+    /// `T ≤ 0`.
+    pub fn new(at: ParamPoint, runtime: f64, lambda: [f64; 3]) -> Self {
+        let rho = |lambda: f64, x: f64| {
+            if runtime <= 0.0 {
+                0.0
+            } else {
+                lambda * x / runtime
+            }
+        };
+        Self {
+            runtime_ns: runtime,
+            lambda_l: lambda[0],
+            lambda_g: lambda[1],
+            lambda_o: lambda[2],
+            rho_l: rho(lambda[0], at.l),
+            rho_g: rho(lambda[1], at.g),
+            rho_o: rho(lambda[2], at.o),
+        }
+    }
+
+    /// A latency grid's view of the answer at `∆L = delta_l_ns`.
+    pub fn grid_point(&self, delta_l_ns: f64) -> PointResult {
+        PointResult {
+            delta_l_ns,
+            runtime_ns: self.runtime_ns,
+            lambda: self.lambda_l,
+            rho: self.rho_l,
+        }
+    }
+}
+
+impl From<PointResult> for AxisPointValue {
+    /// The one-axis answer a grid point views (`G` and `o` fields zero).
+    fn from(p: PointResult) -> Self {
+        Self {
+            runtime_ns: p.runtime_ns,
+            lambda_l: p.lambda,
+            lambda_g: 0.0,
+            lambda_o: 0.0,
+            rho_l: p.rho,
+            rho_g: 0.0,
+            rho_o: 0.0,
+        }
+    }
 }
 
 /// One sample of a multi-parameter sweep: the axis-aligned delta tuple
@@ -195,33 +251,34 @@ impl Scenario {
         }
     }
 
-    /// The cartesian product of the axis delta lists, in deterministic
-    /// order: first axis outermost, last axis varying fastest — so
-    /// consecutive points form warm 1-D cross-sections along the last
-    /// axis. Empty for latency-grid scenarios.
+    /// The sweep's delta tuples in result order: a latency grid is one
+    /// `L` axis, so its tuples are `[∆L]`; an axes scenario's are the
+    /// cartesian product of its axis delta lists, first axis outermost
+    /// and last axis varying fastest. Every point is solved on its own,
+    /// so the order is the results' only.
     pub fn axis_points(&self) -> Vec<Vec<f64>> {
-        if self.axes.is_empty() {
-            return Vec::new();
-        }
-        let total: usize = self.axes.iter().map(|a| a.deltas.len()).product();
+        let lists: Vec<&[f64]> = if self.axes.is_empty() {
+            vec![&self.grid.deltas_ns]
+        } else {
+            self.axes.iter().map(|a| &a.deltas[..]).collect()
+        };
+        let total: usize = lists.iter().map(|l| l.len()).product();
         let mut out = Vec::with_capacity(total);
-        let mut idx = vec![0usize; self.axes.len()];
+        if total == 0 {
+            return out;
+        }
+        let mut idx = vec![0usize; lists.len()];
         loop {
-            out.push(
-                idx.iter()
-                    .zip(&self.axes)
-                    .map(|(&i, a)| a.deltas[i])
-                    .collect(),
-            );
+            out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i]).collect());
             // Odometer increment, last axis fastest.
-            let mut k = self.axes.len();
+            let mut k = lists.len();
             loop {
                 if k == 0 {
                     return out;
                 }
                 k -= 1;
                 idx[k] += 1;
-                if idx[k] < self.axes[k].deltas.len() {
+                if idx[k] < lists[k].len() {
                     break;
                 }
                 idx[k] = 0;
@@ -229,17 +286,15 @@ impl Scenario {
         }
     }
 
-    /// Map an axis-aligned delta tuple onto the absolute per-parameter
-    /// deltas `(∆L, ∆G, ∆o)` — the layout-independent identity of a grid
-    /// point (missing axes contribute zero).
+    /// Map a delta tuple of [`Scenario::axis_points`] onto the absolute
+    /// per-parameter deltas `(∆L, ∆G, ∆o)` — the layout-independent
+    /// identity of a sweep point (missing axes contribute zero).
     pub fn param_deltas(&self, deltas: &[f64]) -> [f64; 3] {
+        let grid = self.axes.is_empty().then_some(SweepParam::L);
+        let params = grid.into_iter().chain(self.axes.iter().map(|a| a.param));
         let mut out = [0.0; 3];
-        for (a, &d) in self.axes.iter().zip(deltas) {
-            match a.param {
-                SweepParam::L => out[0] = d,
-                SweepParam::G => out[1] = d,
-                SweepParam::O => out[2] = d,
-            }
+        for (p, &d) in params.zip(deltas) {
+            out[p as usize] = d;
         }
         out
     }
@@ -278,6 +333,39 @@ impl Scenario {
             Backend::Lp => LP_TAG,
             Backend::Eval => EVAL_ZONE_TAG,
             Backend::Parametric => "",
+        }
+    }
+
+    /// Cache key of the point at delta tuple `t` of a scenario whose
+    /// [`Scenario::base_canonical`] is `base`: `pt` keyed by `∆L` for
+    /// latency-grid campaigns, `apt` keyed by the absolute `(∆L, ∆G, ∆o)`
+    /// offsets for axes campaigns, LP entries tagged with [`LP_TAG`].
+    pub fn point_key(&self, base: &str, t: &[f64]) -> String {
+        if self.axes.is_empty() {
+            point_key(base, t[0], self.key_tag())
+        } else {
+            axis_point_key(base, self.param_deltas(t), self.key_tag())
+        }
+    }
+
+    /// The cache entry of a computed point at delta tuple `t`: a latency
+    /// grid stores the [`PointResult`] view of its answer.
+    pub(crate) fn point_entry(&self, t: &[f64], v: AxisPointValue) -> CachedEntry {
+        if self.axes.is_empty() {
+            CachedEntry::Point(v.grid_point(t[0]))
+        } else {
+            CachedEntry::AxisPoint(v)
+        }
+    }
+
+    /// The answer a cached entry holds, when it is the scenario's point
+    /// kind: a [`CachedEntry::Point`] for a latency grid, a
+    /// [`CachedEntry::AxisPoint`] for axes.
+    pub(crate) fn cached_point(&self, entry: CachedEntry) -> Option<AxisPointValue> {
+        match (self.axes.is_empty(), entry) {
+            (true, CachedEntry::Point(p)) => Some(p.into()),
+            (false, CachedEntry::AxisPoint(v)) => Some(v),
+            _ => None,
         }
     }
 
@@ -386,251 +474,199 @@ impl Scenario {
         Ok(self.analyzer_on(Arc::new(graph)))
     }
 
-    /// Answer the scenario's missing pieces with its backend.
-    ///
-    /// `need_deltas` selects which grid points to compute (the campaign
-    /// runner passes only cache misses); `need_zones` likewise. Returned
-    /// points follow `need_deltas` order. The third element reports the
-    /// LP solver's effort counters (zeroed for the non-LP backends);
-    /// being wall-clock-free but cache-dependent, they belong in
-    /// [`crate::RunSummary`], never in the deterministic results file.
-    pub fn compute(
-        &self,
-        analyzer: &Analyzer,
-        need_deltas: &[f64],
-        need_zones: bool,
-    ) -> Result<(Vec<PointResult>, Option<ZonesResult>, SolveStats), String> {
-        self.compute_with(analyzer, need_deltas, need_zones, 1)
+    /// Answer the whole scenario — every sweep point and the zones — on
+    /// one thread: what a campaign assembles from the cache and
+    /// [`Scenario::compute_with`], computed from scratch.
+    pub fn compute(&self, analyzer: &Analyzer) -> Result<ScenarioOutcome, String> {
+        let tuples = self.axis_points();
+        let (values, zones, _) = self.compute_with(analyzer, &tuples, true, 1)?;
+        let zones = zones.ok_or("backend returned no zones")?;
+        Ok(self.outcome(zones, tuples, values))
     }
 
-    /// [`Scenario::compute`] with an explicit intra-scenario thread
-    /// budget. LP points are independent by construction (each starts
-    /// from its own crash basis), so `point_threads > 1` shards the grid
-    /// across the work-stealing executor with one solver per chunk;
-    /// results merge in input order, so the answer is byte-identical at
-    /// any thread count.
-    pub fn compute_with(
+    /// Assemble an outcome from the zones and the answers at `tuples`: a
+    /// latency grid's `sweep` of [`PointResult`] views, or an axes
+    /// scenario's `points`.
+    pub(crate) fn outcome(
         &self,
-        analyzer: &Analyzer,
-        need_deltas: &[f64],
-        need_zones: bool,
-        point_threads: usize,
-    ) -> Result<(Vec<PointResult>, Option<ZonesResult>, SolveStats), String> {
-        let base = analyzer.base_l();
-        let hi = base + self.grid.search_hi_ns;
-        match self.backend {
-            Backend::Parametric | Backend::Eval => {
-                let points = if self.backend == Backend::Parametric {
-                    analyzer
-                        .sweep(need_deltas)
-                        .into_iter()
-                        .map(|p| PointResult {
-                            delta_l_ns: p.delta_l,
-                            runtime_ns: p.runtime,
-                            lambda: p.lambda,
-                            rho: p.rho,
-                        })
-                        .collect()
-                } else {
-                    need_deltas
-                        .iter()
-                        .map(|&d| {
-                            let e =
-                                llamp_obs::time("eval.point_ns", || analyzer.evaluate(base + d));
-                            PointResult {
-                                delta_l_ns: d,
-                                runtime_ns: e.runtime,
-                                lambda: e.lambda,
-                                rho: e.rho(base + d),
-                            }
-                        })
-                        .collect()
-                };
-                let zones = need_zones
-                    .then(|| self.envelope_or_eval_zones(analyzer, hi))
-                    .transpose()?;
-                Ok((points, zones, SolveStats::default()))
-            }
-            Backend::Lp => {
-                // Every grid point resets the solver and solves from its
-                // own longest-path crash basis (`predict` arms it when no
-                // warm state is retained): one factorisation, zero
-                // pivots, and an answer that is a pure function of
-                // (scenario, point) — independent of which other points
-                // were cache misses, of thread count and of order.
-                let solve_points = |lp: &mut GraphLp, deltas: &[f64]| {
-                    let mut points = Vec::with_capacity(deltas.len());
-                    for &d in deltas {
-                        lp.reset();
-                        let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
-                            .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                        points.push(PointResult {
-                            delta_l_ns: d,
-                            runtime_ns: p.runtime,
-                            lambda: p.lambda,
-                            rho: p.rho(base + d),
-                        });
-                    }
-                    Ok::<_, String>(points)
-                };
-                let mut lp = analyzer.lp();
-                // The zones' baseline is the crash-started point at
-                // ∆L = 0, a pure function of the scenario like every
-                // point; each zone walk starts from it.
-                let floor = if need_zones {
-                    let p = lp
-                        .predict(base)
-                        .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some((p.runtime, p.lambda))
-                } else {
-                    None
-                };
-                let threads = point_threads.clamp(1, need_deltas.len().max(1));
-                let mut extra_stats = SolveStats::default();
-                let points = if threads <= 1 {
-                    solve_points(&mut lp, need_deltas)?
-                } else {
-                    // Shard into contiguous chunks, one solver per chunk,
-                    // and merge in input order.
-                    let chunk_len = need_deltas.len().div_ceil(threads);
-                    let chunks: Vec<Vec<f64>> =
-                        need_deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
-                    let cfg = ExecutorConfig {
-                        threads,
-                        job_timeout: None,
-                        max_retries: 0,
-                        retry_backoff_ms: 0,
-                    };
-                    let outs = run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-                        let mut lp = analyzer.lp();
-                        let pts = solve_points(&mut lp, chunk)?;
-                        Ok::<_, String>((pts, lp.solver_stats()))
-                    });
-                    let mut points = Vec::with_capacity(need_deltas.len());
-                    for status in outs {
-                        let (pts, st) = status
-                            .ok()
-                            .ok_or_else(|| "sweep point worker failed".to_string())??;
-                        points.extend(pts);
-                        extra_stats.merge(&st);
-                    }
-                    points
-                };
-                // Each zone is a Newton walk over crash-started points
-                // (see `GraphLp::tolerance`): a pure function of
-                // (scenario, cap), like the baseline and every point.
-                let zones = floor
-                    .map(|floor| {
-                        zones_from(self.backend, floor.0, |cap| {
-                            llamp_obs::time("lp.zone_ns", || {
-                                lp.tolerance_from(base, floor, hi, cap)
-                            })
-                            .map(|l| l - base)
-                        })
-                    })
-                    .transpose()?;
-                let mut stats = lp.solver_stats();
-                stats.merge(&extra_stats);
-                Ok((points, zones, stats))
-            }
+        zones: ZonesResult,
+        tuples: Vec<Vec<f64>>,
+        values: Vec<AxisPointValue>,
+    ) -> ScenarioOutcome {
+        let (mut sweep, mut points) = (Vec::new(), Vec::new());
+        if self.axes.is_empty() {
+            sweep = tuples
+                .iter()
+                .zip(values)
+                .map(|(t, v)| v.grid_point(t[0]))
+                .collect();
+        } else {
+            points = tuples
+                .into_iter()
+                .zip(values)
+                .map(|(deltas, value)| AxisPointResult { deltas, value })
+                .collect();
+        }
+        ScenarioOutcome {
+            zones,
+            sweep,
+            points,
         }
     }
 
-    /// Answer an axes scenario's missing grid points (and zones) with its
-    /// backend. `need_points` holds axis-aligned delta tuples (the
-    /// campaign runner passes only cache misses); returned values follow
-    /// its order.
+    /// Answer the scenario's missing pieces with its backend.
     ///
-    /// The LP path follows [`Scenario::compute`]: every grid point solves
-    /// from its own longest-path crash basis at its `(L, G, o)` point, and
-    /// the latency zones walk crash-started points along `L` (`G` and `o`
-    /// at base). Every answer stays a pure function of (scenario, point),
-    /// so results are byte-identical across cache states.
-    pub fn compute_axes(
+    /// `need` holds delta tuples of [`Scenario::axis_points`] — `[∆L]`
+    /// on a latency grid — and selects which points to compute (the
+    /// campaign runner passes only cache misses); `need_zones` likewise.
+    /// Returned values follow `need`'s order. The third element reports
+    /// the LP solver's effort counters (zeroed for the non-LP backends);
+    /// being wall-clock-free but cache-dependent, they belong in
+    /// [`crate::RunSummary`], never in the deterministic results file.
+    ///
+    /// The two sweep shapes differ only in what they report: a grid asks
+    /// for `T` and `λ_L` (the one-column LP, [`Analyzer::evaluate`], and
+    /// for the envelope its exact `T(L)` profile), axes for the full
+    /// gradient (the three-column LP, [`Analyzer::evaluate_multi`]).
+    /// Every LP point starts from its own longest-path crash basis at its
+    /// `(L, G, o)` point — one factorisation, zero pivots, and an answer
+    /// that is a pure function of (scenario, point), independent of which
+    /// other points were cache misses, of thread count and of order — so
+    /// `point_threads > 1` shards the points across the work-stealing
+    /// executor with one solver per chunk and merges them in input order.
+    /// The latency zones (`G` and `o` at base) walk from the baseline
+    /// `T₀` at the base point.
+    pub fn compute_with(
         &self,
         analyzer: &Analyzer,
-        need_points: &[Vec<f64>],
+        need: &[Vec<f64>],
         need_zones: bool,
+        point_threads: usize,
     ) -> Result<(Vec<AxisPointValue>, Option<ZonesResult>, SolveStats), String> {
+        let grid = self.axes.is_empty();
         let base = analyzer.base_point();
         let hi = base.l + self.grid.search_hi_ns;
-        let at = |deltas: &[f64]| -> ParamPoint {
-            let [dl, dg, d_o] = self.param_deltas(deltas);
+        let at = |t: &[f64]| {
+            let [dl, dg, d_o] = self.param_deltas(t);
             ParamPoint {
                 l: base.l + dl,
                 g: base.g + dg,
                 o: base.o + d_o,
             }
         };
-        let value_of = |runtime: f64, lam: [f64; 3], p: ParamPoint| -> AxisPointValue {
-            let rho = |lambda: f64, v: f64| {
-                if runtime <= 0.0 {
-                    0.0
-                } else {
-                    lambda * v / runtime
-                }
-            };
-            AxisPointValue {
-                runtime_ns: runtime,
-                lambda_l: lam[0],
-                lambda_g: lam[1],
-                lambda_o: lam[2],
-                rho_l: rho(lam[0], p.l),
-                rho_g: rho(lam[1], p.g),
-                rho_o: rho(lam[2], p.o),
-            }
-        };
-        match self.backend {
+        // `(T, [λ_L, λ_G, λ_o])` at each needed point.
+        let (answers, zones, stats): (Vec<(f64, [f64; 3])>, _, _) = match self.backend {
             Backend::Parametric | Backend::Eval => {
-                let points = need_points
-                    .iter()
-                    .map(|deltas| {
-                        let p = at(deltas);
-                        let e = llamp_obs::time("eval.point_ns", || analyzer.evaluate_multi(p));
-                        value_of(e.runtime, [e.lambda_l, e.lambda_g, e.lambda_o], p)
-                    })
-                    .collect();
+                let answers = if grid && self.backend == Backend::Parametric {
+                    // The envelope reads a grid off its exact `T(L)` profile.
+                    let deltas: Vec<f64> = need.iter().map(|t| t[0]).collect();
+                    let sweep = analyzer.sweep(&deltas).into_iter();
+                    sweep.map(|p| (p.runtime, [p.lambda, 0.0, 0.0])).collect()
+                } else {
+                    let answer = |p: ParamPoint| {
+                        if grid {
+                            let e = analyzer.evaluate(p.l);
+                            (e.runtime, [e.lambda, 0.0, 0.0])
+                        } else {
+                            let e = analyzer.evaluate_multi(p);
+                            (e.runtime, [e.lambda_l, e.lambda_g, e.lambda_o])
+                        }
+                    };
+                    need.iter()
+                        .map(|t| {
+                            let p = at(t);
+                            llamp_obs::time("eval.point_ns", || answer(p))
+                        })
+                        .collect()
+                };
                 let zones = need_zones
                     .then(|| self.envelope_or_eval_zones(analyzer, hi))
                     .transpose()?;
-                Ok((points, zones, SolveStats::default()))
+                (answers, zones, SolveStats::default())
             }
             Backend::Lp => {
-                let mut lp = analyzer.multi_lp();
-                // Baseline first, as in `compute_with`.
+                let new_lp = || {
+                    if grid {
+                        analyzer.lp()
+                    } else {
+                        analyzer.lp_axes()
+                    }
+                };
+                let solve_points = |lp: &mut GraphLp, tuples: &[Vec<f64>]| {
+                    let mut answers = Vec::with_capacity(tuples.len());
+                    for t in tuples {
+                        lp.reset();
+                        let p = llamp_obs::time("lp.point_ns", || lp.predict_at(at(t)))
+                            .map_err(|e| format!("LP solve failed at {t:?}: {e:?}"))?;
+                        answers.push((p.runtime, [p.lambda_l, p.lambda_g, p.lambda_o]));
+                    }
+                    Ok::<_, String>(answers)
+                };
+                let mut lp = new_lp();
+                // The zones' baseline is the crash-started point at the
+                // base, a pure function of the scenario like every point;
+                // each zone walk starts from it.
                 let floor = if need_zones {
                     let p = lp
-                        .predict(base)
+                        .predict_at(base)
                         .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
                     Some((p.runtime, p.lambda_l))
                 } else {
                     None
                 };
-                let mut points = Vec::with_capacity(need_points.len());
-                for deltas in need_points {
-                    let p = at(deltas);
-                    lp.reset();
-                    let pred = llamp_obs::time("lp.point_ns", || lp.predict(p))
-                        .map_err(|e| format!("LP solve failed at {deltas:?}: {e:?}"))?;
-                    points.push(value_of(
-                        pred.runtime,
-                        [pred.lambda_l, pred.lambda_g, pred.lambda_o],
-                        p,
-                    ));
-                }
+                let threads = point_threads.clamp(1, need.len().max(1));
+                let mut stats = SolveStats::default();
+                let answers = if threads <= 1 {
+                    solve_points(&mut lp, need)?
+                } else {
+                    // Shard into contiguous chunks, one solver per chunk,
+                    // and merge in input order.
+                    let chunks: Vec<&[Vec<f64>]> =
+                        need.chunks(need.len().div_ceil(threads)).collect();
+                    let cfg = ExecutorConfig {
+                        threads,
+                        job_timeout: None,
+                        max_retries: 0,
+                        retry_backoff_ms: 0,
+                    };
+                    let outs = run_jobs(&cfg, chunks, |chunk: &&[Vec<f64>]| {
+                        let mut lp = new_lp();
+                        let answers = solve_points(&mut lp, chunk)?;
+                        Ok::<_, String>((answers, lp.solver_stats()))
+                    });
+                    let mut answers = Vec::with_capacity(need.len());
+                    for status in outs {
+                        let (chunk, st) = status
+                            .ok()
+                            .ok_or_else(|| "sweep point worker failed".to_string())??;
+                        answers.extend(chunk);
+                        stats.merge(&st);
+                    }
+                    answers
+                };
+                // Each zone is a Newton walk along `L` over crash-started
+                // points (see `GraphLp::tolerance`): a pure function of
+                // (scenario, cap), like the baseline and every point.
                 let zones = floor
                     .map(|floor| {
                         zones_from(self.backend, floor.0, |cap| {
                             llamp_obs::time("lp.zone_ns", || {
-                                lp.tolerance_from(SweepParam::L, base, floor, hi, cap)
+                                lp.tolerance_along(SweepParam::L, base, floor, hi, cap)
                             })
                             .map(|l| l - base.l)
                         })
                     })
                     .transpose()?;
-                Ok((points, zones, lp.solver_stats()))
+                stats.merge(&lp.solver_stats());
+                (answers, zones, stats)
             }
-        }
+        };
+        let values = need
+            .iter()
+            .zip(answers)
+            .map(|(t, (runtime, lambda))| AxisPointValue::new(at(t), runtime, lambda))
+            .collect();
+        Ok((values, zones, stats))
     }
 
     /// The latency zones of the two LP-free backends, the same on grid
@@ -772,8 +808,8 @@ iters = 1
         let mut results = Vec::new();
         for job in &jobs {
             let a = job.build_analyzer().unwrap();
-            let (points, zones, _) = job.compute(&a, &job.grid.deltas_ns, true).unwrap();
-            results.push((job.backend, points, zones.unwrap()));
+            let outcome = job.compute(&a).unwrap();
+            results.push((job.backend, outcome.sweep, outcome.zones));
         }
         // All three backends answer the same questions; runtimes must agree
         // to numerical tolerance at every grid point.

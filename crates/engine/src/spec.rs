@@ -160,8 +160,10 @@ pub struct GridSpec {
 /// One sweep axis of a multi-parameter campaign: a LogGPS parameter plus
 /// the delta samples above each scenario's base value of that parameter
 /// (`L`/`o` in ns, `G` in ns/byte). A campaign's `axes` expand to the
-/// cartesian product of their delta lists; each 1-D cross-section is
-/// answered through the warm-start protocol exactly like a latency grid.
+/// cartesian product of their delta lists, each point answered on its
+/// own exactly like a latency-grid point (which is a one-axis `L`
+/// sweep): by an LP solve from the crash basis at its own `(L, G, o)`,
+/// or by direct evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AxisSpec {
     /// The swept parameter.

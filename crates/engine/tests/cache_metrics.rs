@@ -10,14 +10,16 @@
 //! `walk-`) — while the eval points and every `parametric` entry beside
 //! them keep hitting. And entries keyed by an `s_bytes` override from
 //! engines that ignored it miss, while scenarios without an override keep
-//! hitting.
+//! hitting. And the key spellings of both sweep shapes on every backend
+//! are pinned literally.
 //!
 //! Obs state is process-global; every test serializes through a session
 //! lock (this binary is its own process).
 
 use llamp_engine::cache::{axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry};
-use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
-use std::collections::BTreeMap;
+use llamp_engine::value::{parse_json, Value};
+use llamp_engine::{run_campaign, Backend, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
 fn session_lock() -> &'static Mutex<()> {
@@ -428,4 +430,64 @@ s_bytes = 1024
     assert_eq!(get(&counters, "cache.zones.miss"), 1);
     assert_eq!(get(&counters, "cache.pt.hit"), 3);
     assert_eq!(get(&counters, "cache.zones.hit"), 1);
+}
+
+#[test]
+fn key_spellings_are_pinned() {
+    // A latency grid and an axes sweep run through one compute path and
+    // one runner; what tells them apart in the cache is the key spelling
+    // each backend and shape writes. Both example campaigns on all three
+    // backends, run into one cache and saved, must leave exactly these
+    // `{backend}|r1|{kind}|{tag}` shapes, so every entry an earlier
+    // engine saved under them keeps hitting.
+    let _guard = session_lock().lock().unwrap();
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let cache = ResultCache::new();
+    for name in ["campaign.toml", "heatmap.toml"] {
+        let text = std::fs::read_to_string(examples.join(name)).unwrap();
+        let mut spec = CampaignSpec::parse(&text, name).unwrap();
+        spec.backends = vec![Backend::Parametric, Backend::Eval, Backend::Lp];
+        let (result, _) = run_campaign(&spec, &config(), &cache);
+        assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
+    }
+    let dir = std::env::temp_dir().join(format!("llamp-key-spellings-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    cache.save(&path).unwrap();
+    let saved = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // `…|{backend}|r1|{kind}|{tag}{suffix}`: the tag is the suffix up to
+    // its last `-` (hex digits never contain one), or empty.
+    let shapes: BTreeSet<String> = saved
+        .get("entries")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|e| {
+            let key = e.get("key").and_then(Value::as_str).unwrap();
+            let parts: Vec<&str> = key.rsplitn(5, '|').collect();
+            let (suffix, kind, reduce, backend) = (parts[0], parts[1], parts[2], parts[3]);
+            let tag = suffix.rfind('-').map_or("", |i| &suffix[..=i]);
+            format!("{backend}|{reduce}|{kind}|{tag}")
+        })
+        .collect();
+    let want: BTreeSet<String> = [
+        "lp|r1|pt|tri-",
+        "lp|r1|zones|tri-",
+        "lp|r1|apt|tri-",
+        "lp|r1|mzones|tri-",
+        "eval|r1|pt|",
+        "eval|r1|zones|walk-",
+        "eval|r1|apt|",
+        "eval|r1|mzones|walk-",
+        "parametric|r1|pt|",
+        "parametric|r1|zones|",
+        "parametric|r1|apt|",
+        "parametric|r1|mzones|",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect();
+    assert_eq!(shapes, want);
 }

@@ -542,6 +542,27 @@ iters = 1
 }
 
 #[test]
+fn axes_point_parallelism_is_thread_deterministic() {
+    // One axes scenario on four threads lends idle workers to its point
+    // loop (point_threads = 4), exactly as a latency grid's: the sharded
+    // L × G points must reproduce the single-threaded bytes, and a
+    // warm-cache rerun must assemble the same file again.
+    let spec = axes_spec();
+    let (r1, _) = run_campaign(&spec, &config(1), &ResultCache::new());
+    assert!(r1.scenarios.iter().all(|s| s.outcome.is_ok()));
+    let cache = ResultCache::new();
+    let (r4, _) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(
+        r1.to_json(),
+        r4.to_json(),
+        "sharded axes points must be byte-identical to serial"
+    );
+    let (r4b, s4b) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(s4b.cache_misses, 0);
+    assert_eq!(r1.to_json(), r4b.to_json());
+}
+
+#[test]
 fn axes_spec_round_trip_and_canonical_order() {
     let a = axes_spec();
     // JSON re-encoding parses back identically.
@@ -692,11 +713,11 @@ fn assert_matches_unshared_path(result: &CampaignResult) {
     for sr in &result.scenarios {
         let sc = &sr.scenario;
         let analyzer = sc.build_analyzer().unwrap();
-        let (sweep, zones, _) = sc.compute(&analyzer, &sc.grid.deltas_ns, true).unwrap();
+        let own = sc.compute(&analyzer).unwrap();
         let outcome = sr.outcome.as_ref().unwrap();
         assert_eq!(
             bits(&outcome.sweep, &outcome.zones),
-            bits(&sweep, &zones.unwrap()),
+            bits(&own.sweep, &own.zones),
             "{}: the shared graph must answer what an own build answers",
             sc.base_canonical()
         );

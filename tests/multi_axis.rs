@@ -4,7 +4,7 @@
 //! independently implemented direct evaluator — the same certificate the
 //! latency analysis has for `λ_L`, extended to the other LogGPS axes.
 
-use llamp::core::{evaluate_multi, Binding, GraphLp, GraphMultiLp, ParamPoint, SweepParam};
+use llamp::core::{evaluate_multi, Binding, GraphLp, ParamPoint, SweepParam};
 use llamp::model::LogGPSParams;
 use llamp::schedgen::{build_graph, ExecGraph, GraphConfig};
 use llamp::trace::{ProgramBuilder, ProgramSet, TracerConfig};
@@ -88,8 +88,8 @@ proptest! {
         let graph = graph_of(&p);
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
-        let mut lp = GraphMultiLp::build(&graph, &binding);
-        let pred = lp.predict(ParamPoint { l, g, o }).unwrap();
+        let mut lp = GraphLp::build_axes(&graph, &binding);
+        let pred = lp.predict_at(ParamPoint { l, g, o }).unwrap();
         let ev = evaluate_multi(&graph, &binding, l, g, o);
         prop_assert!(
             (pred.runtime - ev.runtime).abs() <= 1e-6 * (1.0 + ev.runtime),
@@ -114,9 +114,9 @@ proptest! {
         let graph = graph_of(&p);
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
-        let mut lp = GraphMultiLp::build(&graph, &binding);
+        let mut lp = GraphLp::build_axes(&graph, &binding);
         let at = ParamPoint { l, g, o };
-        let pred = lp.predict(at).unwrap();
+        let pred = lp.predict_at(at).unwrap();
         let sol = lp.solve_raw(at).unwrap();
         for param in SweepParam::ALL {
             let x = at.get(param);
@@ -157,10 +157,10 @@ proptest! {
         let graph = graph_of(&p);
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
-        let mut multi = GraphMultiLp::build(&graph, &binding);
+        let mut multi = GraphLp::build_axes(&graph, &binding);
         let mut single = GraphLp::build(&graph, &binding);
         let a = multi
-            .predict(ParamPoint { l, g: params.big_g, o: params.o })
+            .predict_at(ParamPoint { l, g: params.big_g, o: params.o })
             .unwrap();
         let b = single.predict(l).unwrap();
         prop_assert!(
@@ -221,8 +221,8 @@ proptest! {
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
         let at = ParamPoint { l, g, o };
-        let a = GraphMultiLp::build(&raw, &binding).predict(at).unwrap();
-        let b = GraphMultiLp::build(red.graph(), &binding).predict(at).unwrap();
+        let a = GraphLp::build_axes(&raw, &binding).predict_at(at).unwrap();
+        let b = GraphLp::build_axes(red.graph(), &binding).predict_at(at).unwrap();
         prop_assert!(
             (a.runtime - b.runtime).abs() <= 1e-9 * (1.0 + a.runtime),
             "T: raw LP {} vs reduced LP {}", a.runtime, b.runtime
@@ -247,9 +247,9 @@ proptest! {
         let red = reduce(&raw, &ReduceConfig::default());
         let params = LogGPSParams::cscs_testbed(p.ranks).with_o(2_000.0);
         let binding = Binding::uniform(&params);
-        let mut lp = GraphMultiLp::build(red.graph(), &binding);
+        let mut lp = GraphLp::build_axes(red.graph(), &binding);
         let at = ParamPoint { l, g, o };
-        let pred = lp.predict(at).unwrap();
+        let pred = lp.predict_at(at).unwrap();
         let sol = lp.solve_raw(at).unwrap();
         for param in SweepParam::ALL {
             let x = at.get(param);

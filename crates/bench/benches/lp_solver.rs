@@ -1,12 +1,10 @@
 //! Criterion: LP solver costs on graph-shaped models.
 //!
 //! Measures (a) Algorithm 1 model construction, (b) a repeated predict at
-//! one latency (warm from the retained basis), (c) the parametric
-//! envelope pass, (d) a 5% tolerance zone (the Newton walk plus its
-//! certifying tolerance-LP solve), (e) the cold anchor solve, and
-//! (f) a 64-point latency sweep two ways: chained (each point warm from
-//! the previous optimum) and reset (each point from its own longest-path
-//! crash basis — the engine's rule).
+//! one latency, (c) the parametric envelope pass, (d) a 5% tolerance
+//! zone (the Newton walk plus its certifying tolerance-LP solve), (e) the
+//! cold anchor solve, and (f) a 64-point latency sweep. Every solve
+//! starts from the longest-path crash basis at its own point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llamp_bench::{graph_of, linspace};
@@ -30,8 +28,7 @@ fn bench_lp(c: &mut Criterion) {
             |b, g| b.iter(|| black_box(GraphLp::build(g, &binding))),
         );
 
-        // Repeated predicts at one latency: after the first solve the
-        // solver answers from the retained basis.
+        // Repeated predicts at one latency on one instance.
         group.bench_with_input(
             BenchmarkId::new("predict_repeat", graph.num_vertices()),
             &graph,
@@ -63,23 +60,14 @@ fn bench_tolerance(c: &mut Criterion) {
     });
 }
 
-/// One full latency sweep. `reset` drops the warm basis before every
-/// point, so each solve starts from its own crash basis; otherwise each
-/// point starts from the previous optimum.
-fn sweep(graph: &ExecGraph, binding: &Binding, deltas: &[f64], reset: bool) -> f64 {
+/// One full latency sweep, each point from its own crash basis.
+fn sweep(graph: &ExecGraph, binding: &Binding, deltas: &[f64]) -> f64 {
     let mut lp = GraphLp::build(graph, binding);
-    let mut acc = 0.0;
-    for &d in deltas {
-        if reset {
-            lp.reset();
-        }
-        acc += lp.predict(d).unwrap().runtime;
-    }
-    acc
+    deltas.iter().map(|&d| lp.predict(d).unwrap().runtime).sum()
 }
 
-/// A 64-point latency sweep, chained vs. reset, on the smallest and the
-/// largest bundled workload by LP row count at 8 ranks.
+/// A 64-point latency sweep on the smallest and the largest bundled
+/// workload by LP row count at 8 ranks.
 fn bench_sweep64(c: &mut Criterion) {
     let params = LogGPSParams::cscs_testbed(8).with_o(us(6.0));
     let binding = Binding::uniform(&params);
@@ -99,11 +87,9 @@ fn bench_sweep64(c: &mut Criterion) {
     group.sample_size(2);
     for (app, graph, rows) in [sized.first().unwrap(), sized.last().unwrap()] {
         let label = format!("{}_{}rows", app.name(), rows);
-        for (mode, reset) in [("chained", false), ("reset", true)] {
-            group.bench_with_input(BenchmarkId::new(mode, &label), graph, |b, g| {
-                b.iter(|| black_box(sweep(g, &binding, &deltas, reset)))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("crash", &label), graph, |b, g| {
+            b.iter(|| black_box(sweep(g, &binding, &deltas)))
+        });
     }
     group.finish();
 }

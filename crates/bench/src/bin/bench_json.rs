@@ -48,7 +48,6 @@ const ZONE_WINDOW_NS: f64 = 2_000_000.0;
 /// then the 1/2/5% walks from it. Returns the three walks' wall clock
 /// (ms) and their summed `lp.zone_steps`.
 fn zones(lp: &mut GraphLp, base: f64) -> (f64, u64) {
-    lp.reset();
     let p = lp.predict(base).expect("baseline solves");
     let floor = (p.runtime, p.lambda);
     llamp_obs::enable();
@@ -120,14 +119,13 @@ fn main() {
             cold_anchor_ms = cold_anchor_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         }
 
-        // The engine's sweep: every point reset to its own crash basis,
+        // The engine's sweep: every point from its own crash basis,
         // which factors by substitution (one triangular factorisation per
         // point, no LU).
         let mut sweep = GraphLp::build(graph, &binding);
         let t1 = Instant::now();
         let mut acc = 0.0;
         for &d in &deltas {
-            sweep.reset();
             acc += sweep
                 .predict(params.l + d)
                 .expect("sweep point solves")
@@ -238,7 +236,6 @@ fn main() {
         let t_sweep = Instant::now();
         let mut runtimes_t1 = Vec::with_capacity(deltas.len());
         for &d in &deltas {
-            lp.reset();
             runtimes_t1.push(
                 lp.predict(params_l.l + d)
                     .expect("large sweep point solves")
@@ -259,14 +256,12 @@ fn main() {
             threads: sweep_threads,
             job_timeout: None,
             max_retries: 0,
-            ..Default::default()
         };
         let t_shard = Instant::now();
         let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
             let mut lp = GraphLp::build(graph, &binding_l);
             let mut rts = Vec::with_capacity(chunk.len());
             for &d in chunk {
-                lp.reset();
                 rts.push(
                     lp.predict(params_l.l + d)
                         .expect("large sweep point solves")

@@ -21,7 +21,7 @@
 //! | `abl_presolve` | ablation: chain contraction on/off |
 //! | `abl_protocol` | ablation: eager/rendezvous crossover at `S` |
 //! | `abl_reduction` | ablation: graph reduction pipeline on/off (rows, makespan/λ agreement, anchor time) |
-//! | `bench_json` | machine-readable cold-anchor / warm-sweep trajectory (`BENCH_lp.json`) |
+//! | `bench_json` | machine-readable cold-anchor / crash-start sweep trajectory (`BENCH_lp.json`) |
 
 use llamp_core::Analyzer;
 use llamp_engine::{

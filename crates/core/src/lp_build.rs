@@ -27,9 +27,9 @@ use crate::binding::{Binding, MultiBound, SweepParam};
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
 use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
+use llamp_lp::simplex::SimplexOptions;
 use llamp_lp::{
-    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats,
-    SparseSimplex, VarId,
+    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
 };
 use llamp_schedgen::GraphView;
 
@@ -78,11 +78,10 @@ struct Expr {
     m: [f64; 3],
 }
 
-/// The LP form of an execution graph under a binding, paired with the
-/// [`SparseSimplex`] that answers its queries. A fresh (or reset)
-/// instance starts each query from the longest-path crash basis at the
-/// query's point; otherwise successive queries re-solve warm from the
-/// previous optimal basis.
+/// The LP form of an execution graph under a binding. Every query solves
+/// from the longest-path crash basis at its own point, so an answer is a
+/// pure function of (model, query), whatever the instance answered
+/// before.
 #[derive(Debug)]
 pub struct GraphLp {
     model: LpModel,
@@ -91,7 +90,8 @@ pub struct GraphLp {
     /// ([`GraphLp::build_axes`]).
     cols: Vec<(SweepParam, VarId)>,
     t: VarId,
-    solver: SparseSimplex,
+    /// Solver effort summed over every query this instance answered.
+    stats: SolveStats,
     /// Crash *plan* (see [`GraphLp::build`]): the per-row longest-path
     /// recursion records, instantiated into a concrete crash [`Basis`] at
     /// each query's point.
@@ -329,7 +329,7 @@ impl GraphLp {
             model,
             cols,
             t,
-            solver: SparseSimplex::default(),
+            stats: SolveStats::default(),
             plan,
         };
         if llamp_obs::is_enabled() {
@@ -350,17 +350,10 @@ impl GraphLp {
         &self.model
     }
 
-    /// Drop the warm state accumulated from previous queries: the next
-    /// query seeds the crash basis at its own point, exactly as a
-    /// freshly built `GraphLp` would.
-    pub fn reset(&mut self) {
-        self.solver.reset();
-    }
-
     /// Cumulative solver-effort counters across every query this instance
     /// has answered (see [`SolveStats`]).
     pub fn solver_stats(&self) -> SolveStats {
-        self.solver.stats()
+        self.stats
     }
 
     /// The column of one sweep parameter. Panics when the LP bakes `p`
@@ -392,11 +385,9 @@ impl GraphLp {
     }
 
     /// Solve `min t` with every column pinned at `at`'s coordinate by its
-    /// lower bound, and hand back the raw solution (tight-constraint /
-    /// critical-path inspection, stability windows). The crash at `at`
-    /// is seeded when the solver holds no warm state (fresh build or
-    /// after [`GraphLp::reset`]) and is the robust-resolve ladder's
-    /// fallback.
+    /// lower bound, from the crash basis at `at`, and hand back the raw
+    /// solution (tight-constraint / critical-path inspection, stability
+    /// windows).
     pub fn solve_raw(&mut self, at: ParamPoint) -> Result<Solution, SolveError> {
         for &(p, var) in &self.cols {
             self.model.set_var_lb(var, at.get(p));
@@ -404,10 +395,8 @@ impl GraphLp {
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
         let crash = self.crash_basis(at);
-        if self.solver.warm_basis().is_none() {
-            self.solver.seed(&crash);
-        }
-        resolve_robust(&mut self.solver, &self.model, Some(&crash))
+        resolve_robust(&self.model, &SimplexOptions::default(), Some(&crash))
+            .inspect(|sol| self.stats.merge(sol.stats()))
     }
 
     /// Solve with the first column at `x` and report runtime and its `λ`.
@@ -462,12 +451,10 @@ impl GraphLp {
     /// crash-started predictions finds the answer's linear piece in a
     /// few zero-pivot steps, and the tolerance LP is solved once, from
     /// that step's crash basis with the column made basic in place of
-    /// `t`. The answer is a pure function of (model, floor, top, cap);
-    /// the solver is left reset. This entry point solves the floor
-    /// itself; a caller that already holds it uses
-    /// [`GraphLp::tolerance_from`].
+    /// `t`. The answer is a pure function of (model, floor, top, cap).
+    /// This entry point solves the floor itself; a caller that already
+    /// holds it uses [`GraphLp::tolerance_from`].
     pub fn tolerance(&mut self, floor: f64, top: f64, max_runtime: f64) -> Result<f64, SolveError> {
-        self.reset();
         let at_floor = self.predict(floor)?;
         self.tolerance_from(floor, (at_floor.runtime, at_floor.lambda), top, max_runtime)
     }
@@ -523,7 +510,6 @@ impl GraphLp {
             limit,
             "lp.zone_steps",
             |x| {
-                self.solver.reset();
                 let sol = self.solve_raw(at.with(p, x))?;
                 Ok((sol.objective(), sol.reduced_cost(var)))
             },
@@ -541,7 +527,7 @@ impl GraphLp {
         self.model.set_var_lb(var, floor);
         zone::certify(
             &mut self.model,
-            &mut self.solver,
+            &mut self.stats,
             var,
             t,
             max_runtime,
@@ -688,7 +674,7 @@ mod tests {
             m.set_var_ub(lp.t_var(), 2_000.0);
             m.set_sense(Objective::Maximize);
             m.set_objective(&[(l, 1.0)]);
-            let cold = SparseSimplex::default().solve(&m).unwrap();
+            let cold = m.solve().unwrap();
             assert_eq!(walked.to_bits(), cold.value(l).to_bits(), "floor {floor}");
         }
     }
@@ -791,15 +777,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_matches_cold_solves_bitwise() {
-        // A descending latency sweep chained warm through one instance
-        // must report exactly what independent fresh (crash-started)
-        // instances do on this nondegenerate example.
+    fn chained_queries_match_fresh_instances_bitwise() {
+        // A descending latency sweep through one instance, with a
+        // tolerance query between points, must report exactly what
+        // independent fresh instances do: no query leaves state behind.
         let g = running_example(0.1).contracted();
-        let mut warm = GraphLp::build(&g, &didactic());
+        let mut chained = GraphLp::build(&g, &didactic());
         for i in (0..=20).rev() {
             let l = 50.0 * i as f64;
-            let p = warm.predict(l).unwrap();
+            chained.tolerance(l, TOP, 2_500.0).unwrap();
+            let p = chained.predict(l).unwrap();
             let mut cold = GraphLp::build(&g, &didactic());
             let q = cold.predict(l).unwrap();
             assert_eq!(p.runtime.to_bits(), q.runtime.to_bits(), "L={l}");
@@ -898,7 +885,6 @@ mod tests {
         top: f64,
         cap: f64,
     ) -> Result<f64, SolveError> {
-        lp.reset();
         let floor = lp.predict_at(at)?;
         lp.tolerance_along(p, at, (floor.runtime, floor.lambda(p)), top, cap)
     }

@@ -32,7 +32,8 @@
 //! other LP answer and is a pure function of (model, floor, top, cap).
 //! Direct evaluation has no such LP; its zone is the walk's last point.
 
-use llamp_lp::{resolve_robust, Basis, LpModel, Objective, SolveError, SparseSimplex, VarId};
+use llamp_lp::simplex::SimplexOptions;
+use llamp_lp::{resolve_robust, Basis, LpModel, Objective, SolveError, SolveStats, VarId};
 
 /// Step ceiling of one zone walk, counted in evaluations of `T` right
 /// of the floor (`predict` solves or direct evaluations; the floor is the
@@ -122,13 +123,12 @@ fn newton(
 }
 
 /// Solve the tolerance LP — `max var` s.t. `t ≤ cap`, with every lower
-/// bound already at the floor — from `start`, then restore the `min t`
-/// shape and drop the warm state, so the next query crash-starts again.
-/// A root at or beyond `top` reads as `f64::INFINITY`, like the walk's
-/// early exit.
+/// bound already at the floor — from `start`, adding its effort to
+/// `stats`, then restore the `min t` shape. A root at or beyond `top`
+/// reads as `f64::INFINITY`, like the walk's early exit.
 pub(crate) fn certify(
     model: &mut LpModel,
-    solver: &mut SparseSimplex,
+    stats: &mut SolveStats,
     var: VarId,
     t: VarId,
     cap: f64,
@@ -138,12 +138,11 @@ pub(crate) fn certify(
     model.set_var_ub(t, cap);
     model.set_sense(Objective::Maximize);
     model.set_objective(&[(var, 1.0)]);
-    solver.seed(start);
-    let out = resolve_robust(solver, model, Some(start));
+    let out = resolve_robust(model, &SimplexOptions::default(), Some(start))
+        .inspect(|sol| stats.merge(sol.stats()));
     model.set_var_ub(t, f64::INFINITY);
     model.set_sense(Objective::Minimize);
     model.set_objective(&[(t, 1.0)]);
-    solver.reset();
     match out {
         Ok(sol) if sol.value(var) < top => Ok(sol.value(var)),
         Ok(_) | Err(SolveError::Unbounded) => Ok(f64::INFINITY),

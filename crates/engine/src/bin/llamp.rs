@@ -291,7 +291,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         threads,
         job_timeout,
         max_retries,
-        ..Default::default()
     };
 
     let cache_path = args.get("cache").map(PathBuf::from);

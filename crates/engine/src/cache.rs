@@ -2,9 +2,8 @@
 //!
 //! Keys are canonical scenario strings (see
 //! [`Scenario::base_canonical`](crate::scenario::Scenario::base_canonical))
-//! extended with the entry kind, hashed with FNV-1a for the index;
-//! the full key string is stored alongside each entry so hash collisions
-//! degrade to misses, never to wrong results. Two entry granularities:
+//! extended with the entry kind; the store maps each full key string to
+//! its entry. Two entry granularities:
 //!
 //! * **points** — one `(runtime, λ, ρ)` sample per `(scenario-base, ∆L)`,
 //!   so campaigns with *overlapping* latency grids reuse each other's
@@ -87,9 +86,7 @@ impl CacheStats {
 /// The content-addressed store.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    // fingerprint → (full key, entry). The full key disambiguates
-    // colliding fingerprints.
-    map: RwLock<HashMap<u64, Vec<(String, CachedEntry)>>>,
+    map: RwLock<HashMap<String, CachedEntry>>,
     stats: CacheStats,
 }
 
@@ -187,12 +184,7 @@ impl ResultCache {
 
     /// Look up a key, counting the outcome.
     pub fn get(&self, key: &str) -> Option<CachedEntry> {
-        let fp = fnv1a(key.as_bytes());
-        let map = self.map.read().expect("cache lock");
-        let found = map
-            .get(&fp)
-            .and_then(|bucket| bucket.iter().find(|(k, _)| k == key))
-            .map(|(_, e)| e.clone());
+        let found = self.peek(key);
         match &found {
             Some(_) => {
                 count_kind(key, "hit");
@@ -209,34 +201,19 @@ impl ResultCache {
     /// Peek without touching the counters (used by the scheduler's
     /// full-hit probe so stats reflect real job-time lookups only once).
     pub fn peek(&self, key: &str) -> Option<CachedEntry> {
-        let fp = fnv1a(key.as_bytes());
-        let map = self.map.read().expect("cache lock");
-        map.get(&fp)
-            .and_then(|bucket| bucket.iter().find(|(k, _)| k == key))
-            .map(|(_, e)| e.clone())
+        self.map.read().expect("cache lock").get(key).cloned()
     }
 
     /// Insert (idempotent; concurrent duplicate inserts of the same
     /// deterministic value are harmless).
     pub fn put(&self, key: String, entry: CachedEntry) {
         count_kind(&key, "put");
-        let fp = fnv1a(key.as_bytes());
-        let mut map = self.map.write().expect("cache lock");
-        let bucket = map.entry(fp).or_default();
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => *slot = entry,
-            None => bucket.push((key, entry)),
-        }
+        self.map.write().expect("cache lock").insert(key, entry);
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.map
-            .read()
-            .expect("cache lock")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.map.read().expect("cache lock").len()
     }
 
     /// True when nothing is stored.
@@ -253,10 +230,8 @@ impl ResultCache {
     /// entry carries its integrity checksum (`sum`).
     pub fn to_value(&self) -> Value {
         let map = self.map.read().expect("cache lock");
-        let mut entries: Vec<(String, CachedEntry)> = map
-            .values()
-            .flat_map(|bucket| bucket.iter().cloned())
-            .collect();
+        let mut entries: Vec<(String, CachedEntry)> =
+            map.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Table(vec![
             ("version".into(), Value::Int(2)),

@@ -36,9 +36,6 @@ pub struct ExecutorConfig {
     /// `1 + max_retries` times; the retry exists for faults that do not
     /// reproduce (injected chaos, load-dependent timeouts).
     pub max_retries: u32,
-    /// Deterministic backoff before retry `k` (1-based): sleeps
-    /// `k * retry_backoff_ms`. 0 = retry immediately.
-    pub retry_backoff_ms: u64,
 }
 
 impl Default for ExecutorConfig {
@@ -47,7 +44,6 @@ impl Default for ExecutorConfig {
             threads: 0,
             job_timeout: None,
             max_retries: 1,
-            retry_backoff_ms: 0,
         }
     }
 }
@@ -121,7 +117,6 @@ where
     let results_ref = &results;
     let timeout = config.job_timeout;
     let max_retries = config.max_retries;
-    let retry_backoff_ms = config.retry_backoff_ms;
 
     std::thread::scope(|scope| {
         for me in 0..threads {
@@ -186,16 +181,10 @@ where
                     }
                     drop(job_span);
                     // Bounded retry: a failed attempt below the retry
-                    // budget goes back on this worker's own deque (which
-                    // this loop will drain), after a deterministic
-                    // linear backoff.
+                    // budget goes straight back on this worker's own
+                    // deque (which this loop will drain).
                     if !matches!(status, JobStatus::Done(_)) && attempt < max_retries {
                         llamp_obs::counter("exec.retry", 1);
-                        if retry_backoff_ms > 0 {
-                            std::thread::sleep(Duration::from_millis(
-                                u64::from(attempt + 1) * retry_backoff_ms,
-                            ));
-                        }
                         deques[me]
                             .lock()
                             .expect("deque lock")
@@ -330,7 +319,6 @@ mod tests {
             threads: 1,
             job_timeout: None,
             max_retries: 2,
-            retry_backoff_ms: 0,
         };
         let attempts = AtomicUsize::new(0);
         let out: Vec<JobStatus<()>> = run_jobs(&cfg, vec![()], |_| {
@@ -347,7 +335,6 @@ mod tests {
             threads: 1,
             job_timeout: None,
             max_retries: 0,
-            retry_backoff_ms: 0,
         };
         let attempts = AtomicUsize::new(0);
         let out: Vec<JobStatus<()>> = run_jobs(&cfg, vec![()], |_| {

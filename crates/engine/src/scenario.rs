@@ -595,7 +595,6 @@ impl Scenario {
                 let solve_points = |lp: &mut GraphLp, tuples: &[Vec<f64>]| {
                     let mut answers = Vec::with_capacity(tuples.len());
                     for t in tuples {
-                        lp.reset();
                         let p = llamp_obs::time("lp.point_ns", || lp.predict_at(at(t)))
                             .map_err(|e| format!("LP solve failed at {t:?}: {e:?}"))?;
                         answers.push((p.runtime, [p.lambda_l, p.lambda_g, p.lambda_o]));
@@ -627,7 +626,6 @@ impl Scenario {
                         threads,
                         job_timeout: None,
                         max_retries: 0,
-                        retry_backoff_ms: 0,
                     };
                     let outs = run_jobs(&cfg, chunks, |chunk: &&[Vec<f64>]| {
                         let mut lp = new_lp();

@@ -60,7 +60,6 @@ fn config(max_retries: u32) -> ExecutorConfig {
         threads: 1,
         job_timeout: None,
         max_retries,
-        retry_backoff_ms: 0,
     }
 }
 

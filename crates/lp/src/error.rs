@@ -9,10 +9,10 @@
 //! [`SolveError::TimeLimit`], [`SolveError::Stalled`]), the numerics
 //! degraded ([`SolveError::Distress`]), or a fault was injected on
 //! purpose ([`SolveError::Injected`]). Those are **recoverable**: the
-//! fallback ladder ([`crate::robust::resolve_robust`]) re-solves from
-//! scratch — possibly on a different factorisation — and canonical
-//! solution extraction guarantees any rung that succeeds returns the
-//! byte-identical answer.
+//! fallback ladder ([`crate::robust::resolve_robust`]) re-solves — from
+//! the same start, then from the slack basis under default options — and
+//! canonical solution extraction guarantees any rung that succeeds
+//! returns the byte-identical answer.
 
 /// Which numerical-distress tripwire fired (see
 /// [`crate::simplex::SimplexOptions`] for the thresholds).

@@ -19,14 +19,13 @@
 //!   product-form eta file. Artificial-free phase 1, Devex partial pricing
 //!   with deterministic lowest-index tie-breaking and a Bland fallback
 //!   (anti-cycling), a two-pass Harris ratio test, periodic
-//!   refactorisation, and warm starts from a previous [`Basis`]. A
+//!   refactorisation, and a start from any caller's [`Basis`]. A
 //!   dense-inverse variant ([`simplex::solve_dense`]) is kept only as the
 //!   test oracle the sparse path is cross-validated against.
-//! * [`backend::SparseSimplex`] — the solver object the analysis layers
-//!   hold: cold solves and warm re-solves from the previous (or a seeded)
-//!   basis.
+//! * [`resolve_robust`] — the call the analysis layers make: one solve
+//!   from the caller's start, behind the fallback ladder.
 //! * [`solution::Solution`] — primal values, objective, row duals, reduced
-//!   costs, the exportable warm-start [`Basis`], and *bound ranging*: the
+//!   costs, the optimal [`Basis`], and *bound ranging*: the
 //!   equivalent of Gurobi's `SARHSLow` / `SALBLow` attributes that
 //!   Algorithm 2 of the paper relies on.
 //! * [`piecewise`] — convex piecewise-linear functions represented as upper
@@ -34,17 +33,17 @@
 //!   backend in `llamp-core`: the full value function `T(L)` over a
 //!   latency window in a single pass.
 //!
-//! ## The warm-start protocol
+//! ## Start bases
 //!
-//! Every solved model exports its optimal [`Basis`]
-//! ([`Solution::basis`]). Passing it back into the next solve of an
-//! *edited* model (bounds moved, objective or sense changed — the edits a
-//! latency sweep and the tolerance flip perform) starts the simplex from
-//! that basis instead of the all-logical one. A query that stays within
-//! the basis-stability window re-solves with zero pivots; one that
-//! crosses a breakpoint needs only the few pivots that walk to the
-//! adjacent basis. [`SparseSimplex::resolve`] is this protocol's front
-//! door; `solve` always starts cold.
+//! A solve starts from the basis its caller passes, or from the
+//! all-logical one. Every solved model exports its optimal [`Basis`]
+//! ([`Solution::basis`]), and a basis outlives the edits a query makes
+//! (bounds moved, objective or sense changed), so any basis of the model
+//! can start any of its solves. `llamp-core` passes one start only: the
+//! longest-path crash basis at the query's own point, which is optimal
+//! there up to degeneracy, so a query solves with zero pivots. The
+//! solver keeps no state between solves; each answer is a pure function
+//! of (model, start).
 //!
 //! ## Determinism
 //!
@@ -56,12 +55,13 @@
 //! one pricing pass for a crash start — and extraction takes them over.
 //! Pricing and ratio-test ties break by lowest index within a relative
 //! epsilon. Together these make a solution a pure function of
-//! `(model, final basis)` — cold, warm, crash-started and dense-oracle
-//! solves that land on the same basis return bit-identical results.
+//! `(model, final basis)` — slack-started, crash-started and
+//! dense-oracle solves that land on the same basis return bit-identical
+//! results.
 //! Solves from *different* starts may land on different optimal bases of
 //! a degenerate LP, whose numbers agree only to rounding; `llamp-core`
-//! therefore starts every point query from one rule (its longest-path
-//! crash basis).
+//! therefore starts every query from one rule (its longest-path crash
+//! basis).
 //!
 //! All solving styles are cross-validated against the dense oracle and
 //! brute-force vertex enumeration in the test suites of this crate and
@@ -72,13 +72,12 @@
 //! Failed solves surface as the typed [`SolveError`]: model properties
 //! (infeasible / unbounded) versus recoverable solve failures (budget
 //! exhaustion, numerical distress, injected faults). For the latter,
-//! [`robust::resolve_robust`] walks the fallback ladder — warm resolve →
-//! cold re-solve from the caller's crash basis → default-options solve
-//! from the slack basis — and canonical extraction guarantees any rung
-//! that succeeds returns the byte-identical answer the no-fault solve
-//! would have produced.
+//! [`robust::resolve_robust`] walks the fallback ladder — the caller's
+//! start → the same start again → default-options solve from the slack
+//! basis — and canonical extraction guarantees any rung that succeeds
+//! returns the byte-identical answer the no-fault solve would have
+//! produced.
 
-pub mod backend;
 pub mod error;
 pub(crate) mod factor;
 pub mod model;
@@ -87,7 +86,6 @@ pub mod robust;
 pub mod simplex;
 pub mod solution;
 
-pub use backend::SparseSimplex;
 pub use error::{Distress, SolveError};
 pub use model::{ConId, LpModel, Objective, Relation, VarId};
 pub use piecewise::{Envelope, Line};

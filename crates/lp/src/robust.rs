@@ -1,83 +1,63 @@
 //! The solver fallback ladder.
 //!
-//! [`resolve_robust`] answers an LP query through a [`SparseSimplex`]
-//! like `resolve` does, but when the solve fails *recoverably* (budget
+//! [`resolve_robust`] answers an LP query with [`solve_sparse`] from the
+//! caller's start, but when the solve fails *recoverably* (budget
 //! exhaustion, numerical distress, an injected fault — see
 //! [`SolveError::is_recoverable`]) it walks a ladder of progressively
 //! more conservative re-solves instead of giving up:
 //!
-//! 1. **warm resolve** — the solver's normal path from its warm (or
-//!    seeded) basis;
-//! 2. **cold re-solve** — drop the warm state, optionally re-seed the
-//!    caller's crash basis, and solve again under the solver's own
-//!    options;
-//! 3. **slack re-solve** — a fresh default-options [`SparseSimplex`]
-//!    solving from the all-logical (slack) basis: no seed and none of
-//!    the caller's budgets, the most conservative start there is.
+//! 1. **the caller's start** under the caller's options;
+//! 2. **the same start again** — a failure that does not reproduce (an
+//!    injected stall, a tripped wall-clock budget) clears here;
+//! 3. **slack re-solve** — default options from the all-logical (slack)
+//!    basis: no start and none of the caller's budgets, the most
+//!    conservative solve there is.
 //!
 //! **Why a recovered answer is byte-identical.** Solutions are extracted
 //! canonically (a pure function of the final basis — see the crate
 //! docs), and all rungs use the same deterministic pivot
 //! rules, so any rung that reaches the optimal basis reports exactly the
-//! bytes the no-fault solve would have. After a rung-3 recovery the
-//! caller's solver is re-seeded with the answering basis, so subsequent
-//! warm queries continue from the same state as an unfaulted run.
+//! bytes the no-fault solve would have. The ladder holds no state, so a
+//! recovery leaves nothing behind for the next query.
 //!
 //! Every rung taken past the first emits the obs counter
 //! `solve.fallback` plus a per-rung counter (`solve.fallback.cold`,
 //! `solve.fallback.slack`); unrecovered failures return the *first*
 //! rung's error (the most informative one).
 
-use crate::backend::SparseSimplex;
 use crate::error::SolveError;
 use crate::model::LpModel;
+use crate::simplex::{solve_sparse, SimplexOptions};
 use crate::solution::{Basis, Solution};
 
-/// Re-solve `model` through `solver` with fallback recovery. `crash`
-/// optionally re-seeds the cold rung (the caller's structural crash
-/// basis — what a freshly built solver would start from).
+/// Solve `model` under `opts` from `start` (the slack basis when `None`)
+/// with fallback recovery.
 pub fn resolve_robust(
-    solver: &mut SparseSimplex,
     model: &LpModel,
-    crash: Option<&Basis>,
+    opts: &SimplexOptions,
+    start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    // Rung 1: the solver's normal warm path.
-    let first = match solver.resolve(model) {
-        Ok(sol) => return Ok(sol),
-        Err(e) if !e.is_recoverable() => return Err(e),
-        Err(e) => e,
+    // Rung 1: the caller's start.
+    let first = match solve_sparse(model, opts, start) {
+        Err(e) if e.is_recoverable() => e,
+        out => return out,
     };
 
-    // Rung 2: cold re-solve, seeded like a freshly built instance.
+    // Rung 2: the same start again.
     llamp_obs::counter("solve.fallback", 1);
     llamp_obs::counter("solve.fallback.cold", 1);
-    solver.reset();
-    let cold = match crash {
-        Some(b) => {
-            solver.seed(b);
-            solver.resolve(model)
-        }
-        None => solver.solve(model),
-    };
-    match cold {
-        Ok(sol) => return Ok(sol),
-        Err(e) if !e.is_recoverable() => return Err(e),
-        Err(_) => {}
+    match solve_sparse(model, opts, start) {
+        Err(e) if e.is_recoverable() => {}
+        out => return out,
     }
 
     // Rung 3: default options from the slack basis.
     llamp_obs::counter("solve.fallback", 1);
     llamp_obs::counter("solve.fallback.slack", 1);
-    match SparseSimplex::default().solve(model) {
-        Ok(sol) => {
-            // Leave the caller's solver warm on the answering basis,
-            // exactly as an unfaulted resolve would have.
-            solver.seed(sol.basis());
-            Ok(sol)
-        }
-        Err(e) if !e.is_recoverable() => Err(e),
+    match solve_sparse(model, &SimplexOptions::default(), None) {
         // Every rung failed recoverably: report the original failure.
-        Err(_) => Err(first),
+        Err(e) if e.is_recoverable() => Err(first),
+        out => out,
     }
 }
 
@@ -85,7 +65,6 @@ pub fn resolve_robust(
 mod tests {
     use super::*;
     use crate::model::{LpModel, Objective, Relation, VarId};
-    use crate::simplex::SimplexOptions;
 
     fn running_example(l_lb: f64) -> (LpModel, VarId) {
         let mut m = LpModel::new(Objective::Minimize);
@@ -99,12 +78,15 @@ mod tests {
         (m, l)
     }
 
+    fn clean_solve(m: &LpModel) -> Solution {
+        solve_sparse(m, &SimplexOptions::default(), None).unwrap()
+    }
+
     #[test]
     fn clean_solves_pass_straight_through() {
         let _g = faults_session();
-        let mut b = SparseSimplex::default();
         let (m, l) = running_example(0.5);
-        let sol = resolve_robust(&mut b, &m, None).unwrap();
+        let sol = resolve_robust(&m, &SimplexOptions::default(), None).unwrap();
         assert!((sol.objective() - 1.615).abs() < 1e-9);
         assert!((sol.reduced_cost(l) - 1.0).abs() < 1e-9);
     }
@@ -117,9 +99,8 @@ mod tests {
         let mut m = LpModel::new(Objective::Minimize);
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_constraint("c", &[(x, 1.0)], Relation::Ge, 2.0);
-        let mut b = SparseSimplex::default();
         assert_eq!(
-            resolve_robust(&mut b, &m, None).unwrap_err(),
+            resolve_robust(&m, &SimplexOptions::default(), None).unwrap_err(),
             SolveError::Infeasible
         );
     }
@@ -127,16 +108,15 @@ mod tests {
     #[test]
     fn injected_stall_recovers_byte_identical() {
         // Fire `solve.stall` on the first hit: rung 1 aborts with the
-        // typed injected error, rung 2 re-solves cold (the counter has
-        // passed its mark, so no re-fire) and must reproduce the no-fault
-        // answer bit-for-bit.
+        // typed injected error, rung 2 re-solves from the same start (the
+        // counter has passed its mark, so no re-fire) and must reproduce
+        // the no-fault answer bit-for-bit.
         let _g = faults_session();
         let (m, l) = running_example(0.5);
-        let clean = SparseSimplex::default().solve(&m).unwrap();
+        let clean = clean_solve(&m);
 
         llamp_faults::configure("solve.stall:1", 0).unwrap();
-        let mut b = SparseSimplex::default();
-        let sol = resolve_robust(&mut b, &m, None).unwrap();
+        let sol = resolve_robust(&m, &SimplexOptions::default(), None).unwrap();
         llamp_faults::clear();
 
         assert_eq!(sol.objective().to_bits(), clean.objective().to_bits());
@@ -151,29 +131,28 @@ mod tests {
     fn iteration_budget_recovers_through_slack_rung() {
         let _g = faults_session();
         // A one-iteration budget fails rungs 1 and 2 (both run under the
-        // solver's own options), so only the slack rung — a fresh
-        // default-options solver — can answer. Still byte-identical, and
-        // the solver is left warm on the answering basis.
+        // caller's options), so only the slack rung — default options —
+        // can answer. Still byte-identical, on the clean solve's basis.
         let (m, l) = running_example(0.5);
-        let clean = SparseSimplex::default().solve(&m).unwrap();
+        let clean = clean_solve(&m);
 
         let opts = SimplexOptions {
             max_iterations: 1,
             ..SimplexOptions::default()
         };
-        let mut b = SparseSimplex::with_options(opts);
-        let sol = resolve_robust(&mut b, &m, None).unwrap();
+        let sol = resolve_robust(&m, &opts, None).unwrap();
         assert_eq!(sol.objective().to_bits(), clean.objective().to_bits());
         assert_eq!(
             sol.reduced_cost(l).to_bits(),
             clean.reduced_cost(l).to_bits()
         );
-        assert_eq!(b.warm_basis(), Some(clean.basis()));
-        // A follow-up in-window query must still answer (through its own
-        // ladder) with the bits of a clean solve.
+        assert_eq!(sol.basis(), clean.basis());
+        // A follow-up in-window query started from the answering basis
+        // must still answer (through its own ladder) with the bits of a
+        // clean solve.
         let (m2, l2) = running_example(0.45);
-        let sol2 = resolve_robust(&mut b, &m2, None).unwrap();
-        let clean2 = SparseSimplex::default().solve(&m2).unwrap();
+        let sol2 = resolve_robust(&m2, &opts, Some(sol.basis())).unwrap();
+        let clean2 = clean_solve(&m2);
         assert_eq!(sol2.objective().to_bits(), clean2.objective().to_bits());
         assert_eq!(
             sol2.reduced_cost(l2).to_bits(),
@@ -188,8 +167,7 @@ mod tests {
         let _g = faults_session();
         llamp_faults::configure("solve.stall:0.99999", 7).unwrap();
         let (m, _) = running_example(0.5);
-        let mut b = SparseSimplex::default();
-        let err = resolve_robust(&mut b, &m, None).unwrap_err();
+        let err = resolve_robust(&m, &SimplexOptions::default(), None).unwrap_err();
         llamp_faults::clear();
         assert_eq!(err, SolveError::Injected);
     }

@@ -49,16 +49,16 @@
 //!   BTRAN / pricing path performs **no heap allocation**. The
 //!   constraint matrix itself is built once per model and shared by
 //!   every solve of it.
-//! * **Warm starts.** A solved model exposes its final [`Basis`];
-//!   [`solve_sparse`] accepts one and starts from it instead
-//!   of the all-logical basis. After a bound tightening (Algorithm 2's
-//!   `l ≥ L` step) the previous basis is typically a handful of pivots —
-//!   often zero — from the new optimum.
+//! * **Start bases.** [`solve_sparse`] starts from a caller's [`Basis`]
+//!   (in LLAMP, the longest-path crash at the query's point, which is
+//!   optimal there up to degeneracy) or, without one, from the
+//!   all-logical basis. A basis that does not fit the model falls back to
+//!   the all-logical start.
 //! * **Canonical extraction.** Whatever path produced the final basis, the
 //!   reported [`Solution`] is computed off a canonical factorisation of
 //!   the basis columns in ascending column order. Solutions are
-//!   therefore a pure function of `(model, final basis)`: a cold solve, a
-//!   warm re-solve, a crash-started solve and the dense oracle that land
+//!   therefore a pure function of `(model, final basis)`: a slack-started
+//!   solve, a crash-started solve and the dense oracle that land
 //!   on the same basis report bit-identical numbers — the property the
 //!   engine's byte-identity contracts rest on. A solve that never moved
 //!   from its installed basis already holds exactly that factorisation
@@ -185,124 +185,52 @@ pub(crate) struct RangingData {
 impl RangingData {
     /// Range of the lower bound of extended column `j` keeping the basis
     /// optimal (primal feasible; dual feasibility is unaffected by bound
-    /// shifts).
+    /// shifts): Gurobi's `SALBLow`/`SALBUp`.
+    ///
+    /// A basic, free or at-upper column's lower bound is slack up to the
+    /// column's value (or upper bound). An at-lower column rides its
+    /// bound: moving it by `t` moves the basic variables by `−t·B⁻¹a_j`,
+    /// so the window is where they, and the column's own upper bound,
+    /// stay feasible.
     pub(crate) fn lb_range(&self, j: usize, status: VarStatus) -> (f64, f64) {
         match status {
-            VarStatus::Basic | VarStatus::FreeZero => (f64::NEG_INFINITY, self.x[j]),
-            VarStatus::AtUpper => (f64::NEG_INFINITY, self.ub[j]),
-            VarStatus::AtLower => {
-                let (dn, up) = self.lb_step_range(&[(j, 1.0, VarStatus::AtLower)]);
-                (self.x[j] + dn, self.x[j] + up)
-            }
+            VarStatus::Basic | VarStatus::FreeZero => return (f64::NEG_INFINITY, self.x[j]),
+            VarStatus::AtUpper => return (f64::NEG_INFINITY, self.ub[j]),
+            VarStatus::AtLower => {}
         }
-    }
-
-    /// Feasible step window `[t_lo, t_hi]` (containing 0) for a joint
-    /// lower-bound move along an **arbitrary direction**: every listed
-    /// extended column `j` shifts its lower bound by `t·dir_j`
-    /// simultaneously. This is the ranging primitive behind parametric
-    /// re-solves that move *several* bounds at once (multi-parameter
-    /// sweeps stepping `L`, `G` and `o` together) — the classic
-    /// one-bound `SALBLow`/`SALBUp` query is the `dir = e_j` special
-    /// case.
-    ///
-    /// Dual feasibility is unaffected by bound moves, so the window is
-    /// where primal feasibility survives: nonbasic-at-lower columns ride
-    /// their bound (`x_j += t·dir_j`, basic variables move by
-    /// `−t·B⁻¹(Σ dir_j a_j)`), while basic / at-upper / free columns
-    /// merely require the moved bound to stay on the correct side of
-    /// their (unmoved) value.
-    pub(crate) fn lb_step_range(&self, moves: &[(usize, f64, VarStatus)]) -> (f64, f64) {
         let mut dn = f64::NEG_INFINITY;
-        let mut up = INF;
-        // Aggregate basic-variable response w = Σ_j dir_j · B⁻¹ a_j over
-        // the columns that actually ride their lower bound.
-        let mut w: Option<Vec<f64>> = None;
-        for &(j, dir, status) in moves {
-            if dir == 0.0 {
+        let mut up = if self.ub[j].is_finite() {
+            self.ub[j] - self.x[j]
+        } else {
+            INF
+        };
+        let w = self.lu.ftran_col_alloc(self.mat.cols(), j);
+        for (i, &wi) in w.iter().enumerate() {
+            if wi.abs() <= self.pivot_tol {
                 continue;
             }
-            match status {
-                VarStatus::Basic | VarStatus::FreeZero => {
-                    // x_j stays put; the moved bound must not cross it:
-                    // lb_j + t·dir ≤ x_j.
-                    let slack = self.x[j] - self.lb[j];
-                    if dir > 0.0 {
-                        up = up.min(slack / dir);
-                    } else {
-                        dn = dn.max(slack / dir);
-                    }
+            let b = self.basis[i];
+            let xb = self.x[b];
+            let (lbi, ubi) = (self.lb[b], self.ub[b]);
+            if wi > 0.0 {
+                // x_b decreases as t grows.
+                if lbi.is_finite() {
+                    up = up.min((xb - lbi) / wi);
                 }
-                VarStatus::AtUpper => {
-                    let slack = self.ub[j] - self.lb[j];
-                    if dir > 0.0 {
-                        up = up.min(slack / dir);
-                    } else {
-                        dn = dn.max(slack / dir);
-                    }
+                if ubi.is_finite() {
+                    dn = dn.max((xb - ubi) / wi);
                 }
-                VarStatus::AtLower => {
-                    let col = self.ftran(j);
-                    match &mut w {
-                        None => {
-                            let mut v = col;
-                            if dir != 1.0 {
-                                for x in v.iter_mut() {
-                                    *x *= dir;
-                                }
-                            }
-                            w = Some(v);
-                        }
-                        Some(acc) => {
-                            for (a, c) in acc.iter_mut().zip(&col) {
-                                *a += dir * c;
-                            }
-                        }
-                    }
-                    // The moved variable's own upper bound.
-                    if self.ub[j].is_finite() {
-                        let slack = self.ub[j] - self.x[j];
-                        if dir > 0.0 {
-                            up = up.min(slack / dir);
-                        } else {
-                            dn = dn.max(slack / dir);
-                        }
-                    }
+            } else {
+                // x_b increases as t grows.
+                if ubi.is_finite() {
+                    up = up.min((xb - ubi) / wi);
+                }
+                if lbi.is_finite() {
+                    dn = dn.max((xb - lbi) / wi);
                 }
             }
         }
-        if let Some(w) = w {
-            for (i, &wi) in w.iter().enumerate() {
-                if wi.abs() <= self.pivot_tol {
-                    continue;
-                }
-                let b = self.basis[i];
-                let xb = self.x[b];
-                let (lbi, ubi) = (self.lb[b], self.ub[b]);
-                if wi > 0.0 {
-                    // x_b decreases as t grows.
-                    if lbi.is_finite() {
-                        up = up.min((xb - lbi) / wi);
-                    }
-                    if ubi.is_finite() {
-                        dn = dn.max((xb - ubi) / wi);
-                    }
-                } else {
-                    // x_b increases as t grows.
-                    if ubi.is_finite() {
-                        up = up.min((xb - ubi) / wi);
-                    }
-                    if lbi.is_finite() {
-                        dn = dn.max((xb - lbi) / wi);
-                    }
-                }
-            }
-        }
-        (dn, up)
-    }
-
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        self.lu.ftran_col_alloc(self.mat.cols(), j)
+        (self.x[j] + dn, self.x[j] + up)
     }
 }
 
@@ -395,27 +323,26 @@ pub fn solve(model: &LpModel, opts: &SimplexOptions) -> Result<Solution, SolveEr
 
 /// Solve with the dense basis inverse: the test oracle the sparse path is
 /// cross-validated against (same pivot rules, same canonical extraction).
-/// `warm` optionally seeds the starting basis.
+/// `start` is the starting basis (the all-logical one when `None`).
 pub fn solve_dense(
     model: &LpModel,
     opts: &SimplexOptions,
-    warm: Option<&Basis>,
+    start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    traced_solve("dense", model, warm, || {
-        solve_generic::<DenseInv>(model, opts, warm)
+    traced_solve("dense", model, start, || {
+        solve_generic::<DenseInv>(model, opts, start)
     })
 }
 
 /// Solve with the sparse triangular-or-LU / eta-file factorisation (the
-/// at-scale path).
-/// `warm` optionally seeds the starting basis.
+/// at-scale path) from `start` (the all-logical basis when `None`).
 pub fn solve_sparse(
     model: &LpModel,
     opts: &SimplexOptions,
-    warm: Option<&Basis>,
+    start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    traced_solve("sparse", model, warm, || {
-        solve_generic::<SparseFactor>(model, opts, warm)
+    traced_solve("sparse", model, start, || {
+        solve_generic::<SparseFactor>(model, opts, start)
     })
 }
 
@@ -427,7 +354,7 @@ pub fn solve_sparse(
 fn traced_solve(
     factor: &str,
     model: &LpModel,
-    warm: Option<&Basis>,
+    start: Option<&Basis>,
     f: impl FnOnce() -> Result<Solution, SolveError>,
 ) -> Result<Solution, SolveError> {
     let g = llamp_obs::span("lp.solve");
@@ -436,7 +363,7 @@ fn traced_solve(
         g.field_str("factor", factor);
         g.field_u64("rows", model.num_constraints() as u64);
         g.field_u64("cols", model.num_vars() as u64);
-        g.field_u64("warm", u64::from(warm.is_some()));
+        g.field_u64("warm", u64::from(start.is_some()));
         match &out {
             Ok(sol) => {
                 let s = sol.stats();
@@ -458,9 +385,9 @@ fn traced_solve(
 fn solve_generic<F: BasisFactor>(
     model: &LpModel,
     opts: &SimplexOptions,
-    warm: Option<&Basis>,
+    start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    let mut core: Core<F> = Core::build(model, opts.clone(), warm);
+    let mut core: Core<F> = Core::build(model, opts.clone(), start);
     core.arm_deadline();
     let max_iters = core.iteration_cap();
 
@@ -530,8 +457,8 @@ impl<F: BasisFactor> Core<F> {
     }
 
     /// Build a solver core for `model` (sharing the model's matrix),
-    /// optionally installing a warm basis.
-    fn build(model: &LpModel, opts: SimplexOptions, warm: Option<&Basis>) -> Self {
+    /// installing `start` when it fits.
+    fn build(model: &LpModel, opts: SimplexOptions, start: Option<&Basis>) -> Self {
         let mat = model.matrix();
         let (m, n_struct) = (mat.m, mat.n_struct);
         let n_total = n_struct + m;
@@ -592,8 +519,7 @@ impl<F: BasisFactor> Core<F> {
             opts,
         };
 
-        let warm_ok = warm.is_some_and(|b| core.try_install_basis(b));
-        if !warm_ok {
+        if !start.is_some_and(|b| core.try_install_basis(b)) {
             core.install_default_basis();
         }
         core.recompute_basics();
@@ -634,21 +560,21 @@ impl<F: BasisFactor> Core<F> {
         debug_assert!(ok, "the all-logical basis is always nonsingular");
     }
 
-    /// Try to start from a previous solve's basis. Statuses are
+    /// Try to start from a caller's basis. Statuses are
     /// normalised against the *current* bounds (a bound that became
     /// infinite demotes the status) and the basis matrix is refactorised;
     /// any mismatch falls back to the cold start, which overwrites every
     /// status, value and basis slot written here.
-    fn try_install_basis(&mut self, warm: &Basis) -> bool {
-        if warm.cols.len() != self.n_struct || warm.rows.len() != self.m {
+    fn try_install_basis(&mut self, start: &Basis) -> bool {
+        if start.cols.len() != self.n_struct || start.rows.len() != self.m {
             return false;
         }
         self.basis.clear();
         for j in 0..self.n_total {
             let s = if j < self.n_struct {
-                warm.cols[j]
+                start.cols[j]
             } else {
-                warm.rows[j - self.n_struct]
+                start.rows[j - self.n_struct]
             };
             let (l, u) = (self.lb[j], self.ub[j]);
             let st = match s {
@@ -1479,10 +1405,23 @@ impl<F: BasisFactor> Core<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LpModel, Objective, Relation};
+    use crate::model::{LpModel, Objective, Relation, VarId};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
+    }
+
+    /// The paper's running example (Eq. 6) under `l ≥ l_lb`, `min t`.
+    fn running_example(l_lb: f64) -> (LpModel, VarId) {
+        let mut m = LpModel::new(Objective::Minimize);
+        let l = m.add_var("l", l_lb, INF, 0.0);
+        let y1 = m.add_var("y1", f64::NEG_INFINITY, INF, 0.0);
+        let t = m.add_var("t", f64::NEG_INFINITY, INF, 1.0);
+        m.add_constraint("c1", &[(y1, 1.0), (l, -1.0)], Relation::Ge, 0.115);
+        m.add_constraint("c2", &[(y1, 1.0)], Relation::Ge, 0.5);
+        m.add_constraint("c3", &[(t, 1.0)], Relation::Ge, 1.1);
+        m.add_constraint("c4", &[(t, 1.0), (y1, -1.0)], Relation::Ge, 1.0);
+        (m, l)
     }
 
     #[test]
@@ -1685,22 +1624,11 @@ mod tests {
     #[test]
     fn warm_start_reaches_same_optimum() {
         // min t with l >= L, warm-started from a neighbouring L.
-        let build = |l_lb: f64| {
-            let mut m = LpModel::new(Objective::Minimize);
-            let l = m.add_var("l", l_lb, INF, 0.0);
-            let y1 = m.add_var("y1", f64::NEG_INFINITY, INF, 0.0);
-            let t = m.add_var("t", f64::NEG_INFINITY, INF, 1.0);
-            m.add_constraint("c1", &[(y1, 1.0), (l, -1.0)], Relation::Ge, 0.115);
-            m.add_constraint("c2", &[(y1, 1.0)], Relation::Ge, 0.5);
-            m.add_constraint("c3", &[(t, 1.0)], Relation::Ge, 1.1);
-            m.add_constraint("c4", &[(t, 1.0), (y1, -1.0)], Relation::Ge, 1.0);
-            m
-        };
         let opts = SimplexOptions::default();
-        let first = solve_sparse(&build(0.5), &opts, None).unwrap();
+        let first = solve_sparse(&running_example(0.5).0, &opts, None).unwrap();
         // Warm-started re-solve at a nearby bound must agree bitwise with
         // a cold solve (same final basis, canonical extraction).
-        let m2 = build(0.6);
+        let m2 = running_example(0.6).0;
         let warm = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
         let cold = solve_sparse(&m2, &opts, None).unwrap();
         assert_eq!(warm.objective().to_bits(), cold.objective().to_bits());
@@ -1710,7 +1638,96 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_warm_basis_falls_back_to_cold() {
+    fn in_window_resolve_needs_no_pivots() {
+        let opts = SimplexOptions::default();
+        let (m, _) = running_example(0.5);
+        let first = solve_sparse(&m, &opts, None).unwrap();
+        assert!(first.stats().pivots > 0);
+        // 0.45 is inside the stability window [0.385, ∞) of the l ≥ 0.5
+        // optimum: started from it, the basis is still optimal, so no
+        // pivot happens.
+        let (m2, l2) = running_example(0.45);
+        let second = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
+        assert_eq!(second.stats().pivots, 0);
+        assert!((second.objective() - 1.565).abs() < 1e-9);
+        assert!((second.reduced_cost(l2) - 1.0).abs() < 1e-9);
+        // 0.2 is below the 0.385 breakpoint: started from that optimum,
+        // the solve pivots onto the compute-dominated one.
+        let (m3, l3) = running_example(0.2);
+        let third = solve_sparse(&m3, &opts, Some(second.basis())).unwrap();
+        assert!((third.objective() - 1.5).abs() < 1e-9);
+        assert!(third.reduced_cost(l3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warm_sweep_matches_cold_solves_bitwise() {
+        // Each point starts from the previous point's optimum.
+        let opts = SimplexOptions::default();
+        let mut prev: Option<Solution> = None;
+        for i in 0..20 {
+            let l = 0.1 + 0.03 * i as f64;
+            let (m, lv) = running_example(l);
+            let a = solve_sparse(&m, &opts, prev.as_ref().map(Solution::basis)).unwrap();
+            let b = solve_sparse(&m, &opts, None).unwrap();
+            assert_eq!(a.objective().to_bits(), b.objective().to_bits(), "L={l}");
+            assert_eq!(
+                a.reduced_cost(lv).to_bits(),
+                b.reduced_cost(lv).to_bits(),
+                "L={l}"
+            );
+            prev = Some(a);
+        }
+    }
+
+    /// A two-parameter miniature: `t ≥ c + 1·l + 2·g` beside a constant
+    /// floor, so moving `l` and `g` *together* is a multi-parameter sweep
+    /// step.
+    fn two_param_example(l_lb: f64, g_lb: f64) -> (LpModel, VarId, VarId) {
+        let mut m = LpModel::new(Objective::Minimize);
+        let l = m.add_var("l", l_lb, INF, 0.0);
+        let g = m.add_var("g", g_lb, INF, 0.0);
+        let t = m.add_var("t", f64::NEG_INFINITY, INF, 1.0);
+        m.add_constraint("wire", &[(t, 1.0), (l, -1.0), (g, -2.0)], Relation::Ge, 0.4);
+        m.add_constraint("comp", &[(t, 1.0)], Relation::Ge, 1.0);
+        (m, l, g)
+    }
+
+    #[test]
+    fn joint_lb_move_resolves_without_pivots() {
+        let opts = SimplexOptions::default();
+        let (m, l, g) = two_param_example(0.5, 0.2);
+        let first = solve_sparse(&m, &opts, None).unwrap();
+        // Wire path active: T = 0.4 + 0.5 + 0.4 = 1.3, λ_l = 1, λ_g = 2.
+        assert!((first.objective() - 1.3).abs() < 1e-9);
+        assert!((first.reduced_cost(l) - 1.0).abs() < 1e-9);
+        assert!((first.reduced_cost(g) - 2.0).abs() < 1e-9);
+        // Both bounds move, staying on the wire-dominated facet: the solve
+        // started from the first optimum must not pivot and must match a
+        // cold solve bitwise.
+        let (m2, l2, g2) = two_param_example(0.45, 0.25);
+        let sol = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
+        assert_eq!(sol.stats().pivots, 0, "joint in-window move must not pivot");
+        let cold = solve_sparse(&m2, &opts, None).unwrap();
+        assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
+        assert_eq!(
+            sol.reduced_cost(l2).to_bits(),
+            cold.reduced_cost(l2).to_bits()
+        );
+        assert_eq!(
+            sol.reduced_cost(g2).to_bits(),
+            cold.reduced_cost(g2).to_bits()
+        );
+        // A joint move crossing the facet change (wire cost below the
+        // 1.0 compute floor): the sensitivities drop to zero.
+        let (m3, l3, g3) = two_param_example(0.1, 0.05);
+        let sol3 = solve_sparse(&m3, &opts, Some(sol.basis())).unwrap();
+        assert!((sol3.objective() - 1.0).abs() < 1e-9);
+        assert!(sol3.reduced_cost(l3).abs() < 1e-9);
+        assert!(sol3.reduced_cost(g3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mismatched_start_basis_falls_back_to_cold() {
         let mut small = LpModel::new(Objective::Minimize);
         let x = small.add_var("x", 0.0, 10.0, 1.0);
         small.add_constraint("r", &[(x, 1.0)], Relation::Ge, 2.0);

@@ -149,13 +149,12 @@ pub enum VarStatus {
 }
 
 /// A complete basis snapshot: the status of every structural column and
-/// every row's logical (slack) column. This is the warm-start currency:
-/// [`Solution::basis`] exports it and `simplex::solve_sparse` (behind
-/// `SparseSimplex::resolve`) accepts it as a starting point. A basis
-/// outlives bound, objective and sense edits on its
-/// model (the edits Algorithm 2 and the tolerance flip perform), which is
-/// exactly what makes latency sweeps cheap: the previous optimum is a
-/// handful of pivots from the next.
+/// every row's logical (slack) column. [`Solution::basis`] exports it and
+/// [`crate::simplex::solve_sparse`] accepts one as its start. A basis
+/// outlives bound, objective and sense edits on its model (the edits a
+/// query point and the tolerance flip perform), so a start built from the
+/// model's structure — `llamp-core`'s longest-path crash — installs at
+/// every query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Status of each structural variable, by column index.
@@ -197,8 +196,8 @@ pub struct Solution {
     pub(crate) duals: Vec<f64>,
     pub(crate) iterations: u64,
     pub(crate) stats: SolveStats,
-    /// Full basis snapshot (structural + logical statuses) for warm
-    /// starts; also every variable's status.
+    /// Full basis snapshot (structural + logical statuses): every
+    /// variable's status.
     pub(crate) basis: Basis,
     /// The final basis's factorisation and the values and bounds of every
     /// extended column (structural, then one logical per row: its row's
@@ -274,21 +273,6 @@ impl Solution {
         self.lb_range(v).0
     }
 
-    /// Feasible step window `[t_lo, t_hi]` (always containing 0) for a
-    /// **joint** lower-bound move: every listed variable's lower bound
-    /// shifts by `t·dir` simultaneously. Within the window the current
-    /// basis stays optimal, so a re-solve after such a move needs zero
-    /// pivots — this is the ranging query behind multi-parameter
-    /// (`L`/`G`/`o`) sweep steps, generalising [`Solution::lb_range`]
-    /// from the single-column pattern to an arbitrary direction.
-    pub fn lb_step_range(&self, moves: &[(VarId, f64)]) -> (f64, f64) {
-        let moves: Vec<(usize, f64, VarStatus)> = moves
-            .iter()
-            .map(|&(v, dir)| (v.0 as usize, dir, self.var_status(v)))
-            .collect();
-        self.ranging.lb_step_range(&moves)
-    }
-
     /// Number of simplex iterations performed (phases 1 and 2 combined).
     pub fn iterations(&self) -> u64 {
         self.iterations
@@ -300,7 +284,7 @@ impl Solution {
         &self.stats
     }
 
-    /// The optimal basis, for warm-starting a related solve (see
+    /// The optimal basis, usable as the start of a related solve (see
     /// [`Basis`]).
     pub fn basis(&self) -> &Basis {
         &self.basis

@@ -16,7 +16,7 @@
 
 use llamp_lp::simplex::{solve_sparse, SimplexOptions};
 use llamp_lp::solution::VarStatus;
-use llamp_lp::{Basis, LpModel, Objective, Relation, SparseSimplex, VarId};
+use llamp_lp::{Basis, LpModel, Objective, Relation, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -186,10 +186,9 @@ fn crash_resolve_allocates_a_constant_handful() {
     for vertices in [600, 2_400] {
         let (model, first) = dag_lp_with_crash(vertices, 2.0);
         assert!(model.num_constraints() > 1_000);
-        let mut solver = SparseSimplex::default();
-        solver.seed(&first);
+        let opts = SimplexOptions::default();
         // Warm-up: the first solve builds the model's matrix.
-        solver.resolve(&model).expect("crash solve");
+        solve_sparse(&model, &opts, Some(&first)).expect("crash solve");
 
         // The next query point, crash-started like every engine point.
         let mut model = model;
@@ -197,8 +196,7 @@ fn crash_resolve_allocates_a_constant_handful() {
         let (_, crash) = dag_lp_with_crash(vertices, 0.5);
         assert_ne!(crash, first, "the query point picks other defining rows");
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        solver.seed(&crash);
-        let sol = solver.resolve(&model).expect("crash re-solve");
+        let sol = solve_sparse(&model, &opts, Some(&crash)).expect("crash re-solve");
         let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(sol.stats().pivots, 0, "the crash basis is optimal");
         eprintln!(

@@ -1,9 +1,9 @@
-//! Solver conformance suite: the one solver ([`SparseSimplex`]) under
+//! Solver conformance suite: the one solver ([`solve_sparse`]) under
 //! every start it meets in this codebase, checked against two independent
 //! oracles.
 //!
-//! Starts: cold (the all-logical slack basis), warm (seeded with the cold
-//! optimum) and — for the DAG LPs that mirror Algorithm 1 — the exact
+//! Starts: cold (the all-logical slack basis), warm (started from the
+//! cold optimum) and — for the DAG LPs that mirror Algorithm 1 — the exact
 //! longest-path crash basis `llamp-core` builds.
 //!
 //! Oracles:
@@ -27,9 +27,9 @@
 //! the final basis) and the dense oracle must agree bit for bit whenever
 //! they end on the same basis.
 
-use llamp_lp::simplex::{solve_dense, SimplexOptions};
+use llamp_lp::simplex::{solve_dense, solve_sparse, SimplexOptions};
 use llamp_lp::solution::VarStatus;
-use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, SparseSimplex, VarId};
+use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, VarId};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -230,25 +230,19 @@ fn battery(desc: &Desc, crash: Option<&Basis>) {
     let want = desc
         .brute_force_optimum()
         .expect("corpus LPs are feasible and bounded");
-    let cold = SparseSimplex::default().solve(&model).expect("cold solve");
+    let opts = SimplexOptions::default();
+    let cold = solve_sparse(&model, &opts, None).expect("cold solve");
     let mut starts = vec![("cold", None), ("warm", Some(cold.basis()))];
     starts.extend(crash.map(|b| ("crash", Some(b))));
     for (label, start) in starts {
-        let mut solver = SparseSimplex::default();
-        let sol = match start {
-            None => solver.solve(&model),
-            Some(basis) => {
-                solver.seed(basis);
-                solver.resolve(&model)
-            }
-        }
-        .unwrap_or_else(|e| panic!("{label}: solve failed: {e}"));
+        let sol = solve_sparse(&model, &opts, start)
+            .unwrap_or_else(|e| panic!("{label}: solve failed: {e}"));
         assert!(
             (sol.objective() - want).abs() <= 1e-9 * (1.0 + want.abs()),
             "{label}: objective {} vs vertex enumeration {want}",
             sol.objective()
         );
-        let oracle = solve_dense(&model, &SimplexOptions::default(), start)
+        let oracle = solve_dense(&model, &opts, start)
             .unwrap_or_else(|e| panic!("{label}: dense oracle failed: {e}"));
         assert_bitwise(&format!("{label}/dense"), &oracle, &sol, &vars, &cons);
         if label == "warm" {
@@ -391,17 +385,16 @@ proptest! {
         battery(&desc, Some(&crash));
     }
 
-    /// The longest-path crash is optimal at its own point: seeding it
+    /// The longest-path crash is optimal at its own point: starting from it
     /// solves with zero pivots, and the objective equals the forward
     /// longest-path recursion run in plain arithmetic.
     #[test]
     fn longest_path_crash_needs_no_pivots(dag in dag_strategy()) {
         let (desc, records) = dag_lp(&dag);
         let (crash, want) = longest_path_crash(desc.cols.len(), &records, dag.l0);
-        let mut solver = SparseSimplex::default();
-        solver.seed(&crash);
-        let sol = solver.resolve(&desc.model().0).expect("crash-seeded solve");
-        let stats = solver.stats();
+        let opts = SimplexOptions::default();
+        let sol = solve_sparse(&desc.model().0, &opts, Some(&crash)).expect("crash-started solve");
+        let stats = sol.stats();
         prop_assert!(stats.phase1_iterations == 0, "crash not primal feasible");
         prop_assert!(stats.pivots == 0, "crash not optimal: {} pivots", stats.pivots);
         prop_assert!(
@@ -430,9 +423,7 @@ fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
         let (crash, _) = longest_path_crash(desc.cols.len(), &records, dag.l0);
         let (model, vars, cons) = desc.model();
 
-        let mut solver = SparseSimplex::default();
-        solver.seed(&crash);
-        let crashed = solver.resolve(&model).expect("crash solve");
+        let crashed = solve_sparse(&model, &opts, Some(&crash)).expect("crash solve");
         let st = crashed.stats();
         assert_eq!(st.pivots, 0, "case {case}: crash pivoted");
         assert_eq!(
@@ -449,7 +440,7 @@ fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
             &cons,
         );
 
-        let cold = SparseSimplex::default().solve(&model).expect("cold solve");
+        let cold = solve_sparse(&model, &opts, None).expect("cold solve");
         let dense = solve_dense(&model, &opts, None).expect("dense cold");
         assert_bitwise(
             &format!("case {case}: cold/dense"),

@@ -7,7 +7,7 @@
 //! agreement with brute-force vertex enumeration on tiny instances.
 
 use llamp_lp::simplex::{solve, solve_dense, solve_sparse, SimplexOptions};
-use llamp_lp::{ConId, LpModel, Objective, Relation, Solution, SolveError, SparseSimplex, VarId};
+use llamp_lp::{ConId, LpModel, Objective, Relation, Solution, SolveError, VarId};
 use proptest::prelude::*;
 
 /// A constraint row: sparse terms, relation code (0 ≤, 1 ≥, 2 =), rhs.
@@ -419,10 +419,10 @@ proptest! {
         }
     }
 
-    /// The matrix a model keeps for its solves never goes stale. A solver
-    /// whose model already holds its built matrix must answer bit for
-    /// bit like a fresh solver on a freshly built model after the model
-    /// grows a constraint, then a variable. A clone shares the built
+    /// The matrix a model keeps for its solves never goes stale. A model
+    /// that already holds its built matrix, solved from its previous
+    /// optimum, must answer bit for bit like a freshly built model after
+    /// it grows a constraint, then a variable. A clone shares the built
     /// matrix: edited on its own it must answer like a fresh model with
     /// the same edits, and the original must not see those edits.
     #[test]
@@ -439,21 +439,27 @@ proptest! {
             let z = m.add_var("z", 0.0, 4.0, -1.0);
             m.add_constraint("uses_z", &[(z, 1.0), (vars[0], -1.0)], Relation::Le, 1.0);
         };
+        let opts = SimplexOptions::default();
+        let cold = |m: &LpModel| solve_sparse(m, &opts, None);
+        // A solve started from the previous solve's optimum, if any.
+        let after = |m: &LpModel, prev: &Result<Solution, SolveError>| {
+            solve_sparse(m, &opts, prev.as_ref().ok().map(Solution::basis))
+        };
         let (mut m, vars, cons) = build(&lp);
-        let mut kept = SparseSimplex::default();
-        let first = kept.solve(&m);
+        let first = cold(&m);
         let clone = m.clone();
 
         edit_row(&mut m, &vars);
         let (mut fresh, _, _) = build(&lp);
         edit_row(&mut fresh, &vars);
-        let check = same_bits(&kept.resolve(&m), &SparseSimplex::default().solve(&fresh), &vars, &cons);
+        let grown_row = after(&m, &first);
+        let check = same_bits(&grown_row, &cold(&fresh), &vars, &cons);
         prop_assert!(check.is_ok(), "after add_constraint: {check:?}");
 
         edit_var(&mut m, &vars);
         edit_var(&mut fresh, &vars);
-        let grown = kept.resolve(&m);
-        let check = same_bits(&grown, &SparseSimplex::default().solve(&fresh), &vars, &cons);
+        let grown = after(&m, if grown_row.is_ok() { &grown_row } else { &first });
+        let check = same_bits(&grown, &cold(&fresh), &vars, &cons);
         prop_assert!(check.is_ok(), "after add_var: {check:?}");
 
         let mut clone = clone;
@@ -463,12 +469,12 @@ proptest! {
         edit_row(&mut clone, &vars);
         let (mut fresh2, _, _) = build(&lp2);
         edit_row(&mut fresh2, &vars);
-        let check = same_bits(&SparseSimplex::default().solve(&clone), &SparseSimplex::default().solve(&fresh2), &vars, &cons);
+        let check = same_bits(&cold(&clone), &cold(&fresh2), &vars, &cons);
         prop_assert!(check.is_ok(), "edited clone: {check:?}");
 
-        let check = same_bits(&SparseSimplex::default().solve(&m), &grown, &vars, &cons);
+        let check = same_bits(&cold(&m), &grown, &vars, &cons);
         prop_assert!(check.is_ok(), "original after clone edits: {check:?}");
-        let check = same_bits(&SparseSimplex::default().solve(&build(&lp).0), &first, &vars, &cons);
+        let check = same_bits(&cold(&build(&lp).0), &first, &vars, &cons);
         prop_assert!(check.is_ok(), "first solve: {check:?}");
     }
 

@@ -3,7 +3,10 @@
 //! envelope's breakpoints are two independent answers to "where does the
 //! slope of `T(L)` change". On the seven workloads at 8 ranks × 2
 //! iterations and three windows, each must find exactly the other's
-//! breakpoints — none missing, none extra — to 1e-9 relative.
+//! breakpoints — none missing, none extra — to 1e-9 relative. Every step
+//! of the walk solves from the crash basis at its own point, which is
+//! optimal there: a whole search pivots zero times and factors only by
+//! substitution.
 
 use llamp::core::Analyzer;
 use llamp::model::LogGPSParams;
@@ -46,11 +49,15 @@ fn algorithm2_finds_exactly_the_envelope_breakpoints() {
         let analyzer = Analyzer::new(&graph, &params);
         for top in TOPS {
             let exact = analyzer.profile(0.0, top).critical_latencies();
-            let alg2 = analyzer
-                .lp()
-                .critical_latencies(0.0, top, STEP, EPS)
-                .unwrap();
+            let mut lp = analyzer.lp();
+            let alg2 = lp.critical_latencies(0.0, top, STEP, EPS).unwrap();
             let label = format!("{} on [0, {top}]", app.name());
+            let stats = lp.solver_stats();
+            assert_eq!(
+                (stats.pivots, stats.lu_factors),
+                (0, 0),
+                "{label}: Algorithm 2 pivoted or factored by LU"
+            );
             if let Err(bp) = all_found(&exact, &alg2) {
                 panic!("{label}: Algorithm 2 misses {bp}: {alg2:?} vs envelope {exact:?}");
             }

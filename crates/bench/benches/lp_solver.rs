@@ -2,9 +2,10 @@
 //!
 //! Measures (a) Algorithm 1 model construction, (b) a repeated predict at
 //! one latency, (c) the parametric envelope pass, (d) a 5% tolerance
-//! zone (the Newton walk plus its certifying tolerance-LP solve), (e) the
-//! cold anchor solve, and (f) a 64-point latency sweep. Every solve
-//! starts from the longest-path crash basis at its own point.
+//! zone (the Newton walk over crash-started points, whose last point is
+//! the zone), (e) the cold anchor solve, and (f) a 64-point latency
+//! sweep. Every solve starts from the longest-path crash basis at its own
+//! point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llamp_bench::{graph_of, linspace};

@@ -10,12 +10,12 @@
 //!   regression in either — crash basis quality or the structural factor
 //!   choice — shows up as pivots-per-point or an LU count long before the
 //!   wall budget trips;
-//! * the 1/2/5% tolerance zones must stay within steps-per-zone,
-//!   pivots-per-zone and wall ceilings and agree with the exact envelope.
-//!   Each zone is a Newton walk over crash-started points from the
-//!   baseline plus one certifying tolerance-LP solve; a walk that stops
-//!   converging, or a certification that starts pivoting, trips the step
-//!   or pivot ceiling;
+//! * the 1/2/5% tolerance zones must stay within steps-per-zone and wall
+//!   ceilings, agree with the exact envelope, and run with no pivot and
+//!   no LU at all. Each zone is a Newton walk over crash-started points
+//!   from the baseline, and its last point is the zone: a walk that stops
+//!   converging trips the step ceiling, and a step that pivots or misses
+//!   the substitution path trips the exact pivot and LU counts;
 //! * the eval backend's zones — the same walk over direct evaluations,
 //!   with no LP at all — must stay within a steps-per-zone ceiling and
 //!   agree with the exact envelope.
@@ -49,9 +49,6 @@ const STEPS_PER_ZONE_CEILING: u64 = 16;
 /// Walk ceiling *per eval zone*, in evaluations past the baseline.
 /// Observed: at most 2.
 const EVAL_STEPS_PER_ZONE_CEILING: u64 = 16;
-/// Pivot ceiling *per zone* (walk plus certification). Observed: 0; the
-/// anchor-seeded tolerance LP it replaced paid thousands at this scale.
-const PIVOTS_PER_ZONE_CEILING: f64 = 50.0;
 /// Wall budget in seconds for the three zones (observed: well under
 /// 0.5 s in release single-threaded).
 const ZONE_WALL_BUDGET_S: f64 = 30.0;
@@ -149,10 +146,14 @@ fn zone_walk_stays_cheap_at_32k_rows() {
     let snapshot = llamp_obs::take();
     llamp_obs::disable();
     let steps = &snapshot.hists["lp.zone_steps"];
-    let pivots_per_zone = (lp.solver_stats().pivots - before.pivots) as f64 / 3.0;
+    let after = lp.solver_stats();
+    let (pivots, lu_factors) = (
+        after.pivots - before.pivots,
+        after.lu_factors - before.lu_factors,
+    );
     eprintln!(
         "zone smoke  {rows} rows  3 zones  {elapsed:.3} s  {} steps (max {}/zone)  \
-         {pivots_per_zone:.2} pivots/zone",
+         {pivots} pivots  {lu_factors} LU factorisations",
         steps.sum(),
         steps.max()
     );
@@ -163,10 +164,12 @@ fn zone_walk_stays_cheap_at_32k_rows() {
         "a zone walk at {rows} rows took {} steps (ceiling {STEPS_PER_ZONE_CEILING})",
         steps.max()
     );
-    assert!(
-        pivots_per_zone <= PIVOTS_PER_ZONE_CEILING,
-        "zones at {rows} rows averaged {pivots_per_zone:.1} pivots \
-         (ceiling {PIVOTS_PER_ZONE_CEILING}): the certifying start has regressed"
+    // Every step is a crash-started point: no pivot, and a triangular
+    // factorisation by substitution, never an LU.
+    assert_eq!(pivots, 0, "the zone walks at {rows} rows pivoted");
+    assert_eq!(
+        lu_factors, 0,
+        "the zone walks at {rows} rows ran LU factorisations"
     );
     assert!(
         elapsed <= ZONE_WALL_BUDGET_S,

@@ -10,7 +10,7 @@ use crate::binding::Binding;
 use crate::eval::{evaluate, Evaluation};
 use crate::lp_build::{GraphLp, ParamPoint};
 use crate::parametric::ParametricProfile;
-use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
+use crate::zone::{self, ZONE_STEP_LIMIT};
 use llamp_lp::SolveError;
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{ExecGraph, ReduceConfig, ReducedGraph, ReductionStats};
@@ -186,10 +186,11 @@ impl Analyzer {
     /// [`Analyzer::evaluate`]'s `(runtime, λ)` instead of LP solves.
     /// `at_floor` is that pair at `floor` — the caller's baseline — so
     /// only points right of the floor are evaluated. The answer is the
-    /// walk's last point: the root up to `T`'s rounding. Outcomes as
-    /// [`GraphLp::tolerance`]: `f64::INFINITY` when the cap holds at
-    /// `top`, `Err(SolveError::Infeasible)` when it fails at the floor,
-    /// `Err(SolveError::IterationLimit)` past [`ZONE_STEP_LIMIT`] steps.
+    /// walk's last point, the root up to `T`'s rounding, as for the LP.
+    /// Outcomes as [`GraphLp::tolerance`]: `f64::INFINITY` when the cap
+    /// holds at `top`, `Err(SolveError::Infeasible)` when it fails at the
+    /// floor, `Err(SolveError::IterationLimit)` past [`ZONE_STEP_LIMIT`]
+    /// steps.
     pub fn eval_tolerance(
         &self,
         floor: f64,
@@ -197,7 +198,7 @@ impl Analyzer {
         top: f64,
         cap: f64,
     ) -> Result<f64, SolveError> {
-        let end = zone::walk(
+        zone::walk(
             floor,
             at_floor,
             top,
@@ -208,11 +209,7 @@ impl Analyzer {
                 let e = self.evaluate(l);
                 Ok((e.runtime, e.lambda))
             },
-        )?;
-        Ok(match end {
-            WalkEnd::Beyond => f64::INFINITY,
-            WalkEnd::Root { at, .. } => at,
-        })
+        )
     }
 
     /// The 1/2/5% tolerance zones of Fig. 1.

@@ -56,28 +56,11 @@ pub(crate) struct CrashPlan {
 
 impl CrashPlan {
     /// Instantiate the plan into a concrete [`Basis`] at parameter point
-    /// `(l, g, o)`.
+    /// `(l, g, o)`: each target's argmax row tight, every other row's
+    /// logical basic. One pass over the rows (they are stored in
+    /// topological order, so every base's potential is final before it
+    /// is referenced).
     pub fn basis_at(&self, l: f64, g: f64, o: f64) -> Basis {
-        Basis::from_statuses(self.col_status.clone(), self.row_status_at(l, g, o))
-    }
-
-    /// The start of a tolerance LP (`max param` s.t. `t ≤ cap`): the
-    /// crash basis at `(l, g, o)` with column `param` made basic in place
-    /// of `t`, which rests at its upper bound. This is the one exchange
-    /// the objective flip implies; the basis matrix stays nonsingular
-    /// whenever the parameter's sensitivity at the point is nonzero.
-    pub fn tolerance_basis_at(&self, l: f64, g: f64, o: f64, param: u32, t: u32) -> Basis {
-        let mut cols = self.col_status.clone();
-        cols[param as usize] = VarStatus::Basic;
-        cols[t as usize] = VarStatus::AtUpper;
-        Basis::from_statuses(cols, self.row_status_at(l, g, o))
-    }
-
-    /// Row statuses of the crash at `(l, g, o)`: each target's argmax row
-    /// tight, every other row's logical basic. One pass over the rows
-    /// (they are stored in topological order, so every base's potential
-    /// is final before it is referenced).
-    fn row_status_at(&self, l: f64, g: f64, o: f64) -> Vec<VarStatus> {
         let n_cols = self.col_status.len();
         // Longest-path potential per column (only targets/bases are read;
         // sources implicitly contribute 0 through `NO_BASE`).
@@ -111,7 +94,7 @@ impl CrashPlan {
                 row_status[w as usize] = VarStatus::AtLower;
             }
         }
-        row_status
+        Basis::from_statuses(self.col_status.clone(), row_status)
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! | backend | module | strengths |
 //! |---|---|---|
-//! | LP (Algorithm 1) | [`lp_build`] | the paper's formulation: reduced costs, basis ranging (Algorithm 2), the flipped tolerance objective |
+//! | LP (Algorithm 1) | [`lp_build`] | the paper's formulation: reduced costs, basis ranging (Algorithm 2), the flipped tolerance objective's optimum (by a Newton walk) |
 //! | parametric envelope | [`parametric`] | the exact `T(L)` curve over a window in one near-linear pass |
 //! | direct evaluation | [`eval`] | critical-path extraction and the pairwise sensitivity matrices of the placement heuristic |
 //!

@@ -1,8 +1,8 @@
 //! Execution graph → linear program (Algorithm 1) and the LP-powered
 //! analyses: runtime prediction, sensitivities via reduced costs,
-//! tolerance via the flipped objective (§II-D2, reached by a Newton walk
-//! over crash-started predictions), and the critical-latency search of
-//! Algorithm 2.
+//! tolerance (§II-D2: the flipped objective's optimum, found by a Newton
+//! walk over crash-started predictions instead of solving that LP), and
+//! the critical-latency search of Algorithm 2.
 //!
 //! The construction follows the paper exactly: traversing the graph in
 //! topological order, a vertex with one predecessor extends its
@@ -20,16 +20,16 @@
 //! [`GraphLp::build_axes`] keeps `L`, `G` and `o`, so `λ_L`, `λ_G` and
 //! `λ_o` all fall out of the same dual solution and each parameter gets
 //! its own basis-stability window. Every column is pinned by a lower
-//! bound, and the crash, predictions, the zone walk and its certification
-//! read the columns — they exist once for both shapes.
+//! bound, and the crash, predictions and the zone walk read the columns —
+//! they exist once for both shapes.
 
 use crate::binding::{Binding, MultiBound, SweepParam};
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
-use crate::zone::{self, WalkEnd, ZONE_STEP_LIMIT};
+use crate::zone::{self, ZONE_STEP_LIMIT};
 use llamp_lp::simplex::SimplexOptions;
 use llamp_lp::{
-    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
+    resolve_robust, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
 };
 use llamp_schedgen::GraphView;
 
@@ -378,12 +378,6 @@ impl GraphLp {
         ParamPoint::default().with(self.cols[0].0, x)
     }
 
-    /// Instantiate the crash basis at a query point. Baked parameters
-    /// have zero multipliers, so their coordinates never matter.
-    fn crash_basis(&self, at: ParamPoint) -> Basis {
-        self.plan.basis_at(at.l, at.g, at.o)
-    }
-
     /// Solve `min t` with every column pinned at `at`'s coordinate by its
     /// lower bound, from the crash basis at `at`, and hand back the raw
     /// solution (tight-constraint / critical-path inspection, stability
@@ -392,9 +386,9 @@ impl GraphLp {
         for &(p, var) in &self.cols {
             self.model.set_var_lb(var, at.get(p));
         }
-        self.model.set_sense(Objective::Minimize);
-        self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.crash_basis(at);
+        // Baked parameters have zero multipliers, so their coordinates
+        // never matter.
+        let crash = self.plan.basis_at(at.l, at.g, at.o);
         resolve_robust(&self.model, &SimplexOptions::default(), Some(&crash))
             .inspect(|sol| self.stats.merge(sol.stats()))
     }
@@ -445,15 +439,14 @@ impl GraphLp {
     /// when the walk needs more than [`ZONE_STEP_LIMIT`] steps.
     ///
     /// The paper flips the objective to `max l` s.t. `t ≤ max_runtime`.
-    /// Solved warm from an optimum at the floor, that LP pivots through
-    /// every basis between the floor and the answer — thousands at 10⁵
-    /// rows. Instead, a Newton walk on `T(x) = max_runtime` over
-    /// crash-started predictions finds the answer's linear piece in a
-    /// few zero-pivot steps, and the tolerance LP is solved once, from
-    /// that step's crash basis with the column made basic in place of
-    /// `t`. The answer is a pure function of (model, floor, top, cap).
-    /// This entry point solves the floor itself; a caller that already
-    /// holds it uses [`GraphLp::tolerance_from`].
+    /// That LP's optimum is the root of `T(x) = max_runtime`, so it is
+    /// answered without solving it: a Newton walk over crash-started
+    /// predictions lands on the root in a few zero-pivot steps — the walk
+    /// [`crate::Analyzer::eval_tolerance`] runs over direct evaluations.
+    /// The answer is the walk's last point, the root up to `T`'s
+    /// rounding, and a pure function of (model, floor, top, cap). This
+    /// entry point solves the floor itself; a caller that already holds
+    /// it uses [`GraphLp::tolerance_from`].
     pub fn tolerance(&mut self, floor: f64, top: f64, max_runtime: f64) -> Result<f64, SolveError> {
         let at_floor = self.predict(floor)?;
         self.tolerance_from(floor, (at_floor.runtime, at_floor.lambda), top, max_runtime)
@@ -477,8 +470,8 @@ impl GraphLp {
 
     /// Tolerance along any column `p`: the largest `x ≥ at.get(p)` with
     /// `T ≤ max_runtime`, the other columns pinned at `at`, walking from
-    /// `at_floor`, the crash-started `(runtime, λ_p)` at `at`. Same walk,
-    /// certification and outcomes as [`GraphLp::tolerance`].
+    /// `at_floor`, the crash-started `(runtime, λ_p)` at `at`. Same walk
+    /// and outcomes as [`GraphLp::tolerance`].
     pub fn tolerance_along(
         &mut self,
         p: SweepParam,
@@ -500,10 +493,9 @@ impl GraphLp {
         max_runtime: f64,
         limit: u32,
     ) -> Result<f64, SolveError> {
-        let (var, t) = (self.param_var(p), self.t);
-        let floor = at.get(p);
-        let end = zone::walk(
-            floor,
+        let var = self.param_var(p);
+        zone::walk(
+            at.get(p),
             at_floor,
             top,
             max_runtime,
@@ -513,26 +505,6 @@ impl GraphLp {
                 let sol = self.solve_raw(at.with(p, x))?;
                 Ok((sol.objective(), sol.reduced_cost(var)))
             },
-        )?;
-        let WalkEnd::Root { at: x, lambda } = end else {
-            return Ok(f64::INFINITY);
-        };
-        let root = at.with(p, x);
-        let start = if lambda > 0.0 {
-            self.plan
-                .tolerance_basis_at(root.l, root.g, root.o, var.0, t.0)
-        } else {
-            self.crash_basis(root)
-        };
-        self.model.set_var_lb(var, floor);
-        zone::certify(
-            &mut self.model,
-            &mut self.stats,
-            var,
-            t,
-            max_runtime,
-            top,
-            &start,
         )
     }
 
@@ -662,8 +634,9 @@ mod tests {
 
     #[test]
     fn tolerance_matches_the_flipped_lp_solved_cold() {
-        // The walk only picks the start: its answer is the tolerance LP's
-        // optimum, bit for bit, from any floor.
+        // The walk answers the tolerance LP without solving it: here,
+        // where every breakpoint is exact, its root is that LP's optimum
+        // bit for bit, from any floor.
         let g = running_example(0.1).contracted();
         for floor in [0.0, 200.0, 385.0, 600.0] {
             let mut lp = GraphLp::build(&g, &didactic());

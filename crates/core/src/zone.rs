@@ -24,16 +24,13 @@
 //! holds it as its scenario baseline `T₀`, so a walk only pays for the
 //! points right of the floor.
 //!
-//! `T(top) ≤ cap` ends the walk early: the zone covers the whole search
-//! window. Otherwise the LP answers with [`certify`]: one tolerance-LP
-//! solve started from the last step's crash basis with the parameter made
-//! basic in place of `t` — optimal at the root, or a pivot or two from
-//! it — so the zone comes out of the same canonical extraction as every
-//! other LP answer and is a pure function of (model, floor, top, cap).
-//! Direct evaluation has no such LP; its zone is the walk's last point.
+//! The walk's last point is the zone, for both backends: the paper's
+//! flipped LP (`max x` s.t. `t ≤ cap`) has that root as its optimum, so
+//! the LP backend answers it without solving it. `T(top) ≤ cap` ends the
+//! walk early: the zone covers the whole search window and reads as
+//! `f64::INFINITY`.
 
-use llamp_lp::simplex::SimplexOptions;
-use llamp_lp::{resolve_robust, Basis, LpModel, Objective, SolveError, SolveStats, VarId};
+use llamp_lp::SolveError;
 
 /// Step ceiling of one zone walk, counted in evaluations of `T` right
 /// of the floor (`predict` solves or direct evaluations; the floor is the
@@ -42,21 +39,12 @@ use llamp_lp::{resolve_robust, Basis, LpModel, Objective, SolveError, SolveStats
 /// with [`SolveError::IterationLimit`].
 pub const ZONE_STEP_LIMIT: u32 = 64;
 
-/// Where a walk ended.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum WalkEnd {
-    /// `T(top) ≤ cap`: the zone covers the whole window.
-    Beyond,
-    /// The walk's last point — the root, up to rounding — and the slope
-    /// `step` reported there.
-    Root { at: f64, lambda: f64 },
-}
-
 /// Walk `[floor, top]` (`top` finite) from `at_floor = (T(floor),
-/// λ(floor))` with `step(x) = (T(x), λ(x))`, at most `limit` steps. A cap
-/// below `T(floor)` is `Err(Infeasible)` without a step. Records how many
-/// steps the walk took in the `steps_metric` histogram, failed walks
-/// included.
+/// λ(floor))` with `step(x) = (T(x), λ(x))`, at most `limit` steps, and
+/// return the zone: the root up to `T`'s rounding, or `f64::INFINITY`
+/// when `T(top) ≤ cap`. A cap below `T(floor)` is `Err(Infeasible)`
+/// without a step. Records how many steps the walk took in the
+/// `steps_metric` histogram, failed walks included.
 pub(crate) fn walk(
     floor: f64,
     at_floor: (f64, f64),
@@ -65,7 +53,7 @@ pub(crate) fn walk(
     limit: u32,
     steps_metric: &str,
     step: impl FnMut(f64) -> Result<(f64, f64), SolveError>,
-) -> Result<WalkEnd, SolveError> {
+) -> Result<f64, SolveError> {
     debug_assert!(top.is_finite() && floor <= top, "window [{floor}, {top}]");
     let mut steps = 0;
     let out = newton(floor, at_floor, top, cap, limit, &mut steps, step);
@@ -81,7 +69,7 @@ fn newton(
     limit: u32,
     steps: &mut u32,
     mut step: impl FnMut(f64) -> Result<(f64, f64), SolveError>,
-) -> Result<WalkEnd, SolveError> {
+) -> Result<f64, SolveError> {
     if t0 > cap {
         return Err(SolveError::Infeasible);
     }
@@ -99,11 +87,7 @@ fn newton(
         *steps += 1;
         let (t, lambda) = step(x)?;
         if t <= cap {
-            return Ok(if x >= top {
-                WalkEnd::Beyond
-            } else {
-                WalkEnd::Root { at: x, lambda }
-            });
+            return Ok(if x >= top { f64::INFINITY } else { x });
         }
         // Right of the root: λ > 0 by convexity, and the tangent root
         // lies in [root, x). A step that landed on the piece it was aimed
@@ -112,41 +96,13 @@ fn newton(
         // which further steps could only chase ulp by ulp. Rounding can
         // also stall the step itself; x is the root then too.
         if lambda == aimed && x < top {
-            return Ok(WalkEnd::Root { at: x, lambda });
+            return Ok(x);
         }
         let next = (x - (t - cap) / lambda).max(floor);
         if next >= x {
-            return Ok(WalkEnd::Root { at: x, lambda });
+            return Ok(x);
         }
         (x, aimed) = (next, lambda);
-    }
-}
-
-/// Solve the tolerance LP — `max var` s.t. `t ≤ cap`, with every lower
-/// bound already at the floor — from `start`, adding its effort to
-/// `stats`, then restore the `min t` shape. A root at or beyond `top`
-/// reads as `f64::INFINITY`, like the walk's early exit.
-pub(crate) fn certify(
-    model: &mut LpModel,
-    stats: &mut SolveStats,
-    var: VarId,
-    t: VarId,
-    cap: f64,
-    top: f64,
-    start: &Basis,
-) -> Result<f64, SolveError> {
-    model.set_var_ub(t, cap);
-    model.set_sense(Objective::Maximize);
-    model.set_objective(&[(var, 1.0)]);
-    let out = resolve_robust(model, &SimplexOptions::default(), Some(start))
-        .inspect(|sol| stats.merge(sol.stats()));
-    model.set_var_ub(t, f64::INFINITY);
-    model.set_sense(Objective::Minimize);
-    model.set_objective(&[(t, 1.0)]);
-    match out {
-        Ok(sol) if sol.value(var) < top => Ok(sol.value(var)),
-        Ok(_) | Err(SolveError::Unbounded) => Ok(f64::INFINITY),
-        Err(e) => Err(e),
     }
 }
 
@@ -171,7 +127,7 @@ mod tests {
         top: f64,
         cap: f64,
         limit: u32,
-    ) -> (Result<WalkEnd, SolveError>, Vec<f64>) {
+    ) -> (Result<f64, SolveError>, Vec<f64>) {
         let mut xs = Vec::new();
         let end = walk(
             floor,
@@ -194,13 +150,7 @@ mod tests {
         // piece), overshoot to its root 26 (T = 42 on the 2x piece), then
         // land on the root 20 exactly.
         let (end, xs) = walk_curve(0.0, 100.0, 30.0, ZONE_STEP_LIMIT);
-        assert_eq!(
-            end,
-            Ok(WalkEnd::Root {
-                at: 20.0,
-                lambda: 2.0
-            })
-        );
+        assert_eq!(end, Ok(20.0));
         assert_eq!(xs, vec![100.0, 26.0, 20.0]);
     }
 
@@ -210,20 +160,14 @@ mod tests {
         // the 5x piece), whose tangent lands on the root 32. The floor's
         // pair is the caller's: `step` never sees 25.
         let (end, xs) = walk_curve(25.0, 100.0, 60.0, ZONE_STEP_LIMIT);
-        assert_eq!(
-            end,
-            Ok(WalkEnd::Root {
-                at: 32.0,
-                lambda: 5.0
-            })
-        );
+        assert_eq!(end, Ok(32.0));
         assert_eq!(xs, vec![35.0, 32.0]);
     }
 
     #[test]
     fn window_inside_the_cap_is_beyond() {
         let (end, xs) = walk_curve(0.0, 15.0, 30.0, ZONE_STEP_LIMIT);
-        assert_eq!(end, Ok(WalkEnd::Beyond));
+        assert_eq!(end, Ok(f64::INFINITY));
         assert_eq!(xs, vec![15.0]);
     }
 

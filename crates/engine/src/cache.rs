@@ -97,8 +97,8 @@ pub fn point_key(base_canonical: &str, delta_l_ns: f64, tag: &str) -> String {
 }
 
 /// Key for one zones entry (latency-grid campaigns). `tag` prefixes the
-/// search-window suffix: [`LP_TAG`] for LP zones, [`EVAL_ZONE_TAG`] for
-/// eval zones, empty for envelope zones.
+/// search-window suffix: [`LP_ZONE_TAG`] for LP zones, [`EVAL_ZONE_TAG`]
+/// for eval zones, empty for envelope zones.
 pub fn zones_key(base_canonical: &str, search_hi_ns: f64, tag: &str) -> String {
     format!(
         "{base_canonical}|zones|{tag}{:016x}",
@@ -121,15 +121,22 @@ pub fn zones_key_multi(base_canonical: &str, search_hi_ns: f64, tag: &str) -> St
     )
 }
 
-/// Suffix tag of every LP entry (`…|lp|r1|pt|tri-{∆L}`, `…|zones|tri-
-/// {window}`, likewise `apt` and `mzones`). LP answers are read off the
-/// crash basis's triangular factor by substitution; engines before it
-/// factorised through a sparse LU, whose rounding differs in the last
-/// ulp. Older engines tagged LP zones `walk-` (the Newton zone walk) and
-/// left LP points untagged. The tag makes all those LP entries miss
-/// instead of mixing the two factorisations' answers; `parametric` keys
-/// and `eval` points are untagged and keep hitting.
+/// Suffix tag of LP point entries (`…|lp|r1|pt|tri-{∆L}`, likewise
+/// `apt`). LP answers are read off the crash basis's triangular factor by
+/// substitution; engines before it factorised through a sparse LU, whose
+/// rounding differs in the last ulp, and left LP points untagged. The tag
+/// makes those entries miss instead of mixing the two factorisations'
+/// answers; `parametric` keys and `eval` points are untagged and keep
+/// hitting.
 pub const LP_TAG: &str = "tri-";
+
+/// Suffix tag of LP zone entries (`…|lp|r1|zones|root-{window}`,
+/// likewise `mzones`). An LP zone is the Newton walk's root, as an eval
+/// zone is; engines before it re-derived the root with one tolerance-LP
+/// solve per zone, whose answer differs in the last bits. Those engines
+/// tagged LP zones `tri-`, `walk-` or nothing, so every older LP zone
+/// misses; LP points keep their [`LP_TAG`] and keep hitting.
+pub const LP_ZONE_TAG: &str = "root-";
 
 /// Suffix tag of eval zone entries (`…|eval|r1|zones|walk-{window}`,
 /// likewise `mzones`). Eval zones are Newton walks over direct

@@ -6,6 +6,7 @@
 
 use crate::cache::{
     axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry, EVAL_ZONE_TAG, LP_TAG,
+    LP_ZONE_TAG,
 };
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
@@ -326,11 +327,11 @@ impl Scenario {
         }
     }
 
-    /// Suffix tag of the scenario's zones entry: [`LP_TAG`] for the LP
-    /// backend, [`EVAL_ZONE_TAG`] for eval, empty for the envelope.
+    /// Suffix tag of the scenario's zones entry: [`LP_ZONE_TAG`] for the
+    /// LP backend, [`EVAL_ZONE_TAG`] for eval, empty for the envelope.
     fn zone_tag(&self) -> &'static str {
         match self.backend {
-            Backend::Lp => LP_TAG,
+            Backend::Lp => LP_ZONE_TAG,
             Backend::Eval => EVAL_ZONE_TAG,
             Backend::Parametric => "",
         }
@@ -371,7 +372,7 @@ impl Scenario {
 
     /// Cache key of the scenario's zones entry: `zones` for latency-grid
     /// campaigns, `mzones` for axes campaigns, LP entries tagged with
-    /// [`LP_TAG`] and eval entries with [`EVAL_ZONE_TAG`].
+    /// [`LP_ZONE_TAG`] and eval entries with [`EVAL_ZONE_TAG`].
     pub fn zones_key(&self) -> String {
         let base = self.base_canonical();
         let hi = self.grid.search_hi_ns;

@@ -5,10 +5,11 @@
 //! `pt`/`zones`, axes campaigns use `apt`/`mzones`). Also pins two
 //! cache-key decisions: entries keyed by the retired `lp-sparse`
 //! spelling never answer an `lp` run, and the entries of older engines
-//! miss where the answers moved — every LP entry (untagged or `walk-`
-//! instead of `tri-`) and the bisected eval zones (untagged instead of
-//! `walk-`) — while the eval points and every `parametric` entry beside
-//! them keep hitting. And entries keyed by an `s_bytes` override from
+//! miss where the answers moved — LP points untagged instead of `tri-`,
+//! LP zones untagged, `walk-` or `tri-` instead of `root-`, and the
+//! bisected eval zones untagged instead of `walk-` — while every entry
+//! whose answer kept its bits keeps hitting. And entries keyed by an
+//! `s_bytes` override from
 //! engines that ignored it miss, while scenarios without an override keep
 //! hitting. And the key spellings of both sweep shapes on every backend
 //! are pinned literally.
@@ -243,14 +244,16 @@ fn through_disk(cache: &ResultCache, tag: &str) -> ResultCache {
 
 #[test]
 fn legacy_lp_entries_miss_and_everything_else_hits() {
-    // The files two older engines leave behind: the same keys, except
-    // that LP entries carry no `tri-` tag and eval zones no `walk-` tag.
-    // Before the triangular factor LP answers came from a sparse LU,
+    // The files three older engines leave behind: the same keys under
+    // each engine's (LP point, LP zone, eval zone) tags. The two oldest
+    // left LP points untagged: their answers came from a sparse LU,
     // which rounds differently in the last ulp, so every LP point and
-    // zone must miss. The engine before that one also lacked the LP zone
-    // walk (LP zones untagged instead of `walk-`). Both bisected eval
-    // zones, whose bits differ from the eval walk's, so those miss too.
-    // The eval points and the parametric entries keep hitting under both.
+    // zone misses. They tagged LP zones nothing or `walk-`, and bisected
+    // eval zones, whose bits differ from the eval walk's, so those miss
+    // too. The newest tagged LP points and zones `tri-`: its points keep
+    // hitting, but its zones came from a tolerance-LP solve, not the
+    // walk's root, so they miss. The eval points and the parametric
+    // entries keep hitting under all three.
     let _guard = session_lock().lock().unwrap();
     let grid = CampaignSpec::parse(
         r#"
@@ -271,20 +274,28 @@ iters = 1
     let (fresh_grid, _) = run_campaign(&grid, &config(), &ResultCache::new());
     let (fresh_axes, _) = run_campaign(&axes, &config(), &ResultCache::new());
 
-    for legacy_zone_tag in ["", "walk-"] {
-        let zone_tag = |sc: &llamp_engine::Scenario| {
-            if sc.backend == llamp_engine::Backend::Lp {
-                legacy_zone_tag
-            } else {
-                ""
-            }
+    for (lp_point_tag, lp_zone_tag, eval_zone_tag) in
+        [("", "", ""), ("", "walk-", ""), ("tri-", "tri-", "walk-")]
+    {
+        let point_tag = |sc: &llamp_engine::Scenario| match sc.backend {
+            Backend::Lp => lp_point_tag,
+            _ => "",
         };
+        let zone_tag = |sc: &llamp_engine::Scenario| match sc.backend {
+            Backend::Lp => lp_zone_tag,
+            Backend::Eval => eval_zone_tag,
+            Backend::Parametric => "",
+        };
+        let (lp_points_hit, eval_zones_hit) = (lp_point_tag == "tri-", eval_zone_tag == "walk-");
         let old = ResultCache::new();
         for sr in &fresh_grid.scenarios {
             let base = sr.scenario.base_canonical();
             let outcome = sr.outcome.as_ref().unwrap();
             for p in &outcome.sweep {
-                old.put(point_key(&base, p.delta_l_ns, ""), CachedEntry::Point(*p));
+                old.put(
+                    point_key(&base, p.delta_l_ns, point_tag(&sr.scenario)),
+                    CachedEntry::Point(*p),
+                );
             }
             old.put(
                 zones_key(&base, grid.grid.search_hi_ns, zone_tag(&sr.scenario)),
@@ -295,8 +306,9 @@ iters = 1
             let base = sr.scenario.base_canonical();
             let outcome = sr.outcome.as_ref().unwrap();
             for p in &outcome.points {
+                let deltas = sr.scenario.param_deltas(&p.deltas);
                 old.put(
-                    axis_point_key(&base, sr.scenario.param_deltas(&p.deltas), ""),
+                    axis_point_key(&base, deltas, point_tag(&sr.scenario)),
                     CachedEntry::AxisPoint(p.value),
                 );
             }
@@ -321,29 +333,35 @@ iters = 1
             .zip(&summary.provenance)
             .map(|(sr, p)| (sr.scenario.backend.name(), *p))
             .collect();
+        let eval = if eval_zones_hit {
+            Provenance::FullCacheHit
+        } else {
+            Provenance::Computed
+        };
         assert_eq!(
             provenance,
             vec![
-                ("eval", Provenance::Computed),
+                ("eval", eval),
                 ("lp", Provenance::Computed),
                 ("parametric", Provenance::FullCacheHit)
             ]
         );
+        let lp_point_hits = 3 * u64::from(lp_points_hit);
         assert_eq!(
             get(&counters, "cache.pt.hit"),
-            6,
-            "eval and parametric points hit"
+            6 + lp_point_hits,
+            "eval and parametric points hit, LP points only under `tri-`"
         );
-        assert_eq!(get(&counters, "cache.pt.miss"), 3, "every LP point misses");
+        assert_eq!(get(&counters, "cache.pt.miss"), 3 - lp_point_hits);
         assert_eq!(
             get(&counters, "cache.zones.hit"),
-            1,
-            "only the parametric zones hit"
+            1 + u64::from(eval_zones_hit),
+            "the parametric zones hit, eval zones only under `walk-`"
         );
         assert_eq!(
             get(&counters, "cache.zones.miss"),
-            2,
-            "the LP and the bisected eval zones miss"
+            2 - u64::from(eval_zones_hit),
+            "the LP zones and any bisected eval zones miss"
         );
 
         llamp_obs::enable();
@@ -351,8 +369,14 @@ iters = 1
         let counters = llamp_obs::take().counters;
         llamp_obs::disable();
         assert_eq!(result.to_json(), fresh_axes.to_json());
-        assert_eq!(get(&counters, "cache.apt.hit"), 0);
-        assert_eq!(get(&counters, "cache.apt.miss"), 4);
+        assert_eq!(
+            get(&counters, "cache.apt.hit"),
+            4 * u64::from(lp_points_hit)
+        );
+        assert_eq!(
+            get(&counters, "cache.apt.miss"),
+            4 * u64::from(!lp_points_hit)
+        );
         assert_eq!(get(&counters, "cache.mzones.miss"), 1);
         assert_eq!(get(&counters, "cache.mzones.hit"), 0);
     }
@@ -474,9 +498,9 @@ fn key_spellings_are_pinned() {
         .collect();
     let want: BTreeSet<String> = [
         "lp|r1|pt|tri-",
-        "lp|r1|zones|tri-",
+        "lp|r1|zones|root-",
         "lp|r1|apt|tri-",
-        "lp|r1|mzones|tri-",
+        "lp|r1|mzones|root-",
         "eval|r1|pt|",
         "eval|r1|zones|walk-",
         "eval|r1|apt|",

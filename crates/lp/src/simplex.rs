@@ -329,7 +329,7 @@ pub fn solve_dense(
     opts: &SimplexOptions,
     start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    traced_solve("dense", model, start, || {
+    traced_solve("dense", model, || {
         solve_generic::<DenseInv>(model, opts, start)
     })
 }
@@ -341,7 +341,7 @@ pub fn solve_sparse(
     opts: &SimplexOptions,
     start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
-    traced_solve("sparse", model, start, || {
+    traced_solve("sparse", model, || {
         solve_generic::<SparseFactor>(model, opts, start)
     })
 }
@@ -354,7 +354,6 @@ pub fn solve_sparse(
 fn traced_solve(
     factor: &str,
     model: &LpModel,
-    start: Option<&Basis>,
     f: impl FnOnce() -> Result<Solution, SolveError>,
 ) -> Result<Solution, SolveError> {
     let g = llamp_obs::span("lp.solve");
@@ -363,7 +362,6 @@ fn traced_solve(
         g.field_str("factor", factor);
         g.field_u64("rows", model.num_constraints() as u64);
         g.field_u64("cols", model.num_vars() as u64);
-        g.field_u64("warm", u64::from(start.is_some()));
         match &out {
             Ok(sol) => {
                 let s = sol.stats();

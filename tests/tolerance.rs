@@ -1,9 +1,11 @@
 //! Latency tolerance consistency: the LP's zone walk, the eval zone walk,
-//! the parametric envelope inversion, bisection on direct evaluation and
-//! bisection on the dataflow simulator must all agree. Bisection lives
-//! only here, as the oracle the walks are checked against.
+//! the parametric envelope inversion, the paper's flipped tolerance LP
+//! (§II-D2) solved cold, bisection on direct evaluation and bisection on
+//! the dataflow simulator must all agree. The flipped LP and bisection
+//! live only here, as the oracles the walks are checked against.
 
-use llamp::core::{Analyzer, Binding};
+use llamp::core::{Analyzer, Binding, GraphLp};
+use llamp::lp::{Objective, SolveError};
 use llamp::model::LogGPSParams;
 use llamp::schedgen::{build_graph, ExecGraph, GraphConfig};
 use llamp::sim::{SimConfig, Simulator};
@@ -58,6 +60,24 @@ fn eval_bisection(analyzer: &Analyzer, cap: f64) -> f64 {
     lo
 }
 
+/// The paper's tolerance LP (§II-D2) solved cold: `max l` s.t. `l ≥ base`
+/// and `t ≤ cap` on a copy of `lp`'s model, as `∆L` above `base`. An
+/// optimum at or beyond the window top, or an unbounded LP, reads as
+/// `f64::INFINITY`, like the walk.
+fn flipped_lp(lp: &GraphLp, analyzer: &Analyzer, base: f64, top: f64, cap: f64) -> f64 {
+    let mut model = lp.model().clone();
+    let l = lp.param_var(analyzer.binding().variable.param());
+    model.set_var_lb(l, base);
+    model.set_var_ub(lp.t_var(), cap);
+    model.set_sense(Objective::Maximize);
+    model.set_objective(&[(l, 1.0)]);
+    match model.solve() {
+        Ok(sol) if sol.value(l) < top => sol.value(l) - base,
+        Ok(_) | Err(SolveError::Unbounded) => f64::INFINITY,
+        Err(e) => panic!("tolerance LP failed: {e:?}"),
+    }
+}
+
 /// Relative gap, with equal infinities agreeing exactly.
 fn rel(a: f64, b: f64) -> f64 {
     if a == b {
@@ -67,9 +87,10 @@ fn rel(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The 1/2/5% zones of one analysis four ways: the LP walk and the eval
+/// The 1/2/5% zones of one analysis five ways: the LP walk and the eval
 /// walk, each from its own baseline as the engine runs them, against the
-/// exact envelope and against eval bisection, all to 1e-9 relative.
+/// exact envelope, the flipped LP and eval bisection, all to 1e-9
+/// relative. The LP walk neither pivots nor factors by LU.
 fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
     let base = analyzer.base_l();
     let top = base + WINDOW;
@@ -95,10 +116,15 @@ fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
             .unwrap()
             - base;
         let bisected = eval_bisection(analyzer, cap);
+        let flipped = flipped_lp(&lp, analyzer, base, top, cap);
         for (name, zone) in [("LP", lp_zone), ("eval walk", walked)] {
             assert!(
                 rel(zone, env_zone) < 1e-9,
                 "{label} {pct}%: {name} {zone} vs envelope {env_zone}"
+            );
+            assert!(
+                rel(zone, flipped) < 1e-9,
+                "{label} {pct}%: {name} {zone} vs flipped LP {flipped}"
             );
             assert!(
                 rel(zone, bisected) < 1e-9,
@@ -106,6 +132,12 @@ fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
             );
         }
     }
+    let stats = lp.solver_stats();
+    assert_eq!(
+        (stats.pivots, stats.lu_factors),
+        (0, 0),
+        "{label}: the baseline and the three LP walks must neither pivot nor factor by LU"
+    );
 }
 
 #[test]

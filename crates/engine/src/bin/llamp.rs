@@ -147,9 +147,10 @@ GEN OPTIONS:
   --iter-mult N     multiply the outer iteration count (default 1)
   --out FILE        write the trace text here (default: stdout, unless
                     --stats is given)
-  --stats           don't dump the trace; stream-ingest it, run the
-                    reduction pipeline and print size/timing stats
-                    (combine with --out to do both)
+  --stats           don't dump the trace; stream-ingest it straight
+                    into the reduction pipeline (the path 'run' takes,
+                    no raw CSR) and print size/timing stats (combine
+                    with --out to do both)
 
   Multipliers in the tens push the execution graph into the 10^5-10^7
   vertex range; see docs/SCALING.md.
@@ -425,13 +426,15 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     let set = llamp_workloads::scaled(app, rank_mult, iter_mult);
 
     if args.has("stats") {
-        use llamp_schedgen::{graph_of_programs, GraphConfig, ReduceConfig};
+        use llamp_schedgen::{builder_of_programs, GraphConfig, ReduceConfig};
         let t0 = std::time::Instant::now();
-        let graph = graph_of_programs(&set, &GraphConfig::paper())
+        let builder = builder_of_programs(&set, &GraphConfig::paper())
             .map_err(|e| CliError::Internal(e.to_string()))?;
         let ingest = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let red = graph.reduced(&ReduceConfig::default());
+        let red = builder
+            .finish_reduced(&ReduceConfig::default())
+            .map_err(|e| CliError::Internal(e.to_string()))?;
         let reduce = t1.elapsed();
         println!(
             "workload        {} x{rank_mult} ranks x{iter_mult} iters\n\
@@ -445,8 +448,8 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
             app.name(),
             set.nranks,
             set.num_records(),
-            graph.num_vertices(),
-            graph.num_edges(),
+            red.stats().vertices_before,
+            red.stats().edges_before,
             ingest.as_secs_f64() * 1e3,
             reduce.as_secs_f64() * 1e3,
             red.stats().render(),

@@ -19,7 +19,7 @@ use llamp_core::{
     SweepParam,
 };
 use llamp_model::LogGPSParams;
-use llamp_schedgen::{graph_of_programs, GraphConfig};
+use llamp_schedgen::{graph_of_programs, reduced_graph_of_programs, GraphConfig};
 use llamp_topo::{Dragonfly, FatTree};
 use llamp_workloads::App;
 use std::sync::Arc;
@@ -86,7 +86,8 @@ impl GraphKey {
 
     /// Build the graph: replay the application's trace, compile it at the
     /// rendezvous threshold and run the reduction pipeline when `reduce`
-    /// is on. The build reads nothing but the key, so equal keys give the
+    /// is on — straight from the builder's arrays, with no CSR of the raw
+    /// graph. The build reads nothing but the key, so equal keys give the
     /// same graph. `scenarios` (how many scenarios share this build) is
     /// recorded on the span only.
     pub fn build(&self, scenarios: usize) -> Result<ReducedGraph, String> {
@@ -100,13 +101,12 @@ impl GraphKey {
             rndv_threshold: self.rndv_threshold,
             ..GraphConfig::paper()
         };
-        let graph =
-            graph_of_programs(&set, &cfg).map_err(|e| format!("graph build failed: {e}"))?;
-        Ok(if self.reduce {
-            graph.reduced(&ReduceConfig::default())
+        let built = if self.reduce {
+            reduced_graph_of_programs(&set, &cfg, &ReduceConfig::default())
         } else {
-            ReducedGraph::identity(graph)
-        })
+            graph_of_programs(&set, &cfg).map(ReducedGraph::identity)
+        };
+        built.map_err(|e| format!("graph build failed: {e}"))
     }
 }
 

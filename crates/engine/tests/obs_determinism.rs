@@ -71,6 +71,7 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
         "exec.job/scenario/scenario.build",
         "exec.job/scenario/scenario.build/reduce",
         "exec.job/scenario/scenario.build/schedgen.build",
+        "exec.job/scenario/scenario.build/schedgen.build/ingest.match",
         "exec.job/scenario/scenario.build/trace.ingest",
         "exec.job/scenario/lp.solve",
     ] {
@@ -111,4 +112,29 @@ fn chrome_trace_export_is_valid_json() {
         assert!(e.get("ts").and_then(|v| v.as_f64()).is_some());
         assert!(e.get("dur").and_then(|v| v.as_f64()).is_some());
     }
+}
+
+#[test]
+fn raw_csr_is_built_only_where_a_raw_graph_is_read() {
+    let _guard = session_lock().lock().unwrap();
+    let csr_spans = |reduce: bool| {
+        let mut spec = spec();
+        spec.reduce = reduce;
+        llamp_obs::enable();
+        run_campaign(&spec, &config(1), &ResultCache::new());
+        let snapshot = llamp_obs::take();
+        llamp_obs::disable();
+        let named = |name: &str| snapshot.events.iter().filter(|e| e.name == name).count();
+        (named("ingest.csr"), named("scenario.build"))
+    };
+    // The reduced graph comes straight from the builder's arrays.
+    let (csr, builds) = csr_spans(true);
+    assert_eq!(
+        (csr, builds),
+        (0, 1),
+        "reduced builds must finalise no raw CSR"
+    );
+    // Unreduced analyses read the raw graph: one CSR per build.
+    let (csr, builds) = csr_spans(false);
+    assert_eq!((csr, builds), (1, 1), "raw builds finalise one CSR each");
 }

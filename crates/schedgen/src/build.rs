@@ -13,7 +13,6 @@ use crate::graph::{CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphError, Vert
 use crate::lower::Lowering;
 use llamp_trace::{CallKind, Trace};
 use llamp_util::FxHashMap;
-use std::collections::VecDeque;
 
 /// Compilation options.
 #[derive(Debug, Clone, Copy)]
@@ -136,13 +135,28 @@ struct PendingP2p {
     cont: Option<u32>,
     bytes: u64,
     blocking: bool,
+    /// The next op of the same channel queue (see [`Fifo`]).
+    next: u32,
 }
 
-/// A `Wait`-like vertex and the pending-op ids it depends on.
-#[derive(Debug, Clone)]
+/// One channel's queue of pending ops in posting order: a singly linked
+/// list threaded through [`GraphIngest`]'s `pending` arena, so a channel
+/// costs three integers and no allocation of its own. `head` and `tail`
+/// mean nothing while `len` is zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// A `Wait`-like vertex and the pending ops it depends on:
+/// `wait_ops[first..first + count]`.
+#[derive(Debug, Clone, Copy)]
 struct PendingWait {
     vertex: u32,
-    op_ids: Vec<usize>,
+    first: u32,
+    count: u32,
 }
 
 /// One rank's view of a collective instance.
@@ -168,20 +182,31 @@ pub fn build_graph(trace: &Trace, cfg: &GraphConfig) -> Result<ExecGraph, BuildE
 /// Incremental trace → graph compiler: the streaming core behind
 /// [`build_graph`]. Sources that know their records up front (a
 /// [`llamp_trace::ProgramSet`] replay, the streaming text parser) feed
-/// rank sections with [`GraphIngest::begin_rank`] + [`GraphIngest::record`]
-/// — each record borrows its [`CallKind`], so ingestion allocates nothing
-/// per record beyond the graph arenas themselves — and
-/// [`GraphIngest::finish`] runs message matching, collective expansion
-/// and the single-pass CSR finalisation.
+/// rank sections with [`GraphIngest::begin_rank`] + [`GraphIngest::record`];
+/// [`GraphIngest::into_builder`] then runs message matching, collective
+/// expansion and wait wiring, and [`GraphIngest::finish`] adds the CSR
+/// finalisation of the raw graph.
+///
+/// Each record borrows its [`CallKind`], and its pending ops and wait
+/// lists go into flat arenas (one `pending` arena threaded into
+/// per-channel FIFOs, one op list for every wait), so point-to-point
+/// records allocate nothing of their own: allocations grow with the
+/// number of channels, collective instances and arena doublings, not
+/// with the number of records (`tests/alloc_count.rs` holds HPCG at 24
+/// ranks under `records / 8`).
 #[derive(Debug)]
 pub struct GraphIngest {
     nranks: u32,
     cfg: GraphConfig,
     builder: GraphBuilder,
     /// Matching queues: channel (src, dst, tag) -> pending ops in order.
-    send_q: FxHashMap<(u32, u32, u32), VecDeque<PendingP2p>>,
-    recv_q: FxHashMap<(u32, u32, u32), VecDeque<PendingP2p>>,
+    send_q: FxHashMap<(u32, u32, u32), Fifo>,
+    recv_q: FxHashMap<(u32, u32, u32), Fifo>,
+    /// Every pending op, in posting order; the FIFOs link into it.
+    pending: Vec<PendingP2p>,
     waits: Vec<PendingWait>,
+    /// The pending-op ids of every wait, back to back.
+    wait_ops: Vec<usize>,
     /// collectives[i][r] = rank r's port for the i-th collective.
     collectives: Vec<Vec<Option<CollPort>>>,
     next_op_id: usize,
@@ -213,7 +238,9 @@ impl GraphIngest {
             builder: GraphBuilder::with_capacity(nranks, 3 * records_hint, 5 * records_hint),
             send_q: FxHashMap::default(),
             recv_q: FxHashMap::default(),
+            pending: Vec::with_capacity(records_hint),
             waits: Vec::new(),
+            wait_ops: Vec::new(),
             collectives: Vec::new(),
             next_op_id: 0,
             rank: 0,
@@ -260,34 +287,10 @@ impl GraphIngest {
         match kind {
             CallKind::Init | CallKind::Finalize => {}
             CallKind::Send { peer, bytes, tag } => {
-                let id = self.alloc_id();
-                let cont = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.send_q
-                    .entry((r, *peer, *tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id,
-                        pre: self.tail,
-                        cont: Some(cont),
-                        bytes: *bytes,
-                        blocking: true,
-                    });
-                self.tail = cont;
+                self.post_blocking(true, (r, *peer, *tag), *bytes);
             }
             CallKind::Recv { peer, bytes, tag } => {
-                let id = self.alloc_id();
-                let cont = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.recv_q
-                    .entry((*peer, r, *tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id,
-                        pre: self.tail,
-                        cont: Some(cont),
-                        bytes: *bytes,
-                        blocking: true,
-                    });
-                self.tail = cont;
+                self.post_blocking(false, (*peer, r, *tag), *bytes);
             }
             CallKind::Isend {
                 peer,
@@ -295,22 +298,7 @@ impl GraphIngest {
                 tag,
                 req,
             } => {
-                let id = self.alloc_id();
-                if self.inflight.insert(*req, id).is_some() {
-                    return Err(BuildError::DuplicateRequest { rank: r, req: *req });
-                }
-                let cont = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.send_q
-                    .entry((r, *peer, *tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id,
-                        pre: self.tail,
-                        cont: Some(cont),
-                        bytes: *bytes,
-                        blocking: false,
-                    });
-                self.tail = cont;
+                self.post_nonblocking(true, (r, *peer, *tag), *bytes, *req)?;
             }
             CallKind::Irecv {
                 peer,
@@ -318,54 +306,25 @@ impl GraphIngest {
                 tag,
                 req,
             } => {
-                let id = self.alloc_id();
-                if self.inflight.insert(*req, id).is_some() {
-                    return Err(BuildError::DuplicateRequest { rank: r, req: *req });
-                }
-                let cont = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.recv_q
-                    .entry((*peer, r, *tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id,
-                        pre: self.tail,
-                        cont: Some(cont),
-                        bytes: *bytes,
-                        blocking: false,
-                    });
-                self.tail = cont;
+                self.post_nonblocking(false, (*peer, r, *tag), *bytes, *req)?;
             }
             CallKind::Wait { req } => {
                 let id = self
                     .inflight
                     .remove(req)
                     .ok_or(BuildError::UnknownRequest { rank: r, req: *req })?;
-                let w = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.builder
-                    .add_edge(self.tail, w, EdgeKind::Local, CostExpr::ZERO);
-                self.waits.push(PendingWait {
-                    vertex: w,
-                    op_ids: vec![id],
-                });
-                self.tail = w;
+                self.wait_ops.push(id);
+                self.add_wait(1);
             }
             CallKind::Waitall { reqs } => {
-                let mut ids = Vec::with_capacity(reqs.len());
                 for req in reqs {
-                    ids.push(
-                        self.inflight
-                            .remove(req)
-                            .ok_or(BuildError::UnknownRequest { rank: r, req: *req })?,
-                    );
+                    let id = self
+                        .inflight
+                        .remove(req)
+                        .ok_or(BuildError::UnknownRequest { rank: r, req: *req })?;
+                    self.wait_ops.push(id);
                 }
-                let w = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.builder
-                    .add_edge(self.tail, w, EdgeKind::Local, CostExpr::ZERO);
-                self.waits.push(PendingWait {
-                    vertex: w,
-                    op_ids: ids,
-                });
-                self.tail = w;
+                self.add_wait(reqs.len());
             }
             CallKind::Sendrecv {
                 dst,
@@ -378,34 +337,19 @@ impl GraphIngest {
                 // Lower as isend ‖ irecv + waitall on a shared anchor.
                 let sid = self.alloc_id();
                 let rid = self.alloc_id();
-                self.send_q
-                    .entry((r, *dst, *send_tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id: sid,
-                        pre: self.tail,
-                        cont: None,
-                        bytes: *send_bytes,
-                        blocking: false,
-                    });
-                self.recv_q
-                    .entry((*src, r, *recv_tag))
-                    .or_default()
-                    .push_back(PendingP2p {
-                        id: rid,
-                        pre: self.tail,
-                        cont: None,
-                        bytes: *recv_bytes,
-                        blocking: false,
-                    });
-                let w = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
-                self.builder
-                    .add_edge(self.tail, w, EdgeKind::Local, CostExpr::ZERO);
-                self.waits.push(PendingWait {
-                    vertex: w,
-                    op_ids: vec![sid, rid],
-                });
-                self.tail = w;
+                let pre = self.tail;
+                let half = |id, bytes| PendingP2p {
+                    id,
+                    pre,
+                    cont: None,
+                    bytes,
+                    blocking: false,
+                    next: 0,
+                };
+                self.enqueue(true, (r, *dst, *send_tag), half(sid, *send_bytes));
+                self.enqueue(false, (*src, r, *recv_tag), half(rid, *recv_bytes));
+                self.wait_ops.extend([sid, rid]);
+                self.add_wait(2);
             }
             coll if coll.is_collective() => {
                 let entry = self.tail;
@@ -433,42 +377,139 @@ impl GraphIngest {
         id
     }
 
+    /// Post a blocking send (`send`) or receive on `channel`: the chain
+    /// continues after the op completes.
+    fn post_blocking(&mut self, send: bool, channel: (u32, u32, u32), bytes: u64) {
+        let id = self.alloc_id();
+        self.post(send, channel, id, bytes, true);
+    }
+
+    /// Post a nonblocking send or receive on `channel` under request
+    /// `req`: the chain continues once the op is issued.
+    fn post_nonblocking(
+        &mut self,
+        send: bool,
+        channel: (u32, u32, u32),
+        bytes: u64,
+        req: u32,
+    ) -> Result<(), BuildError> {
+        let id = self.alloc_id();
+        if self.inflight.insert(req, id).is_some() {
+            return Err(BuildError::DuplicateRequest {
+                rank: self.rank,
+                req,
+            });
+        }
+        self.post(send, channel, id, bytes, false);
+        Ok(())
+    }
+
+    fn post(
+        &mut self,
+        send: bool,
+        channel: (u32, u32, u32),
+        id: usize,
+        bytes: u64,
+        blocking: bool,
+    ) {
+        let cont = self
+            .builder
+            .add_vertex(self.rank, VertexKind::Calc, CostExpr::ZERO);
+        let op = PendingP2p {
+            id,
+            pre: self.tail,
+            cont: Some(cont),
+            bytes,
+            blocking,
+            next: 0,
+        };
+        self.enqueue(send, channel, op);
+        self.tail = cont;
+    }
+
+    /// Append `op` to the send (`send`) or receive queue of `channel`.
+    fn enqueue(&mut self, send: bool, channel: (u32, u32, u32), op: PendingP2p) {
+        let at = u32::try_from(self.pending.len()).expect("pending ops fit u32 ids");
+        self.pending.push(op);
+        let queues = if send {
+            &mut self.send_q
+        } else {
+            &mut self.recv_q
+        };
+        let fifo = queues.entry(channel).or_default();
+        if fifo.len == 0 {
+            fifo.head = at;
+        } else {
+            self.pending[fifo.tail as usize].next = at;
+        }
+        fifo.tail = at;
+        fifo.len += 1;
+    }
+
+    /// Close the current chain on a wait vertex depending on the last
+    /// `count` ids pushed to `wait_ops`.
+    fn add_wait(&mut self, count: usize) {
+        let w = self
+            .builder
+            .add_vertex(self.rank, VertexKind::Calc, CostExpr::ZERO);
+        self.builder
+            .add_edge(self.tail, w, EdgeKind::Local, CostExpr::ZERO);
+        self.waits.push(PendingWait {
+            vertex: w,
+            first: (self.wait_ops.len() - count) as u32,
+            count: count as u32,
+        });
+        self.tail = w;
+    }
+
     /// Match and lower point-to-point channels, expand collectives, wire
     /// waits and finalise the CSR graph.
     pub fn finish(self) -> Result<ExecGraph, BuildError> {
+        let builder = self.into_builder()?;
+        let _csr = llamp_obs::span("ingest.csr");
+        Ok(builder.finish()?)
+    }
+
+    /// Match and lower point-to-point channels, expand collectives and
+    /// wire waits: the raw graph's vertices and edges, before any CSR.
+    /// [`GraphBuilder::finish`] turns it into the raw [`ExecGraph`],
+    /// [`GraphBuilder::finish_reduced`] straight into the reduced one.
+    pub fn into_builder(self) -> Result<GraphBuilder, BuildError> {
         let GraphIngest {
             nranks,
             cfg,
             mut builder,
-            mut send_q,
+            send_q,
             recv_q,
+            pending,
             waits,
+            wait_ops,
             collectives,
             next_op_id,
             ..
         } = self;
         let total_ops = next_op_id;
         let mut completions: Vec<u32> = vec![u32::MAX; total_ops];
-        let match_span = llamp_obs::span("ingest.match");
+        let _match_span = llamp_obs::span("ingest.match");
         {
             let mut low = Lowering {
                 builder: &mut builder,
                 rndv_threshold: cfg.rndv_threshold,
             };
-            let mut recv_q = recv_q;
-            for (&(src, dst, tag), sends) in send_q.iter_mut() {
-                let recvs = recv_q.get_mut(&(src, dst, tag));
-                let n_recvs = recvs.as_ref().map_or(0, |q| q.len());
-                if sends.len() != n_recvs {
+            for (&(src, dst, tag), sends) in send_q.iter() {
+                let recvs = recv_q.get(&(src, dst, tag)).copied().unwrap_or_default();
+                if sends.len != recvs.len {
                     return Err(BuildError::UnmatchedMessages {
                         src,
                         dst,
                         tag,
-                        excess_sends: sends.len() as i64 - n_recvs as i64,
+                        excess_sends: i64::from(sends.len) - i64::from(recvs.len),
                     });
                 }
-                let recvs = recvs.expect("non-empty send queue implies recv queue");
-                while let (Some(s), Some(rv)) = (sends.pop_front(), recvs.pop_front()) {
+                let (mut si, mut ri) = (sends.head, recvs.head);
+                for _ in 0..sends.len {
+                    let (s, rv) = (pending[si as usize], pending[ri as usize]);
+                    (si, ri) = (s.next, rv.next);
                     let m = low.message(src, s.pre, dst, rv.pre, s.bytes, tag);
                     completions[s.id] = m.send_done;
                     completions[rv.id] = m.recv_done;
@@ -486,12 +527,12 @@ impl GraphIngest {
             }
             // Any recv channel that never saw a send is unmatched.
             for (&(src, dst, tag), recvs) in recv_q.iter() {
-                if !recvs.is_empty() {
+                if recvs.len > 0 && !send_q.contains_key(&(src, dst, tag)) {
                     return Err(BuildError::UnmatchedMessages {
                         src,
                         dst,
                         tag,
-                        excess_sends: -(recvs.len() as i64),
+                        excess_sends: -i64::from(recvs.len),
                     });
                 }
             }
@@ -521,16 +562,14 @@ impl GraphIngest {
 
         // Wire waits to completions.
         for w in &waits {
-            for &id in &w.op_ids {
+            let ops = &wait_ops[w.first as usize..(w.first + w.count) as usize];
+            for &id in ops {
                 let c = completions[id];
                 debug_assert_ne!(c, u32::MAX, "wait on unlowered op");
                 builder.add_edge(c, w.vertex, EdgeKind::Local, CostExpr::ZERO);
             }
         }
-        drop(match_span);
-
-        let _csr = llamp_obs::span("ingest.csr");
-        Ok(builder.finish()?)
+        Ok(builder)
     }
 }
 

@@ -12,8 +12,6 @@
 //! Storage is flat CSR (u32 ids, no per-vertex allocation): graphs with
 //! millions of events are the common case (paper Table I).
 
-use llamp_util::FxHashMap;
-
 /// Symbolic cost `const + o_count·o + l_count·L + gbytes·G` (ns).
 ///
 /// `l_count` counts network-latency traversals — the quantity whose sum
@@ -265,14 +263,107 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Mutable accumulation of vertices and edges, finalised into CSR form.
+/// An added edge `(from, to, kind, cost)`.
+type AddedEdge = (u32, u32, EdgeKind, CostExpr);
+
+/// A graph's vertices and predecessor lists in CSR form — everything
+/// the reduction pipeline reads. Borrowed from an [`ExecGraph`] or from
+/// a [`GraphBuilder`]'s sorted arrays ([`SortedPreds`]), so neither
+/// source is copied to hand it over.
+#[derive(Clone, Copy)]
+pub(crate) struct PredView<'a> {
+    pub(crate) nranks: u32,
+    pub(crate) verts: &'a [Vertex],
+    pub(crate) pred_start: &'a [u32],
+    pub(crate) preds: &'a [EdgeRef],
+}
+
+impl PredView<'_> {
+    pub(crate) fn num_vertices(&self) -> usize {
+        self.verts.len()
+    }
+
+    pub(crate) fn num_edges(&self) -> usize {
+        self.preds.len()
+    }
+
+    #[inline]
+    pub(crate) fn vertex(&self, v: u32) -> &Vertex {
+        &self.verts[v as usize]
+    }
+
+    #[inline]
+    pub(crate) fn preds(&self, v: u32) -> &[EdgeRef] {
+        let s = self.pred_start[v as usize] as usize;
+        let e = self.pred_start[v as usize + 1] as usize;
+        &self.preds[s..e]
+    }
+
+    /// [`crate::view::alg1_row_count`] from degree counts alone: the
+    /// in-degrees are the list lengths, and a vertex is a sink when no
+    /// predecessor list names it.
+    pub(crate) fn alg1_row_count(&self) -> u64 {
+        let mut has_succ = vec![false; self.verts.len()];
+        for e in self.preds {
+            has_succ[e.other as usize] = true;
+        }
+        let mut rows = 0u64;
+        for (v, &succ) in has_succ.iter().enumerate() {
+            let np = u64::from(self.pred_start[v + 1] - self.pred_start[v]);
+            if np > 1 {
+                rows += np;
+            }
+            rows += u64::from(!succ);
+        }
+        rows
+    }
+}
+
+impl ExecGraph {
+    /// This graph's vertex array and predecessor lists, borrowed.
+    pub(crate) fn pred_view(&self) -> PredView<'_> {
+        PredView {
+            nranks: self.nranks,
+            verts: &self.verts,
+            pred_start: &self.pred_start,
+            preds: &self.preds,
+        }
+    }
+}
+
+/// A builder's vertices and sorted predecessor lists, with no successor
+/// lists and no topological order: the reduced graph's input on the
+/// product path (see [`GraphBuilder::finish_reduced`]).
+pub(crate) struct SortedPreds {
+    nranks: u32,
+    verts: Vec<Vertex>,
+    pred_start: Vec<u32>,
+    preds: Vec<EdgeRef>,
+}
+
+impl SortedPreds {
+    pub(crate) fn view(&self) -> PredView<'_> {
+        PredView {
+            nranks: self.nranks,
+            verts: &self.verts,
+            pred_start: &self.pred_start,
+            preds: &self.preds,
+        }
+    }
+}
+
+/// Mutable accumulation of vertices and edges in insertion order,
+/// finalised into CSR form.
+///
+/// One duplicate-edge rule holds for every graph built here: of several
+/// zero-cost `Local` edges `f → t`, only the first added survives. The
+/// predecessor sort applies it (see [`GraphBuilder::finish`]), so adding
+/// an edge is a push and nothing more.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     nranks: u32,
     verts: Vec<Vertex>,
-    edges: Vec<(u32, u32, EdgeKind, CostExpr)>,
-    /// Deduplication of identical parallel edges.
-    seen: FxHashMap<(u32, u32), ()>,
+    edges: Vec<AddedEdge>,
 }
 
 impl GraphBuilder {
@@ -289,9 +380,6 @@ impl GraphBuilder {
             nranks,
             verts: Vec::with_capacity(verts),
             edges: Vec::with_capacity(edges),
-            // Only zero-cost Local edges enter the dedup map — roughly
-            // half the edge set in practice.
-            seen: FxHashMap::with_capacity_and_hasher(edges / 2, Default::default()),
         }
     }
 
@@ -303,15 +391,12 @@ impl GraphBuilder {
         id
     }
 
-    /// Add a directed edge `from → to`. Parallel duplicate zero-cost local
-    /// edges are dropped.
+    /// Add a directed edge `from → to`. A zero-cost `Local` edge that
+    /// repeats an earlier one is dropped when the graph is finished.
     pub fn add_edge(&mut self, from: u32, to: u32, kind: EdgeKind, cost: CostExpr) {
         debug_assert!((from as usize) < self.verts.len());
         debug_assert!((to as usize) < self.verts.len());
         debug_assert_ne!(from, to, "self edge");
-        if kind == EdgeKind::Local && cost.is_zero() && self.seen.insert((from, to), ()).is_some() {
-            return;
-        }
         self.edges.push((from, to, kind, cost));
     }
 
@@ -322,45 +407,45 @@ impl GraphBuilder {
 
     /// Finalise into CSR + topological order.
     pub fn finish(self) -> Result<ExecGraph, GraphError> {
+        self.finish_slots().map(|(g, _)| g)
+    }
+
+    /// [`GraphBuilder::finish`], plus the added-edge index held by each
+    /// predecessor slot (`preds(v)[i]` is added edge
+    /// `slots[pred_start(v) + i]`).
+    pub(crate) fn finish_slots(self) -> Result<(ExecGraph, Vec<u32>), GraphError> {
         let n = self.verts.len();
-        let mut pred_count = vec![0u32; n + 1];
-        let mut succ_count = vec![0u32; n + 1];
-        for &(f, t, _, _) in &self.edges {
-            pred_count[t as usize + 1] += 1;
-            succ_count[f as usize + 1] += 1;
+        let (pred_start, slots, preds) = self.sort_preds();
+
+        // Successor lists: the kept edges by source, in insertion order.
+        let mut kept = vec![false; self.edges.len()];
+        for &id in &slots {
+            kept[id as usize] = true;
+        }
+        let mut succ_start = vec![0u32; n + 1];
+        for (&(f, ..), _) in self.edges.iter().zip(&kept).filter(|(_, &k)| k) {
+            succ_start[f as usize + 1] += 1;
         }
         for i in 0..n {
-            pred_count[i + 1] += pred_count[i];
-            succ_count[i + 1] += succ_count[i];
+            succ_start[i + 1] += succ_start[i];
         }
-        let pred_start = pred_count;
-        let succ_start = succ_count;
-        let mut preds = vec![
+        let mut succs = vec![
             EdgeRef {
                 other: 0,
                 kind: EdgeKind::Local,
                 cost: CostExpr::ZERO
             };
-            self.edges.len()
+            preds.len()
         ];
-        let mut succs = preds.clone();
-        let mut pfill: Vec<u32> = pred_start.clone();
-        let mut sfill: Vec<u32> = succ_start.clone();
-        for &(f, t, kind, cost) in &self.edges {
-            let p = pfill[t as usize];
-            preds[p as usize] = EdgeRef {
-                other: f,
-                kind,
-                cost,
-            };
-            pfill[t as usize] += 1;
-            let s = sfill[f as usize];
-            succs[s as usize] = EdgeRef {
+        let mut fill = succ_start.clone();
+        for (&(f, t, kind, cost), _) in self.edges.iter().zip(&kept).filter(|(_, &k)| k) {
+            let s = &mut fill[f as usize];
+            succs[*s as usize] = EdgeRef {
                 other: t,
                 kind,
                 cost,
             };
-            sfill[f as usize] += 1;
+            *s += 1;
         }
 
         // Kahn's algorithm for the topological order.
@@ -386,7 +471,7 @@ impl GraphBuilder {
             return Err(GraphError::Cycle);
         }
 
-        Ok(ExecGraph {
+        let graph = ExecGraph {
             nranks: self.nranks,
             verts: self.verts,
             pred_start,
@@ -394,7 +479,70 @@ impl GraphBuilder {
             succ_start,
             succs,
             topo,
-        })
+        };
+        Ok((graph, slots))
+    }
+
+    /// The vertices and predecessor lists alone — no successor lists,
+    /// no topological order, and so no cycle check: a cyclic edge set
+    /// surfaces where a consumer orders it.
+    pub(crate) fn into_sorted_preds(self) -> SortedPreds {
+        let (pred_start, _, preds) = self.sort_preds();
+        SortedPreds {
+            nranks: self.nranks,
+            verts: self.verts,
+            pred_start,
+            preds,
+        }
+    }
+
+    /// Stable counting sort of the added edges by target, applying the
+    /// duplicate-edge rule: a zero-cost `Local` edge `f → t` is dropped
+    /// when `t`'s list already holds one from `f` (`last[f] == t`), so
+    /// the first added survives. Returns the list offsets, the added-edge
+    /// index in each slot, and the slots' edges as seen from the target.
+    fn sort_preds(&self) -> (Vec<u32>, Vec<u32>, Vec<EdgeRef>) {
+        let n = self.verts.len();
+        let mut start = vec![0u32; n + 1];
+        for &(_, t, ..) in &self.edges {
+            start[t as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut slots = vec![0u32; self.edges.len()];
+        let mut fill = start.clone();
+        for (id, &(_, t, ..)) in self.edges.iter().enumerate() {
+            let s = &mut fill[t as usize];
+            slots[*s as usize] = id as u32;
+            *s += 1;
+        }
+        drop(fill);
+        let mut last = vec![u32::MAX; n];
+        let mut preds = Vec::with_capacity(slots.len());
+        for t in 0..n {
+            let (s, e) = (start[t] as usize, start[t + 1] as usize);
+            start[t] = preds.len() as u32;
+            for k in s..e {
+                let id = slots[k];
+                let (f, _, kind, cost) = self.edges[id as usize];
+                if kind == EdgeKind::Local && cost.is_zero() {
+                    if last[f as usize] == t as u32 {
+                        continue;
+                    }
+                    last[f as usize] = t as u32;
+                }
+                slots[preds.len()] = id;
+                preds.push(EdgeRef {
+                    other: f,
+                    kind,
+                    cost,
+                });
+            }
+        }
+        start[n] = preds.len() as u32;
+        slots.truncate(preds.len());
+        (start, slots, preds)
     }
 }
 

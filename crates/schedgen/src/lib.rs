@@ -19,6 +19,12 @@
 //!   the provenance lift-back).
 //! * [`view`] — the [`view::GraphView`] lowering trait every analysis
 //!   builder consumes (implemented by raw and reduced graphs alike).
+//!
+//! A graph that is only analysed reduced never needs a CSR of its own:
+//! [`reduced_graph_of_programs`] hands the builder's sorted arrays
+//! straight to the reduction pipeline. [`graph_of_programs`] builds the
+//! raw graph for the callers that read it (the simulator, unreduced
+//! analyses, provenance).
 
 pub mod build;
 pub mod collectives;
@@ -48,27 +54,7 @@ use llamp_trace::{ProgramSet, TracerConfig};
 /// intermediate [`llamp_trace::Trace`] is ever materialised — a
 /// million-record workload costs the graph arenas and nothing else.
 pub fn graph_of_programs(set: &ProgramSet, cfg: &GraphConfig) -> Result<ExecGraph, BuildError> {
-    let ingest = {
-        let g = llamp_obs::span("trace.ingest");
-        let ingest = std::cell::RefCell::new(GraphIngest::with_capacity(
-            set.nranks,
-            cfg,
-            set.num_records(),
-        ));
-        set.replay(
-            &TracerConfig::default(),
-            |rank| {
-                ingest.borrow_mut().begin_rank(rank);
-                Ok(())
-            },
-            |kind, start, end| ingest.borrow_mut().record(kind, start, end),
-        )?;
-        if llamp_obs::is_enabled() {
-            g.field_u64("ranks", u64::from(set.nranks));
-            g.field_u64("records", set.num_records() as u64);
-        }
-        ingest.into_inner()
-    };
+    let ingest = replay(set, cfg)?;
     let g = llamp_obs::span("schedgen.build");
     let graph = ingest.finish()?;
     if llamp_obs::is_enabled() {
@@ -76,6 +62,57 @@ pub fn graph_of_programs(set: &ProgramSet, cfg: &GraphConfig) -> Result<ExecGrap
         g.field_u64("edges", graph.num_edges() as u64);
     }
     Ok(graph)
+}
+
+/// Trace a program set and compile it straight into its reduced graph:
+/// [`builder_of_programs`], then [`GraphBuilder::finish_reduced`]. No CSR
+/// of the raw graph is built, and the result equals
+/// [`reduce()`]`(&graph_of_programs(set, cfg)?, rcfg)`.
+pub fn reduced_graph_of_programs(
+    set: &ProgramSet,
+    cfg: &GraphConfig,
+    rcfg: &ReduceConfig,
+) -> Result<ReducedGraph, BuildError> {
+    Ok(builder_of_programs(set, cfg)?.finish_reduced(rcfg)?)
+}
+
+/// Trace a program set and match it (the `trace.ingest` and
+/// `schedgen.build` spans): the raw graph's vertices and edges in a
+/// [`GraphBuilder`], before any CSR.
+pub fn builder_of_programs(
+    set: &ProgramSet,
+    cfg: &GraphConfig,
+) -> Result<GraphBuilder, BuildError> {
+    let ingest = replay(set, cfg)?;
+    let g = llamp_obs::span("schedgen.build");
+    let builder = ingest.into_builder()?;
+    if llamp_obs::is_enabled() {
+        g.field_u64("vertices", builder.num_vertices() as u64);
+    }
+    Ok(builder)
+}
+
+/// Replay a program set's trace into a pre-sized ingest.
+fn replay(set: &ProgramSet, cfg: &GraphConfig) -> Result<GraphIngest, BuildError> {
+    let g = llamp_obs::span("trace.ingest");
+    let ingest = std::cell::RefCell::new(GraphIngest::with_capacity(
+        set.nranks,
+        cfg,
+        set.num_records(),
+    ));
+    set.replay(
+        &TracerConfig::default(),
+        |rank| {
+            ingest.borrow_mut().begin_rank(rank);
+            Ok(())
+        },
+        |kind, start, end| ingest.borrow_mut().record(kind, start, end),
+    )?;
+    if llamp_obs::is_enabled() {
+        g.field_u64("ranks", u64::from(set.nranks));
+        g.field_u64("records", set.num_records() as u64);
+    }
+    Ok(ingest.into_inner())
 }
 
 /// Error from compiling a textual trace: either the text failed to parse

@@ -38,14 +38,24 @@
 //! reduction decision reads the record, so both entry points return the
 //! same graph.
 //!
+//! The passes read only the vertex array and the predecessor lists: a
+//! raw [`ExecGraph`]'s, or a [`GraphBuilder`]'s right after its
+//! predecessor sort ([`GraphBuilder::finish_reduced`], the product path,
+//! which builds no raw CSR). They rewrite an arena that shrinks as it
+//! reduces: a pass after one that changed something starts by
+//! renumbering the live vertices and edges densely, in their current
+//! order, so each pass costs what the *live* graph costs and decides
+//! exactly as it would on the full-size arena.
+//!
 //! The reduced graph is for *analysis*: like [`ExecGraph::contracted`]
 //! (now a thin wrapper over the chains-only pipeline), `Send`/`Recv`
 //! semantics survive only on unmerged vertices, so don't feed it to the
 //! simulator.
 
-use crate::graph::{CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, Vertex, VertexKind};
+use crate::graph::{
+    CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, PredView, Vertex, VertexKind,
+};
 use crate::view::{alg1_row_count, GraphView};
-use llamp_util::FxHashMap;
 
 /// Which reduction passes run, and their effort bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,11 +404,18 @@ impl ExecGraph {
 /// edges — for a serial finishing fixpoint. The output is a pure
 /// function of the graph and the config: any thread count yields
 /// bit-identical results.
+///
+/// The passes read only the vertex array and the predecessor lists, so
+/// a graph that exists only to be reduced needs no CSR of its own:
+/// [`GraphBuilder::finish_reduced`] hands the builder's sorted arrays
+/// straight to the same pipeline and returns the same graph.
 pub fn reduce(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     if cfg.is_identity() {
         return ReducedGraph::identity(g.clone());
     }
-    run(g, cfg, false).0
+    traced(|| run(g.pred_view(), cfg, false))
+        .expect("an ExecGraph is acyclic")
+        .0
 }
 
 /// [`reduce()`] plus the [`Provenance`] of every reduced entity. The
@@ -408,25 +425,37 @@ pub fn reduce_with_provenance(g: &ExecGraph, cfg: &ReduceConfig) -> (ReducedGrap
     if cfg.is_identity() {
         return (ReducedGraph::identity(g.clone()), Provenance::identity(g));
     }
-    let (reduced, provenance) = run(g, cfg, true);
+    let (reduced, provenance) =
+        traced(|| run(g.pred_view(), cfg, true)).expect("an ExecGraph is acyclic");
     (
         reduced,
         provenance.expect("a recording reduction returns its provenance"),
     )
 }
 
-fn run(g: &ExecGraph, cfg: &ReduceConfig, record: bool) -> (ReducedGraph, Option<Provenance>) {
+impl GraphBuilder {
+    /// Finalise straight into the reduced graph, with no raw CSR: the
+    /// predecessor sort of [`GraphBuilder::finish`] (and its one
+    /// duplicate-edge rule) feeds the reduction pipeline, and no
+    /// successor lists or topological order of the raw graph are built.
+    /// Returns exactly [`reduce()`]`(&self.finish()?, cfg)`. A cyclic edge
+    /// set fails with [`GraphError::Cycle`] on either reduction path: no
+    /// pass touches a vertex on a cycle, so the cycle reaches the final
+    /// rebuild whole.
+    pub fn finish_reduced(self, cfg: &ReduceConfig) -> Result<ReducedGraph, GraphError> {
+        if cfg.is_identity() {
+            return self.finish().map(ReducedGraph::identity);
+        }
+        traced(|| run(self.into_sorted_preds().view(), cfg, false)).map(|(r, _)| r)
+    }
+}
+
+/// Run one reduction under the `reduce` span, which carries its sizes.
+fn traced(
+    f: impl FnOnce() -> Result<(ReducedGraph, Option<Provenance>), GraphError>,
+) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
     let outer = llamp_obs::span("reduce");
-    let out = if g.num_vertices() >= cfg.par_threshold && g.nranks() > 1 {
-        reduce_partitioned(g, cfg, record)
-    } else {
-        let mut r = Reducer::from_graph(g, record);
-        r.stats.vertices_before = g.num_vertices() as u64;
-        r.stats.edges_before = g.num_edges() as u64;
-        r.stats.rows_before = alg1_row_count(g);
-        run_rounds(&mut r, cfg);
-        r.finish(g.num_vertices())
-    };
+    let out = f()?;
     if llamp_obs::is_enabled() {
         let s = out.0.stats();
         outer.field_u64("vertices_before", s.vertices_before);
@@ -435,7 +464,26 @@ fn run(g: &ExecGraph, cfg: &ReduceConfig, record: bool) -> (ReducedGraph, Option
         outer.field_u64("rows_after", s.rows_after);
         outer.field_u64("rounds", s.rounds);
     }
-    out
+    Ok(out)
+}
+
+fn run(
+    p: PredView<'_>,
+    cfg: &ReduceConfig,
+    record: bool,
+) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
+    let mut out = if p.num_vertices() >= cfg.par_threshold && p.nranks > 1 {
+        reduce_partitioned(p, cfg, record)?
+    } else {
+        let mut r = Reducer::from_preds(p, record);
+        run_rounds(&mut r, cfg);
+        r.finish(p.num_vertices())?
+    };
+    let s = &mut out.0.stats;
+    s.vertices_before = p.num_vertices() as u64;
+    s.edges_before = p.num_edges() as u64;
+    s.rows_before = p.alg1_row_count();
+    Ok(out)
 }
 
 /// The pass fixpoint shared by the whole-graph path, each rank-local
@@ -491,12 +539,12 @@ fn traced_pass(r: &mut Reducer, name: &'static str, pass: impl FnOnce(&mut Reduc
 /// [`Reducer::finish`] are serial. Bit-identical output at any thread
 /// count follows.
 fn reduce_partitioned(
-    g: &ExecGraph,
+    g: PredView<'_>,
     cfg: &ReduceConfig,
     record: bool,
-) -> (ReducedGraph, Option<Provenance>) {
+) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
     let n = g.num_vertices();
-    let nranks = g.nranks() as usize;
+    let nranks = g.nranks as usize;
 
     let part_span = llamp_obs::span("reduce.par.partition");
     // Partition vertices into rank regions (ascending global id).
@@ -581,9 +629,6 @@ fn reduce_partitioned(
         stats.redundant_removed += o.stats.redundant_removed;
         stats.rounds = stats.rounds.max(o.stats.rounds);
     }
-    stats.vertices_before = n as u64;
-    stats.edges_before = g.num_edges() as u64;
-    stats.rows_before = alg1_row_count(g);
 
     let n_surv: usize = outs.iter().map(|o| o.verts.len()).sum();
     let e_surv: usize = outs.iter().map(|o| o.edges.len()).sum::<usize>() + cross.len();
@@ -596,12 +641,9 @@ fn reduce_partitioned(
     }
     let mut verts = Vec::with_capacity(n_surv);
     let mut edges = Vec::with_capacity(e_surv);
-    let mut book = record.then(|| Book {
-        members: Vec::with_capacity(n_surv),
-        head: Vec::with_capacity(n_surv),
-        via: Vec::with_capacity(e_surv),
-        dead_via: Vec::new(),
-    });
+    // Recording only: the stitched bookkeeping, in the same order.
+    let (mut members, mut head, mut via, mut dead_via) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for (r, o) in outs.iter_mut().enumerate() {
         let b = base[r];
         verts.append(&mut o.verts);
@@ -610,11 +652,11 @@ fn reduce_partitioned(
             to: e.to + b,
             ..e
         }));
-        if let (Some(st), Some(ob)) = (&mut book, &mut o.book) {
-            st.members.append(&mut ob.members);
-            st.head.append(&mut ob.head);
-            st.via.append(&mut ob.via);
-            st.dead_via.append(&mut ob.dead_via);
+        if let Some(ob) = &mut o.book {
+            members.append(&mut ob.members);
+            head.append(&mut ob.head);
+            via.append(&mut ob.via);
+            dead_via.append(&mut ob.dead_via);
         }
     }
     // Recombine each cross edge from its two halves: the source half's
@@ -627,10 +669,6 @@ fn reduce_partitioned(
         let (sp, dp) = (src_pos[cid] as usize, dst_pos[cid] as usize);
         let (sf, scost) = outs[sr].halves[sp];
         let (tt, tcost) = outs[tr].halves[dp];
-        debug_assert!(
-            sf != u32::MAX && tt != u32::MAX,
-            "cross-edge endpoint lost in region reduction"
-        );
         edges.push(REdge {
             from: sf + base[sr],
             to: tt + base[tr],
@@ -638,14 +676,21 @@ fn reduce_partitioned(
             cost: scost.add(&tcost),
             alive: true,
         });
-        if let Some(st) = &mut book {
-            let mut via = std::mem::take(&mut outs[sr].half_via[sp]);
-            via.append(&mut outs[tr].half_via[dp]);
-            st.via.push(via);
+        if record {
+            let mut half_via = |r: usize, at: usize| {
+                std::mem::take(&mut outs[r].book.as_mut().expect("recording").half_via[at])
+            };
+            let mut joined = half_via(sr, sp);
+            joined.append(&mut half_via(tr, dp));
+            via.push(joined);
         }
     }
     drop(outs);
-    let mut st = Reducer::new(g.nranks(), verts, edges, book);
+    let book = record.then(|| Book {
+        dead_via,
+        ..Book::new(members, head, via)
+    });
+    let mut st = Reducer::new(g.nranks, verts, edges, book);
     st.stats = stats;
     drop(stitch_span);
     run_rounds(&mut st, cfg);
@@ -666,17 +711,30 @@ struct RegionOut {
     /// list): the real endpoint as a survivor-local index, plus the
     /// half's accumulated cost.
     halves: Vec<(u32, CostExpr)>,
-    /// Recording only: the survivors' bookkeeping (`via` aligned with
-    /// `edges`, `dead_via` keyed by original head ids) ...
-    book: Option<Book>,
-    /// ... and each half's via list, aligned with `halves`.
-    half_via: Vec<Vec<u32>>,
+    /// Recording only: the survivors' bookkeeping.
+    book: Option<RegionBook>,
     stats: ReductionStats,
 }
 
-/// One mutable edge of the reduction arena. Edges are only ever rewired
-/// or killed, never created, so arena indices are stable and every pass
-/// iterating them is deterministic.
+/// A reduced region's provenance bookkeeping, aligned with its
+/// [`RegionOut`].
+struct RegionBook {
+    /// Member lists and head ids of the surviving vertices.
+    members: Vec<Vec<u32>>,
+    head: Vec<u32>,
+    /// Via lists of the surviving intra-region edges.
+    via: Vec<Vec<u32>>,
+    /// Via lists of the region's dead edges, keyed by the original head
+    /// id of each edge's target, in the region's edge order: those
+    /// vertices still owe a home.
+    dead_via: Vec<(u32, Vec<u32>)>,
+    /// Each half-edge's via list, aligned with `halves`.
+    half_via: Vec<Vec<u32>>,
+}
+
+/// One mutable edge of the reduction arena. Passes only rewire or kill
+/// edges, never create them, and compaction renumbers the survivors in
+/// their current order, so every pass iterating them is deterministic.
 #[derive(Debug, Clone, Copy)]
 struct REdge {
     from: u32,
@@ -692,13 +750,21 @@ struct Book {
     /// Ordered original members absorbed by each arena vertex (head
     /// first; starts as the vertex itself).
     members: Vec<Vec<u32>>,
-    /// Arena slot -> **original** graph vertex id (`members[v][0]`,
+    /// Arena vertex -> **original** graph vertex id (`members[v][0]`,
     /// stable even after the member list is taken during stitching). On
-    /// the whole-graph path this is the identity; boundary anchors map
-    /// to `u32::MAX`.
+    /// the whole-graph path this starts as the identity; boundary
+    /// anchors map to `u32::MAX`.
     head: Vec<u32>,
-    /// Original vertices folded into each arena edge, source-side first.
+    /// Original vertices folded into each edge, source-side first,
+    /// indexed by the edge's id when the arena was built (its *slot*).
+    /// Compaction renumbers edges but never moves a via list, so the
+    /// lists stay in the arena's original edge order.
     via: Vec<Vec<u32>>,
+    /// Arena edge -> its slot.
+    slot: Vec<u32>,
+    /// Per slot: the head of the edge's target once the edge has left
+    /// the arena (`u32::MAX` while it is in it).
+    to_head: Vec<u32>,
     /// Via lists of region edges that died before stitching (redundant-
     /// eliminated after folds routed vertices through them), keyed by
     /// the dead edge's target as an original head id: those vertices
@@ -707,9 +773,28 @@ struct Book {
 }
 
 impl Book {
+    /// Bookkeeping over arena vertices with these member lists and head
+    /// ids, and arena edges carrying these via lists.
+    fn new(members: Vec<Vec<u32>>, head: Vec<u32>, via: Vec<Vec<u32>>) -> Self {
+        let m = via.len();
+        Self {
+            members,
+            head,
+            via,
+            slot: (0..m as u32).collect(),
+            to_head: vec![u32::MAX; m],
+            dead_via: Vec::new(),
+        }
+    }
+
+    /// The via list of arena edge `eid`.
+    fn via_mut(&mut self, eid: u32) -> &mut Vec<u32> {
+        &mut self.via[self.slot[eid as usize] as usize]
+    }
+
     /// `v` merged into `u` across edge `eid`.
     fn chain(&mut self, u: u32, v: u32, eid: u32) {
-        let via = std::mem::take(&mut self.via[eid as usize]);
+        let via = std::mem::take(self.via_mut(eid));
         self.members[u as usize].extend(via);
         let mv = std::mem::take(&mut self.members[v as usize]);
         self.members[u as usize].extend(mv);
@@ -717,10 +802,10 @@ impl Book {
 
     /// `v` and its out-edge `fid` folded forward onto the in-edges `ins`.
     fn fold_forward(&mut self, v: u32, fid: u32, ins: &[u32]) {
-        let fvia = std::mem::take(&mut self.via[fid as usize]);
+        let fvia = std::mem::take(self.via_mut(fid));
         let mv = std::mem::take(&mut self.members[v as usize]);
         for &eid in ins {
-            let via = &mut self.via[eid as usize];
+            let via = self.via_mut(eid);
             via.extend_from_slice(&mv);
             via.extend_from_slice(&fvia);
         }
@@ -729,10 +814,10 @@ impl Book {
     /// `v` and its in-edge `eid` folded backward onto the out-edges
     /// `outs`.
     fn fold_backward(&mut self, v: u32, eid: u32, outs: &[u32]) {
-        let evia = std::mem::take(&mut self.via[eid as usize]);
+        let evia = std::mem::take(self.via_mut(eid));
         let mv = std::mem::take(&mut self.members[v as usize]);
         for &oid in outs {
-            let o = &mut self.via[oid as usize];
+            let o = self.via_mut(oid);
             let mut via = evia.clone();
             via.extend_from_slice(&mv);
             via.append(o);
@@ -740,16 +825,47 @@ impl Book {
         }
     }
 
-    /// Assemble the provenance map of the finished graph. `new_id` maps
-    /// arena slots to reduced vertex ids (`u32::MAX` for dead slots);
-    /// `orig_n` is the **original** graph's vertex count (provenance
-    /// arrays index original ids — on the region-parallel path the arena
-    /// is the stitched survivor set, not the original graph).
+    /// Follow [`Reducer::compact`]'s renumbering (`new_v`, `new_e`; dead
+    /// entries map to `u32::MAX`) of the arena whose edges are `edges`:
+    /// retire each dead edge with its target's head, and move the live
+    /// vertices' members and heads down. A dead vertex's member list is
+    /// already empty: merges and folds take it.
+    fn renumber(&mut self, new_v: &[u32], edges: &[REdge], new_e: &[u32]) {
+        let mut w = 0;
+        for (eid, e) in edges.iter().enumerate() {
+            let slot = self.slot[eid];
+            if new_e[eid] == u32::MAX {
+                self.to_head[slot as usize] = self.head[e.to as usize];
+            } else {
+                self.slot[w] = slot;
+                w += 1;
+            }
+        }
+        self.slot.truncate(w);
+        let mut w = 0;
+        for (v, &nv) in new_v.iter().enumerate() {
+            if nv != u32::MAX {
+                debug_assert!(v == w || self.members[w].is_empty());
+                self.members.swap(w, v);
+                self.head[w] = self.head[v];
+                w += 1;
+            }
+        }
+        self.members.truncate(w);
+        self.head.truncate(w);
+    }
+
+    /// Assemble the provenance map of the finished graph. The arena is
+    /// compact, so its vertex ids are the reduced graph's; `edges` are
+    /// the edges the rebuild was handed, and `slots[i]` names the one in
+    /// `graph`'s `i`-th predecessor slot. `orig_n` is the **original**
+    /// graph's vertex count (provenance arrays index original ids — on
+    /// the region-parallel path the arena is the stitched survivor set,
+    /// not the original graph).
     fn provenance(
-        self,
+        mut self,
         edges: &[REdge],
-        valive: &[bool],
-        new_id: &[u32],
+        slots: &[u32],
         graph: &ExecGraph,
         orig_n: usize,
     ) -> Provenance {
@@ -757,84 +873,47 @@ impl Book {
         let mut member_start: Vec<u32> = Vec::with_capacity(n_new + 1);
         let mut member_ids: Vec<u32> = Vec::new();
         member_start.push(0);
-        for (v, members) in self.members.iter().enumerate() {
-            if valive[v] {
-                member_ids.extend_from_slice(members);
-                member_start.push(member_ids.len() as u32);
-            }
+        for members in &self.members {
+            member_ids.extend_from_slice(members);
+            member_start.push(member_ids.len() as u32);
         }
-        // Pred slots: live edges bucketed by (new) target in arena order,
-        // which is the builder's per-target pred fill order.
-        let mut pred_offset = vec![0u32; n_new + 1];
-        for e in edges.iter().filter(|e| e.alive) {
-            pred_offset[new_id[e.to as usize] as usize + 1] += 1;
+        let mut pred_offset = Vec::with_capacity(n_new + 1);
+        pred_offset.push(0u32);
+        for v in 0..n_new as u32 {
+            pred_offset.push(pred_offset[v as usize] + graph.preds(v).len() as u32);
         }
-        for v in 0..n_new {
-            pred_offset[v + 1] += pred_offset[v];
-            // Hard assert (release builds included): the via table is
-            // aligned with the builder's per-target pred fill order, and
-            // relies on `finish`'s pre-dedup replicating GraphBuilder's
-            // drop rule exactly. If the builder's rule ever drifts, fail
-            // loudly here instead of silently mis-attributing provenance.
-            assert_eq!(
-                graph.preds(v as u32).len() as u32,
-                pred_offset[v + 1] - pred_offset[v],
-                "GraphBuilder dropped edges the reduction pre-dedup kept: \
-                 via table would desynchronise"
-            );
-        }
-        let mut slot_edge = vec![0u32; pred_offset[n_new] as usize];
-        let mut fill = pred_offset.clone();
-        for (eid, e) in edges.iter().enumerate().filter(|(_, e)| e.alive) {
-            let t = new_id[e.to as usize] as usize;
-            slot_edge[fill[t] as usize] = eid as u32;
-            fill[t] += 1;
-        }
-        let mut via_start: Vec<u32> = Vec::with_capacity(slot_edge.len() + 1);
+        let mut via_start: Vec<u32> = Vec::with_capacity(slots.len() + 1);
         let mut via_ids: Vec<u32> = Vec::new();
         via_start.push(0);
-        for &eid in &slot_edge {
-            via_ids.extend_from_slice(&self.via[eid as usize]);
+        for &eid in slots {
+            via_ids.extend_from_slice(&self.via[self.slot[eid as usize] as usize]);
             via_start.push(via_ids.len() as u32);
         }
 
         let mut home = vec![u32::MAX; orig_n];
         for (v, members) in self.members.iter().enumerate() {
-            if valive[v] {
-                for &m in members {
-                    home[m as usize] = new_id[v];
-                }
+            for &m in members {
+                home[m as usize] = v as u32;
             }
         }
-        // Vertices folded into edges map to the edge's target. Dead edges
-        // (removed as redundant, or deduplicated by `finish`) still carry
-        // their via lists, and their target may itself have been folded
-        // onward — resolve through the target's own home, iterating until
-        // stable (each round resolves at least one fold layer, so this is
-        // bounded by the fold depth). Dead targets resolve through their
-        // *head* (original id), which on the whole-graph path is the
-        // arena id itself; pre-stitch casualties in `dead_via` resolve
-        // the same way, directly by original head id.
+        // Vertices folded into edges map to the edge's target. Edges that
+        // left the arena (removed as redundant), or that the rebuild
+        // dropped as duplicates, still carry their via lists, and their
+        // target may itself have been folded onward — so every slot
+        // resolves through its target's head (whose home is the target
+        // itself while it lives), iterating in slot order until stable
+        // (each round resolves at least one fold layer, so this is
+        // bounded by the fold depth). Pre-stitch casualties in `dead_via`
+        // resolve the same way.
+        for (e, &slot) in edges.iter().zip(&self.slot) {
+            self.to_head[slot as usize] = self.head[e.to as usize];
+        }
         loop {
             let mut changed = false;
-            for (e, via) in edges.iter().zip(&self.via) {
-                let target_home = if valive[e.to as usize] {
-                    new_id[e.to as usize]
-                } else {
-                    home[self.head[e.to as usize] as usize]
-                };
-                if target_home == u32::MAX {
-                    continue;
-                }
-                for &x in via {
-                    if home[x as usize] == u32::MAX {
-                        home[x as usize] = target_home;
-                        changed = true;
-                    }
-                }
-            }
-            for (to_orig, via) in &self.dead_via {
-                let target_home = home[*to_orig as usize];
+            let slots = self.via.iter().zip(self.to_head.iter().copied());
+            let dead = self.dead_via.iter().map(|(to, via)| (via, *to));
+            for (via, to_head) in slots.chain(dead) {
+                let target_home = home[to_head as usize];
                 if target_home == u32::MAX {
                     continue;
                 }
@@ -867,15 +946,15 @@ impl Book {
 /// Per-vertex edge-id lists packed into one pool. Vertex `v` owns the
 /// block `pool[start[v]..start[v] + cap[v]]`, of which the first `len[v]`
 /// slots are in use. A list that outgrows its block moves to the pool's
-/// end (the old block is garbage until the next [`AdjPool::compact`]), so
-/// the lists cost three integers per vertex and no allocation of their
-/// own.
+/// end (the old block is garbage until the next [`AdjPool::renumber`]),
+/// so the lists cost three integers per vertex and no allocation of
+/// their own.
 struct AdjPool {
     start: Vec<u32>,
     len: Vec<u32>,
     cap: Vec<u32>,
     pool: Vec<u32>,
-    /// The previous pool, reused as [`AdjPool::compact`]'s copy source.
+    /// The previous pool, reused as [`AdjPool::renumber`]'s copy source.
     spare: Vec<u32>,
 }
 
@@ -931,25 +1010,34 @@ impl AdjPool {
         self.len[v] += 1;
     }
 
-    /// Drop the entries `keep(v, id)` rejects and repack every list
-    /// tightly, in vertex order.
-    fn compact(&mut self, keep: impl Fn(u32, u32) -> bool) {
+    /// Keep the lists of the vertices `new_v` keeps, renumbered to their
+    /// new ids, dropping the entries `keep(v, id)` rejects and renaming
+    /// the rest through `new_e`: every list is repacked tightly, in
+    /// vertex order, with its order kept.
+    fn renumber(&mut self, new_v: &[u32], new_e: &[u32], keep: impl Fn(u32, u32) -> bool) {
         std::mem::swap(&mut self.pool, &mut self.spare);
         self.pool.clear();
-        for v in 0..self.start.len() {
+        let mut w = 0;
+        for (v, &nv) in new_v.iter().enumerate() {
+            if nv == u32::MAX {
+                continue;
+            }
             let s = self.start[v] as usize;
             let packed = self.pool.len();
-            self.pool.extend(
-                self.spare[s..s + self.len[v] as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&id| keep(v as u32, id)),
-            );
+            for &id in &self.spare[s..s + self.len[v] as usize] {
+                if keep(v as u32, id) {
+                    self.pool.push(new_e[id as usize]);
+                }
+            }
             let kept = (self.pool.len() - packed) as u32;
-            self.start[v] = packed as u32;
-            self.len[v] = kept;
-            self.cap[v] = kept;
+            self.start[w] = packed as u32;
+            self.len[w] = kept;
+            self.cap[w] = kept;
+            w += 1;
         }
+        self.start.truncate(w);
+        self.len.truncate(w);
+        self.cap.truncate(w);
     }
 }
 
@@ -957,7 +1045,7 @@ impl AdjPool {
 /// round, so the passes allocate nothing per vertex or per call.
 #[derive(Default)]
 struct Work {
-    /// Topological order of the live subgraph and Kahn's in-degrees.
+    /// Topological order of the arena and Kahn's in-degrees.
     order: Vec<u32>,
     indeg: Vec<u32>,
     /// Live in- and out-edge lists of the vertex being visited.
@@ -967,6 +1055,9 @@ struct Work {
     root: Vec<u32>,
     off: Vec<CostExpr>,
     dfs: Dfs,
+    /// Compaction's new vertex and edge ids (`u32::MAX` for the dead).
+    new_v: Vec<u32>,
+    new_e: Vec<u32>,
 }
 
 /// State of the redundancy pass's bounded searches.
@@ -981,7 +1072,9 @@ struct Dfs {
 }
 
 /// The reduction arena: a mutable copy of (part of) the graph that the
-/// passes rewrite in place.
+/// passes rewrite in place. It shrinks as it reduces: every pass after
+/// one that changed something starts by compacting it to the live
+/// vertices and edges, so a pass costs what the live graph costs.
 struct Reducer {
     nranks: u32,
     verts: Vec<Vertex>,
@@ -997,6 +1090,10 @@ struct Reducer {
     /// edge dies or is rewired; readers filter, `compact` prunes.
     inc: AdjPool,
     out: AdjPool,
+    /// Whether a pass changed the arena since it was last compacted. A
+    /// clean arena is compact, and `work.order` is its topological
+    /// order.
+    dirty: bool,
     /// Provenance bookkeeping, present only when recording.
     book: Option<Book>,
     work: Work,
@@ -1008,7 +1105,7 @@ impl Reducer {
     /// anchors.
     fn new(nranks: u32, verts: Vec<Vertex>, edges: Vec<REdge>, book: Option<Book>) -> Self {
         let n = verts.len();
-        Self {
+        let mut r = Self {
             nranks,
             first_virtual: n as u32,
             valive: vec![true; n],
@@ -1016,13 +1113,18 @@ impl Reducer {
             inc: AdjPool::index(n, edges.iter().map(|e| e.to)),
             out: AdjPool::index(n, edges.iter().map(|e| e.from)),
             edges,
+            dirty: false,
             book,
             work: Work::default(),
             stats: ReductionStats::default(),
-        }
+        };
+        r.topo();
+        r
     }
 
-    fn from_graph(g: &ExecGraph, record: bool) -> Self {
+    /// The whole graph as one arena: its edges in predecessor-list
+    /// order.
+    fn from_preds(g: PredView<'_>, record: bool) -> Self {
         let n = g.num_vertices();
         let mut edges = Vec::with_capacity(g.num_edges());
         for v in 0..n as u32 {
@@ -1036,13 +1138,14 @@ impl Reducer {
                 });
             }
         }
-        let book = record.then(|| Book {
-            members: (0..n as u32).map(|v| vec![v]).collect(),
-            head: (0..n as u32).collect(),
-            via: vec![Vec::new(); edges.len()],
-            dead_via: Vec::new(),
+        let book = record.then(|| {
+            Book::new(
+                (0..n as u32).map(|v| vec![v]).collect(),
+                (0..n as u32).collect(),
+                vec![Vec::new(); edges.len()],
+            )
         });
-        Self::new(g.nranks(), g.vertices().to_vec(), edges, book)
+        Self::new(g.nranks, g.verts.to_vec(), edges, book)
     }
 
     /// A rank-local region arena: `verts` are the region's original
@@ -1063,9 +1166,10 @@ impl Reducer {
     ///
     /// `incident` lists this region's (cross-edge id, is-source) pairs in
     /// cross-arena order; the `k`-th entry's half-edge gets arena id
-    /// `intra_edge_count + k`.
+    /// `intra_edge_count + k`. Anchors and halves never die, so they keep
+    /// the arena's last slots through every compaction.
     fn from_region(
-        g: &ExecGraph,
+        g: PredView<'_>,
         verts: &[u32],
         local_of: &[u32],
         cross: &[(u32, u32, EdgeKind, CostExpr)],
@@ -1128,14 +1232,9 @@ impl Reducer {
             let mut head = Vec::with_capacity(total);
             head.extend_from_slice(verts);
             head.resize(total, u32::MAX);
-            Book {
-                members,
-                head,
-                via: vec![Vec::new(); edges.len()],
-                dead_via: Vec::new(),
-            }
+            Book::new(members, head, vec![Vec::new(); edges.len()])
         });
-        let mut arena = Self::new(g.nranks(), arena, edges, book);
+        let mut arena = Self::new(g.nranks, arena, edges, book);
         arena.first_virtual = n as u32;
         arena
     }
@@ -1144,29 +1243,15 @@ impl Reducer {
     /// `n_incident` is the region's half-edge count; halves occupy the
     /// last `n_incident` arena edge slots (see [`Reducer::from_region`]).
     fn into_region_out(mut self, n_incident: usize) -> RegionOut {
+        if self.dirty {
+            self.compact();
+        }
+        // Fresh, tight copies: the arena's buffers go back to the
+        // allocator for the next region.
         let fv = self.first_virtual as usize;
         let n_intra = self.edges.len() - n_incident;
-        let mut surv_of = vec![u32::MAX; fv];
-        let mut verts = Vec::new();
-        for (lv, slot) in surv_of.iter_mut().enumerate() {
-            if self.valive[lv] {
-                *slot = verts.len() as u32;
-                verts.push(self.verts[lv]);
-            }
-        }
-        let edges: Vec<REdge> = self.edges[..n_intra]
-            .iter()
-            .filter(|e| e.alive)
-            .map(|e| {
-                let (f, t) = (surv_of[e.from as usize], surv_of[e.to as usize]);
-                debug_assert!(f != u32::MAX && t != u32::MAX, "live edge endpoint died");
-                REdge {
-                    from: f,
-                    to: t,
-                    ..*e
-                }
-            })
-            .collect();
+        let verts = self.verts[..fv].to_vec();
+        let edges = self.edges[..n_intra].to_vec();
         let halves = self.edges[n_intra..]
             .iter()
             .map(|e| {
@@ -1174,38 +1259,34 @@ impl Reducer {
                 // The real endpoint (the other one is this half's virtual
                 // boundary anchor).
                 let real = if (e.from as usize) < fv { e.from } else { e.to };
-                (surv_of[real as usize], e.cost)
+                (real, e.cost)
             })
             .collect();
-        let mut half_via = Vec::new();
         let book = self.book.take().map(|mut b| {
-            let mut out = Book {
-                members: Vec::with_capacity(verts.len()),
-                head: Vec::with_capacity(verts.len()),
-                via: Vec::with_capacity(edges.len()),
-                dead_via: Vec::new(),
-            };
-            for lv in (0..fv).filter(|&lv| self.valive[lv]) {
-                out.head.push(b.head[lv]);
-                out.members.push(std::mem::take(&mut b.members[lv]));
+            let mut take = |eid: usize| std::mem::take(&mut b.via[b.slot[eid] as usize]);
+            let via = (0..n_intra).map(&mut take).collect();
+            let half_via = (n_intra..self.edges.len()).map(&mut take).collect();
+            let dead_via = b
+                .via
+                .iter_mut()
+                .zip(&b.to_head)
+                .filter(|(via, &to)| to != u32::MAX && !via.is_empty())
+                .map(|(via, &to)| (to, std::mem::take(via)))
+                .collect();
+            b.members.truncate(fv);
+            RegionBook {
+                members: b.members,
+                head: b.head[..fv].to_vec(),
+                via,
+                dead_via,
+                half_via,
             }
-            for (e, via) in self.edges[..n_intra].iter().zip(&mut b.via) {
-                if e.alive {
-                    out.via.push(std::mem::take(via));
-                } else if !via.is_empty() {
-                    out.dead_via
-                        .push((b.head[e.to as usize], std::mem::take(via)));
-                }
-            }
-            half_via = b.via.split_off(n_intra);
-            out
         });
         RegionOut {
             verts,
             edges,
             halves,
             book,
-            half_via,
             stats: self.stats,
         }
     }
@@ -1237,31 +1318,113 @@ impl Reducer {
         live.next().is_none().then_some(first)
     }
 
-    /// Prune stale adjacency entries (dead or rewired edges).
+    /// Renumber the live vertices and edges densely, keeping their
+    /// order, and repack each adjacency list mapped to the new ids,
+    /// keeping list order: afterwards the arena holds the live graph and
+    /// nothing else. Every order a pass reads — vertex ids (Kahn
+    /// seeding), edge ids (`finish`) and list order (siblings) — is the
+    /// order it was before, so the passes decide exactly as they would
+    /// on the uncompacted arena.
     fn compact(&mut self) {
-        let edges = &self.edges;
-        self.inc.compact(|v, e| enters(edges, v, e));
-        self.out.compact(|v, e| leaves(edges, v, e));
+        let Reducer {
+            verts,
+            valive,
+            first_virtual,
+            edges,
+            inc,
+            out,
+            book,
+            work,
+            ..
+        } = self;
+        let (new_v, new_e) = (&mut work.new_v, &mut work.new_e);
+        let mut live = 0u32;
+        new_v.clear();
+        new_v.extend(valive.iter().map(|&a| {
+            live += u32::from(a);
+            if a {
+                live - 1
+            } else {
+                u32::MAX
+            }
+        }));
+        let mut kept = 0u32;
+        new_e.clear();
+        new_e.extend(edges.iter().map(|e| {
+            kept += u32::from(e.alive);
+            if e.alive {
+                kept - 1
+            } else {
+                u32::MAX
+            }
+        }));
+        inc.renumber(new_v, new_e, |v, e| enters(edges, v, e));
+        out.renumber(new_v, new_e, |v, e| leaves(edges, v, e));
+        if let Some(b) = book {
+            b.renumber(new_v, edges, new_e);
+        }
+
+        let fv = *first_virtual as usize;
+        *first_virtual = match new_v.get(fv) {
+            Some(&id) => {
+                debug_assert_ne!(id, u32::MAX, "a boundary anchor died");
+                id
+            }
+            None => live,
+        };
+        let mut w = 0;
+        for v in 0..verts.len() {
+            if valive[v] {
+                verts[w] = verts[v];
+                w += 1;
+            }
+        }
+        verts.truncate(w);
+        valive.clear();
+        valive.resize(w, true);
+        let mut w = 0;
+        for i in 0..edges.len() {
+            let e = edges[i];
+            if e.alive {
+                edges[w] = REdge {
+                    from: new_v[e.from as usize],
+                    to: new_v[e.to as usize],
+                    ..e
+                };
+                w += 1;
+            }
+        }
+        edges.truncate(w);
     }
 
-    /// Topological order of the live subgraph into `order` (Kahn,
+    /// Bring the arena and its topological order up to date before a
+    /// pass: after a pass that changed nothing both are still valid.
+    fn refresh(&mut self) {
+        if self.dirty {
+            self.compact();
+            self.topo();
+            self.dirty = false;
+        }
+    }
+
+    /// Topological order of the compact arena into `work.order` (Kahn,
     /// ascending-id queue seeding — deterministic).
-    fn topo(&self, order: &mut Vec<u32>, indeg: &mut Vec<u32>) {
+    fn topo(&mut self) {
         let n = self.verts.len();
+        let Work { order, indeg, .. } = &mut self.work;
         indeg.clear();
         indeg.resize(n, 0);
         for e in &self.edges {
-            if e.alive {
-                indeg[e.to as usize] += 1;
-            }
+            debug_assert!(e.alive, "topo runs on a compact arena");
+            indeg[e.to as usize] += 1;
         }
         order.clear();
-        order.extend((0..n as u32).filter(|&v| self.valive[v as usize] && indeg[v as usize] == 0));
+        order.extend((0..n as u32).filter(|&v| indeg[v as usize] == 0));
         let mut head = 0;
         while head < order.len() {
             let v = order[head];
             head += 1;
-            for eid in self.live_out(v) {
+            for &eid in self.out.get(v) {
                 let t = self.edges[eid as usize].to;
                 let d = &mut indeg[t as usize];
                 *d -= 1;
@@ -1276,9 +1439,8 @@ impl Reducer {
     /// predecessor `u` when `u`'s only successor is `v` (same rank),
     /// accumulating edge + vertex cost into `u`.
     fn pass_chains(&mut self) -> u64 {
-        self.compact();
+        self.refresh();
         let mut wk = std::mem::take(&mut self.work);
-        self.topo(&mut wk.order, &mut wk.indeg);
         let mut merged = 0u64;
         for &v in &wk.order {
             if !self.valive[v as usize] {
@@ -1316,6 +1478,7 @@ impl Reducer {
             merged += 1;
         }
         self.work = wk;
+        self.dirty |= merged > 0;
         self.stats.chain_merges += merged;
         merged
     }
@@ -1326,9 +1489,8 @@ impl Reducer {
     /// is exact, and join vertices stop spawning LP rows of their own.
     /// Backward: the mirror for a single `Local` in-edge (≥ 1 succ).
     fn pass_folds(&mut self) -> u64 {
-        self.compact();
+        self.refresh();
         let mut wk = std::mem::take(&mut self.work);
-        self.topo(&mut wk.order, &mut wk.indeg);
         let mut count = 0u64;
         for &v in &wk.order {
             if !self.valive[v as usize] {
@@ -1393,6 +1555,7 @@ impl Reducer {
             }
         }
         self.work = wk;
+        self.dirty |= count > 0;
         self.stats.folds += count;
         count
     }
@@ -1410,9 +1573,8 @@ impl Reducer {
     /// alternative all-non-negative path from its source (bounded DFS,
     /// `dfs_cap` visits) is implied by that path.
     fn pass_redundant(&mut self, dfs_cap: usize) -> u64 {
-        self.compact();
+        self.refresh();
         let mut wk = std::mem::take(&mut self.work);
-        self.topo(&mut wk.order, &mut wk.indeg);
         let n = self.verts.len();
         let dfs = &mut wk.dfs;
         dfs.pos.clear();
@@ -1495,6 +1657,7 @@ impl Reducer {
             }
         }
         self.work = wk;
+        self.dirty |= removed > 0;
         self.stats.redundant_removed += removed;
         removed
     }
@@ -1539,59 +1702,41 @@ impl Reducer {
 
     /// Rebuild the reduced [`ExecGraph`] and, when recording, assemble
     /// its provenance map. `orig_n` is the **original** graph's vertex
-    /// count.
-    fn finish(mut self, orig_n: usize) -> (ReducedGraph, Option<Provenance>) {
+    /// count. The rebuild applies [`GraphBuilder`]'s one duplicate-edge
+    /// rule and orders the graph, so a cycle no pass could touch
+    /// surfaces here as [`GraphError::Cycle`].
+    fn finish(mut self, orig_n: usize) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
         let _span = llamp_obs::span("reduce.finish");
+        if self.dirty {
+            self.compact();
+        }
         // Only whole-graph or stitched arenas reach here; boundary
         // anchors never survive a stitch.
         debug_assert_eq!(self.first_virtual as usize, self.verts.len());
-        if self.book.is_some() {
-            // Pre-deduplicate parallel zero-cost Local edges ourselves so
-            // the builder's internal dedup (the same rule, applied in the
-            // same arena order) can never desynchronise the via table.
-            let mut seen: FxHashMap<(u32, u32), ()> = FxHashMap::default();
-            for e in self.edges.iter_mut() {
-                if e.alive
-                    && e.kind == EdgeKind::Local
-                    && e.cost.is_zero()
-                    && seen.insert((e.from, e.to), ()).is_some()
-                {
-                    e.alive = false;
-                }
-            }
+        let mut builder =
+            GraphBuilder::with_capacity(self.nranks, self.verts.len(), self.edges.len());
+        for vert in &self.verts {
+            builder.add_vertex(vert.rank, vert.kind, vert.cost);
         }
-
-        let n = self.verts.len();
-        let n_live = self.valive.iter().filter(|&&a| a).count();
-        let e_live = self.edges.iter().filter(|e| e.alive).count();
-        let mut new_id = vec![u32::MAX; n];
-        let mut builder = GraphBuilder::with_capacity(self.nranks, n_live, e_live);
-        for (v, vert) in self.verts.iter().enumerate() {
-            if self.valive[v] {
-                new_id[v] = builder.add_vertex(vert.rank, vert.kind, vert.cost);
-            }
+        for e in &self.edges {
+            builder.add_edge(e.from, e.to, e.kind, e.cost);
         }
-        for e in self.edges.iter().filter(|e| e.alive) {
-            let (f, t) = (new_id[e.from as usize], new_id[e.to as usize]);
-            debug_assert!(f != u32::MAX && t != u32::MAX, "edge endpoint died");
-            builder.add_edge(f, t, e.kind, e.cost);
-        }
-        let graph = builder.finish().expect("reduction preserves acyclicity");
+        let (graph, slots) = builder.finish_slots()?;
         let provenance = self
             .book
             .take()
-            .map(|b| b.provenance(&self.edges, &self.valive, &new_id, &graph, orig_n));
+            .map(|b| b.provenance(&self.edges, &slots, &graph, orig_n));
 
         self.stats.vertices_after = graph.num_vertices() as u64;
         self.stats.edges_after = graph.num_edges() as u64;
         self.stats.rows_after = alg1_row_count(&graph);
-        (
+        Ok((
             ReducedGraph {
                 graph,
                 stats: self.stats,
             },
             provenance,
-        )
+        ))
     }
 }
 

@@ -1,0 +1,152 @@
+//! The product path — the builder's sorted arrays handed straight to
+//! the reducer ([`reduced_graph_of_programs`]) — against the raw-CSR
+//! path, `reduce(&graph_of_programs(..))`.
+//!
+//! Both must give the same reduced graph and the same counters on the
+//! whole-graph reduction path and on the rank-partitioned one, at any
+//! thread count; `reduce_with_provenance` on the raw graph must return
+//! that graph too. A cyclic trace must fail with the typed
+//! [`BuildError::Cycle`] on both reduction paths, never panic.
+
+use llamp_schedgen::{
+    alg1_row_count, graph_of_programs, reduce, reduce_with_provenance, reduced_graph_of_programs,
+    BuildError, GraphConfig, ReduceConfig,
+};
+use llamp_trace::ProgramSet;
+use llamp_workloads::App;
+
+/// Reduce one shape both ways under `rcfg` and compare everything.
+fn assert_paths_agree(set: &ProgramSet, rcfg: &ReduceConfig, what: &str) {
+    let cfg = GraphConfig::paper();
+    let raw = graph_of_programs(set, &cfg).expect("workload builds");
+    let want = reduce(&raw, rcfg);
+    let got = reduced_graph_of_programs(set, &cfg, rcfg).expect("workload builds");
+    assert_eq!(want.stats(), got.stats(), "{what}: stats differ");
+    assert_eq!(
+        format!("{want:?}"),
+        format!("{got:?}"),
+        "{what}: reduced graphs differ"
+    );
+    let (recorded, _) = reduce_with_provenance(&raw, rcfg);
+    assert_eq!(
+        format!("{recorded:?}"),
+        format!("{got:?}"),
+        "{what}: reduce_with_provenance returns another graph"
+    );
+    // The product path counts the raw graph it never builds.
+    assert_eq!(got.stats().vertices_before, raw.num_vertices() as u64);
+    assert_eq!(got.stats().edges_before, raw.num_edges() as u64);
+    assert_eq!(got.stats().rows_before, alg1_row_count(&raw));
+}
+
+#[test]
+fn product_path_equals_the_raw_csr_path() {
+    for app in App::ALL {
+        for (ranks, iters) in [(8, 2), (24, 1)] {
+            assert_paths_agree(
+                &app.programs(ranks, iters),
+                &ReduceConfig::default(),
+                &format!("{} r{ranks} i{iters}", app.name()),
+            );
+        }
+    }
+}
+
+#[test]
+fn product_path_equals_the_raw_csr_path_when_partitioned() {
+    // A lowered threshold reaches the rank-partitioned path without a
+    // large graph.
+    let set = App::Hpcg.programs(8, 2);
+    for threads in [1, 2] {
+        let rcfg = ReduceConfig {
+            threads,
+            par_threshold: 1_024,
+            ..ReduceConfig::default()
+        };
+        assert_paths_agree(&set, &rcfg, &format!("HPCG r8 i2, {threads} threads"));
+    }
+}
+
+#[test]
+fn cyclic_trace_fails_typed_on_both_reduction_paths() {
+    // Both ranks receive before they send: the matched graph is cyclic.
+    let set = ProgramSet::spmd(2, |rank, b| {
+        let peer = 1 - rank;
+        b.recv(peer, 8, 0);
+        b.send(peer, 8, 0);
+    });
+    let partitioned = ReduceConfig {
+        par_threshold: 0,
+        ..ReduceConfig::default()
+    };
+    for (what, rcfg) in [
+        ("whole-graph", ReduceConfig::default()),
+        ("partitioned", partitioned),
+    ] {
+        match reduced_graph_of_programs(&set, &GraphConfig::eager(), &rcfg) {
+            Err(BuildError::Cycle) => {}
+            other => panic!("{what} path: expected a cycle error, got {other:?}"),
+        }
+    }
+}
+
+/// FNV-1a of a `Debug` image: a stable fingerprint to pin bytes with.
+fn fnv1a(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn reduced_graph_bytes_are_pinned() {
+    // Both paths above share one reducer, so comparing them cannot see a
+    // change to what that reducer returns. These fingerprints can: the
+    // reduced graphs, stats and provenance are part of every cached
+    // result, so moving them needs a new reduction tag in the cache key
+    // and new fingerprints here.
+    let fingerprint = |x: &dyn std::fmt::Debug| fnv1a(&format!("{x:?}"));
+    let pinned = [
+        (App::Lulesh, 0x656c_a889_cdb3_73eb_u64),
+        (App::Hpcg, 0x6477_1e84_d342_450f),
+        (App::Milc, 0xf706_3e66_4ab2_43a8),
+        (App::Icon, 0x12f6_67e5_7ce7_b5dd),
+        (App::Lammps, 0x67ae_3cb2_e1d8_0c44),
+        (App::Openmx, 0xb71f_239f_9d9c_44df),
+        (App::Cloverleaf, 0x35d7_eddb_e9d8_8e9f),
+    ];
+    let cfg = GraphConfig::paper();
+    for (app, want) in pinned {
+        let got = reduced_graph_of_programs(&app.programs(8, 2), &cfg, &ReduceConfig::default())
+            .expect("workload builds");
+        assert_eq!(fingerprint(&got), want, "{} r8 i2 moved", app.name());
+    }
+
+    let partitioned = ReduceConfig {
+        par_threshold: 1_024,
+        ..ReduceConfig::default()
+    };
+    let hpcg = graph_of_programs(&App::Hpcg.programs(8, 2), &cfg).expect("hpcg builds");
+    let (reduced, provenance) = reduce_with_provenance(&hpcg, &partitioned);
+    assert_eq!(
+        fingerprint(&reduced),
+        0xcd7b_0cf9_2e54_439e,
+        "partitioned HPCG moved"
+    );
+    assert_eq!(
+        fingerprint(&provenance),
+        0xef10_fc5f_4592_6d29,
+        "partitioned HPCG provenance moved"
+    );
+    // OpenMX folds vertices into several edges at once, so its `home_of`
+    // depends on the order dead edges' via lists resolve in.
+    let openmx = graph_of_programs(&App::Openmx.programs(8, 2), &cfg).expect("openmx builds");
+    let (_, provenance) = reduce_with_provenance(&openmx, &ReduceConfig::default());
+    assert_eq!(
+        fingerprint(&provenance),
+        0x9f44_de23_c505_ffb8,
+        "OpenMX provenance moved"
+    );
+}

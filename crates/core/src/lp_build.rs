@@ -191,6 +191,12 @@ impl GraphLp {
 
     /// The one lowering: Algorithm 1 with a column for each of `params`
     /// (canonical order).
+    ///
+    /// It visits each vertex and each in-edge once and allocates per
+    /// model, not per row: merge variables and rows carry no names (no
+    /// engine path reads one; the model's text form prints them as
+    /// `x{index}`), every row's terms are assembled in one reused buffer,
+    /// and the model appends them to its flat row arrays.
     fn lower<V: GraphView + ?Sized>(graph: &V, binding: &Binding, params: &[SweepParam]) -> Self {
         use llamp_lp::solution::VarStatus;
 
@@ -223,16 +229,24 @@ impl GraphLp {
                 (mb.constant, [mb.l, mb.g, mb.o])
             }
         };
-        // Append the column coefficients of an expression to a
-        // constraint's term list (negated: y − base − m·(l, g, o) ≥ c).
-        let push_coeffs = |terms: &mut Vec<(VarId, f64)>, m: [f64; 3]| {
-            for &(p, var) in &cols {
-                let x = m[p as usize];
-                if x != 0.0 {
-                    terms.push((var, -x));
+        // Fill a constraint's term list: the bounded variable, the
+        // expression's base, then its column coefficients (negated:
+        // y − base − m·(l, g, o) ≥ c).
+        let fill_terms =
+            |terms: &mut Vec<(VarId, f64)>, y: VarId, base: Option<VarId>, m: [f64; 3]| {
+                terms.clear();
+                terms.push((y, 1.0));
+                if let Some(b) = base {
+                    terms.push((b, -1.0));
                 }
-            }
-        };
+                for &(p, var) in &cols {
+                    let x = m[p as usize];
+                    if x != 0.0 {
+                        terms.push((var, -x));
+                    }
+                }
+            };
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
         let sum = |a: [f64; 3], b: [f64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
 
         let n = graph.num_vertices();
@@ -265,20 +279,16 @@ impl GraphLp {
                     }
                 }
                 _ => {
-                    let y = model.add_var(format!("y{v}"), f64::NEG_INFINITY, f64::INFINITY, 0.0);
+                    let y = model.add_var("", f64::NEG_INFINITY, f64::INFINITY, 0.0);
                     col_status.push(VarStatus::Basic);
                     for &(p, eb) in low.preds {
                         let (ec, em) = split(eb);
                         let u = exprs[p as usize];
                         // y ≥ base_u + (c_u + ec) + (m_u + em)·(l, g, o)
-                        let mut terms = vec![(y, 1.0)];
-                        if let Some(b) = u.base {
-                            terms.push((b, -1.0));
-                        }
                         let m = sum(u.m, em);
-                        push_coeffs(&mut terms, m);
+                        fill_terms(&mut terms, y, u.base, m);
                         let rhs = u.c + ec;
-                        model.add_constraint(format!("in{v}_{p}"), &terms, Relation::Ge, rhs);
+                        model.add_constraint("", &terms, Relation::Ge, rhs);
                         rows.push(CrashRow {
                             target: y.0,
                             base: u.base.map_or(NO_BASE, |b| b.0),
@@ -300,12 +310,8 @@ impl GraphLp {
             // Sinks bound the makespan variable: t ≥ Tv.
             if low.is_sink {
                 let ex = exprs[v as usize];
-                let mut terms = vec![(t, 1.0)];
-                if let Some(b) = ex.base {
-                    terms.push((b, -1.0));
-                }
-                push_coeffs(&mut terms, ex.m);
-                model.add_constraint(format!("sink{v}"), &terms, Relation::Ge, ex.c);
+                fill_terms(&mut terms, t, ex.base, ex.m);
+                model.add_constraint("", &terms, Relation::Ge, ex.c);
                 rows.push(CrashRow {
                     target: t.0,
                     base: ex.base.map_or(NO_BASE, |b| b.0),

@@ -35,7 +35,7 @@
 //!   the run starts from an empty cache, preserving the evidence.
 
 use crate::scenario::{AxisPointValue, PointResult, ZonesResult};
-use crate::spec::fnv1a;
+use crate::spec::{fnv1a, fnv1a_continue};
 use crate::value::{parse_json, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -431,45 +431,43 @@ fn quarantine_entry() {
 }
 
 /// FNV-1a integrity checksum over an entry's key, kind and exact payload
-/// bit patterns. Any bit flip in a persisted number changes the sum.
+/// bit patterns (each spelled as 16 lowercase hex digits). Any bit flip
+/// in a persisted number changes the sum. The bytes are hashed as they
+/// are produced, with no string built to hold them.
 fn entry_checksum(key: &str, entry: &CachedEntry) -> u64 {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(key.len() + 144);
-    s.push_str(key);
-    let push_bits = |s: &mut String, xs: &[f64]| {
-        for x in xs {
-            let _ = write!(s, "{:016x}", x.to_bits());
-        }
+    let bits = |h: u64, xs: &[f64]| {
+        xs.iter().fold(h, |h, x| {
+            let b = x.to_bits();
+            let mut hex = [0u8; 16];
+            for (i, d) in hex.iter_mut().enumerate() {
+                *d = b"0123456789abcdef"[(b >> (60 - 4 * i)) as usize & 0xf];
+            }
+            fnv1a_continue(h, &hex)
+        })
     };
+    let h = fnv1a(key.as_bytes());
     match entry {
-        CachedEntry::Point(p) => {
-            s.push_str("|point|");
-            push_bits(&mut s, &[p.delta_l_ns, p.runtime_ns, p.lambda, p.rho]);
-        }
-        CachedEntry::AxisPoint(p) => {
-            s.push_str("|axis-point|");
-            push_bits(
-                &mut s,
-                &[
-                    p.runtime_ns,
-                    p.lambda_l,
-                    p.lambda_g,
-                    p.lambda_o,
-                    p.rho_l,
-                    p.rho_g,
-                    p.rho_o,
-                ],
-            );
-        }
-        CachedEntry::Zones(z) => {
-            s.push_str("|zones|");
-            push_bits(
-                &mut s,
-                &[z.baseline_runtime_ns, z.pct1_ns, z.pct2_ns, z.pct5_ns],
-            );
-        }
+        CachedEntry::Point(p) => bits(
+            fnv1a_continue(h, b"|point|"),
+            &[p.delta_l_ns, p.runtime_ns, p.lambda, p.rho],
+        ),
+        CachedEntry::AxisPoint(p) => bits(
+            fnv1a_continue(h, b"|axis-point|"),
+            &[
+                p.runtime_ns,
+                p.lambda_l,
+                p.lambda_g,
+                p.lambda_o,
+                p.rho_l,
+                p.rho_g,
+                p.rho_o,
+            ],
+        ),
+        CachedEntry::Zones(z) => bits(
+            fnv1a_continue(h, b"|zones|"),
+            &[z.baseline_runtime_ns, z.pct1_ns, z.pct2_ns, z.pct5_ns],
+        ),
     }
-    fnv1a(s.as_bytes())
 }
 
 /// Infinite tolerances serialise as `null` (JSON has no `inf`);
@@ -702,6 +700,86 @@ mod tests {
         let back = ResultCache::load(&path).unwrap();
         assert_eq!(back.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The saved file's bytes — layout, float spellings and checksums —
+    /// are what every earlier run's cache file holds, so they must not
+    /// move: a parent's file has to keep loading and hitting.
+    #[test]
+    fn saved_file_bytes_are_pinned() {
+        let dir = temp_cache_dir("pinned");
+        let path = dir.join("cache.json");
+        let c = ResultCache::new();
+        c.put(
+            point_key("base", 1250.5, LP_TAG),
+            CachedEntry::Point(PointResult {
+                delta_l_ns: 1250.5,
+                runtime_ns: 123_456.789,
+                lambda: 7.0,
+                rho: 0.070_934_1,
+            }),
+        );
+        c.put(
+            axis_point_key("base", [100.0, 0.5, 2.0], LP_TAG),
+            CachedEntry::AxisPoint(AxisPointValue {
+                runtime_ns: 9.876e5,
+                lambda_l: 3.0,
+                lambda_g: 1024.0,
+                lambda_o: 12.0,
+                rho_l: 0.1,
+                rho_g: 1e-3,
+                rho_o: 0.25,
+            }),
+        );
+        c.put(
+            zones_key("base", 4e4, LP_ZONE_TAG),
+            CachedEntry::Zones(ZonesResult {
+                baseline_runtime_ns: 42.0,
+                pct1_ns: 0.42,
+                pct2_ns: 0.84,
+                pct5_ns: f64::INFINITY,
+            }),
+        );
+        c.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let want = r#"{
+  "version": 2,
+  "entries": [
+    {
+      "key": "base|apt|tri-l4059000000000000,g3fe0000000000000,o4000000000000000",
+      "sum": "4f8110dbe0351d1f",
+      "kind": "axis-point",
+      "runtime_ns": 987600.0,
+      "lambda_l": 3.0,
+      "lambda_g": 1024.0,
+      "lambda_o": 12.0,
+      "rho_l": 0.1,
+      "rho_g": 0.001,
+      "rho_o": 0.25
+    },
+    {
+      "key": "base|pt|tri-40938a0000000000",
+      "sum": "cbfc9fe22282b67d",
+      "kind": "point",
+      "delta_l_ns": 1250.5,
+      "runtime_ns": 123456.789,
+      "lambda": 7.0,
+      "rho": 0.0709341
+    },
+    {
+      "key": "base|zones|root-40e3880000000000",
+      "sum": "94d18f9caf1a0ed0",
+      "kind": "zones",
+      "baseline_runtime_ns": 42.0,
+      "pct1_ns": 0.42,
+      "pct2_ns": 0.84,
+      "pct5_ns": null
+    }
+  ]
+}
+"#;
+        assert_eq!(text, want, "saved cache bytes moved");
     }
 
     #[test]

@@ -565,7 +565,13 @@ fn sort_dedup_by_key<T>(items: &mut Vec<T>, key: impl Fn(&T) -> String) {
 /// FNV-1a 64-bit hash: tiny, dependency-free, and stable — exactly what a
 /// content-addressed cache key needs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue the FNV-1a hash `h` of some bytes over `bytes`: the result
+/// is [`fnv1a`] of the two runs joined, so a hash can be fed its bytes as
+/// they are produced.
+pub(crate) fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);

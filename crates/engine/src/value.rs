@@ -105,9 +105,13 @@ impl Value {
     }
 
     fn write_json(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
+        // Pretty mode only: a line break indented `level` steps, written
+        // straight into `out`.
+        let newline = |out: &mut String, level: usize| {
+            if let Some(w) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', w * level));
+            }
         };
         match self {
             Value::Null => out.push_str("null"),
@@ -127,12 +131,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     item.write_json(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push(']');
             }
             Value::Table(pairs) => {
@@ -145,8 +147,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     write_json_str(out, k);
                     out.push(':');
                     if indent.is_some() {
@@ -154,8 +155,7 @@ impl Value {
                     }
                     v.write_json(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push('}');
             }
         }

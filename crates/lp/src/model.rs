@@ -82,14 +82,12 @@ pub(crate) struct Matrix {
 
 impl Matrix {
     fn build(model: &LpModel) -> Self {
-        let m = model.terms.len();
+        let m = model.row_end.len();
         let n_struct = model.vars.len();
         let n_total = n_struct + m;
         let mut col_start = vec![0usize; n_total + 1];
-        for row in &model.terms {
-            for &(v, _) in row {
-                col_start[v as usize + 1] += 1;
-            }
+        for &(v, _) in &model.terms {
+            col_start[v as usize + 1] += 1;
         }
         for i in 0..m {
             col_start[n_struct + i + 1] = 1;
@@ -101,8 +99,8 @@ impl Matrix {
         let mut col_rows = vec![0u32; nnz];
         let mut col_vals = vec![0.0f64; nnz];
         let mut fill = col_start[..n_total].to_vec();
-        for (i, row) in model.terms.iter().enumerate() {
-            for &(v, c) in row {
+        for i in 0..m {
+            for &(v, c) in model.row_terms(i) {
                 let p = fill[v as usize];
                 col_rows[p] = i as u32;
                 col_vals[p] = c;
@@ -115,17 +113,12 @@ impl Matrix {
             col_vals[p] = -1.0;
         }
 
+        // The row-wise half is the model's own flat rows.
         let mut row_start = Vec::with_capacity(m + 1);
         row_start.push(0);
-        let mut row_cols = Vec::with_capacity(nnz - m);
-        let mut row_vals = Vec::with_capacity(nnz - m);
-        for row in &model.terms {
-            for &(v, c) in row {
-                row_cols.push(v);
-                row_vals.push(c);
-            }
-            row_start.push(row_cols.len());
-        }
+        row_start.extend_from_slice(&model.row_end);
+        let row_cols = model.terms.iter().map(|&(v, _)| v).collect();
+        let row_vals = model.terms.iter().map(|&(_, c)| c).collect();
         Self {
             m,
             n_struct,
@@ -169,6 +162,14 @@ impl fmt::Debug for Matrix {
 
 /// A linear program under construction.
 ///
+/// Rows are stored flat, the way the solver's row-wise matrix holds them:
+/// every row's `(column, coefficient)` terms in one array, row after row,
+/// with one end offset per row. Adding a constraint appends its terms at
+/// the tail and sorts and merges them in place, so building a model
+/// allocates per array growth, not per row, and a variable or row added
+/// with an empty name allocates nothing for it (the text form prints it
+/// as `x{index}`).
+///
 /// ```
 /// use llamp_lp::{LpModel, Objective, Relation};
 ///
@@ -192,9 +193,12 @@ pub struct LpModel {
     /// Objective coefficient per variable.
     pub(crate) obj: Vec<f64>,
     pub(crate) rows: Boxes,
-    /// `(column, coefficient)` terms per row; sorted by column,
-    /// deduplicated.
-    pub(crate) terms: Vec<Vec<(u32, f64)>>,
+    /// End offset of each row's terms in `terms` (a row starts where the
+    /// previous one ends).
+    pub(crate) row_end: Vec<usize>,
+    /// Every row's `(column, coefficient)` terms, row after row; each
+    /// row sorted by column, deduplicated, exact zeros dropped.
+    pub(crate) terms: Vec<(u32, f64)>,
     /// The computational-form matrix, built by the first solve and
     /// dropped by every edit that changes it (a clone shares it until
     /// its own first such edit).
@@ -240,7 +244,8 @@ impl LpModel {
         self.add_range_constraint(name, terms, lb, ub)
     }
 
-    /// Add a range constraint `lb ≤ aᵀx ≤ ub`.
+    /// Add a range constraint `lb ≤ aᵀx ≤ ub`. Duplicate variables in
+    /// `terms` are summed.
     pub fn add_range_constraint(
         &mut self,
         name: impl Into<String>,
@@ -249,26 +254,37 @@ impl LpModel {
         ub: f64,
     ) -> ConId {
         assert!(lb <= ub, "constraint bounds crossed: {lb} > {ub}");
-        let mut t: Vec<(u32, f64)> = Vec::with_capacity(terms.len());
-        for &(v, c) in terms {
+        for &(v, _) in terms {
             assert!(
                 (v.0 as usize) < self.vars.len(),
                 "constraint references unknown variable {v:?}"
             );
-            t.push((v.0, c));
         }
-        t.sort_unstable_by_key(|&(v, _)| v);
-        // Merge duplicates, drop exact zeros.
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(t.len());
-        for (v, c) in t {
-            match merged.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => merged.push((v, c)),
+        // Append at the tail, sort there, then merge duplicates and drop
+        // exact zeros in place.
+        let start = self.terms.len();
+        self.terms.extend(terms.iter().map(|&(v, c)| (v.0, c)));
+        self.terms[start..].sort_unstable_by_key(|&(v, _)| v);
+        let mut end = start;
+        for k in start..self.terms.len() {
+            let (v, c) = self.terms[k];
+            if end > start && self.terms[end - 1].0 == v {
+                self.terms[end - 1].1 += c;
+            } else {
+                self.terms[end] = (v, c);
+                end += 1;
             }
         }
-        merged.retain(|&(_, c)| c != 0.0);
+        let mut kept = start;
+        for k in start..end {
+            if self.terms[k].1 != 0.0 {
+                self.terms[kept] = self.terms[k];
+                kept += 1;
+            }
+        }
+        self.terms.truncate(kept);
+        self.row_end.push(kept);
         self.matrix.take();
-        self.terms.push(merged);
         ConId(self.rows.push(name.into(), lb, ub))
     }
 
@@ -284,7 +300,7 @@ impl LpModel {
 
     /// Total number of nonzero coefficients across all rows.
     pub fn num_nonzeros(&self) -> usize {
-        self.terms.iter().map(Vec::len).sum()
+        self.terms.len()
     }
 
     /// Optimisation direction.
@@ -354,6 +370,17 @@ impl LpModel {
         Arc::clone(self.matrix.get_or_init(|| Arc::new(Matrix::build(self))))
     }
 
+    /// The `(column, coefficient)` terms of a constraint: sorted by
+    /// column, duplicates summed, exact zeros dropped.
+    pub fn row(&self, c: ConId) -> &[(u32, f64)] {
+        self.row_terms(c.0 as usize)
+    }
+
+    fn row_terms(&self, i: usize) -> &[(u32, f64)] {
+        let start = if i == 0 { 0 } else { self.row_end[i - 1] };
+        &self.terms[start..self.row_end[i]]
+    }
+
     /// Row bounds `(lb, ub)` of a constraint.
     pub fn row_bounds(&self, c: ConId) -> (f64, f64) {
         let i = c.0 as usize;
@@ -387,9 +414,9 @@ impl fmt::Display for LpModel {
         }
         writeln!(f)?;
         writeln!(f, "Subject To")?;
-        for (i, terms) in self.terms.iter().enumerate() {
+        for i in 0..self.row_end.len() {
             write!(f, "  {}:", nm(&self.rows.names[i], i))?;
-            for &(v, coef) in terms {
+            for &(v, coef) in self.row_terms(i) {
                 write!(f, " {:+} {}", coef, var(v as usize))?;
             }
             let (lb, ub) = (self.rows.lb[i], self.rows.ub[i]);
@@ -434,7 +461,7 @@ mod tests {
         let mut m = LpModel::new(Objective::Minimize);
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let c = m.add_constraint("r", &[(x, 1.0), (x, 2.0)], Relation::Le, 6.0);
-        assert_eq!(m.terms[c.0 as usize], vec![(0, 3.0)]);
+        assert_eq!(m.row(c), [(0, 3.0)]);
     }
 
     #[test]
@@ -443,7 +470,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let y = m.add_var("y", 0.0, 10.0, 0.0);
         let c = m.add_constraint("r", &[(x, 1.0), (y, 0.0)], Relation::Le, 6.0);
-        assert_eq!(m.terms[c.0 as usize], vec![(0, 1.0)]);
+        assert_eq!(m.row(c), [(0, 1.0)]);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! Storage is flat CSR (u32 ids, no per-vertex allocation): graphs with
 //! millions of events are the common case (paper Table I).
 
+use crate::reduce::{REdge, SortedInput};
+
 /// Symbolic cost `const + o_count·o + l_count·L + gbytes·G` (ns).
 ///
 /// `l_count` counts network-latency traversals — the quantity whose sum
@@ -263,107 +265,27 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// An added edge `(from, to, kind, cost)`.
-type AddedEdge = (u32, u32, EdgeKind, CostExpr);
-
-/// A graph's vertices and predecessor lists in CSR form — everything
-/// the reduction pipeline reads. Borrowed from an [`ExecGraph`] or from
-/// a [`GraphBuilder`]'s sorted arrays ([`SortedPreds`]), so neither
-/// source is copied to hand it over.
-#[derive(Clone, Copy)]
-pub(crate) struct PredView<'a> {
-    pub(crate) nranks: u32,
-    pub(crate) verts: &'a [Vertex],
-    pub(crate) pred_start: &'a [u32],
-    pub(crate) preds: &'a [EdgeRef],
-}
-
-impl PredView<'_> {
-    pub(crate) fn num_vertices(&self) -> usize {
-        self.verts.len()
-    }
-
-    pub(crate) fn num_edges(&self) -> usize {
-        self.preds.len()
-    }
-
-    #[inline]
-    pub(crate) fn vertex(&self, v: u32) -> &Vertex {
-        &self.verts[v as usize]
-    }
-
-    #[inline]
-    pub(crate) fn preds(&self, v: u32) -> &[EdgeRef] {
-        let s = self.pred_start[v as usize] as usize;
-        let e = self.pred_start[v as usize + 1] as usize;
-        &self.preds[s..e]
-    }
-
-    /// [`crate::view::alg1_row_count`] from degree counts alone: the
-    /// in-degrees are the list lengths, and a vertex is a sink when no
-    /// predecessor list names it.
-    pub(crate) fn alg1_row_count(&self) -> u64 {
-        let mut has_succ = vec![false; self.verts.len()];
-        for e in self.preds {
-            has_succ[e.other as usize] = true;
-        }
-        let mut rows = 0u64;
-        for (v, &succ) in has_succ.iter().enumerate() {
-            let np = u64::from(self.pred_start[v + 1] - self.pred_start[v]);
-            if np > 1 {
-                rows += np;
-            }
-            rows += u64::from(!succ);
-        }
-        rows
-    }
-}
-
-impl ExecGraph {
-    /// This graph's vertex array and predecessor lists, borrowed.
-    pub(crate) fn pred_view(&self) -> PredView<'_> {
-        PredView {
-            nranks: self.nranks,
-            verts: &self.verts,
-            pred_start: &self.pred_start,
-            preds: &self.preds,
-        }
-    }
-}
-
-/// A builder's vertices and sorted predecessor lists, with no successor
-/// lists and no topological order: the reduced graph's input on the
-/// product path (see [`GraphBuilder::finish_reduced`]).
-pub(crate) struct SortedPreds {
-    nranks: u32,
-    verts: Vec<Vertex>,
-    pred_start: Vec<u32>,
-    preds: Vec<EdgeRef>,
-}
-
-impl SortedPreds {
-    pub(crate) fn view(&self) -> PredView<'_> {
-        PredView {
-            nranks: self.nranks,
-            verts: &self.verts,
-            pred_start: &self.pred_start,
-            preds: &self.preds,
-        }
-    }
-}
-
 /// Mutable accumulation of vertices and edges in insertion order,
-/// finalised into CSR form.
+/// finalised into CSR form ([`GraphBuilder::finish`]) or straight into
+/// the reduced graph ([`GraphBuilder::finish_reduced`]).
 ///
-/// One duplicate-edge rule holds for every graph built here: of several
-/// zero-cost `Local` edges `f → t`, only the first added survives. The
-/// predecessor sort applies it (see [`GraphBuilder::finish`]), so adding
-/// an edge is a push and nothing more.
+/// Edges are kept the way the reducer's arena keeps them: a 12-byte
+/// structure record (ends, kind) per edge, with its cost in a parallel
+/// array. One duplicate-edge rule holds for every graph built here: of
+/// several zero-cost `Local` edges `f → t`, only the first added
+/// survives. The predecessor sort applies it (see
+/// [`GraphBuilder::finish`]), so adding an edge is a push and nothing
+/// more. Both finishes run that one sort: `finish` lays the kept edges
+/// out as predecessor lists, while `finish_reduced` has it write the
+/// reducer's input directly — the same two arrays in predecessor order —
+/// and moves the vertex array in, so each added edge is copied once on
+/// its way into the reducer.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     nranks: u32,
     verts: Vec<Vertex>,
-    edges: Vec<AddedEdge>,
+    edges: Vec<REdge>,
+    costs: Vec<CostExpr>,
 }
 
 impl GraphBuilder {
@@ -380,6 +302,7 @@ impl GraphBuilder {
             nranks,
             verts: Vec::with_capacity(verts),
             edges: Vec::with_capacity(edges),
+            costs: Vec::with_capacity(edges),
         }
     }
 
@@ -397,7 +320,8 @@ impl GraphBuilder {
         debug_assert!((from as usize) < self.verts.len());
         debug_assert!((to as usize) < self.verts.len());
         debug_assert_ne!(from, to, "self edge");
-        self.edges.push((from, to, kind, cost));
+        self.edges.push(REdge::new(from, to, kind));
+        self.costs.push(cost);
     }
 
     /// Number of vertices added so far.
@@ -415,16 +339,31 @@ impl GraphBuilder {
     /// `slots[pred_start(v) + i]`).
     pub(crate) fn finish_slots(self) -> Result<(ExecGraph, Vec<u32>), GraphError> {
         let n = self.verts.len();
-        let (pred_start, slots, preds) = self.sort_preds();
+        let mut preds = Vec::with_capacity(self.edges.len());
+        let (pred_start, slots, _) = self.sort_preds(|id| {
+            let e = self.edges[id];
+            preds.push(EdgeRef {
+                other: e.from,
+                kind: e.kind,
+                cost: self.costs[id],
+            })
+        });
 
         // Successor lists: the kept edges by source, in insertion order.
         let mut kept = vec![false; self.edges.len()];
         for &id in &slots {
             kept[id as usize] = true;
         }
+        let kept_edges = || {
+            self.edges
+                .iter()
+                .zip(&self.costs)
+                .zip(&kept)
+                .filter_map(|(e, &k)| k.then_some(e))
+        };
         let mut succ_start = vec![0u32; n + 1];
-        for (&(f, ..), _) in self.edges.iter().zip(&kept).filter(|(_, &k)| k) {
-            succ_start[f as usize + 1] += 1;
+        for (e, _) in kept_edges() {
+            succ_start[e.from as usize + 1] += 1;
         }
         for i in 0..n {
             succ_start[i + 1] += succ_start[i];
@@ -438,11 +377,11 @@ impl GraphBuilder {
             preds.len()
         ];
         let mut fill = succ_start.clone();
-        for (&(f, t, kind, cost), _) in self.edges.iter().zip(&kept).filter(|(_, &k)| k) {
-            let s = &mut fill[f as usize];
+        for (e, &cost) in kept_edges() {
+            let s = &mut fill[e.from as usize];
             succs[*s as usize] = EdgeRef {
-                other: t,
-                kind,
+                other: e.to,
+                kind: e.kind,
                 cost,
             };
             *s += 1;
@@ -483,66 +422,89 @@ impl GraphBuilder {
         Ok((graph, slots))
     }
 
-    /// The vertices and predecessor lists alone — no successor lists,
-    /// no topological order, and so no cycle check: a cyclic edge set
-    /// surfaces where a consumer orders it.
-    pub(crate) fn into_sorted_preds(self) -> SortedPreds {
-        let (pred_start, _, preds) = self.sort_preds();
-        SortedPreds {
-            nranks: self.nranks,
-            verts: self.verts,
-            pred_start,
-            preds,
-        }
+    /// The reduction arena's input ([`SortedInput`]), with no successor
+    /// lists and no topological order, and so no cycle check: a cyclic
+    /// edge set surfaces where the reducer orders it. The predecessor
+    /// sort copies each kept edge's cost into place as it decides to keep
+    /// it; the structure records follow in a second gather, into the
+    /// memory the builder's costs leave behind, so the high water is one
+    /// edge list plus one cost array, not two edge lists. The vertex
+    /// array moves in uncopied, and the sort's own counts (each target's
+    /// kept in-degree, how many sources kept an out-edge) give the raw
+    /// graph's Algorithm-1 row count.
+    pub(crate) fn into_sorted_input(self) -> SortedInput {
+        let n = self.verts.len();
+        let mut costs = Vec::with_capacity(self.edges.len());
+        let (pred_start, order, sources) = self.sort_preds(|id| costs.push(self.costs[id]));
+        let GraphBuilder {
+            nranks,
+            verts,
+            edges: added,
+            costs: added_costs,
+        } = self;
+        drop(added_costs);
+        let edges = order.iter().map(|&id| added[id as usize]).collect();
+        drop((added, order));
+        SortedInput::new(nranks, verts, pred_start, edges, costs, n - sources)
     }
 
     /// Stable counting sort of the added edges by target, applying the
     /// duplicate-edge rule: a zero-cost `Local` edge `f → t` is dropped
     /// when `t`'s list already holds one from `f` (`last[f] == t`), so
-    /// the first added survives. Returns the list offsets, the added-edge
-    /// index in each slot, and the slots' edges as seen from the target.
-    fn sort_preds(&self) -> (Vec<u32>, Vec<u32>, Vec<EdgeRef>) {
+    /// the first added survives. Hands each kept edge's index to `keep`
+    /// in predecessor order (targets ascending, insertion order within a
+    /// target) and returns the list offsets, the kept edges' indexes in
+    /// that order, and how many vertices kept an out-edge.
+    fn sort_preds(&self, mut keep: impl FnMut(usize)) -> (Vec<u32>, Vec<u32>, usize) {
         let n = self.verts.len();
+        let m = self.edges.len();
+        // Count each target's edges and sum the counts into list ends,
+        // then place the ids from the back: each list comes out in id
+        // order, and each end moves down to its list's start.
         let mut start = vec![0u32; n + 1];
-        for &(_, t, ..) in &self.edges {
-            start[t as usize + 1] += 1;
+        for e in &self.edges {
+            start[e.to as usize] += 1;
         }
-        for i in 0..n {
-            start[i + 1] += start[i];
+        for i in 1..n {
+            start[i] += start[i - 1];
         }
-        let mut slots = vec![0u32; self.edges.len()];
-        let mut fill = start.clone();
-        for (id, &(_, t, ..)) in self.edges.iter().enumerate() {
-            let s = &mut fill[t as usize];
-            slots[*s as usize] = id as u32;
-            *s += 1;
+        start[n] = m as u32;
+        let mut order = vec![0u32; m];
+        for (id, e) in self.edges.iter().enumerate().rev() {
+            let s = &mut start[e.to as usize];
+            *s -= 1;
+            order[*s as usize] = id as u32;
         }
-        drop(fill);
-        let mut last = vec![u32::MAX; n];
-        let mut preds = Vec::with_capacity(slots.len());
+        // `last[f]`: the target of `f`'s latest kept zero-cost `Local`
+        // edge, `HAS_OUT` once `f` kept any other edge, `NONE` before.
+        const NONE: u32 = u32::MAX;
+        const HAS_OUT: u32 = u32::MAX - 1;
+        let mut last = vec![NONE; n];
+        let (mut kept, mut sources) = (0, 0);
         for t in 0..n {
             let (s, e) = (start[t] as usize, start[t + 1] as usize);
-            start[t] = preds.len() as u32;
+            start[t] = kept as u32;
             for k in s..e {
-                let id = slots[k];
-                let (f, _, kind, cost) = self.edges[id as usize];
-                if kind == EdgeKind::Local && cost.is_zero() {
-                    if last[f as usize] == t as u32 {
+                let id = order[k] as usize;
+                let edge = self.edges[id];
+                let f = edge.from as usize;
+                sources += usize::from(last[f] == NONE);
+                if edge.kind == EdgeKind::Local && self.costs[id].is_zero() {
+                    if last[f] == t as u32 {
                         continue;
                     }
-                    last[f as usize] = t as u32;
+                    last[f] = t as u32;
+                } else if last[f] == NONE {
+                    last[f] = HAS_OUT;
                 }
-                slots[preds.len()] = id;
-                preds.push(EdgeRef {
-                    other: f,
-                    kind,
-                    cost,
-                });
+                order[kept] = id as u32;
+                kept += 1;
+                keep(id);
             }
         }
-        start[n] = preds.len() as u32;
-        slots.truncate(preds.len());
-        (start, slots, preds)
+        start[n] = kept as u32;
+        order.truncate(kept);
+        (start, order, sources)
     }
 }
 

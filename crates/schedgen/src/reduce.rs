@@ -38,14 +38,19 @@
 //! reduction decision reads the record, so both entry points return the
 //! same graph.
 //!
-//! The passes read only the vertex array and the predecessor lists: a
-//! raw [`ExecGraph`]'s, or a [`GraphBuilder`]'s right after its
-//! predecessor sort ([`GraphBuilder::finish_reduced`], the product path,
-//! which builds no raw CSR). They rewrite an arena that shrinks as it
-//! reduces: a pass after one that changed something starts by
-//! renumbering the live vertices and edges densely, in their current
-//! order, so each pass costs what the *live* graph costs and decides
-//! exactly as it would on the full-size arena.
+//! The passes read only the vertex array and the predecessor lists. On
+//! the product path ([`GraphBuilder::finish_reduced`], which builds no
+//! raw CSR) the builder's predecessor sort writes them in the arena's
+//! own layout, and the whole-graph arena takes them over without a copy
+//! or a second sort; [`reduce()`] copies a raw [`ExecGraph`]'s lists into
+//! that layout once. An arena edge is a 12-byte structure record (ends,
+//! kind, alive) with its cost in a parallel array, so the passes'
+//! structural checks never drag a 32-byte cost through the cache; only
+//! cost arithmetic reads the costs. The passes rewrite an
+//! arena that shrinks as it reduces: a pass after one that changed
+//! something starts by renumbering the live vertices and edges densely,
+//! in their current order, so each pass costs what the *live* graph
+//! costs and decides exactly as it would on the full-size arena.
 //!
 //! The reduced graph is for *analysis*: like [`ExecGraph::contracted`]
 //! (now a thin wrapper over the chains-only pipeline), `Send`/`Recv`
@@ -53,7 +58,7 @@
 //! simulator.
 
 use crate::graph::{
-    CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, PredView, Vertex, VertexKind,
+    CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, Vertex, VertexKind,
 };
 use crate::view::{alg1_row_count, GraphView};
 
@@ -413,7 +418,7 @@ pub fn reduce(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     if cfg.is_identity() {
         return ReducedGraph::identity(g.clone());
     }
-    traced(|| run(g.pred_view(), cfg, false))
+    traced(|| run(SortedInput::of_graph(g), cfg, false))
         .expect("an ExecGraph is acyclic")
         .0
 }
@@ -426,7 +431,7 @@ pub fn reduce_with_provenance(g: &ExecGraph, cfg: &ReduceConfig) -> (ReducedGrap
         return (ReducedGraph::identity(g.clone()), Provenance::identity(g));
     }
     let (reduced, provenance) =
-        traced(|| run(g.pred_view(), cfg, true)).expect("an ExecGraph is acyclic");
+        traced(|| run(SortedInput::of_graph(g), cfg, true)).expect("an ExecGraph is acyclic");
     (
         reduced,
         provenance.expect("a recording reduction returns its provenance"),
@@ -436,17 +441,18 @@ pub fn reduce_with_provenance(g: &ExecGraph, cfg: &ReduceConfig) -> (ReducedGrap
 impl GraphBuilder {
     /// Finalise straight into the reduced graph, with no raw CSR: the
     /// predecessor sort of [`GraphBuilder::finish`] (and its one
-    /// duplicate-edge rule) feeds the reduction pipeline, and no
-    /// successor lists or topological order of the raw graph are built.
-    /// Returns exactly [`reduce()`]`(&self.finish()?, cfg)`. A cyclic edge
-    /// set fails with [`GraphError::Cycle`] on either reduction path: no
-    /// pass touches a vertex on a cycle, so the cycle reaches the final
-    /// rebuild whole.
+    /// duplicate-edge rule) writes the reduction arena's input directly,
+    /// and no successor lists or topological order of the raw graph are
+    /// built. The raw graph's sizes and Algorithm-1 row count come from
+    /// the sort's own counts. Returns exactly
+    /// [`reduce()`]`(&self.finish()?, cfg)`. A cyclic edge set fails with
+    /// [`GraphError::Cycle`] on either reduction path: no pass touches a
+    /// vertex on a cycle, so the cycle reaches the final rebuild whole.
     pub fn finish_reduced(self, cfg: &ReduceConfig) -> Result<ReducedGraph, GraphError> {
         if cfg.is_identity() {
             return self.finish().map(ReducedGraph::identity);
         }
-        traced(|| run(self.into_sorted_preds().view(), cfg, false)).map(|(r, _)| r)
+        traced(|| run(self.into_sorted_input(), cfg, false)).map(|(r, _)| r)
     }
 }
 
@@ -468,21 +474,22 @@ fn traced(
 }
 
 fn run(
-    p: PredView<'_>,
+    input: SortedInput,
     cfg: &ReduceConfig,
     record: bool,
 ) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let mut out = if p.num_vertices() >= cfg.par_threshold && p.nranks > 1 {
-        reduce_partitioned(p, cfg, record)?
+    let (n, m, rows) = (input.verts.len(), input.edges.len(), input.rows);
+    let mut out = if n >= cfg.par_threshold && input.nranks > 1 {
+        reduce_partitioned(input, cfg, record)?
     } else {
-        let mut r = Reducer::from_preds(p, record);
+        let mut r = Reducer::whole(input, record);
         run_rounds(&mut r, cfg);
-        r.finish(p.num_vertices())?
+        r.finish(n)?
     };
     let s = &mut out.0.stats;
-    s.vertices_before = p.num_vertices() as u64;
-    s.edges_before = p.num_edges() as u64;
-    s.rows_before = p.alg1_row_count();
+    s.vertices_before = n as u64;
+    s.edges_before = m as u64;
+    s.rows_before = rows;
     Ok(out)
 }
 
@@ -508,15 +515,18 @@ fn run_rounds(r: &mut Reducer, cfg: &ReduceConfig) {
 }
 
 /// Run one reduction pass under an obs span carrying the live arena
-/// size it started from and its change count. The sizes are counted
-/// only while recording telemetry.
+/// size it started from and its change count. The sizes are read only
+/// while recording telemetry: every pass starts by bringing the arena
+/// up to date, so doing that first leaves it compact, and its lengths
+/// are the live counts.
 fn traced_pass(r: &mut Reducer, name: &'static str, pass: impl FnOnce(&mut Reducer) -> u64) -> u64 {
     let g = llamp_obs::span(name);
     if !llamp_obs::is_enabled() {
         return pass(r);
     }
-    g.field_u64("vertices", r.valive.iter().filter(|&&a| a).count() as u64);
-    g.field_u64("edges", r.edges.iter().filter(|e| e.alive).count() as u64);
+    r.refresh();
+    g.field_u64("vertices", r.verts.len() as u64);
+    g.field_u64("edges", r.edges.len() as u64);
     let changed = pass(r);
     g.field_u64("changed", changed);
     changed
@@ -538,43 +548,52 @@ fn traced_pass(r: &mut Reducer, name: &'static str, pass: impl FnOnce(&mut Reduc
 /// Every id assignment is order-fixed, and the finishing fixpoint plus
 /// [`Reducer::finish`] are serial. Bit-identical output at any thread
 /// count follows.
+///
+/// The input is read only while the region arenas are filled; it is
+/// dropped before the stitch, so the stitched arena never shares the
+/// peak with it.
 fn reduce_partitioned(
-    g: PredView<'_>,
+    g: SortedInput,
     cfg: &ReduceConfig,
     record: bool,
 ) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let n = g.num_vertices();
+    let n = g.verts.len();
     let nranks = g.nranks as usize;
 
     let part_span = llamp_obs::span("reduce.par.partition");
     // Partition vertices into rank regions (ascending global id).
     let mut region_verts: Vec<Vec<u32>> = vec![Vec::new(); nranks];
     let mut local_of = vec![0u32; n];
-    for v in 0..n as u32 {
-        let r = g.vertex(v).rank as usize;
-        local_of[v as usize] = region_verts[r].len() as u32;
-        region_verts[r].push(v);
+    for (v, vert) in g.verts.iter().enumerate() {
+        let r = vert.rank as usize;
+        local_of[v] = region_verts[r].len() as u32;
+        region_verts[r].push(v as u32);
     }
     // Collect cross-rank edges (in arena order) and hand each region the
     // list of halves it owns: `(cross id, is_source)` pairs. `src_pos` /
     // `dst_pos` remember each half's position in its region's incident
     // list so the stitch can find it again.
-    let mut cross: Vec<(u32, u32, EdgeKind, CostExpr)> = Vec::new();
+    let mut cross: Vec<Cross> = Vec::new();
     let mut incident: Vec<Vec<(u32, bool)>> = vec![Vec::new(); nranks];
     let mut src_pos: Vec<u32> = Vec::new();
     let mut dst_pos: Vec<u32> = Vec::new();
-    for v in 0..n as u32 {
-        let rt = g.vertex(v).rank;
-        for e in g.preds(v) {
-            let rs = g.vertex(e.other).rank;
-            if rs != rt {
-                let cid = cross.len() as u32;
-                src_pos.push(incident[rs as usize].len() as u32);
-                incident[rs as usize].push((cid, true));
-                dst_pos.push(incident[rt as usize].len() as u32);
-                incident[rt as usize].push((cid, false));
-                cross.push((e.other, v, e.kind, e.cost));
-            }
+    for (e, cost) in g.edges.iter().zip(&g.costs) {
+        let rs = g.verts[e.from as usize].rank;
+        let rt = g.verts[e.to as usize].rank;
+        if rs != rt {
+            let cid = cross.len() as u32;
+            src_pos.push(incident[rs as usize].len() as u32);
+            incident[rs as usize].push((cid, true));
+            dst_pos.push(incident[rt as usize].len() as u32);
+            incident[rt as usize].push((cid, false));
+            cross.push(Cross {
+                from: e.from,
+                to: e.to,
+                src_rank: rs,
+                dst_rank: rt,
+                kind: e.kind,
+                cost: *cost,
+            });
         }
     }
     drop(part_span);
@@ -591,8 +610,14 @@ fn reduce_partitioned(
     let workers = threads.min(nranks).max(1);
     let mut outs: Vec<Option<RegionOut>> = (0..nranks).map(|_| None).collect();
     let reduce_region = |r: usize| {
-        let mut arena =
-            Reducer::from_region(g, &region_verts[r], &local_of, &cross, &incident[r], record);
+        let mut arena = Reducer::from_region(
+            &g,
+            &region_verts[r],
+            &local_of,
+            &cross,
+            &incident[r],
+            record,
+        );
         run_rounds(&mut arena, cfg);
         arena.into_region_out(incident[r].len())
     };
@@ -618,6 +643,7 @@ fn reduce_partitioned(
         });
     }
     let mut outs: Vec<RegionOut> = outs.into_iter().map(|o| o.expect("region ran")).collect();
+    drop((g, region_verts, local_of, incident));
 
     // Stitch: survivors of each region in rank order, then the
     // recombined cross edges, then a serial finishing fixpoint.
@@ -641,6 +667,7 @@ fn reduce_partitioned(
     }
     let mut verts = Vec::with_capacity(n_surv);
     let mut edges = Vec::with_capacity(e_surv);
+    let mut costs = Vec::with_capacity(e_surv);
     // Recording only: the stitched bookkeeping, in the same order.
     let (mut members, mut head, mut via, mut dead_via) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -652,6 +679,7 @@ fn reduce_partitioned(
             to: e.to + b,
             ..e
         }));
+        costs.append(&mut o.costs);
         if let Some(ob) = &mut o.book {
             members.append(&mut ob.members);
             head.append(&mut ob.head);
@@ -663,19 +691,13 @@ fn reduce_partitioned(
     // current origin and accumulated (cost, via prefix) from the source
     // region, the target half's current target and (cost, via suffix)
     // from the target region.
-    for (cid, &(gf, gt, kind, _)) in cross.iter().enumerate() {
-        let sr = g.vertex(gf).rank as usize;
-        let tr = g.vertex(gt).rank as usize;
+    for (cid, c) in cross.iter().enumerate() {
+        let (sr, tr) = (c.src_rank as usize, c.dst_rank as usize);
         let (sp, dp) = (src_pos[cid] as usize, dst_pos[cid] as usize);
         let (sf, scost) = outs[sr].halves[sp];
         let (tt, tcost) = outs[tr].halves[dp];
-        edges.push(REdge {
-            from: sf + base[sr],
-            to: tt + base[tr],
-            kind,
-            cost: scost.add(&tcost),
-            alive: true,
-        });
+        edges.push(REdge::new(sf + base[sr], tt + base[tr], c.kind));
+        costs.push(scost.add(&tcost));
         if record {
             let mut half_via = |r: usize, at: usize| {
                 std::mem::take(&mut outs[r].book.as_mut().expect("recording").half_via[at])
@@ -690,11 +712,23 @@ fn reduce_partitioned(
         dead_via,
         ..Book::new(members, head, via)
     });
-    let mut st = Reducer::new(g.nranks, verts, edges, book);
+    let inc = AdjPool::index(verts.len(), edges.iter().map(|e| e.to));
+    let mut st = Reducer::new(nranks as u32, verts, edges, costs, inc, book);
     st.stats = stats;
     drop(stitch_span);
     run_rounds(&mut st, cfg);
     st.finish(n)
+}
+
+/// One cross-rank edge of the region path, in original vertex ids,
+/// with the ranks (regions) of its two ends.
+struct Cross {
+    from: u32,
+    to: u32,
+    src_rank: u32,
+    dst_rank: u32,
+    kind: EdgeKind,
+    cost: CostExpr,
 }
 
 /// The compact survivor set extracted from one region's arena (see
@@ -705,8 +739,9 @@ struct RegionOut {
     /// order.
     verts: Vec<Vertex>,
     /// Live intra-region edges in arena order, endpoints renumbered to
-    /// survivor-local indexes.
+    /// survivor-local indexes, and their costs.
     edges: Vec<REdge>,
+    costs: Vec<CostExpr>,
     /// Per incident half-edge (same order as the region's incident
     /// list): the real endpoint as a survivor-local index, plus the
     /// half's accumulated cost.
@@ -732,16 +767,109 @@ struct RegionBook {
     half_via: Vec<Vec<u32>>,
 }
 
-/// One mutable edge of the reduction arena. Passes only rewire or kill
-/// edges, never create them, and compaction renumbers the survivors in
-/// their current order, so every pass iterating them is deterministic.
+/// One mutable edge of the reduction arena: its structure alone, 12
+/// bytes, so the structural checks (sole live in-edge, live out-degree,
+/// rank guards, alive filters) stream through nothing else. Its cost
+/// sits at the same index of the arena's parallel cost array. Passes
+/// only rewire or kill edges, never create them, and compaction
+/// renumbers the survivors in their current order, so every pass
+/// iterating them is deterministic.
 #[derive(Debug, Clone, Copy)]
-struct REdge {
-    from: u32,
-    to: u32,
-    kind: EdgeKind,
-    cost: CostExpr,
+pub(crate) struct REdge {
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+    pub(crate) kind: EdgeKind,
     alive: bool,
+}
+
+impl REdge {
+    /// A live edge `from → to`.
+    pub(crate) fn new(from: u32, to: u32, kind: EdgeKind) -> Self {
+        Self {
+            from,
+            to,
+            kind,
+            alive: true,
+        }
+    }
+}
+
+/// The reduction's input: a graph's vertices and its edges in
+/// predecessor order (grouped by target, targets ascending, each group
+/// in list order) as arena edge records with their costs in a parallel
+/// array, plus the per-target offsets and the graph's Algorithm-1 row
+/// count. The builder's predecessor sort writes it directly
+/// ([`GraphBuilder::finish_reduced`]); [`reduce()`] copies an
+/// [`ExecGraph`]'s predecessor lists into it once. Every arena is filled
+/// from it: the whole-graph arena takes it over as it is, region arenas
+/// copy their parts.
+pub(crate) struct SortedInput {
+    nranks: u32,
+    verts: Vec<Vertex>,
+    /// `edges[pred_start[v]..pred_start[v + 1]]` enter `v`.
+    pred_start: Vec<u32>,
+    edges: Vec<REdge>,
+    costs: Vec<CostExpr>,
+    /// Algorithm-1 LP rows of the input graph.
+    rows: u64,
+}
+
+impl SortedInput {
+    /// The input over these arrays, where `sinks` vertices have no
+    /// out-edge. Algorithm 1 writes one row per in-edge of a vertex
+    /// with several, and one per sink.
+    pub(crate) fn new(
+        nranks: u32,
+        verts: Vec<Vertex>,
+        pred_start: Vec<u32>,
+        edges: Vec<REdge>,
+        costs: Vec<CostExpr>,
+        sinks: usize,
+    ) -> Self {
+        let joins: u64 = pred_start
+            .windows(2)
+            .map(|w| u64::from(w[1] - w[0]))
+            .filter(|&d| d > 1)
+            .sum();
+        Self {
+            nranks,
+            verts,
+            pred_start,
+            edges,
+            costs,
+            rows: joins + sinks as u64,
+        }
+    }
+
+    /// An [`ExecGraph`]'s vertices and predecessor lists, copied once.
+    fn of_graph(g: &ExecGraph) -> Self {
+        let n = g.num_vertices();
+        let mut pred_start = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(g.num_edges());
+        let mut costs = Vec::with_capacity(g.num_edges());
+        pred_start.push(0);
+        for v in 0..n as u32 {
+            for e in g.preds(v) {
+                edges.push(REdge::new(e.other, v, e.kind));
+                costs.push(e.cost);
+            }
+            pred_start.push(edges.len() as u32);
+        }
+        let sinks = (0..n as u32).filter(|&v| g.succs(v).is_empty()).count();
+        Self::new(
+            g.nranks(),
+            g.vertices().to_vec(),
+            pred_start,
+            edges,
+            costs,
+            sinks,
+        )
+    }
+
+    /// The edge ids entering `v`.
+    fn preds(&self, v: u32) -> std::ops::Range<usize> {
+        self.pred_start[v as usize] as usize..self.pred_start[v as usize + 1] as usize
+    }
 }
 
 /// Provenance bookkeeping, kept only by a recording reduction (see
@@ -989,6 +1117,22 @@ impl AdjPool {
         }
     }
 
+    /// Lists over edges already grouped by vertex, in id order: vertex
+    /// `v` holds the ids `start[v]..start[v + 1]` (`start` ends with the
+    /// edge count). That is what [`AdjPool::index`] builds for such
+    /// edges, without counting them again.
+    fn grouped(mut start: Vec<u32>) -> Self {
+        let len: Vec<u32> = start.windows(2).map(|w| w[1] - w[0]).collect();
+        let m = start.pop().expect("offsets end with the edge count");
+        Self {
+            start,
+            cap: len.clone(),
+            len,
+            pool: (0..m).collect(),
+            spare: Vec::new(),
+        }
+    }
+
     #[inline]
     fn get(&self, v: u32) -> &[u32] {
         let s = self.start[v as usize] as usize;
@@ -1086,6 +1230,10 @@ struct Reducer {
     /// the whole-graph path and the stitched arena.
     first_virtual: u32,
     edges: Vec<REdge>,
+    /// Edge costs, indexed like `edges`. Only cost arithmetic reads them:
+    /// merges and folds, chain-root offsets and sibling domination, and
+    /// the transitive search's zero and sign tests.
+    costs: Vec<CostExpr>,
     /// Incoming/outgoing edge-id lists. Entries can go stale when an
     /// edge dies or is rewired; readers filter, `compact` prunes.
     inc: AdjPool,
@@ -1101,18 +1249,27 @@ struct Reducer {
 }
 
 impl Reducer {
-    /// An arena over `verts` and `edges`, all alive, with no boundary
-    /// anchors.
-    fn new(nranks: u32, verts: Vec<Vertex>, edges: Vec<REdge>, book: Option<Book>) -> Self {
+    /// An arena over `verts` and `edges` (with their `costs`), all
+    /// alive, whose in-lists are `inc`, with no boundary anchors.
+    fn new(
+        nranks: u32,
+        verts: Vec<Vertex>,
+        edges: Vec<REdge>,
+        costs: Vec<CostExpr>,
+        inc: AdjPool,
+        book: Option<Book>,
+    ) -> Self {
         let n = verts.len();
+        debug_assert_eq!(edges.len(), costs.len());
         let mut r = Self {
             nranks,
             first_virtual: n as u32,
             valive: vec![true; n],
             verts,
-            inc: AdjPool::index(n, edges.iter().map(|e| e.to)),
+            inc,
             out: AdjPool::index(n, edges.iter().map(|e| e.from)),
             edges,
+            costs,
             dirty: false,
             book,
             work: Work::default(),
@@ -1122,30 +1279,20 @@ impl Reducer {
         r
     }
 
-    /// The whole graph as one arena: its edges in predecessor-list
-    /// order.
-    fn from_preds(g: PredView<'_>, record: bool) -> Self {
-        let n = g.num_vertices();
-        let mut edges = Vec::with_capacity(g.num_edges());
-        for v in 0..n as u32 {
-            for e in g.preds(v) {
-                edges.push(REdge {
-                    from: e.other,
-                    to: v,
-                    kind: e.kind,
-                    cost: e.cost,
-                    alive: true,
-                });
-            }
-        }
+    /// The whole graph as one arena: the input taken over as it is. Its
+    /// edges are grouped by target, so the in-lists are the input's
+    /// offset ranges.
+    fn whole(g: SortedInput, record: bool) -> Self {
+        let n = g.verts.len();
         let book = record.then(|| {
             Book::new(
                 (0..n as u32).map(|v| vec![v]).collect(),
                 (0..n as u32).collect(),
-                vec![Vec::new(); edges.len()],
+                vec![Vec::new(); g.edges.len()],
             )
         });
-        Self::new(g.nranks, g.verts.to_vec(), edges, book)
+        let inc = AdjPool::grouped(g.pred_start);
+        Self::new(g.nranks, g.verts, g.edges, g.costs, inc, book)
     }
 
     /// A rank-local region arena: `verts` are the region's original
@@ -1169,10 +1316,10 @@ impl Reducer {
     /// `intra_edge_count + k`. Anchors and halves never die, so they keep
     /// the arena's last slots through every compaction.
     fn from_region(
-        g: PredView<'_>,
+        g: &SortedInput,
         verts: &[u32],
         local_of: &[u32],
-        cross: &[(u32, u32, EdgeKind, CostExpr)],
+        cross: &[Cross],
         incident: &[(u32, bool)],
         record: bool,
     ) -> Self {
@@ -1182,23 +1329,20 @@ impl Reducer {
         // preds plus its source halves bound the edge count.
         let bound = verts.iter().map(|&gv| g.preds(gv).len()).sum::<usize>() + incident.len();
         let mut edges = Vec::with_capacity(bound);
+        let mut costs = Vec::with_capacity(bound);
         for (lv, &gv) in verts.iter().enumerate() {
-            let rank = g.vertex(gv).rank;
-            for e in g.preds(gv) {
-                if g.vertex(e.other).rank != rank {
+            let rank = g.verts[gv as usize].rank;
+            for eid in g.preds(gv) {
+                let e = g.edges[eid];
+                if g.verts[e.from as usize].rank != rank {
                     continue;
                 }
-                edges.push(REdge {
-                    from: local_of[e.other as usize],
-                    to: lv as u32,
-                    kind: e.kind,
-                    cost: e.cost,
-                    alive: true,
-                });
+                edges.push(REdge::new(local_of[e.from as usize], lv as u32, e.kind));
+                costs.push(g.costs[eid]);
             }
         }
         let mut arena: Vec<Vertex> = Vec::with_capacity(total);
-        arena.extend(verts.iter().map(|&gv| *g.vertex(gv)));
+        arena.extend(verts.iter().map(|&gv| g.verts[gv as usize]));
         for (k, &(cid, is_src)) in incident.iter().enumerate() {
             let b = (n + k) as u32;
             arena.push(Vertex {
@@ -1206,24 +1350,14 @@ impl Reducer {
                 kind: VertexKind::Calc,
                 cost: CostExpr::ZERO,
             });
-            let (gf, gt, kind, cost) = cross[cid as usize];
-            edges.push(if is_src {
-                REdge {
-                    from: local_of[gf as usize],
-                    to: b,
-                    kind,
-                    cost: CostExpr::ZERO,
-                    alive: true,
-                }
+            let c = &cross[cid as usize];
+            if is_src {
+                edges.push(REdge::new(local_of[c.from as usize], b, c.kind));
+                costs.push(CostExpr::ZERO);
             } else {
-                REdge {
-                    from: b,
-                    to: local_of[gt as usize],
-                    kind,
-                    cost,
-                    alive: true,
-                }
-            });
+                edges.push(REdge::new(b, local_of[c.to as usize], c.kind));
+                costs.push(c.cost);
+            }
         }
         let book = record.then(|| {
             let mut members = Vec::with_capacity(total);
@@ -1234,7 +1368,8 @@ impl Reducer {
             head.resize(total, u32::MAX);
             Book::new(members, head, vec![Vec::new(); edges.len()])
         });
-        let mut arena = Self::new(g.nranks, arena, edges, book);
+        let inc = AdjPool::index(total, edges.iter().map(|e| e.to));
+        let mut arena = Self::new(g.nranks, arena, edges, costs, inc, book);
         arena.first_virtual = n as u32;
         arena
     }
@@ -1252,14 +1387,16 @@ impl Reducer {
         let n_intra = self.edges.len() - n_incident;
         let verts = self.verts[..fv].to_vec();
         let edges = self.edges[..n_intra].to_vec();
+        let costs = self.costs[..n_intra].to_vec();
         let halves = self.edges[n_intra..]
             .iter()
-            .map(|e| {
+            .zip(&self.costs[n_intra..])
+            .map(|(e, &cost)| {
                 debug_assert!(e.alive, "boundary half-edge died in region pass");
                 // The real endpoint (the other one is this half's virtual
                 // boundary anchor).
                 let real = if (e.from as usize) < fv { e.from } else { e.to };
-                (real, e.cost)
+                (real, cost)
             })
             .collect();
         let book = self.book.take().map(|mut b| {
@@ -1285,6 +1422,7 @@ impl Reducer {
         RegionOut {
             verts,
             edges,
+            costs,
             halves,
             book,
             stats: self.stats,
@@ -1331,6 +1469,7 @@ impl Reducer {
             valive,
             first_virtual,
             edges,
+            costs,
             inc,
             out,
             book,
@@ -1391,10 +1530,12 @@ impl Reducer {
                     to: new_v[e.to as usize],
                     ..e
                 };
+                costs[w] = costs[i];
                 w += 1;
             }
         }
         edges.truncate(w);
+        costs.truncate(w);
     }
 
     /// Bring the arena and its topological order up to date before a
@@ -1460,9 +1601,7 @@ impl Reducer {
             {
                 continue;
             }
-            let add = self.edges[eid as usize]
-                .cost
-                .add(&self.verts[v as usize].cost);
+            let add = self.costs[eid as usize].add(&self.verts[v as usize].cost);
             self.verts[u as usize].cost = self.verts[u as usize].cost.add(&add);
             if let Some(b) = &mut self.book {
                 b.chain(u, v, eid);
@@ -1508,17 +1647,16 @@ impl Reducer {
                     && self.valive[w as usize]
                     && self.verts[w as usize].rank == self.verts[v as usize].rank
                 {
-                    let push = self.verts[v as usize]
-                        .cost
-                        .add(&self.edges[fid as usize].cost);
+                    let push = self.verts[v as usize].cost.add(&self.costs[fid as usize]);
                     if let Some(b) = &mut self.book {
                         b.fold_forward(v, fid, &wk.ins);
                     }
                     for &eid in &wk.ins {
                         let e = &mut self.edges[eid as usize];
                         debug_assert_ne!(e.from, w, "fold would create a self edge");
-                        e.cost = e.cost.add(&push);
                         e.to = w;
+                        let c = &mut self.costs[eid as usize];
+                        *c = c.add(&push);
                         self.inc.push(w, eid);
                     }
                     self.edges[fid as usize].alive = false;
@@ -1535,17 +1673,16 @@ impl Reducer {
                     && self.valive[u as usize]
                     && self.verts[u as usize].rank == self.verts[v as usize].rank
                 {
-                    let push = self.edges[eid as usize]
-                        .cost
-                        .add(&self.verts[v as usize].cost);
+                    let push = self.costs[eid as usize].add(&self.verts[v as usize].cost);
                     if let Some(b) = &mut self.book {
                         b.fold_backward(v, eid, &wk.outs);
                     }
                     for &oid in &wk.outs {
                         let o = &mut self.edges[oid as usize];
                         debug_assert_ne!(o.to, u, "fold would create a self edge");
-                        o.cost = push.add(&o.cost);
                         o.from = u;
+                        let c = &mut self.costs[oid as usize];
+                        *c = push.add(c);
                         self.out.push(u, oid);
                     }
                     self.edges[eid as usize].alive = false;
@@ -1595,10 +1732,10 @@ impl Reducer {
         off.resize(n, CostExpr::ZERO);
         for &v in &wk.order {
             if let Some(eid) = self.sole_live_in(v) {
-                let e = &self.edges[eid as usize];
-                root[v as usize] = root[e.from as usize];
-                off[v as usize] = off[e.from as usize]
-                    .add(&e.cost)
+                let u = self.edges[eid as usize].from as usize;
+                root[v as usize] = root[u];
+                off[v as usize] = off[u]
+                    .add(&self.costs[eid as usize])
                     .add(&self.verts[v as usize].cost);
             }
         }
@@ -1616,18 +1753,18 @@ impl Reducer {
                     continue;
                 }
                 let (ri, bi) = {
-                    let e = &self.edges[ei as usize];
-                    (root[e.from as usize], off[e.from as usize].add(&e.cost))
+                    let u = self.edges[ei as usize].from as usize;
+                    (root[u], off[u].add(&self.costs[ei as usize]))
                 };
                 for (j, &ej) in ins.iter().enumerate() {
                     if i == j || !self.edges[ej as usize].alive {
                         continue;
                     }
-                    let e = &self.edges[ej as usize];
-                    if root[e.from as usize] != ri {
+                    let u = self.edges[ej as usize].from as usize;
+                    if root[u] != ri {
                         continue;
                     }
-                    let bj = off[e.from as usize].add(&e.cost);
+                    let bj = off[u].add(&self.costs[ej as usize]);
                     if dominated(&bi, &bj) && (bi != bj || j < i) {
                         self.edges[ei as usize].alive = false;
                         removed += 1;
@@ -1646,7 +1783,7 @@ impl Reducer {
                     break;
                 }
                 let e = &self.edges[ei as usize];
-                if e.kind != EdgeKind::Local || !e.cost.is_zero() {
+                if e.kind != EdgeKind::Local || !self.costs[ei as usize].is_zero() {
                     continue;
                 }
                 if self.reaches(e.from, v, ei, dfs_cap, dfs) {
@@ -1679,11 +1816,10 @@ impl Reducer {
                 return false;
             }
             for oid in self.live_out(x) {
-                let e = &self.edges[oid as usize];
-                if oid == skip_edge || !nonneg(&e.cost) {
+                if oid == skip_edge || !nonneg(&self.costs[oid as usize]) {
                     continue;
                 }
-                let y = e.to;
+                let y = self.edges[oid as usize].to;
                 if y == target {
                     return true;
                 }
@@ -1718,8 +1854,8 @@ impl Reducer {
         for vert in &self.verts {
             builder.add_vertex(vert.rank, vert.kind, vert.cost);
         }
-        for e in &self.edges {
-            builder.add_edge(e.from, e.to, e.kind, e.cost);
+        for (e, &cost) in self.edges.iter().zip(&self.costs) {
+            builder.add_edge(e.from, e.to, e.kind, cost);
         }
         let (graph, slots) = builder.finish_slots()?;
         let provenance = self

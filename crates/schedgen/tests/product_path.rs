@@ -123,6 +123,15 @@ fn reduced_graph_bytes_are_pinned() {
             .expect("workload builds");
         assert_eq!(fingerprint(&got), want, "{} r8 i2 moved", app.name());
     }
+    // The campaign benchmark's `lp-zones` shapes.
+    for (app, want) in [
+        (App::Hpcg, 0x75b2_d726_38fc_1315_u64),
+        (App::Lulesh, 0x360c_742c_6a7d_2571),
+    ] {
+        let got = reduced_graph_of_programs(&app.programs(24, 1), &cfg, &ReduceConfig::default())
+            .expect("workload builds");
+        assert_eq!(fingerprint(&got), want, "{} r24 i1 moved", app.name());
+    }
 
     let partitioned = ReduceConfig {
         par_threshold: 1_024,

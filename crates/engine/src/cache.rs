@@ -12,9 +12,11 @@
 //!   search window)`.
 //!
 //! The cache is in-memory (`RwLock`-guarded, shared across executor
-//! workers) with optional JSON persistence: [`ResultCache::load`] /
-//! [`ResultCache::save`] round-trip the store through the same
-//! deterministic JSON writer the result files use.
+//! workers) with optional JSON persistence: [`ResultCache::save`] writes
+//! the store's entries, sorted by key, straight through the same
+//! deterministic streaming JSON writer the result files use (no document
+//! tree), and [`ResultCache::load`] parses the file and moves each
+//! entry's key out of the parsed document into the store.
 //!
 //! ## Integrity (self-healing persistence)
 //!
@@ -25,7 +27,8 @@
 //! * **atomic save** — [`ResultCache::save`] writes to a same-directory
 //!   temp file, fsyncs, then renames over the target (and fsyncs the
 //!   directory), so a crash mid-save leaves either the old file or the
-//!   new one, never a torn hybrid;
+//!   new one, never a torn hybrid (how the body is produced does not
+//!   touch this protocol);
 //! * **per-entry checksums** — every persisted entry carries a `sum`
 //!   field (FNV-1a over its key, kind and exact payload bit patterns);
 //!   [`ResultCache::load`] recomputes and drops any entry whose checksum
@@ -36,7 +39,7 @@
 
 use crate::scenario::{AxisPointValue, PointResult, ZonesResult};
 use crate::spec::{fnv1a, fnv1a_continue};
-use crate::value::{parse_json, Value};
+use crate::value::{hex16, parse_json, JsonWriter, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -205,8 +208,7 @@ impl ResultCache {
         found
     }
 
-    /// Peek without touching the counters (used by the scheduler's
-    /// full-hit probe so stats reflect real job-time lookups only once).
+    /// Look up a key without touching the counters.
     pub fn peek(&self, key: &str) -> Option<CachedEntry> {
         self.map.read().expect("cache lock").get(key).cloned()
     }
@@ -233,61 +235,91 @@ impl ResultCache {
         &self.stats
     }
 
-    /// Serialize the store (entries sorted by key for determinism). Each
-    /// entry carries its integrity checksum (`sum`).
-    pub fn to_value(&self) -> Value {
+    /// Every entry of `zones_key` and `point_keys`, looked up once each
+    /// under one read lock: the zones and the points `point` makes of
+    /// their entries, when each is present and of its kind. Only then are
+    /// the lookups counted, as hits; otherwise nothing is counted (the
+    /// scheduler's full-hit probe, whose scenario then looks its pieces up
+    /// again as a job).
+    pub(crate) fn get_all<T>(
+        &self,
+        zones_key: &str,
+        point_keys: &[String],
+        point: impl Fn(&CachedEntry) -> Option<T>,
+    ) -> Option<(ZonesResult, Vec<T>)> {
+        let found = {
+            let map = self.map.read().expect("cache lock");
+            let zones = match map.get(zones_key)? {
+                CachedEntry::Zones(z) => *z,
+                _ => return None,
+            };
+            let points = point_keys
+                .iter()
+                .map(|k| point(map.get(k)?))
+                .collect::<Option<Vec<T>>>()?;
+            (zones, points)
+        };
+        count_kind(zones_key, "hit");
+        for k in point_keys {
+            count_kind(k, "hit");
+        }
+        self.stats
+            .hits
+            .fetch_add(1 + point_keys.len() as u64, Ordering::Relaxed);
+        Some(found)
+    }
+
+    /// The file body: entries sorted by key for determinism, each with its
+    /// integrity checksum (`sum`), written straight from the store.
+    fn to_json(&self) -> String {
         let map = self.map.read().expect("cache lock");
-        let mut entries: Vec<(String, CachedEntry)> =
-            map.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Table(vec![
-            ("version".into(), Value::Int(2)),
-            (
-                "entries".into(),
-                Value::Array(
-                    entries
-                        .into_iter()
-                        .map(|(key, entry)| {
-                            let sum = entry_checksum(&key, &entry);
-                            let mut pairs = vec![
-                                ("key".into(), Value::Str(key)),
-                                ("sum".into(), Value::Str(format!("{sum:016x}"))),
-                            ];
-                            match entry {
-                                CachedEntry::Point(p) => {
-                                    pairs.push(("kind".into(), Value::Str("point".into())));
-                                    pairs.push(("delta_l_ns".into(), Value::Float(p.delta_l_ns)));
-                                    pairs.push(("runtime_ns".into(), Value::Float(p.runtime_ns)));
-                                    pairs.push(("lambda".into(), Value::Float(p.lambda)));
-                                    pairs.push(("rho".into(), Value::Float(p.rho)));
-                                }
-                                CachedEntry::AxisPoint(p) => {
-                                    pairs.push(("kind".into(), Value::Str("axis-point".into())));
-                                    pairs.push(("runtime_ns".into(), Value::Float(p.runtime_ns)));
-                                    pairs.push(("lambda_l".into(), Value::Float(p.lambda_l)));
-                                    pairs.push(("lambda_g".into(), Value::Float(p.lambda_g)));
-                                    pairs.push(("lambda_o".into(), Value::Float(p.lambda_o)));
-                                    pairs.push(("rho_l".into(), Value::Float(p.rho_l)));
-                                    pairs.push(("rho_g".into(), Value::Float(p.rho_g)));
-                                    pairs.push(("rho_o".into(), Value::Float(p.rho_o)));
-                                }
-                                CachedEntry::Zones(z) => {
-                                    pairs.push(("kind".into(), Value::Str("zones".into())));
-                                    pairs.push((
-                                        "baseline_runtime_ns".into(),
-                                        Value::Float(z.baseline_runtime_ns),
-                                    ));
-                                    pairs.push(("pct1_ns".into(), float_or_inf(z.pct1_ns)));
-                                    pairs.push(("pct2_ns".into(), float_or_inf(z.pct2_ns)));
-                                    pairs.push(("pct5_ns".into(), float_or_inf(z.pct5_ns)));
-                                }
-                            }
-                            Value::Table(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let mut entries: Vec<(&String, &CachedEntry)> = map.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let mut w = JsonWriter::pretty();
+        w.begin_table().key("version").int(2);
+        w.key("entries").begin_array();
+        for (key, entry) in entries {
+            w.begin_table().key("key").str(key);
+            w.key("sum").hex(entry_checksum(key, entry));
+            match entry {
+                CachedEntry::Point(p) => {
+                    w.key("kind").str("point");
+                    w.floats(&[
+                        ("delta_l_ns", p.delta_l_ns),
+                        ("runtime_ns", p.runtime_ns),
+                        ("lambda", p.lambda),
+                        ("rho", p.rho),
+                    ]);
+                }
+                CachedEntry::AxisPoint(p) => {
+                    w.key("kind").str("axis-point");
+                    w.floats(&[
+                        ("runtime_ns", p.runtime_ns),
+                        ("lambda_l", p.lambda_l),
+                        ("lambda_g", p.lambda_g),
+                        ("lambda_o", p.lambda_o),
+                        ("rho_l", p.rho_l),
+                        ("rho_g", p.rho_g),
+                        ("rho_o", p.rho_o),
+                    ]);
+                }
+                CachedEntry::Zones(z) => {
+                    // Infinite zones write `null`; `inf_or_float` reads
+                    // them back.
+                    w.key("kind").str("zones");
+                    w.floats(&[
+                        ("baseline_runtime_ns", z.baseline_runtime_ns),
+                        ("pct1_ns", z.pct1_ns),
+                        ("pct2_ns", z.pct2_ns),
+                        ("pct5_ns", z.pct5_ns),
+                    ]);
+                }
+            }
+            w.end_table();
+        }
+        w.end_array();
+        w.end_table();
+        w.finish()
     }
 
     /// Save to a JSON file atomically: write a same-directory temp file,
@@ -299,7 +331,7 @@ impl ResultCache {
         if llamp_obs::is_enabled() {
             g.field_u64("entries", self.len() as u64);
         }
-        let mut payload = self.to_value().to_json_pretty();
+        let mut payload = self.to_json();
         if llamp_faults::should_inject("cache.save.torn") {
             // Chaos site: simulate the torn in-place write the atomic
             // protocol exists to prevent, so tests can prove the *next*
@@ -345,63 +377,54 @@ impl ResultCache {
             // the quarantine path without touching the disk.
             bytes.truncate(bytes.len() / 3);
         }
-        let cache = Self::new();
         let text = std::str::from_utf8(&bytes).ok();
         let Some(doc) = text.and_then(|t| parse_json(t).ok()) else {
             quarantine_file(path);
-            return Ok(cache);
+            return Ok(Self::new());
         };
-        let Some(entries) = doc.get("entries").and_then(Value::as_array) else {
+        let entries = match doc {
+            Value::Table(pairs) => pairs.into_iter().find(|(k, _)| k == "entries"),
+            _ => None,
+        };
+        let Some((_, Value::Array(entries))) = entries else {
             quarantine_file(path);
-            return Ok(cache);
+            return Ok(Self::new());
         };
-        for e in entries {
-            let Some(key) = e.get("key").and_then(Value::as_str) else {
+        let mut map = HashMap::with_capacity(entries.len());
+        for mut e in entries {
+            let Some(key) = take_str(&mut e, "key") else {
                 quarantine_entry();
                 continue;
             };
             let entry = match e.get("kind").and_then(Value::as_str) {
-                Some("point") => match decode_point(e) {
-                    Some(p) => CachedEntry::Point(p),
-                    None => {
-                        quarantine_entry();
-                        continue;
-                    }
-                },
-                Some("axis-point") => match decode_axis_point(e) {
-                    Some(p) => CachedEntry::AxisPoint(p),
-                    None => {
-                        quarantine_entry();
-                        continue;
-                    }
-                },
-                Some("zones") => match decode_zones(e) {
-                    Some(z) => CachedEntry::Zones(z),
-                    None => {
-                        quarantine_entry();
-                        continue;
-                    }
-                },
-                _ => {
-                    quarantine_entry();
-                    continue;
-                }
+                Some("point") => decode_point(&e).map(CachedEntry::Point),
+                Some("axis-point") => decode_axis_point(&e).map(CachedEntry::AxisPoint),
+                Some("zones") => decode_zones(&e).map(CachedEntry::Zones),
+                _ => None,
+            };
+            let Some(entry) = entry else {
+                quarantine_entry();
+                continue;
             };
             let sum_ok = e
                 .get("sum")
                 .and_then(Value::as_str)
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .is_some_and(|s| s == entry_checksum(key, &entry));
+                .is_some_and(|s| s == entry_checksum(&key, &entry));
             if !sum_ok {
                 quarantine_entry();
                 continue;
             }
-            cache.put(key.to_string(), entry);
+            count_kind(&key, "put");
+            map.insert(key, entry);
         }
         if llamp_obs::is_enabled() {
-            g.field_u64("entries", cache.len() as u64);
+            g.field_u64("entries", map.len() as u64);
         }
-        Ok(cache)
+        Ok(Self {
+            map: RwLock::new(map),
+            stats: CacheStats::default(),
+        })
     }
 }
 
@@ -436,14 +459,8 @@ fn quarantine_entry() {
 /// are produced, with no string built to hold them.
 fn entry_checksum(key: &str, entry: &CachedEntry) -> u64 {
     let bits = |h: u64, xs: &[f64]| {
-        xs.iter().fold(h, |h, x| {
-            let b = x.to_bits();
-            let mut hex = [0u8; 16];
-            for (i, d) in hex.iter_mut().enumerate() {
-                *d = b"0123456789abcdef"[(b >> (60 - 4 * i)) as usize & 0xf];
-            }
-            fnv1a_continue(h, &hex)
-        })
+        xs.iter()
+            .fold(h, |h, x| fnv1a_continue(h, &hex16(x.to_bits())))
     };
     let h = fnv1a(key.as_bytes());
     match entry {
@@ -470,16 +487,20 @@ fn entry_checksum(key: &str, entry: &CachedEntry) -> u64 {
     }
 }
 
-/// Infinite tolerances serialise as `null` (JSON has no `inf`);
-/// [`inf_or_float`] reverses the mapping.
-fn float_or_inf(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Float(x)
-    } else {
-        Value::Null
+/// Move the string field `name` out of a table (the parsed document is
+/// dropped after the load, so nothing reads it again).
+fn take_str(v: &mut Value, name: &str) -> Option<String> {
+    let Value::Table(pairs) = v else {
+        return None;
+    };
+    match pairs.iter_mut().find(|(k, _)| k == name) {
+        Some((_, Value::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
     }
 }
 
+/// Infinite tolerances are written as `null` (JSON has no `inf`); this
+/// reads them back.
 fn inf_or_float(v: Option<&Value>) -> Option<f64> {
     match v {
         Some(Value::Null) => Some(f64::INFINITY),

@@ -17,10 +17,10 @@ use crate::cache::{CachedEntry, ResultCache};
 use crate::executor::{run_jobs, ExecutorConfig, JobStatus};
 use crate::graphs::GraphSlots;
 use crate::scenario::{
-    expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
+    expand, fingerprint_of, AxisPointValue, Scenario, ScenarioOutcome, ZonesResult,
 };
 use crate::spec::CampaignSpec;
-use crate::value::Value;
+use crate::value::JsonWriter;
 use llamp_core::{ReducedGraph, ReductionStats, SolveStats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -371,25 +371,14 @@ pub fn run_campaign_checked(
     Ok((result, summary))
 }
 
-/// Probe (without counting) whether every piece of a scenario is cached;
-/// if so, replay the lookups through the counting path and assemble.
+/// Assemble a scenario from the cache when every piece is there, each
+/// looked up once and counted as a hit only then; `None`, with nothing
+/// counted, when any is missing.
 fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOutcome> {
     let base = sc.base_canonical();
-    let zk = sc.zones_key();
     let tuples = sc.axis_points();
     let keys: Vec<String> = tuples.iter().map(|t| sc.point_key(&base, t)).collect();
-    if cache.peek(&zk).is_none() || keys.iter().any(|k| cache.peek(k).is_none()) {
-        return None;
-    }
-    // Count the real lookups now that assembly is guaranteed.
-    let zones = match cache.get(&zk)? {
-        CachedEntry::Zones(z) => z,
-        _ => return None,
-    };
-    let values = keys
-        .iter()
-        .map(|k| sc.cached_point(cache.get(k)?))
-        .collect::<Option<Vec<_>>>()?;
+    let (zones, values) = cache.get_all(&sc.zones_key(&base), &keys, |e| sc.cached_point(e))?;
     Some(sc.outcome(zones, tuples, values))
 }
 
@@ -421,13 +410,13 @@ fn run_one(
     let mut cached_points: Vec<Option<AxisPointValue>> = Vec::with_capacity(tuples.len());
     let mut missing: Vec<Vec<f64>> = Vec::new();
     for (t, key) in tuples.iter().zip(&keys) {
-        let value = cache.get(key).and_then(|e| sc.cached_point(e));
+        let value = cache.get(key).and_then(|e| sc.cached_point(&e));
         if value.is_none() {
             missing.push(t.clone());
         }
         cached_points.push(value);
     }
-    let zk = sc.zones_key();
+    let zk = sc.zones_key(&base);
     let cached_zones = match cache.get(&zk) {
         Some(CachedEntry::Zones(z)) => Some(z),
         _ => None,
@@ -474,65 +463,36 @@ fn run_one(
 }
 
 impl CampaignResult {
-    /// Serialize deterministically (see module docs).
-    pub fn to_value(&self) -> Value {
-        Value::Table(vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            (
-                "spec_fingerprint".into(),
-                Value::Str(format!("{:016x}", self.spec_fingerprint)),
-            ),
-            (
-                "scenarios".into(),
-                Value::Array(
-                    self.scenarios
-                        .iter()
-                        .map(|sr| {
-                            let mut pairs = vec![
-                                ("scenario".into(), sr.scenario.to_value()),
-                                (
-                                    "key".into(),
-                                    Value::Str(format!("{:016x}", sr.scenario.fingerprint())),
-                                ),
-                            ];
-                            match &sr.outcome {
-                                Ok(outcome) => {
-                                    pairs.push(("zones".into(), zones_to_value(&outcome.zones)));
-                                    if sr.scenario.axes.is_empty() {
-                                        pairs.push((
-                                            "sweep".into(),
-                                            Value::Array(
-                                                outcome.sweep.iter().map(point_to_value).collect(),
-                                            ),
-                                        ));
-                                    } else {
-                                        pairs.push((
-                                            "points".into(),
-                                            Value::Array(
-                                                outcome
-                                                    .points
-                                                    .iter()
-                                                    .map(axis_point_to_value)
-                                                    .collect(),
-                                            ),
-                                        ));
-                                    }
-                                }
-                                Err(e) => {
-                                    pairs.push(("error".into(), Value::Str(e.to_string())));
-                                }
-                            }
-                            Value::Table(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The results file body (pretty JSON, trailing newline, byte-stable).
+    /// The results file body (pretty JSON, trailing newline, byte-stable;
+    /// see module docs), written straight from the result.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json_pretty()
+        let mut w = JsonWriter::pretty();
+        w.begin_table().key("name").str(&self.name);
+        w.key("spec_fingerprint").hex(self.spec_fingerprint);
+        w.key("scenarios").begin_array();
+        // A campaign's scenarios share one sweep, so its fragment of each
+        // scenario's key is formatted again only where a sweep differs
+        // from the one before.
+        let mut sweep: Option<(&Scenario, String)> = None;
+        for sr in &self.scenarios {
+            let sc = &sr.scenario;
+            if !sweep.as_ref().is_some_and(|(prev, _)| prev.same_sweep(sc)) {
+                sweep = Some((sc, sc.sweep_canonical()));
+            }
+            let (_, fragment) = sweep.as_ref().expect("formatted above");
+            w.begin_table().key("scenario");
+            sc.write_json(&mut w);
+            w.key("key")
+                .hex(fingerprint_of(&sc.base_canonical(), fragment));
+            match &sr.outcome {
+                Ok(outcome) => write_outcome(&mut w, sc, outcome),
+                Err(e) => w.key("error").str(&e.to_string()),
+            }
+            w.end_table();
+        }
+        w.end_array();
+        w.end_table();
+        w.finish()
     }
 
     /// Flat CSV: one row per sweep point. Axes campaigns widen the schema
@@ -600,47 +560,306 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-fn zones_to_value(z: &ZonesResult) -> Value {
-    let inf = |x: f64| {
-        if x.is_finite() {
-            Value::Float(x)
-        } else {
-            Value::Null
+/// A scenario's answers: its zones (an infinite zone is `null`), then a
+/// latency grid's `sweep` or an axes scenario's `points`.
+fn write_outcome(w: &mut JsonWriter, sc: &Scenario, outcome: &ScenarioOutcome) {
+    let z = &outcome.zones;
+    w.key("zones").begin_table().floats(&[
+        ("baseline_runtime_ns", z.baseline_runtime_ns),
+        ("pct1_ns", z.pct1_ns),
+        ("pct2_ns", z.pct2_ns),
+        ("pct5_ns", z.pct5_ns),
+    ]);
+    w.end_table();
+    if sc.axes.is_empty() {
+        w.key("sweep").begin_array();
+        for p in &outcome.sweep {
+            w.begin_table().floats(&[
+                ("delta_l_ns", p.delta_l_ns),
+                ("runtime_ns", p.runtime_ns),
+                ("lambda", p.lambda),
+                ("rho", p.rho),
+            ]);
+            w.end_table();
         }
+    } else {
+        w.key("points").begin_array();
+        for p in &outcome.points {
+            w.begin_table().key("deltas").begin_array();
+            for &d in &p.deltas {
+                w.float(d);
+            }
+            w.end_array();
+            let v = &p.value;
+            w.floats(&[
+                ("runtime_ns", v.runtime_ns),
+                ("lambda_l", v.lambda_l),
+                ("lambda_g", v.lambda_g),
+                ("lambda_o", v.lambda_o),
+                ("rho_l", v.rho_l),
+                ("rho_g", v.rho_g),
+                ("rho_o", v.rho_o),
+            ]);
+            w.end_table();
+        }
+    }
+    w.end_array();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{AxisPointResult, PointResult};
+    use crate::spec::{
+        AxisSpec, Backend, GridSpec, ParamsPreset, ParamsSpec, SweepParam, TopologySpec,
+        WorkloadSpec,
     };
-    Value::Table(vec![
-        (
-            "baseline_runtime_ns".into(),
-            Value::Float(z.baseline_runtime_ns),
-        ),
-        ("pct1_ns".into(), inf(z.pct1_ns)),
-        ("pct2_ns".into(), inf(z.pct2_ns)),
-        ("pct5_ns".into(), inf(z.pct5_ns)),
-    ])
-}
+    use llamp_workloads::App;
 
-fn point_to_value(p: &PointResult) -> Value {
-    Value::Table(vec![
-        ("delta_l_ns".into(), Value::Float(p.delta_l_ns)),
-        ("runtime_ns".into(), Value::Float(p.runtime_ns)),
-        ("lambda".into(), Value::Float(p.lambda)),
-        ("rho".into(), Value::Float(p.rho)),
-    ])
-}
+    /// A results file covering every branch of its writer: a grid
+    /// scenario with an infinite zone (`null`), an axes scenario whose
+    /// points carry `deltas`, a failed scenario whose message needs
+    /// escaping, and a campaign name outside ASCII.
+    fn every_branch() -> CampaignResult {
+        let grid = Scenario {
+            workload: WorkloadSpec {
+                app: App::Lulesh,
+                ranks: 8,
+                iters: 2,
+                o_ns: None,
+            },
+            topology: TopologySpec::Uniform,
+            params: ParamsSpec {
+                preset: ParamsPreset::Cscs,
+                l_ns: None,
+                o_ns: None,
+                s_bytes: None,
+            },
+            backend: Backend::Parametric,
+            grid: GridSpec {
+                deltas_ns: vec![0.0, 1250.5],
+                search_hi_ns: 2e6,
+            },
+            axes: Vec::new(),
+            reduce: true,
+        };
+        let axes = Scenario {
+            workload: WorkloadSpec {
+                app: App::Milc,
+                ranks: 16,
+                iters: 1,
+                o_ns: Some(1500.0),
+            },
+            topology: TopologySpec::FatTree {
+                k: 8,
+                l_wire_ns: 274.0,
+                d_switch_ns: 108.0,
+            },
+            params: ParamsSpec {
+                preset: ParamsPreset::PizDaint,
+                l_ns: Some(1000.0),
+                o_ns: None,
+                s_bytes: Some(65536),
+            },
+            backend: Backend::Lp,
+            grid: GridSpec {
+                deltas_ns: Vec::new(),
+                search_hi_ns: 4e4,
+            },
+            axes: vec![
+                AxisSpec {
+                    param: SweepParam::L,
+                    deltas: vec![0.0, 100.0],
+                },
+                AxisSpec {
+                    param: SweepParam::G,
+                    deltas: vec![0.5],
+                },
+            ],
+            reduce: false,
+        };
+        let failed = Scenario {
+            topology: TopologySpec::Dragonfly {
+                groups: 9,
+                routers: 4,
+                hosts: 2,
+                l_wire_ns: 274.0,
+                d_switch_ns: 108.0,
+            },
+            backend: Backend::Eval,
+            ..grid.clone()
+        };
+        let value = |t: f64| AxisPointValue {
+            runtime_ns: 9.876e5 + t,
+            lambda_l: 3.0,
+            lambda_g: 1024.0,
+            lambda_o: 12.0,
+            rho_l: 0.1,
+            rho_g: 1e-3,
+            rho_o: 0.25,
+        };
+        CampaignResult {
+            name: "hé ∆ 𝄞 campaign".into(),
+            spec_fingerprint: 0x0123_4567_89ab_cdef,
+            scenarios: vec![
+                ScenarioResult {
+                    scenario: grid,
+                    outcome: Ok(ScenarioOutcome {
+                        zones: ZonesResult {
+                            baseline_runtime_ns: 123_456.789,
+                            pct1_ns: 0.42,
+                            pct2_ns: 1e-7,
+                            pct5_ns: f64::INFINITY,
+                        },
+                        sweep: vec![
+                            PointResult {
+                                delta_l_ns: 0.0,
+                                runtime_ns: 123_456.789,
+                                lambda: 7.0,
+                                rho: 0.070_934_1,
+                            },
+                            PointResult {
+                                delta_l_ns: 1250.5,
+                                runtime_ns: 132_210.289,
+                                lambda: 7.0,
+                                rho: 0.0,
+                            },
+                        ],
+                        points: Vec::new(),
+                    }),
+                },
+                ScenarioResult {
+                    scenario: axes,
+                    outcome: Ok(ScenarioOutcome {
+                        zones: ZonesResult {
+                            baseline_runtime_ns: 42.0,
+                            pct1_ns: 1.0,
+                            pct2_ns: 2.5,
+                            pct5_ns: 1e300,
+                        },
+                        sweep: Vec::new(),
+                        points: vec![
+                            AxisPointResult {
+                                deltas: vec![0.0, 0.5],
+                                value: value(0.0),
+                            },
+                            AxisPointResult {
+                                deltas: vec![100.0, 0.5],
+                                value: value(100.0),
+                            },
+                        ],
+                    }),
+                },
+                ScenarioResult {
+                    scenario: failed,
+                    outcome: Err(ScenarioError::Failed(
+                        "bad \"quote\" \\ back\nslash \u{1} ctl".into(),
+                    )),
+                },
+            ],
+        }
+    }
 
-fn axis_point_to_value(p: &AxisPointResult) -> Value {
-    let v = &p.value;
-    Value::Table(vec![
-        (
-            "deltas".into(),
-            Value::Array(p.deltas.iter().map(|&d| Value::Float(d)).collect()),
-        ),
-        ("runtime_ns".into(), Value::Float(v.runtime_ns)),
-        ("lambda_l".into(), Value::Float(v.lambda_l)),
-        ("lambda_g".into(), Value::Float(v.lambda_g)),
-        ("lambda_o".into(), Value::Float(v.lambda_o)),
-        ("rho_l".into(), Value::Float(v.rho_l)),
-        ("rho_g".into(), Value::Float(v.rho_g)),
-        ("rho_o".into(), Value::Float(v.rho_o)),
-    ])
+    /// The results file's bytes: what `llamp run --out` writes, so
+    /// reports and byte comparisons across versions keep working.
+    #[test]
+    fn results_file_bytes_are_pinned() {
+        let want = r#"{
+  "name": "hé ∆ 𝄞 campaign",
+  "spec_fingerprint": "0123456789abcdef",
+  "scenarios": [
+    {
+      "scenario": {
+        "workload": "lulesh,r8,i2,opaper",
+        "topology": "uniform",
+        "params": "cscs,l-,o-,s-",
+        "backend": "parametric",
+        "reduce": true
+      },
+      "key": "ce9a49c532a47554",
+      "zones": {
+        "baseline_runtime_ns": 123456.789,
+        "pct1_ns": 0.42,
+        "pct2_ns": 1e-7,
+        "pct5_ns": null
+      },
+      "sweep": [
+        {
+          "delta_l_ns": 0.0,
+          "runtime_ns": 123456.789,
+          "lambda": 7.0,
+          "rho": 0.0709341
+        },
+        {
+          "delta_l_ns": 1250.5,
+          "runtime_ns": 132210.289,
+          "lambda": 7.0,
+          "rho": 0.0
+        }
+      ]
+    },
+    {
+      "scenario": {
+        "workload": "milc,r16,i1,o1500.0",
+        "topology": "fattree,k8,w274.0,d108.0",
+        "params": "piz-daint,l1000.0,o-,rndv65536",
+        "backend": "lp",
+        "reduce": false,
+        "axes": [
+          "L",
+          "G"
+        ]
+      },
+      "key": "15793403759d9bce",
+      "zones": {
+        "baseline_runtime_ns": 42.0,
+        "pct1_ns": 1.0,
+        "pct2_ns": 2.5,
+        "pct5_ns": 1e300
+      },
+      "points": [
+        {
+          "deltas": [
+            0.0,
+            0.5
+          ],
+          "runtime_ns": 987600.0,
+          "lambda_l": 3.0,
+          "lambda_g": 1024.0,
+          "lambda_o": 12.0,
+          "rho_l": 0.1,
+          "rho_g": 0.001,
+          "rho_o": 0.25
+        },
+        {
+          "deltas": [
+            100.0,
+            0.5
+          ],
+          "runtime_ns": 987700.0,
+          "lambda_l": 3.0,
+          "lambda_g": 1024.0,
+          "lambda_o": 12.0,
+          "rho_l": 0.1,
+          "rho_g": 0.001,
+          "rho_o": 0.25
+        }
+      ]
+    },
+    {
+      "scenario": {
+        "workload": "lulesh,r8,i2,opaper",
+        "topology": "dragonfly,g9,a4,p2,w274.0,d108.0",
+        "params": "cscs,l-,o-,s-",
+        "backend": "eval",
+        "reduce": true
+      },
+      "key": "ff86b0aba9f8c568",
+      "error": "bad \"quote\" \\ back\nslash \u0001 ctl"
+    }
+  ]
+}
+"#;
+        assert_eq!(every_branch().to_json(), want, "results file bytes moved");
+    }
 }

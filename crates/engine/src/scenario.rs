@@ -10,10 +10,10 @@ use crate::cache::{
 };
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
-    axes_canonical, fnv1a, grid_canonical, AxisSpec, Backend, CampaignSpec, GridSpec, ParamsPreset,
-    ParamsSpec, TopologySpec, WorkloadSpec,
+    fnv1a, fnv1a_continue, sort_dedup_by_key, sweep_canonical, AxisSpec, Backend, CampaignSpec,
+    GridSpec, ParamsPreset, ParamsSpec, TopologySpec, WorkloadSpec,
 };
-use crate::value::Value;
+use crate::value::JsonWriter;
 use llamp_core::{
     Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, ReducedGraph, SolveError, SolveStats,
     SweepParam,
@@ -239,17 +239,30 @@ pub struct ScenarioOutcome {
 
 impl Scenario {
     /// Canonical identity of the full job (cache key for whole-scenario
-    /// lookups; sweep included).
+    /// lookups; sweep included): the [base key](Scenario::base_canonical),
+    /// `|`, the [sweep fragment](crate::spec::sweep_canonical).
     pub fn canonical(&self) -> String {
-        if self.axes.is_empty() {
-            format!("{}|{}", self.base_canonical(), grid_canonical(&self.grid))
-        } else {
-            format!(
-                "{}|{}",
-                self.base_canonical(),
-                axes_canonical(&self.axes, self.grid.search_hi_ns)
-            )
-        }
+        canonical_pieces(&self.base_canonical(), &self.sweep_canonical()).concat()
+    }
+
+    /// Canonical fragment of the scenario's sweep
+    /// ([`sweep_canonical`](crate::spec::sweep_canonical)), shared by every
+    /// scenario of a campaign.
+    pub(crate) fn sweep_canonical(&self) -> String {
+        sweep_canonical(&self.grid, &self.axes)
+    }
+
+    /// Whether `other` sweeps the same samples, bit for bit, and so has
+    /// the same [sweep fragment](Scenario::sweep_canonical).
+    pub(crate) fn same_sweep(&self, other: &Scenario) -> bool {
+        let bits = |xs: &[f64], ys: &[f64]| {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.grid.search_hi_ns.to_bits() == other.grid.search_hi_ns.to_bits()
+            && bits(&self.grid.deltas_ns, &other.grid.deltas_ns)
+            && self.axes.len() == other.axes.len()
+            && (self.axes.iter().zip(&other.axes))
+                .all(|(a, b)| a.param == b.param && bits(&a.deltas, &b.deltas))
     }
 
     /// The sweep's delta tuples in result order: a latency grid is one
@@ -362,31 +375,31 @@ impl Scenario {
     /// The answer a cached entry holds, when it is the scenario's point
     /// kind: a [`CachedEntry::Point`] for a latency grid, a
     /// [`CachedEntry::AxisPoint`] for axes.
-    pub(crate) fn cached_point(&self, entry: CachedEntry) -> Option<AxisPointValue> {
+    pub(crate) fn cached_point(&self, entry: &CachedEntry) -> Option<AxisPointValue> {
         match (self.axes.is_empty(), entry) {
-            (true, CachedEntry::Point(p)) => Some(p.into()),
-            (false, CachedEntry::AxisPoint(v)) => Some(v),
+            (true, CachedEntry::Point(p)) => Some((*p).into()),
+            (false, CachedEntry::AxisPoint(v)) => Some(*v),
             _ => None,
         }
     }
 
-    /// Cache key of the scenario's zones entry: `zones` for latency-grid
+    /// Cache key of the zones entry of a scenario whose
+    /// [`Scenario::base_canonical`] is `base`: `zones` for latency-grid
     /// campaigns, `mzones` for axes campaigns, LP entries tagged with
     /// [`LP_ZONE_TAG`] and eval entries with [`EVAL_ZONE_TAG`].
-    pub fn zones_key(&self) -> String {
-        let base = self.base_canonical();
+    pub fn zones_key(&self, base: &str) -> String {
         let hi = self.grid.search_hi_ns;
         let tag = self.zone_tag();
         if self.axes.is_empty() {
-            zones_key(&base, hi, tag)
+            zones_key(base, hi, tag)
         } else {
-            zones_key_multi(&base, hi, tag)
+            zones_key_multi(base, hi, tag)
         }
     }
 
     /// Content hash of [`Scenario::canonical`].
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        fingerprint_of(&self.base_canonical(), &self.sweep_canonical())
     }
 
     /// Effective LogGPS parameters: preset → workload `o` default →
@@ -693,29 +706,40 @@ impl Scenario {
         })
     }
 
-    /// Re-encode for result files (canonical order; round-trips through
-    /// the spec decoders).
-    pub fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("workload".into(), Value::Str(self.workload.canonical())),
-            ("topology".into(), Value::Str(self.topology.canonical())),
-            ("params".into(), Value::Str(self.params.canonical())),
-            ("backend".into(), Value::Str(self.backend.name().into())),
-            ("reduce".into(), Value::Bool(self.reduce)),
-        ];
+    /// Write the scenario's identity into a results file: its canonical
+    /// fragments, backend, reduction state and axes.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_table()
+            .key("workload")
+            .str(&self.workload.canonical());
+        w.key("topology").str(&self.topology.canonical());
+        w.key("params").str(&self.params.canonical());
+        w.key("backend").str(self.backend.name());
+        w.key("reduce").bool(self.reduce);
         if !self.axes.is_empty() {
-            pairs.push((
-                "axes".into(),
-                Value::Array(
-                    self.axes
-                        .iter()
-                        .map(|a| Value::Str(a.param.name().into()))
-                        .collect(),
-                ),
-            ));
+            w.key("axes").begin_array();
+            for a in &self.axes {
+                w.str(a.param.name());
+            }
+            w.end_array();
         }
-        Value::Table(pairs)
+        w.end_table();
     }
+}
+
+/// The pieces [`Scenario::canonical`] joins: the base key, `|`, the sweep
+/// fragment.
+fn canonical_pieces<'a>(base: &'a str, sweep: &'a str) -> [&'a str; 3] {
+    [base, "|", sweep]
+}
+
+/// [`Scenario::fingerprint`] of a scenario with base key `base` and sweep
+/// fragment `sweep`, hashed piece by piece: the hash of the joined
+/// [`Scenario::canonical`] string, which is never built.
+pub(crate) fn fingerprint_of(base: &str, sweep: &str) -> u64 {
+    canonical_pieces(base, sweep)
+        .iter()
+        .fold(fnv1a(b""), |h, piece| fnv1a_continue(h, piece.as_bytes()))
 }
 
 /// The 1/2/5% zones above baseline `t0`, with `zone(cap)` answering the
@@ -761,8 +785,12 @@ pub fn expand(spec: &CampaignSpec) -> Vec<Scenario> {
             }
         }
     }
-    out.sort_by_key(Scenario::canonical);
-    out.dedup_by(|a, b| a.canonical() == b.canonical());
+    // Every scenario shares the campaign's sweep: its fragment is
+    // formatted once, and each scenario's key once.
+    let sweep = sweep_canonical(&spec.grid, &spec.axes);
+    sort_dedup_by_key(&mut out, |sc| {
+        canonical_pieces(&sc.base_canonical(), &sweep).concat()
+    });
     out
 }
 

@@ -479,15 +479,7 @@ impl CampaignSpec {
             let _ = write!(s, "b:{};", b.name());
         }
         let _ = write!(s, "r:{};", u8::from(self.reduce));
-        if self.axes.is_empty() {
-            let _ = write!(s, "g:{}", grid_canonical(&self.grid));
-        } else {
-            let _ = write!(
-                s,
-                "g:{}",
-                axes_canonical(&self.axes, self.grid.search_hi_ns)
-            );
-        }
+        let _ = write!(s, "g:{}", sweep_canonical(&self.grid, &self.axes));
         s
     }
 
@@ -557,9 +549,14 @@ impl CampaignSpec {
     }
 }
 
-fn sort_dedup_by_key<T>(items: &mut Vec<T>, key: impl Fn(&T) -> String) {
-    items.sort_by_key(|i| key(i));
-    items.dedup_by(|a, b| key(a) == key(b));
+/// Sort `items` by `key` and keep the first of each run of equal keys,
+/// formatting each item's key once. The sort is stable, so the order is
+/// the one sorting by the key gives.
+pub(crate) fn sort_dedup_by_key<T>(items: &mut Vec<T>, key: impl Fn(&T) -> String) {
+    let mut keyed: Vec<(String, T)> = items.drain(..).map(|i| (key(&i), i)).collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    items.extend(keyed.into_iter().map(|(_, i)| i));
 }
 
 /// FNV-1a 64-bit hash: tiny, dependency-free, and stable — exactly what a
@@ -734,6 +731,17 @@ pub fn axes_canonical(axes: &[AxisSpec], search_hi_ns: f64) -> String {
     }
     let _ = write!(s, "hi{}", f(search_hi_ns));
     s
+}
+
+/// Canonical fragment of a campaign's sweep: its axes with the zone
+/// search window when it has axes ([`axes_canonical`]), else its latency
+/// grid ([`grid_canonical`]).
+pub fn sweep_canonical(grid: &GridSpec, axes: &[AxisSpec]) -> String {
+    if axes.is_empty() {
+        grid_canonical(grid)
+    } else {
+        axes_canonical(axes, grid.search_hi_ns)
+    }
 }
 
 /// Every field path the spec decoders accept, as documented in

@@ -3,11 +3,13 @@
 //!
 //! The build environment has no registry access, so instead of serde the
 //! engine parses campaign specs through this small module. Both spec
-//! syntaxes (TOML and JSON) decode into the same [`Value`] tree, and all
-//! engine output (results files, the cache's on-disk form) is written as
-//! canonical JSON through [`Value::to_json`], which is deterministic:
-//! tables keep a fixed field order, floats use Rust's shortest round-trip
-//! formatting, and non-finite floats map to `null`.
+//! syntaxes (TOML and JSON) decode into the same [`Value`] tree. All
+//! engine output is canonical JSON from one streaming writer: results
+//! files and the cache's on-disk form are written straight from their
+//! typed data, field by field, and [`Value::to_json`] walks a tree
+//! through the same writer. The output is deterministic: tables keep a
+//! fixed field order, floats use Rust's shortest round-trip formatting,
+//! and non-finite floats map to `null`.
 
 use std::fmt::Write as _;
 
@@ -91,92 +93,234 @@ impl Value {
 
     /// Render as compact canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact();
+        self.write_json(&mut w);
+        w.finish()
     }
 
     /// Render as pretty-printed JSON with two-space indentation.
     pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::pretty();
+        self.write_json(&mut w);
+        w.finish()
     }
 
-    fn write_json(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        // Pretty mode only: a line break indented `level` steps, written
-        // straight into `out`.
-        let newline = |out: &mut String, level: usize| {
-            if let Some(w) = indent {
-                out.push('\n');
-                out.extend(std::iter::repeat_n(' ', w * level));
-            }
-        };
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(f) => write_json_f64(out, *f),
-            Value::Str(s) => write_json_str(out, s),
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(i) => w.int(*i),
+            Value::Float(f) => w.float(*f),
+            Value::Str(s) => w.str(s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.begin_array();
+                for item in items {
+                    item.write_json(w);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    item.write_json(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push(']');
+                w.end_array();
             }
             Value::Table(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.begin_table();
+                for (k, v) in pairs {
+                    w.key(k);
+                    v.write_json(w);
                 }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    write_json_str(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write_json(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push('}');
+                w.end_table();
             }
         }
     }
 }
 
-/// JSON-format a float: shortest round-trip representation; non-finite
-/// values become `null` (JSON has no inf/NaN).
-fn write_json_f64(out: &mut String, f: f64) {
-    if f.is_finite() {
-        // `{:?}` is Rust's shortest round-trip form ("1.0", "1e-12", …),
-        // deterministic for a given bit pattern.
-        let _ = write!(out, "{f:?}");
-    } else {
-        out.push_str("null");
+/// The one JSON writer: it writes a document as it goes, container by
+/// container and field by field, so typed data (results and cache files)
+/// is written without building a [`Value`] tree first, and a tree is
+/// written by walking it through the same rules. Compact or pretty (two
+/// spaces per level, `"key": value`, a trailing newline); an empty
+/// container is `{}` or `[]` on one line.
+pub(crate) struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no element yet.
+    first: bool,
+    /// A key was just written; its value follows with no separator.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer of compact JSON.
+    pub(crate) fn compact() -> Self {
+        Self {
+            out: String::new(),
+            pretty: false,
+            depth: 0,
+            first: true,
+            after_key: false,
+        }
     }
+
+    /// A writer of pretty-printed JSON.
+    pub(crate) fn pretty() -> Self {
+        Self {
+            pretty: true,
+            ..Self::compact()
+        }
+    }
+
+    /// The document (pretty documents end in a newline).
+    pub(crate) fn finish(mut self) -> String {
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    /// Pretty mode only: a line break indented to the current depth.
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+        }
+    }
+
+    /// What goes before an element: nothing after a key or at the top
+    /// level, else a comma unless it is the container's first element,
+    /// then a line break.
+    fn element(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if self.depth > 0 {
+            if !self.first {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        self.first = false;
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.element();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    /// Open a table; [`JsonWriter::key`] starts each field.
+    pub(crate) fn begin_table(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Close the innermost table.
+    pub(crate) fn end_table(&mut self) {
+        self.close('}');
+    }
+
+    /// Open an array.
+    pub(crate) fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Close the innermost array.
+    pub(crate) fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Start a table field; its value is the next thing written.
+    pub(crate) fn key(&mut self, k: &str) -> &mut Self {
+        self.element();
+        write_json_str(&mut self.out, k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// `null`.
+    pub(crate) fn null(&mut self) {
+        self.element();
+        self.out.push_str("null");
+    }
+
+    /// `true` or `false`.
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.element();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An integer.
+    pub(crate) fn int(&mut self, i: i64) {
+        self.element();
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// A float in its shortest round-trip form; non-finite values become
+    /// `null` (JSON has no inf/NaN).
+    pub(crate) fn float(&mut self, f: f64) {
+        self.element();
+        if f.is_finite() {
+            // `{:?}` is Rust's shortest round-trip form ("1.0", "1e-12", …),
+            // deterministic for a given bit pattern.
+            let _ = write!(self.out, "{f:?}");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// A string.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.element();
+        write_json_str(&mut self.out, s);
+    }
+
+    /// A string of 16 lowercase hex digits spelling `x` (hashes and
+    /// checksums).
+    pub(crate) fn hex(&mut self, x: u64) {
+        self.element();
+        self.out.push('"');
+        for d in hex16(x) {
+            self.out.push(d as char);
+        }
+        self.out.push('"');
+    }
+
+    /// Float fields, in order.
+    pub(crate) fn floats(&mut self, fields: &[(&str, f64)]) {
+        for &(k, x) in fields {
+            self.key(k).float(x);
+        }
+    }
+}
+
+/// `x` as 16 lowercase hex digits, the `{:016x}` spelling.
+pub(crate) fn hex16(x: u64) -> [u8; 16] {
+    let mut hex = [0u8; 16];
+    for (i, d) in hex.iter_mut().enumerate() {
+        *d = b"0123456789abcdef"[(x >> (60 - 4 * i)) as usize & 0xf];
+    }
+    hex
 }
 
 fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    // The run before the first byte to escape goes in whole; that byte is
+    // ASCII, so the cut is a char boundary.
+    let clean = s
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(s.len());
+    out.push_str(&s[..clean]);
+    for c in s[clean..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -373,45 +517,43 @@ impl JsonParser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let rest = &self.input[self.pos..];
-            let mut chars = rest.char_indices();
-            match chars.next() {
-                None => return Err(self.err("unterminated string")),
-                Some((_, '"')) => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some((_, '\\')) => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .input
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some((i, c)) => {
-                    s.push(c);
-                    self.pos += chars.next().map(|(j, _)| j - i).unwrap_or(c.len_utf8());
-                }
+            // The run up to the next `"` or `\` goes in whole: both are
+            // ASCII, so the cut is a char boundary.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            s.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(s);
             }
+            // A `\`: one escape.
+            self.pos += 1;
+            match self.bytes.get(self.pos) {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .input
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    s.push(char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("invalid escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -750,6 +892,156 @@ mod tests {
             Value::Array(vec![Value::Int(1), Value::Int(2)]),
         )]);
         assert_eq!(parse_json(&doc.to_json_pretty()).unwrap(), doc);
+    }
+
+    /// The writer's bytes, compact and pretty, on every node kind: empty
+    /// and nested containers, integers, non-finite floats and strings that
+    /// need escaping. Result and cache files are written by these rules.
+    #[test]
+    fn json_writer_bytes_are_pinned() {
+        let doc = Value::Table(vec![
+            ("empty_table".into(), Value::Table(vec![])),
+            ("empty_array".into(), Value::Array(vec![])),
+            (
+                "nested".into(),
+                Value::Array(vec![
+                    Value::Table(vec![
+                        ("a".into(), Value::Int(0)),
+                        ("b".into(), Value::Array(vec![Value::Null])),
+                    ]),
+                    Value::Array(vec![Value::Array(vec![]), Value::Table(vec![])]),
+                ]),
+            ),
+            (
+                "ints".into(),
+                Value::Array(vec![
+                    Value::Int(-3),
+                    Value::Int(i64::MAX),
+                    Value::Int(i64::MIN),
+                ]),
+            ),
+            (
+                "floats".into(),
+                Value::Array(vec![
+                    Value::Float(1.0),
+                    Value::Float(-0.0),
+                    Value::Float(1e-12),
+                    Value::Float(123456.789),
+                    Value::Float(1e300),
+                    Value::Float(f64::INFINITY),
+                    Value::Float(f64::NEG_INFINITY),
+                    Value::Float(f64::NAN),
+                ]),
+            ),
+            (
+                "bools".into(),
+                Value::Array(vec![Value::Bool(true), Value::Bool(false)]),
+            ),
+            (
+                "k\"ey\\\n".into(),
+                Value::Str("q\" b\\ n\n r\r t\t c\u{1}\u{1f} del\u{7f} é 𝄞 /".into()),
+            ),
+        ]);
+        let compact = concat!(
+            r#"{"empty_table":{},"empty_array":[],"nested":[{"a":0,"b":[null]},[[],{}]],"#,
+            r#""ints":[-3,9223372036854775807,-9223372036854775808],"#,
+            r#""floats":[1.0,-0.0,1e-12,123456.789,1e300,null,null,null],"#,
+            r#""bools":[true,false],"#,
+            "\"k\\\"ey\\\\\\n\":\"q\\\" b\\\\ n\\n r\\r t\\t c\\u0001\\u001f del\u{7f} é 𝄞 /\"}",
+        );
+        assert_eq!(doc.to_json(), compact, "compact JSON bytes moved");
+        let pretty = concat!(
+            "{\n",
+            "  \"empty_table\": {},\n",
+            "  \"empty_array\": [],\n",
+            "  \"nested\": [\n",
+            "    {\n",
+            "      \"a\": 0,\n",
+            "      \"b\": [\n",
+            "        null\n",
+            "      ]\n",
+            "    },\n",
+            "    [\n",
+            "      [],\n",
+            "      {}\n",
+            "    ]\n",
+            "  ],\n",
+            "  \"ints\": [\n",
+            "    -3,\n",
+            "    9223372036854775807,\n",
+            "    -9223372036854775808\n",
+            "  ],\n",
+            "  \"floats\": [\n",
+            "    1.0,\n",
+            "    -0.0,\n",
+            "    1e-12,\n",
+            "    123456.789,\n",
+            "    1e300,\n",
+            "    null,\n",
+            "    null,\n",
+            "    null\n",
+            "  ],\n",
+            "  \"bools\": [\n",
+            "    true,\n",
+            "    false\n",
+            "  ],\n",
+            "  \"k\\\"ey\\\\\\n\": \"q\\\" b\\\\ n\\n r\\r t\\t c\\u0001\\u001f del\u{7f} é 𝄞 /\"\n",
+            "}\n",
+        );
+        assert_eq!(doc.to_json_pretty(), pretty, "pretty JSON bytes moved");
+    }
+
+    /// `parse_json` on strings: escapes, raw multibyte and control
+    /// characters, and the errors (message, line and column) of a lone
+    /// surrogate, an invalid, cut or truncated escape and an unterminated
+    /// string.
+    #[test]
+    fn parser_strings_are_pinned() {
+        let show = |input: &str| match parse_json(input) {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        let cases: &[(&str, &str)] = &[
+            (
+                r#""q\" b\\ s\/ n\n ué end""#,
+                r#"Str("q\" b\\ s/ n\n ué end")"#,
+            ),
+            (r#""\r\t\u0001""#, r#"Str("\r\t\u{1}")"#),
+            ("\"é𝄞 raw\"", r#"Str("é𝄞 raw")"#),
+            ("\"a\u{1}b\"", r#"Str("a\u{1}b")"#),
+            ("\"\"", r#"Str("")"#),
+            (
+                "{\"k\\u00e9y\": \"é\\n\", \"x\": [\"\", \"y\"]}",
+                r#"Table([("kéy", Str("é\n")), ("x", Array([Str(""), Str("y")]))])"#,
+            ),
+            (
+                r#""\ud83d""#,
+                "error: invalid \\u code point at line 1, column 3",
+            ),
+            (r#""ab\qc""#, "error: invalid escape at line 1, column 5"),
+            (
+                r#""ab\u12zz""#,
+                "error: invalid \\u escape at line 1, column 5",
+            ),
+            (
+                "\"ab\\u1",
+                "error: truncated \\u escape at line 1, column 5",
+            ),
+            ("\"é\\", "error: invalid escape at line 1, column 5"),
+            ("\"abc", "error: unterminated string at line 1, column 5"),
+            ("\"é𝄞", "error: unterminated string at line 1, column 8"),
+            (
+                "[\n  \"ok\",\n  \"b\u{e9}d\\x\"\n]",
+                "error: invalid escape at line 3, column 9",
+            ),
+            (
+                "\"ab\" x",
+                "error: trailing content after JSON value at line 1, column 6",
+            ),
+        ];
+        for (input, want) in cases {
+            assert_eq!(&show(input), want, "parse of {input:?} moved");
+        }
     }
 
     #[test]

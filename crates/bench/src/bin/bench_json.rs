@@ -181,8 +181,7 @@ fn main() {
     //
     // * `large_trace` — LULESH inflated to ~10⁶ vertices (16 ranks, 430
     //   outer iterations, the `llamp gen` stress shape). Tracks the
-    //   streaming-ingest and partitioned-reduction wall clocks at one
-    //   worker vs one-per-core, and asserts thread-count determinism.
+    //   streaming-ingest and reduction wall clocks.
     // * `large_lp` — the LP solved on the *same* ~10⁶-vertex shape
     //   (137k reduced rows). The longest-path crash basis makes the cold
     //   anchor a factorisation plus one pricing pass (no pivots), so the
@@ -205,29 +204,12 @@ fn main() {
         let ingest_ms = t_ingest.elapsed().as_secs_f64() * 1e3;
         let (vertices, edges) = (raw.num_vertices(), raw.num_edges());
 
-        let t1 = Instant::now();
-        let r1 = raw.reduced(&ReduceConfig {
-            threads: 1,
-            ..ReduceConfig::default()
-        });
-        let reduce_ms_t1 = t1.elapsed().as_secs_f64() * 1e3;
-        let reduce_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let tn = Instant::now();
+        let t_reduce = Instant::now();
         let rn = raw.reduced(&ReduceConfig::default());
-        let reduce_ms_tn = tn.elapsed().as_secs_f64() * 1e3;
-        // Thread-count determinism is a hard invariant, so the bench
-        // asserts it on every run rather than trusting the test suite.
-        assert_eq!(
-            format!("{:?}", r1.stats()),
-            format!("{:?}", rn.stats()),
-            "partitioned reduction diverged between 1 and {reduce_threads} workers"
-        );
+        let reduce_ms = t_reduce.elapsed().as_secs_f64() * 1e3;
         eprintln!(
             "large-trace   lulesh x(2,430)  {vertices} verts / {edges} edges  \
-             ingest {ingest_ms:.0} ms  reduce t1 {reduce_ms_t1:.0} ms / \
-             t{reduce_threads} {reduce_ms_tn:.0} ms  rows -> {}",
+             ingest {ingest_ms:.0} ms  reduce {reduce_ms:.0} ms  rows -> {}",
             rn.stats().rows_after
         );
 
@@ -257,7 +239,7 @@ fn main() {
 
         // The same sweep sharded across the work-stealing executor with
         // per-worker solver clones — the engine's intra-scenario path.
-        let sweep_threads = reduce_threads;
+        let sweep_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let chunk_len = deltas.len().div_ceil(sweep_threads);
         let chunks: Vec<Vec<f64>> = deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
         let cfg = llamp_engine::ExecutorConfig {
@@ -305,8 +287,7 @@ fn main() {
         large_json = format!(
             "  \"large_trace\": {{\"workload\": \"lulesh\", \"rank_mult\": 2, \"iter_mult\": 430, \
              \"vertices\": {vertices}, \"edges\": {edges}, \"rows_reduced\": {}, \
-             \"ingest_ms\": {ingest_ms:.3}, \"reduce_ms_t1\": {reduce_ms_t1:.3}, \
-             \"reduce_ms_tn\": {reduce_ms_tn:.3}, \"reduce_threads\": {reduce_threads}}},\n  \
+             \"ingest_ms\": {ingest_ms:.3}, \"reduce_ms\": {reduce_ms:.3}}},\n  \
              \"large_lp\": {{\"workload\": \"lulesh\", \"rank_mult\": 2, \"iter_mult\": 430, \
              \"vertices\": {vertices}, \"rows_raw\": {}, \"rows_reduced\": {}, \
              \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {}, \

@@ -41,8 +41,8 @@
 //! The passes read only the vertex array and the predecessor lists. On
 //! the product path ([`GraphBuilder::finish_reduced`], which builds no
 //! raw CSR) the builder's predecessor sort writes them in the arena's
-//! own layout, and the whole-graph arena takes them over without a copy
-//! or a second sort; [`reduce()`] copies a raw [`ExecGraph`]'s lists into
+//! own layout, and the arena takes them over without a copy or a second
+//! sort; [`reduce()`] copies a raw [`ExecGraph`]'s lists into
 //! that layout once. An arena edge is a 12-byte structure record (ends,
 //! kind, alive) with its cost in a parallel array, so the passes'
 //! structural checks never drag a 32-byte cost through the cache; only
@@ -57,12 +57,13 @@
 //! semantics survive only on unmerged vertices, so don't feed it to the
 //! simulator.
 
-use crate::graph::{
-    CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, Vertex, VertexKind,
-};
+use crate::graph::{CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, Vertex};
 use crate::view::{alg1_row_count, GraphView};
 
-/// Which reduction passes run, and their effort bounds.
+/// Which reduction passes run. Every reduction runs the enabled passes
+/// over the whole graph to a fixpoint, whatever the graph's size, so
+/// the reduced graph is a pure function of the graph and these
+/// switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReduceConfig {
     /// Serial-chain contraction (coefficient accumulation).
@@ -72,22 +73,13 @@ pub struct ReduceConfig {
     /// Redundant-dependency elimination (sibling domination + bounded
     /// transitive search).
     pub redundant: bool,
-    /// Maximum pass rounds; the pipeline stops earlier at a fixpoint.
-    pub max_rounds: u32,
-    /// Visited-vertex cap per transitive-elimination search.
-    pub dfs_cap: usize,
-    /// Worker threads for the region-parallel path (`0` = one per
-    /// available core). Thread count never changes the output: regions
-    /// are reduced independently and stitched in rank order, so any
-    /// thread count produces the same bytes.
-    pub threads: usize,
-    /// Minimum vertex count before the region-parallel path engages.
-    /// Below it (or with a single rank) the pipeline runs the classic
-    /// whole-graph fixpoint, which can reduce slightly further on small
-    /// graphs (cross-rank edges are never contracted on the region path,
-    /// and redundancy searches do not look across region boundaries).
-    pub par_threshold: usize,
 }
+
+/// Maximum pass rounds; the pipeline stops earlier at a fixpoint.
+const MAX_ROUNDS: u32 = 8;
+
+/// Visited-vertex cap per transitive-elimination search.
+const DFS_CAP: usize = 128;
 
 impl Default for ReduceConfig {
     fn default() -> Self {
@@ -95,10 +87,6 @@ impl Default for ReduceConfig {
             chains: true,
             folds: true,
             redundant: true,
-            max_rounds: 8,
-            dfs_cap: 128,
-            threads: 0,
-            par_threshold: 65_536,
         }
     }
 }
@@ -113,10 +101,6 @@ impl ReduceConfig {
             chains: false,
             folds: false,
             redundant: false,
-            max_rounds: 0,
-            dfs_cap: 0,
-            threads: 0,
-            par_threshold: usize::MAX,
         }
     }
 
@@ -125,15 +109,13 @@ impl ReduceConfig {
     pub fn chains_only() -> Self {
         Self {
             chains: true,
-            folds: false,
-            redundant: false,
-            ..Self::default()
+            ..Self::none()
         }
     }
 
     /// True when no pass is enabled.
     pub fn is_identity(&self) -> bool {
-        self.max_rounds == 0 || !(self.chains || self.folds || self.redundant)
+        !(self.chains || self.folds || self.redundant)
     }
 }
 
@@ -397,23 +379,15 @@ impl ExecGraph {
     }
 }
 
-/// Run the configured reduction passes to a fixpoint (bounded by
-/// `cfg.max_rounds`) and return the reduced graph with its counters.
+/// Run the configured reduction passes to a fixpoint (at most eight
+/// rounds) and return the reduced graph with its counters.
 ///
-/// Graphs at or above `cfg.par_threshold` vertices (with more than one
-/// rank) take the **region-parallel** path: the graph is partitioned into
-/// rank-local regions, each cross-rank edge is split into two per-region
-/// half-edges (see `Reducer::from_region`), regions reduce
-/// independently on `cfg.threads` workers, and the survivors are
-/// stitched back in rank order — halves recombined into whole cross
-/// edges — for a serial finishing fixpoint. The output is a pure
-/// function of the graph and the config: any thread count yields
-/// bit-identical results.
-///
-/// The passes read only the vertex array and the predecessor lists, so
-/// a graph that exists only to be reduced needs no CSR of its own:
-/// [`GraphBuilder::finish_reduced`] hands the builder's sorted arrays
-/// straight to the same pipeline and returns the same graph.
+/// Every graph, whatever its size, reduces as one whole-graph arena on
+/// the calling thread, so the output is a pure function of the graph and
+/// the config. The passes read only the vertex array and the predecessor
+/// lists, so a graph that exists only to be reduced needs no CSR of its
+/// own: [`GraphBuilder::finish_reduced`] hands the builder's sorted
+/// arrays straight to the same pipeline and returns the same graph.
 pub fn reduce(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     if cfg.is_identity() {
         return ReducedGraph::identity(g.clone());
@@ -446,8 +420,8 @@ impl GraphBuilder {
     /// built. The raw graph's sizes and Algorithm-1 row count come from
     /// the sort's own counts. Returns exactly
     /// [`reduce()`]`(&self.finish()?, cfg)`. A cyclic edge set fails with
-    /// [`GraphError::Cycle`] on either reduction path: no pass touches a
-    /// vertex on a cycle, so the cycle reaches the final rebuild whole.
+    /// [`GraphError::Cycle`]: no pass touches a vertex on a cycle, so the
+    /// cycle reaches the final rebuild whole.
     pub fn finish_reduced(self, cfg: &ReduceConfig) -> Result<ReducedGraph, GraphError> {
         if cfg.is_identity() {
             return self.finish().map(ReducedGraph::identity);
@@ -473,45 +447,32 @@ fn traced(
     Ok(out)
 }
 
+/// Reduce `input` on one whole-graph arena: the enabled passes, round
+/// after round, until a round changes nothing or [`MAX_ROUNDS`] have
+/// run; then the rebuild.
 fn run(
     input: SortedInput,
     cfg: &ReduceConfig,
     record: bool,
 ) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let (n, m, rows) = (input.verts.len(), input.edges.len(), input.rows);
-    let mut out = if n >= cfg.par_threshold && input.nranks > 1 {
-        reduce_partitioned(input, cfg, record)?
-    } else {
-        let mut r = Reducer::whole(input, record);
-        run_rounds(&mut r, cfg);
-        r.finish(n)?
-    };
-    let s = &mut out.0.stats;
-    s.vertices_before = n as u64;
-    s.edges_before = m as u64;
-    s.rows_before = rows;
-    Ok(out)
-}
-
-/// The pass fixpoint shared by the whole-graph path, each rank-local
-/// region and the stitched finishing stage.
-fn run_rounds(r: &mut Reducer, cfg: &ReduceConfig) {
-    for _ in 0..cfg.max_rounds {
+    let mut r = Reducer::whole(input, record);
+    for _ in 0..MAX_ROUNDS {
         let mut changed = 0u64;
         if cfg.chains {
-            changed += traced_pass(r, "reduce.chains", Reducer::pass_chains);
+            changed += traced_pass(&mut r, "reduce.chains", Reducer::pass_chains);
         }
         if cfg.folds {
-            changed += traced_pass(r, "reduce.folds", Reducer::pass_folds);
+            changed += traced_pass(&mut r, "reduce.folds", Reducer::pass_folds);
         }
         if cfg.redundant {
-            changed += traced_pass(r, "reduce.redundant", |r| r.pass_redundant(cfg.dfs_cap));
+            changed += traced_pass(&mut r, "reduce.redundant", Reducer::pass_redundant);
         }
         r.stats.rounds += 1;
         if changed == 0 {
             break;
         }
     }
+    r.finish()
 }
 
 /// Run one reduction pass under an obs span carrying the live arena
@@ -530,241 +491,6 @@ fn traced_pass(r: &mut Reducer, name: &'static str, pass: impl FnOnce(&mut Reduc
     let changed = pass(r);
     g.field_u64("changed", changed);
     changed
-}
-
-/// Region-parallel reduction: partition by vertex rank, split cross-rank
-/// edges into per-region half-edges (see [`Reducer::from_region`]),
-/// reduce each region independently, stitch survivors in rank order and
-/// run a serial finishing fixpoint over the merged graph.
-///
-/// Determinism argument: each region's reduction is a pure function of
-/// its region subgraph (intra edges plus its halves of the cross edges);
-/// regions only read their own arenas, so worker scheduling cannot
-/// influence them. The stitch iterates regions in rank order and each
-/// region's arena in allocation order, then recombines cross-edge halves
-/// in original arena order — the two halves of a cross edge live in
-/// different regions and touch disjoint fields (source-side cost/via
-/// prefix vs target-side cost/via suffix), so their merge is order-free.
-/// Every id assignment is order-fixed, and the finishing fixpoint plus
-/// [`Reducer::finish`] are serial. Bit-identical output at any thread
-/// count follows.
-///
-/// The input is read only while the region arenas are filled; it is
-/// dropped before the stitch, so the stitched arena never shares the
-/// peak with it.
-fn reduce_partitioned(
-    g: SortedInput,
-    cfg: &ReduceConfig,
-    record: bool,
-) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let n = g.verts.len();
-    let nranks = g.nranks as usize;
-
-    let part_span = llamp_obs::span("reduce.par.partition");
-    // Partition vertices into rank regions (ascending global id).
-    let mut region_verts: Vec<Vec<u32>> = vec![Vec::new(); nranks];
-    let mut local_of = vec![0u32; n];
-    for (v, vert) in g.verts.iter().enumerate() {
-        let r = vert.rank as usize;
-        local_of[v] = region_verts[r].len() as u32;
-        region_verts[r].push(v as u32);
-    }
-    // Collect cross-rank edges (in arena order) and hand each region the
-    // list of halves it owns: `(cross id, is_source)` pairs. `src_pos` /
-    // `dst_pos` remember each half's position in its region's incident
-    // list so the stitch can find it again.
-    let mut cross: Vec<Cross> = Vec::new();
-    let mut incident: Vec<Vec<(u32, bool)>> = vec![Vec::new(); nranks];
-    let mut src_pos: Vec<u32> = Vec::new();
-    let mut dst_pos: Vec<u32> = Vec::new();
-    for (e, cost) in g.edges.iter().zip(&g.costs) {
-        let rs = g.verts[e.from as usize].rank;
-        let rt = g.verts[e.to as usize].rank;
-        if rs != rt {
-            let cid = cross.len() as u32;
-            src_pos.push(incident[rs as usize].len() as u32);
-            incident[rs as usize].push((cid, true));
-            dst_pos.push(incident[rt as usize].len() as u32);
-            incident[rt as usize].push((cid, false));
-            cross.push(Cross {
-                from: e.from,
-                to: e.to,
-                src_rank: rs,
-                dst_rank: rt,
-                kind: e.kind,
-                cost: *cost,
-            });
-        }
-    }
-    drop(part_span);
-    llamp_obs::counter("reduce.par.regions", nranks as u64);
-
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        cfg.threads
-    };
-    // Each worker builds, reduces and compacts one region at a time, so
-    // an arena's memory is recycled into the next region instead of
-    // growing the peak footprint (and the kernel's fault bill).
-    let workers = threads.min(nranks).max(1);
-    let mut outs: Vec<Option<RegionOut>> = (0..nranks).map(|_| None).collect();
-    let reduce_region = |r: usize| {
-        let mut arena = Reducer::from_region(
-            &g,
-            &region_verts[r],
-            &local_of,
-            &cross,
-            &incident[r],
-            record,
-        );
-        run_rounds(&mut arena, cfg);
-        arena.into_region_out(incident[r].len())
-    };
-    if workers <= 1 {
-        for (r, slot) in outs.iter_mut().enumerate() {
-            *slot = Some(reduce_region(r));
-        }
-    } else {
-        let chunk = nranks.div_ceil(workers);
-        std::thread::scope(|s| {
-            for (ci, slice) in outs.chunks_mut(chunk).enumerate() {
-                let reduce_region = &reduce_region;
-                s.spawn(move || {
-                    let g = llamp_obs::span("reduce.par.worker");
-                    for (i, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(reduce_region(ci * chunk + i));
-                    }
-                    if llamp_obs::is_enabled() {
-                        g.field_u64("regions", slice.len() as u64);
-                    }
-                });
-            }
-        });
-    }
-    let mut outs: Vec<RegionOut> = outs.into_iter().map(|o| o.expect("region ran")).collect();
-    drop((g, region_verts, local_of, incident));
-
-    // Stitch: survivors of each region in rank order, then the
-    // recombined cross edges, then a serial finishing fixpoint.
-    let stitch_span = llamp_obs::span("reduce.par.stitch");
-    let mut stats = ReductionStats::default();
-    for o in &outs {
-        stats.chain_merges += o.stats.chain_merges;
-        stats.folds += o.stats.folds;
-        stats.redundant_removed += o.stats.redundant_removed;
-        stats.rounds = stats.rounds.max(o.stats.rounds);
-    }
-
-    let n_surv: usize = outs.iter().map(|o| o.verts.len()).sum();
-    let e_surv: usize = outs.iter().map(|o| o.edges.len()).sum::<usize>() + cross.len();
-    // Survivor-local index -> stitched id offset, per region (rank order).
-    let mut base = Vec::with_capacity(nranks);
-    let mut acc = 0u32;
-    for o in &outs {
-        base.push(acc);
-        acc += o.verts.len() as u32;
-    }
-    let mut verts = Vec::with_capacity(n_surv);
-    let mut edges = Vec::with_capacity(e_surv);
-    let mut costs = Vec::with_capacity(e_surv);
-    // Recording only: the stitched bookkeeping, in the same order.
-    let (mut members, mut head, mut via, mut dead_via) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (r, o) in outs.iter_mut().enumerate() {
-        let b = base[r];
-        verts.append(&mut o.verts);
-        edges.extend(o.edges.drain(..).map(|e| REdge {
-            from: e.from + b,
-            to: e.to + b,
-            ..e
-        }));
-        costs.append(&mut o.costs);
-        if let Some(ob) = &mut o.book {
-            members.append(&mut ob.members);
-            head.append(&mut ob.head);
-            via.append(&mut ob.via);
-            dead_via.append(&mut ob.dead_via);
-        }
-    }
-    // Recombine each cross edge from its two halves: the source half's
-    // current origin and accumulated (cost, via prefix) from the source
-    // region, the target half's current target and (cost, via suffix)
-    // from the target region.
-    for (cid, c) in cross.iter().enumerate() {
-        let (sr, tr) = (c.src_rank as usize, c.dst_rank as usize);
-        let (sp, dp) = (src_pos[cid] as usize, dst_pos[cid] as usize);
-        let (sf, scost) = outs[sr].halves[sp];
-        let (tt, tcost) = outs[tr].halves[dp];
-        edges.push(REdge::new(sf + base[sr], tt + base[tr], c.kind));
-        costs.push(scost.add(&tcost));
-        if record {
-            let mut half_via = |r: usize, at: usize| {
-                std::mem::take(&mut outs[r].book.as_mut().expect("recording").half_via[at])
-            };
-            let mut joined = half_via(sr, sp);
-            joined.append(&mut half_via(tr, dp));
-            via.push(joined);
-        }
-    }
-    drop(outs);
-    let book = record.then(|| Book {
-        dead_via,
-        ..Book::new(members, head, via)
-    });
-    let inc = AdjPool::index(verts.len(), edges.iter().map(|e| e.to));
-    let mut st = Reducer::new(nranks as u32, verts, edges, costs, inc, book);
-    st.stats = stats;
-    drop(stitch_span);
-    run_rounds(&mut st, cfg);
-    st.finish(n)
-}
-
-/// One cross-rank edge of the region path, in original vertex ids,
-/// with the ranks (regions) of its two ends.
-struct Cross {
-    from: u32,
-    to: u32,
-    src_rank: u32,
-    dst_rank: u32,
-    kind: EdgeKind,
-    cost: CostExpr,
-}
-
-/// The compact survivor set extracted from one region's arena (see
-/// [`Reducer::into_region_out`]); everything the stitch needs, in a
-/// footprint proportional to the *reduced* region.
-struct RegionOut {
-    /// Surviving real vertices in arena-slot (= ascending original id)
-    /// order.
-    verts: Vec<Vertex>,
-    /// Live intra-region edges in arena order, endpoints renumbered to
-    /// survivor-local indexes, and their costs.
-    edges: Vec<REdge>,
-    costs: Vec<CostExpr>,
-    /// Per incident half-edge (same order as the region's incident
-    /// list): the real endpoint as a survivor-local index, plus the
-    /// half's accumulated cost.
-    halves: Vec<(u32, CostExpr)>,
-    /// Recording only: the survivors' bookkeeping.
-    book: Option<RegionBook>,
-    stats: ReductionStats,
-}
-
-/// A reduced region's provenance bookkeeping, aligned with its
-/// [`RegionOut`].
-struct RegionBook {
-    /// Member lists and head ids of the surviving vertices.
-    members: Vec<Vec<u32>>,
-    head: Vec<u32>,
-    /// Via lists of the surviving intra-region edges.
-    via: Vec<Vec<u32>>,
-    /// Via lists of the region's dead edges, keyed by the original head
-    /// id of each edge's target, in the region's edge order: those
-    /// vertices still owe a home.
-    dead_via: Vec<(u32, Vec<u32>)>,
-    /// Each half-edge's via list, aligned with `halves`.
-    half_via: Vec<Vec<u32>>,
 }
 
 /// One mutable edge of the reduction arena: its structure alone, 12
@@ -800,9 +526,8 @@ impl REdge {
 /// array, plus the per-target offsets and the graph's Algorithm-1 row
 /// count. The builder's predecessor sort writes it directly
 /// ([`GraphBuilder::finish_reduced`]); [`reduce()`] copies an
-/// [`ExecGraph`]'s predecessor lists into it once. Every arena is filled
-/// from it: the whole-graph arena takes it over as it is, region arenas
-/// copy their parts.
+/// [`ExecGraph`]'s predecessor lists into it once. The reduction arena
+/// takes it over as it is.
 pub(crate) struct SortedInput {
     nranks: u32,
     verts: Vec<Vertex>,
@@ -865,11 +590,6 @@ impl SortedInput {
             sinks,
         )
     }
-
-    /// The edge ids entering `v`.
-    fn preds(&self, v: u32) -> std::ops::Range<usize> {
-        self.pred_start[v as usize] as usize..self.pred_start[v as usize + 1] as usize
-    }
 }
 
 /// Provenance bookkeeping, kept only by a recording reduction (see
@@ -878,10 +598,9 @@ struct Book {
     /// Ordered original members absorbed by each arena vertex (head
     /// first; starts as the vertex itself).
     members: Vec<Vec<u32>>,
-    /// Arena vertex -> **original** graph vertex id (`members[v][0]`,
-    /// stable even after the member list is taken during stitching). On
-    /// the whole-graph path this starts as the identity; boundary
-    /// anchors map to `u32::MAX`.
+    /// Arena vertex -> **original** graph vertex id (`members[v][0]`
+    /// while `v` lives, and still known once a merge or fold has taken
+    /// its member list). Starts as the identity.
     head: Vec<u32>,
     /// Original vertices folded into each edge, source-side first,
     /// indexed by the edge's id when the arena was built (its *slot*).
@@ -893,25 +612,18 @@ struct Book {
     /// Per slot: the head of the edge's target once the edge has left
     /// the arena (`u32::MAX` while it is in it).
     to_head: Vec<u32>,
-    /// Via lists of region edges that died before stitching (redundant-
-    /// eliminated after folds routed vertices through them), keyed by
-    /// the dead edge's target as an original head id: those vertices
-    /// still owe a home.
-    dead_via: Vec<(u32, Vec<u32>)>,
 }
 
 impl Book {
-    /// Bookkeeping over arena vertices with these member lists and head
-    /// ids, and arena edges carrying these via lists.
-    fn new(members: Vec<Vec<u32>>, head: Vec<u32>, via: Vec<Vec<u32>>) -> Self {
-        let m = via.len();
+    /// Bookkeeping over `n` arena vertices, each its own sole member,
+    /// and `m` arena edges with empty via lists.
+    fn new(n: usize, m: usize) -> Self {
         Self {
-            members,
-            head,
-            via,
+            members: (0..n as u32).map(|v| vec![v]).collect(),
+            head: (0..n as u32).collect(),
+            via: vec![Vec::new(); m],
             slot: (0..m as u32).collect(),
             to_head: vec![u32::MAX; m],
-            dead_via: Vec::new(),
         }
     }
 
@@ -987,9 +699,7 @@ impl Book {
     /// compact, so its vertex ids are the reduced graph's; `edges` are
     /// the edges the rebuild was handed, and `slots[i]` names the one in
     /// `graph`'s `i`-th predecessor slot. `orig_n` is the **original**
-    /// graph's vertex count (provenance arrays index original ids — on
-    /// the region-parallel path the arena is the stitched survivor set,
-    /// not the original graph).
+    /// graph's vertex count: provenance arrays index original ids.
     fn provenance(
         mut self,
         edges: &[REdge],
@@ -1031,16 +741,13 @@ impl Book {
         // resolves through its target's head (whose home is the target
         // itself while it lives), iterating in slot order until stable
         // (each round resolves at least one fold layer, so this is
-        // bounded by the fold depth). Pre-stitch casualties in `dead_via`
-        // resolve the same way.
+        // bounded by the fold depth).
         for (e, &slot) in edges.iter().zip(&self.slot) {
             self.to_head[slot as usize] = self.head[e.to as usize];
         }
         loop {
             let mut changed = false;
-            let slots = self.via.iter().zip(self.to_head.iter().copied());
-            let dead = self.dead_via.iter().map(|(to, via)| (via, *to));
-            for (via, to_head) in slots.chain(dead) {
+            for (via, &to_head) in self.via.iter().zip(&self.to_head) {
                 let target_home = home[to_head as usize];
                 if target_home == u32::MAX {
                     continue;
@@ -1215,20 +922,14 @@ struct Dfs {
     stack: Vec<u32>,
 }
 
-/// The reduction arena: a mutable copy of (part of) the graph that the
-/// passes rewrite in place. It shrinks as it reduces: every pass after
+/// The reduction arena: a mutable copy of the graph that the passes
+/// rewrite in place. It shrinks as it reduces: every pass after
 /// one that changed something starts by compacting it to the live
 /// vertices and edges, so a pass costs what the live graph costs.
 struct Reducer {
     nranks: u32,
     verts: Vec<Vertex>,
     valive: Vec<bool>,
-    /// Slots `>= first_virtual` are per-cross-edge boundary anchors on
-    /// the region path (see [`Reducer::from_region`]): zero-cost
-    /// vertices with the sentinel rank `u32::MAX`, so the same-rank
-    /// guards in every pass keep them inert. Equal to `verts.len()` on
-    /// the whole-graph path and the stitched arena.
-    first_virtual: u32,
     edges: Vec<REdge>,
     /// Edge costs, indexed like `edges`. Only cost arithmetic reads them:
     /// merges and folds, chain-root offsets and sibling domination, and
@@ -1245,188 +946,37 @@ struct Reducer {
     /// Provenance bookkeeping, present only when recording.
     book: Option<Book>,
     work: Work,
+    /// The counters so far; the `_before` sizes are the input's.
     stats: ReductionStats,
 }
 
 impl Reducer {
-    /// An arena over `verts` and `edges` (with their `costs`), all
-    /// alive, whose in-lists are `inc`, with no boundary anchors.
-    fn new(
-        nranks: u32,
-        verts: Vec<Vertex>,
-        edges: Vec<REdge>,
-        costs: Vec<CostExpr>,
-        inc: AdjPool,
-        book: Option<Book>,
-    ) -> Self {
-        let n = verts.len();
-        debug_assert_eq!(edges.len(), costs.len());
+    /// The whole graph as one arena, every vertex and edge alive: the
+    /// input taken over as it is. Its edges are grouped by target, so the
+    /// in-lists are the input's offset ranges.
+    fn whole(g: SortedInput, record: bool) -> Self {
+        let (n, m) = (g.verts.len(), g.edges.len());
+        debug_assert_eq!(m, g.costs.len());
         let mut r = Self {
-            nranks,
-            first_virtual: n as u32,
+            nranks: g.nranks,
             valive: vec![true; n],
-            verts,
-            inc,
-            out: AdjPool::index(n, edges.iter().map(|e| e.from)),
-            edges,
-            costs,
+            verts: g.verts,
+            inc: AdjPool::grouped(g.pred_start),
+            out: AdjPool::index(n, g.edges.iter().map(|e| e.from)),
+            edges: g.edges,
+            costs: g.costs,
             dirty: false,
-            book,
+            book: record.then(|| Book::new(n, m)),
             work: Work::default(),
-            stats: ReductionStats::default(),
+            stats: ReductionStats {
+                vertices_before: n as u64,
+                edges_before: m as u64,
+                rows_before: g.rows,
+                ..ReductionStats::default()
+            },
         };
         r.topo();
         r
-    }
-
-    /// The whole graph as one arena: the input taken over as it is. Its
-    /// edges are grouped by target, so the in-lists are the input's
-    /// offset ranges.
-    fn whole(g: SortedInput, record: bool) -> Self {
-        let n = g.verts.len();
-        let book = record.then(|| {
-            Book::new(
-                (0..n as u32).map(|v| vec![v]).collect(),
-                (0..n as u32).collect(),
-                vec![Vec::new(); g.edges.len()],
-            )
-        });
-        let inc = AdjPool::grouped(g.pred_start);
-        Self::new(g.nranks, g.verts, g.edges, g.costs, inc, book)
-    }
-
-    /// A rank-local region arena: `verts` are the region's original
-    /// vertex ids (ascending), edges are the intra-region edges in arena
-    /// order. Members and via lists carry **original** ids.
-    ///
-    /// Each cross-region edge incident on this region becomes a
-    /// **half-edge** anchored to its own virtual boundary vertex: a
-    /// source half `u -> B` (zero cost) for an outgoing cross edge, a
-    /// target half `B -> v` (carrying the cross edge's cost) for an
-    /// incoming one. The anchors have rank `u32::MAX` and degree one, so
-    /// no pass can merge, fold or eliminate them — but every *real*
-    /// vertex now sees its full global degree, and the generic rewiring
-    /// in the passes transforms the halves exactly as it would the cross
-    /// edge itself (cost pushes accumulate on the half, folded vertices
-    /// land in its via list, merges move its real endpoint). The stitch
-    /// recombines the two halves of each cross edge afterwards.
-    ///
-    /// `incident` lists this region's (cross-edge id, is-source) pairs in
-    /// cross-arena order; the `k`-th entry's half-edge gets arena id
-    /// `intra_edge_count + k`. Anchors and halves never die, so they keep
-    /// the arena's last slots through every compaction.
-    fn from_region(
-        g: &SortedInput,
-        verts: &[u32],
-        local_of: &[u32],
-        cross: &[Cross],
-        incident: &[(u32, bool)],
-        record: bool,
-    ) -> Self {
-        let n = verts.len();
-        let total = n + incident.len();
-        // Every real vertex keeps its global degree, so the region's
-        // preds plus its source halves bound the edge count.
-        let bound = verts.iter().map(|&gv| g.preds(gv).len()).sum::<usize>() + incident.len();
-        let mut edges = Vec::with_capacity(bound);
-        let mut costs = Vec::with_capacity(bound);
-        for (lv, &gv) in verts.iter().enumerate() {
-            let rank = g.verts[gv as usize].rank;
-            for eid in g.preds(gv) {
-                let e = g.edges[eid];
-                if g.verts[e.from as usize].rank != rank {
-                    continue;
-                }
-                edges.push(REdge::new(local_of[e.from as usize], lv as u32, e.kind));
-                costs.push(g.costs[eid]);
-            }
-        }
-        let mut arena: Vec<Vertex> = Vec::with_capacity(total);
-        arena.extend(verts.iter().map(|&gv| g.verts[gv as usize]));
-        for (k, &(cid, is_src)) in incident.iter().enumerate() {
-            let b = (n + k) as u32;
-            arena.push(Vertex {
-                rank: u32::MAX,
-                kind: VertexKind::Calc,
-                cost: CostExpr::ZERO,
-            });
-            let c = &cross[cid as usize];
-            if is_src {
-                edges.push(REdge::new(local_of[c.from as usize], b, c.kind));
-                costs.push(CostExpr::ZERO);
-            } else {
-                edges.push(REdge::new(b, local_of[c.to as usize], c.kind));
-                costs.push(c.cost);
-            }
-        }
-        let book = record.then(|| {
-            let mut members = Vec::with_capacity(total);
-            members.extend(verts.iter().map(|&gv| vec![gv]));
-            members.resize(total, Vec::new());
-            let mut head = Vec::with_capacity(total);
-            head.extend_from_slice(verts);
-            head.resize(total, u32::MAX);
-            Book::new(members, head, vec![Vec::new(); edges.len()])
-        });
-        let inc = AdjPool::index(total, edges.iter().map(|e| e.to));
-        let mut arena = Self::new(g.nranks, arena, edges, costs, inc, book);
-        arena.first_virtual = n as u32;
-        arena
-    }
-
-    /// Consume a reduced region arena into its compact survivor set.
-    /// `n_incident` is the region's half-edge count; halves occupy the
-    /// last `n_incident` arena edge slots (see [`Reducer::from_region`]).
-    fn into_region_out(mut self, n_incident: usize) -> RegionOut {
-        if self.dirty {
-            self.compact();
-        }
-        // Fresh, tight copies: the arena's buffers go back to the
-        // allocator for the next region.
-        let fv = self.first_virtual as usize;
-        let n_intra = self.edges.len() - n_incident;
-        let verts = self.verts[..fv].to_vec();
-        let edges = self.edges[..n_intra].to_vec();
-        let costs = self.costs[..n_intra].to_vec();
-        let halves = self.edges[n_intra..]
-            .iter()
-            .zip(&self.costs[n_intra..])
-            .map(|(e, &cost)| {
-                debug_assert!(e.alive, "boundary half-edge died in region pass");
-                // The real endpoint (the other one is this half's virtual
-                // boundary anchor).
-                let real = if (e.from as usize) < fv { e.from } else { e.to };
-                (real, cost)
-            })
-            .collect();
-        let book = self.book.take().map(|mut b| {
-            let mut take = |eid: usize| std::mem::take(&mut b.via[b.slot[eid] as usize]);
-            let via = (0..n_intra).map(&mut take).collect();
-            let half_via = (n_intra..self.edges.len()).map(&mut take).collect();
-            let dead_via = b
-                .via
-                .iter_mut()
-                .zip(&b.to_head)
-                .filter(|(via, &to)| to != u32::MAX && !via.is_empty())
-                .map(|(via, &to)| (to, std::mem::take(via)))
-                .collect();
-            b.members.truncate(fv);
-            RegionBook {
-                members: b.members,
-                head: b.head[..fv].to_vec(),
-                via,
-                dead_via,
-                half_via,
-            }
-        });
-        RegionOut {
-            verts,
-            edges,
-            costs,
-            halves,
-            book,
-            stats: self.stats,
-        }
     }
 
     /// The live in-edges of `v`, in list order.
@@ -1467,7 +1017,6 @@ impl Reducer {
         let Reducer {
             verts,
             valive,
-            first_virtual,
             edges,
             costs,
             inc,
@@ -1503,14 +1052,6 @@ impl Reducer {
             b.renumber(new_v, edges, new_e);
         }
 
-        let fv = *first_virtual as usize;
-        *first_virtual = match new_v.get(fv) {
-            Some(&id) => {
-                debug_assert_ne!(id, u32::MAX, "a boundary anchor died");
-                id
-            }
-            None => live,
-        };
         let mut w = 0;
         for v in 0..verts.len() {
             if valive[v] {
@@ -1708,8 +1249,8 @@ impl Reducer {
     ///
     /// (b) *Transitive elimination*: a zero-cost `Local` in-edge with an
     /// alternative all-non-negative path from its source (bounded DFS,
-    /// `dfs_cap` visits) is implied by that path.
-    fn pass_redundant(&mut self, dfs_cap: usize) -> u64 {
+    /// [`DFS_CAP`] visits) is implied by that path.
+    fn pass_redundant(&mut self) -> u64 {
         self.refresh();
         let mut wk = std::mem::take(&mut self.work);
         let n = self.verts.len();
@@ -1786,7 +1327,7 @@ impl Reducer {
                 if e.kind != EdgeKind::Local || !self.costs[ei as usize].is_zero() {
                     continue;
                 }
-                if self.reaches(e.from, v, ei, dfs_cap, dfs) {
+                if self.reaches(e.from, v, ei, dfs) {
                     self.edges[ei as usize].alive = false;
                     live_count -= 1;
                     removed += 1;
@@ -1801,9 +1342,9 @@ impl Reducer {
 
     /// Is there a path `u ⇝ target` avoiding `skip_edge` whose edge and
     /// intermediate-vertex costs are all componentwise non-negative?
-    /// Bounded to `cap` visited vertices; only explores vertices
+    /// Bounded to [`DFS_CAP`] visited vertices; only explores vertices
     /// topologically before `target`.
-    fn reaches(&self, u: u32, target: u32, skip_edge: u32, cap: usize, dfs: &mut Dfs) -> bool {
+    fn reaches(&self, u: u32, target: u32, skip_edge: u32, dfs: &mut Dfs) -> bool {
         dfs.cur += 1;
         let cur = dfs.cur;
         dfs.stack.clear();
@@ -1812,7 +1353,7 @@ impl Reducer {
         let mut visited = 0usize;
         while let Some(x) = dfs.stack.pop() {
             visited += 1;
-            if visited > cap {
+            if visited > DFS_CAP {
                 return false;
             }
             for oid in self.live_out(x) {
@@ -1837,18 +1378,14 @@ impl Reducer {
     }
 
     /// Rebuild the reduced [`ExecGraph`] and, when recording, assemble
-    /// its provenance map. `orig_n` is the **original** graph's vertex
-    /// count. The rebuild applies [`GraphBuilder`]'s one duplicate-edge
-    /// rule and orders the graph, so a cycle no pass could touch
-    /// surfaces here as [`GraphError::Cycle`].
-    fn finish(mut self, orig_n: usize) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
+    /// its provenance map. The rebuild applies [`GraphBuilder`]'s one
+    /// duplicate-edge rule and orders the graph, so a cycle no pass could
+    /// touch surfaces here as [`GraphError::Cycle`].
+    fn finish(mut self) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
         let _span = llamp_obs::span("reduce.finish");
         if self.dirty {
             self.compact();
         }
-        // Only whole-graph or stitched arenas reach here; boundary
-        // anchors never survive a stitch.
-        debug_assert_eq!(self.first_virtual as usize, self.verts.len());
         let mut builder =
             GraphBuilder::with_capacity(self.nranks, self.verts.len(), self.edges.len());
         for vert in &self.verts {
@@ -1858,6 +1395,7 @@ impl Reducer {
             builder.add_edge(e.from, e.to, e.kind, cost);
         }
         let (graph, slots) = builder.finish_slots()?;
+        let orig_n = self.stats.vertices_before as usize;
         let provenance = self
             .book
             .take()
@@ -2002,10 +1540,8 @@ mod tests {
         b.add_edge(t, w0, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
         let cfg = ReduceConfig {
-            chains: false,
-            folds: false,
             redundant: true,
-            ..ReduceConfig::default()
+            ..ReduceConfig::none()
         };
         let r = reduce(&g, &cfg);
         assert_eq!(r.stats().redundant_removed, 1);
@@ -2027,10 +1563,8 @@ mod tests {
         b.add_edge(u, v, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
         let cfg = ReduceConfig {
-            chains: false,
-            folds: false,
             redundant: true,
-            ..ReduceConfig::default()
+            ..ReduceConfig::none()
         };
         let r = reduce(&g, &cfg);
         assert!(r.stats().redundant_removed >= 1);
@@ -2060,63 +1594,6 @@ mod tests {
             let h = prov.home_of(orig);
             assert!(h < n, "vertex {orig} lost its home ({h})");
         }
-    }
-
-    #[test]
-    fn partitioned_reduction_is_thread_invariant_and_total() {
-        // Two ranks, cross-rank comm edges; par_threshold 0 forces the
-        // region path even on this tiny graph. Output must be a pure
-        // function of the graph — identical Debug image at any thread
-        // count — and every original vertex must keep a home.
-        let mut b = GraphBuilder::new(2);
-        let a0 = calc(&mut b, 0, 1.0);
-        let a1 = calc(&mut b, 0, 2.0);
-        let a2 = calc(&mut b, 0, 3.0);
-        let c0 = calc(&mut b, 1, 4.0);
-        let c1 = calc(&mut b, 1, 5.0);
-        let c2 = calc(&mut b, 1, 0.0);
-        b.add_edge(a0, a1, EdgeKind::Local, CostExpr::ZERO);
-        b.add_edge(a1, a2, EdgeKind::Local, CostExpr::ZERO);
-        b.add_edge(c0, c1, EdgeKind::Local, CostExpr::ZERO);
-        b.add_edge(c1, c2, EdgeKind::Local, CostExpr::ZERO);
-        b.add_edge(a1, c2, EdgeKind::Comm, CostExpr::wire(8));
-        b.add_edge(c0, a2, EdgeKind::Comm, CostExpr::wire(8));
-        let g = b.finish().unwrap();
-        let run = |threads: usize| {
-            reduce_with_provenance(
-                &g,
-                &ReduceConfig {
-                    threads,
-                    par_threshold: 0,
-                    ..ReduceConfig::default()
-                },
-            )
-        };
-        let (r1, prov1) = run(1);
-        let img1 = format!("{:?}", (&r1, &prov1));
-        for threads in [2, 4, 8] {
-            assert_eq!(img1, format!("{:?}", run(threads)), "threads={threads}");
-        }
-        let n = r1.graph().num_vertices() as u32;
-        for orig in 0..g.num_vertices() as u32 {
-            assert!(prov1.home_of(orig) < n, "vertex {orig} lost its home");
-        }
-        // Cross-rank comm edges are never contracted on the region path.
-        assert_eq!(r1.graph().nranks(), 2);
-        assert_eq!(
-            r1.graph()
-                .vertices()
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| {
-                    r1.graph()
-                        .preds(*v as u32)
-                        .iter()
-                        .any(|e| e.kind == EdgeKind::Comm)
-                })
-                .count(),
-            2
-        );
     }
 
     #[test]

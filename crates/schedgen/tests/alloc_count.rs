@@ -9,7 +9,7 @@
 //! wait's op list through one flat list, so it costs allocations per
 //! channel and per collective instance, not per record. A counting
 //! global allocator enforces both on HPCG at 24 ranks × 1 iteration
-//! (5,184 records, 13,352 vertices, whole-graph reduction path):
+//! (5,184 records, 13,352 vertices):
 //! building the graph must allocate fewer than `records / 8` times and
 //! reducing it fewer than `vertices / 8` times. A per-record queue or
 //! wait list, a per-vertex member list, or a `Vec` collected per
@@ -83,14 +83,9 @@ fn reduction_does_not_allocate_per_vertex() {
     let set = App::Hpcg.programs(24, 1);
     let g = graph_of_programs(&set, &GraphConfig::paper()).expect("hpcg builds");
     let n = g.num_vertices() as u64;
-    let cfg = ReduceConfig::default();
-    assert!(
-        g.num_vertices() < cfg.par_threshold,
-        "{n} vertices: the shape must stay on the whole-graph path"
-    );
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let reduced = reduce(&g, &cfg);
+    let reduced = reduce(&g, &ReduceConfig::default());
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert!(reduced.stats().vertices_after < n, "reduction ran");

@@ -2,11 +2,10 @@
 //! the reducer ([`reduced_graph_of_programs`]) — against the raw-CSR
 //! path, `reduce(&graph_of_programs(..))`.
 //!
-//! Both must give the same reduced graph and the same counters on the
-//! whole-graph reduction path and on the rank-partitioned one, at any
-//! thread count; `reduce_with_provenance` on the raw graph must return
-//! that graph too. A cyclic trace must fail with the typed
-//! [`BuildError::Cycle`] on both reduction paths, never panic.
+//! Both must give the same reduced graph and the same counters;
+//! `reduce_with_provenance` on the raw graph must return that graph
+//! too. A cyclic trace must fail with the typed [`BuildError::Cycle`]
+//! on both paths, never panic.
 
 use llamp_schedgen::{
     alg1_row_count, graph_of_programs, reduce, reduce_with_provenance, reduced_graph_of_programs,
@@ -53,21 +52,6 @@ fn product_path_equals_the_raw_csr_path() {
 }
 
 #[test]
-fn product_path_equals_the_raw_csr_path_when_partitioned() {
-    // A lowered threshold reaches the rank-partitioned path without a
-    // large graph.
-    let set = App::Hpcg.programs(8, 2);
-    for threads in [1, 2] {
-        let rcfg = ReduceConfig {
-            threads,
-            par_threshold: 1_024,
-            ..ReduceConfig::default()
-        };
-        assert_paths_agree(&set, &rcfg, &format!("HPCG r8 i2, {threads} threads"));
-    }
-}
-
-#[test]
 fn cyclic_trace_fails_typed_on_both_reduction_paths() {
     // Both ranks receive before they send: the matched graph is cyclic.
     let set = ProgramSet::spmd(2, |rank, b| {
@@ -75,18 +59,14 @@ fn cyclic_trace_fails_typed_on_both_reduction_paths() {
         b.recv(peer, 8, 0);
         b.send(peer, 8, 0);
     });
-    let partitioned = ReduceConfig {
-        par_threshold: 0,
-        ..ReduceConfig::default()
-    };
-    for (what, rcfg) in [
-        ("whole-graph", ReduceConfig::default()),
-        ("partitioned", partitioned),
-    ] {
-        match reduced_graph_of_programs(&set, &GraphConfig::eager(), &rcfg) {
-            Err(BuildError::Cycle) => {}
-            other => panic!("{what} path: expected a cycle error, got {other:?}"),
-        }
+    let cfg = GraphConfig::eager();
+    match graph_of_programs(&set, &cfg) {
+        Err(BuildError::Cycle) => {}
+        other => panic!("raw-CSR path: expected a cycle error, got {other:?}"),
+    }
+    match reduced_graph_of_programs(&set, &cfg, &ReduceConfig::default()) {
+        Err(BuildError::Cycle) => {}
+        other => panic!("product path: expected a cycle error, got {other:?}"),
     }
 }
 
@@ -133,22 +113,6 @@ fn reduced_graph_bytes_are_pinned() {
         assert_eq!(fingerprint(&got), want, "{} r24 i1 moved", app.name());
     }
 
-    let partitioned = ReduceConfig {
-        par_threshold: 1_024,
-        ..ReduceConfig::default()
-    };
-    let hpcg = graph_of_programs(&App::Hpcg.programs(8, 2), &cfg).expect("hpcg builds");
-    let (reduced, provenance) = reduce_with_provenance(&hpcg, &partitioned);
-    assert_eq!(
-        fingerprint(&reduced),
-        0xcd7b_0cf9_2e54_439e,
-        "partitioned HPCG moved"
-    );
-    assert_eq!(
-        fingerprint(&provenance),
-        0xef10_fc5f_4592_6d29,
-        "partitioned HPCG provenance moved"
-    );
     // OpenMX folds vertices into several edges at once, so its `home_of`
     // depends on the order dead edges' via lists resolve in.
     let openmx = graph_of_programs(&App::Openmx.programs(8, 2), &cfg).expect("openmx builds");

@@ -1,21 +1,13 @@
-//! Property tests for the partitioned (rank-parallel) reduction path.
+//! Property tests for the reduction pipeline on arbitrary multi-rank
+//! DAGs (random layered ranks with skip edges and cross-rank comm
+//! edges). Three properties must hold:
 //!
-//! The partitioned reducer splits the graph into rank-local regions with
-//! virtual boundary vertices at every cross-rank edge, reduces regions
-//! independently, and stitches the survivors back together. Four
-//! properties must hold on *arbitrary* multi-rank DAGs:
-//!
-//! 1. **Thread invariance** — the stitched [`ReducedGraph`] and its
-//!    [`Provenance`] are a pure function of the input graph:
-//!    bit-identical (same `Debug` image, which covers vertices, edges,
-//!    costs, provenance and stats) at any worker count.
-//! 2. **Makespan preservation** — the longest path through the reduced
+//! 1. **Makespan preservation** — the longest path through the reduced
 //!    graph equals the longest path through the raw graph for every
-//!    LogGPS binding, whether the reduction ran on the global path or
-//!    the partitioned path.
-//! 3. **Home totality** — every original vertex maps to a surviving
+//!    LogGPS binding.
+//! 2. **Home totality** — every original vertex maps to a surviving
 //!    home vertex, so dual lift-back has somewhere to land.
-//! 4. **Recording independence** — [`reduce`] and
+//! 3. **Recording independence** — [`reduce`] and
 //!    [`reduce_with_provenance`] return the same graph and stats: no
 //!    reduction decision reads the provenance bookkeeping.
 
@@ -135,83 +127,52 @@ fn dag_strategy() -> impl Strategy<Value = RandomDag> {
     })
 }
 
-fn partitioned_cfg(threads: usize) -> ReduceConfig {
-    ReduceConfig {
-        threads,
-        par_threshold: 0, // force the region path even on tiny graphs
-        ..ReduceConfig::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property 1 + 3: thread-count invariance and home totality, on
-    /// the recording entry point so the partitioned provenance is
-    /// covered too.
+    /// Property 2: home totality, on the recording entry point.
     #[test]
-    fn partitioned_reduction_is_deterministic_across_threads(dag in dag_strategy()) {
+    fn every_original_vertex_keeps_a_home(dag in dag_strategy()) {
         let g = dag.build();
-        let (r1, prov1) = reduce_with_provenance(&g, &partitioned_cfg(1));
-        let img1 = format!("{:?}", (&r1, &prov1));
-        for threads in [2usize, 4] {
-            let rt = reduce_with_provenance(&g, &partitioned_cfg(threads));
-            prop_assert!(
-                img1 == format!("{rt:?}"),
-                "reduction output differs between 1 and {} threads",
-                threads
-            );
-        }
-        let n = r1.graph().num_vertices() as u32;
+        let (reduced, provenance) = reduce_with_provenance(&g, &ReduceConfig::default());
+        let n = reduced.graph().num_vertices() as u32;
         for orig in 0..g.num_vertices() as u32 {
-            prop_assert!(prov1.home_of(orig) < n, "vertex {} lost its home", orig);
+            prop_assert!(provenance.home_of(orig) < n, "vertex {} lost its home", orig);
         }
     }
 
-    /// Property 4: recording provenance never changes the reduced graph
-    /// or its counters, on the whole-graph path and on the partitioned
-    /// path at every thread count.
+    /// Property 3: recording provenance never changes the reduced graph
+    /// or its counters.
     #[test]
     fn recording_does_not_change_the_reduction(dag in dag_strategy()) {
         let g = dag.build();
-        for (name, cfg) in [
-            ("whole-graph", ReduceConfig::default()),
-            ("partitioned/1", partitioned_cfg(1)),
-            ("partitioned/2", partitioned_cfg(2)),
-            ("partitioned/4", partitioned_cfg(4)),
-        ] {
-            let plain = reduce(&g, &cfg);
-            let (recorded, _) = reduce_with_provenance(&g, &cfg);
-            prop_assert!(
-                format!("{plain:?}") == format!("{recorded:?}"),
-                "{} path: recording changed the reduced graph or its stats",
-                name
-            );
-        }
+        let cfg = ReduceConfig::default();
+        let plain = reduce(&g, &cfg);
+        let (recorded, _) = reduce_with_provenance(&g, &cfg);
+        prop_assert!(
+            format!("{plain:?}") == format!("{recorded:?}"),
+            "recording changed the reduced graph or its stats"
+        );
     }
 
-    /// Property 2: the reduced graph has the same longest-path makespan
-    /// as the raw graph under several LogGPS bindings — on both the
-    /// global reduction path and the partitioned one.
+    /// Property 1: the reduced graph has the same longest-path makespan
+    /// as the raw graph under several LogGPS bindings.
     #[test]
     fn reduction_preserves_makespan(dag in dag_strategy()) {
         let g = dag.build();
-        let global = reduce(&g, &ReduceConfig::default());
-        let parted = reduce(&g, &partitioned_cfg(4));
+        let reduced = reduce(&g, &ReduceConfig::default());
         for (o, l, big_g) in [
             (0.0, 0.0, 0.0),
             (5_000.0, 1_000.0, 0.04),
             (1_500.0, 25_000.0, 0.9),
         ] {
             let want = makespan(&g, o, l, big_g);
-            for (name, r) in [("global", &global), ("partitioned", &parted)] {
-                let got = makespan(r.graph(), o, l, big_g);
-                prop_assert!(
-                    llamp_util::approx_eq(want, got, 1e-6, 1e-9),
-                    "{} path: raw makespan {} != reduced {} at (o={}, l={}, G={})",
-                    name, want, got, o, l, big_g
-                );
-            }
+            let got = makespan(reduced.graph(), o, l, big_g);
+            prop_assert!(
+                llamp_util::approx_eq(want, got, 1e-6, 1e-9),
+                "raw makespan {} != reduced {} at (o={}, l={}, G={})",
+                want, got, o, l, big_g
+            );
         }
     }
 }

@@ -22,6 +22,7 @@
 use llamp_bench::{graph_of, linspace};
 use llamp_core::{Binding, GraphLp, ReduceConfig};
 use llamp_model::LogGPSParams;
+use llamp_schedgen::{builder_of_programs, GraphConfig};
 use llamp_util::time::us;
 use llamp_workloads::App;
 use std::time::Instant;
@@ -181,7 +182,9 @@ fn main() {
     //
     // * `large_trace` — LULESH inflated to ~10⁶ vertices (16 ranks, 430
     //   outer iterations, the `llamp gen` stress shape). Tracks the
-    //   streaming-ingest and reduction wall clocks.
+    //   streaming-ingest and reduction wall clocks of the product path
+    //   (`builder_of_programs`, then `finish_reduced`), the stages
+    //   `llamp gen --stats` reports.
     // * `large_lp` — the LP solved on the *same* ~10⁶-vertex shape
     //   (137k reduced rows). The longest-path crash basis makes the cold
     //   anchor a factorisation plus one pricing pass (no pivots), so the
@@ -200,20 +203,22 @@ fn main() {
     if !skip_large {
         let set = llamp_workloads::scaled(App::Lulesh, 2, 430);
         let t_ingest = Instant::now();
-        let raw = graph_of(&set);
+        let builder = builder_of_programs(&set, &GraphConfig::paper()).expect("workload builds");
         let ingest_ms = t_ingest.elapsed().as_secs_f64() * 1e3;
-        let (vertices, edges) = (raw.num_vertices(), raw.num_edges());
 
         let t_reduce = Instant::now();
-        let rn = raw.reduced(&ReduceConfig::default());
+        let rn = builder
+            .finish_reduced(&ReduceConfig::default())
+            .expect("workload reduces");
         let reduce_ms = t_reduce.elapsed().as_secs_f64() * 1e3;
+        let (vertices, edges) = (rn.stats().vertices_before, rn.stats().edges_before);
         eprintln!(
             "large-trace   lulesh x(2,430)  {vertices} verts / {edges} edges  \
              ingest {ingest_ms:.0} ms  reduce {reduce_ms:.0} ms  rows -> {}",
             rn.stats().rows_after
         );
 
-        let params_l = LogGPSParams::cscs_testbed(raw.nranks()).with_o(us(6.0));
+        let params_l = LogGPSParams::cscs_testbed(set.nranks).with_o(us(6.0));
         let binding_l = Binding::uniform(&params_l);
         let graph = rn.graph();
         let mut lp = GraphLp::build(graph, &binding_l);

@@ -4,40 +4,15 @@
 //! [`SolveError::Infeasible`] and [`SolveError::Unbounded`] are
 //! properties of the model — re-solving cannot change them, and LLAMP's
 //! analyses give them meaning (an infeasible tolerance cap, an unbounded
-//! tolerance direction). Everything else is a property of the *solve*:
-//! budgets ran out ([`SolveError::IterationLimit`],
-//! [`SolveError::TimeLimit`], [`SolveError::Stalled`]), the numerics
-//! degraded ([`SolveError::Distress`]), or a fault was injected on
-//! purpose ([`SolveError::Injected`]). Those are **recoverable**: the
-//! fallback ladder ([`crate::robust::resolve_robust`]) re-solves — from
-//! the same start, then from the slack basis under default options — and
-//! canonical solution extraction guarantees any rung that succeeds
-//! returns the byte-identical answer.
-
-/// Which numerical-distress tripwire fired (see
-/// [`crate::simplex::SimplexOptions`] for the thresholds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Distress {
-    /// Incremental pricing drifted further from freshly recomputed
-    /// reduced costs than `drift_limit` allows.
-    ResyncDrift,
-    /// Bland's rule had to be engaged more than `bland_streak_limit`
-    /// separate times within one solve.
-    BlandStreak,
-    /// More than `singular_limit` refactorisations came back singular,
-    /// leaving the solver on an ever-longer eta file.
-    SingularFactor,
-}
-
-impl std::fmt::Display for Distress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Distress::ResyncDrift => "resync drift over limit",
-            Distress::BlandStreak => "repeated Bland streaks",
-            Distress::SingularFactor => "repeated singular refactorisations",
-        })
-    }
-}
+//! tolerance direction). The rest are properties of the *solve*: the
+//! iteration cap ran out ([`SolveError::IterationLimit`]), the
+//! resync-drift tripwire fired ([`SolveError::Distress`]), or a fault was
+//! injected on purpose ([`SolveError::Injected`]). Those are
+//! **recoverable**: the fallback ladder
+//! ([`crate::robust::resolve_robust`]) re-solves — from the same start,
+//! then from the slack basis under default options — and canonical
+//! solution extraction guarantees any rung that succeeds returns the
+//! byte-identical answer.
 
 /// Why a solve returned no optimum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +23,14 @@ pub enum SolveError {
     /// property; not recoverable — but meaningful: an unbounded tolerance
     /// objective reads as "infinite tolerance").
     Unbounded,
-    /// The iteration budget ran out before optimality.
+    /// The iteration cap (`SimplexOptions::max_iterations`, sized to the
+    /// model by default) ran out before optimality.
     IterationLimit,
-    /// The wall-clock budget (`SimplexOptions::time_limit_ms`) ran out.
-    TimeLimit,
-    /// No objective progress for `stall_iters` consecutive degenerate
-    /// iterations.
-    Stalled,
-    /// A numerical-distress tripwire fired; the answer so far cannot be
+    /// The resync-drift tripwire fired: a from-scratch reduced-cost
+    /// resync disagreed with the incremental values by more than
+    /// `SimplexOptions::drift_limit`, so the answer so far cannot be
     /// trusted.
-    Distress(Distress),
+    Distress,
     /// A configured `llamp-faults` site (`solve.stall`) fired.
     Injected,
 }
@@ -80,15 +53,13 @@ impl SolveError {
 
 impl std::fmt::Display for SolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolveError::Infeasible => f.write_str("infeasible"),
-            SolveError::Unbounded => f.write_str("unbounded"),
-            SolveError::IterationLimit => f.write_str("iteration limit"),
-            SolveError::TimeLimit => f.write_str("time limit"),
-            SolveError::Stalled => f.write_str("stalled"),
-            SolveError::Distress(d) => write!(f, "numerical distress: {d}"),
-            SolveError::Injected => f.write_str("injected fault"),
-        }
+        f.write_str(match self {
+            SolveError::Infeasible => "infeasible",
+            SolveError::Unbounded => "unbounded",
+            SolveError::IterationLimit => "iteration limit",
+            SolveError::Distress => "numerical distress: resync drift over limit",
+            SolveError::Injected => "injected fault",
+        })
     }
 }
 
@@ -104,11 +75,7 @@ mod tests {
         assert!(!SolveError::Unbounded.is_recoverable());
         for e in [
             SolveError::IterationLimit,
-            SolveError::TimeLimit,
-            SolveError::Stalled,
-            SolveError::Distress(Distress::ResyncDrift),
-            SolveError::Distress(Distress::BlandStreak),
-            SolveError::Distress(Distress::SingularFactor),
+            SolveError::Distress,
             SolveError::Injected,
         ] {
             assert!(e.is_recoverable(), "{e:?}");
@@ -118,9 +85,9 @@ mod tests {
     #[test]
     fn displays_are_stable_strings() {
         assert_eq!(SolveError::Infeasible.to_string(), "infeasible");
-        assert_eq!(SolveError::TimeLimit.to_string(), "time limit");
+        assert_eq!(SolveError::IterationLimit.to_string(), "iteration limit");
         assert_eq!(
-            SolveError::Distress(Distress::ResyncDrift).to_string(),
+            SolveError::Distress.to_string(),
             "numerical distress: resync drift over limit"
         );
     }

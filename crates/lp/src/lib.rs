@@ -69,9 +69,12 @@
 //!
 //! ## Robustness
 //!
-//! Failed solves surface as the typed [`SolveError`]: model properties
-//! (infeasible / unbounded) versus recoverable solve failures (budget
-//! exhaustion, numerical distress, injected faults). For the latter,
+//! A solve has one budget, the iteration cap (always on, sized to the
+//! model), and one distress tripwire, the resync drift of its incremental
+//! reduced costs ([`simplex::SimplexOptions`]). Failed solves surface as
+//! the typed [`SolveError`]: model properties (infeasible / unbounded)
+//! versus recoverable solve failures (the iteration cap, the drift
+//! tripwire, injected faults). For the latter,
 //! [`robust::resolve_robust`] walks the fallback ladder — the caller's
 //! start → the same start again → default-options solve from the slack
 //! basis — and canonical extraction guarantees any rung that succeeds
@@ -86,7 +89,7 @@ pub mod robust;
 pub mod simplex;
 pub mod solution;
 
-pub use error::{Distress, SolveError};
+pub use error::SolveError;
 pub use model::{ConId, LpModel, Objective, Relation, VarId};
 pub use piecewise::{Envelope, Line};
 pub use robust::resolve_robust;

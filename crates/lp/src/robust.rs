@@ -1,17 +1,18 @@
 //! The solver fallback ladder.
 //!
 //! [`resolve_robust`] answers an LP query with [`solve_sparse`] from the
-//! caller's start, but when the solve fails *recoverably* (budget
-//! exhaustion, numerical distress, an injected fault — see
-//! [`SolveError::is_recoverable`]) it walks a ladder of progressively
+//! caller's start, but when the solve fails *recoverably* (the iteration
+//! cap ran out, the resync-drift tripwire fired, a fault was injected —
+//! see [`SolveError::is_recoverable`]) it walks a ladder of progressively
 //! more conservative re-solves instead of giving up:
 //!
 //! 1. **the caller's start** under the caller's options;
 //! 2. **the same start again** — a failure that does not reproduce (an
-//!    injected stall, a tripped wall-clock budget) clears here;
+//!    injected stall) clears here;
 //! 3. **slack re-solve** — default options from the all-logical (slack)
-//!    basis: no start and none of the caller's budgets, the most
-//!    conservative solve there is.
+//!    basis: no start and none of the caller's settings (an iteration cap
+//!    too tight for the query, say), the most conservative solve there
+//!    is.
 //!
 //! **Why a recovered answer is byte-identical.** Solutions are extracted
 //! canonically (a pure function of the final basis — see the crate

@@ -1,10 +1,11 @@
 //! HDR-style histograms.
 //!
 //! Values (nanosecond durations, typically) land in logarithmic buckets
-//! with 4 linear sub-buckets per power of two — ~6% relative resolution
-//! across the full `u64` range in a fixed 256-slot table, no allocation
-//! per record. Quantiles are answered from the bucket boundaries, so a
-//! reported p99 is an upper bound at that resolution.
+//! with 4 linear sub-buckets per power of two — neighbouring bucket
+//! floors 14–25% apart — across the full `u64` range in a fixed
+//! 256-slot table, no allocation per record. Quantiles report the floor
+//! of the bucket holding their rank, so a reported p99 is a lower bound
+//! at that resolution; the mean is exact (a running sum).
 
 /// Number of buckets: 8 exact small-value slots + 4 sub-buckets for each
 /// of the 61 octaves above 8.

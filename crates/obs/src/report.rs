@@ -12,7 +12,7 @@
 //!   aggregate tree `llamp run --metrics` prints: spans grouped by call
 //!   path with counts, totals and numeric-field sums (maxima for the
 //!   `rows`/`cols` shape fields), followed by the counters, gauges and
-//!   histogram quantiles.
+//!   histogram means and quantiles.
 
 use crate::hist::{Histogram, HistogramSummary};
 use crate::FieldValue;
@@ -299,22 +299,25 @@ impl Summary {
         }
         if !self.hists.is_empty() {
             out.push_str(&format!(
-                "{:<34} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
-                "histogram", "count", "p50", "p90", "p99", "max"
+                "{:<34} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                "histogram", "count", "mean", "p50", "p90", "p99", "max"
             ));
             for (k, h) in &self.hists {
                 // Durations carry the `_ns` suffix; anything else counts.
-                let cell = |v: u64| {
-                    if k.ends_with("_ns") {
-                        ns_cell(v)
-                    } else {
-                        format!("{v:>10}")
-                    }
+                let ns = k.ends_with("_ns");
+                let cell = |v: u64| if ns { ns_cell(v) } else { format!("{v:>10}") };
+                // The mean is exact (sum / count); the quantiles are
+                // bucket floors, 14–25% apart.
+                let mean = if ns {
+                    ns_cell(h.mean().round() as u64)
+                } else {
+                    format!("{:>10.2}", h.mean())
                 };
                 out.push_str(&format!(
-                    "{:<34} {:>7} {} {} {} {}\n",
+                    "{:<34} {:>7} {} {} {} {} {}\n",
                     k,
                     h.count,
+                    mean,
                     cell(h.p50),
                     cell(h.p90),
                     cell(h.p99),
@@ -412,6 +415,45 @@ mod tests {
         };
         assert!(!line("lp.zone_steps").contains("ns"), "{text}");
         assert!(line("lp.zone_ns").contains("3 ns"), "{text}");
+    }
+
+    #[test]
+    fn histogram_means_are_exact_between_buckets() {
+        // 1000, 1100 and 1300 ns fall in buckets floored at 896, 1024 and
+        // 1280 ns; their mean, 1133 ns, is no bucket value. Step counts
+        // 1, 2 and 4 average 2.33.
+        let mut times = Histogram::new();
+        let mut steps = Histogram::new();
+        for (t, n) in [(1000, 1), (1100, 2), (1300, 4)] {
+            times.record(t);
+            steps.record(n);
+        }
+        let snap = Snapshot {
+            hists: [
+                ("lp.zone_ns".to_string(), times),
+                ("lp.zone_steps".to_string(), steps),
+            ]
+            .into_iter()
+            .collect(),
+            ..Default::default()
+        };
+        let text = snap.summary().render();
+        let cells = |name: &str| -> Vec<String> {
+            let line = text.lines().find(|l| l.starts_with(name)).unwrap();
+            line.split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .map(String::from)
+                .collect()
+        };
+        let header = cells("histogram");
+        assert_eq!(header[..3], ["histogram", "count", "mean"], "{text}");
+        assert_eq!(
+            cells("lp.zone_ns")[1..4],
+            ["3", "1.13 µs", "1.02 µs"],
+            "{text}"
+        );
+        assert_eq!(cells("lp.zone_steps")[1..4], ["3", "2.33", "2"], "{text}");
     }
 
     #[test]

@@ -549,7 +549,9 @@ impl Scenario {
     /// `point_threads > 1` shards the points across the work-stealing
     /// executor with one solver per chunk and merges them in input order.
     /// The latency zones (`G` and `o` at base) walk from the baseline
-    /// `T₀` at the base point.
+    /// `T₀` at the base point; a needed point at the base itself is that
+    /// baseline's query, so it takes the baseline's answer and runs no
+    /// second solve.
     pub fn compute_with(
         &self,
         analyzer: &Analyzer,
@@ -606,26 +608,28 @@ impl Scenario {
                         analyzer.lp_axes()
                     }
                 };
-                let solve_points = |lp: &mut GraphLp, tuples: &[Vec<f64>]| {
-                    let mut answers = Vec::with_capacity(tuples.len());
-                    for t in tuples {
-                        let p = llamp_obs::time("lp.point_ns", || lp.predict_at(at(t)))
-                            .map_err(|e| format!("LP solve failed at {t:?}: {e:?}"))?;
-                        answers.push((p.runtime, [p.lambda_l, p.lambda_g, p.lambda_o]));
-                    }
-                    Ok::<_, String>(answers)
-                };
                 let mut lp = new_lp();
                 // The zones' baseline is the crash-started point at the
                 // base, a pure function of the scenario like every point;
                 // each zone walk starts from it.
-                let floor = if need_zones {
-                    let p = lp
-                        .predict_at(base)
-                        .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                    Some((p.runtime, p.lambda_l))
-                } else {
-                    None
+                let baseline = need_zones
+                    .then(|| lp.predict_at(base))
+                    .transpose()
+                    .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
+                let floor = baseline.map(|p| (p.runtime, p.lambda_l));
+                // A point at the base is the baseline's query, so it takes
+                // the baseline's answer instead of a second solve.
+                let solve_points = |lp: &mut GraphLp, tuples: &[Vec<f64>]| {
+                    let mut answers = Vec::with_capacity(tuples.len());
+                    for t in tuples {
+                        let p = match baseline {
+                            Some(b) if at(t) == base => b,
+                            _ => llamp_obs::time("lp.point_ns", || lp.predict_at(at(t)))
+                                .map_err(|e| format!("LP solve failed at {t:?}: {e:?}"))?,
+                        };
+                        answers.push((p.runtime, [p.lambda_l, p.lambda_g, p.lambda_o]));
+                    }
+                    Ok::<_, String>(answers)
                 };
                 let threads = point_threads.clamp(1, need.len().max(1));
                 let mut stats = SolveStats::default();
@@ -851,6 +855,25 @@ iters = 1
             }
             let tol = 1e-3 * (1.0 + za.baseline_runtime_ns);
             assert!((za.baseline_runtime_ns - zb.baseline_runtime_ns).abs() <= tol);
+        }
+    }
+
+    #[test]
+    fn an_lp_point_at_the_base_takes_the_baseline_answer() {
+        let jobs = expand(&small_spec());
+        let job = jobs.iter().find(|j| j.backend == Backend::Lp).unwrap();
+        let a = job.build_analyzer().unwrap();
+        let direct = a.lp().predict_at(a.base_point()).unwrap();
+        let off_base = [vec![50_000.0]];
+        let (_, _, want) = job.compute_with(&a, &off_base, true, 1).unwrap();
+        for threads in [1, 2] {
+            let need = [vec![0.0], vec![50_000.0]];
+            let (values, _, stats) = job.compute_with(&a, &need, true, threads).unwrap();
+            // The same bits as a solve of its own, and no solve spent.
+            assert_eq!(values[0].runtime_ns.to_bits(), direct.runtime.to_bits());
+            assert_eq!(values[0].lambda_l.to_bits(), direct.lambda_l.to_bits());
+            assert_eq!(stats.triangular_factors, want.triangular_factors);
+            assert_eq!(stats.iterations, want.iterations);
         }
     }
 

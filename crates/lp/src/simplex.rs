@@ -921,6 +921,11 @@ impl<F: BasisFactor> Core<F> {
             let entering = self.select_entering(phase1, use_bland);
 
             let Some((q, dir)) = entering else {
+                if self.distressed {
+                    // The resync that confirms optimality found the
+                    // drift over the limit: certify nothing from it.
+                    return PhaseOutcome::Abort(SolveError::Distress);
+                }
                 // No improving column (confirmed on fresh reduced costs):
                 // this phase is optimal (for phase 1 the caller checks
                 // whether infeasibility reached ~zero).
@@ -1711,6 +1716,16 @@ mod tests {
         // machine noise: the first nonzero drift aborts with distress.
         let opts = SimplexOptions {
             refactor_every: 1,
+            drift_limit: 1e-300,
+            ..Default::default()
+        };
+        assert_eq!(
+            solve_sparse(&inexact_model(), &opts, None).unwrap_err(),
+            SolveError::Distress
+        );
+        // With the default cadence the only drift-recording resync is the
+        // one that confirms optimality: it must trip the wire too.
+        let opts = SimplexOptions {
             drift_limit: 1e-300,
             ..Default::default()
         };

@@ -43,14 +43,20 @@
 //! raw CSR) the builder's predecessor sort writes them in the arena's
 //! own layout, and the arena takes them over without a copy or a second
 //! sort; [`reduce()`] copies a raw [`ExecGraph`]'s lists into
-//! that layout once. An arena edge is a 12-byte structure record (ends,
-//! kind, alive) with its cost in a parallel array, so the passes'
-//! structural checks never drag a 32-byte cost through the cache; only
-//! cost arithmetic reads the costs. The passes rewrite an
-//! arena that shrinks as it reduces: a pass after one that changed
-//! something starts by renumbering the live vertices and edges densely,
-//! in their current order, so each pass costs what the *live* graph
-//! costs and decides exactly as it would on the full-size arena.
+//! that layout once. Round 1's serial-chain contraction runs on those
+//! input arrays, before the arena builds any adjacency: a chain merge
+//! rewires only the merged vertex's out-edges, so every verdict reads
+//! off the input's degrees, and the arrays compact in place to the
+//! arena the chain pass would have left. The arena is born at its
+//! post-chain size; from round 2 on its own chain pass merges what a
+//! fold or a redundancy removal exposes. An arena edge is a 12-byte
+//! structure record (ends, kind, alive) with its cost in a parallel
+//! array, so the passes' structural checks never drag a 32-byte cost
+//! through the cache; only cost arithmetic reads the costs. The passes
+//! rewrite an arena that shrinks as it reduces: a pass after one that
+//! changed something starts by renumbering the live vertices and edges
+//! densely, in their current order, so each pass costs what the *live*
+//! graph costs and decides exactly as it would on the full-size arena.
 //!
 //! The reduced graph is for *analysis*: like [`ExecGraph::contracted`]
 //! (now a thin wrapper over the chains-only pipeline), `Send`/`Recv`
@@ -420,8 +426,10 @@ impl GraphBuilder {
     /// built. The raw graph's sizes and Algorithm-1 row count come from
     /// the sort's own counts. Returns exactly
     /// [`reduce()`]`(&self.finish()?, cfg)`. A cyclic edge set fails with
-    /// [`GraphError::Cycle`]: no pass touches a vertex on a cycle, so the
-    /// cycle reaches the final rebuild whole.
+    /// [`GraphError::Cycle`]: the input's chain contraction shortens a
+    /// cycle but keeps it (one it would close into a self-edge fails
+    /// there), and no arena pass touches a vertex on a cycle, so the
+    /// cycle reaches the final rebuild.
     pub fn finish_reduced(self, cfg: &ReduceConfig) -> Result<ReducedGraph, GraphError> {
         if cfg.is_identity() {
             return self.finish().map(ReducedGraph::identity);
@@ -455,10 +463,11 @@ fn run(
     cfg: &ReduceConfig,
     record: bool,
 ) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let mut r = Reducer::whole(input, record);
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = 0u64;
-        if cfg.chains {
+    let mut r = Reducer::whole(input, cfg.chains, record)?;
+    for round in 0..MAX_ROUNDS {
+        // Round 1's chains contracted on the input, in `Reducer::whole`.
+        let mut changed = if round == 0 { r.stats.chain_merges } else { 0 };
+        if cfg.chains && round > 0 {
             changed += traced_pass(&mut r, "reduce.chains", Reducer::pass_chains);
         }
         if cfg.folds {
@@ -590,17 +599,156 @@ impl SortedInput {
             sinks,
         )
     }
+
+    /// Round 1's serial-chain contraction, on these arrays before any
+    /// adjacency exists: `v` merges into `u` when `v`'s only in-edge is
+    /// `Local` from `u ≠ v` on `v`'s rank and that edge is `u`'s only
+    /// out-edge, the test [`Reducer::pass_chains`] makes on a fresh
+    /// arena. A merge rewires only the merged vertex's out-edges, so
+    /// every verdict reads off the input's degrees. Each chain is walked
+    /// from its head in head-id order, accumulating
+    /// `head + (edge + member)` member by member in chain order, the
+    /// additions that pass makes. The arrays then compact in place:
+    /// vertex and edge order kept, each merged vertex's in-edge group
+    /// (its chain edge) dropped, and every edge's source mapped to its
+    /// head, so a tail's out-edges become its head's. The result is the
+    /// arena that pass plus the compaction after it would leave.
+    ///
+    /// Returns the merge count and, when `record`, every survivor's
+    /// original members, head first in chain order. An edge that comes
+    /// back to its own head closes a cycle, so it fails with
+    /// [`GraphError::Cycle`].
+    fn contract_chains(&mut self, record: bool) -> Result<(u64, Option<Members>), GraphError> {
+        const NONE: u32 = u32::MAX;
+        const MANY: u32 = u32::MAX - 1;
+        let n = self.verts.len();
+        let SortedInput {
+            verts,
+            pred_start,
+            edges,
+            costs,
+            ..
+        } = self;
+        // Each vertex's only out-edge: `NONE` for a sink, `MANY` when it
+        // has several.
+        let mut sole_out = vec![NONE; n];
+        for (eid, e) in edges.iter().enumerate() {
+            let s = &mut sole_out[e.from as usize];
+            *s = if *s == NONE { eid as u32 } else { MANY };
+        }
+        let merges = |verts: &[Vertex], v: usize| {
+            let eid = pred_start[v];
+            if pred_start[v + 1] - eid != 1 {
+                return false;
+            }
+            let e = edges[eid as usize];
+            let u = e.from as usize;
+            e.kind == EdgeKind::Local
+                && u != v
+                && verts[u].rank == verts[v].rank
+                && sole_out[u] == eid
+        };
+        // `head[v]`: the head `v` merged into, `NONE` for a survivor.
+        let mut head = vec![NONE; n];
+        let mut merged = 0u64;
+        for h in 0..n {
+            if merges(verts, h) {
+                continue;
+            }
+            let mut x = h;
+            while sole_out[x] < MANY {
+                let eid = sole_out[x] as usize;
+                let v = edges[eid].to as usize;
+                if !merges(verts, v) {
+                    break;
+                }
+                let add = costs[eid].add(&verts[v].cost);
+                verts[h].cost = verts[h].cost.add(&add);
+                head[v] = h as u32;
+                merged += 1;
+                x = v;
+            }
+        }
+        let members = record.then(|| {
+            (0..n)
+                .filter(|&v| head[v] == NONE)
+                .map(|h| {
+                    let mut chain = vec![h as u32];
+                    let mut x = h;
+                    while sole_out[x] < MANY {
+                        let v = edges[sole_out[x] as usize].to;
+                        if head[v as usize] != h as u32 {
+                            break;
+                        }
+                        chain.push(v);
+                        x = v as usize;
+                    }
+                    chain
+                })
+                .collect()
+        });
+        if merged == 0 {
+            return Ok((0, members));
+        }
+
+        // Survivors keep their order; a merged vertex's id is its head's.
+        let new_id = &mut sole_out;
+        let mut w = 0;
+        for v in 0..n {
+            if head[v] == NONE {
+                new_id[v] = w as u32;
+                verts[w] = verts[v];
+                w += 1;
+            }
+        }
+        verts.truncate(w);
+        let (mut wv, mut we) = (0, 0);
+        for v in 0..n {
+            let (s, t) = (pred_start[v] as usize, pred_start[v + 1] as usize);
+            if head[v] != NONE {
+                continue;
+            }
+            pred_start[wv] = we as u32;
+            for i in s..t {
+                let e = edges[i];
+                let f = match head[e.from as usize] {
+                    NONE => e.from,
+                    h => h,
+                };
+                let from = new_id[f as usize];
+                if from == wv as u32 {
+                    return Err(GraphError::Cycle);
+                }
+                edges[we] = REdge {
+                    from,
+                    to: wv as u32,
+                    ..e
+                };
+                costs[we] = costs[i];
+                we += 1;
+            }
+            wv += 1;
+        }
+        pred_start[wv] = we as u32;
+        pred_start.truncate(wv + 1);
+        edges.truncate(we);
+        costs.truncate(we);
+        Ok((merged, members))
+    }
 }
+
+/// Each arena vertex's original member vertices, head first.
+type Members = Vec<Vec<u32>>;
 
 /// Provenance bookkeeping, kept only by a recording reduction (see
 /// [`reduce_with_provenance`]). The passes write it and never read it.
 struct Book {
     /// Ordered original members absorbed by each arena vertex (head
-    /// first; starts as the vertex itself).
-    members: Vec<Vec<u32>>,
+    /// first; starts as the vertex's round-1 chain).
+    members: Members,
     /// Arena vertex -> **original** graph vertex id (`members[v][0]`
     /// while `v` lives, and still known once a merge or fold has taken
-    /// its member list). Starts as the identity.
+    /// its member list).
     head: Vec<u32>,
     /// Original vertices folded into each edge, source-side first,
     /// indexed by the edge's id when the arena was built (its *slot*).
@@ -615,12 +763,12 @@ struct Book {
 }
 
 impl Book {
-    /// Bookkeeping over `n` arena vertices, each its own sole member,
-    /// and `m` arena edges with empty via lists.
-    fn new(n: usize, m: usize) -> Self {
+    /// Bookkeeping over arena vertices with these original members
+    /// (head first) and `m` arena edges with empty via lists.
+    fn new(members: Members, m: usize) -> Self {
         Self {
-            members: (0..n as u32).map(|v| vec![v]).collect(),
-            head: (0..n as u32).collect(),
+            head: members.iter().map(|ms| ms[0]).collect(),
+            members,
             via: vec![Vec::new(); m],
             slot: (0..m as u32).collect(),
             to_head: vec![u32::MAX; m],
@@ -951,10 +1099,31 @@ struct Reducer {
 }
 
 impl Reducer {
-    /// The whole graph as one arena, every vertex and edge alive: the
-    /// input taken over as it is. Its edges are grouped by target, so the
+    /// The whole graph as one arena, every vertex and edge alive. With
+    /// `chains`, round 1's chain contraction runs first, on the input
+    /// arrays ([`SortedInput::contract_chains`], under that round's
+    /// `reduce.chains` span), so the arena is born at its post-chain
+    /// size and round 1 runs no arena chain pass. The arena then takes
+    /// the input over as it is: its edges are grouped by target, so the
     /// in-lists are the input's offset ranges.
-    fn whole(g: SortedInput, record: bool) -> Self {
+    fn whole(mut g: SortedInput, chains: bool, record: bool) -> Result<Self, GraphError> {
+        let stats = ReductionStats {
+            vertices_before: g.verts.len() as u64,
+            edges_before: g.edges.len() as u64,
+            rows_before: g.rows,
+            ..ReductionStats::default()
+        };
+        let (chain_merges, members) = if chains {
+            let span = llamp_obs::span("reduce.chains");
+            span.field_u64("vertices", stats.vertices_before);
+            span.field_u64("edges", stats.edges_before);
+            let (merged, members) = g.contract_chains(record)?;
+            span.field_u64("changed", merged);
+            (merged, members)
+        } else {
+            let n = g.verts.len() as u32;
+            (0, record.then(|| (0..n).map(|v| vec![v]).collect()))
+        };
         let (n, m) = (g.verts.len(), g.edges.len());
         debug_assert_eq!(m, g.costs.len());
         let mut r = Self {
@@ -966,17 +1135,15 @@ impl Reducer {
             edges: g.edges,
             costs: g.costs,
             dirty: false,
-            book: record.then(|| Book::new(n, m)),
+            book: members.map(|members| Book::new(members, m)),
             work: Work::default(),
             stats: ReductionStats {
-                vertices_before: n as u64,
-                edges_before: m as u64,
-                rows_before: g.rows,
-                ..ReductionStats::default()
+                chain_merges,
+                ..stats
             },
         };
         r.topo();
-        r
+        Ok(r)
     }
 
     /// The live in-edges of `v`, in list order.
@@ -1119,7 +1286,9 @@ impl Reducer {
 
     /// Serial-chain contraction: merge `v` into its sole `Local`
     /// predecessor `u` when `u`'s only successor is `v` (same rank),
-    /// accumulating edge + vertex cost into `u`.
+    /// accumulating edge + vertex cost into `u`. Round 1's chains
+    /// contract on the input instead ([`SortedInput::contract_chains`]);
+    /// this pass merges what a later fold or redundancy removal exposes.
     fn pass_chains(&mut self) -> u64 {
         self.refresh();
         let mut wk = std::mem::take(&mut self.work);
@@ -1481,6 +1650,116 @@ mod tests {
         assert_eq!(prov.members(0), &[0, 1, 2]);
         assert_eq!(prov.home_of(2), 0);
         assert_eq!(prov.lift_path(&r, &[0]), vec![0, 1, 2]);
+    }
+
+    /// The exact bits of a cost.
+    fn bits(c: &CostExpr) -> [u64; 4] {
+        [c.const_ns, c.o_count, c.l_count, c.gbytes].map(f64::to_bits)
+    }
+
+    #[test]
+    fn input_contraction_walks_chains_from_their_heads() {
+        // Chain h(2) -> m1(0) -> m2(1) -> f(4), two members below their
+        // head; f has two out-edges, so neither a(3) nor b(5) merges into
+        // it, and a -> c(6) changes rank, so c stays too.
+        let mut bld = GraphBuilder::new(2);
+        let cost = |ns: f64, o: f64| CostExpr {
+            o_count: o,
+            ..CostExpr::constant(ns)
+        };
+        let m1 = bld.add_vertex(0, VertexKind::Calc, cost(0.1, 1.0));
+        let m2 = bld.add_vertex(0, VertexKind::Calc, cost(0.1, 0.0));
+        let h = bld.add_vertex(0, VertexKind::Calc, cost(0.1, 0.0));
+        let a = calc(&mut bld, 0, 1.0);
+        let f = bld.add_vertex(0, VertexKind::Calc, cost(0.1, 2.0));
+        let b = calc(&mut bld, 0, 1.0);
+        let c = calc(&mut bld, 1, 1.0);
+        // Summed as `head + (edge + member)` these read 0.6000000000000001
+        // ns; summed left to right, 0.6.
+        let (e1, e2, e3) = (cost(0.1, 0.0), CostExpr::ZERO, cost(0.1, 1.0));
+        bld.add_edge(h, m1, EdgeKind::Local, e1);
+        bld.add_edge(m1, m2, EdgeKind::Local, e2);
+        bld.add_edge(m2, f, EdgeKind::Local, e3);
+        bld.add_edge(f, a, EdgeKind::Local, CostExpr::ZERO);
+        bld.add_edge(f, b, EdgeKind::Local, CostExpr::ZERO);
+        bld.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
+        let g = bld.finish().unwrap();
+
+        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::chains_only());
+        let rg = r.graph();
+        assert_eq!(rg.num_vertices(), 4, "h, a, b and c survive");
+        assert_eq!(r.stats().chain_merges, 3);
+        assert_eq!(r.stats().rounds, 2);
+        let want = g
+            .vertex(h)
+            .cost
+            .add(&e1.add(&g.vertex(m1).cost))
+            .add(&e2.add(&g.vertex(m2).cost))
+            .add(&e3.add(&g.vertex(f).cost));
+        assert_eq!(bits(&rg.vertex(0).cost), bits(&want));
+        assert_eq!(rg.succs(0).len(), 2, "the tail's out-edges are the head's");
+        assert_eq!(rg.preds(3)[0].other, 1, "c keeps its in-edge from a");
+        assert_eq!(prov.members(0), &[h, m1, m2, f]);
+        for (orig, home) in [(m1, 0), (m2, 0), (h, 0), (a, 1), (f, 0), (b, 2), (c, 3)] {
+            assert_eq!(prov.home_of(orig), home, "home of {orig}");
+        }
+        assert_eq!(prov.lift_path(&r, &[0, 1, 3]), vec![h, m1, m2, f, a, c]);
+    }
+
+    #[test]
+    fn a_chain_closing_on_its_head_fails_typed() {
+        // x -> h -> m -> h: m merges into h and its out-edge would come
+        // back to h, so the input is cyclic.
+        let mut bld = GraphBuilder::new(1);
+        let x = calc(&mut bld, 0, 1.0);
+        let h = calc(&mut bld, 0, 1.0);
+        let m = calc(&mut bld, 0, 1.0);
+        bld.add_edge(x, h, EdgeKind::Local, CostExpr::ZERO);
+        bld.add_edge(h, m, EdgeKind::Local, CostExpr::ZERO);
+        bld.add_edge(m, h, EdgeKind::Local, CostExpr::ZERO);
+        for cfg in [ReduceConfig::default(), ReduceConfig::chains_only()] {
+            let got = bld.clone().finish_reduced(&cfg).map(|r| r.stats().rounds);
+            assert_eq!(got, Err(GraphError::Cycle));
+        }
+    }
+
+    /// `g`'s arena as round 1's arena chain pass and the compaction after
+    /// it leave it, and as the input contraction builds it.
+    fn both_round_one_arenas(g: &ExecGraph) -> (Reducer, Reducer) {
+        let mut passed = Reducer::whole(SortedInput::of_graph(g), false, true).unwrap();
+        passed.stats.chain_merges = passed.pass_chains();
+        passed.refresh();
+        let contracted = Reducer::whole(SortedInput::of_graph(g), true, true).unwrap();
+        (passed, contracted)
+    }
+
+    #[test]
+    fn input_contraction_builds_the_arena_the_chain_pass_leaves() {
+        use crate::{graph_of_programs, GraphConfig};
+        use llamp_workloads::App;
+        for app in App::ALL {
+            let g = graph_of_programs(&app.programs(8, 2), &GraphConfig::paper()).unwrap();
+            let (passed, mut contracted) = both_round_one_arenas(&g);
+            let what = app.name();
+            assert!(passed.stats.chain_merges > 0, "{what}: chains merged");
+            assert_eq!(passed.stats, contracted.stats, "{what}: counters");
+            assert_eq!(
+                format!("{:?}", (&passed.verts, &passed.edges, &passed.costs)),
+                format!(
+                    "{:?}",
+                    (&contracted.verts, &contracted.edges, &contracted.costs)
+                ),
+                "{what}: vertices, edges or costs"
+            );
+            for v in 0..passed.verts.len() as u32 {
+                assert_eq!(passed.inc.get(v), contracted.inc.get(v), "{what}: in-list");
+                assert_eq!(passed.out.get(v), contracted.out.get(v), "{what}: out-list");
+            }
+            assert_eq!(passed.work.order, contracted.work.order, "{what}: order");
+            let members = |r: &Reducer| r.book.as_ref().map(|b| b.members.clone());
+            assert_eq!(members(&passed), members(&contracted), "{what}: members");
+            assert_eq!(contracted.pass_chains(), 0, "{what}: chains left over");
+        }
     }
 
     #[test]

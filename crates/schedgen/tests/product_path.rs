@@ -113,6 +113,31 @@ fn reduced_graph_bytes_are_pinned() {
         assert_eq!(fingerprint(&got), want, "{} r24 i1 moved", app.name());
     }
 
+    // Chains-only reductions: the serial-chain contraction's own output
+    // (cost bits, vertex order, edge order), with no fold to hide it.
+    for (app, ranks, iters, want) in [
+        (App::Hpcg, 24, 1, 0x9025_386d_6aa5_4687_u64),
+        (App::Openmx, 8, 2, 0x1f48_f275_7112_ead5),
+    ] {
+        let set = app.programs(ranks, iters);
+        let got = reduced_graph_of_programs(&set, &cfg, &ReduceConfig::chains_only())
+            .expect("workload builds");
+        assert_eq!(
+            fingerprint(&got),
+            want,
+            "{} r{ranks} i{iters} chains-only moved",
+            app.name()
+        );
+    }
+    // Its member lists, head first in chain order.
+    let hpcg = graph_of_programs(&App::Hpcg.programs(24, 1), &cfg).expect("hpcg builds");
+    let (_, provenance) = reduce_with_provenance(&hpcg, &ReduceConfig::chains_only());
+    assert_eq!(
+        fingerprint(&provenance),
+        0xa697_a67a_0365_b729,
+        "HPCG r24 i1 chains-only provenance moved"
+    );
+
     // OpenMX folds vertices into several edges at once, so its `home_of`
     // depends on the order dead edges' via lists resolve in.
     let openmx = graph_of_programs(&App::Openmx.programs(8, 2), &cfg).expect("openmx builds");

@@ -10,6 +10,9 @@
 //! 3. **Recording independence** — [`reduce`] and
 //!    [`reduce_with_provenance`] return the same graph and stats: no
 //!    reduction decision reads the provenance bookkeeping.
+//!
+//! A fourth pins how round 1 merges chains: on the input, before the
+//! arena exists, leaving nothing for the arena's chain pass to merge.
 
 use llamp_schedgen::{
     reduce, reduce_with_provenance, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView,
@@ -153,6 +156,18 @@ proptest! {
             format!("{plain:?}") == format!("{recorded:?}"),
             "recording changed the reduced graph or its stats"
         );
+    }
+
+    /// Round 1 contracts every serial chain on the input, so a
+    /// chains-only reduction's round 2, whose one pass is the arena chain
+    /// pass on the contracted arena, merges nothing and ends the
+    /// reduction.
+    #[test]
+    fn the_input_contraction_leaves_no_chain_to_merge(dag in dag_strategy()) {
+        let g = dag.build();
+        let stats = *reduce(&g, &ReduceConfig::chains_only()).stats();
+        let want = if stats.chain_merges > 0 { 2 } else { 1 };
+        prop_assert_eq!(stats.rounds, want);
     }
 
     /// Property 1: the reduced graph has the same longest-path makespan

@@ -17,7 +17,9 @@
 //! with the sweep's factorisations by kind (`triangular_factors`,
 //! `lu_factors`) — and the engine's 1/2/5% tolerance zones over a 2 ms
 //! window (`zones_ms`, plus the `zone_steps` the three Newton walks
-//! took).
+//! took). The two large tiers (`large_trace`, `large_lp`; skipped with
+//! `--skip-large`) time the same stages on a ~10⁶-vertex LULESH and
+//! report the median of three repetitions.
 
 use llamp_bench::{graph_of, linspace};
 use llamp_core::{Binding, GraphLp, ReduceConfig};
@@ -72,6 +74,118 @@ fn zones(lp: &mut GraphLp, base: f64) -> (f64, u64) {
 fn factors(lp: &GraphLp) -> (u64, u64) {
     let s = lp.solver_stats();
     (s.triangular_factors, s.lu_factors)
+}
+
+/// One repetition of the large tier: wall clocks (ms) and the counts
+/// every repetition must reproduce — vertices, edges, raw and reduced
+/// rows, anchor iterations, the serial sweep's triangular and LU
+/// factorisations, and the zones' walk steps.
+struct Large {
+    ingest_ms: f64,
+    reduce_ms: f64,
+    cold_anchor_ms: f64,
+    sweep_ms_t1: f64,
+    sweep_ms: f64,
+    sweep_threads: usize,
+    zones_ms: f64,
+    counts: [u64; 8],
+}
+
+/// Build, reduce and solve the large LULESH shape once; the graph is
+/// dropped on return.
+fn large_tier(set: &llamp_trace::ProgramSet, deltas: &[f64]) -> Large {
+    let t_ingest = Instant::now();
+    let builder = builder_of_programs(set, &GraphConfig::paper()).expect("workload builds");
+    let ingest_ms = t_ingest.elapsed().as_secs_f64() * 1e3;
+
+    let t_reduce = Instant::now();
+    let rn = builder
+        .finish_reduced(&ReduceConfig::default())
+        .expect("workload reduces");
+    let reduce_ms = t_reduce.elapsed().as_secs_f64() * 1e3;
+
+    let params_l = LogGPSParams::cscs_testbed(set.nranks).with_o(us(6.0));
+    let binding_l = Binding::uniform(&params_l);
+    let graph = rn.graph();
+    let mut lp = GraphLp::build(graph, &binding_l);
+    let t_cold = Instant::now();
+    let anchor = lp.predict(params_l.l).expect("large anchor solves");
+    let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
+
+    // Serial crash-start sweep.
+    let before = factors(&lp);
+    let t_sweep = Instant::now();
+    let mut runtimes_t1 = Vec::with_capacity(deltas.len());
+    for &d in deltas {
+        runtimes_t1.push(
+            lp.predict(params_l.l + d)
+                .expect("large sweep point solves")
+                .runtime,
+        );
+    }
+    let sweep_ms_t1 = t_sweep.elapsed().as_secs_f64() * 1e3;
+    let after = factors(&lp);
+
+    // The same sweep sharded across the work-stealing executor with
+    // per-worker solver clones — the engine's intra-scenario path.
+    let sweep_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunk_len = deltas.len().div_ceil(sweep_threads);
+    let chunks: Vec<Vec<f64>> = deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
+    let cfg = llamp_engine::ExecutorConfig {
+        threads: sweep_threads,
+        job_timeout: None,
+        max_retries: 0,
+    };
+    let t_shard = Instant::now();
+    let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
+        let mut lp = GraphLp::build(graph, &binding_l);
+        let mut rts = Vec::with_capacity(chunk.len());
+        for &d in chunk {
+            rts.push(
+                lp.predict(params_l.l + d)
+                    .expect("large sweep point solves")
+                    .runtime,
+            );
+        }
+        rts
+    });
+    let sweep_ms = t_shard.elapsed().as_secs_f64() * 1e3;
+    let runtimes_tn: Vec<f64> = outs
+        .into_iter()
+        .flat_map(|s| s.ok().expect("sweep shard completes"))
+        .collect();
+    assert_eq!(
+        runtimes_t1.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+        runtimes_tn.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+        "sharded sweep diverged from serial between 1 and {sweep_threads} workers"
+    );
+    let (zones_ms, zone_steps) = zones(&mut lp, params_l.l);
+    let s = rn.stats();
+    Large {
+        ingest_ms,
+        reduce_ms,
+        cold_anchor_ms,
+        sweep_ms_t1,
+        sweep_ms,
+        sweep_threads,
+        zones_ms,
+        counts: [
+            s.vertices_before,
+            s.edges_before,
+            s.rows_before,
+            s.rows_after,
+            anchor.iterations,
+            after.0 - before.0,
+            after.1 - before.1,
+            zone_steps,
+        ],
+    }
+}
+
+/// The median of an odd number of samples.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -188,126 +302,66 @@ fn main() {
     // * `large_lp` — the LP solved on the *same* ~10⁶-vertex shape
     //   (137k reduced rows). The longest-path crash basis makes the cold
     //   anchor a factorisation plus one pricing pass (no pivots), so the
-    //   anchor lands well under a second. The 64-point sweep starts every
-    //   point from its own crash basis, like every engine sweep: the
-    //   crash is optimal at the point, so no point pivots, and its tree
-    //   factors by substitution (one triangular factorisation per point,
-    //   no LU). Crash-started points are independent, so they shard
-    //   across the work-stealing executor — `sweep_ms` reports the
-    //   sharded wall clock, `sweep_ms_t1` the serial one, and the run
-    //   asserts the two produce bit-identical runtimes (thread-count
-    //   determinism). The three zones follow (`zones_ms`): the
-    //   anchor-seeded tolerance LPs they replace took ~412 s together at
-    //   this shape.
+    //   anchor lands well under a second. The 64-point sweep certifies
+    //   every point's own crash basis, like every engine sweep: the crash
+    //   is optimal at the point, so no point pivots, and its tree factors
+    //   by substitution (one triangular factorisation per point, no LU).
+    //   Crash-started points are independent, so they shard across the
+    //   work-stealing executor — `sweep_ms` reports the sharded wall
+    //   clock, `sweep_ms_t1` the serial one, and the run asserts the two
+    //   produce bit-identical runtimes (thread-count determinism). The
+    //   three zones follow (`zones_ms`): the anchor-seeded tolerance LPs
+    //   they replace took ~412 s together at this shape.
+    //
+    // Every wall clock is the median of three repetitions, each on a
+    // freshly built graph dropped before the next, so the numbers follow
+    // the code more than the host's speed phase and peak RSS stays that
+    // of one repetition. Counts must agree across repetitions.
     let mut large_json = String::new();
     if !skip_large {
         let set = llamp_workloads::scaled(App::Lulesh, 2, 430);
-        let t_ingest = Instant::now();
-        let builder = builder_of_programs(&set, &GraphConfig::paper()).expect("workload builds");
-        let ingest_ms = t_ingest.elapsed().as_secs_f64() * 1e3;
-
-        let t_reduce = Instant::now();
-        let rn = builder
-            .finish_reduced(&ReduceConfig::default())
-            .expect("workload reduces");
-        let reduce_ms = t_reduce.elapsed().as_secs_f64() * 1e3;
-        let (vertices, edges) = (rn.stats().vertices_before, rn.stats().edges_before);
+        let reps: Vec<Large> = (0..3).map(|_| large_tier(&set, &deltas)).collect();
+        let c = reps[0].counts;
+        assert!(
+            reps.iter().all(|r| r.counts == c),
+            "large-tier counts differ between repetitions"
+        );
+        let med = |f: fn(&Large) -> f64| median(reps.iter().map(f).collect());
+        let ingest_ms = med(|r| r.ingest_ms);
+        let reduce_ms = med(|r| r.reduce_ms);
+        let cold_anchor_ms = med(|r| r.cold_anchor_ms);
+        let sweep_ms_t1 = med(|r| r.sweep_ms_t1);
+        let sweep_ms = med(|r| r.sweep_ms);
+        let zones_ms = med(|r| r.zones_ms);
+        let per_solve_ms = sweep_ms_t1 / deltas.len() as f64;
+        let sweep_threads = reps[0].sweep_threads;
+        let [vertices, edges, rows_raw, rows_reduced, iterations, tri, lu, zone_steps] = c;
         eprintln!(
             "large-trace   lulesh x(2,430)  {vertices} verts / {edges} edges  \
-             ingest {ingest_ms:.0} ms  reduce {reduce_ms:.0} ms  rows -> {}",
-            rn.stats().rows_after
+             ingest {ingest_ms:.0} ms  reduce {reduce_ms:.0} ms  rows -> {rows_reduced}  \
+             (medians of 3)"
         );
-
-        let params_l = LogGPSParams::cscs_testbed(set.nranks).with_o(us(6.0));
-        let binding_l = Binding::uniform(&params_l);
-        let graph = rn.graph();
-        let mut lp = GraphLp::build(graph, &binding_l);
-        let t_cold = Instant::now();
-        let anchor = lp.predict(params_l.l).expect("large anchor solves");
-        let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
-
-        // Serial crash-start sweep.
-        let before = factors(&lp);
-        let t_sweep = Instant::now();
-        let mut runtimes_t1 = Vec::with_capacity(deltas.len());
-        for &d in &deltas {
-            runtimes_t1.push(
-                lp.predict(params_l.l + d)
-                    .expect("large sweep point solves")
-                    .runtime,
-            );
-        }
-        let sweep_ms_t1 = t_sweep.elapsed().as_secs_f64() * 1e3;
-        let after = factors(&lp);
-        let factors = (after.0 - before.0, after.1 - before.1);
-        let per_solve_ms = sweep_ms_t1 / deltas.len() as f64;
-
-        // The same sweep sharded across the work-stealing executor with
-        // per-worker solver clones — the engine's intra-scenario path.
-        let sweep_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk_len = deltas.len().div_ceil(sweep_threads);
-        let chunks: Vec<Vec<f64>> = deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
-        let cfg = llamp_engine::ExecutorConfig {
-            threads: sweep_threads,
-            job_timeout: None,
-            max_retries: 0,
-        };
-        let t_shard = Instant::now();
-        let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-            let mut lp = GraphLp::build(graph, &binding_l);
-            let mut rts = Vec::with_capacity(chunk.len());
-            for &d in chunk {
-                rts.push(
-                    lp.predict(params_l.l + d)
-                        .expect("large sweep point solves")
-                        .runtime,
-                );
-            }
-            rts
-        });
-        let sweep_ms = t_shard.elapsed().as_secs_f64() * 1e3;
-        let runtimes_tn: Vec<f64> = outs
-            .into_iter()
-            .flat_map(|s| s.ok().expect("sweep shard completes"))
-            .collect();
-        assert_eq!(
-            runtimes_t1.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            runtimes_tn.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "sharded sweep diverged from serial between 1 and {sweep_threads} workers"
-        );
-        let (zones_ms, zone_steps) = zones(&mut lp, params_l.l);
         eprintln!(
-            "large-lp      lulesh x(2,430)  {vertices} verts  rows {} -> {}  \
-             cold anchor {cold_anchor_ms:.0} ms ({} iters)  \
+            "large-lp      lulesh x(2,430)  {vertices} verts  rows {rows_raw} -> {rows_reduced}  \
+             cold anchor {cold_anchor_ms:.0} ms ({iterations} iters)  \
              crash-start 64-pt sweep t1 {sweep_ms_t1:.0} ms ({per_solve_ms:.1} ms/solve) / \
-             t{sweep_threads} {sweep_ms:.0} ms  factors {} tri / {} lu  \
-             zones {zones_ms:.0} ms ({zone_steps} steps)",
-            rn.stats().rows_before,
-            rn.stats().rows_after,
-            anchor.iterations,
-            factors.0,
-            factors.1
+             t{sweep_threads} {sweep_ms:.0} ms  factors {tri} tri / {lu} lu  \
+             zones {zones_ms:.0} ms ({zone_steps} steps)  (medians of 3)"
         );
 
         large_json = format!(
             "  \"large_trace\": {{\"workload\": \"lulesh\", \"rank_mult\": 2, \"iter_mult\": 430, \
-             \"vertices\": {vertices}, \"edges\": {edges}, \"rows_reduced\": {}, \
+             \"vertices\": {vertices}, \"edges\": {edges}, \"rows_reduced\": {rows_reduced}, \
              \"ingest_ms\": {ingest_ms:.3}, \"reduce_ms\": {reduce_ms:.3}}},\n  \
              \"large_lp\": {{\"workload\": \"lulesh\", \"rank_mult\": 2, \"iter_mult\": 430, \
-             \"vertices\": {vertices}, \"rows_raw\": {}, \"rows_reduced\": {}, \
-             \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {}, \
+             \"vertices\": {vertices}, \"rows_raw\": {rows_raw}, \"rows_reduced\": {rows_reduced}, \
+             \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {iterations}, \
              \"sweep_ms\": {sweep_ms:.3}, \"sweep_ms_t1\": {sweep_ms_t1:.3}, \
              \"sweep_threads\": {sweep_threads}, \"sweep_points\": {}, \
              \"sweep_ms_per_solve\": {per_solve_ms:.3}, \
-             \"triangular_factors\": {}, \"lu_factors\": {}, \"zones_ms\": {zones_ms:.3}, \
+             \"triangular_factors\": {tri}, \"lu_factors\": {lu}, \"zones_ms\": {zones_ms:.3}, \
              \"zone_steps\": {zone_steps}}},\n",
-            rn.stats().rows_after,
-            rn.stats().rows_before,
-            rn.stats().rows_after,
-            anchor.iterations,
             deltas.len(),
-            factors.0,
-            factors.1
         );
     }
 

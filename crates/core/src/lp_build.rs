@@ -27,7 +27,6 @@ use crate::binding::{Binding, MultiBound, SweepParam};
 use crate::crash::{CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
 use crate::zone::{self, ZONE_STEP_LIMIT};
-use llamp_lp::simplex::SimplexOptions;
 use llamp_lp::{
     resolve_robust, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
 };
@@ -114,7 +113,7 @@ pub struct Prediction {
     /// Sensitivity of the first column: `λ_L` (the reduced cost of `l`),
     /// or the analysis variable's under a `G` or `o` binding.
     pub lambda: f64,
-    /// Simplex iterations spent.
+    /// Solver iterations spent (one: the certificate's pricing pass).
     pub iterations: u64,
 }
 
@@ -144,7 +143,7 @@ pub struct MultiPrediction {
     pub lambda_g: f64,
     /// Overhead sensitivity `λ_o` (reduced cost of the `o` column).
     pub lambda_o: f64,
-    /// Simplex iterations spent.
+    /// Solver iterations spent (one: the certificate's pricing pass).
     pub iterations: u64,
 }
 
@@ -385,9 +384,11 @@ impl GraphLp {
     }
 
     /// Solve `min t` with every column pinned at `at`'s coordinate by its
-    /// lower bound, from the crash basis at `at`, and hand back the raw
-    /// solution (tight-constraint / critical-path inspection, stability
-    /// windows).
+    /// lower bound — by certifying the crash basis at `at`, which never
+    /// pivots — and hand back the raw solution (tight-constraint /
+    /// critical-path inspection, stability windows). A crash basis that
+    /// fails to certify is a bug, reported as
+    /// [`SolveError::Uncertified`].
     pub fn solve_raw(&mut self, at: ParamPoint) -> Result<Solution, SolveError> {
         for &(p, var) in &self.cols {
             self.model.set_var_lb(var, at.get(p));
@@ -395,8 +396,7 @@ impl GraphLp {
         // Baked parameters have zero multipliers, so their coordinates
         // never matter.
         let crash = self.plan.basis_at(at.l, at.g, at.o);
-        resolve_robust(&self.model, &SimplexOptions::default(), Some(&crash))
-            .inspect(|sol| self.stats.merge(sol.stats()))
+        resolve_robust(&self.model, &crash).inspect(|sol| self.stats.merge(sol.stats()))
     }
 
     /// Solve with the first column at `x` and report runtime and its `λ`.

@@ -139,7 +139,6 @@ RUN OPTIONS:
                     (render later with 'llamp report ... --metrics F')
   --trace-out F     also write a Chrome trace-event file (load in
                     chrome://tracing or Perfetto)
-  --solver-stats    deprecated alias for --metrics
   --quiet           suppress the run summary
 
 GEN OPTIONS:
@@ -158,8 +157,6 @@ GEN OPTIONS:
 REPORT OPTIONS:
   --csv FILE        also write the tolerance table as CSV
   --metrics FILE    render a metrics sidecar written by 'run --metrics-out'
-  --solver-stats    deprecated: print counters embedded by old 'run
-                    --solver-stats' results files
 
 EXIT CODES:
   0 success   1 internal error   2 usage error   3 input parse error
@@ -224,7 +221,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "metrics-out",
             "trace-out",
         ],
-        &["quiet", "metrics", "solver-stats", "no-reduce"],
+        &["quiet", "metrics", "no-reduce"],
     )
     .map_err(CliError::Usage)?;
     let [spec_path] = args.positional.as_slice() else {
@@ -232,15 +229,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "'run' takes exactly one spec file\n\n{USAGE}"
         )));
     };
-    if args.has("solver-stats") {
-        eprintln!("llamp: note: --solver-stats is a deprecated alias for --metrics");
-    }
     // Any telemetry sink turns the recorder on; without one, every obs
     // entry point stays a single relaxed atomic load.
-    let telemetry = args.has("metrics")
-        || args.has("solver-stats")
-        || args.get("metrics-out").is_some()
-        || args.get("trace-out").is_some();
+    let telemetry =
+        args.has("metrics") || args.get("metrics-out").is_some() || args.get("trace-out").is_some();
     if telemetry {
         llamp_obs::enable();
     }
@@ -474,8 +466,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
-    let args =
-        Args::parse(args, &["csv", "metrics"], &["solver-stats"]).map_err(CliError::Usage)?;
+    let args = Args::parse(args, &["csv", "metrics"], &[]).map_err(CliError::Usage)?;
     let [path] = args.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "'report' takes exactly one results file\n\n{USAGE}"
@@ -572,28 +563,6 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
             parse_json(&text).map_err(|e| CliError::Parse(format!("{metrics_path}: {e}")))?;
         println!("\n# metrics ({metrics_path})\n");
         print!("{}", render_metrics(&metrics_doc));
-    }
-    if args.has("solver-stats") {
-        eprintln!(
-            "llamp: note: --solver-stats is deprecated; use 'run --metrics-out F' \
-             and 'report --metrics F'"
-        );
-        let print_block = |key: &str, title: &str| match doc.get(key) {
-            Some(Value::Table(pairs)) => {
-                println!("\n# {title} (as embedded by an old 'run --solver-stats')");
-                for (k, v) in pairs {
-                    let rendered = match v {
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:.3e}"),
-                        other => other.to_json(),
-                    };
-                    println!("{k:<24} {rendered}");
-                }
-            }
-            _ => println!("\n(no {title} embedded; use 'run --metrics-out' + 'report --metrics')"),
-        };
-        print_block("solver_stats", "lp solver totals");
-        print_block("reduction_stats", "graph reduction totals");
     }
     Ok(())
 }

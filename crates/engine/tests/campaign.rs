@@ -299,6 +299,46 @@ fn cli_rejects_bad_sweep_start_with_usage_exit_code() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn cli_rejects_the_retired_solver_stats_flag() {
+    // Solver counters travel in the metrics sidecar (`run --metrics`,
+    // `report --metrics FILE`), never in the results file, so neither
+    // command takes `--solver-stats`: a usage error, exit code 2, like
+    // any other unknown option.
+    let dir = std::env::temp_dir().join(format!("llamp-statscli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.toml");
+    std::fs::write(
+        &spec_path,
+        "name = \"cli\"\nbackends = [\"lp\"]\n[grid]\ndeltas_ns = [0.0]\n[[workloads]]\napp = \"milc\"\nranks = 4\niters = 1\n",
+    )
+    .unwrap();
+    let results_path = dir.join("results.json");
+    let llamp = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_llamp"))
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let spec = spec_path.to_str().unwrap();
+    let results = results_path.to_str().unwrap();
+    let ok = llamp(&["run", spec, "--quiet", "--out", results]);
+    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
+    for args in [
+        ["run", spec, "--solver-stats"],
+        ["report", results, "--solver-stats"],
+    ] {
+        let out = llamp(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown option --solver-stats"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A latency-grid LP campaign over `deltas` on two inputs: a small MILC
 /// and HPCG at 24 ranks — the shape where anchor-seeded and crash-started
 /// points once differed in the last ulp.

@@ -1,46 +1,36 @@
-//! Basis factorisations for the bounded-variable simplex.
+//! Basis factorisations.
 //!
-//! The simplex core is generic over a [`BasisFactor`]: the object that
-//! represents (an implicit form of) `B⁻¹` and answers FTRAN / BTRAN
-//! queries, absorbs rank-one basis exchanges, and refactorises from
-//! scratch. Two implementations exist:
+//! Two representations of `B⁻¹` exist, and a basis's structure picks
+//! between them wherever a solution is read off ([`Factor::canonical`]):
 //!
-//! * [`DenseInv`] — the original dense column-major basis inverse,
-//!   rebuilt by Gauss–Jordan elimination and updated with dense eta
-//!   transformations. `O(m²)` per FTRAN/BTRAN/update and `O(m³)` per
-//!   refactorisation. Only the `simplex::solve_dense` test oracle runs
-//!   on it: the cross-validation reference for the sparse path.
-//! * [`SparseFactor`] — a sparse factorisation with a *product-form eta
-//!   file* absorbing the pivots between refactorisations. Its kind is
-//!   picked from the basis's structure ([`FactorKind`]): a basis that
-//!   peels into a permuted triangle (every longest-path crash basis
-//!   does) is a [`Triangle`] — its own columns in peel order, so FTRAN
-//!   and BTRAN are one substitution each, with no heap, no sort and no
-//!   fill. Every other basis gets an [`Lu`]: left-looking, partial
-//!   pivoting by magnitude, Markowitz-style static column ordering to
-//!   cut fill-in. For the ±1-coefficient LPs LLAMP generates, `L` and `U`
-//!   stay close to the nonzero count of `B` itself, so FTRAN/BTRAN cost
-//!   `O(nnz)` instead of `O(m²)`.
+//! * [`Triangle`] — a basis that peels into a permuted triangle (every
+//!   longest-path crash basis does) is its own columns in peel order, so
+//!   FTRAN and BTRAN are one substitution each, with no heap, no sort and
+//!   no fill. [`crate::simplex::certify`] factors every engine solve this
+//!   way and nothing else.
+//! * [`DenseInv`] — a dense column-major basis inverse, rebuilt by
+//!   Gauss–Jordan elimination and updated with dense eta
+//!   transformations: `O(m²)` memory and per FTRAN/BTRAN/update, and up
+//!   to `O(m³)` per refactorisation. The pivoting simplex (the test and ablation oracle,
+//!   [`crate::simplex::solve`]) runs on it, and extraction falls back to
+//!   it for a final basis that does not peel.
 //!
-//! The hot-path operations (`ftran_col`, `btran_sparse`, `update`, and
-//! `btran_dense_into`) take `&mut self` and write into caller-owned
-//! [`IndexedVec`] workspaces: the simplex inner loop performs **no heap
-//! allocation** in FTRAN/BTRAN/pricing. Allocating `&self` variants
-//! (`ftran_dense`, `btran_dense`, `ftran_col_alloc`) remain for the cold
-//! extraction and on-demand ranging paths.
+//! The pivoting hot path (`DenseInv::ftran_col`, `btran_sparse`,
+//! `update`, `btran_into`) writes into caller-owned [`IndexedVec`]
+//! workspaces and buffers: the simplex inner loop performs **no heap
+//! allocation** in FTRAN/BTRAN/pricing.
 //!
 //! Index conventions (shared with `simplex.rs`): *row space* vectors are
 //! indexed by original constraint row; *position space* vectors are
 //! indexed by basis position `i` (pairing with `basis[i]`). FTRAN maps a
 //! row-space right-hand side to position space (`w = B⁻¹ b`), BTRAN maps
 //! position-space basic costs to row-space duals (`y = B⁻ᵀ c_B`).
-//! `SparseFactor` additionally keeps an internal order (the peel or
-//! Markowitz column order); the mapping is private and all public
-//! answers are in position/row space.
 
 use llamp_util::IndexedVec;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// Smallest diagonal a factorisation accepts by default. Extraction
+/// retries a numerically borderline basis at `0.0` (any nonzero pivot).
+pub(crate) const MIN_PIVOT: f64 = 1e-12;
 
 /// Read-only view of the extended constraint matrix in compressed sparse
 /// column form (structural columns first, then one logical column per
@@ -61,95 +51,34 @@ impl ColsView<'_> {
     }
 }
 
-/// Which factorisation a refactorisation built (the `SolveStats`
-/// factorisation counters key on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FactorKind {
-    /// The basis peeled into a permuted triangle: pure substitution.
-    Triangular,
-    /// General elimination: the sparse LU, or the dense oracle's
-    /// Gauss–Jordan inverse.
-    Lu,
-}
-
-/// The operations the simplex core needs from a basis representation.
-pub(crate) trait BasisFactor {
-    /// Fresh, unfactorised state for an `m`-row problem.
-    fn new(m: usize) -> Self;
-
-    /// Factorise the basis whose columns are `cols[basis[i]]`, reporting
-    /// which kind of factorisation it built. Returns `None` (leaving the
-    /// previous state untouched) when the matrix is numerically singular.
-    fn refactor(&mut self, cols: ColsView<'_>, basis: &[usize]) -> Option<FactorKind>;
-
-    /// Hot-path FTRAN of sparse column `j`: `w = B⁻¹ A_j` (position
-    /// space), written into the caller-owned workspace (reset here).
-    fn ftran_col(&mut self, cols: ColsView<'_>, j: usize, w: &mut IndexedVec);
-
-    /// FTRAN of a dense row-space right-hand side (cold paths; allocates).
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64>;
-
-    /// BTRAN: `y = B⁻ᵀ c_B` with `c_B` in position space, `y` in row
-    /// space (cold paths; allocates).
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64>;
-
-    /// Hot-path dense BTRAN into a caller-owned row-space buffer of
-    /// length `m` (no allocation).
-    fn btran_dense_into(&mut self, cb: &[f64], y: &mut [f64]);
-
-    /// Hot-path BTRAN of a *sparse* position-space vector `v` (e.g. the
-    /// unit vector of a pivot row, or a batch of phase-1 cost deltas):
-    /// `y = B⁻ᵀ v`, written into the caller-owned row-space workspace
-    /// (reset here).
-    fn btran_sparse(&mut self, v: &IndexedVec, y: &mut IndexedVec);
-
-    /// Absorb a basis exchange at position `r`, where `w` is the FTRAN of
-    /// the entering column (support sorted ascending).
-    fn update(&mut self, w: &IndexedVec, r: usize);
-
-    /// Nonzeros of the fresh factorisation — the yardstick for the
-    /// eta-growth early-refactorisation trigger. `0` means "not
-    /// applicable" (the dense inverse), which disables the trigger.
-    fn factor_nnz(&self) -> usize;
-
-    /// Nonzeros absorbed into the update (eta) file since the last
-    /// refactorisation.
-    fn update_nnz(&self) -> usize;
-
-    /// Surrender the factorisation to canonical extraction, when it is a
-    /// pristine (eta-free) `SparseFactor`. `None` (the default) means the
-    /// representation has nothing transferable.
-    fn take_sparse(&mut self) -> Option<SparseFactor> {
-        None
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Dense inverse
 // ---------------------------------------------------------------------------
 
 /// Dense column-major basis inverse (`binv[k·m + i]` maps row `k` to
-/// position `i`).
+/// position `i`). Empty until the first refactorisation, so a solve that
+/// never pivots never allocates it.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseInv {
     m: usize,
     binv: Vec<f64>,
 }
 
-impl BasisFactor for DenseInv {
-    fn new(m: usize) -> Self {
+impl DenseInv {
+    /// Fresh, unfactorised state for an `m`-row problem.
+    pub(crate) fn new(m: usize) -> Self {
         Self {
             m,
-            binv: vec![0.0; m * m],
+            binv: Vec::new(),
         }
     }
 
-    /// Gauss–Jordan with partial pivoting on `[B | I]`.
-    fn refactor(&mut self, cols: ColsView<'_>, basis: &[usize]) -> Option<FactorKind> {
+    /// Gauss–Jordan with partial pivoting on `[B | I]` for the basis whose
+    /// columns are `cols[basis[i]]`. Returns `false` (leaving the previous
+    /// inverse untouched) when no pivot of at least `min_pivot` remains
+    /// for some column, or none at all.
+    pub(crate) fn refactor(&mut self, cols: ColsView<'_>, basis: &[usize], min_pivot: f64) -> bool {
         let m = self.m;
-        if m == 0 {
-            return Some(FactorKind::Lu);
-        }
         let mut b = vec![0.0; m * m];
         for (pos, &j) in basis.iter().enumerate() {
             for idx in cols.start[j]..cols.start[j + 1] {
@@ -160,6 +89,7 @@ impl BasisFactor for DenseInv {
         for i in 0..m {
             inv[i * m + i] = 1.0;
         }
+        let mut nz: Vec<usize> = Vec::with_capacity(m);
         for col in 0..m {
             let mut piv = col;
             let mut best = b[col * m + col].abs();
@@ -170,8 +100,8 @@ impl BasisFactor for DenseInv {
                     piv = r;
                 }
             }
-            if best < 1e-12 {
-                return None;
+            if best == 0.0 || best < min_pivot {
+                return false;
             }
             if piv != col {
                 for k in 0..m {
@@ -184,6 +114,12 @@ impl BasisFactor for DenseInv {
                 b[k * m + col] /= d;
                 inv[k * m + col] /= d;
             }
+            // Only the pivot row's nonzeros change the other rows: a zero
+            // there would subtract a zero, which can flip the sign of a
+            // zero entry but never moves a nonzero one. On LLAMP's sparse
+            // bases this cuts the elimination from `O(m³)` to `O(m²·fill)`.
+            nz.clear();
+            nz.extend((0..m).filter(|&k| b[k * m + col] != 0.0 || inv[k * m + col] != 0.0));
             for r in 0..m {
                 if r == col {
                     continue;
@@ -192,17 +128,19 @@ impl BasisFactor for DenseInv {
                 if f == 0.0 {
                     continue;
                 }
-                for k in 0..m {
+                for &k in &nz {
                     b[k * m + r] -= f * b[k * m + col];
                     inv[k * m + r] -= f * inv[k * m + col];
                 }
             }
         }
         self.binv = inv;
-        Some(FactorKind::Lu)
+        true
     }
 
-    fn ftran_col(&mut self, cols: ColsView<'_>, j: usize, w: &mut IndexedVec) {
+    /// Hot-path FTRAN of sparse column `j`: `w = B⁻¹ A_j` (position
+    /// space), written into the caller-owned workspace (reset here).
+    pub(crate) fn ftran_col(&self, cols: ColsView<'_>, j: usize, w: &mut IndexedVec) {
         let m = self.m;
         w.reset(m);
         for idx in cols.start[j]..cols.start[j + 1] {
@@ -217,7 +155,8 @@ impl BasisFactor for DenseInv {
         }
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
+    /// FTRAN of a dense row-space right-hand side (allocates the result).
+    pub(crate) fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
         let m = self.m;
         let mut w = vec![0.0; m];
         for (k, &rk) in rhs.iter().enumerate() {
@@ -232,17 +171,25 @@ impl BasisFactor for DenseInv {
         w
     }
 
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        self.btran_core(cb, &mut y);
-        y
+    /// Dense BTRAN into a caller-owned row-space buffer of length `m`:
+    /// `y = B⁻ᵀ c_B` with `c_B` in position space.
+    pub(crate) fn btran_into(&self, cb: &[f64], y: &mut [f64]) {
+        let m = self.m;
+        for (k, yk) in y.iter_mut().enumerate().take(m) {
+            let col = &self.binv[k * m..(k + 1) * m];
+            let mut acc = 0.0;
+            for (cbi, &ci) in cb.iter().zip(col) {
+                acc += cbi * ci;
+            }
+            *yk = acc;
+        }
     }
 
-    fn btran_dense_into(&mut self, cb: &[f64], y: &mut [f64]) {
-        self.btran_core(cb, y);
-    }
-
-    fn btran_sparse(&mut self, v: &IndexedVec, y: &mut IndexedVec) {
+    /// Hot-path BTRAN of a *sparse* position-space vector `v` (the unit
+    /// vector of a pivot row, or a batch of phase-1 cost deltas):
+    /// `y = B⁻ᵀ v`, written into the caller-owned row-space workspace
+    /// (reset here).
+    pub(crate) fn btran_sparse(&self, v: &IndexedVec, y: &mut IndexedVec) {
         let m = self.m;
         y.reset(m);
         for k in 0..m {
@@ -257,8 +204,9 @@ impl BasisFactor for DenseInv {
         }
     }
 
-    /// Dense eta transformation replacing basic position `r`.
-    fn update(&mut self, w: &IndexedVec, r: usize) {
+    /// Dense eta transformation absorbing the basis exchange at position
+    /// `r`, where `w` is the FTRAN of the entering column.
+    pub(crate) fn update(&mut self, w: &IndexedVec, r: usize) {
         let m = self.m;
         let wr = w.get(r);
         for k in 0..m {
@@ -278,70 +226,11 @@ impl BasisFactor for DenseInv {
             }
         }
     }
-
-    fn factor_nnz(&self) -> usize {
-        0
-    }
-
-    fn update_nnz(&self) -> usize {
-        0
-    }
-}
-
-impl DenseInv {
-    fn btran_core(&self, cb: &[f64], y: &mut [f64]) {
-        let m = self.m;
-        for (k, yk) in y.iter_mut().enumerate().take(m) {
-            let col = &self.binv[k * m..(k + 1) * m];
-            let mut acc = 0.0;
-            for (cbi, &ci) in cb.iter().zip(col) {
-                acc += cbi * ci;
-            }
-            *yk = acc;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Sparse factorisation (triangle or LU) + product-form eta file
+// Permuted triangle
 // ---------------------------------------------------------------------------
-
-/// The production basis factorisation: a base picked from the basis's
-/// structure plus a product-form eta file for the basis exchanges since
-/// the last refactorisation. A basis that peels into a permuted triangle
-/// gets a [`Triangle`] ([`FactorKind::Triangular`]): solves are plain
-/// substitution. Any other basis gets an [`Lu`] ([`FactorKind::Lu`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SparseFactor {
-    m: usize,
-    base: Base,
-    /// Product-form eta file in *position space*: eta `e` replaces
-    /// position `eta_r[e]`, with sparse entries `(position, value)`; the
-    /// entry at `eta_r[e]` holds `1/w_r`, the others `−w_i/w_r`.
-    eta_start: Vec<usize>,
-    eta_pos: Vec<u32>,
-    eta_vals: Vec<f64>,
-    eta_r: Vec<u32>,
-    /// Hot-path scratch (row / position / factor space), all-zero between
-    /// calls. Sized by the first hot-path solve and kept across
-    /// refactorisations, so FTRAN/BTRAN never allocate.
-    work_row: Vec<f64>,
-    work_pos: Vec<f64>,
-    work_fac: Vec<f64>,
-    work_touch: Vec<u32>,
-}
-
-#[derive(Debug, Clone)]
-enum Base {
-    Triangle(Triangle),
-    Lu(Lu),
-}
-
-impl Default for Base {
-    fn default() -> Self {
-        Base::Triangle(Triangle::default())
-    }
-}
 
 /// A basis peeled into a permuted triangle. Peel step `s` takes row
 /// `row[s]` with the column at basis position `pos[s]`, whose entry there
@@ -350,7 +239,7 @@ impl Default for Base {
 /// peel order, BTRAN one backward substitution against it; nothing is
 /// eliminated, so there is no fill.
 #[derive(Debug, Clone, Default)]
-struct Triangle {
+pub(crate) struct Triangle {
     row: Vec<u32>,
     pos: Vec<u32>,
     diag: Vec<f64>,
@@ -373,7 +262,12 @@ impl Triangle {
     /// directly: no heap, no sort. The arithmetic a solve performs
     /// depends only on the matrix and the *set* of basic columns, never
     /// on their positions.
-    fn peel(m: usize, cols: ColsView<'_>, basis: &[usize], min_pivot: f64) -> Option<Self> {
+    pub(crate) fn peel(
+        m: usize,
+        cols: ColsView<'_>,
+        basis: &[usize],
+        min_pivot: f64,
+    ) -> Option<Self> {
         /// `count` marker of a row a singleton column took.
         const TAKEN: u32 = u32::MAX;
         let mut count = vec![0u32; m];
@@ -490,491 +384,67 @@ impl Triangle {
     }
 }
 
-/// Sparse LU factorisation `P B Q = L U`: columns processed in a
-/// Markowitz-style fill-reducing order `Q`, rows permuted by partial
-/// pivoting `P`.
-#[derive(Debug, Clone, Default)]
-struct Lu {
-    /// Factor order `k` → original row chosen as pivot.
-    pivot_row: Vec<u32>,
-    /// Factor order `k` → basis position (the column-order permutation).
-    pos_of_factor: Vec<u32>,
-    /// `L` columns (unit diagonal implicit), by factor order: multipliers
-    /// `(original row, value)` per pivot.
-    l_start: Vec<usize>,
-    l_rows: Vec<u32>,
-    l_vals: Vec<f64>,
-    /// `U` columns, by factor order: off-diagonal `(factor position
-    /// k < j, u_kj)` per column `j`; diagonal stored separately.
-    u_start: Vec<usize>,
-    u_pos: Vec<u32>,
-    u_vals: Vec<f64>,
-    u_diag: Vec<f64>,
+// ---------------------------------------------------------------------------
+// The factorisation a solution is read off
+// ---------------------------------------------------------------------------
+
+/// The factorisation of a final basis in ascending column order, kept by
+/// the solution for on-demand ranging.
+#[derive(Debug)]
+pub(crate) enum Factor {
+    /// The basis peeled: substitution.
+    Triangle(Triangle),
+    /// General elimination: the dense inverse.
+    Dense(DenseInv),
 }
 
-impl Lu {
-    /// Left-looking sparse LU with partial pivoting by magnitude; `None`
-    /// when no pivot of at least `min_pivot` remains for some column.
-    ///
-    /// Columns are processed in a Markowitz-style static order (ascending
-    /// nonzero count, ties by basis position): singleton columns pivot
-    /// first and generate no fill, which keeps `L`/`U` near the nonzero
-    /// count of `B` itself on LLAMP's near-triangular bases. Elimination
-    /// follows the nonzero pattern through a min-heap of pivot positions
-    /// (Gilbert–Peierls style), so each column costs `O(fill · log)`
-    /// rather than a full `O(m)` scan.
-    fn eliminate(m: usize, cols: ColsView<'_>, basis: &[usize], min_pivot: f64) -> Option<Self> {
-        let mut lu = Lu {
-            pivot_row: vec![u32::MAX; m],
-            pos_of_factor: Vec::with_capacity(m),
-            l_start: Vec::with_capacity(m + 1),
-            u_start: Vec::with_capacity(m + 1),
-            u_diag: Vec::with_capacity(m),
-            ..Lu::default()
+impl Factor {
+    /// The triangle when the basis peels, the dense inverse otherwise. A
+    /// basis the pivoting simplex maintained is nonsingular; if its fresh
+    /// factorisation is numerically borderline (a pivot under
+    /// [`MIN_PIVOT`]), any nonzero pivot is accepted, so extraction
+    /// degrades to reduced accuracy rather than failing.
+    pub(crate) fn canonical(m: usize, cols: ColsView<'_>, basis: &[usize]) -> Self {
+        let of = |min_pivot| match Triangle::peel(m, cols, basis, min_pivot) {
+            Some(t) => Some(Factor::Triangle(t)),
+            None => {
+                let mut inv = DenseInv::new(m);
+                inv.refactor(cols, basis, min_pivot)
+                    .then_some(Factor::Dense(inv))
+            }
         };
-        lu.l_start.push(0);
-        lu.u_start.push(0);
+        of(MIN_PIVOT)
+            .or_else(|| of(0.0))
+            .expect("exactly singular basis at extraction")
+    }
 
-        // Markowitz-style static column order: ascending nonzero count,
-        // deterministic position tie-break.
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by_key(|&p| {
-            let j = basis[p as usize];
-            ((cols.start[j + 1] - cols.start[j]) as u32, p)
-        });
+    /// `w = B⁻¹ x` for a row-space `x` (consumed), in position space.
+    pub(crate) fn ftran(&self, mut x: Vec<f64>) -> Vec<f64> {
+        match self {
+            Factor::Triangle(t) => {
+                let mut w = vec![0.0; x.len()];
+                t.solve(&mut x, |p, v| w[p] = v);
+                w
+            }
+            Factor::Dense(inv) => inv.ftran_dense(&x),
+        }
+    }
 
-        // row → factor position (u32::MAX while unpivoted).
-        let mut row_pos = vec![u32::MAX; m];
+    /// `w = B⁻¹ A_j` for extended column `j` (on-demand ranging).
+    pub(crate) fn ftran_col(&self, cols: ColsView<'_>, m: usize, j: usize) -> Vec<f64> {
         let mut x = vec![0.0; m];
-        let mut touched: Vec<u32> = Vec::with_capacity(64);
-        // Pending pivot positions to eliminate with, deduplicated by a
-        // per-column stamp and processed in ascending factor order.
-        let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        let mut queued: Vec<u32> = vec![u32::MAX; m];
-
-        for (k, &p) in order.iter().enumerate() {
-            let col = basis[p as usize];
-            touched.clear();
-            debug_assert!(heap.is_empty());
-            for idx in cols.start[col]..cols.start[col + 1] {
-                let r = cols.rows[idx] as usize;
-                x[r] = cols.vals[idx];
-                touched.push(r as u32);
-                let rp = row_pos[r];
-                if rp != u32::MAX && queued[rp as usize] != k as u32 {
-                    queued[rp as usize] = k as u32;
-                    heap.push(Reverse(rp));
-                }
-            }
-            // Eliminate along the nonzero pattern: popping ascending
-            // factor positions; fill can only land in later positions.
-            while let Some(Reverse(kku)) = heap.pop() {
-                let kk = kku as usize;
-                let ukj = x[lu.pivot_row[kk] as usize];
-                if ukj == 0.0 {
-                    continue;
-                }
-                lu.u_pos.push(kku);
-                lu.u_vals.push(ukj);
-                for idx in lu.l_start[kk]..lu.l_start[kk + 1] {
-                    let r = lu.l_rows[idx] as usize;
-                    if x[r] == 0.0 {
-                        touched.push(r as u32);
-                    }
-                    x[r] -= lu.l_vals[idx] * ukj;
-                    let rp = row_pos[r];
-                    if rp != u32::MAX && queued[rp as usize] != k as u32 {
-                        queued[rp as usize] = k as u32;
-                        heap.push(Reverse(rp));
-                    }
-                }
-            }
-            lu.u_start.push(lu.u_pos.len());
-            // Partial pivot: largest remaining magnitude (duplicates in
-            // `touched` are harmless — same row, same value).
-            let mut piv = usize::MAX;
-            let mut best = 0.0f64;
-            for &t in &touched {
-                let r = t as usize;
-                if row_pos[r] == u32::MAX && x[r].abs() > best {
-                    best = x[r].abs();
-                    piv = r;
-                }
-            }
-            if piv == usize::MAX || best <= 0.0 || best < min_pivot {
-                return None;
-            }
-            let d = x[piv];
-            lu.pivot_row[k] = piv as u32;
-            row_pos[piv] = k as u32;
-            lu.u_diag.push(d);
-            lu.pos_of_factor.push(p);
-            for &t in &touched {
-                let r = t as usize;
-                let v = x[r];
-                x[r] = 0.0;
-                if r != piv && row_pos[r] == u32::MAX && v != 0.0 {
-                    lu.l_rows.push(r as u32);
-                    lu.l_vals.push(v / d);
-                }
-            }
-            lu.l_start.push(lu.l_rows.len());
-        }
-        Some(lu)
-    }
-
-    /// `B w = x` for a row-space `x` (left dirty): the `L` solve, then
-    /// `U` back-substitution reporting each nonzero `(position, w)`.
-    /// `touched` hears every row written beyond `x`'s own support.
-    fn solve(&self, x: &mut [f64], mut touched: impl FnMut(u32), mut emit: impl FnMut(usize, f64)) {
-        let m = self.pivot_row.len();
-        // The O(m) scans are sequential u32 loads; the arithmetic is
-        // O(nnz).
-        for k in 0..m {
-            let xk = x[self.pivot_row[k] as usize];
-            if xk == 0.0 {
-                continue;
-            }
-            for idx in self.l_start[k]..self.l_start[k + 1] {
-                let r = self.l_rows[idx];
-                x[r as usize] -= self.l_vals[idx] * xk;
-                touched(r);
-            }
-        }
-        for k in (0..m).rev() {
-            let v = x[self.pivot_row[k] as usize];
-            if v == 0.0 {
-                continue;
-            }
-            let wk = v / self.u_diag[k];
-            emit(self.pos_of_factor[k] as usize, wk);
-            for idx in self.u_start[k]..self.u_start[k + 1] {
-                let r = self.pivot_row[self.u_pos[idx] as usize];
-                x[r as usize] -= self.u_vals[idx] * wk;
-                touched(r);
-            }
-        }
-    }
-
-    /// `Bᵀ y = c` for a position-space `c`: the `Uᵀ` solve in factor
-    /// space (`fac`, fully overwritten), then `Lᵀ` in row space; every
-    /// entry of `y` is overwritten.
-    fn solve_transposed(&self, c: &[f64], fac: &mut [f64], y: &mut [f64]) {
-        let m = self.pivot_row.len();
-        for k in 0..m {
-            fac[k] = c[self.pos_of_factor[k] as usize];
-        }
-        for k in 0..m {
-            let mut acc = fac[k];
-            for idx in self.u_start[k]..self.u_start[k + 1] {
-                acc -= self.u_vals[idx] * fac[self.u_pos[idx] as usize];
-            }
-            fac[k] = if acc == 0.0 {
-                0.0
-            } else {
-                acc / self.u_diag[k]
-            };
-        }
-        for k in 0..m {
-            y[self.pivot_row[k] as usize] = fac[k];
-        }
-        for k in (0..m).rev() {
-            let pr = self.pivot_row[k] as usize;
-            let mut acc = y[pr];
-            for idx in self.l_start[k]..self.l_start[k + 1] {
-                acc -= self.l_vals[idx] * y[self.l_rows[idx] as usize];
-            }
-            y[pr] = acc;
-        }
-    }
-}
-
-impl SparseFactor {
-    /// Nonzeros of the base factorisation (diagnostic / refactor
-    /// trigger).
-    pub(crate) fn nnz(&self) -> usize {
-        match &self.base {
-            Base::Triangle(t) => t.rows.len() + t.diag.len(),
-            Base::Lu(lu) => lu.l_rows.len() + lu.u_pos.len() + lu.u_diag.len(),
-        }
-    }
-
-    /// Which kind of factorisation the base is.
-    pub(crate) fn kind(&self) -> FactorKind {
-        match self.base {
-            Base::Triangle(_) => FactorKind::Triangular,
-            Base::Lu(_) => FactorKind::Lu,
-        }
-    }
-
-    /// Whether the base factorises all `m` rows.
-    fn factored(&self) -> bool {
-        let k = match &self.base {
-            Base::Triangle(t) => t.pos.len(),
-            Base::Lu(lu) => lu.pos_of_factor.len(),
-        };
-        self.m > 0 && k == self.m
-    }
-
-    /// Size the hot-path scratch (a no-op after the first call).
-    fn scratch(&mut self) {
-        if self.work_row.len() != self.m {
-            self.work_row = vec![0.0; self.m];
-            self.work_pos = vec![0.0; self.m];
-            self.work_fac = vec![0.0; self.m];
-        }
-    }
-
-    /// Apply the eta file (ascending) to a sparse position-space vector:
-    /// the FTRAN tail.
-    fn apply_etas_sparse(&self, w: &mut IndexedVec) {
-        for e in 0..self.eta_r.len() {
-            let r = self.eta_r[e] as usize;
-            let xr = w.get(r);
-            if xr == 0.0 {
-                continue;
-            }
-            w.set(r, 0.0);
-            for idx in self.eta_start[e]..self.eta_start[e + 1] {
-                w.add(self.eta_pos[idx] as usize, self.eta_vals[idx] * xr);
-            }
-        }
-    }
-
-    /// Dense-slice variant of [`SparseFactor::apply_etas_sparse`].
-    fn apply_etas(&self, w: &mut [f64]) {
-        for e in 0..self.eta_r.len() {
-            let r = self.eta_r[e] as usize;
-            let xr = w[r];
-            if xr == 0.0 {
-                continue;
-            }
-            w[r] = 0.0;
-            for idx in self.eta_start[e]..self.eta_start[e + 1] {
-                w[self.eta_pos[idx] as usize] += self.eta_vals[idx] * xr;
-            }
-        }
-    }
-
-    /// Apply the transposed eta file (descending) to a dense
-    /// position-space vector: the BTRAN head.
-    fn apply_etas_rev(&self, c: &mut [f64]) {
-        for e in (0..self.eta_r.len()).rev() {
-            let mut acc = 0.0;
-            for idx in self.eta_start[e]..self.eta_start[e + 1] {
-                acc += self.eta_vals[idx] * c[self.eta_pos[idx] as usize];
-            }
-            c[self.eta_r[e] as usize] = acc;
-        }
-    }
-
-    /// Base solve of a dense row-space `x` (destroyed) into a dense
-    /// position-space result, etas not applied.
-    fn base_solve_dense(&self, x: &mut [f64]) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
-        match &self.base {
-            Base::Triangle(t) => t.solve(x, |p, v| w[p] = v),
-            Base::Lu(lu) => lu.solve(x, |_| {}, |p, v| w[p] = v),
-        }
-        w
-    }
-
-    /// Base transposed solve (`fac` is LU scratch of length `m`).
-    fn base_solve_transposed(&self, c: &[f64], fac: &mut [f64], y: &mut [f64]) {
-        match &self.base {
-            Base::Triangle(t) => t.solve_transposed(c, y),
-            Base::Lu(lu) => lu.solve_transposed(c, fac, y),
-        }
-    }
-
-    /// Allocating FTRAN of sparse column `j` (on-demand ranging path;
-    /// `&self` so it can run off the shared canonical factorisation).
-    pub(crate) fn ftran_col_alloc(&self, cols: ColsView<'_>, j: usize) -> Vec<f64> {
-        let mut x = vec![0.0; self.m];
         cols.scatter(j, &mut x);
-        let mut w = self.base_solve_dense(&mut x);
-        self.apply_etas(&mut w);
-        w
+        self.ftran(x)
     }
 
-    /// Etas absorbed since the last refactorisation (diagnostic).
-    #[cfg(test)]
-    pub(crate) fn updates(&self) -> u64 {
-        self.eta_r.len() as u64
-    }
-
-    /// The factorisation behind [`BasisFactor::refactor`], with an
-    /// explicit minimum pivot magnitude. Canonical extraction retries a
-    /// numerically borderline basis with `min_pivot = 0.0` (any nonzero
-    /// pivot accepted) so a basis the solver itself maintained degrades
-    /// to reduced accuracy instead of failing outright.
-    ///
-    /// The kind is chosen from the basis's structure alone: peel first,
-    /// eliminate only when the basis does not peel. Both build into
-    /// fresh storage, so a singular matrix leaves the previous
-    /// factorisation intact; the eta file empties on success.
-    pub(crate) fn refactor_min_pivot(
-        &mut self,
-        cols: ColsView<'_>,
-        basis: &[usize],
-        min_pivot: f64,
-    ) -> Option<FactorKind> {
-        self.base = match Triangle::peel(self.m, cols, basis, min_pivot) {
-            Some(t) => Base::Triangle(t),
-            None => Base::Lu(Lu::eliminate(self.m, cols, basis, min_pivot)?),
-        };
-        self.eta_start.clear();
-        self.eta_start.push(0);
-        self.eta_pos.clear();
-        self.eta_vals.clear();
-        self.eta_r.clear();
-        Some(self.kind())
-    }
-}
-
-impl BasisFactor for SparseFactor {
-    fn new(m: usize) -> Self {
-        Self {
-            m,
-            // `eta_start` keeps a leading sentinel so eta `e` spans
-            // `eta_start[e]..eta_start[e+1]`.
-            eta_start: vec![0],
-            ..Self::default()
-        }
-    }
-
-    fn refactor(&mut self, cols: ColsView<'_>, basis: &[usize]) -> Option<FactorKind> {
-        self.refactor_min_pivot(cols, basis, 1e-12)
-    }
-
-    fn take_sparse(&mut self) -> Option<SparseFactor> {
-        if self.eta_r.is_empty() && self.factored() {
-            Some(std::mem::take(self))
-        } else {
-            None
-        }
-    }
-
-    fn ftran_col(&mut self, cols: ColsView<'_>, j: usize, w: &mut IndexedVec) {
-        w.reset(self.m);
-        self.scratch();
-        let x = &mut self.work_row;
-        let touch = &mut self.work_touch;
-        touch.clear();
-        for idx in cols.start[j]..cols.start[j + 1] {
-            let r = cols.rows[idx] as usize;
-            x[r] = cols.vals[idx];
-            touch.push(r as u32);
-        }
-        match &self.base {
-            // The substitution consumes `x` entirely.
-            Base::Triangle(t) => t.solve(x, |p, v| w.set(p, v)),
-            Base::Lu(lu) => lu.solve(x, |r| touch.push(r), |p, v| w.set(p, v)),
-        }
-        for &r in touch.iter() {
-            x[r as usize] = 0.0;
-        }
-        self.apply_etas_sparse(w);
-    }
-
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
-        let mut x = rhs.to_vec();
-        let mut w = self.base_solve_dense(&mut x);
-        self.apply_etas(&mut w);
-        w
-    }
-
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let mut c = cb.to_vec();
-        self.apply_etas_rev(&mut c);
-        let mut y = vec![0.0; m];
-        match &self.base {
-            Base::Triangle(t) => t.solve_transposed(&c, &mut y),
-            Base::Lu(lu) => lu.solve_transposed(&c, &mut vec![0.0; m], &mut y),
+    /// `y = B⁻ᵀ c_B` with `c_B` in position space, `y` in row space.
+    pub(crate) fn btran(&self, cb: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; cb.len()];
+        match self {
+            Factor::Triangle(t) => t.solve_transposed(cb, &mut y),
+            Factor::Dense(inv) => inv.btran_into(cb, &mut y),
         }
         y
-    }
-
-    fn btran_dense_into(&mut self, cb: &[f64], y: &mut [f64]) {
-        let m = self.m;
-        self.scratch();
-        let mut fac = std::mem::take(&mut self.work_fac);
-        if self.eta_r.is_empty() {
-            self.base_solve_transposed(cb, &mut fac, y);
-        } else {
-            // Move the scratch out so `self` methods can borrow immutably.
-            let mut c = std::mem::take(&mut self.work_pos);
-            c[..m].copy_from_slice(&cb[..m]);
-            self.apply_etas_rev(&mut c);
-            self.base_solve_transposed(&c, &mut fac, y);
-            // Restore the all-zero invariant the sparse paths rely on.
-            c[..m].fill(0.0);
-            self.work_pos = c;
-        }
-        self.work_fac = fac;
-    }
-
-    fn btran_sparse(&mut self, v: &IndexedVec, y: &mut IndexedVec) {
-        let m = self.m;
-        y.reset(m);
-        self.scratch();
-        let mut c = std::mem::take(&mut self.work_pos);
-        let mut fac = std::mem::take(&mut self.work_fac);
-        let mut yd = std::mem::take(&mut self.work_row);
-        for &i in v.indices() {
-            c[i as usize] = v.get(i as usize);
-        }
-        self.apply_etas_rev(&mut c);
-        self.base_solve_transposed(&c, &mut fac, &mut yd);
-        // Clear the position-space scratch: the input support plus every
-        // eta target written by `apply_etas_rev`.
-        for &i in v.indices() {
-            c[i as usize] = 0.0;
-        }
-        for &r in &self.eta_r {
-            c[r as usize] = 0.0;
-        }
-        // `yd` is fully overwritten by the solve; gather the support,
-        // then zero exactly those entries so the row-space scratch keeps
-        // its all-zero invariant for the FTRAN path.
-        for (r, &val) in yd.iter().enumerate().take(m) {
-            if val != 0.0 {
-                y.set(r, val);
-            }
-        }
-        for &r in y.indices() {
-            yd[r as usize] = 0.0;
-        }
-        self.work_pos = c;
-        self.work_fac = fac;
-        self.work_row = yd;
-    }
-
-    /// Append a product-form eta for the exchange at position `r`.
-    fn update(&mut self, w: &IndexedVec, r: usize) {
-        let wr = w.get(r);
-        for &iu in w.indices() {
-            let i = iu as usize;
-            let wi = w.get(i);
-            if i == r {
-                self.eta_pos.push(r as u32);
-                self.eta_vals.push(1.0 / wr);
-            } else if wi != 0.0 {
-                self.eta_pos.push(i as u32);
-                self.eta_vals.push(-wi / wr);
-            }
-        }
-        self.eta_start.push(self.eta_pos.len());
-        self.eta_r.push(r as u32);
-    }
-
-    fn factor_nnz(&self) -> usize {
-        self.nnz()
-    }
-
-    fn update_nnz(&self) -> usize {
-        self.eta_pos.len()
     }
 }
 
@@ -982,71 +452,101 @@ impl BasisFactor for SparseFactor {
 mod tests {
     use super::*;
 
-    /// A 3×3 system with known inverse, expressed through the CSC view.
+    fn view<'a>(start: &'a [usize], rows: &'a [u32], vals: &'a [f64]) -> ColsView<'a> {
+        ColsView { start, rows, vals }
+    }
+
+    /// `B·w` for the basis `cols[basis[i]]`, in row space.
+    fn times(cols: ColsView<'_>, basis: &[usize], w: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; basis.len()];
+        for (p, &j) in basis.iter().enumerate() {
+            for idx in cols.start[j]..cols.start[j + 1] {
+                out[cols.rows[idx] as usize] += cols.vals[idx] * w[p];
+            }
+        }
+        out
+    }
+
+    /// `Bᵀ·y` for the basis `cols[basis[i]]`, in position space.
+    fn times_transposed(cols: ColsView<'_>, basis: &[usize], y: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; basis.len()];
+        for (p, &j) in basis.iter().enumerate() {
+            for idx in cols.start[j]..cols.start[j + 1] {
+                out[p] += cols.vals[idx] * y[cols.rows[idx] as usize];
+            }
+        }
+        out
+    }
+
+    fn assert_solves(f: &Factor, cols: ColsView<'_>, basis: &[usize]) {
+        let rhs = [1.0, -2.0, 0.5, 3.0][..basis.len()].to_vec();
+        let w = f.ftran(rhs.clone());
+        for (a, b) in times(cols, basis, &w).iter().zip(&rhs) {
+            assert!((a - b).abs() < 1e-12, "B w: {a} vs {b}");
+        }
+        let cb = [0.5, 1.0, -1.0, 2.0][..basis.len()].to_vec();
+        let y = f.btran(&cb);
+        for (a, b) in times_transposed(cols, basis, &y).iter().zip(&cb) {
+            assert!((a - b).abs() < 1e-12, "Bᵀ y: {a} vs {b}");
+        }
+    }
+
+    /// A 3×3 system with known inverse that does not peel: columns
+    /// `[2,1,0]`, `[0,3,1]`, `[1,0,2]` — every row holds two entries.
     fn cols_3x3() -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-        // Columns: [2,1,0], [0,3,1], [1,0,2]
         let start = vec![0, 2, 4, 6];
         let rows = vec![0, 1, 1, 2, 0, 2];
         let vals = vec![2.0, 1.0, 3.0, 1.0, 1.0, 2.0];
         (start, rows, vals)
     }
 
-    fn check_ftran_btran<F: BasisFactor>(mut f: F) {
+    /// A permuted triangle: row 3 names column 3, then row 1 column 2,
+    /// row 0 column 1 and row 2 column 0.
+    fn cols_triangle() -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        let start = vec![0, 1, 3, 5, 8];
+        let rows = vec![2, 0, 2, 0, 1, 1, 2, 3];
+        let vals = vec![2.0, -1.0, 1.0, 0.5, 3.0, -2.0, 4.0, 1.0];
+        (start, rows, vals)
+    }
+
+    #[test]
+    fn dense_solves_small_system() {
         let (start, rows, vals) = cols_3x3();
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        assert!(f.refactor(view, &[0, 1, 2]).is_some());
-        // B = [[2,0,1],[1,3,0],[0,1,2]]; solve B w = e0 + 2·e2.
-        let w = f.ftran_dense(&[1.0, 0.0, 2.0]);
-        // Verify B·w = rhs.
-        let b = [[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 2.0]];
-        let rhs = [1.0, 0.0, 2.0];
-        for i in 0..3 {
-            let acc: f64 = (0..3).map(|j| b[i][j] * w[j]).sum();
-            assert!((acc - rhs[i]).abs() < 1e-12, "row {i}: {acc}");
-        }
-        // BTRAN: y solves Bᵀ y = c.
-        let c = [1.0, -2.0, 0.5];
-        let y = f.btran_dense(&c);
-        for j in 0..3 {
-            let acc: f64 = (0..3).map(|i| b[i][j] * y[i]).sum();
-            assert!((acc - c[j]).abs() < 1e-12, "col {j}: {acc}");
-        }
+        let cols = view(&start, &rows, &vals);
+        let basis = [0, 1, 2];
+        assert!(Triangle::peel(3, cols, &basis, MIN_PIVOT).is_none());
+        let f = Factor::canonical(3, cols, &basis);
+        assert!(matches!(f, Factor::Dense(_)), "a basis that does not peel");
+        assert_solves(&f, cols, &basis);
         // The hot-path variants agree with the allocating ones.
-        let mut y2 = vec![0.0; 3];
-        f.btran_dense_into(&c, &mut y2);
-        assert_eq!(y, y2);
+        let Factor::Dense(inv) = &f else {
+            unreachable!()
+        };
         let mut sp = IndexedVec::new(3);
         let mut ys = IndexedVec::new(3);
         sp.set(1, 1.0);
-        f.btran_sparse(&sp, &mut ys);
-        let ye = f.btran_dense(&[0.0, 1.0, 0.0]);
-        for (r, &v) in ye.iter().enumerate() {
+        inv.btran_sparse(&sp, &mut ys);
+        for (r, &v) in f.btran(&[0.0, 1.0, 0.0]).iter().enumerate() {
             assert!((ys.get(r) - v).abs() < 1e-14, "row {r}");
         }
         let mut wv = IndexedVec::new(3);
-        f.ftran_col(view, 2, &mut wv);
-        let wd = {
-            let mut x = [0.0; 3];
-            view.scatter(2, &mut x);
-            f.ftran_dense(&x)
-        };
-        for (i, &v) in wd.iter().enumerate() {
+        inv.ftran_col(cols, 2, &mut wv);
+        for (i, &v) in f.ftran_col(cols, 3, 2).iter().enumerate() {
             assert!((wv.get(i) - v).abs() < 1e-14, "pos {i}");
         }
     }
 
     #[test]
-    fn dense_solves_small_system() {
-        check_ftran_btran(DenseInv::new(3));
-    }
-
-    #[test]
     fn sparse_solves_small_system() {
-        check_ftran_btran(SparseFactor::new(3));
+        // The substitution answers `B w = x` and `Bᵀ y = c` exactly like
+        // the residuals say, from any basis order.
+        let (start, rows, vals) = cols_triangle();
+        let cols = view(&start, &rows, &vals);
+        for basis in [[3, 0, 2, 1], [0, 1, 2, 3], [2, 3, 1, 0]] {
+            let f = Factor::canonical(4, cols, &basis);
+            assert!(matches!(f, Factor::Triangle(_)), "{basis:?} peels");
+            assert_solves(&f, cols, &basis);
+        }
     }
 
     #[test]
@@ -1056,29 +556,22 @@ mod tests {
         start.push(9);
         rows.extend([0, 1, 2]);
         vals.extend([1.0, 1.0, 1.0]);
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        let (mut inc, mut fresh) = (SparseFactor::new(3), SparseFactor::new(3));
-        assert!(inc.refactor(view, &[0, 1, 2]).is_some());
+        let cols = view(&start, &rows, &vals);
+        let (mut inc, mut fresh) = (DenseInv::new(3), DenseInv::new(3));
+        assert!(inc.refactor(cols, &[0, 1, 2], MIN_PIVOT));
         let mut w = IndexedVec::new(3);
-        inc.ftran_col(view, 3, &mut w);
+        inc.ftran_col(cols, 3, &mut w);
         w.sort_indices();
         inc.update(&w, 1);
-        assert_eq!(inc.updates(), 1);
-        assert!(inc.update_nnz() > 0);
-        assert!(fresh.refactor(view, &[0, 3, 2]).is_some());
+        assert!(fresh.refactor(cols, &[0, 3, 2], MIN_PIVOT));
         let rhs = [0.3, -1.2, 2.5];
-        let wi = inc.ftran_dense(&rhs);
-        let wf = fresh.ftran_dense(&rhs);
-        for (a, b) in wi.iter().zip(&wf) {
+        for (a, b) in inc.ftran_dense(&rhs).iter().zip(&fresh.ftran_dense(&rhs)) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
         let cb = [1.0, 0.0, -3.0];
-        let yi = inc.btran_dense(&cb);
-        let yf = fresh.btran_dense(&cb);
+        let (mut yi, mut yf) = (vec![0.0; 3], vec![0.0; 3]);
+        inc.btran_into(&cb, &mut yi);
+        fresh.btran_into(&cb, &mut yf);
         for (a, b) in yi.iter().zip(&yf) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
@@ -1086,23 +579,22 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_agree() {
-        let (start, rows, vals) = cols_3x3();
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        let mut d = DenseInv::new(3);
-        let mut s = SparseFactor::new(3);
-        assert!(d.refactor(view, &[2, 0, 1]).is_some());
-        assert!(s.refactor(view, &[2, 0, 1]).is_some());
-        let rhs = [1.5, -0.5, 4.0];
-        for (a, b) in d.ftran_dense(&rhs).iter().zip(&s.ftran_dense(&rhs)) {
-            assert!((a - b).abs() < 1e-12);
+        // On a basis that peels, the dense inverse and the substitution
+        // answer alike (to rounding).
+        let (start, rows, vals) = cols_triangle();
+        let cols = view(&start, &rows, &vals);
+        let basis = [2, 0, 3, 1];
+        let tri = Factor::canonical(4, cols, &basis);
+        let mut inv = DenseInv::new(4);
+        assert!(inv.refactor(cols, &basis, MIN_PIVOT));
+        let dense = Factor::Dense(inv);
+        let rhs = vec![1.5, -0.5, 4.0, 2.0];
+        for (a, b) in tri.ftran(rhs.clone()).iter().zip(&dense.ftran(rhs)) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-        let cb = [2.0, 1.0, -1.0];
-        for (a, b) in d.btran_dense(&cb).iter().zip(&s.btran_dense(&cb)) {
-            assert!((a - b).abs() < 1e-12);
+        let cb = [2.0, 1.0, -1.0, 0.5];
+        for (a, b) in tri.btran(&cb).iter().zip(&dense.btran(&cb)) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }
 
@@ -1112,87 +604,26 @@ mod tests {
         let start = vec![0, 1, 2, 3];
         let rows = vec![0, 0, 1];
         let vals = vec![1.0, 1.0, 1.0];
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        let mut s = SparseFactor::new(2);
-        assert!(s.refactor(view, &[0, 2]).is_some());
-        let before = s.ftran_dense(&[1.0, 1.0]);
-        assert!(s.refactor(view, &[0, 1]).is_none());
-        let after = s.ftran_dense(&[1.0, 1.0]);
-        assert_eq!(before, after);
+        let cols = view(&start, &rows, &vals);
         let mut d = DenseInv::new(2);
-        assert!(d.refactor(view, &[0, 2]).is_some());
-        assert!(d.refactor(view, &[0, 1]).is_none());
+        assert!(d.refactor(cols, &[0, 2], MIN_PIVOT));
+        let before = d.ftran_dense(&[1.0, 1.0]);
+        assert!(!d.refactor(cols, &[0, 1], 0.0));
+        assert_eq!(before, d.ftran_dense(&[1.0, 1.0]));
+        assert!(Triangle::peel(2, cols, &[0, 1], 0.0).is_none());
     }
 
     #[test]
     fn triangular_basis_factors_by_substitution() {
-        // A permuted triangle: row 3 names column 3, then row 1 column 2,
-        // row 0 column 1 and row 2 column 0. It must peel (no LU), and
-        // every solve must agree with the dense inverse.
-        let start = vec![0, 1, 3, 5, 8];
-        let rows = vec![2, 0, 2, 0, 1, 1, 2, 3];
-        let vals = vec![2.0, -1.0, 1.0, 0.5, 3.0, -2.0, 4.0, 1.0];
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        let basis = [3, 0, 2, 1];
-        let mut s = SparseFactor::new(4);
-        let mut d = DenseInv::new(4);
-        assert_eq!(s.refactor(view, &basis), Some(FactorKind::Triangular));
-        assert_eq!(s.nnz(), 8, "no fill: the factor holds exactly B's nonzeros");
-        assert!(d.refactor(view, &basis).is_some());
-        let rhs = [1.0, -2.0, 0.5, 3.0];
-        for (a, b) in s.ftran_dense(&rhs).iter().zip(&d.ftran_dense(&rhs)) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        let cb = [0.5, 1.0, -1.0, 2.0];
-        let y = s.btran_dense(&cb);
-        for (a, b) in y.iter().zip(&d.btran_dense(&cb)) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        let mut y2 = vec![0.0; 4];
-        s.btran_dense_into(&cb, &mut y2);
-        assert_eq!(y, y2);
-        let (mut w, mut wd) = (IndexedVec::new(4), IndexedVec::new(4));
-        s.ftran_col(view, 3, &mut w);
-        d.ftran_col(view, 3, &mut wd);
-        for i in 0..4 {
-            assert!((w.get(i) - wd.get(i)).abs() < 1e-12, "pos {i}");
-        }
-        // A singular column set never peels, and the LU refuses it too.
-        assert!(s.refactor(view, &[0, 0, 2, 3]).is_none());
-    }
-
-    #[test]
-    fn column_ordering_is_a_pure_implementation_detail() {
-        // A basis whose natural order causes fill: the answers must be
-        // independent of the internal Markowitz permutation. Compare the
-        // permuted sparse LU against the dense inverse on a 4×4 system.
-        let start = vec![0, 4, 6, 8, 9];
-        let rows = vec![0, 1, 2, 3, 0, 1, 1, 2, 3];
-        let vals = vec![4.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 2.0, 5.0];
-        let view = ColsView {
-            start: &start,
-            rows: &rows,
-            vals: &vals,
-        };
-        let mut s = SparseFactor::new(4);
-        let mut d = DenseInv::new(4);
-        assert!(s.refactor(view, &[0, 1, 2, 3]).is_some());
-        assert!(d.refactor(view, &[0, 1, 2, 3]).is_some());
-        let rhs = [1.0, -2.0, 0.5, 3.0];
-        for (a, b) in s.ftran_dense(&rhs).iter().zip(&d.ftran_dense(&rhs)) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        let cb = [0.5, 1.0, -1.0, 2.0];
-        for (a, b) in s.btran_dense(&cb).iter().zip(&d.btran_dense(&cb)) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
+        // The permuted triangle peels with no fill: the factor holds
+        // exactly B's nonzeros.
+        let (start, rows, vals) = cols_triangle();
+        let cols = view(&start, &rows, &vals);
+        let t = Triangle::peel(4, cols, &[3, 0, 2, 1], MIN_PIVOT).expect("peels");
+        assert_eq!(t.rows.len() + t.diag.len(), 8, "no fill");
+        // A singular column set never peels.
+        assert!(Triangle::peel(4, cols, &[0, 0, 2, 3], MIN_PIVOT).is_none());
+        // A diagonal under the pivot floor does not either.
+        assert!(Triangle::peel(4, cols, &[3, 0, 2, 1], 5.0).is_none());
     }
 }

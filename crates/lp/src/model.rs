@@ -387,13 +387,15 @@ impl LpModel {
         (self.rows.lb[i], self.rows.ub[i])
     }
 
-    /// Solve with default options. See [`simplex::SimplexOptions`] for
-    /// tuning and [`Solution`] for what can be read back.
+    /// Solve from the all-logical basis with the pivoting oracle under
+    /// default options ([`simplex::solve`]): a test and ablation tool for
+    /// models up to a few thousand rows, whose dense basis inverse costs
+    /// `O(m²)` memory. See [`Solution`] for what can be read back.
     ///
-    /// [`simplex::SimplexOptions`]: crate::simplex::SimplexOptions
+    /// [`simplex::solve`]: crate::simplex::solve
     /// [`Solution`]: crate::solution::Solution
     pub fn solve(&self) -> Result<crate::solution::Solution, crate::error::SolveError> {
-        crate::simplex::solve(self, &crate::simplex::SimplexOptions::default())
+        crate::simplex::solve(self, &crate::simplex::SimplexOptions::default(), None)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Bounded-variable primal simplex, generic over the basis factorisation,
-//! built around a *hypersparse* hot loop.
+//! The two LP solves: the certificate every engine query runs, and the
+//! bounded-variable primal simplex kept as the test and ablation oracle.
 //!
 //! Design notes (what a reader needs to audit the implementation):
 //!
@@ -8,8 +8,23 @@
 //!   variable `s ∈ [lb, ub]` per row, so the working system is
 //!   `A_ext · (x, s) = 0` with box bounds on every column. The right-hand
 //!   side being identically zero makes the initial all-logical basis
-//!   (`B = −I`) trivially factorised.
-//! * **Phase 1 without artificials.** If the initial basis is primal
+//!   (`B = −I`) trivially factorised. The constraint matrix itself is
+//!   built once per model and shared by every solve of it.
+//! * **The certificate ([`certify`]).** LLAMP starts every query from the
+//!   longest-path crash basis at the query's point, which is optimal
+//!   there up to degeneracy. `certify` installs that basis, factors it by
+//!   substitution (it must peel into a permuted triangle), computes `x_B`,
+//!   `y` and the reduced costs, and checks primal and dual feasibility
+//!   within the solver's tolerances. A basis that does not fit the model,
+//!   does not peel or is not optimal fails with
+//!   [`SolveError::Uncertified`]: nothing pivots, so pivots and LU
+//!   factorisations on the engine path are zero by construction.
+//! * **The oracle ([`solve`]).** A pivoting simplex on a dense basis
+//!   inverse (`O(m²)` memory, `O(m²)` per pivot), for tests and
+//!   ablations on models up to a few thousand rows. It starts from a
+//!   caller's [`Basis`] or, without one (or when the start does not fit
+//!   the model or is singular), from the all-logical basis.
+//! * **Phase 1 without artificials.** If the starting basis is primal
 //!   infeasible we minimise the sum of bound violations of basic variables
 //!   using the standard piecewise-linear phase-1 costs (−1 below the lower
 //!   bound, +1 above the upper bound). Infeasible basic variables block the
@@ -25,52 +40,37 @@
 //!   scan refills the list periodically (and proves optimality), cheap
 //!   candidate scans serve the iterations in between. Ties (within a
 //!   relative epsilon) break toward the lowest column index, so the pivot
-//!   sequence — and therefore the final basis — is reproducible across
-//!   the dense and sparse factorisation paths despite their different
-//!   rounding. A Bland fallback (least-index, after a run of degenerate
-//!   pivots) guarantees termination; the periodic resynchronisation
-//!   recomputes `d` from scratch so incremental drift stays at rounding
-//!   level (observable via [`SolveStats::max_resync_drift`]).
+//!   sequence — and therefore the final basis — does not hang on
+//!   rounding noise. A Bland fallback (least-index, after a run of
+//!   degenerate pivots) guarantees termination; the periodic
+//!   resynchronisation recomputes `d` from scratch so incremental drift
+//!   stays at rounding level (observable via
+//!   [`SolveStats::max_resync_drift`]).
 //! * **Ratio test.** Two-pass Harris over the *nonzeros* of the FTRAN
 //!   result: pass 1 computes the largest step every basic variable
 //!   tolerates with its bound expanded by the feasibility tolerance;
 //!   pass 2 picks the largest-magnitude pivot among rows blocking within
 //!   that step, breaking near-ties toward the lowest basis position.
-//! * **Factorisation.** The basis is held behind the internal
-//!   `BasisFactor` trait: `SparseFactor` (a factorisation picked from the
-//!   basis's structure — pure substitution when the basis peels into a
-//!   permuted triangle, a Markowitz-ordered sparse LU otherwise — plus a
-//!   product-form eta file) runs every production solve;
-//!   `DenseInv` (dense inverse + dense eta updates) survives only behind
-//!   [`solve_dense`], the test oracle the sparse path is checked
-//!   against. Refactoring is periodic *and* triggered early when the eta
-//!   file outgrows the fresh factorisation. All hot-path linear algebra
-//!   runs through caller-owned [`IndexedVec`] workspaces: the FTRAN /
-//!   BTRAN / pricing path performs **no heap allocation**. The
-//!   constraint matrix itself is built once per model and shared by
-//!   every solve of it.
-//! * **Start bases.** [`solve_sparse`] starts from a caller's [`Basis`]
-//!   (in LLAMP, the longest-path crash at the query's point, which is
-//!   optimal there up to degeneracy) or, without one, from the
-//!   all-logical basis. A basis that does not fit the model falls back to
-//!   the all-logical start.
-//! * **Canonical extraction.** Whatever path produced the final basis, the
-//!   reported [`Solution`] is computed off a canonical factorisation of
-//!   the basis columns in ascending column order. Solutions are
-//!   therefore a pure function of `(model, final basis)`: a slack-started
-//!   solve, a crash-started solve and the dense oracle that land
-//!   on the same basis report bit-identical numbers — the property the
-//!   engine's byte-identity contracts rest on. A solve that never moved
-//!   from its installed basis already holds exactly that factorisation
-//!   and the `x_B`, `y` and reduced costs it yields, so extraction reads
-//!   them instead of recomputing: a zero-pivot solve prices once.
+//! * **Factorisation.** The oracle holds its basis as a dense inverse,
+//!   absorbs each exchange as a dense eta transformation and
+//!   refactorises periodically. Its hot-path linear algebra runs through
+//!   caller-owned [`IndexedVec`] workspaces: the FTRAN / BTRAN / pricing
+//!   path performs **no heap allocation**.
+//! * **Canonical extraction.** Both solves end in one function
+//!   (`Core::extract`): the final basis in ascending column order,
+//!   nonbasic values snapped exactly onto their bounds, factored by
+//!   structure — the triangle when it peels, the dense inverse otherwise
+//!   — and every reported number computed off that factorisation.
+//!   Solutions are therefore a pure function of `(model, final basis)`:
+//!   the certificate and an oracle solve that end on the same basis
+//!   report bit-identical numbers.
 
 // Dense linear-algebra kernels index several same-length buffers per loop;
 // iterator zips would obscure the math without changing codegen.
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::SolveError;
-use crate::factor::{BasisFactor, DenseInv, SparseFactor};
+use crate::factor::{DenseInv, Factor, Triangle, MIN_PIVOT};
 use crate::model::{LpModel, Matrix, Objective};
 use crate::solution::{Basis, Solution, SolveStats, VarStatus};
 use llamp_util::IndexedVec;
@@ -79,26 +79,22 @@ use std::sync::Arc;
 const INF: f64 = f64::INFINITY;
 
 /// Relative epsilon under which two pricing scores count as tied (ties
-/// break toward the lowest column index). Wide enough to swallow the
-/// rounding gap between the dense-inverse and sparse-LU factorisations —
-/// mathematically tied candidates must resolve identically in both, or
-/// their pivot paths (and degenerate final bases) drift apart.
+/// break toward the lowest column index). Wide enough to swallow
+/// rounding: mathematically tied candidates resolve by index, not by
+/// noise, so degenerate final bases do not hang on it.
 const PRICE_TIE_REL: f64 = 1e-6;
 /// Relative epsilon under which two ratio-test pivot magnitudes count as
 /// tied (ties break toward the lowest basis position).
 const RATIO_TIE_REL: f64 = 1e-6;
 /// Candidate-list refill cadence: a full pricing scan at least every this
 /// many iterations, so stale lists cannot starve a strongly improving
-/// column for long. Keyed to the iteration counter (identical across
-/// factorisation backends) to keep pivot sequences reproducible.
+/// column for long. Keyed to the iteration counter to keep pivot
+/// sequences reproducible.
 const PARTIAL_REFILL_EVERY: u64 = 16;
 /// Devex reference-framework reset threshold: when the leaving variable's
 /// new weight estimate exceeds this, the weights have degraded and the
 /// framework restarts from 1.
 const DEVEX_RESET: f64 = 1e8;
-/// Minimum pivots between eta-growth-triggered refactorisations, so a
-/// dense burst cannot thrash the factoriser.
-const MIN_PIVOTS_BEFORE_ETA_REFACTOR: u64 = 16;
 /// Primal feasibility tolerance on variable bounds, scaled by the bound's
 /// magnitude (see `viol_tol`).
 const FEAS_TOL: f64 = 1e-7;
@@ -107,17 +103,17 @@ const OPT_TOL: f64 = 1e-7;
 /// Smallest pivot-element magnitude the ratio test and ranging accept.
 const PIVOT_TOL: f64 = 1e-9;
 
-/// Solver settings. Product solves run the defaults; the fields let
-/// tests reach rare paths. The tolerances are fixed (primal and dual
-/// `1e-7`, pivot `1e-9`). A solve has one budget, the iteration cap, and
-/// one distress tripwire, the resync drift: both fail recoverably, into
-/// the fallback ladder ([`crate::robust::resolve_robust`]).
+/// Settings of the pivoting oracle ([`solve`]). Oracle solves run the
+/// defaults; the fields let tests reach rare paths. The tolerances are
+/// fixed (primal and dual `1e-7`, pivot `1e-9`) and shared with
+/// [`certify`], which takes no settings: it never pivots. A pivoting
+/// solve has one budget, the iteration cap, and one distress tripwire,
+/// the resync drift; both fail with typed errors.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Hard iteration cap; `0` (the default) selects `20_000 + 50·(m+n)`.
     pub max_iterations: u64,
-    /// Refactorise the basis every this many pivots (an eta file that
-    /// outgrows the fresh factorisation triggers earlier).
+    /// Refactorise the basis every this many pivots.
     pub refactor_every: u64,
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
     pub bland_after: u32,
@@ -143,10 +139,10 @@ impl Default for SimplexOptions {
 
 /// Retained basis data enabling post-solve ranging queries. Holds the
 /// canonical factorisation of the final basis, so ranging is identical
-/// no matter which factorisation ran the pivots.
+/// whichever solve reached it.
 #[derive(Debug)]
 pub(crate) struct RangingData {
-    lu: SparseFactor,
+    factor: Factor,
     /// The model's extended matrix (structural + logical columns).
     mat: Arc<Matrix>,
     /// Basic column per row position (ascending column order).
@@ -179,7 +175,7 @@ impl RangingData {
         } else {
             INF
         };
-        let w = self.lu.ftran_col_alloc(self.mat.cols(), j);
+        let w = self.factor.ftran_col(self.mat.cols(), self.mat.m, j);
         for (i, &wi) in w.iter().enumerate() {
             if wi.abs() <= PIVOT_TOL {
                 continue;
@@ -228,7 +224,11 @@ impl NbStatus {
     }
 }
 
-struct Core<F: BasisFactor> {
+/// The state both solves share: bounds, costs, statuses and values of
+/// every extended column, the basis, and — for the oracle only — the
+/// dense inverse and the pivoting workspaces (all empty until a pivoting
+/// solve sizes them).
+struct Core {
     m: usize,
     n_struct: usize,
     n_total: usize,
@@ -238,20 +238,23 @@ struct Core<F: BasisFactor> {
     mat: Arc<Matrix>,
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// Internal costs (always a minimisation).
+    /// Internal costs (always a minimisation): `sign ·` the model's.
     cost: Vec<f64>,
+    /// `1` for a minimisation, `−1` for a maximisation.
+    sign: f64,
     basis: Vec<usize>,
     in_basis: Vec<i32>,
     status: Vec<NbStatus>,
     x: Vec<f64>,
-    factor: F,
+    factor: DenseInv,
     iterations: u64,
     pivots_since_refactor: u64,
     // --- incremental pricing state ---
     /// Reduced costs of all columns under the current phase's objective,
-    /// maintained incrementally and resynchronised at refactorisations.
+    /// maintained incrementally and resynchronised at refactorisations;
+    /// recomputed from scratch at extraction.
     d: Vec<f64>,
-    /// Whether `d` (and `y_buf`) still hold the values of the last
+    /// Whether `d` still holds the values of the last
     /// from-scratch resync: no basis exchange or phase-1 cost change
     /// since. An optimality claim on fresh values needs no confirming
     /// resync.
@@ -281,35 +284,81 @@ struct Core<F: BasisFactor> {
     opts: SimplexOptions,
 }
 
-/// Solve `model` with the default (sparse) factorisation, returning the
-/// optimal [`Solution`] or the terminal [`SolveError`] explaining why
-/// none exists.
-pub fn solve(model: &LpModel, opts: &SimplexOptions) -> Result<Solution, SolveError> {
-    solve_sparse(model, opts, None)
+/// Certify `basis` optimal for `model` and read the solution off it: the
+/// one solve every engine query runs. The basis is installed with its
+/// statuses normalised against the current bounds, factored by
+/// substitution and priced once. It fails with
+/// [`SolveError::Uncertified`] — never a pivot — when the basis does not
+/// fit the model, does not peel into a permuted triangle, or is not
+/// primal and dual feasible within the solver's tolerances. An oracle
+/// solve ([`solve`]) that ends on the same basis reports the same bits.
+pub fn certify(model: &LpModel, basis: &Basis) -> Result<Solution, SolveError> {
+    traced_solve("triangular", model, || {
+        if llamp_faults::should_inject("solve.stall") {
+            // The `solve.stall` site models a wedged solve: abort with
+            // the typed injected-fault error the fallback ladder (and
+            // chaos suite) expects.
+            return Err(SolveError::Injected);
+        }
+        let mut core = Core::build(model, SimplexOptions::default());
+        if !core.install(basis) {
+            return Err(SolveError::Uncertified);
+        }
+        let triangle = Triangle::peel(core.m, core.mat.cols(), &core.basis, MIN_PIVOT)
+            .ok_or(SolveError::Uncertified)?;
+        // The one pricing pass is the solve's one iteration.
+        core.iterations = 1;
+        core.stats.pricing_full_scans = 1;
+        core.extract(Factor::Triangle(triangle), true)
+    })
 }
 
-/// Solve with the dense basis inverse: the test oracle the sparse path is
-/// cross-validated against (same pivot rules, same canonical extraction).
-/// `start` is the starting basis (the all-logical one when `None`).
-pub fn solve_dense(
+/// Solve `model` with the pivoting simplex on the dense basis inverse —
+/// the test and ablation oracle, for models up to a few thousand rows —
+/// from `start` (the all-logical basis when `None`, or when `start` does
+/// not fit the model or is singular). Returns the optimal [`Solution`] or
+/// the terminal [`SolveError`] explaining why none exists.
+pub fn solve(
     model: &LpModel,
     opts: &SimplexOptions,
     start: Option<&Basis>,
 ) -> Result<Solution, SolveError> {
     traced_solve("dense", model, || {
-        solve_generic::<DenseInv>(model, opts, start)
-    })
-}
+        let mut core = Core::build(model, opts.clone());
+        if !start.is_some_and(|b| core.install(b) && core.refactorize()) {
+            core.install_default_basis();
+        }
+        core.recompute_basics();
+        let max_iters = core.iteration_cap();
 
-/// Solve with the sparse triangular-or-LU / eta-file factorisation (the
-/// at-scale path) from `start` (the all-logical basis when `None`).
-pub fn solve_sparse(
-    model: &LpModel,
-    opts: &SimplexOptions,
-    start: Option<&Basis>,
-) -> Result<Solution, SolveError> {
-    traced_solve("sparse", model, || {
-        solve_generic::<SparseFactor>(model, opts, start)
+        // Phase 1: restore primal feasibility if the starting basis
+        // violates row bounds.
+        if !core.is_primal_feasible(1.0) {
+            match core.iterate(true, max_iters) {
+                PhaseOutcome::Done => {
+                    if !core.is_primal_feasible(10.0) {
+                        return Err(SolveError::Infeasible);
+                    }
+                }
+                PhaseOutcome::Unbounded => {
+                    // Phase-1 objective is bounded below by zero; an
+                    // unbounded ray here signals numerical failure,
+                    // treated as infeasible.
+                    return Err(SolveError::Infeasible);
+                }
+                PhaseOutcome::Abort(e) => return Err(e),
+            }
+        }
+
+        // Phase 2: optimise the true objective.
+        match core.iterate(false, max_iters) {
+            PhaseOutcome::Done => {}
+            PhaseOutcome::Unbounded => return Err(SolveError::Unbounded),
+            PhaseOutcome::Abort(e) => return Err(e),
+        }
+        core.canonicalise();
+        let factor = Factor::canonical(core.m, core.mat.cols(), &core.basis);
+        core.extract(factor, false)
     })
 }
 
@@ -347,47 +396,11 @@ fn traced_solve(
     out
 }
 
-fn solve_generic<F: BasisFactor>(
-    model: &LpModel,
-    opts: &SimplexOptions,
-    start: Option<&Basis>,
-) -> Result<Solution, SolveError> {
-    let mut core: Core<F> = Core::build(model, opts.clone(), start);
-    let max_iters = core.iteration_cap();
-
-    // Phase 1: restore primal feasibility if the starting basis violates
-    // row bounds.
-    if !core.is_primal_feasible(1.0) {
-        match core.iterate(true, max_iters) {
-            PhaseOutcome::Done => {
-                if !core.is_primal_feasible(10.0) {
-                    return Err(SolveError::Infeasible);
-                }
-            }
-            PhaseOutcome::Unbounded => {
-                // Phase-1 objective is bounded below by zero; an unbounded
-                // ray here signals numerical failure, treated as infeasible.
-                return Err(SolveError::Infeasible);
-            }
-            PhaseOutcome::Abort(e) => return Err(e),
-        }
-    }
-
-    // Phase 2: optimise the true objective.
-    match core.iterate(false, max_iters) {
-        PhaseOutcome::Done => {}
-        PhaseOutcome::Unbounded => return Err(SolveError::Unbounded),
-        PhaseOutcome::Abort(e) => return Err(e),
-    }
-    Ok(core.extract(model))
-}
-
 /// Bound-violation tolerance, scaled by the bound's magnitude. Feasibility
 /// must be relative on these models: grid latencies are nanoseconds, so
 /// basic values reach `1e9` where an absolute `1e-7` sits inside the
-/// factorisation's recompute noise — and a noise-triggered phase 1 in one
-/// factorisation backend but not the other would break cross-backend
-/// determinism.
+/// factorisation's recompute noise — a noise-triggered phase 1 or
+/// certificate failure would follow rounding, not the model.
 #[inline]
 fn viol_tol(bound: f64, feas: f64) -> f64 {
     feas * (1.0 + bound.abs())
@@ -401,7 +414,7 @@ enum PhaseOutcome {
     Abort(SolveError),
 }
 
-impl<F: BasisFactor> Core<F> {
+impl Core {
     /// Effective iteration budget (`max_iterations`, or the size-scaled
     /// default when 0).
     fn iteration_cap(&self) -> u64 {
@@ -412,9 +425,9 @@ impl<F: BasisFactor> Core<F> {
         }
     }
 
-    /// Build a solver core for `model` (sharing the model's matrix),
-    /// installing `start` when it fits.
-    fn build(model: &LpModel, opts: SimplexOptions, start: Option<&Basis>) -> Self {
+    /// Build a solver core for `model` (sharing the model's matrix), with
+    /// no basis installed yet.
+    fn build(model: &LpModel, opts: SimplexOptions) -> Self {
         let mat = model.matrix();
         let (m, n_struct) = (mat.m, mat.n_struct);
         let n_total = n_struct + m;
@@ -433,7 +446,7 @@ impl<F: BasisFactor> Core<F> {
         cost.extend(model.obj.iter().map(|&c| sign * c));
         cost.resize(n_total, 0.0);
 
-        let mut core = Self {
+        Self {
             m,
             n_struct,
             n_total,
@@ -441,11 +454,12 @@ impl<F: BasisFactor> Core<F> {
             lb,
             ub,
             cost,
+            sign,
             basis: Vec::with_capacity(m),
             in_basis: vec![-1i32; n_total],
             status: vec![NbStatus::Lower; n_total],
             x: vec![0.0; n_total],
-            factor: F::new(m),
+            factor: DenseInv::new(m),
             iterations: 0,
             pivots_since_refactor: 0,
             d: vec![0.0; n_total],
@@ -463,20 +477,14 @@ impl<F: BasisFactor> Core<F> {
             rho: IndexedVec::default(),
             alpha: IndexedVec::default(),
             delta: IndexedVec::default(),
-            cb_buf: vec![0.0; m],
-            y_buf: vec![0.0; m],
+            cb_buf: Vec::new(),
+            y_buf: Vec::new(),
             stats: SolveStats {
                 rows: m as u64,
                 ..SolveStats::default()
             },
             opts,
-        };
-
-        if !start.is_some_and(|b| core.try_install_basis(b)) {
-            core.install_default_basis();
         }
-        core.recompute_basics();
-        core
     }
 
     /// Cold start: nonbasic structural variables at their bound nearest
@@ -513,12 +521,14 @@ impl<F: BasisFactor> Core<F> {
         debug_assert!(ok, "the all-logical basis is always nonsingular");
     }
 
-    /// Try to start from a caller's basis. Statuses are
-    /// normalised against the *current* bounds (a bound that became
-    /// infinite demotes the status) and the basis matrix is refactorised;
-    /// any mismatch falls back to the cold start, which overwrites every
-    /// status, value and basis slot written here.
-    fn try_install_basis(&mut self, start: &Basis) -> bool {
+    /// Install a caller's basis: statuses normalised against the
+    /// *current* bounds (a bound that became infinite demotes the
+    /// status), nonbasic values on their bounds, basic columns in
+    /// ascending order. `false` when the basis does not fit the model or
+    /// does not hold one basic column per row; the oracle then falls back
+    /// to the cold start, which overwrites every status, value and basis
+    /// slot written here.
+    fn install(&mut self, start: &Basis) -> bool {
         if start.cols.len() != self.n_struct || start.rows.len() != self.m {
             return false;
         }
@@ -559,20 +569,23 @@ impl<F: BasisFactor> Core<F> {
                 NbStatus::FreeZero => 0.0,
             };
         }
-        // Refactorisation is the singularity check.
-        self.basis.len() == self.m && self.refactorize()
+        self.basis.len() == self.m
     }
 
-    /// Refactorise the basis, resetting the eta counter on success. Every
-    /// factorisation is counted by kind; the install-time one of a fresh
-    /// solve (iterations still 0) is setup, so `refactorizations` reports
-    /// only mid-solve (periodic / eta-growth) ones, as documented on
-    /// `SolveStats`.
+    /// Refactorise the dense inverse (the singularity check of an
+    /// installed start), resetting the pivot counter on success. Every
+    /// factorisation counts as general elimination (`lu_factors`); the
+    /// install-time one of a fresh solve (iterations still 0) is setup,
+    /// so `refactorizations` reports only mid-solve ones, as documented
+    /// on `SolveStats`.
     fn refactorize(&mut self) -> bool {
-        let Some(kind) = self.factor.refactor(self.mat.cols(), &self.basis) else {
+        if !self
+            .factor
+            .refactor(self.mat.cols(), &self.basis, MIN_PIVOT)
+        {
             return false;
-        };
-        self.stats.count_factor(kind);
+        }
+        self.stats.lu_factors += 1;
         self.pivots_since_refactor = 0;
         if self.iterations > 0 {
             self.stats.refactorizations += 1;
@@ -659,6 +672,8 @@ impl<F: BasisFactor> Core<F> {
     /// [`SolveStats::max_resync_drift`] — the observable bound on
     /// incremental-pricing error.
     fn resync_d(&mut self, phase1: bool, record_drift: bool) {
+        self.cb_buf.resize(self.m, 0.0);
+        self.y_buf.resize(self.m, 0.0);
         for i in 0..self.m {
             self.cb_buf[i] = if phase1 {
                 self.cb1[i]
@@ -666,7 +681,7 @@ impl<F: BasisFactor> Core<F> {
                 self.cost[self.basis[i]]
             };
         }
-        self.factor.btran_dense_into(&self.cb_buf, &mut self.y_buf);
+        self.factor.btran_into(&self.cb_buf, &mut self.y_buf);
         let mut d = std::mem::take(&mut self.d);
         let mut drift = 0.0f64;
         for j in 0..self.n_total {
@@ -1140,16 +1155,9 @@ impl<F: BasisFactor> Core<F> {
                         }
                     }
                     self.pivots_since_refactor += 1;
-                    // Periodic refactorisation, pulled forward when the
-                    // eta file outgrows the fresh factorisation. A
-                    // (numerically) singular refactorisation keeps the
-                    // eta-updated factor, mirroring the historic dense
-                    // behaviour.
-                    let eta_heavy = self.pivots_since_refactor >= MIN_PIVOTS_BEFORE_ETA_REFACTOR
-                        && self.factor.factor_nnz() > 0
-                        && self.factor.update_nnz() > 2 * self.factor.factor_nnz();
-                    if (self.pivots_since_refactor >= self.opts.refactor_every || eta_heavy)
-                        && self.refactorize()
+                    // Periodic refactorisation. A (numerically) singular
+                    // refactorisation keeps the eta-updated inverse.
+                    if self.pivots_since_refactor >= self.opts.refactor_every && self.refactorize()
                     {
                         self.recompute_basics();
                         // All basic values moved (slightly): rebuild the
@@ -1211,91 +1219,64 @@ impl<F: BasisFactor> Core<F> {
         self.delta = delta;
     }
 
-    /// Canonical extraction: report the optimum as a pure function of
-    /// `(model, final basis)`. The basis is re-ordered by ascending
-    /// column, nonbasic values sit exactly on their bounds, and every
-    /// reported quantity comes from a fresh factorisation of that basis,
-    /// picked by structure like every other — identical regardless of
-    /// which factorisation ran the pivots.
-    ///
-    /// A solve that never left its installed basis (no pivot, no bound
-    /// flip) is already in that state: installation enumerates the basis
-    /// in ascending column order, puts nonbasic values on their bounds
-    /// and factorises by the same rule, and the phase-2 resync priced it.
-    /// Its factor, `x_B`, `y` and nonbasic reduced costs are bit for bit
-    /// what the recomputation would produce, so they are taken over.
-    fn extract(mut self, model: &LpModel) -> Solution {
-        let sign = match model.sense {
-            Objective::Minimize => 1.0,
-            Objective::Maximize => -1.0,
-        };
-        let m = self.m;
-        let n = self.n_struct;
-
-        let unmoved = self.stats.pivots == 0
-            && self.stats.bound_flips == 0
-            && self.d_fresh
-            && self.basis.windows(2).all(|w| w[0] < w[1]);
-        let taken = if unmoved {
-            self.factor.take_sparse()
-        } else {
-            None
-        };
-        let priced = taken.is_some();
-        let (lu, y) = match taken {
-            Some(lu) => (lu, std::mem::take(&mut self.y_buf)),
-            None => {
-                self.basis.sort_unstable();
-                for (i, &b) in self.basis.iter().enumerate() {
-                    self.in_basis[b] = i as i32;
-                }
-                for j in 0..self.n_total {
-                    match self.status[j] {
-                        NbStatus::Basic => {}
-                        NbStatus::Lower => self.x[j] = self.lb[j],
-                        NbStatus::Upper => self.x[j] = self.ub[j],
-                        NbStatus::FreeZero => self.x[j] = 0.0,
-                    }
-                }
-                let mut lu = SparseFactor::new(m);
-                // A basis the solver itself maintained is nonsingular; if
-                // the fresh factorisation is numerically borderline (pivot
-                // under the default threshold), retry accepting any
-                // nonzero pivot so extraction degrades to reduced accuracy
-                // rather than failing — matching the historic dense path,
-                // which reported from its stale inverse.
-                let cols = self.mat.cols();
-                let kind = lu
-                    .refactor(cols, &self.basis)
-                    .or_else(|| lu.refactor_min_pivot(cols, &self.basis, 0.0))
-                    .expect("exactly singular basis at extraction");
-                self.stats.count_factor(kind);
-                let xb = lu.ftran_dense(&self.nonbasic_rhs());
-                for (&b, &v) in self.basis.iter().zip(&xb) {
-                    self.x[b] = v;
-                }
-                let cb: Vec<f64> = self.basis.iter().map(|&b| self.cost[b]).collect();
-                let y = lu.btran_dense(&cb);
-                (lu, y)
+    /// Put the final basis in canonical form: basic columns in ascending
+    /// order, nonbasic values exactly on their bounds. (An installed basis
+    /// already is.)
+    fn canonicalise(&mut self) {
+        self.basis.sort_unstable();
+        for (i, &b) in self.basis.iter().enumerate() {
+            self.in_basis[b] = i as i32;
+        }
+        for j in 0..self.n_total {
+            match self.status[j] {
+                NbStatus::Basic => {}
+                NbStatus::Lower => self.x[j] = self.lb[j],
+                NbStatus::Upper => self.x[j] = self.ub[j],
+                NbStatus::FreeZero => self.x[j] = 0.0,
             }
-        };
+        }
+    }
 
-        let mut reduced = Vec::with_capacity(n);
-        let mut statuses = Vec::with_capacity(n);
+    /// Canonical extraction, where both solves end: report the solution
+    /// as a pure function of `(model, final basis)`. The basis is in
+    /// canonical form and `factor` is its factorisation picked by
+    /// structure ([`Factor::canonical`]; the certificate's basis peels by
+    /// definition), so `x_B`, `y` and the reduced costs are the same
+    /// arithmetic whichever solve reached the basis. With `certify` set
+    /// the basis must also be primal and dual feasible within the
+    /// tolerances — the checks that let the oracle stop without a pivot —
+    /// or the solve fails with [`SolveError::Uncertified`].
+    fn extract(mut self, factor: Factor, certify: bool) -> Result<Solution, SolveError> {
+        match factor {
+            Factor::Triangle(_) => self.stats.triangular_factors += 1,
+            Factor::Dense(_) => self.stats.lu_factors += 1,
+        }
+        let xb = factor.ftran(self.nonbasic_rhs());
+        for (&b, &v) in self.basis.iter().zip(&xb) {
+            self.x[b] = v;
+        }
+        let cb: Vec<f64> = self.basis.iter().map(|&b| self.cost[b]).collect();
+        let y = factor.btran(&cb);
+        for j in 0..self.n_total {
+            self.d[j] = self.cost[j] - self.mat.dot_col(j, &y);
+        }
+        if certify
+            && !(self.is_primal_feasible(1.0)
+                && (0..self.n_total).all(|j| self.eligible(j).is_none()))
+        {
+            return Err(SolveError::Uncertified);
+        }
+
+        let (sign, n) = (self.sign, self.n_struct);
         let mut objective = 0.0;
         for j in 0..n {
             if self.cost[j] != 0.0 {
                 // `sign · cost` is the model's own coefficient, exactly.
                 objective += sign * self.cost[j] * self.x[j];
             }
-            let d_int = if priced && self.status[j] != NbStatus::Basic {
-                self.d[j]
-            } else {
-                self.cost[j] - self.mat.dot_col(j, &y)
-            };
-            reduced.push(sign * d_int);
-            statuses.push(self.status[j].to_var_status());
         }
+        let reduced = self.d[..n].iter().map(|&d| sign * d).collect();
+        let statuses = self.status[..n].iter().map(|s| s.to_var_status()).collect();
         // Logical column i has coefficient −1: reduced cost of the
         // logical is 0 − yᵀ(−e_i) = y_i = ∂obj/∂(row bound).
         let duals = y.iter().map(|&yi| sign * yi).collect();
@@ -1305,18 +1286,16 @@ impl<F: BasisFactor> Core<F> {
             rows: row_statuses,
         };
         let ranging = RangingData {
-            lu,
+            factor,
             mat: self.mat,
             basis: self.basis,
             x: self.x,
             lb: self.lb,
             ub: self.ub,
         };
-
         let mut stats = self.stats;
         stats.iterations = self.iterations;
-
-        Solution {
+        Ok(Solution {
             objective,
             reduced_costs: reduced,
             duals,
@@ -1324,12 +1303,12 @@ impl<F: BasisFactor> Core<F> {
             stats,
             basis,
             ranging: Arc::new(ranging),
-        }
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{LpModel, Objective, Relation, VarId};
 
@@ -1530,19 +1509,20 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_are_bit_identical() {
-        let mut m = LpModel::new(Objective::Maximize);
-        let a = m.add_var("a", 0.0, INF, 3.0);
-        let b = m.add_var("b", 0.0, INF, 5.0);
-        m.add_constraint("c1", &[(a, 1.0)], Relation::Le, 4.0);
-        m.add_constraint("c2", &[(b, 2.0)], Relation::Le, 12.0);
-        m.add_constraint("c3", &[(a, 3.0), (b, 2.0)], Relation::Le, 18.0);
-        let opts = SimplexOptions::default();
-        let d = solve_dense(&m, &opts, None).unwrap();
-        let s = solve_sparse(&m, &opts, None).unwrap();
+        // The oracle pivots on the dense inverse; the certificate of its
+        // final basis factors that basis by substitution. Canonical
+        // extraction makes them report the same bits.
+        let _g = faults_session();
+        let m = pivoty_model();
+        let d = solve(&m, &SimplexOptions::default(), None).unwrap();
+        assert!(d.stats().pivots > 0);
+        let s = certify(&m, d.basis()).unwrap();
+        assert_eq!(s.stats().pivots, 0);
         assert_eq!(d.objective().to_bits(), s.objective().to_bits());
-        for v in [a, b] {
+        for v in [VarId(0), VarId(1)] {
             assert_eq!(d.value(v).to_bits(), s.value(v).to_bits());
             assert_eq!(d.reduced_cost(v).to_bits(), s.reduced_cost(v).to_bits());
+            assert_eq!(d.lb_range(v), s.lb_range(v));
         }
         assert_eq!(d.basis(), s.basis());
     }
@@ -1551,12 +1531,12 @@ mod tests {
     fn warm_start_reaches_same_optimum() {
         // min t with l >= L, warm-started from a neighbouring L.
         let opts = SimplexOptions::default();
-        let first = solve_sparse(&running_example(0.5).0, &opts, None).unwrap();
+        let first = solve(&running_example(0.5).0, &opts, None).unwrap();
         // Warm-started re-solve at a nearby bound must agree bitwise with
         // a cold solve (same final basis, canonical extraction).
         let m2 = running_example(0.6).0;
-        let warm = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
-        let cold = solve_sparse(&m2, &opts, None).unwrap();
+        let warm = solve(&m2, &opts, Some(first.basis())).unwrap();
+        let cold = solve(&m2, &opts, None).unwrap();
         assert_eq!(warm.objective().to_bits(), cold.objective().to_bits());
         assert_eq!(warm.basis(), cold.basis());
         // Inside the stability window the warm start needs no pivots.
@@ -1567,20 +1547,20 @@ mod tests {
     fn in_window_resolve_needs_no_pivots() {
         let opts = SimplexOptions::default();
         let (m, _) = running_example(0.5);
-        let first = solve_sparse(&m, &opts, None).unwrap();
+        let first = solve(&m, &opts, None).unwrap();
         assert!(first.stats().pivots > 0);
         // 0.45 is inside the stability window [0.385, ∞) of the l ≥ 0.5
         // optimum: started from it, the basis is still optimal, so no
         // pivot happens.
         let (m2, l2) = running_example(0.45);
-        let second = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
+        let second = solve(&m2, &opts, Some(first.basis())).unwrap();
         assert_eq!(second.stats().pivots, 0);
         assert!((second.objective() - 1.565).abs() < 1e-9);
         assert!((second.reduced_cost(l2) - 1.0).abs() < 1e-9);
         // 0.2 is below the 0.385 breakpoint: started from that optimum,
         // the solve pivots onto the compute-dominated one.
         let (m3, l3) = running_example(0.2);
-        let third = solve_sparse(&m3, &opts, Some(second.basis())).unwrap();
+        let third = solve(&m3, &opts, Some(second.basis())).unwrap();
         assert!((third.objective() - 1.5).abs() < 1e-9);
         assert!(third.reduced_cost(l3).abs() < 1e-9);
     }
@@ -1593,8 +1573,8 @@ mod tests {
         for i in 0..20 {
             let l = 0.1 + 0.03 * i as f64;
             let (m, lv) = running_example(l);
-            let a = solve_sparse(&m, &opts, prev.as_ref().map(Solution::basis)).unwrap();
-            let b = solve_sparse(&m, &opts, None).unwrap();
+            let a = solve(&m, &opts, prev.as_ref().map(Solution::basis)).unwrap();
+            let b = solve(&m, &opts, None).unwrap();
             assert_eq!(a.objective().to_bits(), b.objective().to_bits(), "L={l}");
             assert_eq!(
                 a.reduced_cost(lv).to_bits(),
@@ -1622,7 +1602,7 @@ mod tests {
     fn joint_lb_move_resolves_without_pivots() {
         let opts = SimplexOptions::default();
         let (m, l, g) = two_param_example(0.5, 0.2);
-        let first = solve_sparse(&m, &opts, None).unwrap();
+        let first = solve(&m, &opts, None).unwrap();
         // Wire path active: T = 0.4 + 0.5 + 0.4 = 1.3, λ_l = 1, λ_g = 2.
         assert!((first.objective() - 1.3).abs() < 1e-9);
         assert!((first.reduced_cost(l) - 1.0).abs() < 1e-9);
@@ -1631,9 +1611,9 @@ mod tests {
         // started from the first optimum must not pivot and must match a
         // cold solve bitwise.
         let (m2, l2, g2) = two_param_example(0.45, 0.25);
-        let sol = solve_sparse(&m2, &opts, Some(first.basis())).unwrap();
+        let sol = solve(&m2, &opts, Some(first.basis())).unwrap();
         assert_eq!(sol.stats().pivots, 0, "joint in-window move must not pivot");
-        let cold = solve_sparse(&m2, &opts, None).unwrap();
+        let cold = solve(&m2, &opts, None).unwrap();
         assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
         assert_eq!(
             sol.reduced_cost(l2).to_bits(),
@@ -1646,7 +1626,7 @@ mod tests {
         // A joint move crossing the facet change (wire cost below the
         // 1.0 compute floor): the sensitivities drop to zero.
         let (m3, l3, g3) = two_param_example(0.1, 0.05);
-        let sol3 = solve_sparse(&m3, &opts, Some(sol.basis())).unwrap();
+        let sol3 = solve(&m3, &opts, Some(sol.basis())).unwrap();
         assert!((sol3.objective() - 1.0).abs() < 1e-9);
         assert!(sol3.reduced_cost(l3).abs() < 1e-9);
         assert!(sol3.reduced_cost(g3).abs() < 1e-9);
@@ -1664,7 +1644,7 @@ mod tests {
         let b = big.add_var("b", 0.0, 10.0, 1.0);
         big.add_constraint("r1", &[(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
         big.add_constraint("r2", &[(a, 1.0)], Relation::Ge, 1.0);
-        let warm = solve_sparse(&big, &SimplexOptions::default(), Some(sol.basis())).unwrap();
+        let warm = solve(&big, &SimplexOptions::default(), Some(sol.basis())).unwrap();
         assert_close(warm.objective(), 3.0);
     }
 
@@ -1686,7 +1666,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            solve_sparse(&pivoty_model(), &opts, None).unwrap_err(),
+            solve(&pivoty_model(), &opts, None).unwrap_err(),
             SolveError::IterationLimit
         );
     }
@@ -1709,7 +1689,7 @@ mod tests {
         // On by default, and quiet: the default solve's drift is rounding.
         let opts = SimplexOptions::default();
         assert!(opts.drift_limit > 0.0, "drift tripwire is on by default");
-        let clean = solve_sparse(&inexact_model(), &opts, None).unwrap();
+        let clean = solve(&inexact_model(), &opts, None).unwrap();
         let drift = clean.stats().max_resync_drift;
         assert!(drift > 0.0 && drift < opts.drift_limit, "drift {drift}");
         // Force a refactor+resync every pivot with a drift limit below
@@ -1720,7 +1700,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            solve_sparse(&inexact_model(), &opts, None).unwrap_err(),
+            solve(&inexact_model(), &opts, None).unwrap_err(),
             SolveError::Distress
         );
         // With the default cadence the only drift-recording resync is the
@@ -1730,8 +1710,94 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            solve_sparse(&inexact_model(), &opts, None).unwrap_err(),
+            solve(&inexact_model(), &opts, None).unwrap_err(),
             SolveError::Distress
         );
+    }
+
+    /// The optimal basis of `running_example(l_lb)`, from the oracle.
+    fn running_optimum(l_lb: f64) -> Basis {
+        let (m, _) = running_example(l_lb);
+        solve(&m, &SimplexOptions::default(), None)
+            .unwrap()
+            .basis()
+            .clone()
+    }
+
+    #[test]
+    fn certify_is_one_triangular_factor_and_no_pivot() {
+        let _g = faults_session();
+        let (m, l) = running_example(0.5);
+        let sol = certify(&m, &running_optimum(0.5)).unwrap();
+        let st = sol.stats();
+        assert_eq!((st.iterations, st.pivots, st.phase1_iterations), (1, 0, 0));
+        assert_eq!((st.triangular_factors, st.lu_factors), (1, 0));
+        assert_close(sol.objective(), 1.615);
+        assert_close(sol.reduced_cost(l), 1.0);
+    }
+
+    #[test]
+    fn certify_refuses_a_primal_infeasible_basis() {
+        // Below the 0.385 breakpoint the l ≥ 0.5 optimum leaves y1 under
+        // c2's bound: the oracle pivots away from it, the certificate
+        // refuses it typed.
+        let _g = faults_session();
+        let start = running_optimum(0.5);
+        let (m, _) = running_example(0.2);
+        assert_eq!(certify(&m, &start).unwrap_err(), SolveError::Uncertified);
+        let pivoted = solve(&m, &SimplexOptions::default(), Some(&start)).unwrap();
+        assert!(pivoted.stats().pivots > 0);
+        assert_close(pivoted.objective(), 1.5);
+    }
+
+    #[test]
+    fn certify_refuses_a_dual_infeasible_basis() {
+        // Flipped to `max t`, the min-t optimum stays primal feasible but
+        // every reduced cost has the wrong sign.
+        let _g = faults_session();
+        let start = running_optimum(0.5);
+        let (mut m, _) = running_example(0.5);
+        m.set_sense(Objective::Maximize);
+        assert_eq!(certify(&m, &start).unwrap_err(), SolveError::Uncertified);
+        assert_eq!(
+            solve(&m, &SimplexOptions::default(), Some(&start)).unwrap_err(),
+            SolveError::Unbounded
+        );
+    }
+
+    #[test]
+    fn certify_refuses_a_basis_that_does_not_fit_or_peel() {
+        let _g = faults_session();
+        // `x + y ≥ 2`, `x − y ≥ 0`, min x + y: the optimum {x, y} basic
+        // is a dense 2×2 block, so it does not peel.
+        let mut m = LpModel::new(Objective::Minimize);
+        let x = m.add_var("x", f64::NEG_INFINITY, INF, 1.0);
+        let y = m.add_var("y", f64::NEG_INFINITY, INF, 1.0);
+        m.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
+        m.add_constraint("diff", &[(x, 1.0), (y, -1.0)], Relation::Ge, 0.0);
+        let dense = Basis::from_statuses(vec![VarStatus::Basic; 2], vec![VarStatus::AtLower; 2]);
+        assert_eq!(certify(&m, &dense).unwrap_err(), SolveError::Uncertified);
+        let oracle = solve(&m, &SimplexOptions::default(), Some(&dense)).unwrap();
+        assert_eq!(oracle.stats().pivots, 0, "the basis is optimal");
+        assert_eq!(oracle.stats().triangular_factors, 0);
+        // A basis of another model, and one with a basic column too many.
+        assert_eq!(
+            certify(&m, &running_optimum(0.5)).unwrap_err(),
+            SolveError::Uncertified
+        );
+        let crowded = Basis::from_statuses(
+            vec![VarStatus::Basic; 2],
+            vec![VarStatus::Basic, VarStatus::AtLower],
+        );
+        assert_eq!(certify(&m, &crowded).unwrap_err(), SolveError::Uncertified);
+    }
+
+    // The faults registry is process-global and `certify` consults its
+    // `solve.stall` site: every test here that certifies takes turns, or
+    // a fault configured by one fires inside another's solve.
+    static FAULTS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    pub(crate) fn faults_session() -> std::sync::MutexGuard<'static, ()> {
+        FAULTS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
 }

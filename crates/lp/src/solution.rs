@@ -11,18 +11,19 @@
 //!   "if a set of constraints are tight after optimization, their
 //!   corresponding edges are on the critical path").
 
-use crate::factor::FactorKind;
 use crate::model::{ConId, VarId};
 use crate::simplex::RangingData;
 
-/// Counters describing how a solve spent its effort — the observability
-/// layer of the hypersparse hot path. Cheap to collect (increments on
-/// paths that already run), deterministic for a deterministic pivot
-/// sequence, and additive: [`SolveStats::merge`] folds per-solve stats
-/// into campaign-level aggregates.
+/// Counters describing how a solve spent its effort. Cheap to collect
+/// (increments on paths that already run), deterministic for a
+/// deterministic pivot sequence, and additive: [`SolveStats::merge`]
+/// folds per-solve stats into campaign-level aggregates. A certificate
+/// reads one iteration (its pricing pass), one full pricing scan and one
+/// triangular factorisation; everything else counts the oracle's pivots.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
-    /// Simplex iterations (phases 1 and 2 combined).
+    /// Simplex iterations (phases 1 and 2 combined; a certificate's
+    /// pricing pass counts as one).
     pub iterations: u64,
     /// Iterations spent restoring primal feasibility (phase 1).
     pub phase1_iterations: u64,
@@ -30,15 +31,15 @@ pub struct SolveStats {
     pub pivots: u64,
     /// Bound flips (the entering variable traversed its whole box).
     pub bound_flips: u64,
-    /// Mid-solve basis refactorisations (periodic + eta-growth-triggered).
+    /// Mid-solve (periodic) basis refactorisations.
     pub refactorizations: u64,
     /// Basis factorisations that peeled into a permuted triangle and
-    /// solve by substitution alone — at install, mid-solve and at
-    /// extraction. A crash-started zero-pivot solve performs exactly one.
+    /// solve by substitution alone — at extraction. A certificate
+    /// performs exactly one.
     pub triangular_factors: u64,
-    /// Basis factorisations that needed general elimination (sparse LU,
-    /// or the dense oracle's inverse) — at install, mid-solve and at
-    /// extraction.
+    /// Basis factorisations that needed general elimination (the
+    /// oracle's dense inverse) — at install, mid-solve and at extraction.
+    /// A certificate performs none.
     pub lu_factors: u64,
     /// Hot-path FTRAN calls and the nonzeros they produced.
     pub ftran_calls: u64,
@@ -62,14 +63,6 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// Count one factorisation of the given kind.
-    pub(crate) fn count_factor(&mut self, kind: FactorKind) {
-        match kind {
-            FactorKind::Triangular => self.triangular_factors += 1,
-            FactorKind::Lu => self.lu_factors += 1,
-        }
-    }
-
     /// Mean FTRAN result density (nnz / m), in `[0, 1]`.
     pub fn ftran_density(&self) -> f64 {
         if self.ftran_calls == 0 || self.rows == 0 {
@@ -108,7 +101,8 @@ impl SolveStats {
         self.max_resync_drift = self.max_resync_drift.max(other.max_resync_drift);
     }
 
-    /// Render a compact human-readable block (the `--solver-stats` view).
+    /// Render a compact human-readable block (the `lp solver totals` lines
+    /// of `llamp run --metrics`).
     pub fn render(&self) -> String {
         format!(
             "iterations: {} ({} phase-1), pivots: {}, bound flips: {}\n\
@@ -149,12 +143,12 @@ pub enum VarStatus {
 }
 
 /// A complete basis snapshot: the status of every structural column and
-/// every row's logical (slack) column. [`Solution::basis`] exports it and
-/// [`crate::simplex::solve_sparse`] accepts one as its start. A basis
-/// outlives bound, objective and sense edits on its model (the edits a
-/// query point and the tolerance flip perform), so a start built from the
-/// model's structure — `llamp-core`'s longest-path crash — installs at
-/// every query.
+/// every row's logical (slack) column. [`Solution::basis`] exports it,
+/// [`crate::simplex::certify`] certifies one and [`crate::simplex::solve`]
+/// accepts one as its start. A basis outlives bound, objective and sense
+/// edits on its model (the edits a query point and the tolerance flip
+/// perform), so a basis built from the model's structure — `llamp-core`'s
+/// longest-path crash — installs at every query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Status of each structural variable, by column index.
@@ -167,10 +161,10 @@ impl Basis {
     /// Assemble a basis from explicit per-column / per-row statuses — the
     /// entry point for *crash bases* built by model constructors that
     /// know their problem's structure (e.g. `llamp-core`'s longest-path
-    /// crash for execution-graph LPs). The solver verifies the basis on
-    /// installation (column count, nonsingular refactorisation) and falls
-    /// back to the all-logical start if it is unusable, so a bad crash
-    /// costs one failed factorisation, never correctness.
+    /// crash for execution-graph LPs). [`crate::simplex::certify`] checks
+    /// it (column counts, a triangular factorisation, primal and dual
+    /// feasibility) and refuses a bad one typed; the oracle falls back to
+    /// the all-logical start.
     pub fn from_statuses(cols: Vec<VarStatus>, rows: Vec<VarStatus>) -> Self {
         Self { cols, rows }
     }

@@ -1,20 +1,19 @@
-//! Allocation accounting for the simplex hot path.
+//! Allocation accounting for the two solves.
 //!
-//! ISSUE 3's contract: no per-iteration heap allocation in the
-//! FTRAN/BTRAN/pricing path — all hot-loop linear algebra runs through
-//! solver-owned `IndexedVec` workspaces. This test enforces it with a
-//! counting global allocator: a solve that runs hundreds of iterations
-//! must allocate strictly fewer times than it iterates (the PR 2 loop
-//! allocated ~6 vectors per iteration; the rewritten loop allocates only
-//! at build, refactorisation and extraction).
+//! The pivoting oracle's contract: no per-iteration heap allocation in
+//! the FTRAN/BTRAN/pricing path — all hot-loop linear algebra runs
+//! through solver-owned `IndexedVec` workspaces. This test enforces it
+//! with a counting global allocator: a solve that runs hundreds of
+//! iterations must allocate strictly fewer times than it iterates (the
+//! loop allocates only at build, refactorisation and extraction).
 //!
-//! A crash-started zero-pivot re-solve — the solve every LLAMP query
-//! runs — must stay allocation-light at any size: the model keeps its
-//! matrix, the crash tree factors by substitution into exactly-sized
-//! arrays, and extraction reuses the one pricing pass, so its allocation
-//! count is a constant, not a function of the row count.
+//! The certificate of a crash basis — the solve every LLAMP query runs —
+//! must stay allocation-light at any size: the model keeps its matrix,
+//! the crash tree factors by substitution into exactly-sized arrays, and
+//! one pricing pass prices it, so its allocation count is a constant,
+//! not a function of the row count.
 
-use llamp_lp::simplex::{solve_sparse, SimplexOptions};
+use llamp_lp::simplex::{certify, solve, SimplexOptions};
 use llamp_lp::solution::VarStatus;
 use llamp_lp::{Basis, LpModel, Objective, Relation, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,10 +44,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A diagonal LP: `x_i ≥ 1` as rows forces one pivot per row from the
 /// all-logical start while keeping every FTRAN result a singleton, so the
-/// eta file grows slowly and the long middle of the solve runs without a
-/// single refactorisation — isolating the per-iteration path the test is
-/// about. (Refactorisation and extraction legitimately allocate; they are
-/// amortized, not per-iteration.)
+/// long middle of the solve runs between periodic refactorisations —
+/// isolating the per-iteration path the test is about. (Refactorisation
+/// and extraction legitimately allocate; they are amortized, not
+/// per-iteration.)
 fn diagonal(n: usize) -> LpModel {
     let mut m = LpModel::new(Objective::Minimize);
     for j in 0..n {
@@ -76,7 +75,7 @@ fn hot_loop_does_not_allocate_per_iteration() {
     );
 
     // Warm-up pass so lazily initialised runtime structures don't count.
-    let warm = solve_sparse(&model, &opts, None).expect("diagonal solves");
+    let warm = solve(&model, &opts, None).expect("diagonal solves");
     assert!(
         warm.iterations() >= n as u64 / 2,
         "diagonal model too easy: {} iterations",
@@ -84,7 +83,7 @@ fn hot_loop_does_not_allocate_per_iteration() {
     );
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let sol = solve_sparse(&model, &opts, None).expect("diagonal solves");
+    let sol = solve(&model, &opts, None).expect("diagonal solves");
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     // Build + periodic refactorisations + canonical extraction allocate;
@@ -104,7 +103,7 @@ fn hot_loop_does_not_allocate_per_iteration() {
     // threaded test harness.
     llamp_obs::enable();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let sol = solve_sparse(&model, &opts, None).expect("diagonal solves");
+    let sol = solve(&model, &opts, None).expect("diagonal solves");
     let allocs_on = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let snap = llamp_obs::take();
     llamp_obs::disable();
@@ -175,8 +174,8 @@ fn dag_lp_with_crash(vertices: usize, l0: f64) -> (LpModel, Basis) {
     (m, Basis::from_statuses(col_status, row_status))
 }
 
-/// Allocation ceiling for one crash-started zero-pivot re-solve, the same
-/// at every size.
+/// Allocation ceiling for one certificate of a crash basis, the same at
+/// every size.
 const CRASH_RESOLVE_ALLOCATIONS: u64 = 48;
 
 #[test]
@@ -186,9 +185,8 @@ fn crash_resolve_allocates_a_constant_handful() {
     for vertices in [600, 2_400] {
         let (model, first) = dag_lp_with_crash(vertices, 2.0);
         assert!(model.num_constraints() > 1_000);
-        let opts = SimplexOptions::default();
         // Warm-up: the first solve builds the model's matrix.
-        solve_sparse(&model, &opts, Some(&first)).expect("crash solve");
+        certify(&model, &first).expect("crash certifies");
 
         // The next query point, crash-started like every engine point.
         let mut model = model;
@@ -196,7 +194,7 @@ fn crash_resolve_allocates_a_constant_handful() {
         let (_, crash) = dag_lp_with_crash(vertices, 0.5);
         assert_ne!(crash, first, "the query point picks other defining rows");
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let sol = solve_sparse(&model, &opts, Some(&crash)).expect("crash re-solve");
+        let sol = certify(&model, &crash).expect("crash re-certifies");
         let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(sol.stats().pivots, 0, "the crash basis is optimal");
         eprintln!(

@@ -1,18 +1,17 @@
-//! Solver conformance suite: the one solver ([`solve_sparse`]) under
-//! every start it meets in this codebase, checked against two independent
-//! oracles.
+//! Solver conformance suite: the engine's certificate ([`certify`]) and
+//! the pivoting oracle ([`solve`]) under every start they meet in this
+//! codebase, checked against each other and against vertex enumeration.
 //!
 //! Starts: cold (the all-logical slack basis), warm (started from the
 //! cold optimum) and — for the DAG LPs that mirror Algorithm 1 — the exact
-//! longest-path crash basis `llamp-core` builds.
+//! longest-path crash basis `llamp-core` builds, which must certify.
 //!
-//! Oracles:
+//! Checks:
 //!
-//! * the dense-inverse simplex ([`solve_dense`]) from the same start: the
-//!   same pivot rules on a different factorisation. Both must finish on
-//!   the *same final basis*, and there every reported quantity —
-//!   objective, primal values, reduced costs, duals, lower-bound ranging —
-//!   must be **bit-for-bit** identical (canonical extraction makes a
+//! * the certificate of the oracle's final basis, wherever that basis
+//!   peels into a permuted triangle: every reported quantity —
+//!   objective, primal values, reduced costs, duals, lower-bound ranging
+//!   — must be **bit-for-bit** identical (canonical extraction makes a
 //!   solution a pure function of model and basis);
 //! * brute-force vertex enumeration: every start's objective must match
 //!   the best feasible vertex to 1e-9.
@@ -21,15 +20,13 @@
 //! degenerate ties are the norm) plus the Beale / degenerate fixed
 //! corpus.
 //!
-//! Path independence: a crash-started zero-pivot solve (whose extraction
-//! takes over the solver's own factor, `x_B`, `y` and reduced costs), a
-//! slack-started cold solve that pivots (whose extraction refactorises
-//! the final basis) and the dense oracle must agree bit for bit whenever
-//! they end on the same basis.
+//! Path independence: the certificate of a crash basis, a crash-started
+//! oracle solve and a slack-started oracle solve that pivots must agree
+//! bit for bit whenever they end on the same basis.
 
-use llamp_lp::simplex::{solve_dense, solve_sparse, SimplexOptions};
+use llamp_lp::simplex::{certify, solve, SimplexOptions};
 use llamp_lp::solution::VarStatus;
-use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, VarId};
+use llamp_lp::{Basis, ConId, LpModel, Objective, Solution, SolveError, VarId};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -221,7 +218,8 @@ fn assert_bitwise(
     }
 }
 
-/// Run the solver from every start against both oracles. Alternative
+/// Run the oracle from every start against vertex enumeration, and
+/// certify its final basis wherever that basis peels. Alternative
 /// optimal bases may differ in non-binding primal values and degenerate
 /// duals, so across starts only the objective is compared; bit-identity
 /// is a same-basis contract.
@@ -231,20 +229,33 @@ fn battery(desc: &Desc, crash: Option<&Basis>) {
         .brute_force_optimum()
         .expect("corpus LPs are feasible and bounded");
     let opts = SimplexOptions::default();
-    let cold = solve_sparse(&model, &opts, None).expect("cold solve");
+    let cold = solve(&model, &opts, None).expect("cold solve");
     let mut starts = vec![("cold", None), ("warm", Some(cold.basis()))];
     starts.extend(crash.map(|b| ("crash", Some(b))));
     for (label, start) in starts {
-        let sol = solve_sparse(&model, &opts, start)
-            .unwrap_or_else(|e| panic!("{label}: solve failed: {e}"));
+        let sol =
+            solve(&model, &opts, start).unwrap_or_else(|e| panic!("{label}: solve failed: {e}"));
         assert!(
             (sol.objective() - want).abs() <= 1e-9 * (1.0 + want.abs()),
             "{label}: objective {} vs vertex enumeration {want}",
             sol.objective()
         );
-        let oracle = solve_dense(&model, &opts, start)
-            .unwrap_or_else(|e| panic!("{label}: dense oracle failed: {e}"));
-        assert_bitwise(&format!("{label}/dense"), &oracle, &sol, &vars, &cons);
+        // The oracle's extraction peeled exactly when its final basis is
+        // a permuted triangle; the certificate must then agree bit for
+        // bit, and refuse every other basis typed.
+        match certify(&model, sol.basis()) {
+            Ok(cert) => assert_bitwise(&format!("{label}/certify"), &sol, &cert, &vars, &cons),
+            Err(e) => assert_eq!(
+                (e, sol.stats().triangular_factors),
+                (SolveError::Uncertified, 0),
+                "{label}: a triangular optimum failed to certify"
+            ),
+        }
+        if label == "crash" {
+            let cert = certify(&model, start.unwrap())
+                .unwrap_or_else(|e| panic!("the crash basis must certify: {e}"));
+            assert_bitwise("crash/certify", &sol, &cert, &vars, &cons);
+        }
         if label == "warm" {
             // The warm start re-installs the cold optimum: zero pivots,
             // and the whole extraction reproduces bitwise.
@@ -377,7 +388,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The full battery on random DAG LPs: cold, warm and longest-path
-    /// crash starts against the dense oracle and vertex enumeration.
+    /// crash starts against the certificate and vertex enumeration.
     #[test]
     fn dag_lps_conform_across_backends_and_starts(dag in dag_strategy()) {
         let (desc, records) = dag_lp(&dag);
@@ -385,32 +396,35 @@ proptest! {
         battery(&desc, Some(&crash));
     }
 
-    /// The longest-path crash is optimal at its own point: starting from it
-    /// solves with zero pivots, and the objective equals the forward
-    /// longest-path recursion run in plain arithmetic.
+    /// The longest-path crash is optimal at its own point: it certifies,
+    /// the oracle started from it runs no phase 1 and no pivot, and the
+    /// objective equals the forward longest-path recursion run in plain
+    /// arithmetic.
     #[test]
     fn longest_path_crash_needs_no_pivots(dag in dag_strategy()) {
         let (desc, records) = dag_lp(&dag);
         let (crash, want) = longest_path_crash(desc.cols.len(), &records, dag.l0);
-        let opts = SimplexOptions::default();
-        let sol = solve_sparse(&desc.model().0, &opts, Some(&crash)).expect("crash-started solve");
-        let stats = sol.stats();
-        prop_assert!(stats.phase1_iterations == 0, "crash not primal feasible");
-        prop_assert!(stats.pivots == 0, "crash not optimal: {} pivots", stats.pivots);
+        let model = desc.model().0;
+        let sol = certify(&model, &crash).expect("the crash certifies");
         prop_assert!(
             (sol.objective() - want).abs() <= 1e-9 * (1.0 + want),
             "objective {} vs longest path {}", sol.objective(), want
         );
+        let oracle = solve(&model, &SimplexOptions::default(), Some(&crash)).expect("oracle");
+        let stats = oracle.stats();
+        prop_assert!(stats.phase1_iterations == 0, "crash not primal feasible");
+        prop_assert!(stats.pivots == 0, "crash not optimal: {} pivots", stats.pivots);
     }
 }
 
-/// Path independence on random DAG LPs. The crash start never pivots and
-/// factors its tree by substitution alone; the slack start pivots its way
-/// to an optimum, and extraction picks that basis's factorisation by
-/// structure. Where the two (or the dense oracle) end on the same basis
-/// every reported bit must agree. Some cold solves must pivot onto a
-/// triangular final basis, so the structural selection is exercised from
-/// both starts.
+/// Path independence on random DAG LPs. The certificate of the crash
+/// never pivots and factors its tree by substitution alone; the oracle
+/// from the crash reaches it through the dense inverse; the oracle from
+/// the slack basis pivots its way to an optimum, and extraction picks
+/// that basis's factorisation by structure. Where they end on the same
+/// basis every reported bit must agree. Some cold solves must pivot onto
+/// a triangular final basis, so the structural selection is exercised
+/// from both starts.
 #[test]
 fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
     let mut rng = TestRng::from_name("conformance::path_independence");
@@ -423,15 +437,15 @@ fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
         let (crash, _) = longest_path_crash(desc.cols.len(), &records, dag.l0);
         let (model, vars, cons) = desc.model();
 
-        let crashed = solve_sparse(&model, &opts, Some(&crash)).expect("crash solve");
+        let crashed = certify(&model, &crash).expect("crash certifies");
         let st = crashed.stats();
         assert_eq!(st.pivots, 0, "case {case}: crash pivoted");
         assert_eq!(
             (st.triangular_factors, st.lu_factors),
             (1, 0),
-            "case {case}: a crash solve is one substitution factor, taken over by extraction"
+            "case {case}: a certificate is one substitution factor"
         );
-        let dense_crash = solve_dense(&model, &opts, Some(&crash)).expect("dense crash");
+        let dense_crash = solve(&model, &opts, Some(&crash)).expect("dense crash");
         assert_bitwise(
             &format!("case {case}: crash/dense"),
             &dense_crash,
@@ -440,16 +454,8 @@ fn crash_cold_and_dense_agree_bitwise_on_shared_bases() {
             &cons,
         );
 
-        let cold = solve_sparse(&model, &opts, None).expect("cold solve");
-        let dense = solve_dense(&model, &opts, None).expect("dense cold");
-        assert_bitwise(
-            &format!("case {case}: cold/dense"),
-            &dense,
-            &cold,
-            &vars,
-            &cons,
-        );
-        if cold.stats().pivots > 0 && cold.stats().lu_factors == 0 {
+        let cold = solve(&model, &opts, None).expect("cold solve");
+        if cold.stats().pivots > 0 && cold.stats().triangular_factors == 1 {
             pivoted_onto_triangle += 1;
         }
         if cold.basis() == crashed.basis() {

@@ -1,8 +1,8 @@
 //! Degenerate / cycling-prone LPs under the partial-pricing hot path.
 //!
-//! The ISSUE-3 rewrite replaced full-scan Dantzig with candidate-list
-//! Devex pricing over *incrementally maintained* reduced costs. Two
-//! properties keep that honest:
+//! The pivoting oracle prices with candidate-list Devex over
+//! *incrementally maintained* reduced costs instead of full-scan Dantzig.
+//! Two properties keep that honest:
 //!
 //! 1. **Termination.** Degenerate problems — the inputs that make naive
 //!    simplex cycle — must still terminate: the Bland fallback kicks in
@@ -16,7 +16,7 @@
 //!    (≤ 1e-9) — far below the 1e-7 optimality tolerance the pricing
 //!    decisions are made at.
 
-use llamp_lp::simplex::{solve, solve_dense, solve_sparse, SimplexOptions};
+use llamp_lp::simplex::{solve, SimplexOptions};
 use llamp_lp::{LpModel, Objective, Relation};
 use proptest::prelude::*;
 
@@ -71,8 +71,8 @@ fn redundant_star_terminates_under_forced_bland() {
             bland_after: 0, // least-index from the very first pivot
             ..Default::default()
         };
-        let sol = solve(&m, &opts).expect("degenerate star is feasible");
-        let dantzig = solve(&m, &SimplexOptions::default()).expect("and under devex pricing");
+        let sol = solve(&m, &opts, None).expect("degenerate star is feasible");
+        let dantzig = solve(&m, &SimplexOptions::default(), None).expect("and under devex pricing");
         assert!(
             (sol.objective() - dantzig.objective()).abs() < 1e-6 * (1.0 + sol.objective().abs()),
             "bland {} vs devex {}",
@@ -158,8 +158,8 @@ proptest! {
     fn degenerate_lps_terminate(lp in degenerate_lp(5, 8)) {
         use llamp_lp::SolveError;
         let m = build(&lp);
-        let devex = solve(&m, &SimplexOptions::default());
-        let bland = solve(&m, &SimplexOptions { bland_after: 0, ..Default::default() });
+        let devex = solve(&m, &SimplexOptions::default(), None);
+        let bland = solve(&m, &SimplexOptions { bland_after: 0, ..Default::default() }, None);
         prop_assert!(!matches!(devex, Err(SolveError::IterationLimit)), "devex hit the cap");
         prop_assert!(!matches!(bland, Err(SolveError::IterationLimit)), "bland hit the cap");
         if let (Ok(a), Ok(b)) = (&devex, &bland) {
@@ -172,16 +172,12 @@ proptest! {
 
     /// With refactorisation (and therefore resynchronisation) forced every
     /// few pivots, the incrementally maintained reduced costs must match
-    /// the from-scratch recompute to 1e-9 at every resync — on both
-    /// factorisation backends.
+    /// the from-scratch recompute to 1e-9 at every resync.
     #[test]
     fn incremental_reduced_costs_match_recompute(lp in degenerate_lp(5, 8)) {
         let m = build(&lp);
         let opts = SimplexOptions { refactor_every: 4, ..Default::default() };
-        for sol in [solve_sparse(&m, &opts, None), solve_dense(&m, &opts, None)]
-            .into_iter()
-            .flatten()
-        {
+        if let Ok(sol) = solve(&m, &opts, None) {
             prop_assert!(
                 sol.stats().max_resync_drift <= 1e-9,
                 "incremental reduced costs drifted: {:.3e}",

@@ -3,10 +3,11 @@
 //! Strategy: generate random bounded LPs, solve, and check the *certificates*
 //! rather than re-deriving the optimum: primal feasibility of the returned
 //! point, consistency across solver configurations (refactorising every
-//! pivot must agree with eta-update-only runs), duality relationships, and
-//! agreement with brute-force vertex enumeration on tiny instances.
+//! pivot must agree with eta-update-only runs), agreement of the pivoting
+//! oracle with the certificate of its final basis, duality relationships,
+//! and agreement with brute-force vertex enumeration on tiny instances.
 
-use llamp_lp::simplex::{solve, solve_dense, solve_sparse, SimplexOptions};
+use llamp_lp::simplex::{certify, solve, SimplexOptions};
 use llamp_lp::{ConId, LpModel, Objective, Relation, Solution, SolveError, VarId};
 use proptest::prelude::*;
 
@@ -237,8 +238,8 @@ proptest! {
         let (m, _, _) = build(&lp);
         let every = SimplexOptions { refactor_every: 1, ..Default::default() };
         let never = SimplexOptions { refactor_every: 1_000_000, ..Default::default() };
-        let a = solve(&m, &every);
-        let b = solve(&m, &never);
+        let a = solve(&m, &every, None);
+        let b = solve(&m, &never, None);
         match (a, b) {
             (Ok(sa), Ok(sb)) => {
                 prop_assert!(
@@ -257,7 +258,7 @@ proptest! {
         let (m, _, _) = build(&lp);
         let dantzig = SimplexOptions::default();
         let bland = SimplexOptions { bland_after: 0, ..Default::default() };
-        if let (Ok(a), Ok(b)) = (solve(&m, &dantzig), solve(&m, &bland)) {
+        if let (Ok(a), Ok(b)) = (solve(&m, &dantzig, None), solve(&m, &bland, None)) {
             prop_assert!(
                 (a.objective() - b.objective()).abs() < 1e-5 * (1.0 + a.objective().abs())
             );
@@ -334,57 +335,60 @@ proptest! {
         }
     }
 
-    /// The dense and sparse factorisation paths must agree on the whole
-    /// reported optimum: status, objective, primal values, duals, reduced
-    /// costs and bound ranging, all within 1e-7 (in practice they are
-    /// bit-identical thanks to deterministic tie-breaking and canonical
-    /// extraction).
+    /// The dense oracle and the sparse certificate of its final basis must
+    /// agree on the whole reported optimum — objective, primal values,
+    /// duals, reduced costs and bound ranging — bit for bit, wherever that
+    /// basis peels into a permuted triangle (the oracle's extraction then
+    /// factors by substitution too). A final basis that does not peel is
+    /// refused typed.
     #[test]
     fn dense_and_sparse_backends_agree(lp in lp_strategy(5, 6)) {
         let (m, vars, cons) = build(&lp);
-        let opts = SimplexOptions::default();
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-7 * (1.0 + a.abs());
-        match (solve_dense(&m, &opts, None), solve_sparse(&m, &opts, None)) {
-            (Ok(d), Ok(s)) => {
-                prop_assert!(close(d.objective(), s.objective()),
-                    "objective: {} vs {}", d.objective(), s.objective());
-                for &v in &vars {
-                    prop_assert!(close(d.value(v), s.value(v)), "x[{v:?}]");
-                    prop_assert!(close(d.reduced_cost(v), s.reduced_cost(v)), "d[{v:?}]");
-                    let (dl, dh) = d.lb_range(v);
-                    let (sl, sh) = s.lb_range(v);
-                    prop_assert!(dl == sl || close(dl, sl), "lb_range lo[{v:?}]: {dl} vs {sl}");
-                    prop_assert!(dh == sh || close(dh, sh), "lb_range hi[{v:?}]: {dh} vs {sh}");
+        if let Ok(d) = solve(&m, &SimplexOptions::default(), None) {
+            match certify(&m, d.basis()) {
+                Ok(s) => {
+                    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+                    prop_assert!(same(d.objective(), s.objective()), "objective");
+                    for &v in &vars {
+                        prop_assert!(same(d.value(v), s.value(v)), "x[{v:?}]");
+                        prop_assert!(same(d.reduced_cost(v), s.reduced_cost(v)), "d[{v:?}]");
+                        prop_assert!(d.lb_range(v) == s.lb_range(v), "lb_range[{v:?}]");
+                    }
+                    for &c in &cons {
+                        prop_assert!(same(d.dual(c), s.dual(c)), "y[{c:?}]");
+                    }
+                    prop_assert_eq!(d.basis(), s.basis());
                 }
-                for &c in &cons {
-                    prop_assert!(close(d.dual(c), s.dual(c)), "y[{c:?}]: {} vs {}",
-                        d.dual(c), s.dual(c));
+                Err(e) => {
+                    prop_assert_eq!(e, SolveError::Uncertified);
+                    prop_assert!(
+                        d.stats().triangular_factors == 0,
+                        "a triangular optimum failed to certify"
+                    );
                 }
             }
-            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-            (x, y) => prop_assert!(false, "status mismatch: {x:?} vs {y:?}"),
         }
     }
 
-    /// Both simplex paths must agree with brute-force vertex enumeration
-    /// on tiny instances: the optimum of a bounded LP sits on a vertex,
-    /// and every vertex is the intersection of n active hyperplanes.
+    /// The oracle — and the certificate of its final basis, where that
+    /// basis peels — must agree with brute-force vertex enumeration on
+    /// tiny instances: the optimum of a bounded LP sits on a vertex, and
+    /// every vertex is the intersection of n active hyperplanes.
     #[test]
     fn backends_agree_with_vertex_enumeration(lp in lp_strategy(3, 3)) {
         let (m, _, _) = build(&lp);
-        let opts = SimplexOptions::default();
-        for sol in [solve_dense(&m, &opts, None), solve_sparse(&m, &opts, None)]
-            .into_iter()
-            .flatten()
-        {
-            // The box is bounded, so an optimum must sit on a vertex.
-            let best = brute_force_optimum(&lp);
-            prop_assert!(best.is_some(), "solver found an optimum but enumeration none");
-            let best = best.unwrap();
-            prop_assert!(
-                (sol.objective() - best).abs() <= 1e-6 * (1.0 + best.abs()),
-                "objective {} vs brute force {}", sol.objective(), best
-            );
+        if let Ok(oracle) = solve(&m, &SimplexOptions::default(), None) {
+            let cert = certify(&m, oracle.basis()).ok();
+            for sol in std::iter::once(oracle).chain(cert) {
+                // The box is bounded, so an optimum must sit on a vertex.
+                let best = brute_force_optimum(&lp);
+                prop_assert!(best.is_some(), "solver found an optimum but enumeration none");
+                let best = best.unwrap();
+                prop_assert!(
+                    (sol.objective() - best).abs() <= 1e-6 * (1.0 + best.abs()),
+                    "objective {} vs brute force {}", sol.objective(), best
+                );
+            }
         }
     }
 
@@ -394,13 +398,13 @@ proptest! {
     fn warm_start_agrees_with_cold(lp in lp_strategy(5, 6), bump in 0.0f64..1.0) {
         let (m, _, _) = build(&lp);
         let opts = SimplexOptions::default();
-        if let Ok(first) = solve_sparse(&m, &opts, None) {
+        if let Ok(first) = solve(&m, &opts, None) {
             // Tighten var 0's lower bound part-way up its box.
             let mut lp2 = lp.clone();
             lp2.lbs[0] += (lp2.ubs[0] - lp2.lbs[0]) * bump * 0.5;
             let (m2, vars, cons) = build(&lp2);
-            let warm = solve_sparse(&m2, &opts, Some(first.basis()));
-            let cold = solve_sparse(&m2, &opts, None);
+            let warm = solve(&m2, &opts, Some(first.basis()));
+            let cold = solve(&m2, &opts, None);
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-7 * (1.0 + a.abs());
             match (warm, cold) {
                 (Ok(w), Ok(c)) => {
@@ -440,10 +444,10 @@ proptest! {
             m.add_constraint("uses_z", &[(z, 1.0), (vars[0], -1.0)], Relation::Le, 1.0);
         };
         let opts = SimplexOptions::default();
-        let cold = |m: &LpModel| solve_sparse(m, &opts, None);
+        let cold = |m: &LpModel| solve(m, &opts, None);
         // A solve started from the previous solve's optimum, if any.
         let after = |m: &LpModel, prev: &Result<Solution, SolveError>| {
-            solve_sparse(m, &opts, prev.as_ref().ok().map(Solution::basis))
+            solve(m, &opts, prev.as_ref().ok().map(Solution::basis))
         };
         let (mut m, vars, cons) = build(&lp);
         let first = cold(&m);

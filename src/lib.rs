@@ -7,7 +7,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`lp`] | linear-programming substrate (one sparse triangular-or-LU simplex, started from the caller's basis, ranging, parametric envelopes) |
+//! | [`lp`] | linear-programming substrate (the certificate of a caller's basis every query runs, a dense pivoting simplex kept as the test oracle, ranging, parametric envelopes) |
 //! | [`model`] | LogGPS / LogGOPS / HLogGP network models |
 //! | [`trace`] | MPI trace records, per-rank programs, liballprof-style text format |
 //! | [`schedgen`] | trace → execution graph compiler with collective substitution |

@@ -60,10 +60,9 @@ impl Analyzer {
     /// Build from a graph and LogGPS parameters (uniform latency model).
     /// The graph runs through the full makespan-preserving reduction
     /// pipeline — the analysis-level presolve — so construction cost is
-    /// paid once. Answers refer to the reduced graph; to map a reduced
-    /// critical path back to original vertices, reduce with
-    /// [`llamp_schedgen::reduce_with_provenance`] and lift it with
-    /// [`llamp_schedgen::Provenance::lift_path`].
+    /// paid once. Every answer is read off the reduced graph, which keeps
+    /// the makespan, the sensitivities and the critical latencies of the
+    /// raw one.
     pub fn new(graph: &ExecGraph, params: &LogGPSParams) -> Self {
         Self::with_binding(graph, Binding::uniform(params), params.l)
     }

@@ -235,10 +235,8 @@ impl PairSensitivities {
 }
 
 /// Walk the critical path of an evaluation and accumulate the pairwise
-/// sensitivity matrices. Works on any [`GraphView`]; to attribute a
-/// *reduced* graph's critical path to original-graph entities instead,
-/// reduce with `reduce_with_provenance`, lift the path with
-/// `Provenance::lift_path` and accumulate on the raw graph.
+/// sensitivity matrices. Works on any [`GraphView`]: the evaluation must
+/// come from `g` itself, since the path names `g`'s vertices.
 pub fn pair_sensitivities<V: GraphView + ?Sized>(g: &V, eval: &Evaluation) -> PairSensitivities {
     let p = g.nranks();
     let mut lambda = vec![0.0; (p * p) as usize];

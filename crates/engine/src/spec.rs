@@ -186,16 +186,6 @@ impl AxisSpec {
         s.push(']');
         s
     }
-
-    fn to_value(&self) -> Value {
-        Value::Table(vec![
-            ("param".into(), Value::Str(self.param.name().into())),
-            (
-                "deltas".into(),
-                Value::Array(self.deltas.iter().map(|&d| Value::Float(d)).collect()),
-            ),
-        ])
-    }
 }
 
 /// A full campaign: the cartesian product of the four axes under one
@@ -241,6 +231,13 @@ impl std::error::Error for SpecError {}
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
+
+/// The most sweep points one scenario may ask for: a latency grid's
+/// length, or the product of its axes' lengths. A spec above it fails
+/// with a [`SpecError`] naming the field instead of allocating the
+/// sweep, and a `window.points` above it fails before its samples are
+/// generated.
+pub(crate) const MAX_SWEEP_POINTS: usize = 1_000_000;
 
 /// Parse an application name as used in spec files (`llamp
 /// list-workloads` prints the list).
@@ -409,6 +406,20 @@ impl CampaignSpec {
                     )));
                 }
             }
+            let lens: Vec<usize> = self.axes.iter().map(|a| a.deltas.len()).collect();
+            let points = lens.iter().try_fold(1usize, |n, &len| n.checked_mul(len));
+            if points.is_none_or(|n| n > MAX_SWEEP_POINTS) {
+                return Err(err(format!(
+                    "axes: lengths {lens:?} multiply past the sweep ceiling of \
+                     {MAX_SWEEP_POINTS} points"
+                )));
+            }
+        }
+        if self.grid.deltas_ns.len() > MAX_SWEEP_POINTS {
+            return Err(err(format!(
+                "grid.deltas_ns: {} points exceed the sweep ceiling of {MAX_SWEEP_POINTS}",
+                self.grid.deltas_ns.len()
+            )));
         }
         if !self.grid.search_hi_ns.is_finite() || self.grid.search_hi_ns <= 0.0 {
             return Err(err("grid.search_hi_ns must be positive and finite"));
@@ -488,65 +499,6 @@ impl CampaignSpec {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.canonical().as_bytes())
     }
-
-    /// Re-encode as a document (JSON-compatible), preserving canonical
-    /// order — parsing the encoding yields an identical spec.
-    pub fn to_value(&self) -> Value {
-        let mut doc = Value::Table(vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            ("reduce".into(), Value::Bool(self.reduce)),
-            (
-                "workloads".into(),
-                Value::Array(self.workloads.iter().map(WorkloadSpec::to_value).collect()),
-            ),
-            (
-                "topologies".into(),
-                Value::Array(self.topologies.iter().map(TopologySpec::to_value).collect()),
-            ),
-            (
-                "params".into(),
-                Value::Array(self.params.iter().map(ParamsSpec::to_value).collect()),
-            ),
-            (
-                "backends".into(),
-                Value::Array(
-                    self.backends
-                        .iter()
-                        .map(|b| Value::Str(b.name().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "grid".into(),
-                Value::Table(if self.axes.is_empty() {
-                    vec![
-                        (
-                            "deltas_ns".into(),
-                            Value::Array(
-                                self.grid
-                                    .deltas_ns
-                                    .iter()
-                                    .map(|&d| Value::Float(d))
-                                    .collect(),
-                            ),
-                        ),
-                        ("search_hi_ns".into(), Value::Float(self.grid.search_hi_ns)),
-                    ]
-                } else {
-                    vec![("search_hi_ns".into(), Value::Float(self.grid.search_hi_ns))]
-                }),
-            ),
-        ]);
-        if !self.axes.is_empty() {
-            if let Value::Table(pairs) = &mut doc {
-                pairs.push((
-                    "axes".into(),
-                    Value::Array(self.axes.iter().map(AxisSpec::to_value).collect()),
-                ));
-            }
-        }
-        doc
-    }
 }
 
 /// Sort `items` by `key` and keep the first of each run of equal keys,
@@ -592,21 +544,6 @@ impl WorkloadSpec {
             self.o_ns.map(f).unwrap_or_else(|| "paper".into())
         )
     }
-
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            (
-                "app".into(),
-                Value::Str(self.app.name().to_ascii_lowercase()),
-            ),
-            ("ranks".into(), Value::Int(self.ranks as i64)),
-            ("iters".into(), Value::Int(self.iters as i64)),
-        ];
-        if let Some(o) = self.o_ns {
-            pairs.push(("o_ns".into(), Value::Float(o)));
-        }
-        Value::Table(pairs)
-    }
 }
 
 impl TopologySpec {
@@ -646,38 +583,6 @@ impl TopologySpec {
             ),
         }
     }
-
-    fn to_value(&self) -> Value {
-        match self {
-            TopologySpec::Uniform => {
-                Value::Table(vec![("kind".into(), Value::Str("uniform".into()))])
-            }
-            TopologySpec::FatTree {
-                k,
-                l_wire_ns,
-                d_switch_ns,
-            } => Value::Table(vec![
-                ("kind".into(), Value::Str("fattree".into())),
-                ("k".into(), Value::Int(*k as i64)),
-                ("l_wire_ns".into(), Value::Float(*l_wire_ns)),
-                ("d_switch_ns".into(), Value::Float(*d_switch_ns)),
-            ]),
-            TopologySpec::Dragonfly {
-                groups,
-                routers,
-                hosts,
-                l_wire_ns,
-                d_switch_ns,
-            } => Value::Table(vec![
-                ("kind".into(), Value::Str("dragonfly".into())),
-                ("groups".into(), Value::Int(*groups as i64)),
-                ("routers".into(), Value::Int(*routers as i64)),
-                ("hosts".into(), Value::Int(*hosts as i64)),
-                ("l_wire_ns".into(), Value::Float(*l_wire_ns)),
-                ("d_switch_ns".into(), Value::Float(*d_switch_ns)),
-            ]),
-        }
-    }
 }
 
 impl ParamsSpec {
@@ -695,20 +600,6 @@ impl ParamsSpec {
                 .map(|s| format!("rndv{s}"))
                 .unwrap_or_else(|| "s-".into())
         )
-    }
-
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![("preset".into(), Value::Str(self.preset.name().into()))];
-        if let Some(l) = self.l_ns {
-            pairs.push(("l_ns".into(), Value::Float(l)));
-        }
-        if let Some(o) = self.o_ns {
-            pairs.push(("o_ns".into(), Value::Float(o)));
-        }
-        if let Some(s) = self.s_bytes {
-            pairs.push(("s_bytes".into(), Value::Int(s as i64)));
-        }
-        Value::Table(pairs)
     }
 }
 
@@ -963,6 +854,11 @@ fn decode_deltas(v: &Value, ctx: &str) -> Result<Option<Vec<f64>>, SpecError> {
         let lo = get_f64(win, "lo")?.unwrap_or(0.0);
         let hi = get_f64(win, "hi")?.ok_or_else(|| err(format!("{ctx}.window needs 'hi'")))?;
         let points = get_u32(win, "points")?.unwrap_or(9).max(2) as usize;
+        if points > MAX_SWEEP_POINTS {
+            return Err(err(format!(
+                "{ctx}.window.points: {points} exceeds the sweep ceiling of {MAX_SWEEP_POINTS}"
+            )));
+        }
         if hi <= lo {
             return Err(err(format!("{ctx}.window: hi must exceed lo")));
         }
@@ -1051,9 +947,14 @@ ranks = 8
     #[test]
     fn hash_is_order_independent_and_syntax_independent() {
         let a = CampaignSpec::parse(SPEC, "x.toml").unwrap();
-        // Same sweep, different order and written as JSON via re-encoding.
-        let json = a.to_value().to_json();
-        let b = CampaignSpec::parse(&json, "x.json").unwrap();
+        // Same sweep, written in JSON and in another order.
+        let json = r#"{
+            "workloads": [{"app": "lulesh", "ranks": 8}, {"app": "milc", "ranks": 8}],
+            "grid": {"search_hi_ns": 1000000.0, "deltas_ns": [0.0, 10000.0]},
+            "backends": ["parametric", "eval"],
+            "name": "t"
+        }"#;
+        let b = CampaignSpec::parse(json, "x.json").unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a, b);
     }
@@ -1169,6 +1070,48 @@ app = "milc"
         assert_eq!(spec.axes[0].param, SweepParam::G);
         assert_eq!(spec.axes[0].deltas, vec![0.0, 0.05, 0.1]);
         assert!(spec.grid.deltas_ns.is_empty());
+    }
+
+    /// A one-workload spec whose sweep is `sweep` (TOML lines).
+    fn sweep_spec(sweep: &str) -> Result<CampaignSpec, SpecError> {
+        CampaignSpec::parse(
+            &format!("{sweep}\n[[workloads]]\napp = \"milc\"\n"),
+            "x.toml",
+        )
+    }
+
+    #[test]
+    fn a_window_above_the_sweep_ceiling_fails_before_it_is_generated() {
+        // Four billion samples would be 32 GB of deltas: the ceiling
+        // rejects the count before one is generated.
+        let e = sweep_spec("[grid]\nwindow = { hi = 1.0, points = 4000000000 }").unwrap_err();
+        assert!(e.0.contains("grid.window.points"), "{e}");
+        let e = sweep_spec("[[axes]]\nparam = \"G\"\nwindow = { hi = 1.0, points = 1000001 }")
+            .unwrap_err();
+        assert!(e.0.contains("axes.window.points"), "{e}");
+        let at = sweep_spec("[grid]\nwindow = { hi = 1.0, points = 1000000 }").unwrap();
+        assert_eq!(at.grid.deltas_ns.len(), MAX_SWEEP_POINTS);
+    }
+
+    #[test]
+    fn an_axes_product_above_the_sweep_ceiling_fails_typed() {
+        // Each axis is small; their product, 8·10⁹ tuples, is not.
+        let axis = |p: &str| {
+            format!("[[axes]]\nparam = \"{p}\"\nwindow = {{ hi = 1.0, points = 2000 }}\n")
+        };
+        let e = sweep_spec(&format!("{}{}{}", axis("L"), axis("G"), axis("o"))).unwrap_err();
+        assert!(e.0.contains("axes: lengths [2000, 2000, 2000]"), "{e}");
+        // 1000 x 1000 is exactly the ceiling.
+        let at = sweep_spec(&format!("{}{}", axis("L"), axis("G")).replace("2000", "1000"));
+        assert!(at.is_ok());
+    }
+
+    #[test]
+    fn an_explicit_grid_above_the_sweep_ceiling_fails_typed() {
+        let mut spec = sweep_spec("[grid]\ndeltas_ns = [0.0]").unwrap();
+        spec.grid.deltas_ns = vec![0.0; MAX_SWEEP_POINTS + 1];
+        let e = spec.validate().unwrap_err();
+        assert!(e.0.contains("grid.deltas_ns"), "{e}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Integration tests for the campaign subsystem: spec round-trips, cache
+//! Integration tests for the campaign subsystem: specs in TOML and JSON, cache
 //! semantics across runs, thread-count determinism, the LP backend's
 //! alias spellings, its one start rule (every point from its own
 //! longest-path crash basis), one graph build per graph key, and the
@@ -47,11 +47,23 @@ fn config(threads: usize) -> ExecutorConfig {
     }
 }
 
+/// [`SPEC`] written in JSON.
+const SPEC_JSON: &str = r#"{
+    "name": "itest",
+    "backends": ["parametric", "eval"],
+    "grid": {"deltas_ns": [0.0, 20000.0, 40000.0], "search_hi_ns": 1000000.0},
+    "workloads": [
+        {"app": "milc", "ranks": 4, "iters": 1},
+        {"app": "cloverleaf", "ranks": 4, "iters": 1}
+    ],
+    "topologies": [{"kind": "uniform"}, {"kind": "fattree", "k": 4}]
+}"#;
+
 #[test]
 fn spec_round_trip_preserves_hash_and_content() {
     let a = spec();
-    // Canonical JSON re-encoding parses back to the identical spec.
-    let b = CampaignSpec::parse(&a.to_value().to_json(), "x.json").unwrap();
+    // The same spec written in JSON parses to the identical spec.
+    let b = CampaignSpec::parse(SPEC_JSON, "x.json").unwrap();
     assert_eq!(a, b);
     assert_eq!(a.fingerprint(), b.fingerprint());
     // A reordered-but-equivalent TOML spec hashes identically.
@@ -605,8 +617,18 @@ fn axes_point_parallelism_is_thread_deterministic() {
 #[test]
 fn axes_spec_round_trip_and_canonical_order() {
     let a = axes_spec();
-    // JSON re-encoding parses back identically.
-    let b = CampaignSpec::parse(&a.to_value().to_json(), "x.json").unwrap();
+    // The same spec written in JSON parses identically.
+    let json = r#"{
+        "name": "axes-itest",
+        "backends": ["lp"],
+        "search_hi_ns": 1000000.0,
+        "axes": [
+            {"param": "L", "deltas_ns": [0.0, 20000.0, 40000.0]},
+            {"param": "G", "deltas": [0.0, 0.05]}
+        ],
+        "workloads": [{"app": "cloverleaf", "ranks": 4, "iters": 1}]
+    }"#;
+    let b = CampaignSpec::parse(json, "x.json").unwrap();
     assert_eq!(a, b);
     assert_eq!(a.fingerprint(), b.fingerprint());
     // Axis order in the file does not matter: G-before-L canonicalises to

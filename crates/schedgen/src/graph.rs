@@ -236,9 +236,9 @@ impl ExecGraph {
     /// identical runtimes/sensitivities with far fewer vertices.
     ///
     /// This is the chains-only configuration of the full reduction
-    /// pipeline (see [`crate::reduce`](mod@crate::reduce)); use [`ExecGraph::reduced`] for
-    /// the row-shrinking fold/redundancy passes, and
-    /// [`crate::reduce::reduce_with_provenance`] for the provenance map.
+    /// pipeline (see [`crate::reduce`](mod@crate::reduce)); use
+    /// [`ExecGraph::reduced`] for the row-shrinking fold/redundancy
+    /// passes.
     ///
     /// The contracted graph is meant for *analysis*; `Send`/`Recv`
     /// semantics survive only for unmerged vertices, so don't feed it to
@@ -331,16 +331,9 @@ impl GraphBuilder {
 
     /// Finalise into CSR + topological order.
     pub fn finish(self) -> Result<ExecGraph, GraphError> {
-        self.finish_slots().map(|(g, _)| g)
-    }
-
-    /// [`GraphBuilder::finish`], plus the added-edge index held by each
-    /// predecessor slot (`preds(v)[i]` is added edge
-    /// `slots[pred_start(v) + i]`).
-    pub(crate) fn finish_slots(self) -> Result<(ExecGraph, Vec<u32>), GraphError> {
         let n = self.verts.len();
         let mut preds = Vec::with_capacity(self.edges.len());
-        let (pred_start, slots, _) = self.sort_preds(|id| {
+        let (pred_start, order, _) = self.sort_preds(|id| {
             let e = self.edges[id];
             preds.push(EdgeRef {
                 other: e.from,
@@ -351,7 +344,7 @@ impl GraphBuilder {
 
         // Successor lists: the kept edges by source, in insertion order.
         let mut kept = vec![false; self.edges.len()];
-        for &id in &slots {
+        for &id in &order {
             kept[id as usize] = true;
         }
         let kept_edges = || {
@@ -410,7 +403,7 @@ impl GraphBuilder {
             return Err(GraphError::Cycle);
         }
 
-        let graph = ExecGraph {
+        Ok(ExecGraph {
             nranks: self.nranks,
             verts: self.verts,
             pred_start,
@@ -418,8 +411,7 @@ impl GraphBuilder {
             succ_start,
             succs,
             topo,
-        };
-        Ok((graph, slots))
+        })
     }
 
     /// The reduction arena's input ([`SortedInput`]), with no successor

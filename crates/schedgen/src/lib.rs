@@ -15,16 +15,15 @@
 //! * [`build`] — the trace compiler ([`build::build_graph`]).
 //! * [`goal`] — GOAL-dialect writer/parser.
 //! * [`reduce`](mod@reduce) — the makespan-preserving reduction pipeline
-//!   ([`reduce::ReducedGraph`]; [`reduce::reduce_with_provenance`] adds
-//!   the provenance lift-back).
+//!   ([`reduce::ReducedGraph`]).
 //! * [`view`] — the [`view::GraphView`] lowering trait every analysis
 //!   builder consumes (implemented by raw and reduced graphs alike).
 //!
 //! A graph that is only analysed reduced never needs a CSR of its own:
 //! [`reduced_graph_of_programs`] hands the builder's sorted arrays
 //! straight to the reduction pipeline. [`graph_of_programs`] builds the
-//! raw graph for the callers that read it (the simulator, unreduced
-//! analyses, provenance).
+//! raw graph for the callers that read it (the simulator and unreduced
+//! analyses).
 
 pub mod build;
 pub mod collectives;
@@ -40,9 +39,7 @@ pub use collectives::{
     ReduceAlgo,
 };
 pub use graph::{CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, Vertex, VertexKind};
-pub use reduce::{
-    reduce, reduce_with_provenance, Provenance, ReduceConfig, ReducedGraph, ReductionStats,
-};
+pub use reduce::{reduce, ReduceConfig, ReducedGraph, ReductionStats};
 pub use view::{alg1_row_count, GraphView};
 
 use llamp_trace::{ProgramSet, TracerConfig};

@@ -27,16 +27,11 @@
 //!   zero-cost `Local` edges with an alternative path (bounded DFS) are
 //!   transitively redundant.
 //!
-//! [`reduce`] computes only the reduced graph and its counters. Where
-//! each reduced entity came from is a second product, [`Provenance`],
-//! that only [`reduce_with_provenance`] pays for: it runs the same
-//! passes while recording, for every reduced vertex, the ordered
-//! original vertices it absorbed and, for every reduced edge, the
-//! original vertices folded into it, so critical paths (and with them
-//! `λ` attributions, `ρ` shares and critical-latency certificates) lift
-//! back to original graph entities via [`Provenance::lift_path`]. No
-//! reduction decision reads the record, so both entry points return the
-//! same graph.
+//! The reduction has one product: the reduced graph and its counters.
+//! Like the paper's presolve, it keeps every variable the answers are
+//! read from — the makespan `T`, the sensitivities `λ`, the critical
+//! latencies and the tolerance zones — so the analyses answer on the
+//! reduced graph as it is, and nothing maps it back to the original.
 //!
 //! The passes read only the vertex array and the predecessor lists. On
 //! the product path ([`GraphBuilder::finish_reduced`], which builds no
@@ -99,9 +94,8 @@ impl Default for ReduceConfig {
 
 impl ReduceConfig {
     /// No reduction at all: [`reduce()`] returns the identity
-    /// [`ReducedGraph`] (a copy of the raw graph; [`reduce_with_provenance`]
-    /// pairs it with trivial provenance). To wrap a graph you own without
-    /// copying it, use [`ReducedGraph::identity`].
+    /// [`ReducedGraph`], a copy of the raw graph. To wrap a graph you own
+    /// without copying it, use [`ReducedGraph::identity`].
     pub fn none() -> Self {
         Self {
             chains: false,
@@ -210,8 +204,8 @@ impl ReductionStats {
 
 /// The reduced IR: a smaller [`ExecGraph`] plus what the pipeline did to
 /// get there. Implements [`GraphView`], so every analysis builder
-/// consumes it exactly like a raw graph. Where its entities came from is
-/// not part of it: see [`reduce_with_provenance`].
+/// consumes it exactly like a raw graph, and every answer is read off it
+/// as it is.
 #[derive(Debug, Clone)]
 pub struct ReducedGraph {
     graph: ExecGraph,
@@ -279,105 +273,6 @@ impl GraphView for ReducedGraph {
     }
 }
 
-/// Where each entity of a [`ReducedGraph`] came from: the provenance
-/// map that lifts analysis results back to original graph entities.
-/// Only [`reduce_with_provenance`] builds one, paired with the reduced
-/// graph it describes.
-#[derive(Debug, Clone)]
-pub struct Provenance {
-    /// CSR: reduced vertex → ordered original member ids (head first).
-    member_start: Vec<u32>,
-    member_ids: Vec<u32>,
-    /// Flat slot offsets: `pred_offset[v] + i` indexes the via list of
-    /// the reduced graph's `preds(v)[i]`.
-    pred_offset: Vec<u32>,
-    /// CSR over pred slots: original vertices folded into each edge,
-    /// ordered source-side → target-side.
-    via_start: Vec<u32>,
-    via_ids: Vec<u32>,
-    /// Original vertex → the reduced vertex it is accounted under.
-    home: Vec<u32>,
-}
-
-impl Provenance {
-    /// Trivial provenance of the identity reduction of `g`.
-    fn identity(g: &ExecGraph) -> Self {
-        let n = g.num_vertices();
-        let mut pred_offset = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        pred_offset.push(0);
-        for v in 0..n as u32 {
-            acc += g.preds(v).len() as u32;
-            pred_offset.push(acc);
-        }
-        Self {
-            member_start: (0..=n as u32).collect(),
-            member_ids: (0..n as u32).collect(),
-            pred_offset,
-            via_start: vec![0; acc as usize + 1],
-            via_ids: Vec::new(),
-            home: (0..n as u32).collect(),
-        }
-    }
-
-    /// Ordered original member vertices of a reduced vertex (head first;
-    /// always non-empty).
-    pub fn members(&self, v: u32) -> &[u32] {
-        let s = self.member_start[v as usize] as usize;
-        let e = self.member_start[v as usize + 1] as usize;
-        &self.member_ids[s..e]
-    }
-
-    /// The original vertex a reduced vertex stands for (its chain head).
-    pub fn lift_vertex(&self, v: u32) -> u32 {
-        self.members(v)[0]
-    }
-
-    /// The reduced vertex an *original* vertex is accounted under —
-    /// the inverse of [`Provenance::members`] / [`Provenance::edge_via`]
-    /// (vertices folded into an edge map to the edge's target).
-    pub fn home_of(&self, orig: u32) -> u32 {
-        self.home[orig as usize]
-    }
-
-    /// Original vertices folded into the `i`-th predecessor edge of the
-    /// reduced vertex `v` (ordered from the source side to `v`).
-    pub fn edge_via(&self, v: u32, i: usize) -> &[u32] {
-        let slot = self.pred_offset[v as usize] as usize + i;
-        let s = self.via_start[slot] as usize;
-        let e = self.via_start[slot + 1] as usize;
-        &self.via_ids[s..e]
-    }
-
-    /// Lift a path of `reduced`'s vertices (e.g. a critical path reported
-    /// by the evaluator) back to a path of **original** vertices: member
-    /// chains are expanded in order and the original vertices folded into
-    /// each traversed edge are spliced between them. Consecutive lifted
-    /// vertices are connected in the original graph. `reduced` must be
-    /// the graph this provenance was recorded with.
-    pub fn lift_path(&self, reduced: &ReducedGraph, path: &[u32]) -> Vec<u32> {
-        assert_eq!(
-            self.member_start.len(),
-            reduced.num_vertices() + 1,
-            "provenance belongs to another reduction"
-        );
-        let mut out = Vec::new();
-        for (i, &v) in path.iter().enumerate() {
-            if i > 0 {
-                let prev = path[i - 1];
-                let idx = reduced
-                    .preds(v)
-                    .iter()
-                    .position(|e| e.other == prev)
-                    .expect("lift_path follows reduced edges");
-                out.extend_from_slice(self.edge_via(v, idx));
-            }
-            out.extend_from_slice(self.members(v));
-        }
-        out
-    }
-}
-
 impl ExecGraph {
     /// Run the reduction pipeline on this graph (see [`reduce()`]).
     pub fn reduced(&self, cfg: &ReduceConfig) -> ReducedGraph {
@@ -398,24 +293,7 @@ pub fn reduce(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
     if cfg.is_identity() {
         return ReducedGraph::identity(g.clone());
     }
-    traced(|| run(SortedInput::of_graph(g), cfg, false))
-        .expect("an ExecGraph is acyclic")
-        .0
-}
-
-/// [`reduce()`] plus the [`Provenance`] of every reduced entity. The
-/// passes are the same, so the reduced graph and its counters equal
-/// [`reduce()`]'s; recording only adds the member and via bookkeeping.
-pub fn reduce_with_provenance(g: &ExecGraph, cfg: &ReduceConfig) -> (ReducedGraph, Provenance) {
-    if cfg.is_identity() {
-        return (ReducedGraph::identity(g.clone()), Provenance::identity(g));
-    }
-    let (reduced, provenance) =
-        traced(|| run(SortedInput::of_graph(g), cfg, true)).expect("an ExecGraph is acyclic");
-    (
-        reduced,
-        provenance.expect("a recording reduction returns its provenance"),
-    )
+    traced(|| run(SortedInput::of_graph(g), cfg)).expect("an ExecGraph is acyclic")
 }
 
 impl GraphBuilder {
@@ -434,18 +312,18 @@ impl GraphBuilder {
         if cfg.is_identity() {
             return self.finish().map(ReducedGraph::identity);
         }
-        traced(|| run(self.into_sorted_input(), cfg, false)).map(|(r, _)| r)
+        traced(|| run(self.into_sorted_input(), cfg))
     }
 }
 
 /// Run one reduction under the `reduce` span, which carries its sizes.
 fn traced(
-    f: impl FnOnce() -> Result<(ReducedGraph, Option<Provenance>), GraphError>,
-) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
+    f: impl FnOnce() -> Result<ReducedGraph, GraphError>,
+) -> Result<ReducedGraph, GraphError> {
     let outer = llamp_obs::span("reduce");
     let out = f()?;
     if llamp_obs::is_enabled() {
-        let s = out.0.stats();
+        let s = out.stats();
         outer.field_u64("vertices_before", s.vertices_before);
         outer.field_u64("vertices_after", s.vertices_after);
         outer.field_u64("rows_before", s.rows_before);
@@ -458,12 +336,8 @@ fn traced(
 /// Reduce `input` on one whole-graph arena: the enabled passes, round
 /// after round, until a round changes nothing or [`MAX_ROUNDS`] have
 /// run; then the rebuild.
-fn run(
-    input: SortedInput,
-    cfg: &ReduceConfig,
-    record: bool,
-) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
-    let mut r = Reducer::whole(input, cfg.chains, record)?;
+fn run(input: SortedInput, cfg: &ReduceConfig) -> Result<ReducedGraph, GraphError> {
+    let mut r = Reducer::whole(input, cfg.chains)?;
     for round in 0..MAX_ROUNDS {
         // Round 1's chains contracted on the input, in `Reducer::whole`.
         let mut changed = if round == 0 { r.stats.chain_merges } else { 0 };
@@ -614,11 +488,9 @@ impl SortedInput {
     /// head, so a tail's out-edges become its head's. The result is the
     /// arena that pass plus the compaction after it would leave.
     ///
-    /// Returns the merge count and, when `record`, every survivor's
-    /// original members, head first in chain order. An edge that comes
-    /// back to its own head closes a cycle, so it fails with
-    /// [`GraphError::Cycle`].
-    fn contract_chains(&mut self, record: bool) -> Result<(u64, Option<Members>), GraphError> {
+    /// Returns the merge count. An edge that comes back to its own head
+    /// closes a cycle, so it fails with [`GraphError::Cycle`].
+    fn contract_chains(&mut self) -> Result<u64, GraphError> {
         const NONE: u32 = u32::MAX;
         const MANY: u32 = u32::MAX - 1;
         let n = self.verts.len();
@@ -669,26 +541,8 @@ impl SortedInput {
                 x = v;
             }
         }
-        let members = record.then(|| {
-            (0..n)
-                .filter(|&v| head[v] == NONE)
-                .map(|h| {
-                    let mut chain = vec![h as u32];
-                    let mut x = h;
-                    while sole_out[x] < MANY {
-                        let v = edges[sole_out[x] as usize].to;
-                        if head[v as usize] != h as u32 {
-                            break;
-                        }
-                        chain.push(v);
-                        x = v as usize;
-                    }
-                    chain
-                })
-                .collect()
-        });
         if merged == 0 {
-            return Ok((0, members));
+            return Ok(0);
         }
 
         // Survivors keep their order; a merged vertex's id is its head's.
@@ -733,196 +587,7 @@ impl SortedInput {
         pred_start.truncate(wv + 1);
         edges.truncate(we);
         costs.truncate(we);
-        Ok((merged, members))
-    }
-}
-
-/// Each arena vertex's original member vertices, head first.
-type Members = Vec<Vec<u32>>;
-
-/// Provenance bookkeeping, kept only by a recording reduction (see
-/// [`reduce_with_provenance`]). The passes write it and never read it.
-struct Book {
-    /// Ordered original members absorbed by each arena vertex (head
-    /// first; starts as the vertex's round-1 chain).
-    members: Members,
-    /// Arena vertex -> **original** graph vertex id (`members[v][0]`
-    /// while `v` lives, and still known once a merge or fold has taken
-    /// its member list).
-    head: Vec<u32>,
-    /// Original vertices folded into each edge, source-side first,
-    /// indexed by the edge's id when the arena was built (its *slot*).
-    /// Compaction renumbers edges but never moves a via list, so the
-    /// lists stay in the arena's original edge order.
-    via: Vec<Vec<u32>>,
-    /// Arena edge -> its slot.
-    slot: Vec<u32>,
-    /// Per slot: the head of the edge's target once the edge has left
-    /// the arena (`u32::MAX` while it is in it).
-    to_head: Vec<u32>,
-}
-
-impl Book {
-    /// Bookkeeping over arena vertices with these original members
-    /// (head first) and `m` arena edges with empty via lists.
-    fn new(members: Members, m: usize) -> Self {
-        Self {
-            head: members.iter().map(|ms| ms[0]).collect(),
-            members,
-            via: vec![Vec::new(); m],
-            slot: (0..m as u32).collect(),
-            to_head: vec![u32::MAX; m],
-        }
-    }
-
-    /// The via list of arena edge `eid`.
-    fn via_mut(&mut self, eid: u32) -> &mut Vec<u32> {
-        &mut self.via[self.slot[eid as usize] as usize]
-    }
-
-    /// `v` merged into `u` across edge `eid`.
-    fn chain(&mut self, u: u32, v: u32, eid: u32) {
-        let via = std::mem::take(self.via_mut(eid));
-        self.members[u as usize].extend(via);
-        let mv = std::mem::take(&mut self.members[v as usize]);
-        self.members[u as usize].extend(mv);
-    }
-
-    /// `v` and its out-edge `fid` folded forward onto the in-edges `ins`.
-    fn fold_forward(&mut self, v: u32, fid: u32, ins: &[u32]) {
-        let fvia = std::mem::take(self.via_mut(fid));
-        let mv = std::mem::take(&mut self.members[v as usize]);
-        for &eid in ins {
-            let via = self.via_mut(eid);
-            via.extend_from_slice(&mv);
-            via.extend_from_slice(&fvia);
-        }
-    }
-
-    /// `v` and its in-edge `eid` folded backward onto the out-edges
-    /// `outs`.
-    fn fold_backward(&mut self, v: u32, eid: u32, outs: &[u32]) {
-        let evia = std::mem::take(self.via_mut(eid));
-        let mv = std::mem::take(&mut self.members[v as usize]);
-        for &oid in outs {
-            let o = self.via_mut(oid);
-            let mut via = evia.clone();
-            via.extend_from_slice(&mv);
-            via.append(o);
-            *o = via;
-        }
-    }
-
-    /// Follow [`Reducer::compact`]'s renumbering (`new_v`, `new_e`; dead
-    /// entries map to `u32::MAX`) of the arena whose edges are `edges`:
-    /// retire each dead edge with its target's head, and move the live
-    /// vertices' members and heads down. A dead vertex's member list is
-    /// already empty: merges and folds take it.
-    fn renumber(&mut self, new_v: &[u32], edges: &[REdge], new_e: &[u32]) {
-        let mut w = 0;
-        for (eid, e) in edges.iter().enumerate() {
-            let slot = self.slot[eid];
-            if new_e[eid] == u32::MAX {
-                self.to_head[slot as usize] = self.head[e.to as usize];
-            } else {
-                self.slot[w] = slot;
-                w += 1;
-            }
-        }
-        self.slot.truncate(w);
-        let mut w = 0;
-        for (v, &nv) in new_v.iter().enumerate() {
-            if nv != u32::MAX {
-                debug_assert!(v == w || self.members[w].is_empty());
-                self.members.swap(w, v);
-                self.head[w] = self.head[v];
-                w += 1;
-            }
-        }
-        self.members.truncate(w);
-        self.head.truncate(w);
-    }
-
-    /// Assemble the provenance map of the finished graph. The arena is
-    /// compact, so its vertex ids are the reduced graph's; `edges` are
-    /// the edges the rebuild was handed, and `slots[i]` names the one in
-    /// `graph`'s `i`-th predecessor slot. `orig_n` is the **original**
-    /// graph's vertex count: provenance arrays index original ids.
-    fn provenance(
-        mut self,
-        edges: &[REdge],
-        slots: &[u32],
-        graph: &ExecGraph,
-        orig_n: usize,
-    ) -> Provenance {
-        let n_new = graph.num_vertices();
-        let mut member_start: Vec<u32> = Vec::with_capacity(n_new + 1);
-        let mut member_ids: Vec<u32> = Vec::new();
-        member_start.push(0);
-        for members in &self.members {
-            member_ids.extend_from_slice(members);
-            member_start.push(member_ids.len() as u32);
-        }
-        let mut pred_offset = Vec::with_capacity(n_new + 1);
-        pred_offset.push(0u32);
-        for v in 0..n_new as u32 {
-            pred_offset.push(pred_offset[v as usize] + graph.preds(v).len() as u32);
-        }
-        let mut via_start: Vec<u32> = Vec::with_capacity(slots.len() + 1);
-        let mut via_ids: Vec<u32> = Vec::new();
-        via_start.push(0);
-        for &eid in slots {
-            via_ids.extend_from_slice(&self.via[self.slot[eid as usize] as usize]);
-            via_start.push(via_ids.len() as u32);
-        }
-
-        let mut home = vec![u32::MAX; orig_n];
-        for (v, members) in self.members.iter().enumerate() {
-            for &m in members {
-                home[m as usize] = v as u32;
-            }
-        }
-        // Vertices folded into edges map to the edge's target. Edges that
-        // left the arena (removed as redundant), or that the rebuild
-        // dropped as duplicates, still carry their via lists, and their
-        // target may itself have been folded onward — so every slot
-        // resolves through its target's head (whose home is the target
-        // itself while it lives), iterating in slot order until stable
-        // (each round resolves at least one fold layer, so this is
-        // bounded by the fold depth).
-        for (e, &slot) in edges.iter().zip(&self.slot) {
-            self.to_head[slot as usize] = self.head[e.to as usize];
-        }
-        loop {
-            let mut changed = false;
-            for (via, &to_head) in self.via.iter().zip(&self.to_head) {
-                let target_home = home[to_head as usize];
-                if target_home == u32::MAX {
-                    continue;
-                }
-                for &x in via {
-                    if home[x as usize] == u32::MAX {
-                        home[x as usize] = target_home;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        debug_assert!(
-            n_new == 0 || home.iter().all(|&h| h != u32::MAX),
-            "every original vertex has a home in the reduced graph"
-        );
-        Provenance {
-            member_start,
-            member_ids,
-            pred_offset,
-            via_start,
-            via_ids,
-            home,
-        }
+        Ok(merged)
     }
 }
 
@@ -1091,8 +756,6 @@ struct Reducer {
     /// clean arena is compact, and `work.order` is its topological
     /// order.
     dirty: bool,
-    /// Provenance bookkeeping, present only when recording.
-    book: Option<Book>,
     work: Work,
     /// The counters so far; the `_before` sizes are the input's.
     stats: ReductionStats,
@@ -1106,26 +769,25 @@ impl Reducer {
     /// size and round 1 runs no arena chain pass. The arena then takes
     /// the input over as it is: its edges are grouped by target, so the
     /// in-lists are the input's offset ranges.
-    fn whole(mut g: SortedInput, chains: bool, record: bool) -> Result<Self, GraphError> {
+    fn whole(mut g: SortedInput, chains: bool) -> Result<Self, GraphError> {
         let stats = ReductionStats {
             vertices_before: g.verts.len() as u64,
             edges_before: g.edges.len() as u64,
             rows_before: g.rows,
             ..ReductionStats::default()
         };
-        let (chain_merges, members) = if chains {
+        let chain_merges = if chains {
             let span = llamp_obs::span("reduce.chains");
             span.field_u64("vertices", stats.vertices_before);
             span.field_u64("edges", stats.edges_before);
-            let (merged, members) = g.contract_chains(record)?;
+            let merged = g.contract_chains()?;
             span.field_u64("changed", merged);
-            (merged, members)
+            merged
         } else {
-            let n = g.verts.len() as u32;
-            (0, record.then(|| (0..n).map(|v| vec![v]).collect()))
+            0
         };
-        let (n, m) = (g.verts.len(), g.edges.len());
-        debug_assert_eq!(m, g.costs.len());
+        let n = g.verts.len();
+        debug_assert_eq!(g.edges.len(), g.costs.len());
         let mut r = Self {
             nranks: g.nranks,
             valive: vec![true; n],
@@ -1135,7 +797,6 @@ impl Reducer {
             edges: g.edges,
             costs: g.costs,
             dirty: false,
-            book: members.map(|members| Book::new(members, m)),
             work: Work::default(),
             stats: ReductionStats {
                 chain_merges,
@@ -1188,7 +849,6 @@ impl Reducer {
             costs,
             inc,
             out,
-            book,
             work,
             ..
         } = self;
@@ -1215,9 +875,6 @@ impl Reducer {
         }));
         inc.renumber(new_v, new_e, |v, e| enters(edges, v, e));
         out.renumber(new_v, new_e, |v, e| leaves(edges, v, e));
-        if let Some(b) = book {
-            b.renumber(new_v, edges, new_e);
-        }
 
         let mut w = 0;
         for v in 0..verts.len() {
@@ -1313,9 +970,6 @@ impl Reducer {
             }
             let add = self.costs[eid as usize].add(&self.verts[v as usize].cost);
             self.verts[u as usize].cost = self.verts[u as usize].cost.add(&add);
-            if let Some(b) = &mut self.book {
-                b.chain(u, v, eid);
-            }
             self.edges[eid as usize].alive = false;
             self.valive[v as usize] = false;
             wk.outs.clear();
@@ -1358,9 +1012,6 @@ impl Reducer {
                     && self.verts[w as usize].rank == self.verts[v as usize].rank
                 {
                     let push = self.verts[v as usize].cost.add(&self.costs[fid as usize]);
-                    if let Some(b) = &mut self.book {
-                        b.fold_forward(v, fid, &wk.ins);
-                    }
                     for &eid in &wk.ins {
                         let e = &mut self.edges[eid as usize];
                         debug_assert_ne!(e.from, w, "fold would create a self edge");
@@ -1384,9 +1035,6 @@ impl Reducer {
                     && self.verts[u as usize].rank == self.verts[v as usize].rank
                 {
                     let push = self.costs[eid as usize].add(&self.verts[v as usize].cost);
-                    if let Some(b) = &mut self.book {
-                        b.fold_backward(v, eid, &wk.outs);
-                    }
                     for &oid in &wk.outs {
                         let o = &mut self.edges[oid as usize];
                         debug_assert_ne!(o.to, u, "fold would create a self edge");
@@ -1546,11 +1194,11 @@ impl Reducer {
         false
     }
 
-    /// Rebuild the reduced [`ExecGraph`] and, when recording, assemble
-    /// its provenance map. The rebuild applies [`GraphBuilder`]'s one
-    /// duplicate-edge rule and orders the graph, so a cycle no pass could
-    /// touch surfaces here as [`GraphError::Cycle`].
-    fn finish(mut self) -> Result<(ReducedGraph, Option<Provenance>), GraphError> {
+    /// Rebuild the reduced [`ExecGraph`]. The rebuild applies
+    /// [`GraphBuilder`]'s one duplicate-edge rule and orders the graph,
+    /// so a cycle no pass could touch surfaces here as
+    /// [`GraphError::Cycle`].
+    fn finish(mut self) -> Result<ReducedGraph, GraphError> {
         let _span = llamp_obs::span("reduce.finish");
         if self.dirty {
             self.compact();
@@ -1563,23 +1211,14 @@ impl Reducer {
         for (e, &cost) in self.edges.iter().zip(&self.costs) {
             builder.add_edge(e.from, e.to, e.kind, cost);
         }
-        let (graph, slots) = builder.finish_slots()?;
-        let orig_n = self.stats.vertices_before as usize;
-        let provenance = self
-            .book
-            .take()
-            .map(|b| b.provenance(&self.edges, &slots, &graph, orig_n));
-
+        let graph = builder.finish()?;
         self.stats.vertices_after = graph.num_vertices() as u64;
         self.stats.edges_after = graph.num_edges() as u64;
         self.stats.rows_after = alg1_row_count(&graph);
-        Ok((
-            ReducedGraph {
-                graph,
-                stats: self.stats,
-            },
-            provenance,
-        ))
+        Ok(ReducedGraph {
+            graph,
+            stats: self.stats,
+        })
     }
 }
 
@@ -1628,10 +1267,9 @@ mod tests {
         let c = calc(&mut b, 0, 2.0);
         b.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::none());
+        let r = reduce(&g, &ReduceConfig::none());
         assert_eq!(r.graph().num_vertices(), 2);
-        assert_eq!(prov.members(0), &[0]);
-        assert_eq!(prov.lift_path(&r, &[0, 1]), vec![0, 1]);
+        assert_eq!(format!("{:?}", r.graph()), format!("{g:?}"));
         assert_eq!(r.stats().rows_before, r.stats().rows_after);
     }
 
@@ -1644,12 +1282,9 @@ mod tests {
         b.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
         b.add_edge(c, d, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::chains_only());
+        let r = reduce(&g, &ReduceConfig::chains_only());
         assert_eq!(r.graph().num_vertices(), 1);
         assert_eq!(r.graph().vertex(0).cost.const_ns, 6.0);
-        assert_eq!(prov.members(0), &[0, 1, 2]);
-        assert_eq!(prov.home_of(2), 0);
-        assert_eq!(prov.lift_path(&r, &[0]), vec![0, 1, 2]);
     }
 
     /// The exact bits of a cost.
@@ -1685,7 +1320,7 @@ mod tests {
         bld.add_edge(a, c, EdgeKind::Local, CostExpr::ZERO);
         let g = bld.finish().unwrap();
 
-        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::chains_only());
+        let r = reduce(&g, &ReduceConfig::chains_only());
         let rg = r.graph();
         assert_eq!(rg.num_vertices(), 4, "h, a, b and c survive");
         assert_eq!(r.stats().chain_merges, 3);
@@ -1699,11 +1334,6 @@ mod tests {
         assert_eq!(bits(&rg.vertex(0).cost), bits(&want));
         assert_eq!(rg.succs(0).len(), 2, "the tail's out-edges are the head's");
         assert_eq!(rg.preds(3)[0].other, 1, "c keeps its in-edge from a");
-        assert_eq!(prov.members(0), &[h, m1, m2, f]);
-        for (orig, home) in [(m1, 0), (m2, 0), (h, 0), (a, 1), (f, 0), (b, 2), (c, 3)] {
-            assert_eq!(prov.home_of(orig), home, "home of {orig}");
-        }
-        assert_eq!(prov.lift_path(&r, &[0, 1, 3]), vec![h, m1, m2, f, a, c]);
     }
 
     #[test]
@@ -1726,10 +1356,10 @@ mod tests {
     /// `g`'s arena as round 1's arena chain pass and the compaction after
     /// it leave it, and as the input contraction builds it.
     fn both_round_one_arenas(g: &ExecGraph) -> (Reducer, Reducer) {
-        let mut passed = Reducer::whole(SortedInput::of_graph(g), false, true).unwrap();
+        let mut passed = Reducer::whole(SortedInput::of_graph(g), false).unwrap();
         passed.stats.chain_merges = passed.pass_chains();
         passed.refresh();
-        let contracted = Reducer::whole(SortedInput::of_graph(g), true, true).unwrap();
+        let contracted = Reducer::whole(SortedInput::of_graph(g), true).unwrap();
         (passed, contracted)
     }
 
@@ -1756,8 +1386,6 @@ mod tests {
                 assert_eq!(passed.out.get(v), contracted.out.get(v), "{what}: out-list");
             }
             assert_eq!(passed.work.order, contracted.work.order, "{what}: order");
-            let members = |r: &Reducer| r.book.as_ref().map(|b| b.members.clone());
-            assert_eq!(members(&passed), members(&contracted), "{what}: members");
             assert_eq!(contracted.pass_chains(), 0, "{what}: chains left over");
         }
     }
@@ -1778,7 +1406,7 @@ mod tests {
         b.add_edge(j, w, EdgeKind::Local, CostExpr::ZERO);
         b.add_edge(y, w, EdgeKind::Local, CostExpr::ZERO);
         let g = b.finish().unwrap();
-        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::default());
+        let r = reduce(&g, &ReduceConfig::default());
         let rg = r.graph();
         // j dissolved into w: 4 vertices remain (a, x, y, w).
         assert_eq!(rg.num_vertices(), 4);
@@ -1793,16 +1421,6 @@ mod tests {
             .count();
         assert_eq!(pushed, 2, "j's cost pushed onto both in-edges");
         assert_eq!(r.stats().rows_after, 4); // 3 join rows + 1 sink row
-                                             // Provenance: j is accounted under the sink, spliced into edges.
-        assert_eq!(prov.home_of(j), sink);
-        let via_pred = rg
-            .preds(sink)
-            .iter()
-            .position(|e| e.cost.const_ns == 5.0)
-            .unwrap();
-        let from = rg.preds(sink)[via_pred].other;
-        let lifted = prov.lift_path(&r, &[from, sink]);
-        assert!(lifted.contains(&j));
     }
 
     #[test]
@@ -1849,30 +1467,6 @@ mod tests {
         assert!(r.stats().redundant_removed >= 1);
         // v keeps only the j edge; rows shrink accordingly.
         assert!(r.stats().rows_after < r.stats().rows_before);
-    }
-
-    #[test]
-    fn home_is_total_even_when_via_edges_are_deduplicated() {
-        // Zero-cost diamond u -> {a, b} -> w: both arms fold into w as
-        // parallel zero-cost edges carrying via [a] and [b]; one edge is
-        // then removed as redundant. The vertex folded into the dead
-        // edge must still resolve to a home in the reduced graph.
-        let mut bld = GraphBuilder::new(1);
-        let u = calc(&mut bld, 0, 1.0);
-        let a = calc(&mut bld, 0, 0.0);
-        let b2 = calc(&mut bld, 0, 0.0);
-        let w = calc(&mut bld, 0, 2.0);
-        bld.add_edge(u, a, EdgeKind::Local, CostExpr::ZERO);
-        bld.add_edge(u, b2, EdgeKind::Local, CostExpr::ZERO);
-        bld.add_edge(a, w, EdgeKind::Local, CostExpr::ZERO);
-        bld.add_edge(b2, w, EdgeKind::Local, CostExpr::ZERO);
-        let g = bld.finish().unwrap();
-        let (r, prov) = reduce_with_provenance(&g, &ReduceConfig::default());
-        let n = r.graph().num_vertices() as u32;
-        for orig in 0..g.num_vertices() as u32 {
-            let h = prov.home_of(orig);
-            assert!(h < n, "vertex {orig} lost its home ({h})");
-        }
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! the reducer ([`reduced_graph_of_programs`]) — against the raw-CSR
 //! path, `reduce(&graph_of_programs(..))`.
 //!
-//! Both must give the same reduced graph and the same counters;
-//! `reduce_with_provenance` on the raw graph must return that graph
-//! too. A cyclic trace must fail with the typed [`BuildError::Cycle`]
-//! on both paths, never panic.
+//! Both must give the same reduced graph and the same counters. A
+//! cyclic trace must fail with the typed [`BuildError::Cycle`] on both
+//! paths, never panic.
 
 use llamp_schedgen::{
-    alg1_row_count, graph_of_programs, reduce, reduce_with_provenance, reduced_graph_of_programs,
-    BuildError, GraphConfig, ReduceConfig,
+    alg1_row_count, graph_of_programs, reduce, reduced_graph_of_programs, BuildError, GraphConfig,
+    ReduceConfig,
 };
 use llamp_trace::ProgramSet;
 use llamp_workloads::App;
@@ -25,12 +24,6 @@ fn assert_paths_agree(set: &ProgramSet, rcfg: &ReduceConfig, what: &str) {
         format!("{want:?}"),
         format!("{got:?}"),
         "{what}: reduced graphs differ"
-    );
-    let (recorded, _) = reduce_with_provenance(&raw, rcfg);
-    assert_eq!(
-        format!("{recorded:?}"),
-        format!("{got:?}"),
-        "{what}: reduce_with_provenance returns another graph"
     );
     // The product path counts the raw graph it never builds.
     assert_eq!(got.stats().vertices_before, raw.num_vertices() as u64);
@@ -84,9 +77,9 @@ fn fnv1a(s: &str) -> u64 {
 fn reduced_graph_bytes_are_pinned() {
     // Both paths above share one reducer, so comparing them cannot see a
     // change to what that reducer returns. These fingerprints can: the
-    // reduced graphs, stats and provenance are part of every cached
-    // result, so moving them needs a new reduction tag in the cache key
-    // and new fingerprints here.
+    // reduced graphs and stats are part of every cached result, so
+    // moving them needs a new reduction tag in the cache key and new
+    // fingerprints here.
     let fingerprint = |x: &dyn std::fmt::Debug| fnv1a(&format!("{x:?}"));
     let pinned = [
         (App::Lulesh, 0x656c_a889_cdb3_73eb_u64),
@@ -129,22 +122,4 @@ fn reduced_graph_bytes_are_pinned() {
             app.name()
         );
     }
-    // Its member lists, head first in chain order.
-    let hpcg = graph_of_programs(&App::Hpcg.programs(24, 1), &cfg).expect("hpcg builds");
-    let (_, provenance) = reduce_with_provenance(&hpcg, &ReduceConfig::chains_only());
-    assert_eq!(
-        fingerprint(&provenance),
-        0xa697_a67a_0365_b729,
-        "HPCG r24 i1 chains-only provenance moved"
-    );
-
-    // OpenMX folds vertices into several edges at once, so its `home_of`
-    // depends on the order dead edges' via lists resolve in.
-    let openmx = graph_of_programs(&App::Openmx.programs(8, 2), &cfg).expect("openmx builds");
-    let (_, provenance) = reduce_with_provenance(&openmx, &ReduceConfig::default());
-    assert_eq!(
-        fingerprint(&provenance),
-        0x9f44_de23_c505_ffb8,
-        "OpenMX provenance moved"
-    );
 }

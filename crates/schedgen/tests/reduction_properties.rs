@@ -1,22 +1,15 @@
 //! Property tests for the reduction pipeline on arbitrary multi-rank
 //! DAGs (random layered ranks with skip edges and cross-rank comm
-//! edges). Three properties must hold:
+//! edges). **Makespan preservation** must hold: the longest path
+//! through the reduced graph equals the longest path through the raw
+//! graph for every LogGPS binding.
 //!
-//! 1. **Makespan preservation** — the longest path through the reduced
-//!    graph equals the longest path through the raw graph for every
-//!    LogGPS binding.
-//! 2. **Home totality** — every original vertex maps to a surviving
-//!    home vertex, so dual lift-back has somewhere to land.
-//! 3. **Recording independence** — [`reduce`] and
-//!    [`reduce_with_provenance`] return the same graph and stats: no
-//!    reduction decision reads the provenance bookkeeping.
-//!
-//! A fourth pins how round 1 merges chains: on the input, before the
-//! arena exists, leaving nothing for the arena's chain pass to merge.
+//! A second property pins how round 1 merges chains: on the input,
+//! before the arena exists, leaving nothing for the arena's chain pass
+//! to merge.
 
 use llamp_schedgen::{
-    reduce, reduce_with_provenance, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView,
-    ReduceConfig, VertexKind,
+    reduce, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView, ReduceConfig, VertexKind,
 };
 use proptest::prelude::*;
 
@@ -133,31 +126,6 @@ fn dag_strategy() -> impl Strategy<Value = RandomDag> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property 2: home totality, on the recording entry point.
-    #[test]
-    fn every_original_vertex_keeps_a_home(dag in dag_strategy()) {
-        let g = dag.build();
-        let (reduced, provenance) = reduce_with_provenance(&g, &ReduceConfig::default());
-        let n = reduced.graph().num_vertices() as u32;
-        for orig in 0..g.num_vertices() as u32 {
-            prop_assert!(provenance.home_of(orig) < n, "vertex {} lost its home", orig);
-        }
-    }
-
-    /// Property 3: recording provenance never changes the reduced graph
-    /// or its counters.
-    #[test]
-    fn recording_does_not_change_the_reduction(dag in dag_strategy()) {
-        let g = dag.build();
-        let cfg = ReduceConfig::default();
-        let plain = reduce(&g, &cfg);
-        let (recorded, _) = reduce_with_provenance(&g, &cfg);
-        prop_assert!(
-            format!("{plain:?}") == format!("{recorded:?}"),
-            "recording changed the reduced graph or its stats"
-        );
-    }
-
     /// Round 1 contracts every serial chain on the input, so a
     /// chains-only reduction's round 2, whose one pass is the arena chain
     /// pass on the contracted arena, merges nothing and ends the
@@ -170,8 +138,8 @@ proptest! {
         prop_assert_eq!(stats.rounds, want);
     }
 
-    /// Property 1: the reduced graph has the same longest-path makespan
-    /// as the raw graph under several LogGPS bindings.
+    /// The reduced graph has the same longest-path makespan as the raw
+    /// graph under several LogGPS bindings.
     #[test]
     fn reduction_preserves_makespan(dag in dag_strategy()) {
         let g = dag.build();

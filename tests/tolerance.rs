@@ -87,13 +87,39 @@ fn rel(a: f64, b: f64) -> f64 {
     }
 }
 
+/// `n` evenly spaced `∆L` samples over `[0, hi]`, as a spec's
+/// `window = { lo = 0, hi, points = n }` expands.
+fn linspace(hi: f64, n: usize) -> Vec<f64> {
+    (0..n).map(|i| hi * i as f64 / (n - 1) as f64).collect()
+}
+
 /// The 1/2/5% zones of one analysis five ways: the LP walk and the eval
 /// walk, each from its own baseline as the engine runs them, against the
 /// exact envelope, the flipped LP and eval bisection, all to 1e-9
 /// relative. The LP walk neither pivots nor factors by LU.
+///
+/// A latency grid read off the zone window's profile must also equal
+/// [`Analyzer::sweep`]'s bit for bit, in runtime and λ, so one envelope
+/// over the zone window can answer both the grid and the zones.
 fn assert_zones_agree(label: &str, analyzer: &Analyzer) {
     let base = analyzer.base_l();
     let top = base + WINDOW;
+    let profile = analyzer.profile(base, top);
+    for deltas in [linspace(us(40.0), 17), linspace(us(100.0), 9)] {
+        for (&d, p) in deltas.iter().zip(analyzer.sweep(&deltas)) {
+            let l = base + d;
+            assert_eq!(
+                profile.runtime(l).to_bits(),
+                p.runtime.to_bits(),
+                "{label} ∆L {d}: zone-window runtime vs sweep"
+            );
+            assert_eq!(
+                profile.lambda(l).to_bits(),
+                p.lambda.to_bits(),
+                "{label} ∆L {d}: zone-window λ vs sweep"
+            );
+        }
+    }
     let env = analyzer.tolerance_zones(top);
     let mut lp = analyzer.lp();
     let lp_floor = lp.predict(base).unwrap();
@@ -165,6 +191,53 @@ fn three_ways_to_tolerance_agree() {
     assert_zones_agree(
         "LULESH fattree",
         &Analyzer::with_binding(&graph, binding, 274.0),
+    );
+}
+
+/// FNV-1a over the bit patterns of `xs`: a stable fingerprint to pin
+/// floats with.
+fn fnv1a_bits(xs: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in xs {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn lulesh_sweep_and_zones_bits_are_pinned() {
+    // The cross-checks above compare answer paths with one another, so a
+    // change that moved all of them at once would pass there. These
+    // bits cannot move without it showing.
+    let graph = build_graph(
+        &App::Lulesh.programs(8, 2).trace(&TracerConfig::default()),
+        &GraphConfig::paper(),
+    )
+    .unwrap();
+    let params = LogGPSParams::cscs_testbed(8).with_o(App::Lulesh.paper_o());
+    let analyzer = Analyzer::new(&graph, &params);
+    let sweep = analyzer.sweep(&linspace(us(40.0), 17));
+    let bits = sweep
+        .iter()
+        .flat_map(|p| [p.delta_l, p.runtime, p.lambda, p.rho]);
+    assert_eq!(
+        fnv1a_bits(bits),
+        0x5bd7_9f13_028c_bfff,
+        "LULESH r8 i2 17-point sweep moved"
+    );
+    let zones = analyzer.tolerance_zones(analyzer.base_l() + WINDOW);
+    // 72 526.35, 145 052.70 and 362 631.75 ns.
+    assert_eq!(
+        [zones.pct1, zones.pct2, zones.pct5].map(f64::to_bits),
+        [
+            0x40f1_b4e5_9bce_ce80,
+            0x4101_b4e5_9bce_ce80,
+            0x4116_221f_02c2_8220
+        ],
+        "LULESH r8 i2 tolerance zones moved"
     );
 }
 

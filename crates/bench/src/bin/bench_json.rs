@@ -12,7 +12,7 @@
 //! **reduced** graph (the graph-reduction pipeline is the engine's
 //! default), per-stage wall clocks for trace ingestion and graph
 //! reduction (best of three fresh builds), the *cold* anchor solve on the
-//! reduced LP and its iteration count, a 64-point sweep solved the way
+//! reduced LP, a 64-point sweep solved the way
 //! the engine does — every point from its own longest-path crash basis,
 //! with the sweep's factorisations by kind (`triangular_factors`,
 //! `lu_factors`) — and the engine's 1/2/5% tolerance zones over a 2 ms
@@ -36,7 +36,6 @@ struct Row {
     ingest_ms: f64,
     reduce_ms: f64,
     cold_anchor_ms: f64,
-    cold_iterations: u64,
     sweep_ms: f64,
     /// Factorisations the 64-point sweep ran: triangular, LU.
     factors: (u64, u64),
@@ -78,8 +77,8 @@ fn factors(lp: &GraphLp) -> (u64, u64) {
 
 /// One repetition of the large tier: wall clocks (ms) and the counts
 /// every repetition must reproduce — vertices, edges, raw and reduced
-/// rows, anchor iterations, the serial sweep's triangular and LU
-/// factorisations, and the zones' walk steps.
+/// rows, the serial sweep's triangular and LU factorisations, and the
+/// zones' walk steps.
 struct Large {
     ingest_ms: f64,
     reduce_ms: f64,
@@ -88,7 +87,7 @@ struct Large {
     sweep_ms: f64,
     sweep_threads: usize,
     zones_ms: f64,
-    counts: [u64; 8],
+    counts: [u64; 7],
 }
 
 /// Build, reduce and solve the large LULESH shape once; the graph is
@@ -109,7 +108,7 @@ fn large_tier(set: &llamp_trace::ProgramSet, deltas: &[f64]) -> Large {
     let graph = rn.graph();
     let mut lp = GraphLp::build(graph, &binding_l);
     let t_cold = Instant::now();
-    let anchor = lp.predict(params_l.l).expect("large anchor solves");
+    lp.predict(params_l.l).expect("large anchor solves");
     let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
 
     // Serial crash-start sweep.
@@ -174,7 +173,6 @@ fn large_tier(set: &llamp_trace::ProgramSet, deltas: &[f64]) -> Large {
             s.edges_before,
             s.rows_before,
             s.rows_after,
-            anchor.iterations,
             after.0 - before.0,
             after.1 - before.1,
             zone_steps,
@@ -228,17 +226,15 @@ fn main() {
         let num_rows = GraphLp::build(graph, &binding).model().num_constraints();
         assert_eq!(num_rows as u64, stats.rows_after, "row estimate is exact");
 
-        // Cold anchor: a fresh sparse backend solving at the base latency
+        // Cold anchor: a fresh `GraphLp` solving at the base latency
         // from the longest-path crash basis — the per-scenario campaign
         // cost. Best of three fresh solves, so one cold-cache outlier
         // cannot distort the tracked trajectory.
         let mut cold_anchor_ms = f64::INFINITY;
-        let mut lp = GraphLp::build(graph, &binding);
-        let mut anchor = lp.predict(params.l).expect("anchor solves");
         for _ in 0..3 {
-            lp = GraphLp::build(graph, &binding);
+            let mut lp = GraphLp::build(graph, &binding);
             let t0 = Instant::now();
-            anchor = lp.predict(params.l).expect("anchor solves");
+            lp.predict(params.l).expect("anchor solves");
             cold_anchor_ms = cold_anchor_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         }
 
@@ -261,7 +257,7 @@ fn main() {
 
         eprintln!(
             "{:<12} rows {:>5} -> {:>4} ({:.1}x)  ingest {:>6.2} ms  reduce {:>6.2} ms  \
-             cold anchor {:>8.3} ms ({} iters)  64-pt sweep {:>8.2} ms  \
+             cold anchor {:>8.3} ms  64-pt sweep {:>8.2} ms  \
              factors {} tri / {} lu  zones {:>7.3} ms ({} steps)",
             app.name().to_ascii_lowercase(),
             stats.rows_before,
@@ -270,7 +266,6 @@ fn main() {
             ingest_ms,
             reduce_ms,
             cold_anchor_ms,
-            anchor.iterations,
             sweep_ms,
             factors.0,
             factors.1,
@@ -284,7 +279,6 @@ fn main() {
             ingest_ms,
             reduce_ms,
             cold_anchor_ms,
-            cold_iterations: anchor.iterations,
             sweep_ms,
             factors,
             zones_ms,
@@ -335,7 +329,7 @@ fn main() {
         let zones_ms = med(|r| r.zones_ms);
         let per_solve_ms = sweep_ms_t1 / deltas.len() as f64;
         let sweep_threads = reps[0].sweep_threads;
-        let [vertices, edges, rows_raw, rows_reduced, iterations, tri, lu, zone_steps] = c;
+        let [vertices, edges, rows_raw, rows_reduced, tri, lu, zone_steps] = c;
         eprintln!(
             "large-trace   lulesh x(2,430)  {vertices} verts / {edges} edges  \
              ingest {ingest_ms:.0} ms  reduce {reduce_ms:.0} ms  rows -> {rows_reduced}  \
@@ -343,7 +337,7 @@ fn main() {
         );
         eprintln!(
             "large-lp      lulesh x(2,430)  {vertices} verts  rows {rows_raw} -> {rows_reduced}  \
-             cold anchor {cold_anchor_ms:.0} ms ({iterations} iters)  \
+             cold anchor {cold_anchor_ms:.0} ms  \
              crash-start 64-pt sweep t1 {sweep_ms_t1:.0} ms ({per_solve_ms:.1} ms/solve) / \
              t{sweep_threads} {sweep_ms:.0} ms  factors {tri} tri / {lu} lu  \
              zones {zones_ms:.0} ms ({zone_steps} steps)  (medians of 3)"
@@ -355,7 +349,7 @@ fn main() {
              \"ingest_ms\": {ingest_ms:.3}, \"reduce_ms\": {reduce_ms:.3}}},\n  \
              \"large_lp\": {{\"workload\": \"lulesh\", \"rank_mult\": 2, \"iter_mult\": 430, \
              \"vertices\": {vertices}, \"rows_raw\": {rows_raw}, \"rows_reduced\": {rows_reduced}, \
-             \"cold_anchor_ms\": {cold_anchor_ms:.3}, \"cold_iterations\": {iterations}, \
+             \"cold_anchor_ms\": {cold_anchor_ms:.3}, \
              \"sweep_ms\": {sweep_ms:.3}, \"sweep_ms_t1\": {sweep_ms_t1:.3}, \
              \"sweep_threads\": {sweep_threads}, \"sweep_points\": {}, \
              \"sweep_ms_per_solve\": {per_solve_ms:.3}, \
@@ -370,7 +364,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"rows_raw\": {}, \"rows_reduced\": {}, \
              \"ingest_ms\": {:.3}, \"reduce_ms\": {:.3}, \
-             \"cold_anchor_ms\": {:.3}, \"cold_iterations\": {}, \
+             \"cold_anchor_ms\": {:.3}, \
              \"sweep_ms\": {:.3}, \"sweep_points\": {}, \"triangular_factors\": {}, \
              \"lu_factors\": {}, \"zones_ms\": {:.3}, \"zone_steps\": {}}}{}\n",
             r.workload.to_ascii_lowercase(),
@@ -379,7 +373,6 @@ fn main() {
             r.ingest_ms,
             r.reduce_ms,
             r.cold_anchor_ms,
-            r.cold_iterations,
             r.sweep_ms,
             deltas.len(),
             r.factors.0,

@@ -60,8 +60,4 @@ fn main() {
     println!("\n# sensitivities λ_L / λ_G per cell\n");
     println!("{}", lams.render());
     eprintln!("\n{}", summary.render());
-    let solver = summary.render_solver_stats();
-    if !solver.is_empty() {
-        eprintln!("{solver}");
-    }
 }

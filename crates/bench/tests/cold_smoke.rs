@@ -36,25 +36,24 @@ fn lulesh_cold_anchor_stays_cheap() {
 
     let mut lp = GraphLp::build(&graph, &binding);
     let start = Instant::now();
-    let anchor = lp.predict(params.l).expect("anchor solves");
+    lp.predict(params.l).expect("anchor solves");
     let elapsed = start.elapsed().as_secs_f64();
+    let stats = lp.solver_stats();
 
     assert!(
-        anchor.iterations <= ITERATION_CEILING,
+        stats.iterations <= ITERATION_CEILING,
         "cold anchor took {} iterations (ceiling {ITERATION_CEILING}): \
          pricing or crash-basis regression",
-        anchor.iterations
+        stats.iterations
     );
     assert!(
         elapsed <= WALL_BUDGET_S,
         "cold anchor took {elapsed:.3}s (budget {WALL_BUDGET_S}s)"
     );
     // The anchor is a real solve: the crash start is certified by full
-    // pricing scans, with no pivot (and so no FTRAN) behind it.
-    let stats = lp.solver_stats();
+    // pricing scans, with no pivot behind it.
     assert!(
         stats.pricing_full_scans > 0 && stats.pivots == 0,
         "{stats:?}"
     );
-    assert_eq!(stats.iterations, anchor.iterations);
 }

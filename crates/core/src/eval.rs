@@ -12,9 +12,14 @@ use crate::binding::Binding;
 use crate::lowering::lower_walk;
 use llamp_schedgen::{EdgeKind, GraphView};
 
-/// Tie tolerance when choosing among equal-cost predecessor paths: prefer
-/// the path with the larger latency coefficient, which matches the LP's
-/// right-derivative at the evaluation point.
+/// Absolute tie width (ns) when choosing among predecessor paths and
+/// among sinks. A path later by more than `TIE_EPS` wins; within it, the
+/// larger latency coefficient wins, so on an exact tie `λ` is the right
+/// derivative at the evaluation point. The width is below one ulp of a
+/// 10⁷ ns runtime, so finish times that differ only by rounding do not
+/// tie: at such a kink `λ` follows whichever path rounded later, and may
+/// differ from the envelope's right derivative and from the LP's (whose
+/// crash keeps the lowest row index on exact ties).
 const TIE_EPS: f64 = 1e-9;
 
 /// Result of a single evaluation.

@@ -113,8 +113,6 @@ pub struct Prediction {
     /// Sensitivity of the first column: `λ_L` (the reduced cost of `l`),
     /// or the analysis variable's under a `G` or `o` binding.
     pub lambda: f64,
-    /// Solver iterations spent (one: the certificate's pricing pass).
-    pub iterations: u64,
 }
 
 impl Prediction {
@@ -143,8 +141,6 @@ pub struct MultiPrediction {
     pub lambda_g: f64,
     /// Overhead sensitivity `λ_o` (reduced cost of the `o` column).
     pub lambda_o: f64,
-    /// Solver iterations spent (one: the certificate's pricing pass).
-    pub iterations: u64,
 }
 
 impl MultiPrediction {
@@ -419,7 +415,6 @@ impl GraphLp {
         Prediction {
             runtime: sol.objective(),
             lambda: sol.reduced_cost(self.cols[0].1),
-            iterations: sol.iterations(),
         }
     }
 
@@ -433,7 +428,6 @@ impl GraphLp {
             lambda_l: lambda(SweepParam::L),
             lambda_g: lambda(SweepParam::G),
             lambda_o: lambda(SweepParam::O),
-            iterations: sol.iterations(),
         })
     }
 

@@ -132,7 +132,7 @@ RUN OPTIONS:
                     typed errors in the results file. One more and the
                     run exits 5 — after writing all outputs (default: 0)
   --metrics         record telemetry and print the metrics summary
-                    (solver/reduction totals, span tree, cache counters,
+                    (run and reduction totals, span tree, cache counters,
                     solve-time histograms) to stderr; the results JSON is
                     unaffected
   --metrics-out F   also write the metrics document to a JSON sidecar

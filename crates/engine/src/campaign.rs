@@ -21,7 +21,7 @@ use crate::scenario::{
 };
 use crate::spec::CampaignSpec;
 use crate::value::JsonWriter;
-use llamp_core::{ReducedGraph, ReductionStats, SolveStats};
+use llamp_core::{ReducedGraph, ReductionStats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -117,11 +117,6 @@ pub struct RunSummary {
     pub elapsed: Duration,
     /// Per-scenario provenance, aligned with the result's scenario order.
     pub provenance: Vec<Provenance>,
-    /// Aggregate LP solver-effort counters across the scenarios that
-    /// actually solved LPs this run (cache hits contribute nothing, so
-    /// these — like the timings — live beside, never inside, the
-    /// deterministic results file).
-    pub solver: SolveStats,
     /// Aggregate graph-reduction counters, each graph built this run
     /// counted once however many scenarios shared it (full cache hits
     /// never build a graph, and `reduce = false` graphs contribute
@@ -141,44 +136,10 @@ impl RunSummary {
         }
     }
 
-    /// Render a human-readable block.
+    /// Render a human-readable block: the `run` lines of
+    /// [`crate::render_metrics`], from the same formatter.
     pub fn render(&self) -> String {
-        format!(
-            "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
-             graphs: {} built\n\
-             cache: {} hits, {} misses ({:.1}% hit rate)\n\
-             threads: {}, elapsed: {:.3}s",
-            self.jobs_requested,
-            self.jobs_unique,
-            self.full_cache_hits,
-            self.jobs_executed,
-            self.graph_builds,
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate(),
-            self.threads,
-            self.elapsed.as_secs_f64()
-        )
-    }
-
-    /// Render the aggregate LP solver counters (empty string when no LP
-    /// ran this campaign).
-    pub fn render_solver_stats(&self) -> String {
-        if self.solver.iterations == 0 {
-            String::new()
-        } else {
-            format!("lp solver totals\n{}", self.solver.render())
-        }
-    }
-
-    /// Render the aggregate graph-reduction counters (empty string when
-    /// every scenario was a full cache hit and no graph was built).
-    pub fn render_reduction_stats(&self) -> String {
-        if self.reduction.is_empty() {
-            String::new()
-        } else {
-            format!("graph reduction totals\n{}", self.reduction.render())
-        }
+        crate::metrics::render_run(&crate::metrics::run_value(self))
     }
 }
 
@@ -207,7 +168,6 @@ pub fn run_campaign(
     // jobs that need the executor.
     let mut slots: Vec<Option<(Result<ScenarioOutcome, ScenarioError>, Provenance)>> =
         vec![None; all.len()];
-    let mut solver = SolveStats::default();
     let mut to_run: Vec<(usize, &Scenario)> = Vec::new();
     for (i, sc) in all.iter().enumerate() {
         match assemble_from_cache(sc, cache) {
@@ -241,7 +201,7 @@ pub fn run_campaign(
     let (graph_builds, reduction) = graphs.totals();
     for ((idx, _), status) in to_run.iter().zip(statuses) {
         slots[*idx] = Some(match status {
-            JobStatus::Done(Ok((outcome, inserts, stats))) => {
+            JobStatus::Done(Ok((outcome, inserts))) => {
                 // Publish computed pieces only for jobs that finished
                 // within budget: a timed-out or panicked job must leave
                 // no trace, or a rerun would silently flip it from error
@@ -249,7 +209,6 @@ pub fn run_campaign(
                 for (key, entry) in inserts {
                     cache.put(key, entry);
                 }
-                solver.merge(&stats);
                 (Ok(outcome), Provenance::Computed)
             }
             JobStatus::Done(Err(msg)) => (Err(ScenarioError::Failed(msg)), Provenance::Failed),
@@ -288,7 +247,6 @@ pub fn run_campaign(
         threads,
         elapsed: started.elapsed(),
         provenance,
-        solver,
         reduction,
     };
     if llamp_obs::is_enabled() {
@@ -388,7 +346,7 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
 type ComputedInserts = Vec<(String, CachedEntry)>;
 
 /// What a computed job hands back to the campaign runner.
-type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats);
+type JobOutput = (ScenarioOutcome, ComputedInserts);
 
 /// Sweep points are delta tuples (`[∆L]` on a latency grid), cached at
 /// per-point granularity so overlapping grids recompute only their set
@@ -422,16 +380,13 @@ fn run_one(
         _ => None,
     };
 
-    let (computed_points, computed_zones, stats): (
-        Vec<AxisPointValue>,
-        Option<ZonesResult>,
-        SolveStats,
-    ) = if missing.is_empty() && cached_zones.is_some() {
-        (Vec::new(), None, SolveStats::default())
-    } else {
-        let analyzer = sc.analyzer_on(graph()?);
-        sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
-    };
+    let (computed_points, computed_zones): (Vec<AxisPointValue>, Option<ZonesResult>) =
+        if missing.is_empty() && cached_zones.is_some() {
+            (Vec::new(), None)
+        } else {
+            let analyzer = sc.analyzer_on(graph()?);
+            sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
+        };
 
     // Merge computed points back into sweep order, collecting the inserts
     // for post-completion publication.
@@ -459,7 +414,7 @@ fn run_one(
         }
         (None, None) => return Err("backend returned no zones".to_string()),
     };
-    Ok((sc.outcome(zones, tuples, values), inserts, stats))
+    Ok((sc.outcome(zones, tuples, values), inserts))
 }
 
 impl CampaignResult {

@@ -2,12 +2,13 @@
 //! telemetry.
 //!
 //! `llamp run --metrics` builds a [`Value`] document with
-//! [`metrics_value`] (run statistics + aggregate solver/reduction
-//! counters + the obs span/counter/histogram summary), renders it with
+//! [`metrics_value`] (run statistics + aggregate reduction counters +
+//! the obs span/counter/histogram summary), renders it with
 //! [`render_metrics`], and optionally writes it to a sidecar file
 //! (`--metrics-out`). `llamp report --metrics FILE` parses that sidecar
 //! and calls the *same* [`render_metrics`] — there is no second
-//! formatter to drift out of sync.
+//! formatter to drift out of sync. [`RunSummary::render`] prints the
+//! document's `run` lines through the same formatter.
 //!
 //! The sidecar exists because telemetry is cache-state and wall-clock
 //! dependent: embedding it in the results file would break the
@@ -17,38 +18,15 @@
 
 use crate::campaign::RunSummary;
 use crate::value::Value;
-use llamp_core::{ReductionStats, SolveStats};
+use llamp_core::ReductionStats;
 use llamp_obs::{HistogramSummary, SpanAgg, Summary};
 
 /// Encode a run's full telemetry as one JSON-able document.
 pub fn metrics_value(summary: &RunSummary, obs: &Summary) -> Value {
-    let int = |v: u64| Value::Int(v as i64);
     let mut pairs = vec![
         ("version".into(), Value::Int(1)),
-        (
-            "run".into(),
-            Value::Table(vec![
-                ("jobs_requested".into(), int(summary.jobs_requested as u64)),
-                ("jobs_unique".into(), int(summary.jobs_unique as u64)),
-                (
-                    "full_cache_hits".into(),
-                    int(summary.full_cache_hits as u64),
-                ),
-                ("jobs_executed".into(), int(summary.jobs_executed as u64)),
-                ("graph_builds".into(), int(summary.graph_builds as u64)),
-                ("cache_hits".into(), int(summary.cache_hits)),
-                ("cache_misses".into(), int(summary.cache_misses)),
-                ("threads".into(), int(summary.threads as u64)),
-                (
-                    "elapsed_s".into(),
-                    Value::Float(summary.elapsed.as_secs_f64()),
-                ),
-            ]),
-        ),
+        ("run".into(), run_value(summary)),
     ];
-    if summary.solver.iterations > 0 {
-        pairs.push(("solver".into(), solver_stats_value(&summary.solver)));
-    }
     if !summary.reduction.is_empty() {
         pairs.push((
             "reduction".into(),
@@ -61,28 +39,25 @@ pub fn metrics_value(summary: &RunSummary, obs: &Summary) -> Value {
     Value::Table(pairs)
 }
 
-/// Encode the aggregate LP solver counters.
-pub fn solver_stats_value(s: &SolveStats) -> Value {
+/// Encode the run statistics: the document's `run` table.
+pub(crate) fn run_value(summary: &RunSummary) -> Value {
     let int = |v: u64| Value::Int(v as i64);
     Value::Table(vec![
-        ("iterations".into(), int(s.iterations)),
-        ("phase1_iterations".into(), int(s.phase1_iterations)),
-        ("pivots".into(), int(s.pivots)),
-        ("bound_flips".into(), int(s.bound_flips)),
-        ("refactorizations".into(), int(s.refactorizations)),
-        ("triangular_factors".into(), int(s.triangular_factors)),
-        ("lu_factors".into(), int(s.lu_factors)),
-        ("devex_resets".into(), int(s.devex_resets)),
-        ("ftran_calls".into(), int(s.ftran_calls)),
-        ("ftran_density".into(), Value::Float(s.ftran_density())),
-        ("btran_calls".into(), int(s.btran_calls)),
-        ("btran_density".into(), Value::Float(s.btran_density())),
-        ("pricing_full_scans".into(), int(s.pricing_full_scans)),
+        ("jobs_requested".into(), int(summary.jobs_requested as u64)),
+        ("jobs_unique".into(), int(summary.jobs_unique as u64)),
         (
-            "pricing_candidate_scans".into(),
-            int(s.pricing_candidate_scans),
+            "full_cache_hits".into(),
+            int(summary.full_cache_hits as u64),
         ),
-        ("max_resync_drift".into(), Value::Float(s.max_resync_drift)),
+        ("jobs_executed".into(), int(summary.jobs_executed as u64)),
+        ("graph_builds".into(), int(summary.graph_builds as u64)),
+        ("cache_hits".into(), int(summary.cache_hits)),
+        ("cache_misses".into(), int(summary.cache_misses)),
+        ("threads".into(), int(summary.threads as u64)),
+        (
+            "elapsed_s".into(),
+            Value::Float(summary.elapsed.as_secs_f64()),
+        ),
     ])
 }
 
@@ -264,43 +239,20 @@ fn obs_summary_from_value(v: &Value) -> Summary {
 pub fn render_metrics(doc: &Value) -> String {
     let mut out = String::new();
     if let Some(run) = doc.get("run") {
-        let u = |k: &str| run.get(k).and_then(Value::as_i64).unwrap_or(0);
-        let hits = u("cache_hits");
-        let misses = u("cache_misses");
-        let rate = if hits + misses > 0 {
-            100.0 * hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
-             graphs: {} built\n\
-             cache: {hits} hits, {misses} misses ({rate:.1}% hit rate)\n\
-             threads: {}, elapsed: {:.3}s\n",
-            u("jobs_requested"),
-            u("jobs_unique"),
-            u("full_cache_hits"),
-            u("jobs_executed"),
-            u("graph_builds"),
-            u("threads"),
-            run.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
-        ));
+        out.push_str(&render_run(run));
+        out.push('\n');
     }
-    let block = |out: &mut String, key: &str, title: &str| {
-        if let Some(Value::Table(pairs)) = doc.get(key) {
-            out.push_str(&format!("\n{title}\n"));
-            for (k, v) in pairs {
-                let rendered = match v {
-                    Value::Int(i) => i.to_string(),
-                    Value::Float(f) => format!("{f:.3e}"),
-                    other => other.to_json(),
-                };
-                out.push_str(&format!("{k:<24} {rendered}\n"));
-            }
+    if let Some(Value::Table(pairs)) = doc.get("reduction") {
+        out.push_str("\ngraph reduction totals\n");
+        for (k, v) in pairs {
+            let rendered = match v {
+                Value::Int(i) => i.to_string(),
+                Value::Float(f) => format!("{f:.3e}"),
+                other => other.to_json(),
+            };
+            out.push_str(&format!("{k:<24} {rendered}\n"));
         }
-    };
-    block(&mut out, "solver", "lp solver totals");
-    block(&mut out, "reduction", "graph reduction totals");
+    }
     if let Some(obs) = doc.get("obs") {
         let rendered = obs_summary_from_value(obs).render();
         if !rendered.is_empty() {
@@ -309,6 +261,32 @@ pub fn render_metrics(doc: &Value) -> String {
         }
     }
     out
+}
+
+/// Render the `run` table's four lines (no trailing newline): the run
+/// block of [`render_metrics`] and all of [`RunSummary::render`].
+pub(crate) fn render_run(run: &Value) -> String {
+    let u = |k: &str| run.get(k).and_then(Value::as_i64).unwrap_or(0);
+    let hits = u("cache_hits");
+    let misses = u("cache_misses");
+    let rate = if hits + misses > 0 {
+        100.0 * hits as f64 / (hits + misses) as f64
+    } else {
+        0.0
+    };
+    format!(
+        "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
+         graphs: {} built\n\
+         cache: {hits} hits, {misses} misses ({rate:.1}% hit rate)\n\
+         threads: {}, elapsed: {:.3}s",
+        u("jobs_requested"),
+        u("jobs_unique"),
+        u("full_cache_hits"),
+        u("jobs_executed"),
+        u("graph_builds"),
+        u("threads"),
+        run.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
+    )
 }
 
 #[cfg(test)]
@@ -329,10 +307,6 @@ mod tests {
             threads: 2,
             elapsed: Duration::from_millis(1500),
             provenance: vec![Provenance::Computed; 3],
-            solver: SolveStats {
-                iterations: 10,
-                ..Default::default()
-            },
             reduction: ReductionStats::default(),
         }
     }
@@ -374,12 +348,21 @@ mod tests {
             Some(&Value::Int(1))
         );
         assert!(live.contains("graphs: 1 built"));
+        let plain = summary().render();
         assert_eq!(
-            summary().render().lines().nth(1),
-            Some("graphs: 1 built"),
-            "the plain summary shows the same line"
+            plain.lines().collect::<Vec<_>>(),
+            [
+                "scenarios: 4 requested, 3 unique, 1 full cache hits, 2 executed",
+                "graphs: 1 built",
+                "cache: 5 hits, 15 misses (25.0% hit rate)",
+                "threads: 2, elapsed: 1.500s",
+            ]
         );
-        assert!(live.contains("lp solver totals"));
+        assert_eq!(
+            live.lines().take(4).collect::<Vec<_>>(),
+            plain.lines().collect::<Vec<_>>(),
+            "the plain summary shows the same four lines"
+        );
         assert!(live.contains("cache.pt.hit"));
         assert!(live.contains("lp.point_ns"));
         assert!(live.contains("name=unit"));
@@ -387,14 +370,11 @@ mod tests {
 
     #[test]
     fn empty_sections_are_omitted() {
-        let mut s = summary();
-        s.solver = SolveStats::default();
-        let doc = metrics_value(&s, &Summary::default());
-        assert!(doc.get("solver").is_none());
+        let doc = metrics_value(&summary(), &Summary::default());
         assert!(doc.get("reduction").is_none());
         assert!(doc.get("obs").is_none());
         let rendered = render_metrics(&doc);
         assert!(rendered.contains("cache: 5 hits, 15 misses"));
-        assert!(!rendered.contains("lp solver totals"));
+        assert!(!rendered.contains("graph reduction totals"));
     }
 }

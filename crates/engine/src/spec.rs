@@ -102,8 +102,9 @@ pub struct ParamsSpec {
 pub enum Backend {
     /// Exact `T(L)` envelope in one pass (`ParametricProfile`).
     Parametric,
-    /// The paper's Algorithm 1 LP: every grid point solved from its own
-    /// longest-path crash basis by the sparse-LU simplex.
+    /// The paper's Algorithm 1 LP: every grid point answered by
+    /// certifying its own longest-path crash basis (one triangular
+    /// factorisation by substitution, no pivot).
     Lp,
     /// Direct critical-path evaluation per grid point.
     Eval,

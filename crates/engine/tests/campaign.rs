@@ -4,9 +4,10 @@
 //! longest-path crash basis), one graph build per graph key, and the
 //! rendezvous-threshold override.
 
+use llamp_engine::value::parse_json;
 use llamp_engine::{
     expand, parse_backend, run_campaign, Backend, CampaignResult, CampaignSpec, ExecutorConfig,
-    PointResult, Provenance, ResultCache, ZonesResult,
+    PointResult, Provenance, ResultCache, Value, ZonesResult,
 };
 
 const SPEC: &str = r#"
@@ -313,10 +314,10 @@ fn cli_rejects_bad_sweep_start_with_usage_exit_code() {
 
 #[test]
 fn cli_rejects_the_retired_solver_stats_flag() {
-    // Solver counters travel in the metrics sidecar (`run --metrics`,
-    // `report --metrics FILE`), never in the results file, so neither
-    // command takes `--solver-stats`: a usage error, exit code 2, like
-    // any other unknown option.
+    // Solver effort travels in the telemetry (`run --metrics`,
+    // `report --metrics FILE`, `run --trace-out`), never in the results
+    // file, so neither command takes `--solver-stats`: a usage error,
+    // exit code 2, like any other unknown option.
     let dir = std::env::temp_dir().join(format!("llamp-statscli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("spec.toml");
@@ -560,8 +561,15 @@ fn axes_points_solve_from_their_own_crash() {
     // Every axes grid point starts from the longest-path crash basis at
     // its own (L, G, o) point, which is optimal there. With the zones
     // already cached (a one-point campaign at the base point shares the
-    // zones entry), the rest of the 2-D grid solves without one pivot.
-    let one_point = CampaignSpec::parse(
+    // zones entry), the rest of the 2-D grid solves without one pivot:
+    // every `lp.solve` span of the run certifies its crash basis by
+    // substitution in its one pricing pass. The recorder is process-wide,
+    // so both runs go through the CLI, each in a process of its own.
+    let dir = std::env::temp_dir().join(format!("llamp-axescrash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(
+        path("one.toml"),
         r#"
 name = "base-only"
 backends = ["lp"]
@@ -577,20 +585,54 @@ app = "cloverleaf"
 ranks = 4
 iters = 1
 "#,
-        "one.toml",
     )
     .unwrap();
-    let cache = ResultCache::new();
-    run_campaign(&one_point, &config(1), &cache);
-    let (result, s_grid) = run_campaign(&axes_spec(), &config(1), &cache);
-    assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
-    assert!(s_grid.cache_hits > 0, "zones and the base point must hit");
-    assert!(s_grid.solver.iterations > 0, "the other points must solve");
-    assert_eq!(
-        s_grid.solver.pivots, 0,
-        "crash-started axes points must not pivot: {:?}",
-        s_grid.solver
+    std::fs::write(path("axes.toml"), AXES_SPEC).unwrap();
+    let llamp = |spec: &str, telemetry: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_llamp"))
+            .args(["run", &path(spec), "--quiet", "--threads", "1"])
+            .args([
+                "--out",
+                &path("results.json"),
+                "--cache",
+                &path("cache.json"),
+            ])
+            .args(telemetry)
+            .output()
+            .unwrap();
+        // Exit 0 under the default fault budget of 0: every scenario ok.
+        assert_eq!(out.status.code(), Some(0), "{spec}: {out:?}");
+    };
+    llamp("one.toml", &[]);
+    let (metrics, trace) = (path("metrics.json"), path("trace.json"));
+    llamp(
+        "axes.toml",
+        &["--metrics-out", &metrics, "--trace-out", &trace],
     );
+    let read = |p: &str| parse_json(&std::fs::read_to_string(p).unwrap()).unwrap();
+    let hits = read(&metrics)
+        .get("run")
+        .and_then(|r| r.get("cache_hits"))
+        .and_then(Value::as_i64);
+    assert!(hits > Some(0), "zones and the base point must hit");
+    let doc = read(&trace);
+    let solves: Vec<&Value> = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("lp.solve"))
+        .collect();
+    assert!(!solves.is_empty(), "the other points must solve");
+    for e in solves {
+        let arg = |k: &str| e.get("args").and_then(|a| a.get(k)).cloned();
+        assert_eq!(
+            (arg("factor"), arg("iterations")),
+            (Some(Value::Str("triangular".into())), Some(Value::Int(1))),
+            "crash-started axes points must not pivot: {e:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -654,42 +696,6 @@ iters = 1
     let mut d = a.clone();
     d.axes[1].deltas.push(0.1);
     assert_ne!(a.fingerprint(), d.fingerprint());
-}
-
-#[test]
-fn solver_stats_surface_in_run_summary() {
-    // LP scenarios report their solver effort through the RunSummary side
-    // channel (never the deterministic results file): a computed run has
-    // iterations and pricing passes (every solve here starts from a crash
-    // basis optimal at its point, so none pivots), a fully cached rerun
-    // has none — while the results stay byte-identical across the two.
-    let spec = CampaignSpec::parse(
-        r#"
-name = "stats"
-backends = ["lp"]
-[grid]
-deltas_ns = [0.0, 40000.0]
-search_hi_ns = 500000.0
-[[workloads]]
-app = "cloverleaf"
-ranks = 4
-iters = 1
-"#,
-        "stats.toml",
-    )
-    .unwrap();
-    let cache = ResultCache::new();
-    let (r1, s1) = run_campaign(&spec, &config(1), &cache);
-    assert!(
-        s1.solver.iterations > 0 && s1.solver.pricing_full_scans > 0,
-        "computed LP run must report solver effort: {:?}",
-        s1.solver
-    );
-    assert!(!s1.render_solver_stats().is_empty());
-    let (r2, s2) = run_campaign(&spec, &config(1), &cache);
-    assert_eq!(s2.solver.iterations, 0, "cached rerun solves nothing");
-    assert!(s2.render_solver_stats().is_empty());
-    assert_eq!(r1.to_json(), r2.to_json(), "stats never leak into results");
 }
 
 #[test]

@@ -1,13 +1,20 @@
 //! The observability determinism contract (ISSUE 6): results JSON must
 //! be byte-identical with telemetry on or off, across thread counts and
 //! backends — the recorder lives strictly beside the result channel.
+//! The LP tests here also pin what the recorder says about LP solves: one
+//! `lp.solve` span per solve, with its factorisation kind, model shape
+//! and iteration count, and no solver block in the metrics document.
 //!
 //! Obs state is process-global, so every test serializes through a
 //! session lock (this test binary is its own process; `cargo test`'s
 //! threaded harness only interleaves the tests within it).
 
 use llamp_engine::value::parse_json;
-use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, ResultCache};
+use llamp_engine::{
+    expand, metrics_value, render_metrics, run_campaign, Backend, CampaignSpec, ExecutorConfig,
+    ResultCache,
+};
+use llamp_obs::FieldValue;
 use std::sync::{Mutex, OnceLock};
 
 fn session_lock() -> &'static Mutex<()> {
@@ -31,6 +38,13 @@ iters = 1
 
 fn spec() -> CampaignSpec {
     CampaignSpec::parse(SPEC, "obs.toml").unwrap()
+}
+
+/// [`SPEC`] on the LP backend alone.
+fn lp_spec() -> CampaignSpec {
+    let mut spec = spec();
+    spec.backends = vec![Backend::Lp];
+    spec
 }
 
 fn config(threads: usize) -> ExecutorConfig {
@@ -137,4 +151,60 @@ fn raw_csr_is_built_only_where_a_raw_graph_is_read() {
     // Unreduced analyses read the raw graph: one CSR per build.
     let (csr, builds) = csr_spans(false);
     assert_eq!((csr, builds), (1, 1), "raw builds finalise one CSR each");
+}
+
+#[test]
+fn lp_telemetry_carries_no_oracle_counters() {
+    // Every engine LP solve certifies its crash basis: no pivot, no LU,
+    // one pricing pass. So the metrics document carries no solver block,
+    // and each `lp.solve` span records its factorisation kind, the
+    // model's shape and its iteration count, nothing more.
+    let _guard = session_lock().lock().unwrap();
+    llamp_obs::enable();
+    let (result, summary) = run_campaign(&lp_spec(), &config(2), &ResultCache::new());
+    let snapshot = llamp_obs::take();
+    llamp_obs::disable();
+    assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
+
+    let doc = metrics_value(&summary, &snapshot.summary());
+    assert!(doc.get("solver").is_none(), "no solver block");
+    assert!(!render_metrics(&doc).contains("lp solver totals"));
+    let solves: Vec<_> = snapshot
+        .events
+        .iter()
+        .filter(|e| e.name == "lp.solve")
+        .collect();
+    assert!(!solves.is_empty(), "the campaign solves LPs");
+    for e in solves {
+        let keys: Vec<&str> = e.fields.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["factor", "rows", "cols", "iterations"], "{e:?}");
+        assert_eq!(e.fields[0].1, FieldValue::Str("triangular".into()));
+    }
+}
+
+#[test]
+fn an_lp_point_at_the_base_runs_no_solve_of_its_own() {
+    // A needed point at the base is the zones' baseline query, so it
+    // takes the baseline's answer: adding it to the points adds no
+    // `lp.solve`, whether the points run on one thread or sharded.
+    let _guard = session_lock().lock().unwrap();
+    let jobs = expand(&lp_spec());
+    let job = &jobs[0];
+    let analyzer = job.build_analyzer().unwrap();
+    let solves = |need: &[Vec<f64>], threads: usize| {
+        llamp_obs::enable();
+        job.compute_with(&analyzer, need, true, threads).unwrap();
+        let snapshot = llamp_obs::take();
+        llamp_obs::disable();
+        snapshot
+            .events
+            .iter()
+            .filter(|e| e.name == "lp.solve")
+            .count()
+    };
+    let off_base = solves(&[vec![50_000.0]], 1);
+    assert!(off_base > 1, "the baseline, the zones and the point solve");
+    for threads in [1, 2] {
+        assert_eq!(solves(&[vec![0.0], vec![50_000.0]], threads), off_base);
+    }
 }

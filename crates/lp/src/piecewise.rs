@@ -7,8 +7,9 @@
 //! envelope of a set of lines and implements the operations the parametric
 //! DAG solver needs:
 //!
-//! * `max` of two envelopes (a vertex joining two predecessor paths),
-//! * adding an affine function (traversing an edge of cost `c + a·L`),
+//! * the upper envelope of a set of lines (a vertex joining its
+//!   predecessors' paths, each shifted by its edge's cost `c + a·L`),
+//! * `max` of two envelopes (a sink joining the running maximum),
 //! * evaluation, right-derivatives (`λ_L`), breakpoints (critical
 //!   latencies `L_c`), window clipping, and inversion (latency tolerance).
 //!
@@ -174,54 +175,12 @@ impl Envelope {
             .collect()
     }
 
-    /// Add the affine function `a·x + c` (edge traversal in the DAG DP).
-    pub fn add_affine(&mut self, slope: f64, intercept: f64) {
-        for l in &mut self.lines {
-            l.slope += slope;
-            l.intercept += intercept;
-        }
-    }
-
     /// Pointwise maximum with another envelope (vertex join in the DAG DP).
     pub fn max_with(&self, other: &Envelope) -> Envelope {
         let mut lines = Vec::with_capacity(self.lines.len() + other.lines.len());
         lines.extend_from_slice(&self.lines);
         lines.extend_from_slice(&other.lines);
         Envelope::from_lines(lines)
-    }
-
-    /// Pointwise sum with another envelope (sequential composition of two
-    /// convex path segments). Exact: the sum of two convex PWLs is the
-    /// interval-wise sum of their active lines.
-    pub fn sum_with(&self, other: &Envelope) -> Envelope {
-        let mut out: Vec<Line> = Vec::with_capacity(self.lines.len() + other.lines.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            let a = self.lines[i];
-            let b = other.lines[j];
-            out.push(Line::new(a.slope + b.slope, a.intercept + b.intercept));
-            // Advance whichever envelope's piece ends first.
-            let bp_a = if i + 1 < self.lines.len() {
-                intersect_x(self.lines[i], self.lines[i + 1])
-            } else {
-                f64::INFINITY
-            };
-            let bp_b = if j + 1 < other.lines.len() {
-                intersect_x(other.lines[j], other.lines[j + 1])
-            } else {
-                f64::INFINITY
-            };
-            if bp_a.is_infinite() && bp_b.is_infinite() {
-                break;
-            }
-            if bp_a <= bp_b {
-                i += 1;
-            }
-            if bp_b <= bp_a {
-                j += 1;
-            }
-        }
-        Envelope::from_lines(out)
     }
 
     /// Drop pieces that are never active within `[lo, hi]`. Keeps the
@@ -359,26 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_with_matches_pointwise() {
-        let a = Envelope::from_lines(vec![Line::new(0.0, 3.0), Line::new(2.0, -1.0)]);
-        let b = Envelope::from_lines(vec![Line::new(0.0, 1.0), Line::new(1.0, 0.0)]);
-        let s = a.sum_with(&b);
-        for i in -20..40 {
-            let x = i as f64 * 0.25;
-            let want = a.eval(x) + b.eval(x);
-            assert!((s.eval(x) - want).abs() < 1e-9, "x={x}");
-        }
-    }
-
-    #[test]
-    fn add_affine_shifts() {
-        let mut e = Envelope::from_lines(vec![Line::new(0.0, 1.0), Line::new(1.0, 0.0)]);
-        e.add_affine(1.0, 2.0);
-        assert!((e.eval(0.0) - 3.0).abs() < 1e-12); // was 1, now +2 and slope+1
-        assert_eq!(e.slope_at(10.0), 2.0);
-    }
-
-    #[test]
     fn clip_preserves_window_values() {
         let lines = vec![
             Line::new(0.0, 10.0),
@@ -445,22 +384,6 @@ mod proptests {
             let env = Envelope::from_lines(lines);
             for w in env.lines().windows(2) {
                 prop_assert!(w[1].slope > w[0].slope);
-            }
-        }
-
-        #[test]
-        fn sum_commutes(
-            a in prop::collection::vec(line_strategy(), 1..10),
-            b in prop::collection::vec(line_strategy(), 1..10),
-            xs in prop::collection::vec(-200.0f64..200.0, 1..10),
-        ) {
-            let ea = Envelope::from_lines(a);
-            let eb = Envelope::from_lines(b);
-            let s1 = ea.sum_with(&eb);
-            let s2 = eb.sum_with(&ea);
-            for x in xs {
-                prop_assert!((s1.eval(x) - s2.eval(x)).abs() < 1e-6 * (1.0 + s1.eval(x).abs()));
-                prop_assert!((s1.eval(x) - (ea.eval(x) + eb.eval(x))).abs() < 1e-6 * (1.0 + s1.eval(x).abs()));
             }
         }
 

@@ -247,7 +247,6 @@ struct Core {
     status: Vec<NbStatus>,
     x: Vec<f64>,
     factor: DenseInv,
-    iterations: u64,
     pivots_since_refactor: u64,
     // --- incremental pricing state ---
     /// Reduced costs of all columns under the current phase's objective,
@@ -307,7 +306,7 @@ pub fn certify(model: &LpModel, basis: &Basis) -> Result<Solution, SolveError> {
         let triangle = Triangle::peel(core.m, core.mat.cols(), &core.basis, MIN_PIVOT)
             .ok_or(SolveError::Uncertified)?;
         // The one pricing pass is the solve's one iteration.
-        core.iterations = 1;
+        core.stats.iterations = 1;
         core.stats.pricing_full_scans = 1;
         core.extract(Factor::Triangle(triangle), true)
     })
@@ -362,8 +361,9 @@ pub fn solve(
     })
 }
 
-/// Wrap one solve in an `lp.solve` obs span, folding the per-solve
-/// [`SolveStats`] into span fields at close. Telemetry stays strictly
+/// Wrap one solve in an `lp.solve` obs span that records the
+/// factorisation kind, the model's shape and the solve's iteration count
+/// (its error instead, on failure). Telemetry stays strictly
 /// out-of-band: the span neither observes nor perturbs the numerical
 /// path, and with recording off this is a single relaxed atomic load
 /// (no allocation — certified by `tests/alloc_count.rs`).
@@ -379,17 +379,7 @@ fn traced_solve(
         g.field_u64("rows", model.num_constraints() as u64);
         g.field_u64("cols", model.num_vars() as u64);
         match &out {
-            Ok(sol) => {
-                let s = sol.stats();
-                g.field_u64("iterations", s.iterations);
-                g.field_u64("phase1_iterations", s.phase1_iterations);
-                g.field_u64("pivots", s.pivots);
-                g.field_u64("bound_flips", s.bound_flips);
-                g.field_u64("refactorisations", s.refactorizations);
-                g.field_u64("triangular_factors", s.triangular_factors);
-                g.field_u64("lu_factors", s.lu_factors);
-                g.field_f64("max_resync_drift", s.max_resync_drift);
-            }
+            Ok(sol) => g.field_u64("iterations", sol.iterations()),
             Err(status) => g.field_str("status", &format!("{status:?}")),
         }
     }
@@ -460,7 +450,6 @@ impl Core {
             status: vec![NbStatus::Lower; n_total],
             x: vec![0.0; n_total],
             factor: DenseInv::new(m),
-            iterations: 0,
             pivots_since_refactor: 0,
             d: vec![0.0; n_total],
             d_fresh: false,
@@ -479,10 +468,7 @@ impl Core {
             delta: IndexedVec::default(),
             cb_buf: Vec::new(),
             y_buf: Vec::new(),
-            stats: SolveStats {
-                rows: m as u64,
-                ..SolveStats::default()
-            },
+            stats: SolveStats::default(),
             opts,
         }
     }
@@ -574,10 +560,7 @@ impl Core {
 
     /// Refactorise the dense inverse (the singularity check of an
     /// installed start), resetting the pivot counter on success. Every
-    /// factorisation counts as general elimination (`lu_factors`); the
-    /// install-time one of a fresh solve (iterations still 0) is setup,
-    /// so `refactorizations` reports only mid-solve ones, as documented
-    /// on `SolveStats`.
+    /// factorisation counts as general elimination (`lu_factors`).
     fn refactorize(&mut self) -> bool {
         if !self
             .factor
@@ -587,9 +570,6 @@ impl Core {
         }
         self.stats.lu_factors += 1;
         self.pivots_since_refactor = 0;
-        if self.iterations > 0 {
-            self.stats.refactorizations += 1;
-        }
         true
     }
 
@@ -796,9 +776,9 @@ impl Core {
             }
             return None;
         }
-        let refill = self.cand.is_empty() || self.iterations.is_multiple_of(PARTIAL_REFILL_EVERY);
+        let refill =
+            self.cand.is_empty() || self.stats.iterations.is_multiple_of(PARTIAL_REFILL_EVERY);
         if !refill {
-            self.stats.pricing_candidate_scans += 1;
             if let Some(sel) = self.scan_candidates() {
                 return Some(sel);
             }
@@ -848,8 +828,6 @@ impl Core {
     fn apply_cost_deltas(&mut self) {
         self.d_fresh = false;
         self.factor.btran_sparse(&self.delta, &mut self.rho);
-        self.stats.btran_calls += 1;
-        self.stats.btran_nnz += self.rho.nnz() as u64;
         self.scatter_alpha();
         for &ju in self.alpha.indices() {
             let j = ju as usize;
@@ -902,7 +880,7 @@ impl Core {
         self.enter_phase(phase1);
 
         loop {
-            if self.iterations >= max_iters {
+            if self.stats.iterations >= max_iters {
                 return PhaseOutcome::Abort(SolveError::IterationLimit);
             }
             if llamp_faults::should_inject("solve.stall") {
@@ -911,7 +889,7 @@ impl Core {
                 // chaos suite) expects.
                 return PhaseOutcome::Abort(SolveError::Injected);
             }
-            self.iterations += 1;
+            self.stats.iterations += 1;
             if phase1 {
                 self.stats.phase1_iterations += 1;
                 if self.infeas_count == 0 {
@@ -951,8 +929,6 @@ impl Core {
             // the sorted support drives everything downstream.
             self.factor.ftran_col(self.mat.cols(), q, &mut self.w);
             self.w.sort_indices();
-            self.stats.ftran_calls += 1;
-            self.stats.ftran_nnz += self.w.nnz() as u64;
 
             // Two-pass Harris ratio test over the nonzeros of `w`.
             // `t_room` caps the step at a full bound traversal of the
@@ -1027,7 +1003,7 @@ impl Core {
             if std::env::var_os("LLAMP_LP_TRACE").is_some() {
                 eprintln!(
                     "iter={} phase1={} q={} status={:?} dir={} t_limit={} leaving={:?} x_q={}",
-                    self.iterations,
+                    self.stats.iterations,
                     phase1,
                     q,
                     self.status[q],
@@ -1052,7 +1028,6 @@ impl Core {
                     // Bound flip: x_q traversed its whole box. The basis
                     // (and hence d) is unchanged; only phase-1 costs of
                     // basic variables that crossed a bound need folding.
-                    self.stats.bound_flips += 1;
                     self.status[q] = match self.status[q] {
                         NbStatus::Lower => NbStatus::Upper,
                         NbStatus::Upper => NbStatus::Lower,
@@ -1081,8 +1056,6 @@ impl Core {
                         unit.clear();
                         self.delta = unit;
                     }
-                    self.stats.btran_calls += 1;
-                    self.stats.btran_nnz += self.rho.nnz() as u64;
                     self.scatter_alpha();
 
                     // d ← d − θ_d·α  (θ_d = d_q / α_q; α_q ≡ w_r).
@@ -1115,7 +1088,6 @@ impl Core {
                     self.devex[out] = w_out;
                     if w_out > DEVEX_RESET {
                         self.devex.fill(1.0);
-                        self.stats.devex_resets += 1;
                     }
 
                     // Snap the leaving variable exactly onto its bound.
@@ -1151,7 +1123,7 @@ impl Core {
                         for (i, &b) in self.basis.iter().enumerate() {
                             assert!((incr[i] - self.x[b]).abs() < 1e-6 * (1.0 + incr[i].abs()),
                                 "x_B[{i}] (col {b}) drift: incremental {} vs fresh {} at iter {} phase1={phase1}",
-                                incr[i], self.x[b], self.iterations);
+                                incr[i], self.x[b], self.stats.iterations);
                         }
                     }
                     self.pivots_since_refactor += 1;
@@ -1293,14 +1265,11 @@ impl Core {
             lb: self.lb,
             ub: self.ub,
         };
-        let mut stats = self.stats;
-        stats.iterations = self.iterations;
         Ok(Solution {
             objective,
             reduced_costs: reduced,
             duals,
-            iterations: self.iterations,
-            stats,
+            stats: self.stats,
             basis,
             ranging: Arc::new(ranging),
         })
@@ -1501,10 +1470,8 @@ pub(crate) mod tests {
         m.add_constraint("c3", &[(a, 3.0), (b, 2.0)], Relation::Le, 18.0);
         let sol = m.solve().unwrap();
         assert!(sol.iterations() > 0);
-        // The stats agree with the headline counter and saw real work.
-        assert_eq!(sol.stats().iterations, sol.iterations());
-        assert!(sol.stats().ftran_calls > 0);
-        assert_eq!(sol.stats().rows, 3);
+        // The stats saw real work: pivots and full pricing scans.
+        assert!(sol.stats().pivots > 0 && sol.stats().pricing_full_scans > 0);
     }
 
     #[test]

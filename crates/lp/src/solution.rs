@@ -17,8 +17,8 @@ use crate::simplex::RangingData;
 /// Counters describing how a solve spent its effort. Cheap to collect
 /// (increments on paths that already run), deterministic for a
 /// deterministic pivot sequence, and additive: [`SolveStats::merge`]
-/// folds per-solve stats into campaign-level aggregates. A certificate
-/// reads one iteration (its pricing pass), one full pricing scan and one
+/// folds per-solve stats into per-instance totals. A certificate reads
+/// one iteration (its pricing pass), one full pricing scan and one
 /// triangular factorisation; everything else counts the oracle's pivots.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
@@ -29,10 +29,6 @@ pub struct SolveStats {
     pub phase1_iterations: u64,
     /// Basis exchanges (pivots); the remainder were bound flips.
     pub pivots: u64,
-    /// Bound flips (the entering variable traversed its whole box).
-    pub bound_flips: u64,
-    /// Mid-solve (periodic) basis refactorisations.
-    pub refactorizations: u64,
     /// Basis factorisations that peeled into a permuted triangle and
     /// solve by substitution alone — at extraction. A certificate
     /// performs exactly one.
@@ -41,91 +37,23 @@ pub struct SolveStats {
     /// oracle's dense inverse) — at install, mid-solve and at extraction.
     /// A certificate performs none.
     pub lu_factors: u64,
-    /// Hot-path FTRAN calls and the nonzeros they produced.
-    pub ftran_calls: u64,
-    /// Total nonzeros across hot-path FTRAN results.
-    pub ftran_nnz: u64,
-    /// Hot-path BTRAN calls (pivot rows + phase-1 cost corrections).
-    pub btran_calls: u64,
-    /// Total nonzeros across hot-path BTRAN results.
-    pub btran_nnz: u64,
     /// Full pricing passes (candidate-list refills / optimality proofs).
     pub pricing_full_scans: u64,
-    /// Candidate-list pricing passes (the cheap, common case).
-    pub pricing_candidate_scans: u64,
-    /// Devex reference-framework resets.
-    pub devex_resets: u64,
-    /// Rows of the largest model solved (denominator for nnz ratios).
-    pub rows: u64,
     /// Worst relative gap between the incrementally maintained reduced
     /// costs and a from-scratch recompute, observed at periodic resyncs.
     pub max_resync_drift: f64,
 }
 
 impl SolveStats {
-    /// Mean FTRAN result density (nnz / m), in `[0, 1]`.
-    pub fn ftran_density(&self) -> f64 {
-        if self.ftran_calls == 0 || self.rows == 0 {
-            0.0
-        } else {
-            self.ftran_nnz as f64 / (self.ftran_calls * self.rows) as f64
-        }
-    }
-
-    /// Mean BTRAN result density (nnz / m), in `[0, 1]`.
-    pub fn btran_density(&self) -> f64 {
-        if self.btran_calls == 0 || self.rows == 0 {
-            0.0
-        } else {
-            self.btran_nnz as f64 / (self.btran_calls * self.rows) as f64
-        }
-    }
-
     /// Fold another solve's counters into this aggregate.
     pub fn merge(&mut self, other: &SolveStats) {
         self.iterations += other.iterations;
         self.phase1_iterations += other.phase1_iterations;
         self.pivots += other.pivots;
-        self.bound_flips += other.bound_flips;
-        self.refactorizations += other.refactorizations;
         self.triangular_factors += other.triangular_factors;
         self.lu_factors += other.lu_factors;
-        self.ftran_calls += other.ftran_calls;
-        self.ftran_nnz += other.ftran_nnz;
-        self.btran_calls += other.btran_calls;
-        self.btran_nnz += other.btran_nnz;
         self.pricing_full_scans += other.pricing_full_scans;
-        self.pricing_candidate_scans += other.pricing_candidate_scans;
-        self.devex_resets += other.devex_resets;
-        self.rows = self.rows.max(other.rows);
         self.max_resync_drift = self.max_resync_drift.max(other.max_resync_drift);
-    }
-
-    /// Render a compact human-readable block (the `lp solver totals` lines
-    /// of `llamp run --metrics`).
-    pub fn render(&self) -> String {
-        format!(
-            "iterations: {} ({} phase-1), pivots: {}, bound flips: {}\n\
-             factorisations: {} triangular, {} LU ({} mid-solve), devex resets: {}\n\
-             ftran: {} calls ({:.1}% dense), btran: {} calls ({:.1}% dense)\n\
-             pricing: {} full scans, {} candidate scans\n\
-             max reduced-cost resync drift: {:.2e}",
-            self.iterations,
-            self.phase1_iterations,
-            self.pivots,
-            self.bound_flips,
-            self.triangular_factors,
-            self.lu_factors,
-            self.refactorizations,
-            self.devex_resets,
-            self.ftran_calls,
-            100.0 * self.ftran_density(),
-            self.btran_calls,
-            100.0 * self.btran_density(),
-            self.pricing_full_scans,
-            self.pricing_candidate_scans,
-            self.max_resync_drift
-        )
     }
 }
 
@@ -188,7 +116,6 @@ pub struct Solution {
     pub(crate) objective: f64,
     pub(crate) reduced_costs: Vec<f64>,
     pub(crate) duals: Vec<f64>,
-    pub(crate) iterations: u64,
     pub(crate) stats: SolveStats,
     /// Full basis snapshot (structural + logical statuses): every
     /// variable's status.
@@ -269,7 +196,7 @@ impl Solution {
 
     /// Number of simplex iterations performed (phases 1 and 2 combined).
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.stats.iterations
     }
 
     /// Detailed solver-effort counters for this solve (see

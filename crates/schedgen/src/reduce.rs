@@ -120,9 +120,9 @@ impl ReduceConfig {
 }
 
 /// What the pipeline did: sizes before → after plus per-pass counters.
-/// Campaigns aggregate these into the run summary exactly like the LP
-/// `SolveStats` — being cache-state dependent they live *beside*, never
-/// inside, deterministic result files. Wall-clock pass timings are not
+/// Campaigns aggregate these into the run summary — being cache-state
+/// dependent they live *beside*, never inside, deterministic result
+/// files. Wall-clock pass timings are not
 /// carried here: each pass runs under an `llamp-obs` span
 /// (`reduce/reduce.chains` etc.), so timing lives in the telemetry
 /// channel where it belongs.

@@ -8,7 +8,7 @@
 
 use crate::binding::Binding;
 use crate::eval::{evaluate, Evaluation};
-use crate::lp_build::{GraphLp, ParamPoint};
+use crate::lp_build::{GraphLp, MultiPrediction, ParamPoint};
 use crate::parametric::ParametricProfile;
 use crate::zone::{self, ZONE_STEP_LIMIT};
 use llamp_lp::SolveError;
@@ -117,7 +117,7 @@ impl Analyzer {
 
     /// Fast runtime/λ/critical-path evaluation at one latency value.
     pub fn evaluate(&self, l: f64) -> Evaluation {
-        evaluate(&*self.graph, &self.binding, l)
+        evaluate(self.graph(), &self.binding, l)
     }
 
     /// Predicted runtime at the base latency.
@@ -128,13 +128,13 @@ impl Analyzer {
     /// Build the LP form (Algorithm 1) for solver-based queries, with
     /// the binding's analysis variable as its one parameter column.
     pub fn lp(&self) -> GraphLp {
-        GraphLp::build(&*self.graph, &self.binding)
+        GraphLp::build(self.graph(), &self.binding)
     }
 
     /// Build the LP form with `L`, `G` and `o` all symbolic (see
     /// [`GraphLp::build_axes`]).
     pub fn lp_axes(&self) -> GraphLp {
-        GraphLp::build_axes(&*self.graph, &self.binding)
+        GraphLp::build_axes(self.graph(), &self.binding)
     }
 
     /// Base value of one sweep parameter: the point the campaign's delta
@@ -156,13 +156,13 @@ impl Analyzer {
 
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full
     /// sensitivity gradient (see [`crate::eval::evaluate_multi`]).
-    pub fn evaluate_multi(&self, at: ParamPoint) -> crate::eval::MultiEvaluation {
-        crate::eval::evaluate_multi(&*self.graph, &self.binding, at.l, at.g, at.o)
+    pub fn evaluate_multi(&self, at: ParamPoint) -> MultiPrediction {
+        crate::eval::evaluate_multi(self.graph(), &self.binding, at.l, at.g, at.o)
     }
 
     /// Exact `T(L)` profile over `[l_min, l_max]`.
     pub fn profile(&self, l_min: f64, l_max: f64) -> ParametricProfile {
-        ParametricProfile::compute(&*self.graph, &self.binding, (l_min, l_max))
+        ParametricProfile::compute(self.graph(), &self.binding, (l_min, l_max))
     }
 
     /// The x% tolerance (§II-D2) as *added* latency `∆L` above the base

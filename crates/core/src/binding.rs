@@ -203,16 +203,6 @@ impl MultiBound {
     pub fn eval(&self, l: f64, g: f64, o: f64) -> f64 {
         self.constant + self.l * l + self.g * g + self.o * o
     }
-
-    /// Coefficient of one sweep parameter.
-    #[inline]
-    pub fn coeff(&self, p: SweepParam) -> f64 {
-        match p {
-            SweepParam::L => self.l,
-            SweepParam::G => self.g,
-            SweepParam::O => self.o,
-        }
-    }
 }
 
 /// A complete binding: scalar parameters plus the latency model.

@@ -10,7 +10,8 @@
 
 use crate::binding::Binding;
 use crate::lowering::lower_walk;
-use llamp_schedgen::{EdgeKind, GraphView};
+use crate::lp_build::MultiPrediction;
+use llamp_schedgen::{EdgeKind, ExecGraph};
 
 /// Absolute tie width (ns) when choosing among predecessor paths and
 /// among sinks. A path later by more than `TIE_EPS` wins; within it, the
@@ -51,8 +52,7 @@ impl Evaluation {
 
 /// Evaluate the graph under `binding` with the analysis variable set to
 /// `lambda_value` (for the uniform model: the network latency `L`).
-/// Accepts any [`GraphView`] — raw or reduced graphs alike.
-pub fn evaluate<V: GraphView + ?Sized>(g: &V, binding: &Binding, lambda_value: f64) -> Evaluation {
+pub fn evaluate(g: &ExecGraph, binding: &Binding, lambda_value: f64) -> Evaluation {
     let n = g.num_vertices();
     let mut finish = vec![0.0f64; n];
     // Slope (latency-coefficient sum) of the best path into each vertex,
@@ -119,34 +119,6 @@ pub fn evaluate<V: GraphView + ?Sized>(g: &V, binding: &Binding, lambda_value: f
     }
 }
 
-/// Result of a multi-parameter evaluation: the makespan plus its full
-/// gradient in the three sweepable LogGPS parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiEvaluation {
-    /// Predicted runtime `T` (ns) at the query point.
-    pub runtime: f64,
-    /// Latency sensitivity `λ_L = ∂T/∂L` (traversals on the critical
-    /// path, scaled by the latency model's multipliers).
-    pub lambda_l: f64,
-    /// Bandwidth sensitivity `λ_G = ∂T/∂G` (bytes on the critical path).
-    pub lambda_g: f64,
-    /// Overhead sensitivity `λ_o = ∂T/∂o` (message overheads on the
-    /// critical path).
-    pub lambda_o: f64,
-}
-
-impl MultiEvaluation {
-    /// Sensitivity of one sweep parameter.
-    pub fn lambda(&self, p: crate::binding::SweepParam) -> f64 {
-        use crate::binding::SweepParam;
-        match p {
-            SweepParam::L => self.lambda_l,
-            SweepParam::G => self.lambda_g,
-            SweepParam::O => self.lambda_o,
-        }
-    }
-}
-
 /// Evaluate the graph at an arbitrary `(L, G, o)` point, tracking the full
 /// sensitivity gradient along the critical path. Costs come from
 /// [`Binding::bind_multi`], so nothing is baked to a constant: this is the
@@ -155,13 +127,13 @@ impl MultiEvaluation {
 /// Ties between equal-cost paths prefer the larger `(λ_L, λ_G, λ_o)`
 /// gradient lexicographically — the right-derivative at the query point,
 /// matching the 1-D evaluator's slope tie-break.
-pub fn evaluate_multi<V: GraphView + ?Sized>(
-    g: &V,
+pub fn evaluate_multi(
+    g: &ExecGraph,
     binding: &Binding,
     l: f64,
     gap: f64,
     o: f64,
-) -> MultiEvaluation {
+) -> MultiPrediction {
     let n = g.num_vertices();
     let mut finish = vec![0.0f64; n];
     // Per-vertex gradient of the best incoming path, for tie-breaking and
@@ -205,7 +177,7 @@ pub fn evaluate_multi<V: GraphView + ?Sized>(
             }
         }
     }
-    MultiEvaluation {
+    MultiPrediction {
         runtime,
         lambda_l: best[0],
         lambda_g: best[1],
@@ -240,9 +212,9 @@ impl PairSensitivities {
 }
 
 /// Walk the critical path of an evaluation and accumulate the pairwise
-/// sensitivity matrices. Works on any [`GraphView`]: the evaluation must
-/// come from `g` itself, since the path names `g`'s vertices.
-pub fn pair_sensitivities<V: GraphView + ?Sized>(g: &V, eval: &Evaluation) -> PairSensitivities {
+/// sensitivity matrices. The evaluation must come from `g` itself, since
+/// the path names `g`'s vertices.
+pub fn pair_sensitivities(g: &ExecGraph, eval: &Evaluation) -> PairSensitivities {
     let p = g.nranks();
     let mut lambda = vec![0.0; (p * p) as usize];
     let mut bytes = vec![0.0; (p * p) as usize];

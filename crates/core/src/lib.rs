@@ -34,11 +34,9 @@ pub use analyzer::{Analyzer, SweepPoint, ToleranceZones};
 pub use binding::{
     AnalysisVariable, Binding, LatencyModel, LatencyTerm, MultiBound, PairTable, SweepParam,
 };
-pub use eval::{
-    evaluate, evaluate_multi, pair_sensitivities, Evaluation, MultiEvaluation, PairSensitivities,
-};
+pub use eval::{evaluate, evaluate_multi, pair_sensitivities, Evaluation, PairSensitivities};
 pub use llamp_lp::{SolveError, SolveStats};
-pub use llamp_schedgen::{GraphView, ReduceConfig, ReducedGraph, ReductionStats};
+pub use llamp_schedgen::{ReduceConfig, ReducedGraph, ReductionStats};
 pub use lowering::{lower_walk, Lowered};
 pub use lp_build::{GraphLp, MultiPrediction, ParamPoint, Prediction, CRITICAL_STEP_LIMIT};
 pub use parametric::ParametricProfile;

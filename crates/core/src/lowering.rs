@@ -7,51 +7,45 @@
 //! graph in topological order, bind each vertex cost and each in-edge
 //! cost under the active [`Binding`] (with the correct endpoint ranks),
 //! then combine predecessors. [`lower_walk`] is that loop, written once
-//! over the [`GraphView`] trait, so every builder works identically on
-//! raw [`llamp_schedgen::ExecGraph`]s and reduced
-//! [`llamp_schedgen::ReducedGraph`]s — and any future graph IR that
-//! implements the view.
+//! over an [`ExecGraph`]: a raw graph, or the graph a
+//! [`llamp_schedgen::ReducedGraph`] holds.
 //!
 //! Costs are delivered as fully symbolic [`MultiBound`]s; single-variable
 //! builders (and the one-column LP) collapse them with
 //! [`Binding::project`].
 
 use crate::binding::{Binding, MultiBound};
-use llamp_schedgen::GraphView;
+use llamp_schedgen::ExecGraph;
 
 /// One lowered vertex, handed to the builder callback in topological
 /// order.
 #[derive(Debug)]
 pub struct Lowered<'a> {
-    /// Vertex id in the viewed graph.
+    /// Vertex id in the walked graph.
     pub id: u32,
     /// Owning rank.
     pub rank: u32,
     /// The vertex's own bound cost.
     pub cost: MultiBound,
-    /// Predecessors as `(vertex id, bound edge cost)`, in the view's
+    /// Predecessors as `(vertex id, bound edge cost)`, in the graph's
     /// pred order.
     pub preds: &'a [(u32, MultiBound)],
     /// True when the vertex has no successors (it bounds the makespan).
     pub is_sink: bool,
 }
 
-/// Walk `view` in topological order, binding every vertex and in-edge
+/// Walk `graph` in topological order, binding every vertex and in-edge
 /// cost under `binding`, and hand each lowered vertex to `f`. The pred
 /// buffer is reused across vertices — no per-vertex allocation after the
 /// first join.
-pub fn lower_walk<V: GraphView + ?Sized>(
-    view: &V,
-    binding: &Binding,
-    mut f: impl FnMut(Lowered<'_>),
-) {
+pub fn lower_walk(graph: &ExecGraph, binding: &Binding, mut f: impl FnMut(Lowered<'_>)) {
     let mut buf: Vec<(u32, MultiBound)> = Vec::new();
-    for &v in view.topo_order() {
-        let vert = view.vertex(v);
+    for &v in graph.topo_order() {
+        let vert = graph.vertex(v);
         let cost = binding.bind_multi(&vert.cost, vert.rank, vert.rank);
         buf.clear();
-        for e in view.preds(v) {
-            let urank = view.vertex(e.other).rank;
+        for e in graph.preds(v) {
+            let urank = graph.vertex(e.other).rank;
             buf.push((e.other, binding.bind_multi(&e.cost, urank, vert.rank)));
         }
         f(Lowered {
@@ -59,7 +53,7 @@ pub fn lower_walk<V: GraphView + ?Sized>(
             rank: vert.rank,
             cost,
             preds: &buf,
-            is_sink: view.succs(v).is_empty(),
+            is_sink: graph.succs(v).is_empty(),
         });
     }
 }

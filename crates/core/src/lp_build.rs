@@ -30,7 +30,7 @@ use crate::zone::{self, ZONE_STEP_LIMIT};
 use llamp_lp::{
     resolve_robust, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
 };
-use llamp_schedgen::GraphView;
+use llamp_schedgen::ExecGraph;
 
 /// A query point in the three-parameter space. An LP reads the
 /// coordinates of its parameter columns; a parameter it bakes into its
@@ -126,20 +126,23 @@ impl Prediction {
     }
 }
 
-/// What a solve at a [`ParamPoint`] reports: the runtime plus the
-/// sensitivity of every parameter, all from one dual solution. A
+/// The answer at a [`ParamPoint`]: the runtime plus the sensitivity of
+/// every parameter. An LP solve ([`GraphLp::predict_at`]) reads them
+/// off one dual solution, as reduced costs of its parameter columns; a
 /// parameter the LP bakes into its constants has no column and reports
 /// zero. (The per-parameter basis-stability ranges are one
-/// `Solution::lb_range` away, through [`GraphLp::solve_raw`].)
-#[derive(Debug, Clone, Copy)]
+/// `Solution::lb_range` away, through [`GraphLp::solve_raw`].) Direct
+/// evaluation ([`crate::eval::evaluate_multi`]) reads them off the
+/// critical path: the summed `L`, `G` and `o` coefficients along it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiPrediction {
     /// Predicted runtime `T` (ns).
     pub runtime: f64,
-    /// Latency sensitivity `λ_L` (reduced cost of the `L` column).
+    /// Latency sensitivity `λ_L = ∂T/∂L`.
     pub lambda_l: f64,
-    /// Bandwidth sensitivity `λ_G` (reduced cost of the `G` column).
+    /// Bandwidth sensitivity `λ_G = ∂T/∂G`.
     pub lambda_g: f64,
-    /// Overhead sensitivity `λ_o` (reduced cost of the `o` column).
+    /// Overhead sensitivity `λ_o = ∂T/∂o`.
     pub lambda_o: f64,
 }
 
@@ -155,10 +158,9 @@ impl MultiPrediction {
 }
 
 impl GraphLp {
-    /// Algorithm 1: build the LP for `graph` under `binding` (any
-    /// [`GraphView`] — raw or reduced graphs alike) with one parameter
-    /// column, the binding's analysis variable, starting at bound `≥ 0`;
-    /// the other parameters are baked into row constants.
+    /// Algorithm 1: build the LP for `graph` under `binding` with one
+    /// parameter column, the binding's analysis variable, starting at
+    /// bound `≥ 0`; the other parameters are baked into row constants.
     ///
     /// Alongside the model this records a `CrashPlan`: one record per
     /// row of the longest-path recursion the LP encodes. Each query
@@ -172,7 +174,7 @@ impl GraphLp {
     /// dual feasible, i.e. optimal up to degeneracy: a cold solve seeded
     /// from it needs no pivots at all, only that factorisation and one
     /// pricing pass.
-    pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
+    pub fn build(graph: &ExecGraph, binding: &Binding) -> Self {
         Self::lower(graph, binding, &[binding.variable.param()])
     }
 
@@ -180,7 +182,7 @@ impl GraphLp {
     /// parameter, each edge constraint carrying its full coefficient
     /// vector from [`Binding::bind_multi`], and the crash plan keeping
     /// all three multipliers per row.
-    pub fn build_axes<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
+    pub fn build_axes(graph: &ExecGraph, binding: &Binding) -> Self {
         Self::lower(graph, binding, &SweepParam::ALL)
     }
 
@@ -192,7 +194,7 @@ impl GraphLp {
     /// engine path reads one; the model's text form prints them as
     /// `x{index}`), every row's terms are assembled in one reused buffer,
     /// and the model appends them to its flat row arrays.
-    fn lower<V: GraphView + ?Sized>(graph: &V, binding: &Binding, params: &[SweepParam]) -> Self {
+    fn lower(graph: &ExecGraph, binding: &Binding, params: &[SweepParam]) -> Self {
         use llamp_lp::solution::VarStatus;
 
         let span = llamp_obs::span("lp.lower");

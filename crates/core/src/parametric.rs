@@ -20,7 +20,7 @@
 use crate::binding::Binding;
 use crate::lowering::lower_walk;
 use llamp_lp::piecewise::{Envelope, Invert, Line};
-use llamp_schedgen::GraphView;
+use llamp_schedgen::ExecGraph;
 
 /// The exact runtime curve of a graph over a latency window.
 #[derive(Debug, Clone)]
@@ -33,13 +33,8 @@ pub struct ParametricProfile {
 
 impl ParametricProfile {
     /// Run the windowed-envelope DP. `window` is the latency interval the
-    /// curve must be exact on. Accepts any [`GraphView`] — raw or
-    /// reduced graphs alike.
-    pub fn compute<V: GraphView + ?Sized>(
-        graph: &V,
-        binding: &Binding,
-        window: (f64, f64),
-    ) -> Self {
+    /// curve must be exact on.
+    pub fn compute(graph: &ExecGraph, binding: &Binding, window: (f64, f64)) -> Self {
         assert!(window.0 <= window.1, "empty latency window");
         let (lo, hi) = window;
         let n = graph.num_vertices();

@@ -51,12 +51,6 @@ impl SolveError {
             SolveError::Infeasible | SolveError::Unbounded | SolveError::Uncertified
         )
     }
-
-    /// Whether this is the unbounded-objective outcome (which tolerance
-    /// queries interpret as "infinite tolerance", not an error).
-    pub fn is_unbounded(&self) -> bool {
-        matches!(self, SolveError::Unbounded)
-    }
 }
 
 impl std::fmt::Display for SolveError {

@@ -298,11 +298,6 @@ impl LpModel {
         self.rows.len()
     }
 
-    /// Total number of nonzero coefficients across all rows.
-    pub fn num_nonzeros(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Optimisation direction.
     pub fn sense(&self) -> Objective {
         self.sense
@@ -321,26 +316,6 @@ impl LpModel {
         for &(v, c) in terms {
             self.obj[v.0 as usize] += c;
         }
-    }
-
-    /// Current lower bound of `v`.
-    pub fn var_lb(&self, v: VarId) -> f64 {
-        self.vars.lb[v.0 as usize]
-    }
-
-    /// Current upper bound of `v`.
-    pub fn var_ub(&self, v: VarId) -> f64 {
-        self.vars.ub[v.0 as usize]
-    }
-
-    /// Variable name (for reports and GOAL/LP dumps).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars.names[v.0 as usize]
-    }
-
-    /// Objective coefficient of `v`.
-    pub fn var_obj(&self, v: VarId) -> f64 {
-        self.obj[v.0 as usize]
     }
 
     /// Tighten/relax the lower bound of a variable. This is the hot

@@ -75,12 +75,6 @@ impl HLogGP {
         self.l[j as usize * self.p + i as usize] = v;
     }
 
-    /// Set a pairwise per-byte gap (kept symmetric).
-    pub fn set_g(&mut self, i: u32, j: u32, v: f64) {
-        self.g[i as usize * self.p + j as usize] = v;
-        self.g[j as usize * self.p + i as usize] = v;
-    }
-
     /// Check the symmetry invariant (used by tests and debug assertions).
     pub fn is_symmetric(&self) -> bool {
         for i in 0..self.p {

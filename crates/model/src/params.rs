@@ -103,12 +103,6 @@ impl LogGPSParams {
         self
     }
 
-    /// Override the rendezvous threshold.
-    pub fn with_s(mut self, s_bytes: u64) -> Self {
-        self.s = s_bytes;
-        self
-    }
-
     /// Protocol used for a message of `bytes` (eager strictly below `S`).
     pub fn protocol(&self, bytes: u64) -> Protocol {
         if bytes < self.s {

@@ -179,10 +179,11 @@ pub fn build_graph(trace: &Trace, cfg: &GraphConfig) -> Result<ExecGraph, BuildE
     ingest.finish()
 }
 
-/// Incremental trace → graph compiler: the streaming core behind
-/// [`build_graph`]. Sources that know their records up front (a
-/// [`llamp_trace::ProgramSet`] replay, the streaming text parser) feed
-/// rank sections with [`GraphIngest::begin_rank`] + [`GraphIngest::record`];
+/// Incremental trace → graph compiler. [`build_graph`] feeds it a
+/// [`Trace`]; the crate's `*_of_programs` functions feed it a
+/// [`llamp_trace::ProgramSet`] replay straight from the tracer. Each
+/// feeds rank sections with [`GraphIngest::begin_rank`] +
+/// [`GraphIngest::record`].
 /// [`GraphIngest::into_builder`] then runs message matching, collective
 /// expansion and wait wiring, and [`GraphIngest::finish`] adds the CSR
 /// finalisation of the raw graph.
@@ -195,7 +196,7 @@ pub fn build_graph(trace: &Trace, cfg: &GraphConfig) -> Result<ExecGraph, BuildE
 /// with the number of records (`tests/alloc_count.rs` holds HPCG at 24
 /// ranks under `records / 8`).
 #[derive(Debug)]
-pub struct GraphIngest {
+pub(crate) struct GraphIngest {
     nranks: u32,
     cfg: GraphConfig,
     builder: GraphBuilder,
@@ -221,17 +222,12 @@ pub struct GraphIngest {
 }
 
 impl GraphIngest {
-    /// Start an ingest for `nranks` ranks with default-sized arenas.
-    pub fn new(nranks: u32, cfg: &GraphConfig) -> Self {
-        Self::with_capacity(nranks, cfg, 0)
-    }
-
     /// Start an ingest with arenas pre-sized from a total record-count
     /// hint. The eager point-to-point gadget dominates real traces at
     /// roughly 3 vertices and 5 edges per record (continuation, gap calc
     /// and the shared message gadget); collective expansions add more,
     /// and the arenas still grow past an under-estimate.
-    pub fn with_capacity(nranks: u32, cfg: &GraphConfig, records_hint: usize) -> Self {
+    pub(crate) fn with_capacity(nranks: u32, cfg: &GraphConfig, records_hint: usize) -> Self {
         Self {
             nranks,
             cfg: *cfg,
@@ -252,14 +248,9 @@ impl GraphIngest {
         }
     }
 
-    /// Number of vertices accumulated so far.
-    pub fn num_vertices(&self) -> usize {
-        self.builder.num_vertices()
-    }
-
     /// Open rank `r`'s section: adds its start vertex (the paper's Init)
     /// and resets the per-rank walk state.
-    pub fn begin_rank(&mut self, r: u32) {
+    pub(crate) fn begin_rank(&mut self, r: u32) {
         self.rank = r;
         self.tail = self.builder.add_vertex(r, VertexKind::Calc, CostExpr::ZERO);
         self.prev_end = 0.0;
@@ -269,7 +260,12 @@ impl GraphIngest {
     }
 
     /// Feed one record of the current rank section.
-    pub fn record(&mut self, kind: &CallKind, start: f64, end: f64) -> Result<(), BuildError> {
+    pub(crate) fn record(
+        &mut self,
+        kind: &CallKind,
+        start: f64,
+        end: f64,
+    ) -> Result<(), BuildError> {
         debug_assert!(self.started, "record before begin_rank");
         let r = self.rank;
         // Compute gap becomes a calc vertex (Fig. 3B).
@@ -464,7 +460,7 @@ impl GraphIngest {
 
     /// Match and lower point-to-point channels, expand collectives, wire
     /// waits and finalise the CSR graph.
-    pub fn finish(self) -> Result<ExecGraph, BuildError> {
+    pub(crate) fn finish(self) -> Result<ExecGraph, BuildError> {
         let builder = self.into_builder()?;
         let _csr = llamp_obs::span("ingest.csr");
         Ok(builder.finish()?)
@@ -474,7 +470,7 @@ impl GraphIngest {
     /// wire waits: the raw graph's vertices and edges, before any CSR.
     /// [`GraphBuilder::finish`] turns it into the raw [`ExecGraph`],
     /// [`GraphBuilder::finish_reduced`] straight into the reduced one.
-    pub fn into_builder(self) -> Result<GraphBuilder, BuildError> {
+    pub(crate) fn into_builder(self) -> Result<GraphBuilder, BuildError> {
         let GraphIngest {
             nranks,
             cfg,

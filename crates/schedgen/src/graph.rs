@@ -248,6 +248,27 @@ impl ExecGraph {
     }
 }
 
+/// The number of constraint rows Algorithm 1 generates for a graph
+/// without building the model: one row per in-edge of every
+/// multi-predecessor vertex (each spawns a merge variable `y_v`) plus one
+/// row per sink (the makespan bounds `t ≥ T_v`). Single-predecessor
+/// vertices extend affine expressions and contribute nothing — which is
+/// why chain contraction alone never shrinks the LP, and the fold /
+/// redundancy passes of [`crate::reduce`](mod@crate::reduce) do.
+pub fn alg1_row_count(g: &ExecGraph) -> u64 {
+    let mut rows = 0u64;
+    for v in 0..g.num_vertices() as u32 {
+        let np = g.preds(v).len();
+        if np > 1 {
+            rows += np as u64;
+        }
+        if g.succs(v).is_empty() {
+            rows += 1;
+        }
+    }
+    rows
+}
+
 /// Errors surfaced while finalising a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
@@ -612,5 +633,22 @@ mod tests {
         let cg = g.contracted();
         assert_eq!(cg.num_vertices(), 4);
         assert_eq!(cg.num_edges(), 4);
+    }
+
+    #[test]
+    fn row_count_matches_algorithm1_shape() {
+        // Diamond: a → {b, c} → d. d is a 2-pred join (2 rows) and the
+        // only sink (1 row).
+        let mut b = GraphBuilder::new(1);
+        let a = b.add_vertex(0, VertexKind::Calc, CostExpr::constant(1.0));
+        let x = b.add_vertex(0, VertexKind::Calc, CostExpr::constant(2.0));
+        let y = b.add_vertex(0, VertexKind::Calc, CostExpr::constant(3.0));
+        let d = b.add_vertex(0, VertexKind::Calc, CostExpr::constant(4.0));
+        b.add_edge(a, x, EdgeKind::Local, CostExpr::ZERO);
+        b.add_edge(a, y, EdgeKind::Local, CostExpr::ZERO);
+        b.add_edge(x, d, EdgeKind::Local, CostExpr::ZERO);
+        b.add_edge(y, d, EdgeKind::Local, CostExpr::ZERO);
+        let g = b.finish().unwrap();
+        assert_eq!(alg1_row_count(&g), 3);
     }
 }

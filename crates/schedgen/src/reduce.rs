@@ -58,8 +58,9 @@
 //! semantics survive only on unmerged vertices, so don't feed it to the
 //! simulator.
 
-use crate::graph::{CostExpr, EdgeKind, EdgeRef, ExecGraph, GraphBuilder, GraphError, Vertex};
-use crate::view::{alg1_row_count, GraphView};
+use crate::graph::{
+    alg1_row_count, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphError, Vertex,
+};
 
 /// Which reduction passes run. Every reduction runs the enabled passes
 /// over the whole graph to a fixpoint, whatever the graph's size, so
@@ -203,9 +204,8 @@ impl ReductionStats {
 }
 
 /// The reduced IR: a smaller [`ExecGraph`] plus what the pipeline did to
-/// get there. Implements [`GraphView`], so every analysis builder
-/// consumes it exactly like a raw graph, and every answer is read off it
-/// as it is.
+/// get there. The analyses read [`ReducedGraph::graph`] exactly like a
+/// raw graph, and every answer is read off it as it is.
 #[derive(Debug, Clone)]
 pub struct ReducedGraph {
     graph: ExecGraph,
@@ -244,32 +244,6 @@ impl ReducedGraph {
     /// What the pipeline did.
     pub fn stats(&self) -> &ReductionStats {
         &self.stats
-    }
-}
-
-impl GraphView for ReducedGraph {
-    fn nranks(&self) -> u32 {
-        self.graph.nranks()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn vertex(&self, v: u32) -> &Vertex {
-        self.graph.vertex(v)
-    }
-
-    fn preds(&self, v: u32) -> &[EdgeRef] {
-        self.graph.preds(v)
-    }
-
-    fn succs(&self, v: u32) -> &[EdgeRef] {
-        self.graph.succs(v)
-    }
-
-    fn topo_order(&self) -> &[u32] {
-        self.graph.topo_order()
     }
 }
 

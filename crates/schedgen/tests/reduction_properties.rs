@@ -9,14 +9,14 @@
 //! to merge.
 
 use llamp_schedgen::{
-    reduce, CostExpr, EdgeKind, ExecGraph, GraphBuilder, GraphView, ReduceConfig, VertexKind,
+    reduce, CostExpr, EdgeKind, ExecGraph, GraphBuilder, ReduceConfig, VertexKind,
 };
 use proptest::prelude::*;
 
-/// Longest-path makespan of any [`GraphView`] under a concrete LogGPS
-/// binding, via one sweep over the topological order. This is the
-/// quantity the reduction passes promise to preserve exactly.
-fn makespan<V: GraphView + ?Sized>(g: &V, o: f64, l: f64, big_g: f64) -> f64 {
+/// Longest-path makespan of a graph under a concrete LogGPS binding,
+/// via one sweep over the topological order. This is the quantity the
+/// reduction passes promise to preserve exactly.
+fn makespan(g: &ExecGraph, o: f64, l: f64, big_g: f64) -> f64 {
     let mut finish = vec![0.0_f64; g.num_vertices()];
     let mut best = 0.0_f64;
     for &v in g.topo_order() {

@@ -56,11 +56,6 @@ impl Dragonfly {
         self.a
     }
 
-    /// Hosts per router.
-    pub fn hosts_per_router(&self) -> u32 {
-        self.p
-    }
-
     /// Router index (within its group) of a node.
     pub fn router_of(&self, node: u32) -> u32 {
         (node / self.p) % self.a

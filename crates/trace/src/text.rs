@@ -110,88 +110,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Incremental consumer for [`parse_trace_into`]: sees each `@rank`
-/// header and each record in file order, without the parser ever
-/// materialising a [`Trace`]. Implementors that can fail (e.g. a graph
-/// compiler rejecting a record) surface their error through
-/// [`StreamError::Sink`].
-pub trait TraceSink {
-    /// Sink-side failure type (use [`std::convert::Infallible`] for pure
-    /// collectors).
-    type Error;
-
-    /// A `@rank` header opened a new rank section.
-    fn rank(&mut self, rank: u32) -> Result<(), Self::Error>;
-
-    /// One record of the current rank section.
-    fn record(&mut self, rec: TraceRecord) -> Result<(), Self::Error>;
-}
-
-/// Either side of a streaming parse can fail: the text itself
-/// ([`ParseError`], with its 1-based line number) or the sink consuming
-/// the records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamError<E> {
-    /// The trace text is malformed.
-    Parse(ParseError),
-    /// The sink rejected a header or record.
-    Sink(E),
-}
-
-impl<E> From<ParseError> for StreamError<E> {
-    fn from(e: ParseError) -> Self {
-        StreamError::Parse(e)
-    }
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for StreamError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Parse(e) => e.fmt(f),
-            StreamError::Sink(e) => e.fmt(f),
-        }
-    }
-}
-
-impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for StreamError<E> {}
-
-/// The world size a trace header declares, if any — readable without
-/// parsing the body, so a streaming consumer can pre-size its arenas.
-/// Scans only the comment lines before the first rank section.
-pub fn declared_nranks(input: &str) -> Option<u32> {
-    for raw in input.lines() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let rest = line.strip_prefix('#')?;
-        if let Some(n) = rest.trim().strip_prefix("llamp-trace nranks=") {
-            return n.parse().ok();
-        }
-    }
-    None
-}
-
-/// Streaming parse: feed each header/record to `sink` as it is read,
-/// holding only the current line. Returns the world size (declared by the
-/// header, or the number of rank sections seen). Used by the graph
-/// compiler to ingest million-record traces without an intermediate
-/// [`Trace`]; [`parse_trace`] is a collector over this.
-pub fn parse_trace_into<S: TraceSink>(
-    input: &str,
-    sink: &mut S,
-) -> Result<u32, StreamError<S::Error>> {
+/// Parse the text format back into a [`Trace`]. The world size is the
+/// header's `# llamp-trace nranks=N` when present, else the number of
+/// rank sections; the two must agree.
+pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
     // Chaos site: simulates a torn/corrupted read surfacing as a typed
     // parse error (never a panic, never silent truncation).
     if llamp_faults::should_inject("trace.parse.corrupt") {
         return Err(ParseError {
             line: 0,
             message: "injected fault: trace.parse.corrupt".into(),
-        }
-        .into());
+        });
     }
     let mut nranks: Option<u32> = None;
-    let mut ranks_seen = 0u32;
+    let mut ranks: Vec<RankTrace> = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -213,61 +145,29 @@ pub fn parse_trace_into<S: TraceSink>(
                 .trim()
                 .parse()
                 .map_err(|e| err(format!("bad rank header: {e}")))?;
-            ranks_seen += 1;
-            sink.rank(rank).map_err(StreamError::Sink)?;
-            continue;
-        }
-        if ranks_seen == 0 {
-            return Err(err("record before any @rank header".into()).into());
-        }
-        sink.record(parse_record(line, lineno)?)
-            .map_err(StreamError::Sink)?;
-    }
-    let nranks = nranks.unwrap_or(ranks_seen);
-    if nranks != ranks_seen {
-        return Err(ParseError {
-            line: 0,
-            message: format!("header says {} ranks, found {}", nranks, ranks_seen),
-        }
-        .into());
-    }
-    Ok(nranks)
-}
-
-/// Parse the text format back into a [`Trace`].
-pub fn parse_trace(input: &str) -> Result<Trace, ParseError> {
-    struct Collect {
-        ranks: Vec<RankTrace>,
-    }
-    impl TraceSink for Collect {
-        type Error = std::convert::Infallible;
-
-        fn rank(&mut self, rank: u32) -> Result<(), Self::Error> {
-            self.ranks.push(RankTrace {
+            ranks.push(RankTrace {
                 rank,
                 records: Vec::new(),
             });
-            Ok(())
+            continue;
         }
-
-        fn record(&mut self, rec: TraceRecord) -> Result<(), Self::Error> {
-            self.ranks
-                .last_mut()
-                .expect("parser enforces a rank header first")
-                .records
-                .push(rec);
-            Ok(())
-        }
+        let Some(current) = ranks.last_mut() else {
+            return Err(err("record before any @rank header".into()));
+        };
+        current.records.push(parse_record(line, lineno)?);
     }
-    let mut sink = Collect { ranks: Vec::new() };
-    match parse_trace_into(input, &mut sink) {
-        Ok(nranks) => Ok(Trace {
-            nranks,
-            ranks: sink.ranks,
-        }),
-        Err(StreamError::Parse(e)) => Err(e),
-        Err(StreamError::Sink(e)) => match e {},
+    let found = u32::try_from(ranks.len()).map_err(|_| ParseError {
+        line: 0,
+        message: format!("{} rank sections overflow u32", ranks.len()),
+    })?;
+    let nranks = nranks.unwrap_or(found);
+    if nranks != found {
+        return Err(ParseError {
+            line: 0,
+            message: format!("header says {} ranks, found {}", nranks, found),
+        });
     }
+    Ok(Trace { nranks, ranks })
 }
 
 /// The widest record line (`MPI_Sendrecv`) has 9 colon-separated fields,
@@ -475,6 +375,32 @@ mod tests {
         let text = "# llamp-trace nranks=3\n@rank 0\nMPI_Init:0:0\n";
         let e = parse_trace(text).unwrap_err();
         assert!(e.message.contains("header says 3"));
+    }
+
+    #[test]
+    fn parse_rejects_bad_rank_header() {
+        let text = "# llamp-trace nranks=1\n\n@rank zero\nMPI_Init:0:0\n";
+        let e = parse_trace(text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("bad rank header"), "{}", e.message);
+    }
+
+    #[test]
+    fn parse_rejects_bad_nranks() {
+        let text = "# a comment\n# llamp-trace nranks=-2\n@rank 0\nMPI_Init:0:0\n";
+        let e = parse_trace(text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("bad nranks"), "{}", e.message);
+    }
+
+    #[test]
+    fn headerless_trace_counts_its_rank_sections() {
+        let text = "@rank 0\nMPI_Init:0:0\n@rank 1\nMPI_Init:0:0\nMPI_Finalize:1:1\n";
+        let tr = parse_trace(text).unwrap();
+        assert_eq!(tr.nranks, 2);
+        assert_eq!(tr.ranks.len(), 2);
+        assert_eq!(tr.ranks[1].rank, 1);
+        assert_eq!(tr.ranks[1].records.len(), 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn lowering_does_not_allocate_per_row() {
     let binding = binding();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let lp = GraphLp::build(&graph, &binding);
+    let lp = GraphLp::build(graph.graph(), &binding);
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let rows = lp.model().num_constraints() as u64;
@@ -106,7 +106,7 @@ fn lowered_rows_are_pinned() {
         (App::Hpcg, 0x5fda_98bd_1169_e30b_u64),
         (App::Lulesh, 0x49c5_2242_09f3_0ad1),
     ] {
-        let lp = GraphLp::build(&reduced(app), &binding);
+        let lp = GraphLp::build(reduced(app).graph(), &binding);
         let model = lp.model();
         let mut words = vec![model.num_vars() as u64, model.num_constraints() as u64];
         for i in 0..model.num_constraints() as u32 {

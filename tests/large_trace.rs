@@ -41,7 +41,7 @@ fn reduced_lp_matches_raw_lp_at_scale() {
     // Reduced LP: objective and latency sensitivity (the dual the paper
     // reports) must match the raw model to solver tolerance.
     let reduced = g.reduced(&ReduceConfig::default());
-    let lp = GraphLp::build(&reduced, &binding)
+    let lp = GraphLp::build(reduced.graph(), &binding)
         .predict(params.l)
         .expect("reduced LP solves");
     assert!(
@@ -60,9 +60,9 @@ fn reduced_lp_matches_raw_lp_at_scale() {
     // The answers a campaign caches, bit for bit: a change to the
     // reduced graph that moves any of them moves results bytes, and needs
     // a reduction tag in every cache key.
-    let eval = evaluate(&reduced, &binding, params.l);
+    let eval = evaluate(reduced.graph(), &binding, params.l);
     let window = (params.l, params.l + us(60.0));
-    let envelope = ParametricProfile::compute(&reduced, &binding, window).runtime(params.l);
+    let envelope = ParametricProfile::compute(reduced.graph(), &binding, window).runtime(params.l);
     let got = [
         ("LP runtime", lp.runtime.to_bits()),
         ("LP lambda", lp.lambda.to_bits()),
